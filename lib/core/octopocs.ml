@@ -219,6 +219,15 @@ let explain_report ~label (r : report) : string =
         p.Provenance.dropped);
   Buffer.contents b
 
+(* P4's crash-site fault text.  A hang the VM proved periodic names the
+   proof, so the verdict visibly rests on non-termination rather than on
+   a slow T running out of steps. *)
+let fault_text (r : Interp.result) (c : Interp.crash) =
+  match r.cycle with
+  | Some (m, l) ->
+      Printf.sprintf "hang (step budget exhausted; proven cycle, period %d steps from step %d)" l m
+  | None -> Fmt.str "%a" Mem.pp_fault c.fault
+
 (** [identify_ep ~ell crash] picks [ep]: the bottom-most function of the
     crash backtrace that belongs to ℓ — i.e. the first ℓ function entered on
     the path to the crash (paper "Preprocessing"). *)
@@ -591,7 +600,7 @@ let run_attempt ~(config : config) ~(deadline : Deadline.t) ?ell ~(s : Isa.progr
                                      {
                                        func = c.crash_func;
                                        pc = c.crash_pc;
-                                       fault = Fmt.str "%a" Mem.pp_fault c.fault;
+                                       fault = fault_text t_run c;
                                        in_ell = List.mem c.crash_func ell;
                                      })
                             | _ -> ());

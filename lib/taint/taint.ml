@@ -127,6 +127,38 @@ let on_access st (a : Interp.access) =
     if st.ep_depth > 0 then mark st influence
   end
 
+(* The hooks' cycle-skip opt-in: capture every mutable part of [st] and
+   report whether it is still equal.  The consumer is a deterministic
+   function of (its state, the event stream), so an unchanged state over
+   one proven machine period means the withheld periods would not change
+   it either. *)
+let checkpoint st () =
+  let taint = Hashtbl.copy st.taint in
+  let offsets = Array.copy st.bunch_offsets
+  and args = Array.copy st.bunch_args
+  and anchor = Array.copy st.bunch_anchor
+  and sites = Array.copy st.bunch_sites in
+  let ep_count = st.ep_count
+  and ep_depth = st.ep_depth
+  and fstack = st.fstack
+  and file_pos = st.file_pos
+  and peak = st.peak in
+  fun () ->
+    st.ep_count = ep_count && st.ep_depth = ep_depth && st.file_pos = file_pos
+    && st.peak = peak && st.fstack = fstack
+    && Array.length st.bunch_offsets = Array.length offsets
+    && Array.for_all2 Offsets.equal st.bunch_offsets offsets
+    && st.bunch_args = args && st.bunch_anchor = anchor
+    && Array.for_all2 Sites.equal st.bunch_sites sites
+    && Hashtbl.length st.taint = Hashtbl.length taint
+    && Hashtbl.fold
+         (fun o offs same ->
+           same
+           && match Hashtbl.find_opt st.taint o with
+              | Some offs' -> Offsets.equal offs offs'
+              | None -> false)
+         taint true
+
 (** [extract ?mode program ~poc ~ep] runs [program] on [poc] under the taint
     engine and returns the crash primitives.  The run normally ends in the
     crash that [poc] provokes; a clean exit yields [crash = None] (callers
@@ -198,6 +230,7 @@ let extract ?(mode = Context_aware) ?(granularity = Byte_level) ?compiled
         (fun fname ->
           (match st.fstack with top :: rest when top = fname -> st.fstack <- rest | _ -> ());
           if fname = st.ep then st.ep_depth <- max 0 (st.ep_depth - 1));
+      checkpoint = Some (checkpoint st);
     }
   in
   let run_result =

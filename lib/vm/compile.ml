@@ -23,10 +23,40 @@
     implicit [Ret 0].
 
     Semantics contract: byte-for-byte the reference interpreter —
-    outcomes, crash sites, backtraces, step counts, hook streams, output
-    channels, fault-injection and deadline behavior.  The qcheck
-    differential property in [test/test_vm.ml] pins this against
-    {!Interp.run_reference} over random DSL programs.
+    outcomes, crash sites, backtraces, step counts, output channels,
+    fault-injection and deadline behavior, and the hook streams of every
+    consumer that does not opt into cycle skipping.  The qcheck
+    differential properties in [test/test_vm.ml] pin this against
+    {!Interp.run_reference} over random DSL programs, terminating and
+    hanging ones alike.
+
+    Hang cycles.  A run that would only end at its step budget (the
+    CWE-835 model) is not executed to the budget when the run loop can
+    prove it is periodic.  Every {!deadline_stride} steps (from step
+    [deadline_stride] on) the run loop compares the machine state with
+    one saved snapshot, re-saved after a doubling number of samples
+    (Brent's cycle detection).  The comparison is structural, never a
+    hash: frames (function, pc, registers, return slot), [next_frame]
+    when hooked (hook payloads carry frame ids), file handles and
+    [next_fd], [brk] (it grows with every region), [outputs] by physical
+    equality, and last the bytes of every writable region.  The memory
+    region cache and the step counter are not state.  The machine is
+    deterministic, so equal states at steps [s0 < s] mean the run repeats
+    with a period dividing [L = s - s0] forever: it can never exit or
+    fault before the budget.  The run loop then advances the step counter
+    by the largest multiple of [L] that fits the budget and keeps
+    executing, so the budget fault fires in the same state — same pc,
+    function, backtrace, outputs and [steps] — as the full run.  The
+    result's [cycle] records [(s0, L)].
+
+    Skipping is off when fault injection is enabled (per-syscall draws
+    advance an RNG stream outside the machine state) and for hooked runs
+    whose hooks carry no [checkpoint].  A hooked consumer opts in with
+    [checkpoint]: the run loop calls it at every snapshot, and on a machine
+    state match skips only if the returned closure reports the consumer's
+    own state unchanged since then — which makes the events the skip
+    withholds a no-op on the consumer.  {!Interp.run_reference} never
+    skips; it is the full-length oracle.
 
     The shared runtime types ([hooks], [crash], [result], ...) live here —
     the bottom of the VM dependency order — and {!Interp} re-exports them
@@ -57,6 +87,10 @@ type hooks = {
   on_edge : string -> int -> int -> unit;
   on_step : string -> int -> unit;
   on_seek : fd:int -> pos:int -> unit;
+  checkpoint : (unit -> unit -> bool) option;
+      (** cycle-skip opt-in: [checkpoint ()] captures the consumer's state
+          and returns a closure telling whether the state is still equal
+          to the capture.  [None] (the default) never skips. *)
 }
 
 let no_hooks =
@@ -68,6 +102,7 @@ let no_hooks =
     on_edge = (fun _ _ _ -> ());
     on_step = (fun _ _ -> ());
     on_seek = (fun ~fd:_ ~pos:_ -> ());
+    checkpoint = None;
   }
 
 type crash = {
@@ -85,6 +120,10 @@ type result = {
   outcome : outcome;
   outputs : int list;
   steps : int;
+  cycle : (int * int) option;
+      (** [(s0, l)] when the run was proven periodic: the state at step
+          [s0] recurs at [s0 + l], and the budget was reached by skipping
+          whole periods.  Always [None] from the reference interpreter. *)
 }
 
 exception Exit_program of int
@@ -666,6 +705,108 @@ let get ?digest (p : program) : compiled =
       c
 
 (* ------------------------------------------------------------------ *)
+(* Hang-cycle detection (see the module doc).  A snapshot copies every
+   part of the machine state the rest of a run can depend on.  [outputs]
+   only ever grows by prepending, so it is kept physically and
+   "unchanged" is one pointer comparison; [brk] grows with every new
+   region, so an equal [brk] means the same region list. *)
+
+type snap_frame = {
+  sf_func : cfunc;
+  sf_pc : int;
+  sf_regs : int array;
+  sf_ret : reg option;
+}
+
+type snapshot = {
+  at : int;  (** step the snapshot was taken at *)
+  frames : snap_frame list;  (** top first, like [ctx.stack] *)
+  next_frame : int;
+  handles : (int * int) list;  (** (fd, pos) in handle-list order *)
+  next_fd : int;
+  brk : int;
+  outputs : int list;
+  heap : Bytes.t list;  (** copies of the writable regions' bytes, in [regions] order *)
+  consumer : (unit -> bool) option;  (** the hooks' [checkpoint] closure *)
+}
+
+(* Brent's algorithm: compare every sample with [snap]; re-save after
+   [power] samples, doubling [power]. *)
+type brent = {
+  mutable snap : snapshot;
+  mutable power : int;
+  mutable lam : int;
+}
+
+type cycle_search =
+  | Unsampled
+  | Searching of brent
+  | Found of int * int  (** (s0, period multiple l) *)
+
+let writable (r : Mem.region) = r.kind <> Mem.Rodata
+
+let snapshot (ctx : ectx) at : snapshot =
+  {
+    at;
+    frames =
+      List.map
+        (fun f ->
+          {
+            sf_func = f.cfunc;
+            sf_pc = f.pc;
+            sf_regs = Array.copy f.regs;
+            sf_ret = f.ret_dst;
+          })
+        ctx.stack;
+    next_frame = ctx.next_frame;
+    handles = List.map (fun (h : Vfile.handle) -> (h.fd, h.pos)) ctx.file.handles;
+    next_fd = ctx.file.next_fd;
+    brk = ctx.mem.brk;
+    outputs = ctx.outputs;
+    heap =
+      List.filter_map
+        (fun r -> if writable r then Some (Bytes.copy r.Mem.bytes) else None)
+        ctx.mem.regions;
+    consumer = Option.map (fun cp -> cp ()) ctx.hooks.checkpoint;
+  }
+
+let rec same_frames fs sfs =
+  match (fs, sfs) with
+  | [], [] -> true
+  | f :: fs, sf :: sfs ->
+      f.cfunc == sf.sf_func && f.pc = sf.sf_pc && f.ret_dst = sf.sf_ret
+      && f.regs = sf.sf_regs && same_frames fs sfs
+  | _ -> false
+
+let rec same_handles hs shs =
+  match (hs, shs) with
+  | [], [] -> true
+  | (h : Vfile.handle) :: hs, (fd, pos) :: shs -> h.fd = fd && h.pos = pos && same_handles hs shs
+  | _ -> false
+
+let rec same_heap (rs : Mem.region list) heap =
+  match (rs, heap) with
+  | [], [] -> true
+  | r :: rs, _ when not (writable r) -> same_heap rs heap
+  | r :: rs, b :: heap -> Bytes.equal r.bytes b && same_heap rs heap
+  | _ -> false
+
+(* Cheap fields first; region bytes, then the consumer, last.  Frame ids
+   are observable only through hook payloads, so only hooked runs compare
+   [next_frame] — which also covers the ids of the frames themselves: no
+   frame was pushed since the snapshot, so an equally deep stack holds the
+   same frames. *)
+let same_state (ctx : ectx) (sn : snapshot) =
+  ctx.outputs == sn.outputs
+  && ctx.mem.brk = sn.brk
+  && ctx.file.next_fd = sn.next_fd
+  && ((not ctx.hooked) || ctx.next_frame = sn.next_frame)
+  && same_frames ctx.stack sn.frames
+  && same_handles ctx.file.handles sn.handles
+  && same_heap ctx.mem.regions sn.heap
+  && match sn.consumer with Some unchanged -> unchanged () | None -> true
+
+(* ------------------------------------------------------------------ *)
 (* Driver. *)
 
 let backtrace ctx = List.rev_map (fun f -> f.cfunc.cf_name) ctx.stack
@@ -706,12 +847,46 @@ let run ?(hooks = no_hooks) ?(max_steps = default_max_steps) ?(deadline = Deadli
     }
   in
   let stride = deadline_stride - 1 in
+  let skip_ok =
+    (not (Faultinject.enabled inject)) && ((not hooked) || Option.is_some hooks.checkpoint)
+  in
+  let search = ref Unsampled in
+  (* Runs at every stride point; returns the step to continue from, which
+     is past whole skipped periods once a cycle is proven.  Kept out of
+     line so the per-step loop stays as small as before. *)
+  let[@local never] at_stride s =
+    Deadline.check deadline ~what:"concrete execution";
+    if s = 0 || not skip_ok then s
+    else
+      match !search with
+      | Found _ -> s
+      | Unsampled ->
+          search := Searching { snap = snapshot ctx s; power = 1; lam = 0 };
+          s
+      | Searching b when same_state ctx b.snap ->
+          let l = s - b.snap.at in
+          let s' = s + ((max_steps - s) / l * l) in
+          search := Found (b.snap.at, l);
+          if s' >= max_steps then begin
+            ctx.steps <- s';
+            raise (Mem.Fault Mem.Hang)
+          end;
+          s'
+      | Searching b ->
+          b.lam <- b.lam + 1;
+          if b.lam = b.power then begin
+            b.snap <- snapshot ctx s;
+            b.power <- 2 * b.power;
+            b.lam <- 0
+          end;
+          s
+  in
   let outcome =
     try
       while true do
         let s = ctx.steps in
         if s >= max_steps then raise (Mem.Fault Mem.Hang);
-        if s land stride = 0 then Deadline.check deadline ~what:"concrete execution";
+        let s = if s land stride = 0 then at_stride s else s in
         ctx.steps <- s + 1;
         let fr = ctx.cur in
         let ops = fr.ops in
@@ -738,4 +913,5 @@ let run ?(hooks = no_hooks) ?(max_steps = default_max_steps) ?(deadline = Deadli
           }
   in
   Octo_util.Metrics.add Octo_util.Metrics.Vm_steps ctx.steps;
-  { outcome; outputs = List.rev ctx.outputs; steps = ctx.steps }
+  let cycle = match !search with Found (s0, l) -> Some (s0, l) | _ -> None in
+  { outcome; outputs = List.rev ctx.outputs; steps = ctx.steps; cycle }

@@ -46,6 +46,13 @@ type hooks = Compile.hooks = {
   on_seek : fd:int -> pos:int -> unit;
       (** explicit file repositioning; lets analyses track the file position
           indicator without re-implementing the file table *)
+  checkpoint : (unit -> unit -> bool) option;
+      (** opt-in to hang-cycle skipping: [checkpoint ()] captures the
+          consumer's state and returns a closure that tells whether the
+          consumer's state still equals the capture.  {!run} skips whole
+          periods of a proven cycle only when it does, so the withheld
+          events would have left the consumer unchanged.  [None] (the
+          {!no_hooks} default) receives every event. *)
 }
 
 let no_hooks = Compile.no_hooks
@@ -73,6 +80,10 @@ type result = Compile.result = {
   outcome : outcome;
   outputs : int list;   (** values passed to [Emit], in order *)
   steps : int;
+  cycle : (int * int) option;
+      (** [(s0, l)]: the run was proven periodic — the state at step [s0]
+          recurs at [s0 + l] — and reached its budget by skipping whole
+          periods ({!Compile}).  [None] for every other run. *)
 }
 
 exception Exit_program = Compile.Exit_program
@@ -93,6 +104,9 @@ let deadline_stride = Compile.deadline_stride
     [program] on the input file [input].  Termination is via [Exit], falling
     off a [Halt], a memory fault, or the step budget (reported as a
     {!Mem.Hang} crash, the paper's CWE-835 infinite-loop manifestation).
+    A run proven to be in a cycle reaches the budget by skipping whole
+    periods; the result is the same as running every step, and its
+    [cycle] field carries the proof ({!Compile}).
 
     [deadline] is polled every {!deadline_stride} steps;
     {!Octo_util.Deadline.Deadline_exceeded} propagates to the caller
@@ -110,7 +124,9 @@ let run ?hooks ?max_steps ?deadline ?inject (prog : program) ~(input : string) :
 
 (** [run_reference] is the original decode-per-step interpreter, byte-line
     compatible with {!run}: same outcomes, crash sites, step counts, hook
-    streams, outputs, fault-injection and deadline behavior.  It exists as
+    streams, outputs, fault-injection and deadline behavior.  It never
+    skips hang cycles, so it also serves as the full-length oracle for
+    {!run}'s cycle skipping.  It exists as
     the executable specification for differential testing of the compiled
     engine; production callers use {!run}. *)
 let run_reference ?(hooks = no_hooks) ?(max_steps = default_max_steps)
@@ -334,7 +350,7 @@ let run_reference ?(hooks = no_hooks) ?(max_steps = default_max_steps)
           }
   in
   Octo_util.Metrics.add Octo_util.Metrics.Vm_steps !steps;
-  { outcome; outputs = List.rev !outputs; steps = !steps }
+  { outcome; outputs = List.rev !outputs; steps = !steps; cycle = None }
 
 (** [crashes result] is true when the run ended in any fault. *)
 let crashes r = match r.outcome with Crashed _ -> true | Exited _ -> false

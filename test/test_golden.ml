@@ -6,11 +6,12 @@
    that moves a verdict or climbs a ladder rung shows up as a readable
    diff here, not as a silent drift.
 
-   The same treatment pins the [explain] subcommand's output for two
+   The same treatment pins the [explain] subcommand's output for three
    representative pairs: pair 1 (Triggered, Type-I — the happy path with
-   taint, pinning and crash-site evidence) and pair 13 (Not_triggerable
+   taint, pinning and crash-site evidence), pair 13 (Not_triggerable
    via Constraint_conflict — the minimized core naming the replayed
-   argument that clashes with T's own path constraint).  The narrative is
+   argument that clashes with T's own path constraint) and pair 3
+   (Triggered on a CWE-835 hang that the VM proved to be a cycle).  The narrative is
    documented as deterministic and diffable; these goldens plus the
    determinism case below are what hold that promise.
 
@@ -112,6 +113,15 @@ let explain_golden_test idx () =
         (Printf.sprintf "explain narrative for pair %d" idx)
         (read_file file) rendered
 
+(* Pair 3 (CWE-835) is Triggered on a hang: the P4 crash site must say the
+   hang is a proven cycle, not a slow T that ran out of steps. *)
+let explain_pair3_proven_cycle () =
+  let rendered = render_explain 3 in
+  let has needle = Test_util.contains ~needle rendered in
+  Alcotest.(check bool) "triggered" true (has "verdict : TRIGGERED");
+  Alcotest.(check bool) "hang rests on a proven cycle" true
+    (has "verify: crash hang (step budget exhausted; proven cycle, period ")
+
 (* Two independent full runs must render byte-identically — the narrative
    carries no timings, addresses or other run-varying data. *)
 let explain_deterministic () =
@@ -211,5 +221,9 @@ let suite =
       (explain_golden_test 1);
     Alcotest.test_case "explain golden: pair 13 (constraint conflict)" `Quick
       (explain_golden_test 13);
+    Alcotest.test_case "explain golden: pair 3 (hang, proven cycle)" `Quick
+      (explain_golden_test 3);
+    Alcotest.test_case "explain: pair 3 verdict rests on a proven cycle" `Quick
+      explain_pair3_proven_cycle;
     Alcotest.test_case "explain is deterministic across runs" `Quick explain_deterministic;
   ]

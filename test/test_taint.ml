@@ -128,6 +128,59 @@ let hang_crash_still_extracts () =
       check Alcotest.string "hang inside walker" "xref_walk" crash_func
   | _ -> Alcotest.fail "expected hang crash"
 
+(* Pair 3's taint replay reaches its hang budget by skipping whole proven
+   cycles (the taint engine opts in through [checkpoint]).  Everything it
+   extracts is pinned to what the full 400 000-step replay produced. *)
+let render_taint (r : Taint.result) =
+  let b = Buffer.create 256 in
+  let pf fmt = Printf.bprintf b fmt in
+  List.iter
+    (fun (bu : Taint.bunch) ->
+      pf "bunch %d anchor=%d merged=%b args=[%s] sites=[%s]\n  prims=[%s]\n" bu.seq bu.anchor
+        bu.merged
+        (String.concat ";"
+           (List.map (fun (v, t) -> Printf.sprintf "%d%s" v (if t then "*" else "")) bu.ep_args))
+        (String.concat ";" bu.sites)
+        (String.concat ";" (List.map (fun (o, v) -> Printf.sprintf "%d:%d" o v) bu.prims)))
+    r.bunches;
+  pf "ep_entries=%d tainted_peak=%d marked_offsets=%d\n" r.ep_entries r.tainted_peak
+    r.marked_offsets;
+  (match r.crash with
+  | None -> pf "crash=none\n"
+  | Some c ->
+      pf "crash=%s in %s@%d [%s]\n" (Octo_vm.Mem.fault_to_string c.fault) c.crash_func
+        c.crash_pc (String.concat " > " c.backtrace));
+  Buffer.contents b
+
+let hang_pin mode expected () =
+  let c = Registry.find 3 in
+  check Alcotest.string "pair 3 extraction" expected
+    (render_taint (Taint.extract ~mode c.s ~poc:c.poc ~ep:c.vuln_func))
+
+let pair3_context_aware =
+  "bunch 1 anchor=6 merged=false args=[3;9*] sites=[xref_walk]\n\
+  \  prims=[9:0]\n\
+   bunch 2 anchor=8 merged=false args=[3;10*] sites=[xref_walk]\n\
+  \  prims=[10:10]\n\
+   ep_entries=2 tainted_peak=10 marked_offsets=2\n\
+   crash=hang (step budget exhausted) in xref_walk@5 [main > xref_walk]\n"
+
+let pair3_plain =
+  "bunch 1 anchor=6 merged=true args=[3;9*] sites=[xref_walk]\n\
+  \  prims=[9:0;10:10]\n\
+   ep_entries=2 tainted_peak=10 marked_offsets=2\n\
+   crash=hang (step budget exhausted) in xref_walk@5 [main > xref_walk]\n"
+
+(* A recorder that does not opt in sees the whole run. *)
+let hang_recorder_sees_every_step () =
+  let c = Registry.find 3 in
+  let n = ref 0 in
+  let hooks = { Octo_vm.Interp.no_hooks with on_step = (fun _ _ -> incr n) } in
+  let r = Octo_vm.Interp.run ~hooks c.s ~input:c.poc in
+  check Alcotest.int "steps" 400_000 r.steps;
+  check Alcotest.int "on_step events" 400_000 !n;
+  check Alcotest.bool "no cycle skipped" true (r.cycle = None)
+
 let tif_args_tainted () =
   let c = Registry.find 10 in
   let r = Taint.extract c.s ~poc:c.poc ~ep:c.vuln_func in
@@ -164,6 +217,9 @@ let suite =
     tc "avconv: per-entry bunches" multi_entry_bunches;
     tc "plain mode merges bunches" plain_mode_merges;
     tc "hang crash still yields bunches" hang_crash_still_extracts;
+    tc "pair 3 pin: context-aware extraction" (hang_pin Taint.Context_aware pair3_context_aware);
+    tc "pair 3 pin: plain extraction" (hang_pin Taint.Plain pair3_plain);
+    tc "pair 3: recorder without checkpoint sees all steps" hang_recorder_sees_every_step;
     tc "tiffsplit: both args tainted" tif_args_tainted;
     tc "ep never entered yields nothing" no_ep_entry_no_bunches;
     tc "stats populated" taint_peak_positive;

@@ -447,7 +447,7 @@ let all_binops = [| Add; Sub; Mul; Div; Mod; And; Or; Xor; Shl; Shr |]
    loop counter. *)
 let dreg i = 4 + i
 
-let lower stmts =
+let lower_body stmts =
   let lbl = ref 0 in
   let fresh () = incr lbl; Printf.sprintf "L%d" !lbl in
   let rec stmt = function
@@ -472,20 +472,28 @@ let lower stmts =
     | G_load (d, off) -> [ I (Load8 (dreg d, Reg 2, Imm off)) ]
     | G_call d -> [ I (Call ("h", [ Reg (dreg d) ], Some (dreg d))) ]
   in
+  List.concat_map stmt stmts
+
+let helper_h =
+  fn "h" ~params:1
+    [
+      I (Bin (Mul, 2, Reg 1, Imm 2));
+      I (Bin (Add, 1, Reg 2, Imm 1));
+      I (Sys (Emit (Reg 1)));
+      I (Ret (Reg 1));
+    ]
+
+let init_data_regs = List.init 4 (fun i -> I (Mov (dreg i, Imm (i + 1))))
+
+let lower stmts =
   assemble ~name:"t" ~entry:"main"
     [
       fn "main" ~params:0
         ([ I (Sys (Open 1)); I (Sys (Alloc (2, Imm 16))) ]
-        @ List.init 4 (fun i -> I (Mov (dreg i, Imm (i + 1))))
-        @ List.concat_map stmt stmts
+        @ init_data_regs
+        @ lower_body stmts
         @ [ I (Sys (Emit (Reg 4))); I Halt ]);
-      fn "h" ~params:1
-        [
-          I (Bin (Mul, 2, Reg 1, Imm 2));
-          I (Bin (Add, 1, Reg 2, Imm 1));
-          I (Sys (Emit (Reg 1)));
-          I (Ret (Reg 1));
-        ];
+      helper_h;
     ]
 
 let gen_stmts =
@@ -545,6 +553,7 @@ let record_hooks buf =
     on_edge = (fun f a b -> add "E%s:%d->%d" f a b);
     on_step = (fun f pc -> add "S%s:%d" f pc);
     on_seek = (fun ~fd ~pos -> add "K%d@%d" fd pos);
+    checkpoint = None;
   }
 
 let engines_agree (stmts, input, _seed) =
@@ -580,6 +589,275 @@ let compile_cache_no_stale_closures () =
   check (Alcotest.list Alcotest.int) "mutated outputs" [ 2 ] (Interp.run p2 ~input:"").outputs;
   check (Alcotest.list Alcotest.int) "p1 unchanged after p2" [ 1 ]
     (Interp.run p1 ~input:"").outputs
+
+(* ------------------------------------------------------------------ *)
+(* Hang cycles: the compiled engine proves a budget-bound run periodic and
+   skips whole periods; the result must still equal the reference
+   interpreter's full-length run. *)
+
+let same_run (a : Interp.result) (b : Interp.result) =
+  a.outcome = b.outcome && a.steps = b.steps && a.outputs = b.outputs
+
+let cycle_str (r : Interp.result) =
+  match r.cycle with Some (m, l) -> Printf.sprintf "(%d, %d)" m l | None -> "none"
+
+(* A hook consumer that opts into skipping: it remembers which (function,
+   pc) pairs executed and the last access event, a state that converges
+   once a run is in a cycle. *)
+let converging_consumer () =
+  let seen = Hashtbl.create 64 and last = ref None in
+  let hooks =
+    {
+      Interp.no_hooks with
+      on_step = (fun f pc -> Hashtbl.replace seen (f, pc) ());
+      on_access = (fun a -> last := Some a);
+      checkpoint =
+        Some
+          (fun () ->
+            let seen0 = Hashtbl.length seen and last0 = !last in
+            fun () -> Hashtbl.length seen = seen0 && !last = last0);
+    }
+  in
+  let state () =
+    (List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) seen []), !last)
+  in
+  (hooks, state)
+
+(* A body without emits and helper calls (the helper emits too): every
+   emit grows the outputs, so no state with one in the loop ever recurs. *)
+let rec quiet stmts =
+  List.filter_map
+    (function
+      | G_emit _ | G_call _ -> None
+      | G_if (r, a, b, th, el) -> Some (G_if (r, a, b, quiet th, quiet el))
+      | G_loop (n, body) -> Some (G_loop (n, quiet body))
+      | st -> Some st)
+    stmts
+
+(* [lower_hang stmts ~forever ~pad ~phase] wraps a random body in an outer
+   loop that resets the data registers and rewinds the file each
+   iteration, so the machine state often recurs.  [pad] turns of a spin
+   loop (three steps each) stretch one iteration; a phase register
+   counting mod [phase] (a power of two, branch-free) multiplies the period
+   by [phase] without changing its odd part, so periods far past the
+   sampling stride still get proven.  A non-forever loop counts down r10
+   and exits. *)
+let lower_hang stmts ~forever ~pad ~phase =
+  assemble ~name:"hang" ~entry:"main"
+    [
+      fn "main" ~params:0
+        ([ I (Sys (Open 1)); I (Sys (Alloc (2, Imm 16))); I (Mov (10, Imm 3)); L "outer" ]
+        @ init_data_regs
+        @ [ I (Sys (Seek (Reg 1, Imm 0))) ]
+        @ lower_body stmts
+        @ [
+            I (Mov (9, Imm pad));
+            L "spin";
+            I (Jif (Eq, Reg 9, Imm 0, "spun"));
+            I (Bin (Sub, 9, Reg 9, Imm 1));
+            I (Jmp "spin");
+            L "spun";
+            I (Bin (Add, 11, Reg 11, Imm 1));
+            I (Bin (And, 11, Reg 11, Imm (phase - 1)));
+          ]
+        @ (if forever then [ I (Jmp "outer") ]
+           else [ I (Bin (Sub, 10, Reg 10, Imm 1)); I (Jif (Ne, Reg 10, Imm 0, "outer")) ])
+        @ [ I (Sys (Emit (Reg 4))); I Halt ]);
+      helper_h;
+    ]
+
+type hang_case = {
+  stmts : gstmt list;
+  input : string;
+  forever : bool;
+  pad : int;
+  phase : int;
+  max_steps : int;
+}
+
+let arb_hang =
+  QCheck.make
+    ~print:(fun c ->
+      Printf.sprintf "%d stmts, input=%S, forever=%b, pad=%d, phase=%d, max_steps=%d"
+        (List.length c.stmts) c.input c.forever c.pad c.phase c.max_steps)
+    QCheck.Gen.(
+      let* stmts = gen_stmts in
+      let* stmts = frequency [ (3, return (quiet stmts)); (1, return stmts) ] in
+      let* input = string_size ~gen:printable (int_range 0 12) in
+      let* forever = frequency [ (4, return true); (1, return false) ] in
+      let* pad = frequency [ (3, return 0); (1, int_range 1 40); (1, int_range 600 1500) ] in
+      let* phase = oneofl [ 1; 1; 16; 64; 256 ] in
+      let* max_steps = int_range 4096 60_000 in
+      return { stmts; input; forever; pad; phase; max_steps })
+
+let hang_engines_agree { stmts; input; forever; pad; phase; max_steps } =
+  let p = lower_hang stmts ~forever ~pad ~phase in
+  let reference = Interp.run_reference ~max_steps p ~input in
+  let fast = Interp.run ~max_steps p ~input in
+  let hooks, state = converging_consumer () in
+  let hooked = Interp.run ~hooks ~max_steps p ~input in
+  let ref_hooks, ref_state = converging_consumer () in
+  let hooked_ref = Interp.run_reference ~hooks:ref_hooks ~max_steps p ~input in
+  same_run fast reference && same_run hooked hooked_ref && state () = ref_state ()
+
+(* Runs [p] on both engines under [max_steps] and checks they agree;
+   returns the compiled result. *)
+let agree ?hooks ?inject ~max_steps p =
+  let fast = Interp.run ?hooks ?inject ~max_steps p ~input:"" in
+  let reference = Interp.run_reference ~max_steps p ~input:"" in
+  check Alcotest.bool "compiled run equals the reference" true (same_run fast reference);
+  fast
+
+let expect_no_skip what (r : Interp.result) =
+  check Alcotest.string (what ^ ": no cycle skip") "none" (cycle_str r)
+
+let hang_skip_plain_loop () =
+  let p = prog [ L "l"; I (Jmp "l") ] in
+  let r = agree ~max_steps:400_000 p in
+  check Alcotest.int "steps" 400_000 r.steps;
+  check Alcotest.bool "cycle proven" true (r.cycle <> None);
+  (* A consumer that opts in skips too, and ends in the reference's state. *)
+  let hooks, state = converging_consumer () in
+  check Alcotest.bool "opted-in consumer skips" true
+    ((agree ~hooks ~max_steps:400_000 p).cycle <> None);
+  let ref_hooks, ref_state = converging_consumer () in
+  ignore (Interp.run_reference ~hooks:ref_hooks ~max_steps:400_000 p ~input:"");
+  check Alcotest.bool "consumer state as after the full run" true (state () = ref_state ())
+
+let hang_emit_loop_no_skip () =
+  let p = prog [ L "l"; I (Sys (Emit (Imm 7))); I (Jmp "l") ] in
+  let r = agree ~max_steps:20_000 p in
+  check Alcotest.int "every output kept" 10_000 (List.length r.outputs);
+  expect_no_skip "emit loop" r
+
+let hang_alloc_loop_no_skip () =
+  let p = prog [ L "l"; I (Sys (Alloc (1, Imm 4))); I (Mov (1, Imm 0)); I (Jmp "l") ] in
+  expect_no_skip "alloc loop" (agree ~max_steps:20_000 p)
+
+(* Counters that live only in memory or only in a file position.  Each
+   iteration is eight steps, so every sample lands on the same pc, where
+   the registers have been reset: only the counter tells the samples
+   apart.  The loop exits after 40 000 iterations (320 000 steps), so
+   mistaking the repeating registers and pcs for a cycle would turn the
+   exit into a hang. *)
+let hang_counter_loops_exit () =
+  let counts_to_exit setup ~load ~store =
+    let p =
+      prog
+        ([ setup; L "l"; load; I (Bin (Add, 3, Reg 3, Imm 1)); store;
+           I (Jif (Eq, Reg 3, Imm 40_000, "done"));
+           I (Mov (3, Imm 0)); I (Mov (4, Imm 0)); I (Mov (4, Imm 0)); I (Jmp "l");
+           L "done"; I (Sys (Exit (Imm 7))) ])
+    in
+    match (agree ~max_steps:400_000 p).outcome with
+    | Interp.Exited 7 -> ()
+    | o -> Alcotest.failf "expected exit 7, got %a" Interp.pp_outcome o
+  in
+  counts_to_exit (I (Sys (Alloc (2, Imm 4)))) ~load:(I (LoadW (3, Reg 2, Imm 0)))
+    ~store:(I (StoreW (Reg 2, Imm 0, Reg 3)));
+  counts_to_exit (I (Sys (Open 1))) ~load:(I (Sys (Tell (3, Reg 1))))
+    ~store:(I (Sys (Seek (Reg 1, Reg 3))))
+
+(* A consumer whose own state never repeats is never skipped, even though
+   the machine is in a cycle. *)
+let hang_changing_consumer_no_skip () =
+  let n = ref 0 in
+  let hooks =
+    {
+      Interp.no_hooks with
+      on_step = (fun _ _ -> incr n);
+      checkpoint = Some (fun () -> let n0 = !n in fun () -> !n = n0);
+    }
+  in
+  expect_no_skip "counting consumer"
+    (agree ~hooks ~max_steps:50_000 (prog [ L "l"; I (Jmp "l") ]));
+  check Alcotest.int "every step event delivered" 50_000 !n
+
+(* The only changing state is one heap byte counting mod 256: registers
+   are identical at every iteration boundary, so the true cycle is 256
+   iterations (1280 steps).  A detected period must be a multiple of it. *)
+let hang_mem_counter_full_period () =
+  let p =
+    prog
+      [
+        I (Sys (Alloc (2, Imm 4)));
+        L "l";
+        I (Load8 (3, Reg 2, Imm 0));
+        I (Bin (Add, 3, Reg 3, Imm 1));
+        I (Store8 (Reg 2, Imm 0, Reg 3));
+        I (Mov (3, Imm 0));
+        I (Jmp "l");
+      ]
+  in
+  List.iter
+    (fun max_steps ->
+      let r = agree ~max_steps p in
+      match r.cycle with
+      | Some (_, l) -> check Alcotest.int "period multiple of 256 iterations" 0 (l mod 1280)
+      | None -> ())
+    [ 9_000; 60_000; 400_001 ];
+  check Alcotest.bool "cycle proven under the default budget" true
+    ((agree ~max_steps:400_000 p).cycle <> None)
+
+(* A 3072-step period: longer than the sampling stride and not dividing
+   it, so the first provable repeat is at lcm(3072, 2048) = 6144 steps. *)
+let hang_long_period () =
+  let p =
+    prog
+      [
+        L "l";
+        I (Mov (9, Imm 1023));
+        L "s";
+        I (Jif (Eq, Reg 9, Imm 0, "e"));
+        I (Bin (Sub, 9, Reg 9, Imm 1));
+        I (Jmp "s");
+        L "e";
+        I (Jmp "l");
+      ]
+  in
+  match (agree ~max_steps:100_003 p).cycle with
+  | Some (_, l) -> check Alcotest.int "period multiple of 3072" 0 (l mod 3072)
+  | None -> Alcotest.fail "expected a proven cycle"
+
+(* The differential property is only as strong as the share of its cases
+   that actually skip: pin that share on a fixed generator seed. *)
+let hang_property_exercises_skipping () =
+  let rand = Random.State.make [| 2048 |] in
+  let skipped = ref 0 in
+  for _ = 1 to 300 do
+    let c = QCheck.Gen.generate1 ~rand (QCheck.get_gen arb_hang) in
+    let p = lower_hang c.stmts ~forever:c.forever ~pad:c.pad ~phase:c.phase in
+    if (Interp.run ~max_steps:c.max_steps p ~input:c.input).cycle <> None then incr skipped
+  done;
+  check Alcotest.bool (Printf.sprintf "%d of 300 cases skip (want >= 10)" !skipped) true
+    (!skipped >= 10)
+
+(* Each iteration calls a helper: frame ids grow, which only hooked runs
+   can observe. *)
+let hang_call_loop () =
+  let p =
+    assemble ~name:"t" ~entry:"main"
+      [
+        fn "main" ~params:0 [ L "l"; I (Call ("h", [], None)); I (Jmp "l") ];
+        fn "h" ~params:0 [ I (Ret (Imm 0)) ];
+      ]
+  in
+  let plain = agree ~max_steps:100_000 p in
+  check Alcotest.bool "unhooked run skips" true (plain.cycle <> None);
+  let hooks = { Interp.no_hooks with checkpoint = Some (fun () () -> true) } in
+  expect_no_skip "hooked call loop" (agree ~hooks ~max_steps:100_000 p)
+
+let hang_no_skip_without_checkpoint () =
+  let n = ref 0 in
+  let hooks = { Interp.no_hooks with on_step = (fun _ _ -> incr n) } in
+  let r = agree ~hooks ~max_steps:50_000 (prog [ L "l"; I (Jmp "l") ]) in
+  expect_no_skip "hooked without checkpoint" r;
+  check Alcotest.int "every step event delivered" 50_000 !n
+
+let hang_no_skip_under_injection () =
+  let inject = Octo_util.Faultinject.create ~rate:0.0 ~seed:1 () in
+  expect_no_skip "fault injection on"
+    (agree ~inject ~max_steps:50_000 (prog [ L "l"; I (Jmp "l") ]))
 
 let qcheck_tests =
   [
@@ -651,3 +929,19 @@ let suite =
     tc "compile: cache keyed by content digest" compile_cache_no_stale_closures;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_tests
+  @ [
+    tc "hang: plain loop skips to the exact budget" hang_skip_plain_loop;
+    tc "hang: emitting loop never skips" hang_emit_loop_no_skip;
+    tc "hang: allocating loop never skips" hang_alloc_loop_no_skip;
+    tc "hang: memory and file-position counters still exit" hang_counter_loops_exit;
+    tc "hang: a consumer whose state changes is never skipped" hang_changing_consumer_no_skip;
+    tc "hang: memory counter cycle is its full period" hang_mem_counter_full_period;
+    tc "hang: period longer than the sampling stride" hang_long_period;
+    tc "hang: differential property exercises skipping" hang_property_exercises_skipping;
+    tc "hang: call loop skips unhooked only" hang_call_loop;
+    tc "hang: hooks without checkpoint see every step" hang_no_skip_without_checkpoint;
+    tc "hang: fault injection disables skipping" hang_no_skip_under_injection;
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:200 ~name:"compiled ≡ reference on hanging programs" arb_hang
+         hang_engines_agree);
+  ]
