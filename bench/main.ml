@@ -941,7 +941,7 @@ let chaos ~schedules ~seed () =
   say "CHAOS: 15-pair batch under deterministic fault injection";
   say "(%d schedule(s), master seed %d, sites: vm-syscall solver-budget" schedules seed;
   say " worker-crash deadline-expiry worker-stall journal-write;";
-  say " 4 worker domains, 1 retry, 30s deadline, 1s stall grace)";
+  say " 4 worker domains, 1 retry, 30s deadline, 0.25s injected stall)";
   hr ();
   let npairs = List.length Registry.all in
   let violations = ref 0 in
@@ -983,11 +983,8 @@ let chaos ~schedules ~seed () =
         (fun (c : Registry.case) -> if only c then Some (job_of c) else None)
         Registry.all
     in
-    (* The stall grace rides far above the pairs' millisecond runtimes, so
-       a loaded CI machine cannot false-positive a requeue and perturb the
-       replay-equality check. *)
     let run_batch ?on_settle batch =
-      Octopocs.run_all ~jobs:4 ~retries:1 ~stall_grace_s:1.0 ?on_settle batch
+      Octopocs.run_all ~jobs:4 ~retries:1 ?on_settle batch
     in
     let snapshot () =
       run_batch (fresh_batch ())

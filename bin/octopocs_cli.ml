@@ -180,6 +180,81 @@ let verdict_exit (r : Octopocs.report) =
   | Octopocs.Not_triggerable _ -> 1
   | Octopocs.Failure _ -> if crashed_verdict r then 3 else 2
 
+(* The verdict tally of a streaming run (verify-all --corpus and scan),
+   updated from worker context under its own lock. *)
+module Tally = struct
+  type t = {
+    lock : Mutex.t;
+    mutable triggered : int;
+    mutable not_trig : int;
+    mutable failures : int;
+    mutable crashed : int;
+    mutable cached : int;
+    mutable quar_prior : int;
+    mutable known : int;  (* pairs with an expected verdict class *)
+    mutable matched : int;
+    mutable worst : int;  (* worst verdict exit code *)
+  }
+
+  let create () =
+    {
+      lock = Mutex.create ();
+      triggered = 0;
+      not_trig = 0;
+      failures = 0;
+      crashed = 0;
+      cached = 0;
+      quar_prior = 0;
+      known = 0;
+      matched = 0;
+      worst = 0;
+    }
+
+  let add ?expected t (r : Octopocs.report) =
+    Mutex.protect t.lock @@ fun () ->
+    (match r.verdict with
+    | Octopocs.Triggered _ -> t.triggered <- t.triggered + 1
+    | Octopocs.Not_triggerable _ -> t.not_trig <- t.not_trig + 1
+    | Octopocs.Failure _ ->
+        if crashed_verdict r then t.crashed <- t.crashed + 1 else t.failures <- t.failures + 1);
+    t.worst <- max t.worst (verdict_exit r);
+    match expected with
+    | Some want ->
+        t.known <- t.known + 1;
+        if Octopocs.verdict_class r.verdict = want then t.matched <- t.matched + 1
+    | None -> ()
+
+  (* A pair reused from the journal counts as cached and as its verdict. *)
+  let add_cached ?expected t r =
+    Mutex.protect t.lock (fun () -> t.cached <- t.cached + 1);
+    add ?expected t r
+
+  let add_quarantined_prior t =
+    Mutex.protect t.lock (fun () -> t.quar_prior <- t.quar_prior + 1)
+
+  (* The "quarantined-prior=N" fragment of the progress line, if any. *)
+  let quar_prior_note t =
+    if t.quar_prior > 0 then Printf.sprintf " quarantined-prior=%d" t.quar_prior else ""
+
+  let say_summary t ~quarantined =
+    say "summary : %d triggered / %d not-triggerable / %d failure / %d crashed (%d cached, %d quarantined)"
+      t.triggered t.not_trig t.failures t.crashed t.cached (quarantined + t.quar_prior);
+    if t.known > 0 then say "expected: %d/%d classes match" t.matched t.known
+end
+
+(* The batch's pool-level counters.  Metrics cells live for the whole
+   process, so the batch view is a diff against the baseline [m0]. *)
+let say_pool m0 =
+  let batch = Metrics.diff (Metrics.aggregate ()) m0 in
+  say "pool    : retries=%d stalls=%d backoffs=%d"
+    (Metrics.counter_value batch Metrics.Pool_retries)
+    (Metrics.counter_value batch Metrics.Pool_stalls)
+    (Metrics.counter_value batch Metrics.Pool_backoffs)
+
+let worker_kind = function
+  | Octopocs.Domains -> "domain(s)"
+  | Octopocs.Processes -> "process(es)"
+
 let matches (c : Registry.case) (r : Octopocs.report) =
   Octopocs.verdict_class r.verdict = Registry.expected_to_string c.expected
 
@@ -619,36 +694,12 @@ let run_corpus ~corpus ~jobs ~retries ~deadline ~chaos_seed ~chaos_sites ~journa
             Hashtbl.create (List.length replayed)
           in
           List.iter (fun (l, k, r) -> Hashtbl.replace settled_prior l (k, r)) replayed;
-          (* Shared tallies, updated from worker context: verdict counts,
-             expected-class matches, worst exit code.  The in-flight table
-             carries (key, expected) from pull to settle and never exceeds
-             the window. *)
+          let tally = Tally.create () in
+          (* The in-flight table carries (key, expected) from pull to
+             settle and never exceeds the window. *)
           let lock = Mutex.create () in
-          let triggered = ref 0
-          and not_trig = ref 0
-          and failures = ref 0
-          and crashed = ref 0
-          and ncached = ref 0
-          and nquar_prior = ref 0
-          and known = ref 0
-          and matched = ref 0
-          and worst = ref 0 in
           let inflight : (string, string * string option) Hashtbl.t =
             Hashtbl.create 31
-          in
-          let tally ?expected (r : Octopocs.report) =
-            Mutex.lock lock;
-            (match r.verdict with
-            | Octopocs.Triggered _ -> incr triggered
-            | Octopocs.Not_triggerable _ -> incr not_trig
-            | Octopocs.Failure _ -> if crashed_verdict r then incr crashed else incr failures);
-            worst := max !worst (verdict_exit r);
-            (match expected with
-            | Some want ->
-                incr known;
-                if Octopocs.verdict_class r.verdict = want then incr matched
-            | None -> ());
-            Mutex.unlock lock
           in
           let take_inflight label =
             Mutex.lock lock;
@@ -665,7 +716,7 @@ let run_corpus ~corpus ~jobs ~retries ~deadline ~chaos_seed ~chaos_sites ~journa
             | No_journal -> ()
             | Single w -> Journal.append w (Octopocs.encode_result ~label ~key r)
             | Dir w -> Journal.Sharded.append w ~key (Octopocs.encode_result ~label ~key r));
-            tally ?expected r;
+            Tally.add ?expected tally r;
             Progress.step prog
           in
           let on_quarantine (q : Octopocs.quarantine) =
@@ -692,18 +743,13 @@ let run_corpus ~corpus ~jobs ~retries ~deadline ~chaos_seed ~chaos_sites ~journa
                     ~t:p.Source.pt ~poc:p.Source.ppoc ()
                 in
                 if Hashtbl.mem quarantined_prior p.Source.plabel then begin
-                  Mutex.lock lock;
-                  incr nquar_prior;
-                  Mutex.unlock lock;
+                  Tally.add_quarantined_prior tally;
                   next_job ()
                 end
                 else (
                   match Hashtbl.find_opt settled_prior p.Source.plabel with
                   | Some (k, r) when k = key ->
-                      Mutex.lock lock;
-                      incr ncached;
-                      Mutex.unlock lock;
-                      tally ?expected:p.Source.pexpected r;
+                      Tally.add_cached ?expected:p.Source.pexpected tally r;
                       next_job ()
                   | _ ->
                       Mutex.lock lock;
@@ -724,29 +770,16 @@ let run_corpus ~corpus ~jobs ~retries ~deadline ~chaos_seed ~chaos_sites ~journa
           let elapsed = Unix.gettimeofday () -. t0 in
           say "corpus  : %s  pulled=%d settled=%d quarantined=%d cached=%d%s peak-in-flight=%d deferred=%d"
             (Source.id src) st.Octopocs.st_pulled st.Octopocs.st_settled
-            st.Octopocs.st_quarantined !ncached
-            (if !nquar_prior > 0 then Printf.sprintf " quarantined-prior=%d" !nquar_prior
-             else "")
+            st.Octopocs.st_quarantined tally.cached (Tally.quar_prior_note tally)
             st.Octopocs.st_peak_in_flight st.Octopocs.st_deferrals;
-          say "summary : %d triggered / %d not-triggerable / %d failure / %d crashed (%d cached, %d quarantined)"
-            !triggered !not_trig !failures !crashed !ncached
-            (st.Octopocs.st_quarantined + !nquar_prior);
-          if !known > 0 then say "expected: %d/%d classes match" !matched !known;
+          Tally.say_summary tally ~quarantined:st.Octopocs.st_quarantined;
           say "%.3fs wall, %d worker %s" elapsed
             (Octo_util.Pool.effective_jobs jobs)
-            (match isolate with
-            | Octopocs.Domains -> "domain(s)"
-            | Octopocs.Processes -> "process(es)");
-          if metrics_on then begin
-            let batch = Metrics.diff (Metrics.aggregate ()) m0 in
-            say "pool    : retries=%d stalls=%d backoffs=%d"
-              (Metrics.counter_value batch Metrics.Pool_retries)
-              (Metrics.counter_value batch Metrics.Pool_stalls)
-              (Metrics.counter_value batch Metrics.Pool_backoffs)
-          end;
-          !worst
+            (worker_kind isolate);
+          if metrics_on then say_pool m0;
+          tally.worst
 
-let run_all jobs retries deadline chaos_seed journal_path resume fail_fast stall_grace trace
+let run_all jobs retries deadline chaos_seed journal_path resume fail_fast trace
     metrics_on provenance_on spec corpus shards quarantine_path window poison isolate
     rlimit_as rlimit_cpu mem_watermark chaos_sites telemetry progress log_level log_json =
   apply_logging log_level log_json;
@@ -763,18 +796,12 @@ let run_all jobs retries deadline chaos_seed journal_path resume fail_fast stall
     structured_error "--shards requires --journal DIR"
   else if streaming && fail_fast then
     structured_error "--fail-fast is not supported in streaming corpus mode"
-  else if streaming && stall_grace <> None then
-    structured_error "--stall-grace is not supported in streaming corpus mode"
   else if isolate = Octopocs.Domains && (rlimit_as <> None || rlimit_cpu <> None) then
     structured_error "--rlimit-as/--rlimit-cpu require --isolate proc"
   else if isolate = Octopocs.Domains && mem_watermark <> None then
     structured_error "--mem-watermark requires --isolate proc"
   else if (not streaming) && mem_watermark <> None then
     structured_error "--mem-watermark is only meaningful in streaming corpus mode"
-  else if isolate = Octopocs.Processes && stall_grace <> None then
-    structured_error
-      "--stall-grace is not supported with --isolate proc (the parent's deadline-kill \
-       covers wedged children)"
   else if isolate = Octopocs.Processes && spec > 1 then
     structured_error "--spec-jobs is not supported with --isolate proc"
   else if (not streaming) && telemetry <> None then
@@ -862,7 +889,7 @@ let run_all jobs retries deadline chaos_seed journal_path resume fail_fast stall
             to_run
         in
         let fresh =
-          Octopocs.run_all ~jobs ~retries ?stall_grace_s:stall_grace ~fail_fast ~isolate
+          Octopocs.run_all ~jobs ~retries ~fail_fast ~isolate
             ~limits ?pre_run:oom_pre_run ~on_settle batch
         in
         (match writer with Some w -> Journal.close w | None -> ());
@@ -921,9 +948,7 @@ let run_all jobs retries deadline chaos_seed journal_path resume fail_fast stall
           (List.length results - !mismatches)
           (List.length results) elapsed
           (Octo_util.Pool.effective_jobs jobs)
-          (match isolate with
-          | Octopocs.Domains -> "domain(s)"
-          | Octopocs.Processes -> "process(es)");
+          (worker_kind isolate);
         (* Batch metrics: totals are the sum of the per-pair snapshots —
            i.e. exactly what the journal recorded — so the summary and a
            later `journal` dump agree by construction.  Pool retry/stall
@@ -936,11 +961,7 @@ let run_all jobs retries deadline chaos_seed journal_path resume fail_fast stall
             (Fmt.str "%a" Metrics.pp_counters tot)
             (List.length snaps);
           say "phases  : %s" (Fmt.str "%a" Metrics.pp_phases tot);
-          let batch = Metrics.diff (Metrics.aggregate ()) m0 in
-          say "pool    : retries=%d stalls=%d backoffs=%d"
-            (Metrics.counter_value batch Metrics.Pool_retries)
-            (Metrics.counter_value batch Metrics.Pool_stalls)
-            (Metrics.counter_value batch Metrics.Pool_backoffs)
+          say_pool m0
         end;
         List.fold_left (fun acc (_, o) -> max acc (verdict_exit (report_of o))) 0 results
   end
@@ -976,14 +997,6 @@ let verify_all_cmd =
              ~doc:"Stop scheduling new pairs after the first Failure verdict; \
                    unstarted pairs are reported as skipped (and not journaled, so \
                    --resume re-runs them).")
-  in
-  let stall_grace =
-    Arg.(value & opt (some float) None
-         & info [ "stall-grace" ] ~docv:"SECS"
-             ~doc:"Heartbeat watchdog: requeue a worker silent for $(docv) seconds \
-                   under the --retries accounting (needs --jobs >= 2).  Pick a grace \
-                   above --deadline: the deadline bounds a healthy pair, the watchdog \
-                   catches wedged ones.")
   in
   let corpus =
     Arg.(value & opt string "registry"
@@ -1098,7 +1111,7 @@ let verify_all_cmd =
                faithful full run exits 2.)";
          ])
     Term.(const run_all $ jobs $ retries $ deadline_arg $ chaos_seed_arg $ journal $ resume
-          $ fail_fast $ stall_grace $ trace_arg $ metrics_arg $ provenance_arg
+          $ fail_fast $ trace_arg $ metrics_arg $ provenance_arg
           $ spec_jobs_arg $ corpus $ shards $ quarantine $ window $ poison $ isolate
           $ rlimit_as $ rlimit_cpu $ mem_watermark $ chaos_sites $ telemetry_arg
           $ progress_arg $ log_level_arg $ log_json_arg)
@@ -1232,43 +1245,18 @@ let run_scan corpus strict decoys decoy_seed shingle_k winnow_w tau_retrieve tau
                   List.iter
                     (fun (label, key, expected, _) -> Hashtbl.replace meta label (key, expected))
                     jobs_list;
-                  let lock = Mutex.create () in
-                  let triggered = ref 0
-                  and not_trig = ref 0
-                  and failures = ref 0
-                  and crashed = ref 0
-                  and ncached = ref 0
-                  and nquar_prior = ref 0
-                  and known = ref 0
-                  and matched = ref 0
-                  and worst = ref 0 in
-                  let tally ?expected (r : Octopocs.report) =
-                    Mutex.lock lock;
-                    (match r.verdict with
-                    | Octopocs.Triggered _ -> incr triggered
-                    | Octopocs.Not_triggerable _ -> incr not_trig
-                    | Octopocs.Failure _ ->
-                        if crashed_verdict r then incr crashed else incr failures);
-                    worst := max !worst (verdict_exit r);
-                    (match expected with
-                    | Some want ->
-                        incr known;
-                        if Octopocs.verdict_class r.verdict = want then incr matched
-                    | None -> ());
-                    Mutex.unlock lock
-                  in
+                  let tally = Tally.create () in
                   let to_run =
                     List.filter_map
                       (fun (label, key, expected, job) ->
                         if Hashtbl.mem sj.sj_quarantined_prior label then begin
-                          incr nquar_prior;
+                          Tally.add_quarantined_prior tally;
                           None
                         end
                         else
                           match Hashtbl.find_opt settled_prior label with
                           | Some (k, r) when k = key ->
-                              incr ncached;
-                              tally ?expected r;
+                              Tally.add_cached ?expected tally r;
                               None
                           | _ -> Some job)
                       jobs_list
@@ -1289,7 +1277,7 @@ let run_scan corpus strict decoys decoy_seed shingle_k winnow_w tau_retrieve tau
                     | Single w -> Journal.append w (Octopocs.encode_result ~label ~key r)
                     | Dir w ->
                         Journal.Sharded.append w ~key (Octopocs.encode_result ~label ~key r));
-                    tally ?expected r;
+                    Tally.add ?expected tally r;
                     Progress.step prog
                   in
                   let on_quarantine (q : Octopocs.quarantine) =
@@ -1313,20 +1301,12 @@ let run_scan corpus strict decoys decoy_seed shingle_k winnow_w tau_retrieve tau
                   let elapsed = Unix.gettimeofday () -. t0 in
                   say "verify  : candidates=%d settled=%d quarantined=%d cached=%d%s"
                     (List.length jobs_list) st.Octopocs.st_settled st.Octopocs.st_quarantined
-                    !ncached
-                    (if !nquar_prior > 0 then
-                       Printf.sprintf " quarantined-prior=%d" !nquar_prior
-                     else "");
-                  say "summary : %d triggered / %d not-triggerable / %d failure / %d crashed (%d cached, %d quarantined)"
-                    !triggered !not_trig !failures !crashed !ncached
-                    (st.Octopocs.st_quarantined + !nquar_prior);
-                  if !known > 0 then say "expected: %d/%d classes match" !matched !known;
+                    tally.cached (Tally.quar_prior_note tally);
+                  Tally.say_summary tally ~quarantined:st.Octopocs.st_quarantined;
                   say "%.3fs wall (%.3fs detection), %d worker %s" elapsed detect_elapsed
                     (Octo_util.Pool.effective_jobs jobs)
-                    (match isolate with
-                    | Octopocs.Domains -> "domain(s)"
-                    | Octopocs.Processes -> "process(es)");
-                  max !worst (if recall_bad then 1 else 0))
+                    (worker_kind isolate);
+                  max tally.worst (if recall_bad then 1 else 0))
             end))
 
 let scan_cmd =

@@ -719,9 +719,6 @@ let run ?(config = default_config) ?ell ~(s : Isa.program) ~(t : Isa.program) ~(
     | Some seconds -> Deadline.after ~seconds
   in
   let attempt cfg =
-    (* Each attempt start is a liveness proof for the pool's watchdog: a
-       pair climbing the ladder is slow, not wedged. *)
-    Octo_util.Pool.heartbeat ();
     match run_attempt ~config:cfg ~deadline ?ell ~s ~t ~poc () with
     | r -> r
     | exception Deadline.Deadline_exceeded what ->
@@ -1051,74 +1048,6 @@ let is_skipped_report (r : report) =
   | Failure msg -> msg = skipped_failure_msg
   | _ -> false
 
-(** [run_all ?config ?jobs ?retries ?stall_grace_s ?fail_fast ?on_settle
-    jobs_list] verifies every pair, fanning out over a fixed pool of [jobs]
-    worker domains ([jobs <= 1] runs serially in the calling domain).
-    Results keep the input order.  Pairs are independent — each run builds
-    its own stores and states — so corpus throughput scales with cores
-    until memory bandwidth saturates.
-
-    Crash isolation: a job whose worker raises (after [retries] extra
-    attempts) yields [(label, Failure "worker crashed: ...")] — the batch
-    always returns one labelled report per input job and never forfeits its
-    batch-mates' completed work.
-
-    Stall supervision: with [stall_grace_s] (and [jobs >= 2]), a worker
-    silent past the grace is requeued under the same [retries] accounting;
-    exhausted attempts settle as [Failure "worker stalled: ..."].
-
-    [fail_fast] stops scheduling once any pair settles as a [Failure]:
-    not-yet-started pairs come back as [Failure "skipped: ..."]
-    ({!is_skipped_report}) and are NOT passed to [on_settle], so a
-    journaled resumed run re-verifies them.
-
-    [on_settle label report] fires exactly once per non-skipped job as it
-    settles (completion order, from worker context — the write-ahead
-    journal hooks in here); [run_all] returns only after every callback
-    has finished. *)
-let run_all_domains ?(config = default_config) ?(jobs = 1) ?(retries = 0) ?stall_grace_s
-    ?(fail_fast = false) ?pre_run ?on_settle (batch : job list) : (string * report) list =
-  let stop = Atomic.make false in
-  let one j =
-    if fail_fast && Atomic.get stop then failure_report skipped_failure_msg
-    else begin
-      (match pre_run with None -> () | Some f -> f j);
-      let cfg = Option.value j.jconfig ~default:config in
-      (* The chaos harness's synthetic worker faults fire *outside* run's
-         containment on purpose: crash exercises the pool's crash
-         isolation, stall its heartbeat watchdog. *)
-      Faultinject.maybe_raise cfg.inject Faultinject.Worker_crash
-        ~what:"synthetic worker exception";
-      if Faultinject.fire cfg.inject Faultinject.Worker_stall then begin
-        let stall_s =
-          match stall_grace_s with Some g -> 2.5 *. g | None -> 0.25
-        in
-        Unix.sleepf stall_s;
-        raise (Faultinject.Injected "worker-stall: synthetic wedged worker")
-      end;
-      run ~config:cfg ?ell:j.jell ~s:j.js ~t:j.jt ~poc:j.jpoc ()
-    end
-  in
-  let arr = Array.of_list batch in
-  let to_report = function
-    | Stdlib.Ok report -> report
-    | Stdlib.Error (Octo_util.Pool.Stalled msg, _) ->
-        failure_report ("worker stalled: " ^ msg)
-    | Stdlib.Error (e, _bt) -> failure_report ("worker crashed: " ^ Printexc.to_string e)
-  in
-  let settle i res =
-    let r = to_report res in
-    if not (is_skipped_report r) then begin
-      (match r.verdict with Failure _ -> Atomic.set stop true | _ -> ());
-      match on_settle with None -> () | Some f -> f arr.(i).label r
-    end
-  in
-  List.map2
-    (fun j res -> (j.label, to_report res))
-    batch
-    (Octo_util.Pool.parallel_map_result ~jobs ~retries ?stall_grace_s ~on_settle:settle one
-       batch)
-
 (* ------------------------------------------------------------------ *)
 (* Poison-pair quarantine. *)
 
@@ -1199,6 +1128,62 @@ type stream_stats = {
           Domain isolation) *)
 }
 
+(* The worker body of both isolation modes: the pre-run hook, the chaos
+   harness's synthetic worker faults, then the pipeline.  The faults fire
+   outside [run]'s containment on purpose, so they exercise the driver's
+   crash containment and retries; the stall site wedges for a fixed
+   0.25 s, then raises. *)
+let run_job ~config ?pre_run j =
+  (match pre_run with None -> () | Some f -> f j);
+  let cfg = Option.value j.jconfig ~default:config in
+  Faultinject.maybe_raise cfg.inject Faultinject.Worker_crash
+    ~what:"synthetic worker exception";
+  if Faultinject.fire cfg.inject Faultinject.Worker_stall then begin
+    Unix.sleepf 0.25;
+    raise (Faultinject.Injected "worker-stall: synthetic wedged worker")
+  end;
+  run ~config:cfg ?ell:j.jell ~s:j.js ~t:j.jt ~poc:j.jpoc ()
+
+(* The reason a job whose final attempt raised [msg] (printed) fails or is
+   quarantined with.  The injected stall site prints as
+   "Injected(worker-stall: ...)" in both isolation modes (a child
+   transports the printed form). *)
+let exn_reason msg =
+  if String.starts_with ~prefix:"Injected(worker-stall" msg then "worker stalled"
+  else "worker crashed"
+
+(* Count, log and back off retry [k + 1] of [j], whose attempt [what]
+   ("raised ..." or "child died (...)"). *)
+let note_retry ~retries j ~what k =
+  Metrics.incr Metrics.Pool_retries;
+  Telemetry.note_retry ();
+  Log.warn (fun m -> m "run_stream: %s %s; retrying (%d/%d)" j.label what (k + 1) retries);
+  Octo_util.Pool.backoff_sleep ~key:(Hashtbl.hash j.label) ~attempt:(k + 1) ()
+
+(* A job whose retry budget ran out on a stall counts once as a pool
+   stall, in the metrics counter and in the telemetry tally. *)
+let note_exhausted reason =
+  if reason = "worker stalled" then begin
+    Metrics.incr Metrics.Pool_stalls;
+    Telemetry.note_stall ()
+  end
+
+(* Callback guards: a raising hook is logged and never aborts the run. *)
+let settle_hook on_settle j r =
+  match on_settle with
+  | None -> ()
+  | Some f -> (
+      try f j r
+      with e ->
+        Log.err (fun m ->
+            m "run_stream: on_settle for %s raised %s" j.label (Printexc.to_string e)))
+
+let quarantine_hook f q =
+  try f q
+  with e ->
+    Log.err (fun m ->
+        m "run_stream: on_quarantine for %s raised %s" q.qlabel (Printexc.to_string e))
+
 (* ------------------------------------------------------------------ *)
 (* Process-isolated streaming scheduler.
 
@@ -1219,22 +1204,12 @@ type proc_active = {
   adeferred : bool;  (* admission was deferred under pressure *)
 }
 
-(* What a sandboxed child runs: the same worker body as the Domain-mode
-   drivers (pre-run hook, synthetic worker faults, the pipeline), with
-   the settled report encoded onto the pipe as the child's one frame.
-   Exceptions deliberately escape into [Sandbox.spawn]'s transport so
-   the parent's retry ladder sees them, mirroring how Domain mode lets
-   them escape into the pool's crash isolation. *)
-let run_child_payload cfg ~key pre_run j () =
-  (match pre_run with None -> () | Some f -> f j);
-  Faultinject.maybe_raise cfg.inject Faultinject.Worker_crash
-    ~what:"synthetic worker exception";
-  if Faultinject.fire cfg.inject Faultinject.Worker_stall then begin
-    Unix.sleepf 0.25;
-    raise (Faultinject.Injected "worker-stall: synthetic wedged worker")
-  end;
-  let r = run ~config:cfg ?ell:j.jell ~s:j.js ~t:j.jt ~poc:j.jpoc () in
-  encode_result ~label:j.label ~key r
+(* What a sandboxed child runs: {!run_job}, with the settled report
+   encoded onto the pipe as the child's one frame.  Exceptions escape
+   into [Sandbox.spawn]'s transport so the parent's retry ladder sees
+   them, as Domain mode's escape into its own. *)
+let run_child_payload ~config ~key ?pre_run j () =
+  encode_result ~label:j.label ~key (run_job ~config ?pre_run j)
 
 let proc_stream ~(config : config) ~retries ~window ?limits ?mem_watermark_mb ?pre_run
     ?on_settle ?on_quarantine (next : unit -> job option) : stream_stats =
@@ -1254,13 +1229,7 @@ let proc_stream ~(config : config) ~retries ~window ?limits ?mem_watermark_mb ?p
   let exhausted_src = ref false in
   let settle_cb j r =
     incr settled;
-    match on_settle with
-    | None -> ()
-    | Some f -> (
-        try f j r
-        with e ->
-          Log.err (fun m ->
-              m "run_stream: on_settle for %s raised %s" j.label (Printexc.to_string e)))
+    settle_hook on_settle j r
   in
   let spawn_job (j, k, was_deferred) =
     let cfg = Option.value j.jconfig ~default:config in
@@ -1277,7 +1246,7 @@ let proc_stream ~(config : config) ~retries ~window ?limits ?mem_watermark_mb ?p
        means the parent never kills on time. *)
     let kill_after_s = Option.map (fun d -> (d *. 4.0) +. 1.0) cfg.deadline_s in
     let key = job_key ~config j in
-    let c = Sandbox.spawn ~limits ?kill_after_s ~die (run_child_payload cfg ~key pre_run j) in
+    let c = Sandbox.spawn ~limits ?kill_after_s ~die (run_child_payload ~config ~key ?pre_run j) in
     active := { ac = c; aj = j; ak = k; adeferred = was_deferred } :: !active;
     let n = List.length !active in
     if n > !peak then peak := n
@@ -1285,18 +1254,15 @@ let proc_stream ~(config : config) ~retries ~window ?limits ?mem_watermark_mb ?p
   let retry_or_quarantine e ~reason ~message ~rung =
     let j = e.aj and k = e.ak in
     if k < retries then begin
-      Metrics.incr Metrics.Pool_retries;
-      Telemetry.note_retry ();
-      Log.warn (fun m ->
-          m "run_stream: %s child died (%s: %s); retrying (%d/%d)" j.label reason message
-            (k + 1) retries);
-      Octo_util.Pool.backoff_sleep ~key:(Hashtbl.hash j.label) ~attempt:(k + 1) ();
+      note_retry ~retries j ~what:(Printf.sprintf "child died (%s: %s)" reason message) k;
       Queue.add (j, k + 1, e.adeferred) pending
     end
-    else
+    else begin
+      note_exhausted reason;
       match on_quarantine with
-      | Some f -> (
-          let q =
+      | Some f ->
+          incr quarantined;
+          quarantine_hook f
             {
               qlabel = j.label;
               qkey = job_key ~config j;
@@ -1305,13 +1271,6 @@ let proc_stream ~(config : config) ~retries ~window ?limits ?mem_watermark_mb ?p
               qbacktrace = "";  (* died in another address space: no backtrace *)
               qattempts = k + 1;
             }
-          in
-          incr quarantined;
-          try f q
-          with qe ->
-            Log.err (fun m ->
-                m "run_stream: on_quarantine for %s raised %s" j.label
-                  (Printexc.to_string qe)))
       | None ->
           (* Settle like Domain mode, but with the death classification as
              a provenance rung so `explain` shows WHY the child died. *)
@@ -1325,6 +1284,7 @@ let proc_stream ~(config : config) ~retries ~window ?limits ?mem_watermark_mb ?p
             else None
           in
           settle_cb j { (failure_report (reason ^ ": " ^ message)) with provenance }
+    end
   in
   let handle_death e (death, maxrss_kb) =
     Sandbox.Admission.note_child_rss adm maxrss_kb;
@@ -1343,14 +1303,7 @@ let proc_stream ~(config : config) ~retries ~window ?limits ?mem_watermark_mb ?p
             retry_or_quarantine e ~reason:"worker crashed"
               ~message:"child returned an undecodable verdict frame" ~rung:"child-torn")
     | Sandbox.Child_exn msg ->
-        (* The transported exception is already printed; the injected
-           stall site's marker survives as "Injected(worker-stall: ...)". *)
-        let is_stall =
-          let p = "Injected(worker-stall" in
-          String.length msg >= String.length p && String.sub msg 0 (String.length p) = p
-        in
-        let reason = if is_stall then "worker stalled" else "worker crashed" in
-        retry_or_quarantine e ~reason ~message:msg ~rung:"child-exn"
+        retry_or_quarantine e ~reason:(exn_reason msg) ~message:msg ~rung:"child-exn"
     | Sandbox.Segv ->
         retry_or_quarantine e ~reason:"worker crashed" ~message:"child segfaulted (SIGSEGV)"
           ~rung:"child-segv"
@@ -1443,10 +1396,10 @@ let proc_stream ~(config : config) ~retries ~window ?limits ?mem_watermark_mb ?p
 
 (** [run_stream ?config ?jobs ?retries ?window ?on_settle ?on_quarantine
     next] verifies a stream of jobs pulled lazily from [next] — the
-    corpus-scale runner.  Unlike {!run_all} it never materializes the
-    batch: [next ()] is called (from the dispatching domain only) each
-    time a worker slot is admitted, so peak memory is bounded by the
-    admission window, not the corpus size.
+    one batch driver ({!run_all} collects over it).  It never
+    materializes the batch: [next ()] is called (from the dispatching
+    domain only) each time a worker slot is admitted, so peak memory is
+    bounded by the admission window, not the corpus size.
 
     Admission control: at most [window] jobs (default [max 4 (2 * jobs)])
     are in flight at once; the generator behind [next] is simply not
@@ -1461,12 +1414,14 @@ let proc_stream ~(config : config) ~retries ~window ?limits ?mem_watermark_mb ?p
     budget is handed to [on_quarantine] with its reason, printable
     exception, backtrace and attempt count — it does NOT settle and does
     not fail the batch.  Without [on_quarantine], exhausted jobs settle
-    as [Failure "worker crashed: ..."] like {!run_all}.
+    as [Failure "worker crashed: ..."].
 
-    There is no heartbeat watchdog in streaming mode: wedged-worker
-    containment comes from the per-job cooperative deadline
-    ([config.deadline_s]); the injected [Worker_stall] site sleeps then
-    raises, taking the crash path above (reason ["worker stalled"]).
+    There is no stall watchdog: a domain cannot be killed, so wedged
+    workers are bounded by the per-job cooperative deadline
+    ([config.deadline_s]), and under process isolation by the parent's
+    deadline-kill.  The injected [Worker_stall] site sleeps then raises,
+    taking the crash path above with reason ["worker stalled"]; an
+    exhausted stall counts in [Pool_stalls] and the telemetry tally.
 
     [on_settle job report] and [on_quarantine q] fire exactly once per
     job, from worker context, in completion order; [run_stream] returns
@@ -1484,86 +1439,49 @@ let run_stream ?(config = default_config) ?(jobs = 1) ?(retries = 0) ?window
       proc_stream ~config ~retries ~window ?limits ?mem_watermark_mb ?pre_run ?on_settle
         ?on_quarantine next
   | Domains ->
-  let one j =
-    (match pre_run with None -> () | Some f -> f j);
-    let cfg = Option.value j.jconfig ~default:config in
-    Faultinject.maybe_raise cfg.inject Faultinject.Worker_crash
-      ~what:"synthetic worker exception";
-    if Faultinject.fire cfg.inject Faultinject.Worker_stall then begin
-      Unix.sleepf 0.25;
-      raise (Faultinject.Injected "worker-stall: synthetic wedged worker")
-    end;
-    run ~config:cfg ?ell:j.jell ~s:j.js ~t:j.jt ~poc:j.jpoc ()
-  in
-  let settle_cb j r =
-    match on_settle with
-    | None -> ()
-    | Some f -> (
-        try f j r
-        with e ->
-          Log.err (fun m ->
-              m "run_stream: on_settle for %s raised %s" j.label (Printexc.to_string e)))
-  in
-  let stall_message e =
-    (* The injected stall site raises [Injected "worker-stall: ..."] after
-       its sleep; classify it as a stall so the quarantine record
-       distinguishes a wedge from a crash. *)
-    match e with
-    | Faultinject.Injected msg ->
-        String.length msg >= 12 && String.sub msg 0 12 = "worker-stall"
-    | _ -> false
-  in
+  let one = run_job ~config ?pre_run in
   let exhausted j (e, bt) ~attempts =
-    let reason = if stall_message e then "worker stalled" else "worker crashed" in
+    let message = Printexc.to_string e in
+    let reason = exn_reason message in
+    note_exhausted reason;
     match on_quarantine with
-    | Some f -> (
-        let q =
+    | Some f ->
+        quarantine_hook f
           {
             qlabel = j.label;
             qkey = job_key ~config j;
             qreason = reason;
-            qmessage = Printexc.to_string e;
+            qmessage = message;
             qbacktrace = Printexc.raw_backtrace_to_string bt;
             qattempts = attempts;
-          }
-        in
-        try
-          f q;
-          `Quarantined
-        with qe ->
-          Log.err (fun m ->
-              m "run_stream: on_quarantine for %s raised %s" j.label (Printexc.to_string qe));
-          `Quarantined)
+          };
+        `Quarantined
     | None ->
-        settle_cb j (failure_report (reason ^ ": " ^ Printexc.to_string e));
+        settle_hook on_settle j (failure_report (reason ^ ": " ^ message));
         `Settled
   in
   let pulled = ref 0 and settled = ref 0 and quarantined = ref 0 in
   let peak = ref 0 in
+  let cut ~in_flight ~window =
+    { Telemetry.pulled = !pulled; settled = !settled; quarantined = !quarantined; in_flight; window }
+  in
   if jobs <= 1 then begin
     (* Serial: pull, attempt with backoff'd retries, settle or quarantine,
        all in the calling domain.  [in_flight] is identically 1. *)
-    peak := 1;
     let rec drain () =
       match next () with
       | None -> ()
       | Some j ->
           incr pulled;
-          let bkey = Hashtbl.hash j.label in
           let rec attempt k =
             match one j with
             | r ->
-                settle_cb j r;
+                settle_hook on_settle j r;
                 incr settled
             | exception e ->
                 let bt = Printexc.get_raw_backtrace () in
                 if k < retries then begin
-                  Metrics.incr Metrics.Pool_retries;
-                  Telemetry.note_retry ();
-                  Log.warn (fun m ->
-                      m "run_stream: %s raised %s; retrying (%d/%d)" j.label
-                        (Printexc.to_string e) (k + 1) retries);
-                  Octo_util.Pool.backoff_sleep ~key:bkey ~attempt:(k + 1) ();
+                  note_retry ~retries j ~what:("raised " ^ Printexc.to_string e) k;
                   attempt (k + 1)
                 end
                 else begin
@@ -1573,25 +1491,11 @@ let run_stream ?(config = default_config) ?(jobs = 1) ?(retries = 0) ?window
                 end
           in
           attempt 0;
-          Telemetry.tick (fun () ->
-              {
-                Telemetry.pulled = !pulled;
-                settled = !settled;
-                quarantined = !quarantined;
-                in_flight = 1;
-                window = 1;
-              });
+          Telemetry.tick (fun () -> cut ~in_flight:1 ~window:1);
           drain ()
     in
     drain ();
-    Telemetry.sample_now
-      {
-        Telemetry.pulled = !pulled;
-        settled = !settled;
-        quarantined = !quarantined;
-        in_flight = 0;
-        window = 1;
-      };
+    Telemetry.sample_now (cut ~in_flight:0 ~window:1);
     {
       st_pulled = !pulled;
       st_settled = !settled;
@@ -1605,6 +1509,11 @@ let run_stream ?(config = default_config) ?(jobs = 1) ?(retries = 0) ?window
     let lock = Mutex.create () in
     let slot_free = Condition.create () in
     let in_flight = ref 0 in
+    let bump counter =
+      Mutex.lock lock;
+      incr counter;
+      Mutex.unlock lock
+    in
     let release () =
       Mutex.lock lock;
       decr in_flight;
@@ -1613,44 +1522,24 @@ let run_stream ?(config = default_config) ?(jobs = 1) ?(retries = 0) ?window
       (* Every completion is a tick opportunity; the counter reads are
          deliberately unlocked (a sample is a statistical cut, and OCaml 5
          unsynchronized int reads are stale at worst, never garbage). *)
-      Telemetry.tick (fun () ->
-          {
-            Telemetry.pulled = !pulled;
-            settled = !settled;
-            quarantined = !quarantined;
-            in_flight = !in_flight;
-            window;
-          })
+      Telemetry.tick (fun () -> cut ~in_flight:!in_flight ~window)
     in
     let rec task j k () =
       match one j with
       | r ->
-          settle_cb j r;
-          Mutex.lock lock;
-          incr settled;
-          Mutex.unlock lock;
+          settle_hook on_settle j r;
+          bump settled;
           release ()
       | exception e ->
           let bt = Printexc.get_raw_backtrace () in
           if k < retries then begin
-            Metrics.incr Metrics.Pool_retries;
-            Telemetry.note_retry ();
-            Log.warn (fun m ->
-                m "run_stream: %s raised %s; retrying (%d/%d)" j.label (Printexc.to_string e)
-                  (k + 1) retries);
-            Octo_util.Pool.backoff_sleep ~key:(Hashtbl.hash j.label) ~attempt:(k + 1) ();
+            note_retry ~retries j ~what:("raised " ^ Printexc.to_string e) k;
             Octo_util.Pool.submit pool (task j (k + 1))
           end
           else begin
             (match exhausted j (e, bt) ~attempts:(k + 1) with
-            | `Quarantined ->
-                Mutex.lock lock;
-                incr quarantined;
-                Mutex.unlock lock
-            | `Settled ->
-                Mutex.lock lock;
-                incr settled;
-                Mutex.unlock lock);
+            | `Quarantined -> bump quarantined
+            | `Settled -> bump settled);
             release ()
           end
     in
@@ -1669,9 +1558,7 @@ let run_stream ?(config = default_config) ?(jobs = 1) ?(retries = 0) ?window
           (* Nothing was admitted after all: give the slot back. *)
           release ()
       | Some j ->
-          Mutex.lock lock;
-          incr pulled;
-          Mutex.unlock lock;
+          bump pulled;
           Octo_util.Pool.submit pool (task j 0);
           dispatch ()
     in
@@ -1682,14 +1569,7 @@ let run_stream ?(config = default_config) ?(jobs = 1) ?(retries = 0) ?window
     done;
     Mutex.unlock lock;
     Octo_util.Pool.shutdown pool;
-    Telemetry.sample_now
-      {
-        Telemetry.pulled = !pulled;
-        settled = !settled;
-        quarantined = !quarantined;
-        in_flight = 0;
-        window;
-      };
+    Telemetry.sample_now (cut ~in_flight:0 ~window);
     {
       st_pulled = !pulled;
       st_settled = !settled;
@@ -1698,60 +1578,6 @@ let run_stream ?(config = default_config) ?(jobs = 1) ?(retries = 0) ?window
       st_deferrals = 0;
     }
   end
-
-(* ------------------------------------------------------------------ *)
-(* Process-isolated batch verification: the fixed batch streamed through
-   [proc_stream] with the worker count as the window.  Exhausted retry
-   budgets settle as failures (run_all has no quarantine channel), and
-   fail-fast stops pulling once any pair settles as a Failure —
-   in-flight children still complete, like Domain mode's started jobs. *)
-let run_all_proc ~(config : config) ~jobs ~retries ~fail_fast ?limits ?pre_run ?on_settle
-    (batch : job list) : (string * report) list =
-  let stop = Atomic.make false in
-  let remaining = ref batch in
-  let next () =
-    if fail_fast && Atomic.get stop then None
-    else
-      match !remaining with
-      | [] -> None
-      | j :: rest ->
-          remaining := rest;
-          Some j
-  in
-  (* Results are keyed by physical job identity, not label, so duplicate
-     labels in one batch cannot cross their reports. *)
-  let results : (job * report) list ref = ref [] in
-  let settle j r =
-    (match r.verdict with Failure _ -> Atomic.set stop true | _ -> ());
-    results := (j, r) :: !results;
-    match on_settle with None -> () | Some f -> f j.label r
-  in
-  let window = max 1 (Octo_util.Pool.effective_jobs jobs) in
-  let (_ : stream_stats) =
-    proc_stream ~config ~retries ~window ?limits ?pre_run ~on_settle:settle next
-  in
-  List.map
-    (fun j ->
-      match List.find_opt (fun (j', _) -> j' == j) !results with
-      | Some (_, r) -> (j.label, r)
-      | None -> (j.label, failure_report skipped_failure_msg))
-    batch
-
-(* The public batch entry point: Domain isolation is the default and
-   byte-identical to the historical behaviour; [~isolate:Processes]
-   forks one rlimit-bounded child per job.  [stall_grace_s] is inert
-   under process isolation — the parent's wall-clock deadline-kill
-   subsumes the heartbeat watchdog. *)
-let run_all ?(config = default_config) ?(jobs = 1) ?(retries = 0) ?stall_grace_s
-    ?(fail_fast = false) ?(isolate = Domains) ?limits ?pre_run ?on_settle
-    (batch : job list) : (string * report) list =
-  match isolate with
-  | Domains ->
-      run_all_domains ~config ~jobs ~retries ?stall_grace_s ~fail_fast ?pre_run ?on_settle
-        batch
-  | Processes ->
-      ignore stall_grace_s;
-      run_all_proc ~config ~jobs ~retries ~fail_fast ?limits ?pre_run ?on_settle batch
 
 (** [stream_of_list jobs] is a pull cursor over a pre-materialized job
     list, safe to hand to {!run_stream}: the dispatcher is the only
@@ -1771,6 +1597,47 @@ let stream_of_list jobs =
     in
     Mutex.unlock m;
     j
+
+(* Settled jobs are matched back to their input position by physical
+   identity, so equal or equally-labelled jobs never cross reports. *)
+module Job_pos = Hashtbl.Make (struct
+  type t = job
+
+  let equal = ( == )
+  let hash j = Hashtbl.hash j.label
+end)
+
+(* The fixed-batch driver is a collector over {!run_stream}: a cursor
+   over the batch (which stops handing out jobs once [fail_fast] has seen
+   a Failure settle), an on-settle hook storing each report at its input
+   position, and a window of one job per worker in both isolation modes.
+   Positions the cursor never handed out come back skipped. *)
+let run_all ?(config = default_config) ?(jobs = 1) ?(retries = 0) ?(fail_fast = false)
+    ?(isolate = Domains) ?limits ?pre_run ?on_settle (batch : job list) :
+    (string * report) list =
+  (* One fresh copy per position: duplicates in [batch] stay distinct. *)
+  let copies = List.map (fun j -> { j with label = j.label }) batch in
+  let pos = Job_pos.create (List.length copies) in
+  List.iteri (fun i j -> Job_pos.add pos j i) copies;
+  let reports = Array.make (List.length copies) None in
+  let failed = Atomic.make false in
+  let pull = stream_of_list copies in
+  let next () = if fail_fast && Atomic.get failed then None else pull () in
+  let settle j r =
+    reports.(Job_pos.find pos j) <- Some r;
+    (match r.verdict with Failure _ -> Atomic.set failed true | _ -> ());
+    Option.iter (fun f -> f j.label r) on_settle
+  in
+  let (_ : stream_stats) =
+    run_stream ~config ~jobs ~retries ~window:(Octo_util.Pool.effective_jobs jobs) ~isolate
+      ?limits ?pre_run ~on_settle:settle next
+  in
+  List.mapi
+    (fun i j ->
+      match reports.(i) with
+      | Some r -> (j.label, r)
+      | None -> (j.label, failure_report skipped_failure_msg))
+    batch
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic dump ordering. *)

@@ -237,7 +237,7 @@ val encode_result : label:string -> key:string -> report -> string
 val decode_result : string -> (string * string * report) option
 
 (** [is_skipped_report r] recognizes the placeholder [Failure] that
-    [run_all ~fail_fast:true] returns for pairs it never started. *)
+    [run_all ~fail_fast:true] returns for pairs it never handed out. *)
 val is_skipped_report : report -> bool
 
 (** How batch/stream drivers isolate one job from its batch-mates.
@@ -260,29 +260,24 @@ val is_skipped_report : report -> bool
     identical to Domain mode by construction. *)
 type isolation = Domains | Processes
 
-(** [run_all ?config ?jobs ?retries ?stall_grace_s ?fail_fast ?isolate
-    ?limits ?pre_run ?on_settle batch] verifies every pair of [batch],
-    fanning the work out over a fixed pool of [jobs] worker domains
-    ({!Octo_util.Pool}) — or, with [~isolate:Processes], over up to
-    [jobs] concurrently forked children; [jobs <= 1] (the default) runs
-    serially in the calling domain (one child at a time under process
-    isolation).  Results are returned in input order, labelled.
+(** [run_all ?config ?jobs ?retries ?fail_fast ?isolate ?limits ?pre_run
+    ?on_settle batch] verifies every pair of [batch] and returns one
+    labelled report per input job, in input order.  It is a collector over
+    {!run_stream}, in both isolation modes: a cursor over [batch] feeds the
+    stream with a window of [jobs] (after the core-count clamp), so
+    [jobs <= 1] (the default) runs serially in the calling domain, or one
+    child at a time under [~isolate:Processes].
 
     Crash isolation: a job whose worker raises — after [retries] (default
     0) additional attempts — yields [(label, Failure "worker crashed:
-    ...")].  The batch always returns exactly one labelled report per
-    input job; one crashing job never discards its batch-mates' work.
+    ...")], or [Failure "worker stalled: ..."] for the injected stall
+    site.  One crashing job never discards its batch-mates' work.  A
+    worker that truly wedges is bounded only by its cooperative deadline
+    ([config.deadline_s]) in Domain mode — a domain cannot be killed —
+    and by the parent's deadline-kill under [~isolate:Processes].
 
-    Stall supervision: with [stall_grace_s] (and [jobs >= 2]), a worker
-    silent past the grace period is requeued under the same [retries]
-    accounting; once its attempts are exhausted the pair settles as
-    [Failure "worker stalled: ..."].  Pick a grace comfortably above the
-    per-pair deadline — the deadline bounds a healthy pair's runtime, the
-    watchdog catches everything the deadline cannot (non-cooperative
-    wedges).
-
-    [fail_fast] stops scheduling new pairs once any pair settles as a
-    [Failure]; unstarted pairs come back as skipped placeholders
+    [fail_fast] stops the cursor once any pair settles as a [Failure]:
+    pairs it never handed out come back as skipped placeholders
     ({!is_skipped_report}) and are not journaled.
 
     [on_settle label report] fires exactly once per non-skipped job, in
@@ -291,9 +286,7 @@ type isolation = Domains | Processes
     here.
 
     [limits] bounds each child under [~isolate:Processes] (ignored in
-    Domain mode, where no rlimit can be scoped to one job);
-    [stall_grace_s] is inert under process isolation, where the
-    parent's wall-clock deadline-kill subsumes the heartbeat watchdog.
+    Domain mode, where no rlimit can be scoped to one job).
     [pre_run job] runs in the worker (the child, under process
     isolation) just before the job's pipeline — the hook the CLI uses
     to plant a deliberate allocation for sandbox smoke tests. *)
@@ -301,7 +294,6 @@ val run_all :
   ?config:config ->
   ?jobs:int ->
   ?retries:int ->
-  ?stall_grace_s:float ->
   ?fail_fast:bool ->
   ?isolate:isolation ->
   ?limits:Octo_util.Sandbox.limits ->
@@ -361,8 +353,10 @@ type stream_stats = {
     [on_quarantine] they settle as [Failure "worker crashed/stalled: ..."]
     like {!run_all}.
 
-    Streaming mode has no heartbeat watchdog; wedged workers are bounded
-    by the per-job cooperative deadline ([config.deadline_s]).
+    Wedged workers are bounded by the per-job cooperative deadline
+    ([config.deadline_s]) and, under [~isolate:Processes], by the
+    parent's deadline-kill.  A job whose budget runs out on a stall is
+    counted in [Metrics.Pool_stalls] and the telemetry [stalls] tally.
 
     [on_settle job report] and [on_quarantine q] fire exactly once per
     job, from worker context, in completion order; [run_stream] returns

@@ -19,15 +19,16 @@
     - {!Solver_budget}: the model search starves, as if the node budget ran
       out ({!Octo_solver.Solve.solve} returns [Unknown]).
     - {!Worker_crash}: a synthetic exception escapes the job before the
-      pipeline starts (checked in [Octopocs.run_all]'s worker wrapper).
+      pipeline starts (checked in the batch driver's worker body in
+      [Octopocs]).
     - {!Deadline_expiry}: an artificial deadline expiry at a pipeline phase
       boundary (raises {!Deadline.Deadline_exceeded}).
     - {!Journal_write}: a torn write during a write-ahead-journal append —
       only a prefix of the frame reaches the file before the "process dies"
       (checked in {!Journal.append}).
     - {!Worker_stall}: a worker wedges instead of crashing — the job sleeps
-      past any watchdog grace before failing (checked in
-      [Octopocs.run_all]'s worker wrapper, like {!Worker_crash}).
+      a fixed 0.25 s, then fails with a stall marker the driver classifies
+      as ["worker stalled"] (checked beside {!Worker_crash}).
     - {!Child_segv}: a sandboxed worker process dies of SIGSEGV before
       producing a verdict (drawn by the parent supervisor before each
       fork, so retries advance the stream deterministically).

@@ -64,7 +64,9 @@ type counter =
   | Constraint_adds  (** constraints pushed into solver stores *)
   | Cache_hits  (** CFG build-cache hits *)
   | Pool_retries  (** worker crash/stall retries (requeues) *)
-  | Pool_stalls  (** tasks settled as Stalled by the watchdog *)
+  | Pool_stalls
+      (** jobs whose retry budget ran out on a stall (slot 7: counter
+          positions are part of the journal's metrics encoding) *)
   | Pool_backoffs  (** backoff sleeps taken before a crash-retry *)
   | Admission_deferrals
       (** admissions deferred by the memory-pressure controller (the

@@ -262,8 +262,8 @@ let reap c =
 
 (** [run_child ?limits ?kill_after_s ?die f] is the one-shot form:
     spawn, supervise to completion, classify.  Used by callers running
-    a single job (tests, [run_all]'s process path); the streaming
-    scheduler multiplexes many children over one select loop instead. *)
+    a single job (tests); the streaming scheduler multiplexes many
+    children over one select loop instead. *)
 let run_child ?limits ?kill_after_s ?die f =
   let c = spawn ?limits ?kill_after_s ?die f in
   let rec loop () =

@@ -55,7 +55,7 @@ type sample = {
   in_flight : int;
   window : int;
   retries : int;  (** crash/stall retries noted since [enable] *)
-  stalls : int;  (** watchdog stall settlements since [enable] *)
+  stalls : int;  (** jobs whose retry budget ran out on a stall since [enable] *)
   backoffs : int;  (** backoff sleeps since [enable] *)
   deferrals : int;  (** admission deferrals since [enable] *)
   rss_kb : int;  (** parent resident set, KiB (0 if /proc absent) *)

@@ -285,6 +285,38 @@ let stream_without_handler_settles_failure () =
       check Alcotest.string "failure class" "Failure" (O.verdict_class r.O.verdict)
   | None -> Alcotest.fail "no report"
 
+(* A job whose retry budget runs out on a stall counts once as a pool
+   stall — the counter behind the CLI's "pool : stalls=" line and the
+   telemetry stall tally — in the settle path as in the quarantine path. *)
+let stream_counts_exhausted_stall () =
+  let c = Octo_targets.Registry.find 1 in
+  let inject =
+    Faultinject.create ~seed:3 ~rate:0.0 ~site_rates:[ (Faultinject.Worker_stall, 1.0) ] ()
+  in
+  let job =
+    O.job ~config:{ O.default_config with O.inject } ~label:"wedge"
+      ~s:c.Octo_targets.Registry.s ~t:c.Octo_targets.Registry.t
+      ~poc:c.Octo_targets.Registry.poc ()
+  in
+  let was_on = Metrics.is_on () in
+  Metrics.enable ();
+  Fun.protect ~finally:(fun () -> if not was_on then Metrics.disable ()) @@ fun () ->
+  let stalls () = Metrics.counter_value (Metrics.aggregate ()) Metrics.Pool_stalls in
+  let before = stalls () in
+  let got = ref None in
+  let st =
+    O.run_stream ~isolate:O.Domains ~jobs:1 ~retries:0
+      ~on_settle:(fun _ r -> got := Some r)
+      (O.stream_of_list [ job ])
+  in
+  check Alcotest.int "settled" 1 st.O.st_settled;
+  check Alcotest.int "pool stalls delta" 1 (stalls () - before);
+  match !got with
+  | Some { O.verdict = O.Failure msg; _ } ->
+      check Alcotest.bool "worker stalled" true
+        (String.starts_with ~prefix:"worker stalled: " msg)
+  | _ -> Alcotest.fail "expected a worker-stalled Failure"
+
 let quarantine_codec_roundtrip () =
   let q =
     {
@@ -330,6 +362,7 @@ let suite =
     tc "stream: parallel bounded window" stream_parallel_bounded_window;
     tc "stream: quarantines poison" stream_quarantines_poison;
     tc "stream: no handler settles failure" stream_without_handler_settles_failure;
+    tc "stream: exhausted stall counts a pool stall" stream_counts_exhausted_stall;
     tc "quarantine codec: roundtrip" quarantine_codec_roundtrip;
     tc "quarantine codec: rejects junk" quarantine_codec_rejects_junk;
   ]

@@ -194,29 +194,34 @@ let dynamic_mode_harmless_elsewhere () =
 (* ------------------------------------------------------------------ *)
 (* Worker pool and batch verification *)
 
+(* A parallel map over one pool, built from futures: each item is its
+   own future, awaited in input order. *)
+let pool_map p f items =
+  List.map (fun x -> Octo_util.Pool.future p (fun () -> f x)) items
+  |> List.map (Octo_util.Pool.await p)
+
+let with_pool jobs f =
+  let p = Octo_util.Pool.create ~jobs in
+  Fun.protect ~finally:(fun () -> Octo_util.Pool.shutdown p) (fun () -> f p)
+
 let pool_map_preserves_order () =
   let items = List.init 37 (fun i -> i) in
-  let out = Octo_util.Pool.parallel_map ~jobs:4 (fun i -> i * i) items in
+  with_pool 4 @@ fun p ->
+  let out = List.map Result.get_ok (pool_map p (fun i -> i * i) items) in
   check Alcotest.(list int) "squares in order" (List.map (fun i -> i * i) items) out
 
 let pool_map_propagates_exception () =
-  let p = Octo_util.Pool.create ~jobs:2 in
-  Fun.protect
-    ~finally:(fun () -> Octo_util.Pool.shutdown p)
-    (fun () ->
-      match Octo_util.Pool.map p (fun i -> if i = 3 then failwith "boom" else i) [ 1; 2; 3 ] with
-      | exception Failure msg -> check Alcotest.string "exn forwarded" "boom" msg
-      | _ -> Alcotest.fail "expected Failure to propagate")
+  with_pool 2 @@ fun p ->
+  match pool_map p (fun i -> if i = 3 then failwith "boom" else i) [ 1; 2; 3 ] with
+  | [ Ok 1; Ok 2; Error (Failure msg, _) ] -> check Alcotest.string "exn forwarded" "boom" msg
+  | _ -> Alcotest.fail "expected the third item's Failure to propagate"
 
 let pool_reused_across_batches () =
-  let p = Octo_util.Pool.create ~jobs:2 in
-  Fun.protect
-    ~finally:(fun () -> Octo_util.Pool.shutdown p)
-    (fun () ->
-      for k = 1 to 5 do
-        let out = Octo_util.Pool.map p (fun i -> i + k) [ 1; 2; 3 ] in
-        check Alcotest.(list int) "batch result" [ 1 + k; 2 + k; 3 + k ] out
-      done)
+  with_pool 2 @@ fun p ->
+  for k = 1 to 5 do
+    let out = List.map Result.get_ok (pool_map p (fun i -> i + k) [ 1; 2; 3 ]) in
+    check Alcotest.(list int) "batch result" [ 1 + k; 2 + k; 3 + k ] out
+  done
 
 let run_all_matches_serial_verdicts () =
   (* The parallel batch runner must produce exactly the verdict classes of

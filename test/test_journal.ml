@@ -1,11 +1,10 @@
 (* Tests for the durable run layer: the write-ahead journal (framing,
    torn-write recovery, injected torn appends), the verdict record codec,
-   content-keyed verdict caching, the pool's heartbeat watchdog, and
-   fail-fast / resume semantics of batch verification. *)
+   content-keyed verdict caching, and the worker-fault, fail-fast and
+   resume semantics of batch verification. *)
 
 module Journal = Octo_util.Journal
 module Faultinject = Octo_util.Faultinject
-module Pool = Octo_util.Pool
 module Registry = Octo_targets.Registry
 
 let check = Alcotest.check
@@ -268,67 +267,7 @@ let content_key_stable_and_sensitive () =
   check Alcotest.string "inject excluded from key" (key c1) (key ~config:injected c1)
 
 (* ------------------------------------------------------------------ *)
-(* Heartbeat watchdog *)
-
-let watchdog_requeues_stalled_worker () =
-  (* First attempt wedges (no heartbeat) for far longer than the grace; the
-     requeued attempt answers immediately.  The watchdog must hand the item
-     to a fresh attempt and settle with its result. *)
-  let attempts = Atomic.make 0 in
-  let f () =
-    if Atomic.fetch_and_add attempts 1 = 0 then begin
-      Unix.sleepf 0.6;
-      111
-    end
-    else 222
-  in
-  match Pool.parallel_map_result ~jobs:2 ~retries:1 ~stall_grace_s:0.05 (fun () -> f ()) [ () ] with
-  | [ Ok 222 ] -> check Alcotest.int "both attempts ran" 2 (Atomic.get attempts)
-  | [ Ok n ] -> Alcotest.failf "settled with attempt result %d" n
-  | [ Error (e, _) ] -> Alcotest.failf "unexpected error: %s" (Printexc.to_string e)
-  | _ -> Alcotest.fail "expected one result"
-
-let watchdog_exhausted_attempts_settle_stalled () =
-  let f () = Unix.sleepf 0.5; 1 in
-  match Pool.parallel_map_result ~jobs:2 ~retries:0 ~stall_grace_s:0.05 (fun () -> f ()) [ () ] with
-  | [ Error (Pool.Stalled _, _) ] -> ()
-  | [ Error (e, _) ] -> Alcotest.failf "unexpected error: %s" (Printexc.to_string e)
-  | [ Ok _ ] -> Alcotest.fail "expected Stalled, got Ok"
-  | _ -> Alcotest.fail "expected one result"
-
-let watchdog_heartbeat_staves_off_requeue () =
-  (* Slow but alive: a worker stamping its heartbeat inside the grace must
-     never be requeued, no matter how long it runs. *)
-  let attempts = Atomic.make 0 in
-  let f () =
-    Atomic.incr attempts;
-    for _ = 1 to 10 do
-      Unix.sleepf 0.02;
-      Pool.heartbeat ()
-    done;
-    42
-  in
-  match Pool.parallel_map_result ~jobs:2 ~retries:3 ~stall_grace_s:0.08 (fun () -> f ()) [ () ] with
-  | [ Ok 42 ] -> check Alcotest.int "single attempt" 1 (Atomic.get attempts)
-  | _ -> Alcotest.fail "expected Ok 42"
-
-let watchdog_stale_failure_costs_no_retry () =
-  (* The superseded first attempt eventually raises; that failure must be
-     discarded as stale, not billed against the retry budget — the requeue
-     already consumed the one retry, so a billed stale failure would flip
-     the verdict to an error. *)
-  let attempts = Atomic.make 0 in
-  let f () =
-    if Atomic.fetch_and_add attempts 1 = 0 then begin
-      Unix.sleepf 0.4;
-      failwith "stale attempt dying late"
-    end
-    else 7
-  in
-  match Pool.parallel_map_result ~jobs:2 ~retries:1 ~stall_grace_s:0.05 (fun () -> f ()) [ () ] with
-  | [ Ok 7 ] -> ()
-  | [ Error (e, _) ] -> Alcotest.failf "stale failure consumed the retry: %s" (Printexc.to_string e)
-  | _ -> Alcotest.fail "expected one result"
+(* Worker faults, fail-fast and settle callbacks *)
 
 let run_all_maps_stall_to_failure () =
   (* A forced worker-stall with no retries must settle as the structured
@@ -340,7 +279,7 @@ let run_all_maps_stall_to_failure () =
         Faultinject.create ~rate:0.0 ~site_rates:[ (Faultinject.Worker_stall, 1.0) ] ~seed:4 () }
   in
   let batch = [ Octopocs.job ~config ~label:"1" ~s:c.s ~t:c.t ~poc:c.poc () ] in
-  match Octopocs.run_all ~jobs:2 ~retries:0 ~stall_grace_s:0.05 batch with
+  match Octopocs.run_all ~jobs:2 ~retries:0 batch with
   | [ ("1", (r : Octopocs.report)) ] -> (
       match r.verdict with
       | Octopocs.Failure msg ->
@@ -349,22 +288,21 @@ let run_all_maps_stall_to_failure () =
       | v -> Alcotest.failf "expected Failure, got %s" (Octopocs.verdict_class v))
   | _ -> Alcotest.fail "expected one labelled report"
 
-(* ------------------------------------------------------------------ *)
-(* Fail-fast and settle callbacks *)
-
 let run_all_fail_fast_skips_rest () =
-  (* Serial batch, pair 1 sabotaged with a forced worker crash: fail-fast
-     must stop scheduling, report the rest as skipped, and fire on_settle
-     only for the pair that actually settled. *)
+  (* Pair 1 sabotaged with a forced worker crash: fail-fast must stop
+     handing out pairs, report the rest as skipped in input order, and
+     fire on_settle only for pairs that actually settled.  Serially that
+     is exactly pair 1; with two workers a batch-mate may already be in
+     flight, so the skipped pairs are some suffix of the batch. *)
   let crash =
     { Octopocs.default_config with
       inject =
         Faultinject.create ~rate:0.0 ~site_rates:[ (Faultinject.Worker_crash, 1.0) ] ~seed:2 () }
   in
-  let batch =
+  let batch () =
     List.filter_map
       (fun (c : Registry.case) ->
-        if c.idx > 4 then None
+        if c.idx > 6 then None
         else
           Some
             (Octopocs.job
@@ -372,24 +310,60 @@ let run_all_fail_fast_skips_rest () =
                ~label:(string_of_int c.idx) ~s:c.s ~t:c.t ~poc:c.poc ()))
       Registry.all
   in
-  let settled = ref [] in
-  let results =
-    Octopocs.run_all ~jobs:1 ~fail_fast:true
-      ~on_settle:(fun label _ -> settled := label :: !settled)
-      batch
+  let run jobs =
+    let lock = Mutex.create () in
+    let settled = ref [] in
+    let results =
+      Octopocs.run_all ~jobs ~fail_fast:true
+        ~on_settle:(fun label _ -> Mutex.protect lock (fun () -> settled := label :: !settled))
+        (batch ())
+    in
+    check Alcotest.(list string) "input order" [ "1"; "2"; "3"; "4"; "5"; "6" ]
+      (List.map fst results);
+    (match results with
+    | ("1", r1) :: _ ->
+        check Alcotest.bool "pair 1 crashed" true
+          (match r1.Octopocs.verdict with Octopocs.Failure _ -> true | _ -> false);
+        check Alcotest.bool "pair 1 not a skip" false (Octopocs.is_skipped_report r1)
+    | _ -> Alcotest.fail "unexpected result shape");
+    let skipped = List.map (fun (_, r) -> Octopocs.is_skipped_report r) results in
+    let rec suffix = function
+      | true :: rest -> List.for_all Fun.id rest
+      | false :: rest -> suffix rest
+      | [] -> true
+    in
+    check Alcotest.bool "skipped pairs form a suffix" true (suffix skipped);
+    let ran =
+      List.filter_map (fun (l, r) -> if Octopocs.is_skipped_report r then None else Some l) results
+    in
+    check Alcotest.(list string) "on_settle saw exactly the unskipped pairs" ran
+      (List.sort compare !settled);
+    ran
   in
-  check Alcotest.int "all four reports" 4 (List.length results);
-  (match results with
-  | ("1", r1) :: rest ->
-      check Alcotest.bool "pair 1 crashed" true
-        (match r1.Octopocs.verdict with Octopocs.Failure _ -> true | _ -> false);
-      check Alcotest.bool "pair 1 not a skip" false (Octopocs.is_skipped_report r1);
-      List.iter
-        (fun (label, r) ->
-          check Alcotest.bool (label ^ " skipped") true (Octopocs.is_skipped_report r))
-        rest
-  | _ -> Alcotest.fail "unexpected result shape");
-  check Alcotest.(list string) "only the settled pair journaled" [ "1" ] !settled
+  check Alcotest.(list string) "serial: only pair 1 settled" [ "1" ] (run 1);
+  ignore (run 2 : string list)
+
+let run_all_duplicate_labels_keep_positions () =
+  (* Reports are keyed by input position: two jobs sharing a label (one
+     sabotaged, one healthy) and the same job value listed twice must
+     each come back with their own report. *)
+  let c = Registry.find 1 in
+  let crash =
+    { Octopocs.default_config with
+      inject =
+        Faultinject.create ~rate:0.0 ~site_rates:[ (Faultinject.Worker_crash, 1.0) ] ~seed:5 () }
+  in
+  let healthy = Octopocs.job ~label:"x" ~s:c.s ~t:c.t ~poc:c.poc () in
+  let batch =
+    [ Octopocs.job ~config:crash ~label:"x" ~s:c.s ~t:c.t ~poc:c.poc (); healthy; healthy ]
+  in
+  let classes =
+    Octopocs.run_all ~jobs:2 batch
+    |> List.map (fun (l, (r : Octopocs.report)) -> (l, Octopocs.verdict_class r.verdict))
+  in
+  check Alcotest.(list (pair string string)) "one report per position"
+    [ ("x", "Failure"); ("x", "Type-I"); ("x", "Type-I") ]
+    classes
 
 let run_all_on_settle_covers_every_pair () =
   let batch =
@@ -718,12 +692,9 @@ let suite =
     tc "codec: every verdict shape roundtrips" codec_roundtrip;
     tc "codec: malformed records decode to None" codec_rejects_malformed;
     tc "cache: content key stable, sensitive, inject-blind" content_key_stable_and_sensitive;
-    tc "watchdog: stalled worker requeued and rescued" watchdog_requeues_stalled_worker;
-    tc "watchdog: exhausted attempts settle as Stalled" watchdog_exhausted_attempts_settle_stalled;
-    tc "watchdog: heartbeat staves off requeue" watchdog_heartbeat_staves_off_requeue;
-    tc "watchdog: stale failure costs no retry" watchdog_stale_failure_costs_no_retry;
     tc "batch: forced stall maps to 'worker stalled' Failure" run_all_maps_stall_to_failure;
     tc "batch: fail-fast skips the rest, settles only the first" run_all_fail_fast_skips_rest;
+    tc "batch: duplicate labels keep their own reports" run_all_duplicate_labels_keep_positions;
     tc "batch: on_settle covers every pair exactly once" run_all_on_settle_covers_every_pair;
     tc "resume: merged journal equals uninterrupted run" resume_merge_equivalence;
     tc "sharded: roundtrip, routing, merge" sharded_roundtrip_and_routing;

@@ -222,45 +222,7 @@ let rescuable_classification () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Crash-isolated pool *)
-
-let map_result_isolates_crashes () =
-  let items = List.init 10 (fun i -> i) in
-  let f i = if i mod 2 = 0 then failwith (string_of_int i) else i * 10 in
-  let out = Pool.parallel_map_result ~jobs:4 f items in
-  check Alcotest.int "all items settled" 10 (List.length out);
-  List.iteri
-    (fun i r ->
-      match r with
-      | Ok v -> check Alcotest.int (Printf.sprintf "item %d ok" i) (i * 10) v
-      | Error (Failure m, _) -> check Alcotest.string (Printf.sprintf "item %d err" i) (string_of_int i) m
-      | Error (e, _) -> Alcotest.failf "item %d: unexpected %s" i (Printexc.to_string e))
-    out
-
-let map_still_raises_first_error () =
-  (* The raising API keeps its contract on top of map_result. *)
-  let p = Pool.create ~jobs:2 in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown p)
-    (fun () ->
-      match Pool.map p (fun i -> if i >= 2 then failwith (string_of_int i) else i) [ 0; 1; 2; 3 ] with
-      | exception Failure m -> check Alcotest.string "first error in input order" "2" m
-      | _ -> Alcotest.fail "expected Failure")
-
-let retry_absorbs_transient_fault () =
-  (* jobs:1 takes the serial path, so a plain ref is race-free. *)
-  let attempts = ref 0 in
-  let flaky () =
-    incr attempts;
-    if !attempts = 1 then failwith "transient" else !attempts
-  in
-  (match Pool.parallel_map_result ~jobs:1 ~retries:1 (fun () -> flaky ()) [ () ] with
-  | [ Ok 2 ] -> ()
-  | _ -> Alcotest.fail "expected rescue on second attempt");
-  attempts := 0;
-  match Pool.parallel_map_result ~jobs:1 ~retries:0 (fun () -> flaky ()) [ () ] with
-  | [ Error (Failure m, _) ] -> check Alcotest.string "original error kept" "transient" m
-  | _ -> Alcotest.fail "expected Error without retries"
+(* Worker pool *)
 
 let submit_shutdown_race () =
   (* A submit racing shutdown must either run the task or raise
@@ -547,9 +509,6 @@ let suite =
     tc "ladder: mid-climb rescue records its rung" ladder_rescue_mid_climb_keeps_clock;
     tc "pipeline: tiny deadline expires mid-run, structured" pipeline_tiny_deadline_expires_mid_run;
     tc "ladder: rescuable failure classification" rescuable_classification;
-    tc "pool: map_result isolates crashes" map_result_isolates_crashes;
-    tc "pool: map raises first error in input order" map_still_raises_first_error;
-    tc "pool: retry absorbs a transient fault" retry_absorbs_transient_fault;
     tc "pool: submit/shutdown race settles every submit" submit_shutdown_race;
     tc "pool: futures settle values and errors" future_settles_value_and_error;
     tc "pool: await helps nested fan-out on one worker" await_helps_nested_fanout;

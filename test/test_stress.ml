@@ -1,24 +1,16 @@
-(* Pool stress test under seeded fault injection, plus the two
-   crash-vs-stall distinguishability paths of the watchdog's structured
-   failure message.
+(* Batch-driver stress test under seeded worker faults.
 
-   The stress case throws 64 tasks with randomly drawn behaviors
-   (fast / always-crash / slow / stall) at a supervised pool and checks
-   the full settlement contract: every task settles exactly once, each
-   behavior lands on its expected outcome, the pool retry/stall counters
-   come out exactly right, and the aggregated metrics equal the sum of
-   the per-domain cells. *)
+   64 jobs with randomly drawn behaviors (fast / always-crash / slow /
+   stall) go through the stream driver, and the full settlement contract
+   is checked: every job settles exactly once, each behavior lands on its
+   expected outcome, the pool retry/stall counters come out exactly right,
+   and the aggregated metrics equal the sum of the per-domain cells. *)
 
-module Pool = Octo_util.Pool
 module Rng = Octo_util.Rng
 module Metrics = Octo_util.Metrics
-
-exception Boom of int
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
+module Faultinject = Octo_util.Faultinject
+module Registry = Octo_targets.Registry
+module O = Octopocs
 
 let with_metrics f =
   Metrics.enable ();
@@ -26,29 +18,28 @@ let with_metrics f =
 
 type behavior = Fast | Crash | Slow | Stall
 
-let grace = 0.1
+let name = function Fast -> "fast" | Crash -> "crash" | Slow -> "slow" | Stall -> "stall"
 
-(* A stalling task goes silent well past the grace, then dies — the raise
-   always lands after the watchdog has superseded the attempt, so it must
-   be discarded as stale, never counted as a crash-retry. *)
-let perform i = function
-  | Fast -> i * 2
-  | Crash -> raise (Boom i)
-  | Slow ->
-      Unix.sleepf 0.01;
-      i * 2
-  | Stall ->
-      Unix.sleepf (grace *. 5.);
-      raise (Boom i)
+(* Crash and stall jobs fire their synthetic worker-fault site on every
+   attempt, so they exhaust any retry budget; a slow job sleeps in its
+   pre-run hook, then verifies normally. *)
+let job_of (c : Registry.case) i b =
+  let always site = Faultinject.create ~rate:0.0 ~site_rates:[ (site, 1.0) ] ~seed:i () in
+  let config =
+    match b with
+    | Fast | Slow -> None
+    | Crash -> Some { O.default_config with inject = always Faultinject.Worker_crash }
+    | Stall -> Some { O.default_config with inject = always Faultinject.Worker_stall }
+  in
+  O.job ?config ~label:(Printf.sprintf "%s-%02d" (name b) i) ~s:c.s ~t:c.t ~poc:c.poc ()
 
 let test_stress () =
   let n = 64 in
   let rng = Rng.create 0x57E55 in
   let behaviors =
     Array.init n (fun _ ->
-        (* Mostly fast; enough faulty tasks to exercise every path without
-           the stalls (2 worker-occupying attempts each) dominating wall
-           time. *)
+        (* Mostly fast; enough faulty jobs to exercise every path without
+           the stalls (two 0.25 s attempts each) dominating wall time. *)
         match Rng.int rng 16 with
         | 0 | 1 -> Crash
         | 2 | 3 -> Slow
@@ -57,79 +48,46 @@ let test_stress () =
   in
   let count b = Array.fold_left (fun a x -> if x = b then a + 1 else a) 0 behaviors in
   let ncrash = count Crash and nstall = count Stall in
-  if ncrash = 0 || nstall = 0 then Alcotest.fail "seed draws no faulty tasks; pick another";
+  if ncrash = 0 || nstall = 0 then Alcotest.fail "seed draws no faulty jobs; pick another";
+  let c = Registry.find 1 in
+  let jobs = List.init n (fun i -> job_of c i behaviors.(i)) in
+  let index j = int_of_string (List.nth (String.split_on_char '-' (O.job_label j)) 1) in
+  let lock = Mutex.create () in
   let settled = Array.make n 0 in
-  let on_settle i _r = settled.(i) <- settled.(i) + 1 in
+  let reports = Array.make n None in
+  let on_settle j r =
+    let i = index j in
+    Mutex.protect lock (fun () ->
+        settled.(i) <- settled.(i) + 1;
+        reports.(i) <- Some r)
+  in
+  let pre_run j = if behaviors.(index j) = Slow then Unix.sleepf 0.01 in
   with_metrics @@ fun () ->
   let m0 = Metrics.aggregate () in
-  let results =
-    Pool.parallel_map_result ~jobs:8 ~retries:1 ~stall_grace_s:grace ~on_settle
-      (fun i -> perform i behaviors.(i))
-      (List.init n Fun.id)
+  let st =
+    O.run_stream ~jobs:8 ~retries:1 ~pre_run ~on_settle (O.stream_of_list jobs)
   in
-  Alcotest.(check int) "one result per task" n (List.length results);
+  Alcotest.(check int) "one settle per job" n st.O.st_settled;
+  Array.iteri (fun i k -> if k <> 1 then Alcotest.failf "job %d settled %d times" i k) settled;
   Array.iteri
-    (fun i c -> if c <> 1 then Alcotest.failf "task %d settled %d times" i c)
-    settled;
-  List.iteri
     (fun i r ->
+      let starts p (r : O.report) =
+        match r.verdict with O.Failure msg -> String.starts_with ~prefix:p msg | _ -> false
+      in
       match (behaviors.(i), r) with
-      | (Fast | Slow), Ok v -> Alcotest.(check int) "value" (i * 2) v
-      | Crash, Error (Boom j, _) -> Alcotest.(check int) "crash keeps its exn" i j
-      | Stall, Error (Pool.Stalled msg, _) ->
-          if not (contains msg "no heartbeat") then
-            Alcotest.failf "task %d: stall message %S" i msg
-      | b, _ ->
-          Alcotest.failf "task %d (%s): unexpected outcome" i
-            (match b with Fast -> "fast" | Crash -> "crash" | Slow -> "slow" | Stall -> "stall"))
-    results;
+      | (Fast | Slow), Some r ->
+          Alcotest.(check string) "verdict" "Type-I" (O.verdict_class r.O.verdict)
+      | Crash, Some r when starts "worker crashed: Injected(worker-crash" r -> ()
+      | Stall, Some r when starts "worker stalled: Injected(worker-stall" r -> ()
+      | b, _ -> Alcotest.failf "job %d (%s): unexpected outcome" i (name b))
+    reports;
   let d = Metrics.diff (Metrics.aggregate ()) m0 in
-  (* retries=1: each crasher burns its one retry on a counted crash, each
-     staller on a watchdog requeue; the second stall then settles the task. *)
+  (* retries=1: every crasher and staller burns its one retry, and each
+     staller's exhausted budget then counts one stall. *)
   Alcotest.(check int) "pool retries" (ncrash + nstall)
     (Metrics.counter_value d Metrics.Pool_retries);
   Alcotest.(check int) "pool stalls" nstall (Metrics.counter_value d Metrics.Pool_stalls);
   Alcotest.(check bool) "aggregate = sum of per-domain cells" true
     (Metrics.equal (Metrics.aggregate ()) (Metrics.sum (Metrics.per_domain ())))
 
-(* Satellite fix, path 1: a task that only ever goes silent reports pure
-   silence — no crash attribution. *)
-let test_stall_message_pure () =
-  match
-    Pool.parallel_map_result ~jobs:2 ~retries:0 ~stall_grace_s:grace
-      (fun () ->
-        Unix.sleepf (grace *. 5.);
-        failwith "late death")
-      [ () ]
-  with
-  | [ Error (Pool.Stalled msg, _) ] ->
-      Alcotest.(check bool) "mentions silence" true (contains msg "no heartbeat");
-      Alcotest.(check bool) "no crash attribution" false (contains msg "crashed after")
-  | _ -> Alcotest.fail "expected a single Stalled error"
-
-(* Satellite fix, path 2: when an attempt crashes after stamping its
-   heartbeat and the retry then stalls, the Stalled message attributes the
-   earlier crash (with its exception) instead of reporting only silence —
-   previously the two histories were indistinguishable. *)
-let test_stall_message_after_crash () =
-  let attempts = Atomic.make 0 in
-  match
-    Pool.parallel_map_result ~jobs:2 ~retries:1 ~stall_grace_s:grace
-      (fun () ->
-        if Atomic.fetch_and_add attempts 1 = 0 then failwith "first-attempt crash"
-        else Unix.sleepf (grace *. 5.))
-      [ () ]
-  with
-  | [ Error (Pool.Stalled msg, _) ] ->
-      Alcotest.(check bool) "attributes the earlier crash" true
-        (contains msg "1 earlier attempt(s) crashed after their heartbeat");
-      Alcotest.(check bool) "names the exception" true (contains msg "first-attempt crash")
-  | _ -> Alcotest.fail "expected a single Stalled error"
-
-let suite =
-  [
-    Alcotest.test_case "64-task stress: seeded crash/stall/slow" `Slow test_stress;
-    Alcotest.test_case "stall message: pure wedge" `Slow test_stall_message_pure;
-    Alcotest.test_case "stall message: crash-then-stall attribution" `Slow
-      test_stall_message_after_crash;
-  ]
+let suite = [ Alcotest.test_case "64-task stress: seeded crash/stall/slow" `Slow test_stress ]
