@@ -46,12 +46,23 @@ module Report = Octo_report.Report
 
 let say fmt = Format.printf (fmt ^^ "@.")
 
+let structured_error fmt =
+  Format.kasprintf (fun msg -> Format.eprintf "octopocs: error: %s@." msg; 2) fmt
+
+(* A NaN or negative --deadline is a usage error.  0 stays legal (the
+   already-expired drill), and a budget past the clock's range means no
+   deadline at all. *)
+let with_valid_deadline deadline f =
+  match deadline with
+  | Some d when Float.is_nan d || d < 0.0 ->
+      structured_error "--deadline must be a number of seconds >= 0 (got %g)" d
+  | _ -> f ()
+
 (* Per-pair pipeline configuration from the shared robustness flags.  The
    chaos seed derives one independent injector per pair (splitmix64 mixing
    of the pair index), so a batch's fault schedule does not depend on which
    worker domain picks up which job. *)
-let config_for ?(dynamic = false) ?(spec = 1) ?(chaos_sites = []) ~deadline ~chaos_seed idx
-    =
+let config_for ?(dynamic = false) ?(chaos_sites = []) ~deadline ~chaos_seed idx =
   let inject =
     match (chaos_sites, chaos_seed) with
     | [], None -> Faultinject.none
@@ -65,15 +76,7 @@ let config_for ?(dynamic = false) ?(spec = 1) ?(chaos_sites = []) ~deadline ~cha
           ~rate:0.0 ~site_rates:chaos_sites ()
   in
   { Octopocs.default_config with
-    dynamic_cfg = dynamic; deadline_s = deadline; inject; spec_jobs = spec }
-
-(* Speculation is silently forced off by the pipeline while provenance
-   collection is on (the evidence log must match a serial run); silently is
-   wrong for a user who typed both flags, so say it once, on stderr. *)
-let warn_spec_provenance ~spec ~provenance =
-  if spec > 1 && provenance then
-    Log.warn (fun m ->
-        m "speculation disabled under --provenance (--spec-jobs %d ignored)" spec)
+    dynamic_cfg = dynamic; deadline_s = deadline; inject }
 
 (* A pair index from the command line is untrusted input: out-of-range or
    negative values get a one-line structured error and exit 2, never an
@@ -123,11 +126,11 @@ let pp_pair_metrics ~indent (m : Metrics.snapshot) =
   if pcts <> [] then say "%sp50/p90/p99: %s (ns)" indent (String.concat " " pcts);
   say "%scounters: %s" indent (Fmt.str "%a" Metrics.pp_counters m)
 
-let run_one ?(dynamic = false) ?deadline ?chaos_seed ?spec (c : Registry.case) :
+let run_one ?(dynamic = false) ?deadline ?chaos_seed (c : Registry.case) :
     Octopocs.report =
   say "Pair %d: S=%s(%s)  T=%s(%s)  %s [%s]" c.idx c.s.pname c.s_version c.t.pname c.t_version
     c.vuln_id c.cwe;
-  let config = config_for ~dynamic ?spec ~deadline ~chaos_seed c.idx in
+  let config = config_for ~dynamic ~deadline ~chaos_seed c.idx in
   let r = Octopocs.run ~config ~s:c.s ~t:c.t ~poc:c.poc () in
   say "  ep      : %s" r.ep;
   say "  ℓ       : %s" (String.concat ", " r.ell);
@@ -298,14 +301,6 @@ let dynamic_arg =
        & info [ "dynamic-cfg" ]
            ~doc:"Repair CFG-recovery failures with dynamic devirtualization")
 
-let spec_jobs_arg =
-  Arg.(value & opt int 1
-       & info [ "spec-jobs" ] ~docv:"N"
-           ~doc:"Speculative loop-retry width for directed symbolic execution: run up \
-                 to $(docv)-1 predicted retry attempts ahead on idle domains.  \
-                 Verdicts and deterministic counters are identical to a serial run; \
-                 ignored (forced to 1) while --provenance is on.  Default 1 (off).")
-
 (* Shared logging flags.  [apply_logging] runs first in every command body
    so even flag-validation warnings respect the chosen threshold. *)
 let log_level_arg =
@@ -347,13 +342,13 @@ let progress_arg =
 let verify_cmd =
   let idx = Arg.(required & pos 0 (some int) None & info [] ~docv:"IDX") in
   Cmd.v (Cmd.info "verify" ~doc:"Verify one Table II pair")
-    Term.(const (fun dynamic deadline chaos_seed trace metrics provenance spec idx ->
-              warn_spec_provenance ~spec ~provenance;
+    Term.(const (fun dynamic deadline chaos_seed trace metrics provenance idx ->
+              with_valid_deadline deadline @@ fun () ->
               with_case idx (fun c ->
                   with_observability ~provenance ~trace ~metrics (fun () ->
-                      verdict_exit (run_one ~dynamic ?deadline ?chaos_seed ~spec c))))
+                      verdict_exit (run_one ~dynamic ?deadline ?chaos_seed c))))
           $ dynamic_arg $ deadline_arg $ chaos_seed_arg $ trace_arg $ metrics_arg
-          $ provenance_arg $ spec_jobs_arg $ idx)
+          $ provenance_arg $ idx)
 
 (* ------------------------------------------------------------------ *)
 (* verify-all: journaled, resumable batch verification. *)
@@ -365,9 +360,6 @@ let settle_delay_s =
   match Sys.getenv_opt "OCTOPOCS_SETTLE_DELAY" with
   | Some s -> ( match float_of_string_opt s with Some d when d > 0. -> d | _ -> 0.)
   | None -> 0.
-
-let structured_error fmt =
-  Format.kasprintf (fun msg -> Format.eprintf "octopocs: error: %s@." msg; 2) fmt
 
 type batch_outcome = Fresh of Octopocs.report | Cached of Octopocs.report
 
@@ -385,7 +377,7 @@ let report_of = function Fresh r | Cached r -> r
    of pull order and of which worker runs the pair.  --poison arms only
    the worker-crash site (the poison-pair drill); --chaos-seed alone
    keeps the all-sites schedule of the registry path. *)
-let config_for_label ?(spec = 1) ?(chaos_sites = []) ~deadline ~chaos_seed ~poison label =
+let config_for_label ?(chaos_sites = []) ~deadline ~chaos_seed ~poison label =
   (* --poison is sugar for --chaos-site worker-crash=RATE; both compose
      into one named-sites injector (rate 0.0 base — only listed sites
      fire). *)
@@ -405,7 +397,7 @@ let config_for_label ?(spec = 1) ?(chaos_sites = []) ~deadline ~chaos_seed ~pois
           ~seed:(Faultinject.seed_for ~seed label)
           ~rate:0.0 ~site_rates ()
   in
-  { Octopocs.default_config with deadline_s = deadline; inject; spec_jobs = spec }
+  { Octopocs.default_config with deadline_s = deadline; inject }
 
 (* Test hook for the sandbox smoke job: the named pair allocates
    OCTOPOCS_OOM_MB MiB (default 512) in its worker just before its
@@ -667,16 +659,14 @@ let telemetry_path ~telemetry ~journal_path ~shards =
                 file lives beside it)"))
 
 let run_corpus ~corpus ~jobs ~retries ~deadline ~chaos_seed ~chaos_sites ~journal_path
-    ~resume ~shards ~quarantine_path ~window ~poison ~spec ~isolate ~limits ~mem_watermark
+    ~resume ~shards ~quarantine_path ~window ~poison ~isolate ~limits ~mem_watermark
     ~metrics_on ~telemetry ~progress () =
   match Source.of_spec corpus with
   | Error msg -> structured_error "%s" msg
   | Ok src ->
       let m0 = Metrics.aggregate () in
       let t0 = Unix.gettimeofday () in
-      let config_of label =
-        config_for_label ~spec ~chaos_sites ~deadline ~chaos_seed ~poison label
-      in
+      let config_of label = config_for_label ~chaos_sites ~deadline ~chaos_seed ~poison label in
       match open_stream_journals ~journal_path ~resume ~shards ~quarantine_path with
       | Error code -> code
       | Ok sj ->
@@ -780,10 +770,10 @@ let run_corpus ~corpus ~jobs ~retries ~deadline ~chaos_seed ~chaos_sites ~journa
           tally.worst
 
 let run_all jobs retries deadline chaos_seed journal_path resume fail_fast trace
-    metrics_on provenance_on spec corpus shards quarantine_path window poison isolate
+    metrics_on provenance_on corpus shards quarantine_path window poison isolate
     rlimit_as rlimit_cpu mem_watermark chaos_sites telemetry progress log_level log_json =
   apply_logging log_level log_json;
-  warn_spec_provenance ~spec ~provenance:provenance_on;
+  with_valid_deadline deadline @@ fun () ->
   let streaming =
     corpus <> "registry" || shards > 1 || quarantine_path <> None || window <> None
     || poison <> None
@@ -791,6 +781,7 @@ let run_all jobs retries deadline chaos_seed journal_path resume fail_fast trace
   let limits = { Octo_util.Sandbox.as_mb = rlimit_as; cpu_s = rlimit_cpu } in
   if resume && journal_path = None then
     structured_error "--resume requires --journal PATH"
+  else if retries < 0 then structured_error "--retries must be >= 0"
   else if shards < 1 then structured_error "--shards must be >= 1"
   else if shards > 1 && journal_path = None then
     structured_error "--shards requires --journal DIR"
@@ -802,8 +793,6 @@ let run_all jobs retries deadline chaos_seed journal_path resume fail_fast trace
     structured_error "--mem-watermark requires --isolate proc"
   else if (not streaming) && mem_watermark <> None then
     structured_error "--mem-watermark is only meaningful in streaming corpus mode"
-  else if isolate = Octopocs.Processes && spec > 1 then
-    structured_error "--spec-jobs is not supported with --isolate proc"
   else if (not streaming) && telemetry <> None then
     structured_error "--telemetry is only supported in streaming corpus mode"
   else if (not streaming) && progress then
@@ -814,7 +803,7 @@ let run_all jobs retries deadline chaos_seed journal_path resume fail_fast trace
     | Ok tpath ->
         with_observability ~provenance:provenance_on ~trace ~metrics:metrics_on (fun () ->
             run_corpus ~corpus ~jobs ~retries ~deadline ~chaos_seed ~chaos_sites
-              ~journal_path ~resume ~shards ~quarantine_path ~window ~poison ~spec ~isolate
+              ~journal_path ~resume ~shards ~quarantine_path ~window ~poison ~isolate
               ~limits ~mem_watermark ~metrics_on ~telemetry:tpath ~progress ()))
   else begin
     with_observability ~provenance:provenance_on ~trace ~metrics:metrics_on @@ fun () ->
@@ -822,7 +811,7 @@ let run_all jobs retries deadline chaos_seed journal_path resume fail_fast trace
        the whole process, so the batch view is a diff, not an absolute. *)
     let m0 = Metrics.aggregate () in
     let t0 = Unix.gettimeofday () in
-    let config_of idx = config_for ~spec ~chaos_sites ~deadline ~chaos_seed idx in
+    let config_of idx = config_for ~chaos_sites ~deadline ~chaos_seed idx in
     let key_of (c : Registry.case) =
       Octopocs.content_key ~config:(config_of c.idx) ~s:c.s ~t:c.t ~poc:c.poc ()
     in
@@ -966,6 +955,15 @@ let run_all jobs retries deadline chaos_seed journal_path resume fail_fast trace
         List.fold_left (fun acc (_, o) -> max acc (verdict_exit (report_of o))) 0 results
   end
 
+(* A fault-injection rate: a float in [0,1] (NaN fails the range check). *)
+let rate_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some r when r >= 0.0 && r <= 1.0 -> Ok r
+    | _ -> Error (`Msg "RATE must be a float in [0,1]")
+  in
+  Arg.conv (parse, fun ppf r -> Format.fprintf ppf "%g" r)
+
 let verify_all_cmd =
   let jobs =
     Arg.(value & opt int 1
@@ -1029,7 +1027,7 @@ let verify_all_cmd =
                    the generator).  Default: max(4, 2*jobs).")
   in
   let poison =
-    Arg.(value & opt (some float) None
+    Arg.(value & opt (some rate_conv) None
          & info [ "poison" ] ~docv:"RATE"
              ~doc:"Arm the worker-crash fault site at $(docv) (0.0-1.0) per pair, \
                    seeded per label — the poison-pair quarantine drill.")
@@ -1075,15 +1073,14 @@ let verify_all_cmd =
         | Some i -> (
             let name = String.sub s 0 i in
             let rate = String.sub s (i + 1) (String.length s - i - 1) in
-            match (Faultinject.site_of_name name, float_of_string_opt rate) with
-            | Some site, Some r when r >= 0.0 && r <= 1.0 -> Ok (site, r)
-            | None, _ ->
+            match Faultinject.site_of_name name with
+            | None ->
                 Error
                   (`Msg
                      (Printf.sprintf "unknown fault site %S (one of: %s)" name
                         (String.concat ", "
                            (List.map Faultinject.site_name Faultinject.all_sites))))
-            | Some _, _ -> Error (`Msg "RATE must be a float in [0,1]"))
+            | Some site -> Result.map (fun r -> (site, r)) (Arg.conv_parser rate_conv rate))
       in
       let print ppf (site, r) =
         Format.fprintf ppf "%s=%g" (Faultinject.site_name site) r
@@ -1112,7 +1109,7 @@ let verify_all_cmd =
          ])
     Term.(const run_all $ jobs $ retries $ deadline_arg $ chaos_seed_arg $ journal $ resume
           $ fail_fast $ trace_arg $ metrics_arg $ provenance_arg
-          $ spec_jobs_arg $ corpus $ shards $ quarantine $ window $ poison $ isolate
+          $ corpus $ shards $ quarantine $ window $ poison $ isolate
           $ rlimit_as $ rlimit_cpu $ mem_watermark $ chaos_sites $ telemetry_arg
           $ progress_arg $ log_level_arg $ log_json_arg)
 
@@ -1131,8 +1128,10 @@ let run_scan corpus strict decoys decoy_seed shingle_k winnow_w tau_retrieve tau
     quarantine_path window isolate rlimit_as rlimit_cpu mem_watermark telemetry progress
     log_level log_json =
   apply_logging log_level log_json;
+  with_valid_deadline deadline @@ fun () ->
   let limits = { Octo_util.Sandbox.as_mb = rlimit_as; cpu_s = rlimit_cpu } in
   if resume && journal_path = None then structured_error "--resume requires --journal PATH"
+  else if retries < 0 then structured_error "--retries must be >= 0"
   else if shards < 1 then structured_error "--shards must be >= 1"
   else if shards > 1 && journal_path = None then
     structured_error "--shards requires --journal DIR"
@@ -1510,6 +1509,7 @@ let explain_cmd =
              branches, pin conflicts with minimized constraint cores, crash site) \
              rendered as a deterministic, diffable narrative")
     Term.(const (fun dynamic deadline journal idx ->
+              with_valid_deadline deadline @@ fun () ->
               match journal with
               | Some path -> explain_journal path idx
               | None -> with_case idx (explain_live ~dynamic ~deadline))

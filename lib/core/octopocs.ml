@@ -375,15 +375,6 @@ type config = {
   inject : Faultinject.t;
       (** deterministic fault injector for the chaos harness;
           {!Faultinject.none} (default) costs one tag test per site. *)
-  spec_jobs : int;
-      (** speculative loop-retry width for P2: with [spec_jobs > 1] (and
-          provenance off — speculation is forced off while it is on, since
-          the provenance ledger and probe callbacks are serial), the
-          directed executor runs up to [spec_jobs - 1] predicted retry
-          attempts ahead on the shared pool.  Verdicts, stats and
-          deterministic metrics counters are identical to a serial run by
-          construction, so this is a speed knob, not a semantic one — it
-          is excluded from {!content_key}.  Default 1 (off). *)
 }
 
 let default_config =
@@ -398,7 +389,6 @@ let default_config =
     deadline_s = None;
     ladder = true;
     inject = Faultinject.none;
-    spec_jobs = 1;
   }
 
 (** [failure_report msg] is the minimal report for a failure that happened
@@ -550,14 +540,10 @@ let run_attempt ~(config : config) ~(deadline : Deadline.t) ?ell ~(s : Isa.progr
                                   (Provenance.Loop_retry { func; pc; granted; theta }));
                           }
                     in
-                    (* Speculation is gated off whenever a probe exists
-                       (provenance on): the pin ledger and probe callbacks
-                       assume serial attempts. *)
-                    let spec_jobs = if probe = None then config.spec_jobs else 1 in
                     let outcome, stats =
                       Trace.with_span Trace.Symex "directed" @@ fun () ->
                       Directed.run ~config:config.symex ~sym_file_size:config.sym_file_size
-                        ?probe ~deadline ~spec_jobs t_sym ~ep ~cfg
+                        ?probe ~deadline t_sym ~ep ~cfg
                         ~on_ep:(place_bunches bunches)
                     in
                     let symex = Some stats in
@@ -780,10 +766,7 @@ let hash_program (p : Isa.program) = Compile.program_digest p
 (* Every config field that can change a verdict.  [inject] is deliberately
    excluded: fault injection perturbs a run, not the pair's identity — a
    resumed chaos batch must treat the journaled verdict of a fault-afflicted
-   pair as settled, exactly as the uninterrupted run would have.
-   [spec_jobs] is excluded for the same reason from the other side: a
-   speculative run produces the identical verdict, so serial and
-   speculative invocations must share journal entries. *)
+   pair as settled, exactly as the uninterrupted run would have. *)
 let config_fingerprint (c : config) =
   Marshal.to_string
     ( c.taint_mode,
@@ -1213,7 +1196,6 @@ let run_child_payload ~config ~key ?pre_run j () =
 
 let proc_stream ~(config : config) ~retries ~window ?limits ?mem_watermark_mb ?pre_run
     ?on_settle ?on_quarantine (next : unit -> job option) : stream_stats =
-  Octo_util.Pool.shutdown_shared ();
   let limits = Option.value limits ~default:Sandbox.no_limits in
   let adm = Sandbox.Admission.create ?watermark_mb:mem_watermark_mb ~window () in
   let pulled = ref 0 and settled = ref 0 and quarantined = ref 0 in
@@ -1534,6 +1516,8 @@ let run_stream ?(config = default_config) ?(jobs = 1) ?(retries = 0) ?window
           let bt = Printexc.get_raw_backtrace () in
           if k < retries then begin
             note_retry ~retries j ~what:("raised " ^ Printexc.to_string e) k;
+            (* The retry keeps this job's slot, so the pool's queue never
+               holds more than [window] tasks. *)
             Octo_util.Pool.submit pool (task j (k + 1))
           end
           else begin

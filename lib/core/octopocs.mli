@@ -127,13 +127,6 @@ type config = {
   inject : Octo_util.Faultinject.t;
       (** deterministic fault injector for the chaos harness
           ({!Octo_util.Faultinject.none} by default) *)
-  spec_jobs : int;
-      (** speculative loop-retry width for P2 (default 1 = off).  With
-          [spec_jobs > 1] and provenance off, the directed executor runs
-          up to [spec_jobs - 1] predicted retry attempts ahead on the
-          shared pool; verdicts, stats and deterministic metrics counters
-          are identical to a serial run by construction, so the field is
-          excluded from {!content_key}. *)
 }
 
 val default_config : config
@@ -383,8 +376,7 @@ type stream_stats = {
     Fork safety: process mode spawns no domains and must run before
     the process's first Domain-mode work — OCaml 5.1 refuses
     [Unix.fork] permanently once any domain has ever been spawned
-    (joining does not lift the restriction).  The shared pool is still
-    shut down defensively on entry. *)
+    (joining does not lift the restriction). *)
 val run_stream :
   ?config:config ->
   ?jobs:int ->

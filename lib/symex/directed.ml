@@ -190,30 +190,15 @@ let run_once ~(config : config) ~(deadline : Deadline.t) ~(distance : string -> 
   stats.total_steps <- stats.total_steps + st.steps;
   r
 
-(** [run ?config ?probe ?deadline ?spec_jobs prog ~ep ~cfg ~on_ep] drives
-    directed symbolic execution with loop-state retry.  [on_ep] is invoked
-    at every entry of [ep] — the combining phase P3 lives in that callback
-    (see {!Octopocs.Phases}).  [probe] observes path decisions (forced
+(** [run ?config ?probe ?deadline prog ~ep ~cfg ~on_ep] drives directed
+    symbolic execution with loop-state retry.  [on_ep] is invoked at every
+    entry of [ep] — the combining phase P3 lives in that callback (see
+    {!Octopocs.Phases}).  [probe] observes path decisions (forced
     fallbacks, prunes, loop-retry grants) for the provenance layer.  The
     [deadline] is polled every 1024 symbolic steps;
-    {!Octo_util.Deadline.Deadline_exceeded} propagates to the caller.
-
-    [spec_jobs > 1] enables speculative loop-retry on the shared pool
-    ({!Octo_util.Pool.shared}): the retry chain is deterministic given the
-    loop-budget map, and a loop-dead run overwhelmingly dies at the same
-    loop again, so while attempt [n] executes, attempts [n+1 .. n+k] are
-    run ahead on idle domains under the predicted budget maps.  Each
-    speculative attempt gets a private state, private stats and a private
-    metrics cell; a result is merged only when the serial chain reaches it
-    with exactly the predicted budget map, and a mispredicted result is
-    discarded wholesale — so the outcome, stats and deterministic metrics
-    counters are identical to a serial run by construction.  Requires
-    [probe = None] and an [on_ep] callback safe to run concurrently
-    against distinct states (P3's bunch placement is, once provenance is
-    off — the caller gates this). *)
+    {!Octo_util.Deadline.Deadline_exceeded} propagates to the caller. *)
 let run ?(config = default_config) ?(sym_file_size = Sym_state.default_sym_file_size)
-    ?probe ?(deadline = Deadline.none) ?(spec_jobs = 1) (prog : Isa.program)
-    ~(ep : string) ~(cfg : Cfg.t)
+    ?probe ?(deadline = Deadline.none) (prog : Isa.program) ~(ep : string) ~(cfg : Cfg.t)
     ~(on_ep : Sym_state.t -> count:int -> args:Expr.t list -> file_pos:int -> ep_action) :
     outcome * stats =
   let stats = fresh_stats () in
@@ -226,70 +211,13 @@ let run ?(config = default_config) ?(sym_file_size = Sym_state.default_sym_file_
        pairs at each branch. *)
     let distance = Cfg.distance_fn cfg in
     let iter_budget key = match Hashtbl.find_opt iters key with Some n -> n | None -> 0 in
-    let speculate = spec_jobs > 1 && probe = None in
-    let pool = if speculate then Some (Octo_util.Pool.shared ()) else None in
-    (* Speculative attempt for [loop_key] at [budget]: a private copy of
-       the budget map, private stats, and a private (unregistered) metrics
-       cell so a discarded attempt leaves no trace anywhere. *)
-    let spawn pool loop_key budget =
-      let m = Hashtbl.copy iters in
-      Hashtbl.replace m loop_key budget;
-      let pstats = fresh_stats () in
-      ( budget,
-        Octo_util.Pool.future pool (fun () ->
-            Octo_util.Metrics.with_private (fun () ->
-                run_once ~config ~deadline ~distance ~iters:m ~heads ~on_ep ~probe:None
-                  ~stats:pstats prog ~ep ~sym_file_size)
-            |> fun (r, priv) -> (r, pstats, priv)) )
-    in
-    (* Predictions for deaths at [loop_key] with budgets cur+2 .. (the
-       cur+1 attempt runs locally, concurrently with them), capped at θ —
-       serial never runs a budget beyond it. *)
-    let spawn_chain pool loop_key ~cur =
-      let rec mk j acc =
-        if j >= spec_jobs then List.rev acc
-        else
-          let b = cur + 1 + j in
-          if b > config.theta then List.rev acc else mk (j + 1) (spawn pool loop_key b :: acc)
-      in
-      match mk 1 [] with [] -> None | futs -> Some (loop_key, futs)
-    in
-    let merge (pstats : stats) priv =
-      stats.runs <- stats.runs + pstats.runs;
-      stats.total_steps <- stats.total_steps + pstats.total_steps;
-      stats.branches_decided <- stats.branches_decided + pstats.branches_decided;
-      stats.states_pruned <- stats.states_pruned + pstats.states_pruned;
-      Octo_util.Metrics.absorb priv
-    in
-    (* [pending]: the speculation chain — futures for consecutive budgets
-       of one loop, each valid exactly when the canonical budget map
-       reaches its predicted state.  A consumed future is the next serial
-       attempt verbatim; a mispredicted chain is dropped unawaited (the
-       tasks finish in their private cells and are never merged). *)
-    let rec attempt n pending =
+    let rec attempt n =
       if n >= config.max_runs then Failed (Budget_exhausted "loop retries")
-      else begin
-        let consumed, att =
-          match (pool, pending) with
-          | Some pool, Some (lk, (b, fut) :: _) when iter_budget lk = b -> (
-              match Octo_util.Pool.await pool fut with
-              | Ok (r, pstats, priv) ->
-                  merge pstats priv;
-                  (true, r)
-              | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-          | _ ->
-              ( false,
-                run_once ~config ~deadline ~distance ~iters ~heads ~on_ep ~probe ~stats prog
-                  ~ep ~sym_file_size )
-        in
-        let pending =
-          if not consumed then pending
-          else
-            match pending with
-            | Some (lk, _ :: (_ :: _ as tl)) -> Some (lk, tl)
-            | _ -> None
-        in
-        match att with
+      else
+        match
+          run_once ~config ~deadline ~distance ~iters ~heads ~on_ep ~probe ~stats prog ~ep
+            ~sym_file_size
+        with
         | A_reached st -> Reached st
         | A_conflict k -> Failed (Constraint_conflict k)
         | A_steps -> Failed (Budget_exhausted "symbolic steps")
@@ -307,24 +235,10 @@ let run ?(config = default_config) ?(sym_file_size = Sym_state.default_sym_file_
                   p.on_loop_retry ~func:(fst loop_key) ~pc:(snd loop_key)
                     ~granted:(cur + 1) ~theta:config.theta
               | None -> ());
-              let pending =
-                match pool with
-                | None -> None
-                | Some pool -> (
-                    match pending with
-                    (* The chain predicted this grant (its head is the
-                       budget the canonical map just reached, or the one
-                       after — the local cur+1 attempt): keep riding it. *)
-                    | Some (lk, (b, _) :: _) when lk = loop_key && (b = cur + 1 || b = cur + 2)
-                      ->
-                        pending
-                    | _ -> spawn_chain pool loop_key ~cur)
-              in
-              attempt (n + 1) pending
+              attempt (n + 1)
             end
-      end
     in
-    let outcome = attempt 0 None in
+    let outcome = attempt 0 in
     Octo_util.Metrics.add Octo_util.Metrics.Symex_states_forked stats.branches_decided;
     Octo_util.Metrics.add Octo_util.Metrics.Symex_states_pruned stats.states_pruned;
     (outcome, stats)

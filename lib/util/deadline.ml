@@ -30,22 +30,31 @@ let none = { expires_at = Int64.max_int }
 
 let is_none t = Int64.equal t.expires_at Int64.max_int
 
+(* The monotonic-clock reading [seconds] from now.  A budget past the
+   clock's int64 range saturates to [Int64.max_int] ("never"):
+   [Int64.of_float] is undefined there and would land in the past.  NaN
+   and negative budgets are refused. *)
+let expiry_ns ~fn seconds =
+  if Float.is_nan seconds then invalid_arg (fn ^ ": NaN budget");
+  if seconds < 0. then invalid_arg (fn ^ ": negative budget");
+  let now = monotonic_ns () in
+  let ns = seconds *. 1e9 in
+  if ns >= Int64.to_float (Int64.sub Int64.max_int now) then Int64.max_int
+  else Int64.add now (Int64.of_float ns)
+
 (** [after ~seconds] is a deadline [seconds] from now.  [seconds = 0.]
-    yields an already-expired deadline (useful in tests). *)
-let after ~seconds =
-  if seconds < 0. then invalid_arg "Deadline.after: negative budget";
-  let ns = Int64.of_float (seconds *. 1e9) in
-  { expires_at = Int64.add (monotonic_ns ()) ns }
+    yields an already-expired deadline (useful in tests); a budget beyond
+    the clock's range (e.g. [infinity]) is {!none}. *)
+let after ~seconds = { expires_at = expiry_ns ~fn:"Deadline.after" seconds }
 
 let expired t = (not (is_none t)) && Int64.compare (monotonic_ns ()) t.expires_at >= 0
 
 (** [ns_after ~seconds] is the absolute monotonic-clock reading [seconds]
     from now — the raw form of {!after} for supervisors that compare many
     expiry points against one clock sample (the process sandbox's parent
-    loop) instead of polling {!check} per deadline. *)
-let ns_after ~seconds =
-  if seconds < 0. then invalid_arg "Deadline.ns_after: negative budget";
-  Int64.add (monotonic_ns ()) (Int64.of_float (seconds *. 1e9))
+    loop) instead of polling {!check} per deadline.  Saturates at
+    [Int64.max_int] like {!after}. *)
+let ns_after ~seconds = expiry_ns ~fn:"Deadline.ns_after" seconds
 
 (** [check t ~what] raises {!Deadline_exceeded} when the budget is spent.
     One monotonic-clock read; callers gate it on a step counter so the cost

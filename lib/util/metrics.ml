@@ -231,30 +231,11 @@ let aggregate () = sum (per_domain ())
 (* Snapshot of the calling domain's own cell. *)
 let current () = copy (Domain.DLS.get cell_key)
 
-(* Speculative-execution support.  [with_private f] runs [f] with this
-   domain's recording redirected into a fresh cell that is NOT registered:
-   nothing [f] records is visible to [aggregate], [current] or any
-   enclosing [scoped] until a caller explicitly [absorb]s the returned
-   snapshot.  This is how discarded speculative work stays invisible (its
-   cell is simply dropped) while validated speculative work is credited to
-   the consuming domain exactly once, reproducing the counters a serial
-   run would have recorded. *)
-let with_private f =
-  let saved = Domain.DLS.get cell_key in
-  let priv = zero () in
-  Domain.DLS.set cell_key priv;
-  let v = Fun.protect ~finally:(fun () -> Domain.DLS.set cell_key saved) f in
-  (v, priv)
-
-(* [absorb snap] adds [snap] into the calling domain's live cell (no-op
-   while collection is off, mirroring every other recording entry
-   point). *)
-let absorb snap = if Atomic.get on then add_into (Domain.DLS.get cell_key) snap
-
 (* [scoped f] measures the delta this domain records while running [f].
    Returns [None] for the delta when collection is off, so callers can
-   store the option directly.  Deltas are per-domain: work [f] hands to
-   other domains is not included (use [aggregate] diffs for that). *)
+   store the option directly.  Deltas are per-domain, which is exact for
+   a pipeline run: every phase of a pair runs on the domain that called
+   it. *)
 let scoped f =
   if not (Atomic.get on) then (f (), None)
   else begin

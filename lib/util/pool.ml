@@ -6,10 +6,9 @@
     through a mutex-guarded queue, so batch after batch reuses the same
     domains instead of paying spawn cost per task.
 
-    The pool itself only runs tasks: {!submit} for fire-and-forget work,
-    {!future}/{!await} for results.  Exceptions escaping a raw {!submit}
-    task are logged (never silently swallowed) and the worker keeps
-    serving.  Retries, crash isolation and fail-fast live one level up, in
+    The pool itself only runs fire-and-forget tasks ({!submit}).
+    Exceptions escaping a task are logged (never silently swallowed) and
+    the worker keeps serving.  Retries, crash isolation and fail-fast live one level up, in
     the batch driver ([Octopocs.run_stream]); this module also supplies its
     retry backoff ({!backoff_delay}).  There is no stall watchdog: an OCaml
     domain cannot be killed, so a wedged task can only be bounded by its
@@ -22,71 +21,23 @@
 
 type task = unit -> unit
 
-(* Run queues are sharded work-stealing style: every worker owns a local
-   run queue fed by tasks submitted *from* that worker (speculative
-   futures, nested fan-out), while external submitters land on a global
-   injection queue.  An idle worker drains its own queue first, then the
-   injection queue, then steals from its siblings — so intra-pair
-   parallelism spawned by a busy worker spreads to idle domains without
-   funnelling every push through one hot mutex.  Each queue has its own
-   lock; [lock]/[nonempty] only coordinate sleep and shutdown, with
-   [navail] (total queued tasks) deciding whether sleeping is allowed. *)
 type t = {
-  pool_id : int;
-  jobs : int;
-  global : task Queue.t;            (* injection queue: external submits *)
-  locals : task Queue.t array;      (* per-worker run queues *)
-  qlocks : Mutex.t array;           (* 0..jobs-1 guard locals, [jobs] guards global *)
-  lock : Mutex.t;                   (* sleep/shutdown coordination *)
+  queue : task Queue.t;
+  lock : Mutex.t;                   (* guards [queue] and [closed] *)
   nonempty : Condition.t;
-  navail : int Atomic.t;
   mutable closed : bool;
   mutable workers : unit Domain.t array;
 }
 
-let next_pool_id = Atomic.make 0
-
-(* Which pool (by id) and worker slot the current domain belongs to; lets
-   [submit] route worker-originated tasks to the worker's own queue. *)
-let wid_key : (int * int) option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let pop_queue pool i =
-  Mutex.lock pool.qlocks.(i);
-  let q = if i = pool.jobs then pool.global else pool.locals.(i) in
-  let t = if Queue.is_empty q then None else Some (Queue.pop q) in
-  Mutex.unlock pool.qlocks.(i);
-  if t <> None then Atomic.decr pool.navail;
+(* Block until a task is queued or the pool is closed and drained. *)
+let take_task pool =
+  Mutex.lock pool.lock;
+  while Queue.is_empty pool.queue && not pool.closed do
+    Condition.wait pool.nonempty pool.lock
+  done;
+  let t = Queue.take_opt pool.queue in
+  Mutex.unlock pool.lock;
   t
-
-(* Take order for worker [id]: own queue, injection queue, steal from
-   siblings (cyclically from the next slot, so victims are spread). *)
-let take_task pool id =
-  match pop_queue pool id with
-  | Some _ as t -> t
-  | None -> (
-      match pop_queue pool pool.jobs with
-      | Some _ as t -> t
-      | None ->
-          let rec steal k =
-            if k >= pool.jobs - 1 then None
-            else
-              match pop_queue pool ((id + 1 + k) mod pool.jobs) with
-              | Some _ as t -> t
-              | None -> steal (k + 1)
-          in
-          steal 0)
-
-(* Any-queue scan for non-worker helpers ({!await}): injection queue
-   first, then every local queue. *)
-let take_any pool =
-  match pop_queue pool pool.jobs with
-  | Some _ as t -> t
-  | None ->
-      let rec scan i =
-        if i >= pool.jobs then None
-        else match pop_queue pool i with Some _ as t -> t | None -> scan (i + 1)
-      in
-      scan 0
 
 let run_logged task =
   try task ()
@@ -98,20 +49,12 @@ let run_logged task =
         m "Pool: worker task raised %s@.%s" (Printexc.to_string e)
           (Printexc.raw_backtrace_to_string bt))
 
-let rec worker_loop pool id =
-  match take_task pool id with
+let rec worker_loop pool =
+  match take_task pool with
   | Some task ->
       run_logged task;
-      worker_loop pool id
-  | None ->
-      Mutex.lock pool.lock;
-      (* Sleep only when no task exists anywhere; submitters signal while
-         holding [lock], so the check-then-wait cannot miss a wakeup. *)
-      if Atomic.get pool.navail = 0 && not pool.closed then
-        Condition.wait pool.nonempty pool.lock;
-      let stop = pool.closed && Atomic.get pool.navail = 0 in
-      Mutex.unlock pool.lock;
-      if not stop then worker_loop pool id
+      worker_loop pool
+  | None -> ()
 
 (** [effective_jobs n] clamps a requested worker count to what the machine
     can actually run in parallel.  Oversubscribing domains is a measured
@@ -125,35 +68,23 @@ let create ~jobs =
   let jobs = effective_jobs jobs in
   let pool =
     {
-      pool_id = Atomic.fetch_and_add next_pool_id 1;
-      jobs;
-      global = Queue.create ();
-      locals = Array.init jobs (fun _ -> Queue.create ());
-      qlocks = Array.init (jobs + 1) (fun _ -> Mutex.create ());
+      queue = Queue.create ();
       lock = Mutex.create ();
       nonempty = Condition.create ();
-      navail = Atomic.make 0;
       closed = false;
       workers = [||];
     }
   in
-  pool.workers <-
-    Array.init jobs (fun id ->
-        Domain.spawn (fun () ->
-            Domain.DLS.set wid_key (Some (pool.pool_id, id));
-            worker_loop pool id));
+  pool.workers <- Array.init jobs (fun _ -> Domain.spawn (fun () -> worker_loop pool));
   pool
 
 (** [submit pool task] enqueues a unit task.  Raises [Invalid_argument]
     once the pool is shut down; the closed check and the enqueue happen
-    under the coordination lock, so a submit racing an in-flight
-    {!shutdown} either lands the task before the close (and it runs:
-    workers drain the queues on shutdown) or observes [closed] and raises
-    — it can never deadlock or drop the task silently.  A submit from one
-    of the pool's own workers lands on that worker's local queue
-    (stealable by idle siblings); everyone else lands on the injection
-    queue.  Exceptions escaping the task are logged by the worker; wrap
-    the task if you need them. *)
+    under the queue lock, so a submit racing an in-flight {!shutdown}
+    either lands the task before the close (and it runs: workers drain
+    the queue on shutdown) or observes [closed] and raises — it can never
+    deadlock or drop the task silently.  Exceptions escaping the task are
+    logged by the worker; wrap the task if you need them. *)
 let submit pool task =
   Mutex.lock pool.lock;
   if pool.closed then begin
@@ -161,15 +92,7 @@ let submit pool task =
     invalid_arg "Pool.submit: pool is shut down"
   end
   else begin
-    let slot =
-      match Domain.DLS.get wid_key with
-      | Some (pid, id) when pid = pool.pool_id -> id
-      | _ -> pool.jobs
-    in
-    Mutex.lock pool.qlocks.(slot);
-    Queue.add task (if slot = pool.jobs then pool.global else pool.locals.(slot));
-    Mutex.unlock pool.qlocks.(slot);
-    Atomic.incr pool.navail;
+    Queue.add task pool.queue;
     Condition.signal pool.nonempty;
     Mutex.unlock pool.lock
   end
@@ -185,107 +108,6 @@ let shutdown pool =
   Condition.broadcast pool.nonempty;
   Mutex.unlock pool.lock;
   Array.iter Domain.join workers
-
-(* ------------------------------------------------------------------ *)
-(* Futures with helping await. *)
-
-type 'a fstate = Fpending | Fdone of ('a, exn * Printexc.raw_backtrace) result
-
-type 'a future = {
-  flock : Mutex.t;
-  fcond : Condition.t;
-  mutable fstate : 'a fstate;
-}
-
-(** [future pool f] submits [f] and returns a handle to its eventual
-    result.  The task's exception (if any) is captured with its backtrace
-    and surfaces at {!await} — never through the worker's crash log. *)
-let future pool f =
-  let fut = { flock = Mutex.create (); fcond = Condition.create (); fstate = Fpending } in
-  submit pool (fun () ->
-      let r =
-        match f () with
-        | v -> Stdlib.Ok v
-        | exception e -> Stdlib.Error (e, Printexc.get_raw_backtrace ())
-      in
-      Mutex.lock fut.flock;
-      fut.fstate <- Fdone r;
-      Condition.broadcast fut.fcond;
-      Mutex.unlock fut.flock);
-  fut
-
-(** [await pool fut] blocks until [fut] settles, HELPING while it waits:
-    as long as the future is pending and any task is queued, the awaiting
-    domain pops and runs pool tasks itself.  This makes nested fan-out
-    deadlock-free — a worker that spawns futures and awaits them executes
-    its own children when no sibling is idle (on a 1-core machine the
-    whole construction degenerates to ordinary serial calls).  Sleeping is
-    safe only once every queue is empty: the future's task is then
-    necessarily running on some domain and will signal completion. *)
-let await pool fut =
-  let rec go () =
-    Mutex.lock fut.flock;
-    match fut.fstate with
-    | Fdone r ->
-        Mutex.unlock fut.flock;
-        r
-    | Fpending -> (
-        Mutex.unlock fut.flock;
-        match take_any pool with
-        | Some task ->
-            run_logged task;
-            go ()
-        | None ->
-            Mutex.lock fut.flock;
-            (match fut.fstate with
-            | Fpending -> Condition.wait fut.fcond fut.flock
-            | Fdone _ -> ());
-            Mutex.unlock fut.flock;
-            go ())
-  in
-  go ()
-
-(* ------------------------------------------------------------------ *)
-(* The process-shared pool. *)
-
-let shared_ref : t option ref = ref None
-let shared_lock = Mutex.create ()
-
-(** [shared ()] is the lazily-created process-global pool, sized to the
-    machine ([Domain.recommended_domain_count]) and shut down at exit.
-    Intra-pair speculation uses it so every pipeline invocation draws on
-    one fixed set of domains instead of spawning per call; batch drivers
-    keep creating their own pools, so shared-pool tasks never displace a
-    batch's pair tasks. *)
-let shared () =
-  Mutex.lock shared_lock;
-  let p =
-    match !shared_ref with
-    | Some p -> p
-    | None ->
-        let p = create ~jobs:(Domain.recommended_domain_count ()) in
-        shared_ref := Some p;
-        at_exit (fun () -> shutdown p);
-        p
-  in
-  Mutex.unlock shared_lock;
-  p
-
-(** [shutdown_shared ()] joins the shared pool's domains (no-op when it
-    was never created) and forgets it, so a later {!shared} builds a
-    fresh one.  The process sandbox calls this defensively before its
-    first fork.  Note the stronger truth on OCaml 5.1: [Unix.fork] is
-    refused permanently once any domain has EVER been spawned (the
-    check latches — joining does not lift it), so forking drivers must
-    run before the process's first domain; this shutdown only helps on
-    runtimes that merely require a single-domain process at fork
-    time. *)
-let shutdown_shared () =
-  Mutex.lock shared_lock;
-  let p = !shared_ref in
-  shared_ref := None;
-  Mutex.unlock shared_lock;
-  Option.iter shutdown p
 
 (* ------------------------------------------------------------------ *)
 (* Crash-retry backoff. *)

@@ -24,9 +24,7 @@
     must therefore be the process's FIRST parallel work: never run a
     Domain-mode batch (or create any pool) before the first {!spawn}.
     The process scheduler in [Octopocs] honours this by doing all its
-    parallelism at the process level, and still calls
-    {!Pool.shutdown_shared} defensively for runtimes that only require
-    a single-domain process at fork time. *)
+    parallelism at the process level: it never spawns a domain. *)
 
 external setrlimit_as : int -> unit = "octo_setrlimit_as"
 external setrlimit_cpu : int -> unit = "octo_setrlimit_cpu"

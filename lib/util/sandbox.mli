@@ -11,10 +11,7 @@
     domain has ever been spawned in the process — the restriction
     latches; joining the domain does not lift it.  Process isolation
     must therefore be the process's FIRST parallel work: never run a
-    Domain-mode batch before {!spawn} in the same process.
-    {!Pool.shutdown_shared} is still called defensively before the
-    first fork (it is the correct move on runtimes that only require a
-    single-domain process at fork time). *)
+    Domain-mode batch before {!spawn} in the same process. *)
 
 type limits = {
   as_mb : int option;  (** RLIMIT_AS in MiB; [None] leaves it unbounded *)

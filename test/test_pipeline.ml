@@ -146,34 +146,6 @@ let deterministic_verdicts () =
   check Alcotest.string "same class" (Octopocs.verdict_class a.verdict)
     (Octopocs.verdict_class b.verdict)
 
-let speculative_verdicts_match_serial () =
-  (* spec_jobs > 1 runs predicted loop-retry attempts ahead on the shared
-     pool; verdicts, poc' bytes and symex stats must be identical to the
-     serial run on every pair — speculation is a pure latency optimization.
-     Full sweep so pairs with no retries (degenerate chains) are covered
-     alongside the 38-retry gif pair. *)
-  let spec = { Octopocs.default_config with spec_jobs = 4 } in
-  List.iter
-    (fun (c : Registry.case) ->
-      let serial = run_case c in
-      let specr = Octopocs.run ~config:spec ~s:c.s ~t:c.t ~poc:c.poc () in
-      let tag = Printf.sprintf "pair %d" c.idx in
-      check Alcotest.string (tag ^ " class")
-        (Octopocs.verdict_class serial.verdict)
-        (Octopocs.verdict_class specr.verdict);
-      (match (serial.verdict, specr.verdict) with
-      | Octopocs.Triggered a, Octopocs.Triggered b ->
-          check Alcotest.string (tag ^ " poc'") a.poc' b.poc'
-      | _ -> ());
-      match (serial.symex, specr.symex) with
-      | Some a, Some b ->
-          check Alcotest.int (tag ^ " runs") a.runs b.runs;
-          check Alcotest.int (tag ^ " retries") a.loop_retries b.loop_retries;
-          check Alcotest.int (tag ^ " steps") a.total_steps b.total_steps
-      | None, None -> ()
-      | _ -> Alcotest.failf "%s: symex stats presence differs" tag)
-    Registry.all
-
 let identify_ep_scans_outermost_first () =
   let crash =
     { Interp.fault = Mem.Hang; crash_func = "inner"; crash_pc = 0;
@@ -200,6 +172,5 @@ let suite =
     tc "non-crashing poc fails cleanly" non_crashing_poc_fails_cleanly;
     tc "report carries artifacts" report_carries_artifacts;
     tc "verdicts deterministic" deterministic_verdicts;
-    tc "speculative verdicts match serial" speculative_verdicts_match_serial;
     tc "ep identification scans outermost first" identify_ep_scans_outermost_first;
   ]

@@ -37,6 +37,30 @@ let deadline_negative_rejected () =
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
+(* Budgets past the int64 nanosecond range (~292 years) saturate to "no
+   deadline" instead of wrapping into an already-expired one. *)
+let deadline_infinite_never_expires () =
+  let d = Deadline.after ~seconds:infinity in
+  check Alcotest.bool "not expired" false (Deadline.expired d);
+  check Alcotest.bool "remaining positive" true (Deadline.remaining_s d > 0.0);
+  check Alcotest.int64 "ns_after saturates" Int64.max_int (Deadline.ns_after ~seconds:infinity)
+
+let deadline_huge_budget_holds () =
+  let d = Deadline.after ~seconds:1e10 in
+  check Alcotest.bool "not expired" false (Deadline.expired d);
+  check Alcotest.bool "remaining positive" true (Deadline.remaining_s d > 0.0);
+  Deadline.check d ~what:"fine";
+  check Alcotest.bool "ns_after in the future" true
+    (Int64.compare (Deadline.ns_after ~seconds:1e10) (Deadline.monotonic_ns ()) > 0)
+
+let deadline_nan_rejected () =
+  (match Deadline.after ~seconds:Float.nan with
+  | _ -> Alcotest.fail "after: expected Invalid_argument"
+  | exception Invalid_argument _ -> ());
+  match Deadline.ns_after ~seconds:Float.nan with
+  | _ -> Alcotest.fail "ns_after: expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
+
 let deadline_clock_is_monotonic () =
   let a = Deadline.monotonic_ns () in
   let b = Deadline.monotonic_ns () in
@@ -252,45 +276,6 @@ let submit_shutdown_race () =
   check Alcotest.int "every submit settled" 2000 (accepted + rejected);
   check Alcotest.int "accepted = executed" accepted (Atomic.get executed)
 
-let future_settles_value_and_error () =
-  let p = Pool.create ~jobs:2 in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown p)
-    (fun () ->
-      let a = Pool.future p (fun () -> 6 * 7) in
-      let b = Pool.future p (fun () -> failwith "boom") in
-      (match Pool.await p a with
-      | Ok 42 -> ()
-      | Ok v -> Alcotest.failf "expected 42, got %d" v
-      | Error (e, _) -> Alcotest.failf "unexpected error: %s" (Printexc.to_string e));
-      match Pool.await p b with
-      | Error (Failure m, _) -> check Alcotest.string "error carried to await" "boom" m
-      | _ -> Alcotest.fail "expected the task's exception at await")
-
-let await_helps_nested_fanout () =
-  (* Futures spawned from inside a pool task and awaited there must not
-     deadlock even with a single worker: the awaiting domain pops and runs
-     queued tasks itself while it waits. *)
-  let p = Pool.create ~jobs:1 in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown p)
-    (fun () ->
-      let outer =
-        Pool.future p (fun () ->
-            let inner = List.init 8 (fun i -> Pool.future p (fun () -> i * i)) in
-            List.fold_left
-              (fun acc f ->
-                match Pool.await p f with Ok v -> acc + v | Error (e, _) -> raise e)
-              0 inner)
-      in
-      match Pool.await p outer with
-      | Ok v -> check Alcotest.int "nested fan-out sum" 140 v
-      | Error (e, _) -> Alcotest.failf "unexpected: %s" (Printexc.to_string e))
-
-let shared_pool_is_memoized () =
-  let a = Pool.shared () and b = Pool.shared () in
-  check Alcotest.bool "one process-global pool" true (a == b)
-
 (* ------------------------------------------------------------------ *)
 (* Batch crash isolation (the acceptance scenario) *)
 
@@ -498,6 +483,9 @@ let suite =
     tc "deadline: zero budget expires immediately" deadline_zero_expires_immediately;
     tc "deadline: future budget holds" deadline_future_not_expired;
     tc "deadline: negative budget rejected" deadline_negative_rejected;
+    tc "deadline: infinite budget never expires" deadline_infinite_never_expires;
+    tc "deadline: 1e10 s budget holds" deadline_huge_budget_holds;
+    tc "deadline: NaN budget rejected" deadline_nan_rejected;
     tc "deadline: clock is monotonic" deadline_clock_is_monotonic;
     tc "pipeline: expired deadline is a structured Failure" pipeline_deadline_zero_is_failure;
     tc "ladder: off reports budget failure" ladder_off_reports_budget_failure;
@@ -510,9 +498,6 @@ let suite =
     tc "pipeline: tiny deadline expires mid-run, structured" pipeline_tiny_deadline_expires_mid_run;
     tc "ladder: rescuable failure classification" rescuable_classification;
     tc "pool: submit/shutdown race settles every submit" submit_shutdown_race;
-    tc "pool: futures settle values and errors" future_settles_value_and_error;
-    tc "pool: await helps nested fan-out on one worker" await_helps_nested_fanout;
-    tc "pool: shared pool is memoized" shared_pool_is_memoized;
     tc "batch: crash + deadline isolated, 15 labelled reports" run_all_isolates_crash_and_deadline;
     tc "batch: retry rescues a transient worker crash" run_all_retry_rescues_transient_crash;
     tc "inject: deterministic per seed" injection_deterministic;

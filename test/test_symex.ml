@@ -273,62 +273,6 @@ let directed_prunes_unsat_preferred () =
   | Directed.Failed f, _ -> Alcotest.failf "failed: %a" Directed.pp_failure f
 
 (* ------------------------------------------------------------------ *)
-(* Speculative loop-retry *)
-
-let model_input (st : Sym_state.t) =
-  match Solve.solve st.store with
-  | Solve.Sat m ->
-      String.init st.max_read_off (fun i -> Char.chr (Solve.model_byte m i land 0xff))
-  | _ -> Alcotest.fail "reached state should be solvable"
-
-let directed_speculation_matches_serial () =
-  (* Pair 9 needs a 38-deep loop-retry chain — the speculation machinery's
-     consume / keep / respawn logic is exercised for many rounds.  The
-     speculative run must agree with the serial run on the outcome, the
-     guiding model, and every stats field (validated speculative attempts
-     are merged as if they had run serially; discarded ones leave no
-     trace). *)
-  let c = Registry.find 9 in
-  let cfg = Cfg.build c.t ~ep:c.vuln_func in
-  let run spec_jobs = Directed.run ~spec_jobs c.t ~ep:c.vuln_func ~cfg ~on_ep:stop_at_first in
-  match (run 1, run 4) with
-  | (Directed.Reached st1, s1), (Directed.Reached st4, s4) ->
-      check Alcotest.int "runs" s1.runs s4.runs;
-      check Alcotest.int "loop retries" s1.loop_retries s4.loop_retries;
-      check Alcotest.int "total steps" s1.total_steps s4.total_steps;
-      check Alcotest.int "branches decided" s1.branches_decided s4.branches_decided;
-      check Alcotest.int "states pruned" s1.states_pruned s4.states_pruned;
-      check Alcotest.string "guiding model" (model_input st1) (model_input st4)
-  | _ -> Alcotest.fail "both serial and speculative runs must reach ep"
-
-let directed_speculation_metrics_absorbed () =
-  (* Validated speculative attempts run on pool domains but their solver
-     counters must be credited to the calling domain exactly once
-     (Metrics.with_private / absorb) — a speculative run records the same
-     deterministic counters a serial run does, and discarded attempts
-     record nothing. *)
-  let c = Registry.find 9 in
-  let cfg = Cfg.build c.t ~ep:c.vuln_func in
-  let counters spec_jobs =
-    let (_ : Directed.outcome * Directed.stats), snap =
-      Octo_util.Metrics.scoped (fun () ->
-          Directed.run ~spec_jobs c.t ~ep:c.vuln_func ~cfg ~on_ep:stop_at_first)
-    in
-    match snap with
-    | Some s ->
-        List.map
-          (fun ctr -> Octo_util.Metrics.counter_value s ctr)
-          Octo_util.Metrics.
-            [ Solver_nodes; Constraint_adds; Symex_states_forked; Symex_states_pruned ]
-    | None -> Alcotest.fail "metrics collection was enabled"
-  in
-  Octo_util.Metrics.enable ();
-  Fun.protect ~finally:Octo_util.Metrics.disable (fun () ->
-      check
-        (Alcotest.list Alcotest.int)
-        "deterministic counters" (counters 1) (counters 4))
-
-(* ------------------------------------------------------------------ *)
 (* Naive execution *)
 
 let naive_reaches_shallow () =
@@ -371,8 +315,6 @@ let suite =
     tc "directed: conflict surfaces from on_ep" directed_conflict_via_on_ep;
     tc "directed: guiding input verified concretely" directed_guiding_solvable;
     tc "directed: prunes unsat preferred direction" directed_prunes_unsat_preferred;
-    tc "directed: speculation matches serial" directed_speculation_matches_serial;
-    tc "directed: speculation absorbs metrics" directed_speculation_metrics_absorbed;
     tc "naive: reaches shallow target" naive_reaches_shallow;
     tc "naive: MemError on branchy targets" naive_memerror_on_branchy;
     tc "naive: custom state cap" naive_state_cap_respected;
