@@ -117,10 +117,9 @@ let table4 () =
         | _ -> Printf.sprintf "%.1f" naive_mb
       in
       let cfg = Cfg.build c.t ~ep in
-      let stop_at_first _st ~count:_ ~args:_ ~file_pos:_ = Directed.Stop in
       let t1 = Unix.gettimeofday () in
       let (dir_out, _stats), dir_mb =
-        alloc_mb (fun () -> Directed.run c.t ~ep ~cfg ~on_ep:stop_at_first)
+        alloc_mb (fun () -> Directed.run c.t ~ep ~cfg ~ledger:() ~on_ep:Directed.stop_at_first)
       in
       let dir_t = Unix.gettimeofday () -. t1 in
       let dir_cell =
@@ -286,8 +285,8 @@ let micro () =
         (Staged.stage (fun () ->
              let cfg = Cfg.build_cached c7.t ~ep:c7.vuln_func in
              ignore
-               (Directed.run c7.t ~ep:c7.vuln_func ~cfg
-                  ~on_ep:(fun _ ~count:_ ~args:_ ~file_pos:_ -> Directed.Stop))));
+               (Directed.run c7.t ~ep:c7.vuln_func ~cfg ~ledger:()
+                  ~on_ep:Directed.stop_at_first)));
       Test.make ~name:"table5:fuzz-500-execs"
         (Staged.stage (fun () ->
              ignore
@@ -376,8 +375,7 @@ let bench_directed_pair7 () =
   let c7 = Registry.find 7 in
   time_ns ~reps:3 500 (fun () ->
       let cfg = Cfg.build_cached c7.t ~ep:c7.vuln_func in
-      Directed.run c7.t ~ep:c7.vuln_func ~cfg
-        ~on_ep:(fun _ ~count:_ ~args:_ ~file_pos:_ -> Directed.Stop))
+      Directed.run c7.t ~ep:c7.vuln_func ~cfg ~ledger:() ~on_ep:Directed.stop_at_first)
 
 let bench_table2 ~jobs =
   let batch =

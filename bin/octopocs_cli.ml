@@ -141,8 +141,10 @@ let run_one ?(dynamic = false) ?deadline ?chaos_seed (c : Registry.case) :
   | None -> ());
   (match r.symex with
   | Some s ->
-      say "  symex   : %d run(s), %d steps, %d branch decisions, %d loop retries" s.runs
-        s.total_steps s.branches_decided s.loop_retries
+      (* Resumed loop retries inherit their prefix: steps and decisions
+         count the work executed, not the work of [runs] full replays. *)
+      say "  symex   : %d run(s), %d loop retries (%d resumed); executed %d steps, %d branch decisions"
+        s.runs s.loop_retries s.resumed s.total_steps s.branches_decided
   | None -> ());
   (* pp_verdict_prov upgrades a Constraint_conflict verdict in place with
      the conflicting bunch and T-side constraint when provenance is on. *)

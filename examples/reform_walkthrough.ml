@@ -54,8 +54,9 @@ let () =
   let report = Octopocs.run ~s:c.s ~t:c.t ~poc:c.poc () in
   (match report.symex with
   | Some st ->
-      Format.printf "runs: %d, symbolic steps: %d, branch decisions: %d, loop retries: %d@."
-        st.runs st.total_steps st.branches_decided st.loop_retries
+      Format.printf
+        "runs: %d, loop retries: %d; executed %d symbolic steps, %d branch decisions@."
+        st.runs st.loop_retries st.total_steps st.branches_decided
   | None -> ());
 
   section "P4: verification";

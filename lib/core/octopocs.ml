@@ -237,17 +237,21 @@ let identify_ep ~(ell : string list) (crash : Interp.crash) : string option =
 (* P3: the bunch-placement callback run at every ep entry of T's symbolic
    execution.
 
-   Partially applied once per pipeline attempt: the [pins] ledger — what
-   each constraint WE added means (which bunch byte, which replayed
-   argument) — lives across the entries of one symbolic state so that a
-   conflict at entry k can label a core drawn from the whole store.  A
-   fresh state re-enters ep from [count = 1], which resets the ledger. *)
-let place_bunches (bunches : Taint.bunch list) =
-  let pins : (Provenance.origin * Expr.cond) list ref = ref [] in
-  fun (st : Sym_state.t) ~count ~args ~file_pos : Directed.ep_action ->
+   The pin ledger — what each constraint WE added means (which bunch byte,
+   which replayed argument) — is threaded through the callback as the
+   state's {!Directed.on_ep} value, so that a conflict at entry k can label
+   a core drawn from the whole store.  It travels with the symbolic state:
+   a fresh state starts from [], and a loop retry resumed from a snapshot
+   carries the ledger of that snapshot, not the dead attempt's suffix.
+   Filled only with provenance on. *)
+type pin_ledger = (Provenance.origin * Expr.cond) list
+
+let place_bunches (bunches : Taint.bunch list) : pin_ledger Directed.on_ep =
+ fun st ledger ~count ~args ~file_pos ->
+  let pins = ref ledger in
+  let action =
     Trace.with_span Trace.Combine "place-bunch" @@ fun () ->
     let prov_on = Provenance.is_on () in
-    if prov_on && count = 1 then pins := [];
     match List.nth_opt bunches (count - 1) with
     | None -> Directed.Stop
     | Some (b : Taint.bunch) ->
@@ -344,6 +348,8 @@ let place_bunches (bunches : Taint.bunch list) =
                  { seq = count; file_pos; nbytes = !nbytes; args_replayed = !nargs });
           if count >= List.length bunches then Directed.Stop else Directed.Continue
         end
+  in
+  (action, !pins)
 
 let poc_of_model (model : Solve.model) ~length =
   String.init length (fun i -> Char.chr (Solve.model_byte model i land 0xff))
@@ -543,7 +549,7 @@ let run_attempt ~(config : config) ~(deadline : Deadline.t) ?ell ~(s : Isa.progr
                     let outcome, stats =
                       Trace.with_span Trace.Symex "directed" @@ fun () ->
                       Directed.run ~config:config.symex ~sym_file_size:config.sym_file_size
-                        ?probe ~deadline t_sym ~ep ~cfg
+                        ?probe ~deadline t_sym ~ep ~cfg ~ledger:[]
                         ~on_ep:(place_bunches bunches)
                     in
                     let symex = Some stats in

@@ -101,6 +101,19 @@ val verdict_class : verdict -> string
     path to the crash (paper "Preprocessing").  Exposed for testing. *)
 val identify_ep : ell:string list -> Octo_vm.Interp.crash -> string option
 
+(** P3's pin ledger: the origin (bunch byte or replayed argument) of every
+    constraint bunch placement added to one symbolic state, used to label
+    conflict cores.  Filled only while {!Provenance} is on. *)
+type pin_ledger = (Provenance.origin * Octo_solver.Expr.cond) list
+
+(** [place_bunches bunches] is P3: the {!Directed.on_ep} callback that pins
+    bunch [k]'s bytes and replays its tainted arguments at the [k]-th
+    entry of [ep], threading the state's {!pin_ledger} (start it at
+    [[]]).  It stops after the last bunch and reports a conflict, with a
+    labelled core under provenance, when the pins are unsatisfiable.
+    Exposed for testing. *)
+val place_bunches : Taint.bunch list -> pin_ledger Directed.on_ep
+
 (** Pipeline configuration.  {!default_config} reproduces the paper's
     setup: context-aware byte-level taint, θ = 120, static CFG only. *)
 type config = {

@@ -6,14 +6,16 @@
    that moves a verdict or climbs a ladder rung shows up as a readable
    diff here, not as a silent drift.
 
-   The same treatment pins the [explain] subcommand's output for three
+   The same treatment pins the [explain] subcommand's output for four
    representative pairs: pair 1 (Triggered, Type-I — the happy path with
    taint, pinning and crash-site evidence), pair 13 (Not_triggerable
    via Constraint_conflict — the minimized core naming the replayed
-   argument that clashes with T's own path constraint) and pair 3
-   (Triggered on a CWE-835 hang that the VM proved to be a cycle).  The narrative is
-   documented as deterministic and diffable; these goldens plus the
-   determinism case below are what hold that promise.
+   argument that clashes with T's own path constraint), pair 3
+   (Triggered on a CWE-835 hang that the VM proved to be a cycle) and
+   pair 9 (Triggered after 38 loop-iteration grants, each bunch pinned
+   once).  The narrative is documented as deterministic and diffable;
+   these goldens plus the determinism case below are what hold that
+   promise.
 
    Regeneration (after an INTENTIONAL change, from the repo root):
 
@@ -226,4 +228,6 @@ let suite =
     Alcotest.test_case "explain: pair 3 verdict rests on a proven cycle" `Quick
       explain_pair3_proven_cycle;
     Alcotest.test_case "explain is deterministic across runs" `Quick explain_deterministic;
+    Alcotest.test_case "explain golden: pair 9 (38 loop retries)" `Quick
+      (explain_golden_test 9);
   ]
