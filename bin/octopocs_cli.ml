@@ -2,9 +2,11 @@
 
    Subcommands:
      verify <idx>     run the full pipeline on one Table II pair
-     verify-all       run all 15 pairs (optionally in parallel with --jobs,
-                      journaled with --journal, resumable with --resume)
-                      and print the Table II summary
+     verify-all       verify a pair source: the 15 Table II pairs (default,
+                      printed as the Table II summary), a generated corpus
+                      or a corpus directory (--corpus)
+     scan             discover (S, T) candidates across a corpus by clone
+                      detection, then verify the confirmed ones
      inspect <idx>    show the pair's programs, PoC hexdump and ℓ
      fuzz <idx>       run the AFLFast baseline on the pair's T binary
      explain <idx>    re-verify one pair with provenance collection on and
@@ -16,6 +18,14 @@
                       pair, sorted by label — diffable across runs)
      trace <path>     validate a --trace JSONL file against the span
                       schema (balanced begin/end, monotonic timestamps)
+     report           aggregate a run's journals into a deterministic report
+     corpus <dir>     write (or --check) a directory of pair manifests
+
+   verify-all and scan share one verification driver ([verify_entries]):
+   it pulls pairs on demand under a bounded in-flight window, reuses
+   verdicts journaled under the same content key (--resume), journals
+   each settle (--journal, optionally --shards), quarantines pairs whose
+   workers still crash after --retries, and tallies the verdicts.
 
    Observability: verify and verify-all take --trace PATH (Chrome
    trace-viewer JSONL of the pipeline's phase spans), --metrics (per-pair
@@ -27,8 +37,9 @@
      0 = Triggered, 1 = Not_triggerable, 2 = Failure, 3 = tool/worker crash.
    [verify] maps its single verdict; [verify-all] reports the WORST verdict
    across the batch under the same convention (the registry contains one
-   expected-Failure pair, so a faithful full run exits 2).  A bad pair
-   index is a structured one-line error and exit 2, never a backtrace. *)
+   expected-Failure pair, so a faithful full run exits 2), and exits 3
+   when every pair was quarantined.  A bad pair index is a structured
+   one-line error and exit 2, never a backtrace. *)
 
 open Cmdliner
 module Registry = Octo_targets.Registry
@@ -58,25 +69,30 @@ let with_valid_deadline deadline f =
       structured_error "--deadline must be a number of seconds >= 0 (got %g)" d
   | _ -> f ()
 
+(* A fault injector from the chaos flags.  [site_rates] empty: --chaos-seed
+   alone arms every site at the default rate.  Otherwise named-sites mode:
+   only the listed sites fire, at their listed rates, everything else
+   stays silent (rate 0), seeded by --chaos-seed or a fixed default.
+   [derive] turns the batch seed into this injector's own seed. *)
+let injector ~chaos_seed ~site_rates derive =
+  match (site_rates, chaos_seed) with
+  | [], None -> Faultinject.none
+  | [], Some seed -> Faultinject.create ~seed:(derive seed) ()
+  | _ :: _, _ ->
+      let seed = Option.value chaos_seed ~default:0xC0FFEE in
+      Faultinject.create ~seed:(derive seed) ~rate:0.0 ~site_rates ()
+
 (* Per-pair pipeline configuration from the shared robustness flags.  The
-   chaos seed derives one independent injector per pair (splitmix64 mixing
-   of the pair index), so a batch's fault schedule does not depend on which
-   worker domain picks up which job. *)
-let config_for ?(dynamic = false) ?(chaos_sites = []) ~deadline ~chaos_seed idx =
+   chaos seed derives one independent injector per pair from an FNV mix of
+   the pair's label, so a batch's fault schedule depends neither on pull
+   order nor on which worker runs the pair, and [verify N] replays pair N's
+   schedule of a [verify-all] run (the registry's labels are the pair
+   indices). *)
+let config_for_label ?(dynamic = false) ?(site_rates = []) ~deadline ~chaos_seed label =
   let inject =
-    match (chaos_sites, chaos_seed) with
-    | [], None -> Faultinject.none
-    | [], Some seed -> Faultinject.create ~seed:(seed lxor (idx * 0x9E3779B9)) ()
-    | _ :: _, _ ->
-        (* Named-sites mode: only the sites the user listed fire, at their
-           listed rates; everything else stays silent (rate 0). *)
-        let seed = Option.value chaos_seed ~default:0xC0FFEE in
-        Faultinject.create
-          ~seed:(seed lxor (idx * 0x9E3779B9))
-          ~rate:0.0 ~site_rates:chaos_sites ()
+    injector ~chaos_seed ~site_rates (fun seed -> Faultinject.seed_for ~seed label)
   in
-  { Octopocs.default_config with
-    dynamic_cfg = dynamic; deadline_s = deadline; inject }
+  { Octopocs.default_config with dynamic_cfg = dynamic; deadline_s = deadline; inject }
 
 (* A pair index from the command line is untrusted input: out-of-range or
    negative values get a one-line structured error and exit 2, never an
@@ -130,7 +146,7 @@ let run_one ?(dynamic = false) ?deadline ?chaos_seed (c : Registry.case) :
     Octopocs.report =
   say "Pair %d: S=%s(%s)  T=%s(%s)  %s [%s]" c.idx c.s.pname c.s_version c.t.pname c.t_version
     c.vuln_id c.cwe;
-  let config = config_for ~dynamic ~deadline ~chaos_seed c.idx in
+  let config = config_for_label ~dynamic ~deadline ~chaos_seed (string_of_int c.idx) in
   let r = Octopocs.run ~config ~s:c.s ~t:c.t ~poc:c.poc () in
   say "  ep      : %s" r.ep;
   say "  ℓ       : %s" (String.concat ", " r.ell);
@@ -185,8 +201,10 @@ let verdict_exit (r : Octopocs.report) =
   | Octopocs.Not_triggerable _ -> 1
   | Octopocs.Failure _ -> if crashed_verdict r then 3 else 2
 
-(* The verdict tally of a streaming run (verify-all --corpus and scan),
-   updated from worker context under its own lock. *)
+(* The verdict tally of a verification run, updated from worker context
+   under its own lock.  It also keeps a running sum of the per-pair
+   metrics snapshots (settled and cached alike), so the batch totals are
+   exactly what the journal recorded. *)
 module Tally = struct
   type t = {
     lock : Mutex.t;
@@ -195,10 +213,13 @@ module Tally = struct
     mutable failures : int;
     mutable crashed : int;
     mutable cached : int;
+    mutable quarantined : int;
     mutable quar_prior : int;
     mutable known : int;  (* pairs with an expected verdict class *)
     mutable matched : int;
     mutable worst : int;  (* worst verdict exit code *)
+    msum : Metrics.snapshot;
+    mutable snaps : int;  (* snapshots in [msum] *)
   }
 
   let create () =
@@ -209,10 +230,13 @@ module Tally = struct
       failures = 0;
       crashed = 0;
       cached = 0;
+      quarantined = 0;
       quar_prior = 0;
       known = 0;
       matched = 0;
       worst = 0;
+      msum = Metrics.sum [];
+      snaps = 0;
     }
 
   let add ?expected t (r : Octopocs.report) =
@@ -223,6 +247,11 @@ module Tally = struct
     | Octopocs.Failure _ ->
         if crashed_verdict r then t.crashed <- t.crashed + 1 else t.failures <- t.failures + 1);
     t.worst <- max t.worst (verdict_exit r);
+    (match r.metrics with
+    | Some m ->
+        Metrics.add_into t.msum m;
+        t.snaps <- t.snaps + 1
+    | None -> ());
     match expected with
     | Some want ->
         t.known <- t.known + 1;
@@ -234,6 +263,8 @@ module Tally = struct
     Mutex.protect t.lock (fun () -> t.cached <- t.cached + 1);
     add ?expected t r
 
+  let add_quarantined t = Mutex.protect t.lock (fun () -> t.quarantined <- t.quarantined + 1)
+
   let add_quarantined_prior t =
     Mutex.protect t.lock (fun () -> t.quar_prior <- t.quar_prior + 1)
 
@@ -241,10 +272,27 @@ module Tally = struct
   let quar_prior_note t =
     if t.quar_prior > 0 then Printf.sprintf " quarantined-prior=%d" t.quar_prior else ""
 
-  let say_summary t ~quarantined =
+  let say_summary t =
     say "summary : %d triggered / %d not-triggerable / %d failure / %d crashed (%d cached, %d quarantined)"
-      t.triggered t.not_trig t.failures t.crashed t.cached (quarantined + t.quar_prior);
+      t.triggered t.not_trig t.failures t.crashed t.cached (t.quarantined + t.quar_prior)
+
+  let say_expected t =
     if t.known > 0 then say "expected: %d/%d classes match" t.matched t.known
+
+  (* Batch metrics: the sum of the per-pair snapshots, cached ones
+     included, so the totals and a later `journal` dump agree. *)
+  let say_metrics t =
+    say "metrics : %s  (summed over %d pair snapshot(s))"
+      (Fmt.str "%a" Metrics.pp_counters t.msum)
+      t.snaps;
+    say "phases  : %s" (Fmt.str "%a" Metrics.pp_phases t.msum)
+
+  (* The worst verdict, except that a run which quarantined pairs and has
+     no verdict at all exits with the tool-crash code: nothing was
+     verified, and 0 would claim every pair Triggered. *)
+  let exit_code t =
+    let verdicts = t.triggered + t.not_trig + t.failures + t.crashed in
+    if verdicts = 0 && t.quarantined + t.quar_prior > 0 then 3 else t.worst
 end
 
 (* The batch's pool-level counters.  Metrics cells live for the whole
@@ -260,9 +308,6 @@ let worker_kind = function
   | Octopocs.Domains -> "domain(s)"
   | Octopocs.Processes -> "process(es)"
 
-let matches (c : Registry.case) (r : Octopocs.report) =
-  Octopocs.verdict_class r.verdict = Registry.expected_to_string c.expected
-
 (* Shared robustness flags. *)
 let deadline_arg =
   Arg.(value & opt (some float) None
@@ -273,7 +318,9 @@ let chaos_seed_arg =
   Arg.(value & opt (some int) None
        & info [ "chaos-seed" ] ~docv:"SEED"
            ~doc:"Enable deterministic fault injection, deriving one independent \
-                 fault stream per pair from $(docv).")
+                 fault stream per pair from $(docv) and the pair's label (so \
+                 $(b,verify) N replays pair N's schedule of a $(b,verify-all) \
+                 run); a journaled batch also arms its journal writer from it.")
 
 (* Shared observability flags. *)
 let trace_arg =
@@ -353,7 +400,12 @@ let verify_cmd =
           $ provenance_arg $ idx)
 
 (* ------------------------------------------------------------------ *)
-(* verify-all: journaled, resumable batch verification. *)
+(* The verification driver shared by verify-all and scan: pull pairs one
+   at a time from a cursor, verify them under a bounded in-flight window,
+   journal each verdict (into the shard its content key routes to), and
+   quarantine pairs that exhaust the retry budget instead of failing the
+   batch.  Peak memory is bounded by the window — a corpus is never
+   materialised. *)
 
 (* Test hook for the CI kill-and-resume smoke job: pacing each settle makes
    "SIGKILL lands mid-batch" a certainty instead of a race against a
@@ -362,44 +414,6 @@ let settle_delay_s =
   match Sys.getenv_opt "OCTOPOCS_SETTLE_DELAY" with
   | Some s -> ( match float_of_string_opt s with Some d when d > 0. -> d | _ -> 0.)
   | None -> 0.
-
-type batch_outcome = Fresh of Octopocs.report | Cached of Octopocs.report
-
-let report_of = function Fresh r | Cached r -> r
-
-(* ------------------------------------------------------------------ *)
-(* Streaming corpus verification: pull pairs one at a time from a
-   {!Source}, verify under a bounded in-flight window, journal each
-   verdict into the shard its content key routes to, and quarantine pairs
-   that exhaust the retry budget instead of failing the batch.  Peak
-   memory is bounded by the window — the corpus is never materialised. *)
-
-(* Label-keyed injector derivation: corpus labels are strings, so the
-   per-pair fault stream comes from an FNV mix of the label, independent
-   of pull order and of which worker runs the pair.  --poison arms only
-   the worker-crash site (the poison-pair drill); --chaos-seed alone
-   keeps the all-sites schedule of the registry path. *)
-let config_for_label ?(chaos_sites = []) ~deadline ~chaos_seed ~poison label =
-  (* --poison is sugar for --chaos-site worker-crash=RATE; both compose
-     into one named-sites injector (rate 0.0 base — only listed sites
-     fire). *)
-  let site_rates =
-    (match poison with
-    | Some p when p > 0.0 -> [ (Faultinject.Worker_crash, p) ]
-    | _ -> [])
-    @ chaos_sites
-  in
-  let inject =
-    match (site_rates, chaos_seed) with
-    | [], None -> Faultinject.none
-    | [], Some seed -> Faultinject.create ~seed:(Faultinject.seed_for ~seed label) ()
-    | _ :: _, _ ->
-        let seed = Option.value chaos_seed ~default:0xC0FFEE in
-        Faultinject.create
-          ~seed:(Faultinject.seed_for ~seed label)
-          ~rate:0.0 ~site_rates ()
-  in
-  { Octopocs.default_config with deadline_s = deadline; inject }
 
 (* Test hook for the sandbox smoke job: the named pair allocates
    OCTOPOCS_OOM_MB MiB (default 512) in its worker just before its
@@ -438,11 +452,10 @@ let quarantine_journal_path ~journal_path ~shards ~quarantine_path =
       | Some dir when shards > 1 -> Some (Filename.concat dir "quarantine.jrnl")
       | _ -> None)
 
-(* Shared write-ahead-journal plumbing for the streaming runners
-   (verify-all --corpus and scan): the verdict journal (a file for
-   --shards 1, a shard directory otherwise), the replayed prior verdicts,
-   the quarantine journal, and the prior quarantine records.  Fresh runs
-   refuse to clobber existing journals of either form. *)
+(* Write-ahead-journal plumbing of the driver: the verdict journal (a
+   file for --shards 1, a shard directory otherwise), the replayed prior
+   verdicts, the quarantine journal, and the prior quarantine records.
+   Fresh runs refuse to clobber existing journals of either form. *)
 type stream_journals = {
   sj_writer : corpus_journal;
   sj_replayed : (string * string * Octopocs.report) list;
@@ -450,21 +463,27 @@ type stream_journals = {
   sj_quarantined_prior : (string, Octopocs.quarantine) Hashtbl.t;
 }
 
-let close_stream_journals sj =
-  (match sj.sj_writer with
+let close_writer = function
   | No_journal -> ()
   | Single w -> Journal.close w
-  | Dir w -> Journal.Sharded.close w);
-  match sj.sj_quarantine with Some w -> Journal.close w | None -> ()
+  | Dir w -> Journal.Sharded.close w
 
-let open_stream_journals ~journal_path ~resume ~shards ~quarantine_path =
+let close_stream_journals sj =
+  close_writer sj.sj_writer;
+  Option.iter Journal.close sj.sj_quarantine
+
+(* [inject_for i] is the journal-write fault injector of verdict shard [i]
+   (shard 0 for a single-file journal); the quarantine journal is never
+   armed. *)
+let open_stream_journals ~journal_path ~resume ~shards ~quarantine_path ~inject_for =
   let qpath = quarantine_journal_path ~journal_path ~shards ~quarantine_path in
   let journal_setup =
     match journal_path with
     | None -> Ok (No_journal, [])
     | Some path when shards <= 1 ->
+        let inject = inject_for 0 in
         if resume then begin
-          let w, records = Journal.open_resume ~path () in
+          let w, records = Journal.open_resume ~inject ~path () in
           Ok (Single w, List.filter_map Octopocs.decode_result records)
         end
         else if Sys.file_exists path then
@@ -472,10 +491,10 @@ let open_stream_journals ~journal_path ~resume ~shards ~quarantine_path =
             (structured_error
                "journal %s already exists; pass --resume to continue it or remove it first"
                path)
-        else Ok (Single (Journal.create ~path ()), [])
+        else Ok (Single (Journal.create ~inject ~path ()), [])
     | Some dir -> (
         if resume then
-          match Journal.Sharded.open_resume ~dir ~shards () with
+          match Journal.Sharded.open_resume ~inject_for ~dir ~shards () with
           | w, recovered ->
               let replayed =
                 Array.to_list recovered |> List.concat
@@ -488,17 +507,11 @@ let open_stream_journals ~journal_path ~resume ~shards ~quarantine_path =
             (structured_error
                "journal %s already exists; pass --resume to continue it or remove it first"
                dir)
-        else Ok (Dir (Journal.Sharded.create ~dir ~shards ()), []))
+        else Ok (Dir (Journal.Sharded.create ~inject_for ~dir ~shards ()), []))
   in
   match journal_setup with
   | Error code -> Error code
   | Ok (jw, replayed) -> (
-      let close_jw () =
-        match jw with
-        | No_journal -> ()
-        | Single w -> Journal.close w
-        | Dir w -> Journal.Sharded.close w
-      in
       (* Quarantined labels from a previous run are set aside, not re-run:
          their fault schedule is deterministic, so a retry would only
          quarantine them again. *)
@@ -534,7 +547,7 @@ let open_stream_journals ~journal_path ~resume ~shards ~quarantine_path =
       in
       match qsetup with
       | Error code ->
-          close_jw ();
+          close_writer jw;
           Error code
       | Ok qw ->
           Ok
@@ -660,313 +673,24 @@ let telemetry_path ~telemetry ~journal_path ~shards =
                "--telemetry without PATH requires --journal (the default telemetry \
                 file lives beside it)"))
 
-let run_corpus ~corpus ~jobs ~retries ~deadline ~chaos_seed ~chaos_sites ~journal_path
-    ~resume ~shards ~quarantine_path ~window ~poison ~isolate ~limits ~mem_watermark
-    ~metrics_on ~telemetry ~progress () =
-  match Source.of_spec corpus with
-  | Error msg -> structured_error "%s" msg
-  | Ok src ->
-      let m0 = Metrics.aggregate () in
-      let t0 = Unix.gettimeofday () in
-      let config_of label = config_for_label ~chaos_sites ~deadline ~chaos_seed ~poison label in
-      match open_stream_journals ~journal_path ~resume ~shards ~quarantine_path with
-      | Error code -> code
-      | Ok sj ->
-          (* Enable only after the journal setup succeeded: a refused
-             clobber must not truncate an existing telemetry file. *)
-          (match telemetry with Some path -> Telemetry.enable ~path () | None -> ());
-          let prog = Progress.create ~enabled:progress ~total:(corpus_total corpus) () in
-          let jw = sj.sj_writer in
-          let qw = sj.sj_quarantine in
-          let replayed = sj.sj_replayed in
-          let quarantined_prior = sj.sj_quarantined_prior in
-          (* Last journaled verdict per label wins, as in the registry
-             path. *)
-          let settled_prior : (string, string * Octopocs.report) Hashtbl.t =
-            Hashtbl.create (List.length replayed)
-          in
-          List.iter (fun (l, k, r) -> Hashtbl.replace settled_prior l (k, r)) replayed;
-          let tally = Tally.create () in
-          (* The in-flight table carries (key, expected) from pull to
-             settle and never exceeds the window. *)
-          let lock = Mutex.create () in
-          let inflight : (string, string * string option) Hashtbl.t =
-            Hashtbl.create 31
-          in
-          let take_inflight label =
-            Mutex.lock lock;
-            let v = Hashtbl.find_opt inflight label in
-            Hashtbl.remove inflight label;
-            Mutex.unlock lock;
-            match v with Some (key, expected) -> (key, expected) | None -> ("", None)
-          in
-          let on_settle j (r : Octopocs.report) =
-            if settle_delay_s > 0. then Unix.sleepf settle_delay_s;
-            let label = Octopocs.job_label j in
-            let key, expected = take_inflight label in
-            (match jw with
-            | No_journal -> ()
-            | Single w -> Journal.append w (Octopocs.encode_result ~label ~key r)
-            | Dir w -> Journal.Sharded.append w ~key (Octopocs.encode_result ~label ~key r));
-            Tally.add ?expected tally r;
-            Progress.step prog
-          in
-          let on_quarantine (q : Octopocs.quarantine) =
-            ignore (take_inflight q.Octopocs.qlabel);
-            (match qw with
-            | Some w -> Journal.append w (Octopocs.encode_quarantine q)
-            | None -> ());
-            Log.warn (fun m ->
-                m "quarantined %s after %d attempt(s): %s: %s" q.Octopocs.qlabel
-                  q.Octopocs.qattempts q.Octopocs.qreason q.Octopocs.qmessage);
-            Progress.quar prog
-          in
-          (* The pull thunk: skip pairs already settled (same content key)
-             or already quarantined, admit the rest.  Tail-recursive — a
-             fully-cached resume walks the whole corpus without growing
-             the stack or the heap. *)
-          let rec next_job () =
-            match Source.next src with
-            | None -> None
-            | Some p ->
-                let config = config_of p.Source.plabel in
-                let key =
-                  Octopocs.content_key ~config ?ell:p.Source.pell ~s:p.Source.ps
-                    ~t:p.Source.pt ~poc:p.Source.ppoc ()
-                in
-                if Hashtbl.mem quarantined_prior p.Source.plabel then begin
-                  Tally.add_quarantined_prior tally;
-                  next_job ()
-                end
-                else (
-                  match Hashtbl.find_opt settled_prior p.Source.plabel with
-                  | Some (k, r) when k = key ->
-                      Tally.add_cached ?expected:p.Source.pexpected tally r;
-                      next_job ()
-                  | _ ->
-                      Mutex.lock lock;
-                      Hashtbl.replace inflight p.Source.plabel (key, p.Source.pexpected);
-                      Mutex.unlock lock;
-                      Some
-                        (Octopocs.job ~config ?ell:p.Source.pell ~label:p.Source.plabel
-                           ~s:p.Source.ps ~t:p.Source.pt ~poc:p.Source.ppoc ()))
-          in
-          let st =
-            Octopocs.run_stream ~jobs ~retries ?window ~isolate ~limits
-              ?mem_watermark_mb:mem_watermark ?pre_run:oom_pre_run ~on_settle
-              ~on_quarantine next_job
-          in
-          Telemetry.disable ();
-          Progress.finish prog;
-          close_stream_journals sj;
-          let elapsed = Unix.gettimeofday () -. t0 in
-          say "corpus  : %s  pulled=%d settled=%d quarantined=%d cached=%d%s peak-in-flight=%d deferred=%d"
-            (Source.id src) st.Octopocs.st_pulled st.Octopocs.st_settled
-            st.Octopocs.st_quarantined tally.cached (Tally.quar_prior_note tally)
-            st.Octopocs.st_peak_in_flight st.Octopocs.st_deferrals;
-          Tally.say_summary tally ~quarantined:st.Octopocs.st_quarantined;
-          say "%.3fs wall, %d worker %s" elapsed
-            (Octo_util.Pool.effective_jobs jobs)
-            (worker_kind isolate);
-          if metrics_on then say_pool m0;
-          tally.worst
+(* The verification-run flags verify-all and scan share. *)
+type run_opts = {
+  jobs : int;
+  retries : int;
+  deadline : float option;
+  journal_path : string option;
+  resume : bool;
+  shards : int;
+  quarantine_path : string option;
+  window : int option;
+  isolate : Octopocs.isolation;
+  limits : Octo_util.Sandbox.limits;
+  mem_watermark : int option;
+  telemetry : string option;
+  progress : bool;
+}
 
-let run_all jobs retries deadline chaos_seed journal_path resume fail_fast trace
-    metrics_on provenance_on corpus shards quarantine_path window poison isolate
-    rlimit_as rlimit_cpu mem_watermark chaos_sites telemetry progress log_level log_json =
-  apply_logging log_level log_json;
-  with_valid_deadline deadline @@ fun () ->
-  let streaming =
-    corpus <> "registry" || shards > 1 || quarantine_path <> None || window <> None
-    || poison <> None
-  in
-  let limits = { Octo_util.Sandbox.as_mb = rlimit_as; cpu_s = rlimit_cpu } in
-  if resume && journal_path = None then
-    structured_error "--resume requires --journal PATH"
-  else if retries < 0 then structured_error "--retries must be >= 0"
-  else if shards < 1 then structured_error "--shards must be >= 1"
-  else if shards > 1 && journal_path = None then
-    structured_error "--shards requires --journal DIR"
-  else if streaming && fail_fast then
-    structured_error "--fail-fast is not supported in streaming corpus mode"
-  else if isolate = Octopocs.Domains && (rlimit_as <> None || rlimit_cpu <> None) then
-    structured_error "--rlimit-as/--rlimit-cpu require --isolate proc"
-  else if isolate = Octopocs.Domains && mem_watermark <> None then
-    structured_error "--mem-watermark requires --isolate proc"
-  else if (not streaming) && mem_watermark <> None then
-    structured_error "--mem-watermark is only meaningful in streaming corpus mode"
-  else if (not streaming) && telemetry <> None then
-    structured_error "--telemetry is only supported in streaming corpus mode"
-  else if (not streaming) && progress then
-    structured_error "--progress is only supported in streaming corpus mode"
-  else if streaming then (
-    match telemetry_path ~telemetry ~journal_path ~shards with
-    | Error code -> code
-    | Ok tpath ->
-        with_observability ~provenance:provenance_on ~trace ~metrics:metrics_on (fun () ->
-            run_corpus ~corpus ~jobs ~retries ~deadline ~chaos_seed ~chaos_sites
-              ~journal_path ~resume ~shards ~quarantine_path ~window ~poison ~isolate
-              ~limits ~mem_watermark ~metrics_on ~telemetry:tpath ~progress ()))
-  else begin
-    with_observability ~provenance:provenance_on ~trace ~metrics:metrics_on @@ fun () ->
-    (* Baseline for the batch's pool-level counters: metrics cells live for
-       the whole process, so the batch view is a diff, not an absolute. *)
-    let m0 = Metrics.aggregate () in
-    let t0 = Unix.gettimeofday () in
-    let config_of idx = config_for ~chaos_sites ~deadline ~chaos_seed idx in
-    let key_of (c : Registry.case) =
-      Octopocs.content_key ~config:(config_of c.idx) ~s:c.s ~t:c.t ~poc:c.poc ()
-    in
-    (* Journal setup.  A fresh run refuses to clobber an existing journal:
-       the file is durable evidence, and losing it silently defeats the
-       point of writing it. *)
-    let journal_setup =
-      match journal_path with
-      | None -> Ok (None, [])
-      | Some path ->
-          let inject =
-            match chaos_seed with
-            | None -> Faultinject.none
-            | Some seed -> Faultinject.create ~seed:(seed lxor 0x6A09E667) ()
-          in
-          if resume then begin
-            let w, records = Journal.open_resume ~inject ~path () in
-            (Ok (Some w, List.filter_map Octopocs.decode_result records))
-          end
-          else if Sys.file_exists path then
-            Error
-              (structured_error
-                 "journal %s already exists; pass --resume to continue it or remove it first"
-                 path)
-          else Ok (Some (Journal.create ~inject ~path ()), [])
-    in
-    match journal_setup with
-    | Error code -> code
-    | Ok (writer, replayed) ->
-        (* Last journaled record per label wins (a key change mid-history
-           re-runs the pair and re-journals it). *)
-        let settled : (string, string * Octopocs.report) Hashtbl.t = Hashtbl.create 31 in
-        List.iter (fun (label, key, r) -> Hashtbl.replace settled label (key, r)) replayed;
-        (* Split the registry: cache hits (journaled verdict under the same
-           content key) vs pairs that must (re-)run. *)
-        let cached, to_run =
-          List.partition_map
-            (fun (c : Registry.case) ->
-              match Hashtbl.find_opt settled (string_of_int c.idx) with
-              | Some (key, r) when key = key_of c -> Left (c.idx, r)
-              | _ -> Right c)
-            Registry.all
-        in
-        let cached_tbl = Hashtbl.create 31 in
-        List.iter (fun (idx, r) -> Hashtbl.replace cached_tbl idx r) cached;
-        let on_settle label (r : Octopocs.report) =
-          if settle_delay_s > 0. then Unix.sleepf settle_delay_s;
-          match writer with
-          | None -> ()
-          | Some w ->
-              let key =
-                match int_of_string_opt label with
-                | Some idx -> (
-                    match Registry.find_opt idx with Some c -> key_of c | None -> "")
-                | None -> ""
-              in
-              Journal.append w (Octopocs.encode_result ~label ~key r)
-        in
-        let batch =
-          List.map
-            (fun (c : Registry.case) ->
-              let config = config_of c.idx in
-              Octopocs.job ~config ~label:(string_of_int c.idx) ~s:c.s ~t:c.t ~poc:c.poc ())
-            to_run
-        in
-        let fresh =
-          Octopocs.run_all ~jobs ~retries ~fail_fast ~isolate
-            ~limits ?pre_run:oom_pre_run ~on_settle batch
-        in
-        (match writer with Some w -> Journal.close w | None -> ());
-        let fresh_tbl = Hashtbl.create 31 in
-        List.iter (fun (label, r) -> Hashtbl.replace fresh_tbl label r) fresh;
-        let results =
-          List.map
-            (fun (c : Registry.case) ->
-              match Hashtbl.find_opt cached_tbl c.idx with
-              | Some r -> (c, Cached r)
-              | None -> (c, Fresh (Hashtbl.find fresh_tbl (string_of_int c.idx))))
-            Registry.all
-        in
-        let elapsed = Unix.gettimeofday () -. t0 in
-        let mismatches = ref 0 in
-        List.iter
-          (fun ((c : Registry.case), outcome) ->
-            let r = report_of outcome in
-            let got = Octopocs.verdict_class r.verdict in
-            let want = Registry.expected_to_string c.expected in
-            if not (matches c r) then incr mismatches;
-            say "Pair %-3d %-22s -> %-40s %s%s%s" c.idx
-              (Printf.sprintf "%s/%s" c.s.pname c.t.pname)
-              (Fmt.str "%a" (Octopocs.pp_verdict_prov r.provenance) r.verdict)
-              (if got = want then "MATCH" else Printf.sprintf "MISMATCH (want %s)" want)
-              (match outcome with Cached _ -> "  [cached]" | Fresh _ -> "")
-              (if r.degradations = [] then ""
-               else Printf.sprintf "  [degraded: %s]" (String.concat " -> " r.degradations));
-            (* Per-pair phase breakdown, from the same snapshot that was
-               journaled with the verdict (cached pairs show the replayed
-               one). *)
-            match r.metrics with
-            | Some m when metrics_on -> say "         %s" (Fmt.str "%a" Metrics.pp_phases m)
-            | _ -> ())
-          results;
-        (* Per-verdict summary and the worst-verdict exit code. *)
-        let count p = List.length (List.filter (fun (_, o) -> p (report_of o)) results) in
-        let skipped = count Octopocs.is_skipped_report in
-        let crashed = count crashed_verdict in
-        let triggered =
-          count (fun r -> match r.verdict with Octopocs.Triggered _ -> true | _ -> false)
-        in
-        let not_trig =
-          count (fun r -> match r.verdict with Octopocs.Not_triggerable _ -> true | _ -> false)
-        in
-        let failures =
-          count (fun r ->
-              match r.verdict with
-              | Octopocs.Failure _ -> not (crashed_verdict r) && not (Octopocs.is_skipped_report r)
-              | _ -> false)
-        in
-        let ncached = List.length cached in
-        say "summary : %d triggered / %d not-triggerable / %d failure / %d crashed (%d cached, %d skipped)"
-          triggered not_trig failures crashed ncached skipped;
-        say "%d/%d pairs match the paper's verdicts (%.3fs wall, %d worker %s)"
-          (List.length results - !mismatches)
-          (List.length results) elapsed
-          (Octo_util.Pool.effective_jobs jobs)
-          (worker_kind isolate);
-        (* Batch metrics: totals are the sum of the per-pair snapshots —
-           i.e. exactly what the journal recorded — so the summary and a
-           later `journal` dump agree by construction.  Pool retry/stall
-           counters live outside any pair's scope and come from the
-           process-wide aggregate instead. *)
-        if metrics_on then begin
-          let snaps = List.filter_map (fun (_, o) -> (report_of o).metrics) results in
-          let tot = Metrics.sum snaps in
-          say "metrics : %s  (summed over %d pair snapshot(s))"
-            (Fmt.str "%a" Metrics.pp_counters tot)
-            (List.length snaps);
-          say "phases  : %s" (Fmt.str "%a" Metrics.pp_phases tot);
-          say_pool m0
-        end;
-        List.fold_left (fun acc (_, o) -> max acc (verdict_exit (report_of o))) 0 results
-  end
-
-(* A fault-injection rate: a float in [0,1] (NaN fails the range check). *)
-let rate_conv =
-  let parse s =
-    match float_of_string_opt s with
-    | Some r when r >= 0.0 && r <= 1.0 -> Ok r
-    | _ -> Error (`Msg "RATE must be a float in [0,1]")
-  in
-  Arg.conv (parse, fun ppf r -> Format.fprintf ppf "%g" r)
-
-let verify_all_cmd =
+let run_opts_term =
   let jobs =
     Arg.(value & opt int 1
          & info [ "j"; "jobs" ] ~docv:"N"
@@ -975,14 +699,15 @@ let verify_all_cmd =
   let retries =
     Arg.(value & opt int 0
          & info [ "retries" ] ~docv:"N"
-             ~doc:"Retry a crashed or stalled pair $(docv) extra times before recording \
-                   its worker-crash Failure (default 0).")
+             ~doc:"Retry a crashed or stalled pair $(docv) extra times before \
+                   quarantining it (default 0).")
   in
   let journal =
     Arg.(value & opt (some string) None
          & info [ "journal" ] ~docv:"PATH"
              ~doc:"Write-ahead journal: append each pair's verdict to $(docv) as it \
-                   settles (CRC-framed, fsynced), so a killed batch loses nothing.")
+                   settles (CRC-framed, fsynced), so a killed batch loses nothing.  \
+                   With --shards, $(docv) is a shard directory.")
   in
   let resume =
     Arg.(value & flag
@@ -990,22 +715,6 @@ let verify_all_cmd =
              ~doc:"Replay the journal first: pairs already settled under an identical \
                    content key are reused, only unfinished ones re-run.  A torn \
                    trailing record (crash mid-append) is dropped and repaired.")
-  in
-  let fail_fast =
-    Arg.(value & flag
-         & info [ "fail-fast" ]
-             ~doc:"Stop scheduling new pairs after the first Failure verdict; \
-                   unstarted pairs are reported as skipped (and not journaled, so \
-                   --resume re-runs them).")
-  in
-  let corpus =
-    Arg.(value & opt string "registry"
-         & info [ "corpus" ] ~docv:"SPEC"
-             ~doc:"Pair source: $(b,registry) (the 15 Table II pairs, default), \
-                   $(b,gen:COUNT[:SEED]) (the deterministic generated corpus; seed \
-                   defaults to 42), or a corpus directory of pair manifests (see the \
-                   $(b,corpus) subcommand).  Non-registry sources stream: pairs are \
-                   pulled on demand and never materialised as a list.")
   in
   let shards =
     Arg.(value & opt int 1
@@ -1018,21 +727,15 @@ let verify_all_cmd =
     Arg.(value & opt (some string) None
          & info [ "quarantine" ] ~docv:"PATH"
              ~doc:"Quarantine journal: pairs that crash or stall past --retries are \
-                   recorded here (reason, message, backtrace, attempts) and set \
-                   aside instead of failing the batch.  Defaults to \
-                   $(i,DIR)/quarantine.jrnl when the journal is sharded.")
+                   recorded here (reason, message, backtrace, attempts); they are \
+                   set aside in any case, and a --resume skips the recorded ones.  \
+                   Defaults to $(i,DIR)/quarantine.jrnl when the journal is sharded.")
   in
   let window =
     Arg.(value & opt (some int) None
          & info [ "window" ] ~docv:"N"
-             ~doc:"Bound on in-flight pairs in streaming mode (admission control for \
-                   the generator).  Default: max(4, 2*jobs).")
-  in
-  let poison =
-    Arg.(value & opt (some rate_conv) None
-         & info [ "poison" ] ~docv:"RATE"
-             ~doc:"Arm the worker-crash fault site at $(docv) (0.0-1.0) per pair, \
-                   seeded per label — the poison-pair quarantine drill.")
+             ~doc:"Bound on in-flight pairs (admission control for the pair source).  \
+                   Default: max(4, 2*jobs).")
   in
   let isolate =
     let mode_conv =
@@ -1062,10 +765,311 @@ let verify_all_cmd =
   let mem_watermark =
     Arg.(value & opt (some int) None
          & info [ "mem-watermark" ] ~docv:"MB"
-             ~doc:"With --isolate proc (streaming): memory-pressure admission \
-                   control.  Past $(docv) MiB (parent RSS plus the worst observed \
-                   child RSS) the in-flight window halves and admissions defer, \
-                   reported as deferred=N in the corpus summary.")
+             ~doc:"With --isolate proc: memory-pressure admission control.  Past \
+                   $(docv) MiB (parent RSS plus the worst observed child RSS) the \
+                   in-flight window halves and admissions defer, reported as \
+                   deferred=N in the corpus summary.")
+  in
+  let make jobs retries deadline journal_path resume shards quarantine_path window isolate
+      as_mb cpu_s mem_watermark telemetry progress =
+    {
+      jobs;
+      retries;
+      deadline;
+      journal_path;
+      resume;
+      shards;
+      quarantine_path;
+      window;
+      isolate;
+      limits = { Octo_util.Sandbox.as_mb; cpu_s };
+      mem_watermark;
+      telemetry;
+      progress;
+    }
+  in
+  Term.(const make $ jobs $ retries $ deadline_arg $ journal $ resume $ shards $ quarantine
+        $ window $ isolate $ rlimit_as $ rlimit_cpu $ mem_watermark $ telemetry_arg
+        $ progress_arg)
+
+let with_run_opts o f =
+  with_valid_deadline o.deadline @@ fun () ->
+  if o.resume && o.journal_path = None then structured_error "--resume requires --journal PATH"
+  else if o.retries < 0 then structured_error "--retries must be >= 0"
+  else if o.shards < 1 then structured_error "--shards must be >= 1"
+  else if o.shards > 1 && o.journal_path = None then
+    structured_error "--shards requires --journal DIR"
+  else if o.isolate = Octopocs.Domains && o.limits <> { as_mb = None; cpu_s = None } then
+    structured_error "--rlimit-as/--rlimit-cpu require --isolate proc"
+  else if o.isolate = Octopocs.Domains && o.mem_watermark <> None then
+    structured_error "--mem-watermark requires --isolate proc"
+  else f ()
+
+(* One pair for the driver: its label, content key, expected verdict
+   class (if known) and job. *)
+type entry = {
+  label : string;
+  key : string;
+  expected : string option;
+  job : Octopocs.job;
+}
+
+let entry ~config ?ell ?expected ~label ~s ~t ~poc () =
+  {
+    label;
+    key = Octopocs.content_key ~config ?ell ~s ~t ~poc ();
+    expected;
+    job = Octopocs.job ~config ?ell ~label ~s ~t ~poc ();
+  }
+
+(* What became of one pair: a verdict (fresh, or replayed from the journal
+   when [cached]) or a quarantine record (this run's or a previous
+   run's). *)
+type row = Settled of { r : Octopocs.report; cached : bool } | Quarantined of Octopocs.quarantine
+
+(* The driver.  [next] pulls the entries; [on_row label row] sees every
+   pair's outcome, from worker context (or the dispatcher's, for pairs
+   the journal already settled or quarantined).  The journal writer's injector
+   comes from the same chaos flags as the pairs' ([seed lxor 0x6A09E667],
+   plus the shard index).  With [fail_fast] the cursor hands out nothing
+   once a Failure has settled; the pairs it never handed out get no row
+   and no journal record, so --resume runs them.  Returns the stream's
+   stats and the tally, or the exit code of a setup error. *)
+let verify_entries o ~chaos_seed ~site_rates ~fail_fast ~total ?(on_row = fun _ _ -> ()) next =
+  match telemetry_path ~telemetry:o.telemetry ~journal_path:o.journal_path ~shards:o.shards with
+  | Error code -> Error code
+  | Ok tpath -> (
+      let inject_for shard =
+        injector ~chaos_seed ~site_rates (fun seed -> (seed lxor 0x6A09E667) + shard)
+      in
+      match
+        open_stream_journals ~journal_path:o.journal_path ~resume:o.resume ~shards:o.shards
+          ~quarantine_path:o.quarantine_path ~inject_for
+      with
+      | Error code -> Error code
+      | Ok sj ->
+          (* Enable only after the journal setup succeeded: a refused
+             clobber must not truncate an existing telemetry file. *)
+          (match tpath with Some path -> Telemetry.enable ~path () | None -> ());
+          let prog = Progress.create ~enabled:o.progress ~total () in
+          (* Last journaled verdict per label wins. *)
+          let settled_prior : (string, string * Octopocs.report) Hashtbl.t =
+            Hashtbl.create (List.length sj.sj_replayed)
+          in
+          List.iter (fun (l, k, r) -> Hashtbl.replace settled_prior l (k, r)) sj.sj_replayed;
+          let tally = Tally.create () in
+          (* The in-flight table carries each entry from pull to settle and
+             never exceeds the window. *)
+          let lock = Mutex.create () in
+          let inflight : (string, entry) Hashtbl.t = Hashtbl.create 31 in
+          let take_inflight label =
+            Mutex.protect lock (fun () ->
+                let e = Hashtbl.find_opt inflight label in
+                Hashtbl.remove inflight label;
+                e)
+          in
+          let failed = Atomic.make false in
+          let on_settle j (r : Octopocs.report) =
+            if settle_delay_s > 0. then Unix.sleepf settle_delay_s;
+            let label = Octopocs.job_label j in
+            let key, expected =
+              match take_inflight label with Some e -> (e.key, e.expected) | None -> ("", None)
+            in
+            (match r.verdict with Octopocs.Failure _ -> Atomic.set failed true | _ -> ());
+            Tally.add ?expected tally r;
+            on_row label (Settled { r; cached = false });
+            Progress.step prog;
+            (* Journal last: an injected torn append raises (and poisons the
+               writer, as a crash would), and the pair must still count. *)
+            let record = Octopocs.encode_result ~label ~key r in
+            match sj.sj_writer with
+            | No_journal -> ()
+            | Single w -> Journal.append w record
+            | Dir w -> Journal.Sharded.append w ~key record
+          in
+          let on_quarantine (q : Octopocs.quarantine) =
+            ignore (take_inflight q.qlabel);
+            Tally.add_quarantined tally;
+            on_row q.qlabel (Quarantined q);
+            (match sj.sj_quarantine with
+            | Some w -> Journal.append w (Octopocs.encode_quarantine q)
+            | None -> ());
+            Log.warn (fun m ->
+                m "quarantined %s after %d attempt(s): %s: %s" q.qlabel q.qattempts q.qreason
+                  q.qmessage);
+            Progress.quar prog
+          in
+          (* The pull thunk: skip pairs already quarantined or already
+             settled under the same content key, admit the rest.
+             Tail-recursive — a fully-cached resume walks the whole corpus
+             without growing the stack or the heap. *)
+          let rec next_job () =
+            if fail_fast && Atomic.get failed then None
+            else
+              match next () with
+              | None -> None
+              | Some e -> (
+                  match Hashtbl.find_opt sj.sj_quarantined_prior e.label with
+                  | Some q ->
+                      Tally.add_quarantined_prior tally;
+                      on_row e.label (Quarantined q);
+                      next_job ()
+                  | None -> (
+                      match Hashtbl.find_opt settled_prior e.label with
+                      | Some (k, r) when k = e.key ->
+                          Tally.add_cached ?expected:e.expected tally r;
+                          on_row e.label (Settled { r; cached = true });
+                          next_job ()
+                      | _ ->
+                          Mutex.protect lock (fun () -> Hashtbl.replace inflight e.label e);
+                          Some e.job))
+          in
+          let st =
+            Octopocs.run_stream ~jobs:o.jobs ~retries:o.retries ?window:o.window
+              ~isolate:o.isolate ~limits:o.limits ?mem_watermark_mb:o.mem_watermark
+              ?pre_run:oom_pre_run ~on_settle ~on_quarantine next_job
+          in
+          Telemetry.disable ();
+          Progress.finish prog;
+          close_stream_journals sj;
+          Ok (st, tally))
+
+(* ------------------------------------------------------------------ *)
+(* verify-all: any {!Source} through the driver. *)
+
+(* The verdict Octopocs.run_all reports for a pair it never handed out
+   under fail-fast. *)
+let skipped_verdict = Octopocs.Failure "skipped: fail-fast after an earlier failure"
+
+(* The Table II lines of a registry run, in registry order, with their
+   [cached]/[degraded] tags and (with --metrics) the phase breakdown of the
+   pair's snapshot — the journaled one for a cached pair.  A quarantined
+   pair never matches; a pair without a row was skipped by --fail-fast.
+   Returns how many pairs match the paper. *)
+let say_registry_rows ~metrics_on rows =
+  List.fold_left
+    (fun matched (c : Registry.case) ->
+      let want = Registry.expected_to_string c.expected in
+      let verdict, got, tags, metrics =
+        match rows.(c.idx - 1) with
+        | Some (Settled { r; cached }) ->
+            ( Fmt.str "%a" (Octopocs.pp_verdict_prov r.provenance) r.verdict,
+              Octopocs.verdict_class r.verdict,
+              (if cached then "  [cached]" else "")
+              ^ (if r.degradations = [] then ""
+                 else Printf.sprintf "  [degraded: %s]" (String.concat " -> " r.degradations)),
+              r.metrics )
+        | Some (Quarantined q) ->
+            (Printf.sprintf "QUARANTINED (%s: %s)" q.qreason q.qmessage, "", "", None)
+        | None ->
+            ( Fmt.str "%a" Octopocs.pp_verdict skipped_verdict,
+              Octopocs.verdict_class skipped_verdict,
+              "",
+              None )
+      in
+      say "Pair %-3d %-22s -> %-40s %s%s" c.idx
+        (Printf.sprintf "%s/%s" c.s.pname c.t.pname)
+        verdict
+        (if got = want then "MATCH" else Printf.sprintf "MISMATCH (want %s)" want)
+        tags;
+      (match metrics with
+      | Some m when metrics_on -> say "         %s" (Fmt.str "%a" Metrics.pp_phases m)
+      | _ -> ());
+      if got = want then matched + 1 else matched)
+    0 Registry.all
+
+let run_verify_all o fail_fast trace metrics_on provenance_on corpus poison chaos_seed
+    chaos_sites log_level log_json =
+  apply_logging log_level log_json;
+  with_run_opts o @@ fun () ->
+  match Source.of_spec corpus with
+  | Error msg -> structured_error "%s" msg
+  | Ok src -> (
+      with_observability ~provenance:provenance_on ~trace ~metrics:metrics_on @@ fun () ->
+      (* Baseline for the batch's pool-level counters: metrics cells live
+         for the whole process, so the batch view is a diff. *)
+      let m0 = Metrics.aggregate () in
+      let t0 = Unix.gettimeofday () in
+      (* --poison is sugar for --chaos-site worker-crash=RATE. *)
+      let site_rates =
+        (match poison with Some p when p > 0.0 -> [ (Faultinject.Worker_crash, p) ] | _ -> [])
+        @ chaos_sites
+      in
+      let next () =
+        Source.next src
+        |> Option.map (fun (p : Source.pair) ->
+               let config =
+                 config_for_label ~site_rates ~deadline:o.deadline ~chaos_seed p.plabel
+               in
+               entry ~config ?ell:p.pell ?expected:p.pexpected ~label:p.plabel ~s:p.ps ~t:p.pt
+                 ~poc:p.ppoc ())
+      in
+      (* The registry keeps one row per pair for the Table II lines; other
+         sources keep nothing per pair. *)
+      let rows =
+        if Source.id src = "registry" then Some (Array.make (List.length Registry.all) None)
+        else None
+      in
+      let on_row = Option.map (fun a label row -> a.(int_of_string label - 1) <- Some row) rows in
+      match
+        verify_entries o ~chaos_seed ~site_rates ~fail_fast ~total:(corpus_total corpus) ?on_row
+          next
+      with
+      | Error code -> code
+      | Ok (st, tally) ->
+          let wall =
+            Printf.sprintf "%.3fs wall, %d worker %s" (Unix.gettimeofday () -. t0)
+              (Octo_util.Pool.effective_jobs o.jobs)
+              (worker_kind o.isolate)
+          in
+          let matched = Option.map (say_registry_rows ~metrics_on) rows in
+          say "corpus  : %s  pulled=%d settled=%d quarantined=%d cached=%d%s peak-in-flight=%d deferred=%d"
+            (Source.id src) st.st_pulled st.st_settled st.st_quarantined tally.cached
+            (Tally.quar_prior_note tally) st.st_peak_in_flight st.st_deferrals;
+          Tally.say_summary tally;
+          (match matched with
+          | Some m ->
+              say "%d/%d pairs match the paper's verdicts (%s)" m (List.length Registry.all) wall
+          | None ->
+              Tally.say_expected tally;
+              say "%s" wall);
+          if metrics_on then begin
+            Tally.say_metrics tally;
+            say_pool m0
+          end;
+          Tally.exit_code tally)
+
+(* A fault-injection rate: a float in [0,1] (NaN fails the range check). *)
+let rate_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some r when r >= 0.0 && r <= 1.0 -> Ok r
+    | _ -> Error (`Msg "RATE must be a float in [0,1]")
+  in
+  Arg.conv (parse, fun ppf r -> Format.fprintf ppf "%g" r)
+
+let verify_all_cmd =
+  let fail_fast =
+    Arg.(value & flag
+         & info [ "fail-fast" ]
+             ~doc:"Stop handing out pairs once a Failure verdict settles.  Pairs never \
+                   handed out are not journaled (so --resume runs them); the registry \
+                   table prints them as skipped.")
+  in
+  let corpus =
+    Arg.(value & opt string "registry"
+         & info [ "corpus" ] ~docv:"SPEC"
+             ~doc:"Pair source: $(b,registry) (the 15 Table II pairs, default), \
+                   $(b,gen:COUNT[:SEED]) (the deterministic generated corpus; seed \
+                   defaults to 42), or a corpus directory of pair manifests (see the \
+                   $(b,corpus) subcommand).  Every source streams: pairs are pulled \
+                   on demand and never materialised as a list.")
+  in
+  let poison =
+    Arg.(value & opt (some rate_conv) None
+         & info [ "poison" ] ~docv:"RATE"
+             ~doc:"Arm the worker-crash fault site at $(docv) (0.0-1.0) per pair, \
+                   seeded per label — the poison-pair quarantine drill.")
   in
   let chaos_sites =
     let site_conv =
@@ -1096,7 +1100,8 @@ let verify_all_cmd =
                    fire at their rates, every other site stays silent; the schedule \
                    is seeded by --chaos-seed (default seed otherwise).  Site names: \
                    vm-syscall, solver-budget, worker-crash, deadline-expiry, \
-                   journal-write, worker-stall, child-segv, child-oom-kill.")
+                   journal-write (tears an append of the --journal writer), \
+                   worker-stall, child-segv, child-oom-kill.")
   in
   Cmd.v
     (Cmd.info "verify-all" ~doc:"Verify all 15 pairs, or stream a corpus"
@@ -1105,15 +1110,16 @@ let verify_all_cmd =
            `S Manpage.s_exit_status;
            `P "The exit code is the worst verdict across the batch, matching verify's \
                single-pair convention: 0 all pairs Triggered; 1 some pair \
-               Not-triggerable; 2 some pair Failure; 3 some worker crashed or \
-               stalled.  (The registry's pair 15 is an expected Failure, so a \
-               faithful full run exits 2.)";
+               Not-triggerable; 2 some pair Failure; 3 a worker-crash verdict \
+               replayed from an older journal.  (The registry's pair 15 is an \
+               expected Failure, so a faithful full run exits 2.)  A pair whose \
+               worker still crashes or stalls after --retries is quarantined and \
+               leaves the code alone, except that a run in which every pair was \
+               quarantined (no verdict settled or cached) exits 3.";
          ])
-    Term.(const run_all $ jobs $ retries $ deadline_arg $ chaos_seed_arg $ journal $ resume
-          $ fail_fast $ trace_arg $ metrics_arg $ provenance_arg
-          $ corpus $ shards $ quarantine $ window $ poison $ isolate
-          $ rlimit_as $ rlimit_cpu $ mem_watermark $ chaos_sites $ telemetry_arg
-          $ progress_arg $ log_level_arg $ log_json_arg)
+    Term.(const run_verify_all $ run_opts_term $ fail_fast $ trace_arg $ metrics_arg
+          $ provenance_arg $ corpus $ poison $ chaos_seed_arg $ chaos_sites $ log_level_arg
+          $ log_json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* scan: the clone-detection front-end.  Instead of verifying annotated
@@ -1122,26 +1128,13 @@ let verify_all_cmd =
    annotated vulnerable function, confirm (S, T, ℓ, ep) through the
    validity filter, print the precision/recall table against the
    corpus's own ground truth, and pipe the confirmed candidates through
-   the streaming verifier with the same journal/quarantine/isolation
-   machinery as verify-all --corpus. *)
+   the same driver as verify-all. *)
 
-let run_scan corpus strict decoys decoy_seed shingle_k winnow_w tau_retrieve tau_confirm
-    top no_verify min_recall jobs retries deadline journal_path resume shards
-    quarantine_path window isolate rlimit_as rlimit_cpu mem_watermark telemetry progress
-    log_level log_json =
+let run_scan o corpus strict decoys decoy_seed shingle_k winnow_w tau_retrieve tau_confirm
+    top no_verify min_recall log_level log_json =
   apply_logging log_level log_json;
-  with_valid_deadline deadline @@ fun () ->
-  let limits = { Octo_util.Sandbox.as_mb = rlimit_as; cpu_s = rlimit_cpu } in
-  if resume && journal_path = None then structured_error "--resume requires --journal PATH"
-  else if retries < 0 then structured_error "--retries must be >= 0"
-  else if shards < 1 then structured_error "--shards must be >= 1"
-  else if shards > 1 && journal_path = None then
-    structured_error "--shards requires --journal DIR"
-  else if isolate = Octopocs.Domains && (rlimit_as <> None || rlimit_cpu <> None) then
-    structured_error "--rlimit-as/--rlimit-cpu require --isolate proc"
-  else if isolate = Octopocs.Domains && mem_watermark <> None then
-    structured_error "--mem-watermark requires --isolate proc"
-  else if decoys < 0 then structured_error "--decoys must be >= 0"
+  with_run_opts o @@ fun () ->
+  if decoys < 0 then structured_error "--decoys must be >= 0"
   else if shingle_k < 1 then structured_error "--shingle-k must be >= 1"
   else if winnow_w < 1 then structured_error "--winnow-w must be >= 1"
   else if
@@ -1149,7 +1142,7 @@ let run_scan corpus strict decoys decoy_seed shingle_k winnow_w tau_retrieve tau
       (tau_retrieve > 0.0 && tau_retrieve <= 1.0 && tau_confirm > 0.0 && tau_confirm <= 1.0)
   then structured_error "--tau-retrieve/--tau-confirm must be in (0, 1]"
   else if top < 0 then structured_error "--top must be >= 0"
-  else if no_verify && (telemetry <> None || progress) then
+  else if no_verify && (o.telemetry <> None || o.progress) then
     structured_error
       "--telemetry/--progress instrument the verification stage (drop --no-verify)"
   else
@@ -1180,7 +1173,7 @@ let run_scan corpus strict decoys decoy_seed shingle_k winnow_w tau_retrieve tau
               if recall_bad then 1 else 0
             end
             else begin
-              (* Verification stage: one job per distinct confirmed (S, T)
+              (* Verification stage: one entry per distinct confirmed (S, T)
                  pair.  A diagonal candidate (S and T from the same corpus
                  pair) runs under the pair's own label with ℓ re-derived by
                  the pipeline's clone stage — its content key is therefore
@@ -1188,126 +1181,57 @@ let run_scan corpus strict decoys decoy_seed shingle_k winnow_w tau_retrieve tau
                  so journal dumps of the two agree on the intersection.  A
                  cross candidate runs under "S~T" with the detector's ℓ. *)
               let probe_tbl : (string, Scan.probe) Hashtbl.t = Hashtbl.create 31 in
-              List.iter (fun (pr : Scan.probe) -> Hashtbl.replace probe_tbl pr.Scan.pr_label pr) probes;
+              List.iter (fun (pr : Scan.probe) -> Hashtbl.replace probe_tbl pr.pr_label pr) probes;
               let target_tbl : (string, Scan.target) Hashtbl.t = Hashtbl.create 31 in
-              List.iter
-                (fun (tg : Scan.target) -> Hashtbl.replace target_tbl tg.Scan.tg_label tg)
-                targets;
-              let config_of label =
-                config_for_label ~deadline ~chaos_seed:None ~poison:None label
-              in
+              List.iter (fun (tg : Scan.target) -> Hashtbl.replace target_tbl tg.tg_label tg) targets;
               let seen : (string * string, unit) Hashtbl.t = Hashtbl.create 31 in
-              let jobs_list =
+              let entries =
                 List.filter_map
                   (fun (c : Detect.candidate) ->
-                    let pk = (c.Detect.c_s_label, c.Detect.c_t_label) in
+                    let pk = (c.c_s_label, c.c_t_label) in
                     if Hashtbl.mem seen pk then None
                     else begin
                       Hashtbl.replace seen pk ();
-                      let pr = Hashtbl.find probe_tbl c.Detect.c_s_label in
-                      let tg = Hashtbl.find target_tbl c.Detect.c_t_label in
-                      let diagonal = c.Detect.c_s_label = c.Detect.c_t_label in
+                      let pr = Hashtbl.find probe_tbl c.c_s_label in
+                      let tg = Hashtbl.find target_tbl c.c_t_label in
+                      let diagonal = c.c_s_label = c.c_t_label in
                       let label =
-                        if diagonal then c.Detect.c_s_label
-                        else c.Detect.c_s_label ^ "~" ^ c.Detect.c_t_label
+                        if diagonal then c.c_s_label else c.c_s_label ^ "~" ^ c.c_t_label
                       in
-                      let ell = if diagonal then None else Some c.Detect.c_ell in
-                      let expected = if diagonal then pr.Scan.pr_expected else None in
-                      let config = config_of label in
-                      let key =
-                        Octopocs.content_key ~config ?ell ~s:pr.Scan.pr_s ~t:tg.Scan.tg_prog
-                          ~poc:pr.Scan.pr_poc ()
-                      in
+                      let ell = if diagonal then None else Some c.c_ell in
+                      let expected = if diagonal then pr.pr_expected else None in
+                      let config = config_for_label ~deadline:o.deadline ~chaos_seed:None label in
                       Some
-                        ( label,
-                          key,
-                          expected,
-                          Octopocs.job ~config ?ell ~label ~s:pr.Scan.pr_s
-                            ~t:tg.Scan.tg_prog ~poc:pr.Scan.pr_poc () )
+                        (entry ~config ?ell ?expected ~label ~s:pr.pr_s ~t:tg.tg_prog
+                           ~poc:pr.pr_poc ())
                     end)
-                  result.Scan.candidates
+                  result.candidates
               in
-              match telemetry_path ~telemetry ~journal_path ~shards with
+              let pending = ref entries in
+              let next () =
+                match !pending with
+                | [] -> None
+                | e :: rest ->
+                    pending := rest;
+                    Some e
+              in
+              match
+                verify_entries o ~chaos_seed:None ~site_rates:[] ~fail_fast:false
+                  ~total:(Some (List.length entries)) next
+              with
               | Error code -> code
-              | Ok tpath -> (
-              match open_stream_journals ~journal_path ~resume ~shards ~quarantine_path with
-              | Error code -> code
-              | Ok sj ->
-                  (match tpath with Some path -> Telemetry.enable ~path () | None -> ());
-                  let settled_prior : (string, string * Octopocs.report) Hashtbl.t =
-                    Hashtbl.create (List.length sj.sj_replayed)
-                  in
-                  List.iter
-                    (fun (l, k, r) -> Hashtbl.replace settled_prior l (k, r))
-                    sj.sj_replayed;
-                  let meta : (string, string * string option) Hashtbl.t =
-                    Hashtbl.create 31
-                  in
-                  List.iter
-                    (fun (label, key, expected, _) -> Hashtbl.replace meta label (key, expected))
-                    jobs_list;
-                  let tally = Tally.create () in
-                  let to_run =
-                    List.filter_map
-                      (fun (label, key, expected, job) ->
-                        if Hashtbl.mem sj.sj_quarantined_prior label then begin
-                          Tally.add_quarantined_prior tally;
-                          None
-                        end
-                        else
-                          match Hashtbl.find_opt settled_prior label with
-                          | Some (k, r) when k = key ->
-                              Tally.add_cached ?expected tally r;
-                              None
-                          | _ -> Some job)
-                      jobs_list
-                  in
-                  let prog =
-                    Progress.create ~enabled:progress ~total:(Some (List.length to_run)) ()
-                  in
-                  let on_settle j (r : Octopocs.report) =
-                    if settle_delay_s > 0. then Unix.sleepf settle_delay_s;
-                    let label = Octopocs.job_label j in
-                    let key, expected =
-                      match Hashtbl.find_opt meta label with
-                      | Some (k, e) -> (k, e)
-                      | None -> ("", None)
-                    in
-                    (match sj.sj_writer with
-                    | No_journal -> ()
-                    | Single w -> Journal.append w (Octopocs.encode_result ~label ~key r)
-                    | Dir w ->
-                        Journal.Sharded.append w ~key (Octopocs.encode_result ~label ~key r));
-                    Tally.add ?expected tally r;
-                    Progress.step prog
-                  in
-                  let on_quarantine (q : Octopocs.quarantine) =
-                    (match sj.sj_quarantine with
-                    | Some w -> Journal.append w (Octopocs.encode_quarantine q)
-                    | None -> ());
-                    Log.warn (fun m ->
-                        m "quarantined %s after %d attempt(s): %s: %s" q.Octopocs.qlabel
-                          q.Octopocs.qattempts q.Octopocs.qreason q.Octopocs.qmessage);
-                    Progress.quar prog
-                  in
-                  let st =
-                    Octopocs.run_stream ~jobs ~retries ?window ~isolate ~limits
-                      ?mem_watermark_mb:mem_watermark ?pre_run:oom_pre_run ~on_settle
-                      ~on_quarantine
-                      (Octopocs.stream_of_list to_run)
-                  in
-                  Telemetry.disable ();
-                  Progress.finish prog;
-                  close_stream_journals sj;
-                  let elapsed = Unix.gettimeofday () -. t0 in
+              | Ok (st, tally) ->
                   say "verify  : candidates=%d settled=%d quarantined=%d cached=%d%s"
-                    (List.length jobs_list) st.Octopocs.st_settled st.Octopocs.st_quarantined
-                    tally.cached (Tally.quar_prior_note tally);
-                  Tally.say_summary tally ~quarantined:st.Octopocs.st_quarantined;
-                  say "%.3fs wall (%.3fs detection), %d worker %s" elapsed detect_elapsed
-                    (Octo_util.Pool.effective_jobs jobs)
-                    (worker_kind isolate);
-                  max tally.worst (if recall_bad then 1 else 0))
+                    (List.length entries) st.st_settled st.st_quarantined tally.cached
+                    (Tally.quar_prior_note tally);
+                  Tally.say_summary tally;
+                  Tally.say_expected tally;
+                  say "%.3fs wall (%.3fs detection), %d worker %s"
+                    (Unix.gettimeofday () -. t0)
+                    detect_elapsed
+                    (Octo_util.Pool.effective_jobs o.jobs)
+                    (worker_kind o.isolate);
+                  max (Tally.exit_code tally) (if recall_bad then 1 else 0)
             end))
 
 let scan_cmd =
@@ -1379,69 +1303,6 @@ let scan_cmd =
              ~doc:"Exit 1 when detection recall against the corpus ground truth falls \
                    below $(docv) — the CI regression gate.")
   in
-  let jobs =
-    Arg.(value & opt int 1
-         & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Verify confirmed candidates on $(docv) workers (default 1: serial).")
-  in
-  let retries =
-    Arg.(value & opt int 0
-         & info [ "retries" ] ~docv:"N"
-             ~doc:"Retry a crashed candidate $(docv) extra times before quarantining it.")
-  in
-  let journal =
-    Arg.(value & opt (some string) None
-         & info [ "journal" ] ~docv:"PATH"
-             ~doc:"Write-ahead journal for the verification stage (file, or shard \
-                   directory with --shards).  Diagonal candidates journal under the \
-                   corpus pair's own label and content key, so dumps intersect \
-                   cleanly with verify-all --corpus journals.")
-  in
-  let resume =
-    Arg.(value & flag
-         & info [ "resume" ]
-             ~doc:"Replay the journal first; candidates already settled under an \
-                   identical content key are reused.")
-  in
-  let shards =
-    Arg.(value & opt int 1
-         & info [ "shards" ] ~docv:"N"
-             ~doc:"Split the journal into $(docv) shard files under --journal DIR.")
-  in
-  let quarantine =
-    Arg.(value & opt (some string) None
-         & info [ "quarantine" ] ~docv:"PATH"
-             ~doc:"Quarantine journal for candidates that crash past --retries.")
-  in
-  let window =
-    Arg.(value & opt (some int) None
-         & info [ "window" ] ~docv:"N"
-             ~doc:"Bound on in-flight candidates (default: max(4, 2*jobs)).")
-  in
-  let isolate =
-    let mode_conv =
-      Arg.enum [ ("domain", Octopocs.Domains); ("proc", Octopocs.Processes) ]
-    in
-    Arg.(value & opt mode_conv Octopocs.Domains
-         & info [ "isolate" ] ~docv:"MODE"
-             ~doc:"Candidate isolation: $(b,domain) (default) or $(b,proc) (one \
-                   forked, rlimit-bounded child per candidate).")
-  in
-  let rlimit_as =
-    Arg.(value & opt (some int) None
-         & info [ "rlimit-as" ] ~docv:"MB"
-             ~doc:"With --isolate proc: bound each child's address space (MiB).")
-  in
-  let rlimit_cpu =
-    Arg.(value & opt (some int) None
-         & info [ "rlimit-cpu" ] ~docv:"SECS"
-             ~doc:"With --isolate proc: hard CPU-time backstop per child.")
-  in
-  let mem_watermark =
-    Arg.(value & opt (some int) None
-         & info [ "mem-watermark" ] ~docv:"MB"
-             ~doc:"With --isolate proc: memory-pressure admission control watermark.")
-  in
   Cmd.v
     (Cmd.info "scan"
        ~doc:"Discover (S, T, ℓ, ep) candidates across a corpus by clone detection, \
@@ -1453,12 +1314,11 @@ let scan_cmd =
            `P "0 on success (worst candidate verdict Triggered, or --no-verify with \
                recall above --min-recall); 1 when some candidate is Not-triggerable \
                or recall falls below --min-recall; 2 on a Failure verdict or a \
-               structured error; 3 when a worker crashed.";
+               structured error; 3 when every candidate was quarantined (or a \
+               replayed verdict records a crashed worker).";
          ])
-    Term.(const run_scan $ corpus $ strict $ decoys $ decoy_seed $ shingle_k $ winnow_w
-          $ tau_retrieve $ tau_confirm $ top $ no_verify $ min_recall $ jobs $ retries
-          $ deadline_arg $ journal $ resume $ shards $ quarantine $ window $ isolate
-          $ rlimit_as $ rlimit_cpu $ mem_watermark $ telemetry_arg $ progress_arg
+    Term.(const run_scan $ run_opts_term $ corpus $ strict $ decoys $ decoy_seed $ shingle_k
+          $ winnow_w $ tau_retrieve $ tau_confirm $ top $ no_verify $ min_recall
           $ log_level_arg $ log_json_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1472,7 +1332,7 @@ let scan_cmd =
 
 let explain_live ~dynamic ~deadline (c : Registry.case) =
   with_observability ~provenance:true ~trace:None ~metrics:false @@ fun () ->
-  let config = config_for ~dynamic ~deadline ~chaos_seed:None c.idx in
+  let config = config_for_label ~dynamic ~deadline ~chaos_seed:None (string_of_int c.idx) in
   let r = Octopocs.run ~config ~s:c.s ~t:c.t ~poc:c.poc () in
   print_string (Octopocs.explain_report ~label:(Printf.sprintf "pair %d" c.idx) r);
   0
