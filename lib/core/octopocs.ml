@@ -817,10 +817,10 @@ let job_key ~config (j : job) =
    One record per settled pair: label, cache key, and enough of the report
    to reconstruct the verdict exactly (poc' bytes included).  Artifacts
    (taint, symex stats, bunches) are run-time debugging aids, not verdict
-   state, and are not persisted.  The encoding is length-prefixed and
-   binary-safe; [decode_result] is total, returning [None] on any
-   malformed record (a foreign or future-versioned journal must not crash
-   the reader). *)
+   state, and are not persisted.  The fields are laid out by [Wire], so
+   the record is binary-safe and [decode_result] is total, returning
+   [None] on any malformed record (a foreign or future-versioned journal
+   must not crash the reader). *)
 
 (* OPR3 appends two tail fields to OPR2: an explicit metrics presence
    flag (OPR2 inferred presence from end-of-record, which left no room
@@ -830,203 +830,99 @@ let job_key ~config (j : job) =
 let codec_version = "OPR3"
 let legacy_codec_version = "OPR2"
 
-let put_str b s =
-  let l = Bytes.create 4 in
-  Bytes.set_int32_le l 0 (Int32.of_int (String.length s));
-  Buffer.add_bytes b l;
-  Buffer.add_string b s
+module W = Octo_util.Wire
 
-(* The codec is hand-rolled end to end — no [Marshal] on the decode path,
-   ever: [Marshal.from_string] on attacker-or-bitrot-controlled bytes can
-   segfault the process, and journal payloads survive crashes and disk
-   corruption by design.  Every field is length- or count-prefixed so the
-   decoder is total (returns [None], never raises, never reads OOB). *)
-let put_int b i =
-  let l = Bytes.create 8 in
-  Bytes.set_int64_le l 0 (Int64.of_int i);
-  Buffer.add_bytes b l
-
-let put_str_list b xs =
-  put_int b (List.length xs);
-  List.iter (put_str b) xs
-
-let put_int_array b a =
-  put_int b (Array.length a);
-  Array.iter (put_int b) a
-
-let put_metrics b (m : Metrics.snapshot) =
-  put_int_array b m.Metrics.counters;
-  put_int_array b m.Metrics.phase_count;
-  put_int_array b m.Metrics.phase_ns;
-  put_int_array b m.Metrics.phase_hist
+(* A string field holding an encoded value — [Constraint_conflict]'s entry
+   index and [elapsed_s]'s IEEE bits as decimal text, the provenance blob —
+   rejects the record when it does not parse. *)
+let parsed_string r parse = match parse (W.get_string r) with Some v -> v | None -> W.fail ()
 
 let encode_result ~label ~key (r : report) =
   let b = Buffer.create 256 in
-  Buffer.add_string b codec_version;
-  put_str b label;
-  put_str b key;
-  put_str b r.ep;
-  put_str_list b r.ell;
+  W.put_magic b codec_version;
+  W.put_string b label;
+  W.put_string b key;
+  W.put_string b r.ep;
+  W.put_list b W.put_string r.ell;
   (match r.verdict with
   | Triggered { poc'; ptype } ->
-      Buffer.add_char b 'T';
-      Buffer.add_char b (match ptype with Type_I -> '1' | Type_II -> '2');
-      put_str b poc'
-  | Not_triggerable reason ->
-      Buffer.add_char b 'N';
-      (match reason with
-      | Ep_not_called -> Buffer.add_char b 'e'
-      | Program_dead -> Buffer.add_char b 'd'
-      | Unsat_model -> Buffer.add_char b 'u'
+      W.put_char b 'T';
+      W.put_char b (match ptype with Type_I -> '1' | Type_II -> '2');
+      W.put_string b poc'
+  | Not_triggerable reason -> (
+      W.put_char b 'N';
+      match reason with
+      | Ep_not_called -> W.put_char b 'e'
+      | Program_dead -> W.put_char b 'd'
+      | Unsat_model -> W.put_char b 'u'
       | Constraint_conflict k ->
-          Buffer.add_char b 'c';
-          put_str b (string_of_int k))
+          W.put_char b 'c';
+          W.put_string b (string_of_int k))
   | Failure msg ->
-      Buffer.add_char b 'F';
-      put_str b msg);
-  put_str_list b r.degradations;
-  put_str b (Int64.to_string (Int64.bits_of_float r.elapsed_s));
-  (* Metrics presence is explicit in OPR3 ('0'/'1') so the record can
-     carry fields after it; provenance stays an optional tail — decoders
-     treat end-of-record here as [provenance = None], so records written
-     with collection off cost one flag byte over OPR2. *)
-  (match r.metrics with
-  | None -> Buffer.add_char b '0'
-  | Some snap ->
-      Buffer.add_char b '1';
-      put_metrics b snap);
-  (match r.provenance with None -> () | Some p -> put_str b (Provenance.encode p));
+      W.put_char b 'F';
+      W.put_string b msg);
+  W.put_list b W.put_string r.degradations;
+  W.put_string b (Int64.to_string (Int64.bits_of_float r.elapsed_s));
+  (* Metrics presence is explicit in OPR3 so the record can carry fields
+     after it; provenance stays an optional tail — decoders treat
+     end-of-record here as [provenance = None], so records written with
+     collection off cost one flag byte over OPR2. *)
+  W.put_option b Metrics.write_snapshot r.metrics;
+  Option.iter (fun p -> W.put_string b (Provenance.encode p)) r.provenance;
   Buffer.contents b
 
 let decode_result (s : string) : (string * string * report) option =
-  let pos = ref 0 in
-  let n = String.length s in
-  let exception Bad in
-  let take k =
-    if n - !pos < k then raise Bad;
-    let r = String.sub s !pos k in
-    pos := !pos + k;
-    r
-  in
-  let get_str () =
-    let l = take 4 in
-    let len =
-      Char.code l.[0] lor (Char.code l.[1] lsl 8) lor (Char.code l.[2] lsl 16)
-      lor (Char.code l.[3] lsl 24)
-    in
-    if len < 0 || len > n - !pos then raise Bad;
-    take len
-  in
-  let get_int () =
-    let s = take 8 in
-    Int64.to_int (Bytes.get_int64_le (Bytes.unsafe_of_string s) 0)
-  in
-  let get_str_list () =
-    let k = get_int () in
-    (* Each element costs at least its 4-byte length prefix, so a count
-       beyond the remaining bytes is corrupt — reject before allocating. *)
-    if k < 0 || k > (n - !pos) / 4 then raise Bad;
-    List.init k (fun _ -> get_str ())
-  in
-  let get_int_array expect =
-    if get_int () <> expect then raise Bad;
-    Array.init expect (fun _ -> get_int ())
-  in
-  let get_counters () =
-    (* The counter array is decoded length-tolerantly: it is the one
-       snapshot dimension that grows when a release adds a counter (the
-       phase list is the pipeline's shape; the counter list is an open
-       enumeration).  A record written by an older build carries fewer
-       counters — pad the missing ones with 0; a newer build's extras are
-       read and dropped.  The count is still sanity-bounded so corrupt
-       lengths stay rejected. *)
-    let k = get_int () in
-    if k < 0 || k > 64 || k * 8 > n - !pos then raise Bad;
-    let a = Array.init k (fun _ -> get_int ()) in
-    let counters = Array.make Metrics.ncounters 0 in
-    Array.blit a 0 counters 0 (min k Metrics.ncounters);
-    counters
-  in
-  let get_metrics () =
-    (* Sequenced lets: record-field evaluation order is unspecified, and
-       these reads must consume the stream in write order. *)
-    let counters = get_counters () in
-    let phase_count = get_int_array Metrics.nphases in
-    let phase_ns = get_int_array Metrics.nphases in
-    let phase_hist = get_int_array (Metrics.nphases * Metrics.nbuckets) in
-    { Metrics.counters; phase_count; phase_ns; phase_hist }
-  in
-  match
-    let version = take 4 in
-    if version <> codec_version && version <> legacy_codec_version then raise Bad;
-    let label = get_str () in
-    let key = get_str () in
-    let ep = get_str () in
-    let ell = get_str_list () in
-    let verdict =
-      match (take 1).[0] with
-      | 'T' ->
-          let ptype = match (take 1).[0] with '1' -> Type_I | '2' -> Type_II | _ -> raise Bad in
-          Triggered { poc' = get_str (); ptype }
-      | 'N' -> (
-          match (take 1).[0] with
-          | 'e' -> Not_triggerable Ep_not_called
-          | 'd' -> Not_triggerable Program_dead
-          | 'u' -> Not_triggerable Unsat_model
-          | 'c' -> (
-              match int_of_string_opt (get_str ()) with
-              | Some k -> Not_triggerable (Constraint_conflict k)
-              | None -> raise Bad)
-          | _ -> raise Bad)
-      | 'F' -> Failure (get_str ())
-      | _ -> raise Bad
-    in
-    let degradations = get_str_list () in
-    let elapsed_s =
-      match Int64.of_string_opt (get_str ()) with
-      | Some bits -> Int64.float_of_bits bits
-      | None -> raise Bad
-    in
-    let metrics, provenance =
-      if version = legacy_codec_version then
-        (* OPR2: metrics presence inferred from end-of-record; no
-           provenance field existed. *)
-        ((if !pos = n then None else Some (get_metrics ())), None)
-      else begin
-        let metrics =
-          match (take 1).[0] with
-          | '0' -> None
-          | '1' -> Some (get_metrics ())
-          | _ -> raise Bad
-        in
-        let provenance =
-          if !pos = n then None
-          else
-            match Provenance.decode (get_str ()) with
-            | Some p -> Some p
-            | None -> raise Bad
-        in
-        (metrics, provenance)
-      end
-    in
-    if !pos <> n then raise Bad;
-    ( label,
-      key,
-      {
-        verdict;
-        ep;
-        ell;
-        bunches = [];
-        taint = None;
-        symex = None;
-        degradations;
-        elapsed_s;
-        metrics;
-        provenance;
-      } )
-  with
-  | r -> Some r
-  | exception Bad -> None
+  W.decode s (fun r ->
+      let version = W.get_magic r 4 in
+      if version <> codec_version && version <> legacy_codec_version then W.fail ();
+      let label = W.get_string r in
+      let key = W.get_string r in
+      let ep = W.get_string r in
+      let ell = W.get_list r W.get_string in
+      let verdict =
+        match W.get_char r with
+        | 'T' ->
+            let ptype = match W.get_char r with '1' -> Type_I | '2' -> Type_II | _ -> W.fail () in
+            Triggered { poc' = W.get_string r; ptype }
+        | 'N' -> (
+            match W.get_char r with
+            | 'e' -> Not_triggerable Ep_not_called
+            | 'd' -> Not_triggerable Program_dead
+            | 'u' -> Not_triggerable Unsat_model
+            | 'c' -> Not_triggerable (Constraint_conflict (parsed_string r int_of_string_opt))
+            | _ -> W.fail ())
+        | 'F' -> Failure (W.get_string r)
+        | _ -> W.fail ()
+      in
+      let degradations = W.get_list r W.get_string in
+      let elapsed_s = Int64.float_of_bits (parsed_string r Int64.of_string_opt) in
+      let metrics, provenance =
+        if version = legacy_codec_version then
+          (* OPR2: metrics presence inferred from end-of-record; no
+             provenance field existed. *)
+          ((if W.at_end r then None else Some (Metrics.read_snapshot r)), None)
+        else
+          let metrics = W.get_option r Metrics.read_snapshot in
+          let provenance =
+            if W.at_end r then None
+            else Some (parsed_string r Provenance.decode)
+          in
+          (metrics, provenance)
+      in
+      ( label,
+        key,
+        {
+          verdict;
+          ep;
+          ell;
+          bunches = [];
+          taint = None;
+          symex = None;
+          degradations;
+          elapsed_s;
+          metrics;
+          provenance;
+        } ))
 
 (* ------------------------------------------------------------------ *)
 
@@ -1057,51 +953,21 @@ let quarantine_codec_version = "OQR1"
 
 let encode_quarantine (q : quarantine) =
   let b = Buffer.create 128 in
-  Buffer.add_string b quarantine_codec_version;
-  put_str b q.qlabel;
-  put_str b q.qkey;
-  put_str b q.qreason;
-  put_str b q.qmessage;
-  put_str b q.qbacktrace;
-  put_int b q.qattempts;
+  W.put_magic b quarantine_codec_version;
+  List.iter (W.put_string b) [ q.qlabel; q.qkey; q.qreason; q.qmessage; q.qbacktrace ];
+  W.put_int b q.qattempts;
   Buffer.contents b
 
 let decode_quarantine (s : string) : quarantine option =
-  let pos = ref 0 in
-  let n = String.length s in
-  let exception Bad in
-  let take k =
-    if n - !pos < k then raise Bad;
-    let r = String.sub s !pos k in
-    pos := !pos + k;
-    r
-  in
-  let get_str () =
-    let l = take 4 in
-    let len =
-      Char.code l.[0] lor (Char.code l.[1] lsl 8) lor (Char.code l.[2] lsl 16)
-      lor (Char.code l.[3] lsl 24)
-    in
-    if len < 0 || len > n - !pos then raise Bad;
-    take len
-  in
-  let get_int () =
-    let s = take 8 in
-    Int64.to_int (Bytes.get_int64_le (Bytes.unsafe_of_string s) 0)
-  in
-  match
-    if take 4 <> quarantine_codec_version then raise Bad;
-    let qlabel = get_str () in
-    let qkey = get_str () in
-    let qreason = get_str () in
-    let qmessage = get_str () in
-    let qbacktrace = get_str () in
-    let qattempts = get_int () in
-    if !pos <> n then raise Bad;
-    { qlabel; qkey; qreason; qmessage; qbacktrace; qattempts }
-  with
-  | q -> Some q
-  | exception Bad -> None
+  W.decode s (fun r ->
+      if W.get_magic r 4 <> quarantine_codec_version then W.fail ();
+      let qlabel = W.get_string r in
+      let qkey = W.get_string r in
+      let qreason = W.get_string r in
+      let qmessage = W.get_string r in
+      let qbacktrace = W.get_string r in
+      let qattempts = W.get_int r in
+      { qlabel; qkey; qreason; qmessage; qbacktrace; qattempts })
 
 (* ------------------------------------------------------------------ *)
 (* Streaming batch verification. *)

@@ -162,221 +162,154 @@ let pp_event ppf = function
 
 (* -- binary codec ------------------------------------------------------- *)
 
-(* Same conventions as the OPR verdict codec in octopocs.ml: u32le string
-   length prefixes, i64le ints, count prefixes validated against the
-   remaining bytes before any allocation, [decode] total.  The blob this
-   produces is itself a length-prefixed string inside the OPR3 record, so
-   its layout can evolve with the leading version byte. *)
+(* A tag byte per event and origin, fields in declaration order, laid out
+   by [Wire].  The blob is itself a string inside the OPR3 record, so its
+   layout can evolve with the leading version byte. *)
 
 let codec_version = 'p' (* provenance codec v1 *)
 
-let put_str b s =
-  let l = Bytes.create 4 in
-  Bytes.set_int32_le l 0 (Int32.of_int (String.length s));
-  Buffer.add_bytes b l;
-  Buffer.add_string b s
+module W = Octo_util.Wire
 
-let put_int b i =
-  let l = Bytes.create 8 in
-  Bytes.set_int64_le l 0 (Int64.of_int i);
-  Buffer.add_bytes b l
-
-let put_origin b = function
+let write_origin b = function
   | Bunch_byte { bunch; off; value } ->
-      Buffer.add_char b 'b';
-      put_int b bunch;
-      put_int b off;
-      put_int b value
+      W.put_char b 'b';
+      List.iter (W.put_int b) [ bunch; off; value ]
   | Replayed_arg { bunch; arg; value } ->
-      Buffer.add_char b 'a';
-      put_int b bunch;
-      put_int b arg;
-      put_int b value
-  | Path_constraint -> Buffer.add_char b 't'
+      W.put_char b 'a';
+      List.iter (W.put_int b) [ bunch; arg; value ]
+  | Path_constraint -> W.put_char b 't'
 
-let put_event b = function
+let write_event b = function
   | Taint_bunch { seq; anchor; ranges; tainted_args; sites } ->
-      Buffer.add_char b 'B';
-      put_int b seq;
-      put_int b anchor;
-      put_int b (List.length ranges);
-      List.iter
-        (fun (lo, hi) ->
-          put_int b lo;
-          put_int b hi)
+      W.put_char b 'B';
+      W.put_int b seq;
+      W.put_int b anchor;
+      W.put_list b
+        (fun b (lo, hi) ->
+          W.put_int b lo;
+          W.put_int b hi)
         ranges;
-      put_int b (List.length tainted_args);
-      List.iter (put_int b) tainted_args;
-      put_int b (List.length sites);
-      List.iter (put_str b) sites
+      W.put_list b W.put_int tainted_args;
+      W.put_list b W.put_string sites
   | Branch_forced { func; pc; preferred_taken } ->
-      Buffer.add_char b 'F';
-      put_str b func;
-      put_int b pc;
-      Buffer.add_char b (if preferred_taken then '1' else '0')
+      W.put_char b 'F';
+      W.put_string b func;
+      W.put_int b pc;
+      W.put_bool b preferred_taken
   | Loop_retry { func; pc; granted; theta } ->
-      Buffer.add_char b 'L';
-      put_str b func;
-      put_int b pc;
-      put_int b granted;
-      put_int b theta
+      W.put_char b 'L';
+      W.put_string b func;
+      List.iter (W.put_int b) [ pc; granted; theta ]
   | Path_pruned { func; pc } ->
-      Buffer.add_char b 'P';
-      put_str b func;
-      put_int b pc
+      W.put_char b 'P';
+      W.put_string b func;
+      W.put_int b pc
   | Bunch_pinned { seq; file_pos; nbytes; args_replayed } ->
-      Buffer.add_char b 'N';
-      put_int b seq;
-      put_int b file_pos;
-      put_int b nbytes;
-      put_int b args_replayed
+      W.put_char b 'N';
+      List.iter (W.put_int b) [ seq; file_pos; nbytes; args_replayed ]
   | Conflict { seq; core } ->
-      Buffer.add_char b 'C';
-      put_int b seq;
-      put_int b (List.length core);
-      List.iter
-        (fun { origin; cond } ->
-          put_origin b origin;
-          put_str b cond)
+      W.put_char b 'C';
+      W.put_int b seq;
+      W.put_list b
+        (fun b { origin; cond } ->
+          write_origin b origin;
+          W.put_string b cond)
         core
   | Crash_site { func; pc; fault; in_ell } ->
-      Buffer.add_char b 'X';
-      put_str b func;
-      put_int b pc;
-      put_str b fault;
-      Buffer.add_char b (if in_ell then '1' else '0')
+      W.put_char b 'X';
+      W.put_string b func;
+      W.put_int b pc;
+      W.put_string b fault;
+      W.put_bool b in_ell
   | Rung { rung; failure } ->
-      Buffer.add_char b 'R';
-      put_str b rung;
-      put_str b failure
+      W.put_char b 'R';
+      W.put_string b rung;
+      W.put_string b failure
 
 let encode (t : t) : string =
   let b = Buffer.create 256 in
-  Buffer.add_char b codec_version;
-  put_int b t.dropped;
-  put_int b (List.length t.events);
-  List.iter (put_event b) t.events;
+  W.put_char b codec_version;
+  W.put_int b t.dropped;
+  W.put_list b write_event t.events;
   Buffer.contents b
 
+(* Sequenced lets throughout: the reads must consume the stream in write
+   order. *)
+let read_origin r =
+  match W.get_char r with
+  | 'b' ->
+      let bunch = W.get_int r in
+      let off = W.get_int r in
+      let value = W.get_int r in
+      Bunch_byte { bunch; off; value }
+  | 'a' ->
+      let bunch = W.get_int r in
+      let arg = W.get_int r in
+      let value = W.get_int r in
+      Replayed_arg { bunch; arg; value }
+  | 't' -> Path_constraint
+  | _ -> W.fail ()
+
+let read_event r =
+  match W.get_char r with
+  | 'B' ->
+      let seq = W.get_int r in
+      let anchor = W.get_int r in
+      let ranges =
+        W.get_list r (fun r ->
+            let lo = W.get_int r in
+            let hi = W.get_int r in
+            (lo, hi))
+      in
+      let tainted_args = W.get_list r W.get_int in
+      let sites = W.get_list r W.get_string in
+      Taint_bunch { seq; anchor; ranges; tainted_args; sites }
+  | 'F' ->
+      let func = W.get_string r in
+      let pc = W.get_int r in
+      let preferred_taken = W.get_bool r in
+      Branch_forced { func; pc; preferred_taken }
+  | 'L' ->
+      let func = W.get_string r in
+      let pc = W.get_int r in
+      let granted = W.get_int r in
+      let theta = W.get_int r in
+      Loop_retry { func; pc; granted; theta }
+  | 'P' ->
+      let func = W.get_string r in
+      let pc = W.get_int r in
+      Path_pruned { func; pc }
+  | 'N' ->
+      let seq = W.get_int r in
+      let file_pos = W.get_int r in
+      let nbytes = W.get_int r in
+      let args_replayed = W.get_int r in
+      Bunch_pinned { seq; file_pos; nbytes; args_replayed }
+  | 'C' ->
+      let seq = W.get_int r in
+      let core =
+        W.get_list r (fun r ->
+            let origin = read_origin r in
+            let cond = W.get_string r in
+            { origin; cond })
+      in
+      Conflict { seq; core }
+  | 'X' ->
+      let func = W.get_string r in
+      let pc = W.get_int r in
+      let fault = W.get_string r in
+      let in_ell = W.get_bool r in
+      Crash_site { func; pc; fault; in_ell }
+  | 'R' ->
+      let rung = W.get_string r in
+      let failure = W.get_string r in
+      Rung { rung; failure }
+  | _ -> W.fail ()
+
 let decode (s : string) : t option =
-  let pos = ref 0 in
-  let n = String.length s in
-  let exception Bad in
-  let take k =
-    if n - !pos < k then raise Bad;
-    let r = String.sub s !pos k in
-    pos := !pos + k;
-    r
-  in
-  let get_char () = (take 1).[0] in
-  let get_bool () =
-    match get_char () with '1' -> true | '0' -> false | _ -> raise Bad
-  in
-  let get_str () =
-    let l = take 4 in
-    let len =
-      Char.code l.[0] lor (Char.code l.[1] lsl 8) lor (Char.code l.[2] lsl 16)
-      lor (Char.code l.[3] lsl 24)
-    in
-    if len < 0 || len > n - !pos then raise Bad;
-    take len
-  in
-  let get_int () =
-    let s = take 8 in
-    Int64.to_int (Bytes.get_int64_le (Bytes.unsafe_of_string s) 0)
-  in
-  (* Count prefixes: each element costs at least [min_elem] bytes, so a
-     count beyond the remaining budget is corrupt — reject before
-     allocating. *)
-  let get_count ~min_elem =
-    let k = get_int () in
-    let min_elem = max 1 min_elem in
-    if k < 0 || k > (n - !pos) / min_elem then raise Bad;
-    k
-  in
-  let get_origin () =
-    match get_char () with
-    | 'b' ->
-        let bunch = get_int () in
-        let off = get_int () in
-        let value = get_int () in
-        Bunch_byte { bunch; off; value }
-    | 'a' ->
-        let bunch = get_int () in
-        let arg = get_int () in
-        let value = get_int () in
-        Replayed_arg { bunch; arg; value }
-    | 't' -> Path_constraint
-    | _ -> raise Bad
-  in
-  let get_event () =
-    match get_char () with
-    | 'B' ->
-        let seq = get_int () in
-        let anchor = get_int () in
-        let nr = get_count ~min_elem:16 in
-        let ranges =
-          List.init nr (fun _ ->
-              let lo = get_int () in
-              let hi = get_int () in
-              (lo, hi))
-        in
-        let na = get_count ~min_elem:8 in
-        let tainted_args = List.init na (fun _ -> get_int ()) in
-        let ns = get_count ~min_elem:4 in
-        let sites = List.init ns (fun _ -> get_str ()) in
-        Taint_bunch { seq; anchor; ranges; tainted_args; sites }
-    | 'F' ->
-        let func = get_str () in
-        let pc = get_int () in
-        let preferred_taken = get_bool () in
-        Branch_forced { func; pc; preferred_taken }
-    | 'L' ->
-        let func = get_str () in
-        let pc = get_int () in
-        let granted = get_int () in
-        let theta = get_int () in
-        Loop_retry { func; pc; granted; theta }
-    | 'P' ->
-        let func = get_str () in
-        let pc = get_int () in
-        Path_pruned { func; pc }
-    | 'N' ->
-        let seq = get_int () in
-        let file_pos = get_int () in
-        let nbytes = get_int () in
-        let args_replayed = get_int () in
-        Bunch_pinned { seq; file_pos; nbytes; args_replayed }
-    | 'C' ->
-        let seq = get_int () in
-        let nc = get_count ~min_elem:5 in
-        let core =
-          List.init nc (fun _ ->
-              let origin = get_origin () in
-              let cond = get_str () in
-              { origin; cond })
-        in
-        Conflict { seq; core }
-    | 'X' ->
-        let func = get_str () in
-        let pc = get_int () in
-        let fault = get_str () in
-        let in_ell = get_bool () in
-        Crash_site { func; pc; fault; in_ell }
-    | 'R' ->
-        let rung = get_str () in
-        let failure = get_str () in
-        Rung { rung; failure }
-    | _ -> raise Bad
-  in
-  match
-    if get_char () <> codec_version then raise Bad;
-    let dropped = get_int () in
-    if dropped < 0 then raise Bad;
-    let nev = get_count ~min_elem:1 in
-    let events = List.init nev (fun _ -> get_event ()) in
-    if !pos <> n then raise Bad;
-    { events; dropped }
-  with
-  | t -> Some t
-  | exception Bad -> None
+  W.decode s (fun r ->
+      if W.get_char r <> codec_version then W.fail ();
+      let dropped = W.get_int r in
+      if dropped < 0 then W.fail ();
+      let events = W.get_list r read_event in
+      { events; dropped })

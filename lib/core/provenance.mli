@@ -112,10 +112,9 @@ val pp_ranges : Format.formatter -> (int * int) list -> unit
 val pp_origin : Format.formatter -> origin -> unit
 val pp_event : Format.formatter -> event -> unit
 
-(** Binary codec used by the journal's optional provenance tail.  Same
-    discipline as the verdict codec: length-prefixed, binary-safe,
-    [decode] is total (returns [None] on any malformed input, never
-    raises). *)
+(** Binary codec used by the journal's optional provenance tail, laid
+    out by {!Octo_util.Wire}: binary-safe, and [decode] is total
+    (returns [None] on any malformed input, never raises). *)
 val encode : t -> string
 
 val decode : string -> t option

@@ -35,27 +35,9 @@
 
 let header = "OCTOJRNL1\n"
 
-(* Anything larger than this is not a record length we ever write; reading
-   one means the "length" is really mid-frame garbage. *)
-let max_record_len = 64 * 1024 * 1024
-
-(* ------------------------------------------------------------------ *)
-(* CRC-32 (IEEE 802.3, the zlib polynomial), table-driven. *)
-
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc32 s =
-  let t = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  String.iter (fun ch -> c := t.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8)) s;
-  !c lxor 0xFFFFFFFF
+(* The frame layout and its CRC live in [Wire]; the CRC also routes keys
+   to shards. *)
+let crc32 = Wire.crc32
 
 (* ------------------------------------------------------------------ *)
 (* Replay. *)
@@ -67,12 +49,6 @@ type replay = {
           {!open_resume} truncates to *)
   torn : bool;  (** a truncated or corrupt trailing frame was dropped *)
 }
-
-let u32le_at data off =
-  Char.code data.[off]
-  lor (Char.code data.[off + 1] lsl 8)
-  lor (Char.code data.[off + 2] lsl 16)
-  lor (Char.code data.[off + 3] lsl 24)
 
 (* [?validate] extends the recovery rule one level up the stack: a frame
    whose CRC matches but whose payload the caller's decoder rejects is
@@ -90,37 +66,14 @@ let parse ?(validate = fun (_ : string) -> true) data =
        difference from a genuinely fresh journal. *)
     { records = []; valid_bytes = 0; torn = n > 0 }
   else begin
-    let records = ref [] in
-    let pos = ref hl in
-    let torn = ref false in
-    let stop = ref false in
-    while not !stop do
-      if !pos = n then stop := true
-      else if n - !pos < 8 then begin
-        torn := true;
-        stop := true
-      end
-      else begin
-        let len = u32le_at data !pos in
-        let crc = u32le_at data (!pos + 4) in
-        if len > max_record_len || n - !pos - 8 < len then begin
-          torn := true;
-          stop := true
-        end
-        else begin
-          let payload = String.sub data (!pos + 8) len in
-          if crc32 payload <> crc || not (validate payload) then begin
-            torn := true;
-            stop := true
-          end
-          else begin
-            records := payload :: !records;
-            pos := !pos + 8 + len
-          end
-        end
-      end
-    done;
-    { records = List.rev !records; valid_bytes = !pos; torn = !torn }
+    let rec go pos records =
+      if pos = n then { records = List.rev records; valid_bytes = pos; torn = false }
+      else
+        match Wire.unframe data pos with
+        | Ok (payload, next) when validate payload -> go next (payload :: records)
+        | Ok _ | Error _ -> { records = List.rev records; valid_bytes = pos; torn = true }
+    in
+    go hl []
   end
 
 (** [replay ?validate path] scans the journal tolerantly.  A missing file
@@ -159,14 +112,6 @@ let write_all fd bytes =
   while !off < n do
     off := !off + Unix.write fd bytes !off (n - !off)
   done
-
-let frame payload =
-  let len = String.length payload in
-  let b = Bytes.create (8 + len) in
-  Bytes.set_int32_le b 0 (Int32.of_int len);
-  Bytes.set_int32_le b 4 (Int32.of_int (crc32 payload));
-  Bytes.blit_string payload 0 b 8 len;
-  b
 
 let mk_writer ?(inject = Faultinject.none) ?(fsync = true) fd =
   { fd; wlock = Mutex.create (); winject = inject; wfsync = fsync; wclosed = false;
@@ -213,7 +158,7 @@ let append w payload =
     (fun () ->
       if w.wclosed then invalid_arg "Journal.append: writer is closed";
       if not w.poisoned then begin
-        let b = frame payload in
+        let b = Bytes.unsafe_of_string (Wire.frame payload) in
         if Faultinject.fire w.winject Faultinject.Journal_write then begin
           let cut = max 1 (Bytes.length b / 2) in
           write_all w.fd (Bytes.sub b 0 cut);

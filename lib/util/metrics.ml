@@ -14,8 +14,8 @@
    run-end granularity (e.g. VM steps are added once per [Interp.run],
    not per instruction) so even the enabled cost is negligible.
 
-   Snapshots are plain records of fresh int arrays, safe to Marshal
-   (the journal codec persists one per verdict) and to diff: a scoped
+   Snapshots are plain records of fresh int arrays, safe to persist
+   ([write_snapshot] puts one in each journaled verdict) and to diff: a scoped
    measurement is just [current () ] before and after, subtracted.
 
    Cells persist for the lifetime of their domain, so [aggregate]
@@ -148,6 +148,35 @@ let equal a b =
   && a.phase_count = b.phase_count
   && a.phase_ns = b.phase_ns
   && a.phase_hist = b.phase_hist
+
+(* The snapshot's wire layout, shared by the OPR3 verdict record and the
+   OTL1 telemetry sample: the four arrays, in field order. *)
+let write_snapshot b s =
+  List.iter (Wire.put_array b Wire.put_int)
+    [ s.counters; s.phase_count; s.phase_ns; s.phase_hist ]
+
+(* The counter array is read length-tolerantly: it is the one snapshot
+   dimension that grows when a release adds a counter (the phase list is
+   the pipeline's shape; the counter list is an open enumeration).  A
+   record written by an older build carries fewer counters — the missing
+   ones read as 0; a newer build's extras are read and dropped.  More than
+   64 is corrupt.  Each phase array must have exactly its current length.
+   Sequenced lets: the reads must consume the stream in write order. *)
+let read_snapshot r =
+  let ints () = Wire.get_array r Wire.get_int in
+  let exact n =
+    let a = ints () in
+    if Array.length a <> n then Wire.fail ();
+    a
+  in
+  let got = ints () in
+  if Array.length got > 64 then Wire.fail ();
+  let counters = Array.make ncounters 0 in
+  Array.blit got 0 counters 0 (min (Array.length got) ncounters);
+  let phase_count = exact nphases in
+  let phase_ns = exact nphases in
+  let phase_hist = exact (nphases * nbuckets) in
+  { counters; phase_count; phase_ns; phase_hist }
 
 (* A cell is just a snapshot mutated in place by its owning domain. *)
 let on = Atomic.make false

@@ -85,49 +85,18 @@ let pp_death ppf = function
   | Other why -> Format.fprintf ppf "other(%s)" why
 
 (* ------------------------------------------------------------------ *)
-(* Pipe protocol: one frame per child, the journal's frame layout
-   ([len:u32le][crc32(payload):u32le][payload]) with the same CRC, so
+(* Pipe protocol: one frame per child, the journal's [Wire] frame, so
    torn-write tolerance is inherited rather than re-invented. *)
 
-let frame payload =
-  let len = String.length payload in
-  let b = Buffer.create (len + 8) in
-  let put_u32 v =
-    Buffer.add_char b (Char.chr (v land 0xff));
-    Buffer.add_char b (Char.chr ((v lsr 8) land 0xff));
-    Buffer.add_char b (Char.chr ((v lsr 16) land 0xff));
-    Buffer.add_char b (Char.chr ((v lsr 24) land 0xff))
-  in
-  put_u32 len;
-  put_u32 (Journal.crc32 payload);
-  Buffer.add_string b payload;
-  Buffer.contents b
-
-let u32le_at data off =
-  Char.code data.[off]
-  lor (Char.code data.[off + 1] lsl 8)
-  lor (Char.code data.[off + 2] lsl 16)
-  lor (Char.code data.[off + 3] lsl 24)
+let frame = Wire.frame
 
 (** [parse_frame data] decodes the single frame a child wrote.  Total:
     every malformed input maps to [Error why], suitable for {!Torn}. *)
 let parse_frame data =
-  let n = String.length data in
-  if n < 8 then Error (Printf.sprintf "short frame header (%d byte(s))" n)
-  else begin
-    let len = u32le_at data 0 in
-    let crc = u32le_at data 4 in
-    if len < 0 || len > Journal.max_record_len then
-      Error "implausible frame length"
-    else if n < 8 + len then
-      Error (Printf.sprintf "truncated payload (%d of %d byte(s))" (n - 8) len)
-    else if n > 8 + len then Error "trailing bytes after frame"
-    else begin
-      let payload = String.sub data 8 len in
-      if Journal.crc32 payload <> crc then Error "frame CRC mismatch"
-      else Ok payload
-    end
-  end
+  match Wire.unframe data 0 with
+  | Ok (_, next) when next < String.length data -> Error "trailing bytes after frame"
+  | Ok (payload, _) -> Ok payload
+  | Error why -> Error why
 
 (* ------------------------------------------------------------------ *)
 (* Spawning and supervising. *)

@@ -51,8 +51,8 @@ type death =
 val pp_death : Format.formatter -> death -> unit
 
 val frame : string -> string
-(** [frame payload] is the single wire frame a child writes:
-    [[len:u32le][crc32(payload):u32le][payload]]. *)
+(** [frame payload] is the single frame a child writes: the journal's
+    {!Wire.frame}. *)
 
 val parse_frame : string -> (string, string) result
 (** Total decoder for {!frame}; [Error why] describes the tear. *)

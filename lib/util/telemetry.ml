@@ -15,7 +15,7 @@
    consistent cut).
 
    Frames are crc-framed by the journal (torn tails replay to a valid
-   prefix), the payload codec is hand-rolled and total — no [Marshal] —
+   prefix), the payload is laid out by [Wire] and decodes totally,
    and timestamps are monotonic nanoseconds relative to [enable], so
    two dumps of the same run are structurally comparable. *)
 
@@ -71,121 +71,54 @@ type sample = {
 
 let codec_version = "OTL1"
 
-let put_int b i =
-  let l = Bytes.create 8 in
-  Bytes.set_int64_le l 0 (Int64.of_int i);
-  Buffer.add_bytes b l
-
-let put_int_array b a =
-  put_int b (Array.length a);
-  Array.iter (put_int b) a
-
+(* The counters in record order, then the optional metrics snapshot. *)
 let encode_sample (s : sample) =
   let b = Buffer.create 256 in
-  Buffer.add_string b codec_version;
-  put_int b s.ts_ns;
-  put_int b s.pulled;
-  put_int b s.settled;
-  put_int b s.quarantined;
-  put_int b s.in_flight;
-  put_int b s.window;
-  put_int b s.retries;
-  put_int b s.stalls;
-  put_int b s.backoffs;
-  put_int b s.deferrals;
-  put_int b s.rss_kb;
-  put_int b s.child_rss_kb;
-  put_int b s.minor_words;
-  put_int b s.major_words;
-  (match s.metrics with
-  | None -> Buffer.add_char b '0'
-  | Some m ->
-      Buffer.add_char b '1';
-      put_int_array b m.Metrics.counters;
-      put_int_array b m.Metrics.phase_count;
-      put_int_array b m.Metrics.phase_ns;
-      put_int_array b m.Metrics.phase_hist);
+  Wire.put_magic b codec_version;
+  List.iter (Wire.put_int b)
+    [
+      s.ts_ns; s.pulled; s.settled; s.quarantined; s.in_flight; s.window; s.retries;
+      s.stalls; s.backoffs; s.deferrals; s.rss_kb; s.child_rss_kb; s.minor_words;
+      s.major_words;
+    ];
+  Wire.put_option b Metrics.write_snapshot s.metrics;
   Buffer.contents b
 
-(* Total: [None] on any malformed payload, never raises, never reads
-   out of bounds.  Mirrors the OPR3/OQR1 decoders, including the
-   length-tolerant counter array (an open enumeration across releases)
-   and the trailing exact-consumption check. *)
 let decode_sample (s : string) : sample option =
-  let pos = ref 0 in
-  let n = String.length s in
-  let exception Bad in
-  let take k =
-    if k < 0 || n - !pos < k then raise Bad;
-    let r = String.sub s !pos k in
-    pos := !pos + k;
-    r
-  in
-  let get_int () =
-    let s = take 8 in
-    Int64.to_int (Bytes.get_int64_le (Bytes.unsafe_of_string s) 0)
-  in
-  let get_int_array expect =
-    if get_int () <> expect then raise Bad;
-    if expect < 0 || expect * 8 > n - !pos then raise Bad;
-    Array.init expect (fun _ -> get_int ())
-  in
-  let get_counters () =
-    let k = get_int () in
-    if k < 0 || k > 64 || k * 8 > n - !pos then raise Bad;
-    let a = Array.init k (fun _ -> get_int ()) in
-    let counters = Array.make Metrics.ncounters 0 in
-    Array.blit a 0 counters 0 (min k Metrics.ncounters);
-    counters
-  in
-  match
-    if take 4 <> codec_version then raise Bad;
-    let ts_ns = get_int () in
-    let pulled = get_int () in
-    let settled = get_int () in
-    let quarantined = get_int () in
-    let in_flight = get_int () in
-    let window = get_int () in
-    let retries = get_int () in
-    let stalls = get_int () in
-    let backoffs = get_int () in
-    let deferrals = get_int () in
-    let rss_kb = get_int () in
-    let child_rss_kb = get_int () in
-    let minor_words = get_int () in
-    let major_words = get_int () in
-    let metrics =
-      match (take 1).[0] with
-      | '0' -> None
-      | '1' ->
-          let counters = get_counters () in
-          let phase_count = get_int_array Metrics.nphases in
-          let phase_ns = get_int_array Metrics.nphases in
-          let phase_hist = get_int_array (Metrics.nphases * Metrics.nbuckets) in
-          Some { Metrics.counters; phase_count; phase_ns; phase_hist }
-      | _ -> raise Bad
-    in
-    if !pos <> n then raise Bad;
-    {
-      ts_ns;
-      pulled;
-      settled;
-      quarantined;
-      in_flight;
-      window;
-      retries;
-      stalls;
-      backoffs;
-      deferrals;
-      rss_kb;
-      child_rss_kb;
-      minor_words;
-      major_words;
-      metrics;
-    }
-  with
-  | s -> Some s
-  | exception Bad -> None
+  Wire.decode s (fun r ->
+      if Wire.get_magic r 4 <> codec_version then Wire.fail ();
+      let ts_ns = Wire.get_int r in
+      let pulled = Wire.get_int r in
+      let settled = Wire.get_int r in
+      let quarantined = Wire.get_int r in
+      let in_flight = Wire.get_int r in
+      let window = Wire.get_int r in
+      let retries = Wire.get_int r in
+      let stalls = Wire.get_int r in
+      let backoffs = Wire.get_int r in
+      let deferrals = Wire.get_int r in
+      let rss_kb = Wire.get_int r in
+      let child_rss_kb = Wire.get_int r in
+      let minor_words = Wire.get_int r in
+      let major_words = Wire.get_int r in
+      let metrics = Wire.get_option r Metrics.read_snapshot in
+      {
+        ts_ns;
+        pulled;
+        settled;
+        quarantined;
+        in_flight;
+        window;
+        retries;
+        stalls;
+        backoffs;
+        deferrals;
+        rss_kb;
+        child_rss_kb;
+        minor_words;
+        major_words;
+        metrics;
+      })
 
 (* -- sampler state ----------------------------------------------------- *)
 

@@ -27,6 +27,7 @@ let () =
       ("corpus", Test_corpus.suite);
       ("trace", Test_trace.suite);
       ("prop", Test_prop.suite);
+      ("wire", Test_wire.suite);
       ("stress", Test_stress.suite);
       ("golden", Test_golden.suite);
     ]

@@ -1,9 +1,11 @@
 (* Property-based tests (Qcheck_lite over the repo's splitmix64 Rng) for
    the durable run layer:
 
-   - the OPR1 verdict codec round-trips arbitrary reports exactly
-     ([decode_result (encode_result r) = r] on the persisted fields), and
-     is total on garbage;
+   - every wire codec — the OPR3 verdict record, the provenance blob, the
+     OTL1 telemetry sample, the OQR1 quarantine record and the CRC frame —
+     round-trips arbitrary values exactly and is total on garbage,
+     byte-flips and truncations, through one suite parameterised by codec;
+   - OPR2 records, written before the bump to OPR3, still decode;
    - the journal reader ([Journal.replay] / [Journal.parse]) never raises
      on corrupted files — random byte-flips and truncations of a valid
      journal always yield a valid prefix of the original records. *)
@@ -12,6 +14,8 @@ module Q = Qcheck_lite
 module Journal = Octo_util.Journal
 module Metrics = Octo_util.Metrics
 module Prov = Octopocs.Provenance
+module Sandbox = Octo_util.Sandbox
+module Telemetry = Octo_util.Telemetry
 
 (* -- generators -------------------------------------------------------- *)
 
@@ -166,114 +170,48 @@ let gen_report : Octopocs.report Q.gen =
 let gen_labelled_report : (string * string * Octopocs.report) Q.gen =
  fun rng -> (gen_label rng, gen_key rng, gen_report rng)
 
-(* -- codec round-trip -------------------------------------------------- *)
+(* Samples with and without an attached metrics snapshot; histogram
+   buckets populated too (gen_metrics leaves them zero, and the OTL1
+   frame persists all of them). *)
+let gen_sample : Telemetry.sample Q.gen =
+ fun rng ->
+  let i lo hi = Q.int_range lo hi rng in
+  let metrics =
+    match gen_metrics rng with
+    | None -> None
+    | Some s ->
+        for k = 0 to Array.length s.Metrics.phase_hist - 1 do
+          s.Metrics.phase_hist.(k) <- Q.int_range 0 50 rng
+        done;
+        Some s
+  in
+  {
+    Telemetry.ts_ns = i 0 1_000_000_000;
+    pulled = i 0 100000;
+    settled = i 0 100000;
+    quarantined = i 0 1000;
+    in_flight = i 0 64;
+    window = i 0 64;
+    retries = i 0 1000;
+    stalls = i 0 1000;
+    backoffs = i 0 1000;
+    deferrals = i 0 1000;
+    rss_kb = i 0 10_000_000;
+    child_rss_kb = i 0 10_000_000;
+    minor_words = i 0 1_000_000_000;
+    major_words = i 0 1_000_000_000;
+    metrics;
+  }
 
-let verdict_eq a b =
-  match (a, b) with
-  | Octopocs.Triggered x, Octopocs.Triggered y -> x.poc' = y.poc' && x.ptype = y.ptype
-  | Octopocs.Not_triggerable x, Octopocs.Not_triggerable y -> x = y
-  | Octopocs.Failure x, Octopocs.Failure y -> x = y
-  | _ -> false
-
-let metrics_eq a b =
-  match (a, b) with
-  | None, None -> true
-  | Some x, Some y -> Metrics.equal x y
-  | _ -> false
-
-let roundtrip_ok (label, key, (r : Octopocs.report)) =
-  match Octopocs.decode_result (Octopocs.encode_result ~label ~key r) with
-  | None ->
-      Printf.eprintf
-        "roundtrip: decode_result returned None (label=%S key_len=%d verdict=%s ell=%d \
-         degr=%d metrics=%b)\n\
-         %!"
-        label (String.length key)
-        (match r.verdict with
-        | Octopocs.Triggered _ -> "T"
-        | Octopocs.Not_triggerable (Octopocs.Constraint_conflict k) ->
-            Printf.sprintf "Nc(%d)" k
-        | Octopocs.Not_triggerable _ -> "N"
-        | Octopocs.Failure _ -> "F")
-        (List.length r.ell)
-        (List.length r.degradations)
-        (r.metrics <> None);
-      false
-  | Some (label', key', r') ->
-      let checks =
-        [
-          ("label", label' = label);
-          ("key", key' = key);
-          ("verdict", verdict_eq r'.verdict r.verdict);
-          ("ep", r'.ep = r.ep);
-          ("ell", r'.ell = r.ell);
-          ("degradations", r'.degradations = r.degradations);
-          ("elapsed_s", r'.elapsed_s = r.elapsed_s);
-          ("metrics", metrics_eq r'.metrics r.metrics);
-          (* events are plain immutable data, structural equality is exact *)
-          ("provenance", r'.provenance = r.provenance);
-        ]
-      in
-      List.iter
-        (fun (f, ok) -> if not ok then Printf.eprintf "roundtrip: field %s differs\n%!" f)
-        checks;
-      List.for_all snd checks
-
-(* decode_result must be total: arbitrary bytes are Some _ or None, never
-   an escaped exception.  (Records that happen to parse are fine — the
-   property is totality, not rejection.) *)
-let decode_total s =
-  match Octopocs.decode_result s with Some _ | None -> true
-
-(* Flipping any single byte of a valid encoding must not crash the
-   decoder.  (It MAY still decode: a flip inside poc' bytes or a label is
-   not detectable by the codec itself — record integrity is the journal
-   CRC's job, exercised below.) *)
-let flip_safe ((label, key, r), (pos_frac, newbyte)) =
-  let enc = Octopocs.encode_result ~label ~key r in
-  if String.length enc = 0 then true
-  else begin
-    let pos = pos_frac mod String.length enc in
-    let b = Bytes.of_string enc in
-    Bytes.set b pos (Char.chr newbyte);
-    decode_total (Bytes.to_string b)
-  end
-
-(* Truncating a valid encoding anywhere must decode to None (every field
-   is length-prefixed, so a shorter record is always detectably short) —
-   and, above all, must not raise. *)
-let truncate_none ((label, key, r), cut_frac) =
-  let enc = Octopocs.encode_result ~label ~key r in
-  let n = String.length enc in
-  if n = 0 then true
-  else begin
-    let cut = cut_frac mod n in
-    match Octopocs.decode_result (String.sub enc 0 cut) with
-    | Some _ -> false
-    | None -> true
-  end
-
-(* -- provenance codec -------------------------------------------------- *)
-
-let prov_roundtrip_ok p = Prov.decode (Prov.encode p) = Some p
-let prov_decode_total s = match Prov.decode s with Some _ | None -> true
-
-let prov_flip_safe (p, (pos_frac, newbyte)) =
-  let enc = Prov.encode p in
-  if String.length enc = 0 then true
-  else begin
-    let b = Bytes.of_string enc in
-    Bytes.set b (pos_frac mod String.length enc) (Char.chr newbyte);
-    prov_decode_total (Bytes.to_string b)
-  end
-
-(* The provenance decoder consumes the exact layout its prefixes promise
-   and rejects records that end early or late, so every strict truncation
-   is detectably short. *)
-let prov_truncate_none (p, cut_frac) =
-  let enc = Prov.encode p in
-  let cut = cut_frac mod String.length enc in
-  match Prov.decode (String.sub enc 0 cut) with Some _ -> false | None -> true
+let gen_quarantine : Octopocs.quarantine Q.gen =
+ fun rng ->
+  let text n = Q.byte_string (Q.int_range 0 n) rng in
+  let qlabel = gen_label rng in
+  let qkey = gen_key rng in
+  let qreason = text 20 in
+  let qmessage = text 60 in
+  let qbacktrace = text 120 in
+  { Octopocs.qlabel; qkey; qreason; qmessage; qbacktrace; qattempts = Q.int_range 1 9 rng }
 
 (* -- OPR2 legacy compatibility ----------------------------------------- *)
 
@@ -337,16 +275,8 @@ let encode_result_opr2 ~label ~key (r : Octopocs.report) =
   Buffer.contents b
 
 let legacy_decodes_ok (label, key, (r : Octopocs.report)) =
-  match Octopocs.decode_result (encode_result_opr2 ~label ~key r) with
-  | None -> false
-  | Some (label', key', r') ->
-      label' = label && key' = key
-      && verdict_eq r'.verdict r.verdict
-      && r'.ep = r.ep && r'.ell = r.ell
-      && r'.degradations = r.degradations
-      && r'.elapsed_s = r.elapsed_s
-      && metrics_eq r'.metrics r.metrics
-      && r'.provenance = None
+  Octopocs.decode_result (encode_result_opr2 ~label ~key r)
+  = Some (label, key, { r with provenance = None })
 
 (* -- journal corruption ------------------------------------------------ *)
 
@@ -426,7 +356,7 @@ let truncate_prop ((payloads, cut_frac) : string list * int) =
   Sys.remove path;
   ok
 
-(* -- suite ------------------------------------------------------------- *)
+(* Journals of random verdict records, and the byte-flips applied to them. *)
 
 let gen_payloads : string list Q.gen =
   Q.list_of (Q.int_range 0 6)
@@ -485,117 +415,144 @@ let backoff_keys_decorrelated (k1, k2) =
               (Pool.backoff_delay ~key:k2 ~attempt ())))
        [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 
-(* -- OTL1 telemetry codec ----------------------------------------------- *)
+(* -- one property suite per codec ----------------------------------------- *)
 
-module Telemetry = Octo_util.Telemetry
+type 'a codec = {
+  name : string;
+  noun : string;  (** what the round-trip case generates *)
+  gen : 'a Q.gen;
+  encode : 'a -> string;
+  decode : string -> 'a option;
+  tail_cut : 'a -> (int * 'a) option;
+      (** the one strict prefix of [encode v] that is itself a valid
+          record, if any, and the value it decodes to *)
+  seeds : int * int * int * int;  (** round-trip, totality, flip, truncation *)
+}
 
-(* Samples with and without an attached metrics snapshot; histogram
-   buckets populated too (gen_metrics leaves them zero, and the OTL1
-   frame persists all of them). *)
-let gen_sample : Telemetry.sample Q.gen =
- fun rng ->
-  let i lo hi = Q.int_range lo hi rng in
-  let metrics =
-    match gen_metrics rng with
-    | None -> None
-    | Some s ->
-        for k = 0 to Array.length s.Metrics.phase_hist - 1 do
-          s.Metrics.phase_hist.(k) <- Q.int_range 0 50 rng
-        done;
-        Some s
-  in
+(* OPR3's provenance blob is an optional tail: cutting a record exactly
+   where that tail starts leaves a valid record without provenance.  The
+   codec cannot tell the two apart without a presence flag (a new record
+   version); a cut there is caught by the journal frame's CRC, as a
+   byte-flip inside poc' or a label is. *)
+let opr3 =
   {
-    Telemetry.ts_ns = i 0 1_000_000_000;
-    pulled = i 0 100000;
-    settled = i 0 100000;
-    quarantined = i 0 1000;
-    in_flight = i 0 64;
-    window = i 0 64;
-    retries = i 0 1000;
-    stalls = i 0 1000;
-    backoffs = i 0 1000;
-    deferrals = i 0 1000;
-    rss_kb = i 0 10_000_000;
-    child_rss_kb = i 0 10_000_000;
-    minor_words = i 0 1_000_000_000;
-    major_words = i 0 1_000_000_000;
-    metrics;
+    name = "codec";
+    noun = "reports";
+    gen = gen_labelled_report;
+    encode = (fun (label, key, r) -> Octopocs.encode_result ~label ~key r);
+    decode = Octopocs.decode_result;
+    tail_cut =
+      (fun (label, key, (r : Octopocs.report)) ->
+        Option.map
+          (fun _ ->
+            let r' = { r with provenance = None } in
+            (String.length (Octopocs.encode_result ~label ~key r'), (label, key, r')))
+          r.provenance);
+    seeds = (0xC0DEC, 0xBAD, 0xF11B, 0x7C);
   }
 
-let otl_roundtrip_ok s = Telemetry.decode_sample (Telemetry.encode_sample s) = Some s
+let no_tail _ = None
 
-let otl_decode_total bytes =
-  match Telemetry.decode_sample bytes with Some _ | None -> true
+let provenance =
+  {
+    name = "provenance";
+    noun = "logs";
+    gen = gen_prov;
+    encode = Prov.encode;
+    decode = Prov.decode;
+    tail_cut = no_tail;
+    seeds = (0x940C, 0x94BAD, 0x94F1, 0x947C);
+  }
 
-let otl_flip_safe (s, (pos_frac, newbyte)) =
-  let enc = Bytes.of_string (Telemetry.encode_sample s) in
-  if Bytes.length enc = 0 then true
-  else begin
-    Bytes.set enc (pos_frac mod Bytes.length enc) (Char.chr newbyte);
-    match Telemetry.decode_sample (Bytes.to_string enc) with Some _ | None -> true
-  end
+let telemetry =
+  {
+    name = "telemetry";
+    noun = "samples";
+    gen = gen_sample;
+    encode = Telemetry.encode_sample;
+    decode = Telemetry.decode_sample;
+    tail_cut = no_tail;
+    seeds = (0x071A, 0x071B, 0x071C, 0x071D);
+  }
 
-let otl_truncate_none (s, cut_frac) =
-  let enc = Telemetry.encode_sample s in
-  let cut = cut_frac mod (String.length enc + 1) in
-  if cut = String.length enc then true
-  else Telemetry.decode_sample (String.sub enc 0 cut) = None
+let quarantine =
+  {
+    name = "quarantine";
+    noun = "records";
+    gen = gen_quarantine;
+    encode = Octopocs.encode_quarantine;
+    decode = Octopocs.decode_quarantine;
+    tail_cut = no_tail;
+    seeds = (0x0A1A, 0x0A1B, 0x0A1C, 0x0A1D);
+  }
+
+let frame =
+  {
+    name = "frame";
+    noun = "payloads";
+    gen = Q.byte_string (Q.int_range 0 200);
+    encode = Sandbox.frame;
+    decode = (fun s -> Result.to_option (Sandbox.parse_frame s));
+    tail_cut = no_tail;
+    seeds = (0xF4A0, 0xF4A1, 0xF4A2, 0xF4A3);
+  }
+
+let codec_suite c =
+  let rt_seed, total_seed, flip_seed, cut_seed = c.seeds in
+  let case what ~seed gen prop = Q.test_case (c.name ^ ": " ^ what) ~seed ~count:300 gen prop in
+  [
+    case ("random " ^ c.noun ^ " round-trip exactly") ~seed:rt_seed c.gen (fun v ->
+        c.decode (c.encode v) = Some v);
+    (* Totality, not rejection: garbage that happens to parse is fine. *)
+    case "decode is total on random bytes" ~seed:total_seed
+      (Q.byte_string (Q.int_range 0 200))
+      (fun s ->
+        ignore (c.decode s);
+        true);
+    (* A flip MAY still decode (inside a string field the codec cannot
+       see it; record integrity is the frame CRC's job) but must never
+       raise. *)
+    case "single byte-flips never crash the decoder" ~seed:flip_seed
+      (Q.pair c.gen (Q.pair (Q.int_range 0 1_000_000) (Q.int_range 0 255)))
+      (fun (v, (pos_frac, newbyte)) ->
+        let b = Bytes.of_string (c.encode v) in
+        if Bytes.length b > 0 then Bytes.set b (pos_frac mod Bytes.length b) (Char.chr newbyte);
+        ignore (c.decode (Bytes.to_string b));
+        true);
+    (* Every strict prefix, not a sampled one: each decodes to [None],
+       except the codec's [tail_cut], which decodes to exactly its value. *)
+    case "truncations decode to None, never raise" ~seed:cut_seed c.gen (fun v ->
+        let enc = c.encode v in
+        let tail = c.tail_cut v in
+        List.for_all
+          (fun cut ->
+            let got = c.decode (String.sub enc 0 cut) in
+            match tail with
+            | Some (at, v') when at = cut -> got = Some v'
+            | _ -> got = None)
+          (List.init (String.length enc) Fun.id));
+  ]
 
 let suite =
-  [
-    Q.test_case "codec: random reports round-trip exactly" ~seed:0xC0DEC ~count:300
-      gen_labelled_report roundtrip_ok;
-    Q.test_case "codec: decode is total on random bytes" ~seed:0xBAD ~count:300
-      (Q.byte_string (Q.int_range 0 200))
-      decode_total;
-    Q.test_case "codec: single byte-flips never crash the decoder" ~seed:0xF11B ~count:300
-      (Q.pair gen_labelled_report (Q.pair (Q.int_range 0 1_000_000) (Q.int_range 0 255)))
-      flip_safe;
-    Q.test_case "codec: truncations decode to None, never raise" ~seed:0x7C ~count:300
-      (Q.pair gen_labelled_report (Q.int_range 0 1_000_000))
-      truncate_none;
-    Q.test_case "codec: hand-built OPR2 records decode with provenance=None" ~seed:0x0972
-      ~count:300 gen_labelled_report legacy_decodes_ok;
-    Q.test_case "provenance: random logs round-trip exactly" ~seed:0x940C ~count:300
-      gen_prov prov_roundtrip_ok;
-    Q.test_case "provenance: decode is total on random bytes" ~seed:0x94BAD ~count:300
-      (Q.byte_string (Q.int_range 0 200))
-      prov_decode_total;
-    Q.test_case "provenance: single byte-flips never crash the decoder" ~seed:0x94F1
-      ~count:300
-      (Q.pair gen_prov (Q.pair (Q.int_range 0 1_000_000) (Q.int_range 0 255)))
-      prov_flip_safe;
-    Q.test_case "provenance: truncations decode to None, never raise" ~seed:0x947C
-      ~count:300
-      (Q.pair gen_prov (Q.int_range 0 1_000_000))
-      prov_truncate_none;
-    Q.test_case "journal: random byte-flips -> replay returns a valid prefix" ~seed:0x10F1
-      ~count:60
-      (Q.pair gen_payloads gen_flips)
-      corrupt_prop;
-    Q.test_case "journal: random truncations -> replay returns a valid prefix" ~seed:0x7210
-      ~count:60
-      (Q.pair gen_payloads (Q.int_range 0 1_000_000))
-      truncate_prop;
-    Q.test_case "backoff: same key and attempt replay the exact delay" ~seed:0xBAC0
-      ~count:300 (Q.pair gen_bkey gen_attempt) backoff_deterministic;
-    Q.test_case "backoff: jitter stays inside the [0.5d, 1.5d) envelope" ~seed:0xBAC1
-      ~count:300 (Q.pair gen_bkey gen_attempt) backoff_envelope;
-    Q.test_case "backoff: envelope midpoint is monotone and capped" ~seed:0xBAC2
-      ~count:100 gen_bkey backoff_envelope_monotone_capped;
-    Q.test_case "backoff: distinct keys draw decorrelated jitter streams" ~seed:0xBAC3
-      ~count:300 (Q.pair gen_bkey gen_bkey) backoff_keys_decorrelated;
-    Q.test_case "telemetry: random samples round-trip exactly" ~seed:0x071A ~count:300
-      gen_sample otl_roundtrip_ok;
-    Q.test_case "telemetry: decode is total on random bytes" ~seed:0x071B ~count:300
-      (Q.byte_string (Q.int_range 0 200))
-      otl_decode_total;
-    Q.test_case "telemetry: single byte-flips never crash the decoder" ~seed:0x071C
-      ~count:300
-      (Q.pair gen_sample (Q.pair (Q.int_range 0 1_000_000) (Q.int_range 0 255)))
-      otl_flip_safe;
-    Q.test_case "telemetry: truncations decode to None, never raise" ~seed:0x071D
-      ~count:300
-      (Q.pair gen_sample (Q.int_range 0 1_000_000))
-      otl_truncate_none;
-  ]
+  codec_suite opr3 @ codec_suite provenance @ codec_suite telemetry @ codec_suite quarantine
+  @ codec_suite frame
+  @ [
+      Q.test_case "codec: hand-built OPR2 records decode with provenance=None" ~seed:0x0972
+        ~count:300 gen_labelled_report legacy_decodes_ok;
+      Q.test_case "journal: random byte-flips -> replay returns a valid prefix" ~seed:0x10F1
+        ~count:60
+        (Q.pair gen_payloads gen_flips)
+        corrupt_prop;
+      Q.test_case "journal: random truncations -> replay returns a valid prefix" ~seed:0x7210
+        ~count:60
+        (Q.pair gen_payloads (Q.int_range 0 1_000_000))
+        truncate_prop;
+      Q.test_case "backoff: same key and attempt replay the exact delay" ~seed:0xBAC0
+        ~count:300 (Q.pair gen_bkey gen_attempt) backoff_deterministic;
+      Q.test_case "backoff: jitter stays inside the [0.5d, 1.5d) envelope" ~seed:0xBAC1
+        ~count:300 (Q.pair gen_bkey gen_attempt) backoff_envelope;
+      Q.test_case "backoff: envelope midpoint is monotone and capped" ~seed:0xBAC2
+        ~count:100 gen_bkey backoff_envelope_monotone_capped;
+      Q.test_case "backoff: distinct keys draw decorrelated jitter streams" ~seed:0xBAC3
+        ~count:300 (Q.pair gen_bkey gen_bkey) backoff_keys_decorrelated;
+    ]
