@@ -39,64 +39,128 @@ type clone_pair = {
   renamed : bool;  (** the clone carries a different name in T *)
 }
 
+(* ------------------------------------------------------------------ *)
+(* Clone profiles.
+
+   Everything ℓ needs from one program — every function's fingerprint and
+   an fp -> names index — depends on that program alone, so a profile
+   computes it once per program and ℓ is a join of two profiles: a
+   program taking part in many pairs (a scan probe, a scan target) is
+   fingerprinted once, not once per pair.  The profile also holds one
+   k-gram slot per function, which {!Detect} fills with the function's
+   full sorted k-gram set the first time a confirmation scores it
+   (ℓ-only callers never pay for it). *)
+
+type profile = {
+  fps : (string * string) list;  (** (function name, fingerprint) *)
+  by_fp : (string, string) Hashtbl.t;
+      (** fingerprint -> names, added in the program's [funcs] iteration
+          order, so [find_all] yields the candidate order of a direct
+          scan of the program *)
+  grams : (string, (int * int array) option Atomic.t) Hashtbl.t;
+      (** per function: the (k, sorted full k-gram set) last stored *)
+}
+
+let profile_of ?level (p : program) : profile =
+  let n = Hashtbl.length p.funcs in
+  let by_fp = Hashtbl.create n and grams = Hashtbl.create n in
+  let fps =
+    Hashtbl.fold
+      (fun name f acc ->
+        let fp = fingerprint ?level f in
+        Hashtbl.add by_fp fp name;
+        Hashtbl.replace grams name (Atomic.make None);
+        (name, fp) :: acc)
+      p.funcs []
+  in
+  (* In iteration order, so a shadowed binding never precedes the
+     current one. *)
+  { fps = List.rev fps; by_fp; grams }
+
+(** The join: every function of [sp] whose fingerprint occurs in [tp],
+    matched to its same-name clone when there is one, otherwise to the
+    first candidate. *)
+let join (sp : profile) (tp : profile) : clone_pair list =
+  List.filter_map
+    (fun (s_name, fp) ->
+      match Hashtbl.find_all tp.by_fp fp with
+      | [] -> None
+      | candidates ->
+          let t_name = if List.mem s_name candidates then s_name else List.hd candidates in
+          Some { s_func = s_name; t_func = t_name; renamed = t_name <> s_name })
+    sp.fps
+  |> List.sort compare
+
 (** [shared_functions ?level s t] computes ℓ: every function of [s] whose
     fingerprint also occurs in [t].  Same-name matches are preferred;
     renamed clones are reported with [renamed = true]. *)
 let shared_functions ?level (s : program) (t : program) : clone_pair list =
-  let t_by_fp = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun name f -> Hashtbl.add t_by_fp (fingerprint ?level f) name)
-    t.funcs;
-  let pairs = ref [] in
-  Hashtbl.iter
-    (fun s_name f ->
-      let fp = fingerprint ?level f in
-      match Hashtbl.find_all t_by_fp fp with
-      | [] -> ()
-      | candidates ->
-          let t_name = if List.mem s_name candidates then s_name else List.hd candidates in
-          pairs := { s_func = s_name; t_func = t_name; renamed = t_name <> s_name } :: !pairs)
-    s.funcs;
-  List.sort compare !pairs
+  join (profile_of ?level s) (profile_of ?level t)
 
-(* ------------------------------------------------------------------ *)
-(* Content-keyed result cache.
+let profile_fp (p : profile) name = List.assoc_opt name p.fps
+let profile_has_fp (p : profile) fp = Hashtbl.mem p.by_fp fp
 
-   [shared_functions] re-fingerprints every function of BOTH programs on
-   every call — at ~86µs per pair-1-sized pair that is over half the whole
-   pipeline, paid again for every run, ladder rung and batch retry of the
-   same (s, t).  The result is a pure function of program content and the
-   abstraction level, so it is cached under the same canonical digest the
-   verdict cache builds on. *)
+let profile_grams (p : profile) ~k name ~compute =
+  match Hashtbl.find_opt p.grams name with
+  | None -> compute ()
+  | Some slot -> (
+      match Atomic.get slot with
+      | Some (k', g) when k' = k -> g
+      | _ ->
+          (* Two domains may both compute the set; they store equal
+             values, so either write is correct. *)
+          let g = compute () in
+          Atomic.set slot (Some (k, g));
+          g)
 
-let ell_cache : (level * string * string, clone_pair list) Hashtbl.t = Hashtbl.create 16
-let ell_cache_lock = Mutex.create ()
-let ell_cache_cap = 256
+(* The profile table: bounded, keyed by (level, content digest), and
+   reset when full like the compile cache.  A profile is immutable once
+   built apart from its k-gram slots, so lookups hand out shared
+   references safely across domains; callers that must see every
+   program of a large pass exactly once (Scan) hold the references
+   themselves rather than rely on the table. *)
+let profiles : (level * string, profile) Hashtbl.t = Hashtbl.create 64
+let profiles_lock = Mutex.create ()
+let profiles_cap = 128
 
-(** [shared_functions_cached ?level ?sdig ?tdig s t] is {!shared_functions}
-    memoized by (level, content digest of [s], content digest of [t]).
-    [sdig]/[tdig] let callers that already digested the programs skip
-    recomputation; they MUST equal {!Octo_vm.Compile.program_digest} of the
-    respective program.  Hits are counted under
-    {!Octo_util.Metrics.Cache_hits}.  Safe under domains. *)
-let shared_functions_cached ?(level = Exact) ?sdig ?tdig (s : program) (t : program) :
-    clone_pair list =
-  let dig d p = match d with Some d -> d | None -> Octo_vm.Compile.program_digest p in
-  let key = (level, dig sdig s, dig tdig t) in
-  Mutex.lock ell_cache_lock;
-  let hit = Hashtbl.find_opt ell_cache key in
-  Mutex.unlock ell_cache_lock;
+(* The profile of [p] and whether it was served from the table. *)
+let lookup ~level ?digest (p : program) : profile * bool =
+  let key = (level, match digest with Some d -> d | None -> Octo_vm.Compile.program_digest p) in
+  Mutex.lock profiles_lock;
+  let hit = Hashtbl.find_opt profiles key in
+  Mutex.unlock profiles_lock;
   match hit with
-  | Some pairs ->
-      Octo_util.Metrics.incr Octo_util.Metrics.Cache_hits;
-      pairs
+  | Some pr -> (pr, true)
   | None ->
-      let pairs = shared_functions ~level s t in
-      Mutex.lock ell_cache_lock;
-      if Hashtbl.length ell_cache >= ell_cache_cap then Hashtbl.reset ell_cache;
-      if not (Hashtbl.mem ell_cache key) then Hashtbl.add ell_cache key pairs;
-      Mutex.unlock ell_cache_lock;
-      pairs
+      let pr = profile_of ~level p in
+      Mutex.lock profiles_lock;
+      (* Keep whichever profile landed first, so concurrent callers
+         share one set of k-gram slots. *)
+      let pr =
+        match Hashtbl.find_opt profiles key with
+        | Some pr' -> pr'
+        | None ->
+            if Hashtbl.length profiles >= profiles_cap then Hashtbl.reset profiles;
+            Hashtbl.add profiles key pr;
+            pr
+      in
+      Mutex.unlock profiles_lock;
+      (pr, false)
+
+let profile ?(level = Exact) ?digest p = fst (lookup ~level ?digest p)
+
+let profile_pair ?(level = Exact) ?sdig ?tdig (s : program) (t : program) =
+  let sp, s_hit = lookup ~level ?digest:sdig s in
+  let tp, t_hit = lookup ~level ?digest:tdig t in
+  (* One hit per ℓ served wholly from the table: the counter means "one
+     ℓ served from cache", not one per profile. *)
+  if s_hit && t_hit then Octo_util.Metrics.incr Octo_util.Metrics.Cache_hits;
+  (sp, tp)
+
+let shared_functions_cached ?level ?sdig ?tdig (s : program) (t : program) :
+    clone_pair list =
+  let sp, tp = profile_pair ?level ?sdig ?tdig s t in
+  join sp tp
 
 (** [ell_names pairs] is the ℓ set as T-side function names — the form the
     OCTOPOCS pipeline consumes. *)

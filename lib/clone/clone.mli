@@ -21,16 +21,55 @@ type clone_pair = {
   renamed : bool;  (** the clone carries a different name in T *)
 }
 
+(** A clone profile: everything ℓ needs from one program, computed once
+    — each function's fingerprint at one {!level}, an fp -> names index,
+    and a per-function slot for the function's full k-gram set, which
+    {!Detect} fills on first use. *)
+type profile
+
+(** [profile ?level ?digest p] is [p]'s profile from the profile table,
+    built on a miss.  The table is bounded (128 profiles, reset when
+    full), keyed by (level, {!Octo_vm.Compile.program_digest}), and safe
+    under domains; [digest], when given, MUST equal that digest.  A
+    caller that needs a program's profile for a whole pass holds the
+    returned reference rather than looking it up again. *)
+val profile : ?level:level -> ?digest:string -> program -> profile
+
+(** [profile_pair ?level ?sdig ?tdig s t] is [(profile s, profile t)],
+    counting one {!Octo_util.Metrics.Cache_hits} when both came from the
+    table — one ℓ served from cache. *)
+val profile_pair :
+  ?level:level -> ?sdig:string -> ?tdig:string -> program -> program -> profile * profile
+
+(** [join sp tp] is ℓ of the two profiled programs: every function of
+    [sp] whose fingerprint occurs in [tp], matched to the same-name clone
+    when there is one, sorted. *)
+val join : profile -> profile -> clone_pair list
+
+(** [profile_fp p name] is the fingerprint of function [name]. *)
+val profile_fp : profile -> string -> string option
+
+(** [profile_has_fp p fp] holds when some function of [p] has
+    fingerprint [fp]. *)
+val profile_has_fp : profile -> string -> bool
+
+(** [profile_grams p ~k name ~compute] is the k-gram set cached for
+    function [name] at length [k], computed by [compute ()] and stored on
+    first use (a function [p] does not hold is computed, never stored).
+    [compute] must be a pure function of the function's content and [k]. *)
+val profile_grams : profile -> k:int -> string -> compute:(unit -> int array) -> int array
+
 (** [shared_functions ?level s t] computes ℓ: every function of [s] whose
-    fingerprint also occurs in [t]; same-name matches preferred. *)
+    fingerprint also occurs in [t]; same-name matches preferred.  Profiles
+    both programs afresh. *)
 val shared_functions : ?level:level -> program -> program -> clone_pair list
 
 (** [shared_functions_cached ?level ?sdig ?tdig s t] is {!shared_functions}
-    memoized by program content digest (the canonical digest of
-    {!Octo_vm.Compile.program_digest}; pass [sdig]/[tdig] when already
-    computed).  The pipeline's hot path: clone detection re-fingerprints
-    both whole programs otherwise.  Hits count under
-    {!Octo_util.Metrics.Cache_hits}; safe under domains. *)
+    over the table's profiles ({!profile_pair}): each program is
+    fingerprinted once while its profile stays in the table, whichever
+    pairs it takes part in.  [sdig]/[tdig] are the programs'
+    {!Octo_vm.Compile.program_digest} values when already computed.  The
+    pipeline's hot path; safe under domains. *)
 val shared_functions_cached :
   ?level:level -> ?sdig:string -> ?tdig:string -> program -> program -> clone_pair list
 

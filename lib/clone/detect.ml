@@ -148,6 +148,25 @@ let fingerprint_norm (f : func) : string =
 
 module ISet = Set.Make (Int)
 
+(* Every k-gram hash of [f]'s normalized token stream, in stream order;
+   a function shorter than [k] tokens gives the single hash of its whole
+   stream. *)
+let gram_hashes ~k (f : func) : int array =
+  let toks = Array.of_list (tokens f) in
+  let n = Array.length toks in
+  if n = 0 then [||]
+  else if n < k then
+    [| hash_string (string_of_int f.nparams ^ String.concat ";" (Array.to_list toks)) |]
+  else begin
+    let th = Array.map hash_string toks in
+    Array.init (n - k + 1) (fun i ->
+        let g = ref 0x165667B1 in
+        for j = i to i + k - 1 do
+          g := (!g * fnv_prime lxor th.(j)) land mask61
+        done;
+        !g)
+  end
+
 (** [shingles ~k ~w f] is the winnowed k-gram shingle set of [f]'s
     normalized token stream: hash every window of [k] consecutive token
     hashes, then keep each [w]-window's minimum (rightmost on ties) —
@@ -155,39 +174,59 @@ module ISet = Set.Make (Int)
     near-identical shingles.  A function shorter than [k] tokens
     contributes the single hash of its whole stream. *)
 let shingles ~k ~w (f : func) : ISet.t =
-  let toks = Array.of_list (tokens f) in
-  let n = Array.length toks in
-  let th = Array.map hash_string toks in
-  if n = 0 then ISet.empty
-  else if n < k then
-    ISet.singleton
-      (hash_string (string_of_int f.nparams ^ String.concat ";" (Array.to_list toks)))
+  let grams = gram_hashes ~k f in
+  let m = Array.length grams in
+  if m = 0 then ISet.empty
+  else if m <= w then begin
+    (* One short window: select its minimum. *)
+    let best = ref grams.(0) in
+    Array.iter (fun g -> if g <= !best then best := g) grams;
+    ISet.singleton !best
+  end
   else begin
-    let grams = Array.make (n - k + 1) 0 in
-    for i = 0 to n - k do
-      let g = ref 0x165667B1 in
-      for j = i to i + k - 1 do
-        g := (!g * fnv_prime lxor th.(j)) land mask61
-      done;
-      grams.(i) <- !g
-    done;
-    let m = Array.length grams in
     let sel = ref ISet.empty in
-    if m <= w then begin
-      (* One short window: select its minimum. *)
-      let best = ref grams.(0) in
-      Array.iter (fun g -> if g <= !best then best := g) grams;
-      sel := ISet.singleton !best
-    end
-    else
-      for i = 0 to m - w do
-        let best = ref grams.(i) in
-        for j = i + 1 to i + w - 1 do
-          if grams.(j) <= !best then best := grams.(j)
-        done;
-        sel := ISet.add !best !sel
+    for i = 0 to m - w do
+      let best = ref grams.(i) in
+      for j = i + 1 to i + w - 1 do
+        if grams.(j) <= !best then best := grams.(j)
       done;
+      sel := ISet.add !best !sel
+    done;
     !sel
+  end
+
+(* The full (unwinnowed) k-gram set of [f] as a sorted array without
+   duplicates: the form a clone profile keeps, intersected by a merge. *)
+let full_grams ~k (f : func) : int array =
+  let g = gram_hashes ~k f in
+  Array.sort Int.compare g;
+  let n = Array.length g in
+  let u = ref 0 in
+  for i = 0 to n - 1 do
+    if i = 0 || g.(i) <> g.(i - 1) then begin
+      g.(!u) <- g.(i);
+      incr u
+    end
+  done;
+  Array.sub g 0 !u
+
+(* |p ∩ t| / |p| over two sorted duplicate-free arrays. *)
+let contained (p : int array) (t : int array) : float =
+  let np = Array.length p and nt = Array.length t in
+  if np = 0 then 0.0
+  else begin
+    let i = ref 0 and j = ref 0 and common = ref 0 in
+    while !i < np && !j < nt do
+      let a = p.(!i) and b = t.(!j) in
+      if a = b then begin
+        incr common;
+        incr i;
+        incr j
+      end
+      else if a < b then incr i
+      else incr j
+    done;
+    float_of_int !common /. float_of_int np
   end
 
 (** [containment ~k probe target] is the probe-side containment
@@ -198,10 +237,7 @@ let shingles ~k ~w (f : func) : ISet.t =
     1.0.  Validation therefore re-scores on every k-gram — the
     retrieve-cheap / validate-precise split of VulCoCo. *)
 let containment ~k (probe : func) (target : func) : float =
-  let p = shingles ~k ~w:1 probe and t = shingles ~k ~w:1 target in
-  let total = ISet.cardinal p in
-  if total = 0 then 0.0
-  else float_of_int (ISet.cardinal (ISet.inter p t)) /. float_of_int total
+  contained (full_grams ~k probe) (full_grams ~k target)
 
 (* ------------------------------------------------------------------ *)
 (* Inverted index: shingle -> postings of (target label, function). *)
@@ -314,13 +350,14 @@ let s_crash ?max_steps (s : program) ~poc : Interp.crash option =
   | Interp.Exited _ -> None
   | exception _ -> None
 
-(** [confirm params ~s ~s_label ~t ~t_label ~vuln_func ~s_crash hit]
-    applies the validity filter to one retrieval hit:
+(** [confirm_profiled params ~sp ~tp ~s ~s_label ~t ~t_label ~vuln_func
+    ~s_crash hit] applies the validity filter to one retrieval hit, with
+    [sp]/[tp] the {!Clone.profile}s of [s]/[t]:
 
-    + shared-region alignment: ℓ is recomputed exactly via
-      {!Clone.shared_functions_cached}; the hit survives if [vuln_func]
-      is an exact clone, or its containment clears [tau_confirm] (the
-      near-clone path, which extends ℓ with the aligned pair);
+    + shared-region alignment: ℓ is the exact join of the two profiles
+      ({!Clone.join}); the hit survives if [vuln_func] is an exact clone,
+      or its containment clears [tau_confirm] (the near-clone path, which
+      extends ℓ with the aligned pair);
     + entry-point recovery: the first crash-backtrace frame of S that
       belongs to ℓ, mapped to its T-side name, is ep — mirroring the
       pipeline's own {!Octopocs.identify_ep}, so a confirmed diagonal
@@ -328,19 +365,22 @@ let s_crash ?max_steps (s : program) ~poc : Interp.crash option =
     + reachability: whether T's CFG calls ep from reachable code is
       recorded in [c_reachable] (a CFG failure records [None]).
 
-    [None] when the hit fails alignment or no entry point recovers.
-    [sdig]/[tdig] are the optional {!Octo_vm.Compile.program_digest}
-    values of [s]/[t], forwarded to the ℓ cache. *)
-let confirm params ?sdig ?tdig ~(s : program) ~s_label ~(t : program) ~t_label
-    ~vuln_func ~(s_crash : Interp.crash option) (h : hit) : candidate option =
-  let pairs = Clone.shared_functions_cached ?sdig ?tdig s t in
+    The containment of both functions' full k-gram sets is read from
+    (and on first use stored in) the profiles.  [None] when the hit
+    fails alignment or no entry point recovers. *)
+let confirm_profiled params ~(sp : Clone.profile) ~(tp : Clone.profile) ~(s : program)
+    ~s_label ~(t : program) ~t_label ~vuln_func ~(s_crash : Interp.crash option) (h : hit)
+    : candidate option =
+  let pairs = Clone.join sp tp in
   let exact = List.exists (fun (cp : Clone.clone_pair) -> cp.s_func = vuln_func) pairs in
   (* Re-score on full k-gram sets (see {!containment}): the winnowed
      retrieval score saturates on short functions, the validated score
      does not. *)
-  let score =
-    containment ~k:params.shingle_k (func_exn s vuln_func) (func_exn t h.h_func)
+  let k = params.shingle_k in
+  let grams prof p name =
+    Clone.profile_grams prof ~k name ~compute:(fun () -> full_grams ~k (func_exn p name))
   in
+  let score = contained (grams sp s vuln_func) (grams tp t h.h_func) in
   if (not exact) && score < params.tau_confirm then None
   else
     let mapping =
@@ -375,3 +415,12 @@ let confirm params ?sdig ?tdig ~(s : program) ~s_label ~(t : program) ~t_label
                 c_ep = ep;
                 c_reachable = reachable;
               })
+
+(** [confirm params ?sdig ?tdig ~s ~s_label ~t ~t_label ~vuln_func ~s_crash
+    hit] is {!confirm_profiled} over the profile table's profiles of [s]
+    and [t] ({!Clone.profile_pair}); [sdig]/[tdig] are their
+    {!Octo_vm.Compile.program_digest} values when already computed. *)
+let confirm params ?sdig ?tdig ~(s : program) ~s_label ~(t : program) ~t_label ~vuln_func
+    ~s_crash (h : hit) : candidate option =
+  let sp, tp = Clone.profile_pair ?sdig ?tdig s t in
+  confirm_profiled params ~sp ~tp ~s ~s_label ~t ~t_label ~vuln_func ~s_crash h

@@ -49,7 +49,8 @@ val containment : k:int -> func -> func -> float
     full (unwinnowed) k-gram sets — the precise score the validity
     filter re-computes per hit, because the winnowed retrieval score
     saturates at 1.0 on short functions whose differences fall between
-    selected shingles. *)
+    selected shingles.  Both sets are sorted arrays, intersected by a
+    merge. *)
 
 (** Inverted index over target-program functions. *)
 type index
@@ -91,6 +92,26 @@ val s_crash : ?max_steps:int -> program -> poc:string -> Octo_vm.Interp.crash op
 (** Replay S on its own PoC; [None] when it does not crash (no candidate
     probed from that S can then be confirmed). *)
 
+val confirm_profiled :
+  params ->
+  sp:Clone.profile ->
+  tp:Clone.profile ->
+  s:program ->
+  s_label:string ->
+  t:program ->
+  t_label:string ->
+  vuln_func:string ->
+  s_crash:Octo_vm.Interp.crash option ->
+  hit ->
+  candidate option
+(** Validity filter over the {!Clone.profile}s [sp]/[tp] of [s]/[t]:
+    exact shared-region alignment by {!Clone.join} (or the [tau_confirm]
+    near-clone path, which extends ℓ with the aligned pair), entry-point
+    recovery from S's crash backtrace mapped to T-side names, and
+    recorded CFG reachability of ep.  The two functions' full k-gram
+    sets are read from the profiles, computed and stored there on first
+    use, so a program scored against many others is tokenized once. *)
+
 val confirm :
   params ->
   ?sdig:string ->
@@ -103,9 +124,8 @@ val confirm :
   s_crash:Octo_vm.Interp.crash option ->
   hit ->
   candidate option
-(** Validity filter: exact shared-region alignment via
-    {!Clone.shared_functions_cached} (or the [tau_confirm] near-clone
-    path, which extends ℓ with the aligned pair), entry-point recovery
-    from S's crash backtrace mapped to T-side names, and recorded CFG
-    reachability of ep.  [sdig]/[tdig] forward precomputed
-    {!Octo_vm.Compile.program_digest} values to the ℓ cache. *)
+(** {!confirm_profiled} with [s] and [t]'s profiles taken from the
+    profile table ({!Clone.profile_pair}); [sdig]/[tdig] forward
+    precomputed {!Octo_vm.Compile.program_digest} values to the table
+    lookup.  A caller confirming many hits over the same programs can
+    hold the profiles and call {!confirm_profiled} instead. *)

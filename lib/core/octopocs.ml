@@ -436,8 +436,8 @@ let run_attempt ~(config : config) ~(deadline : Deadline.t) ?ell ~(s : Isa.progr
       provenance = None;
     }
   in
-  (* Canonical content digests, computed once per attempt: the ℓ cache and
-     both compilation lookups key off them. *)
+  (* Canonical content digests, computed once per attempt: the clone
+     profile table and both compilation lookups key off them. *)
   let sdig = Compile.program_digest s in
   let tdig = Compile.program_digest t in
   let ell =

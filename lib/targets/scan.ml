@@ -110,43 +110,36 @@ type result = {
 let run ?(params = Detect.default_params) ?(top = 0) ~(probes : probe list)
     ~(targets : target list) ~n_decoys () : result =
   let ix = Detect.index_create params in
-  let tprog : (string, program * string) Hashtbl.t = Hashtbl.create 64 in
+  (* Every program is profiled once for the whole pass: the references
+     are held here, so a pass larger than the profile table's cap still
+     fingerprints each program exactly once. *)
+  let tprog : (string, program * Clone.profile) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun tg ->
       Detect.index_add ix ~label:tg.tg_label tg.tg_prog;
-      Hashtbl.replace tprog tg.tg_label
-        (tg.tg_prog, Octo_vm.Compile.program_digest tg.tg_prog))
+      Hashtbl.replace tprog tg.tg_label (tg.tg_prog, Clone.profile tg.tg_prog))
     targets;
   let _, index_funcs, index_postings = Detect.index_stats ix in
-  (* Ground truth: per target, the exact fingerprint set of its
-     functions; (i, j) is a positive iff T_j carries S_i's vulnerable
-     fingerprint. *)
-  let tfps : (string, (string, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun tg ->
-      let set = Hashtbl.create 16 in
-      Hashtbl.iter (fun _ f -> Hashtbl.replace set (Clone.fingerprint f) ()) tg.tg_prog.funcs;
-      Hashtbl.replace tfps tg.tg_label set)
-    targets;
+  let probes_p = List.map (fun pr -> (pr, Clone.profile pr.pr_s)) probes in
+  (* Ground truth: (i, j) is a positive iff T_j carries the exact
+     fingerprint of S_i's vulnerable function. *)
   let gt : (string * string, unit) Hashtbl.t = Hashtbl.create 256 in
   List.iter
-    (fun pr ->
-      let fp = Clone.fingerprint (func_exn pr.pr_s pr.pr_vuln) in
+    (fun (pr, sp) ->
+      let fp = Option.get (Clone.profile_fp sp pr.pr_vuln) in
       List.iter
         (fun tg ->
-          match Hashtbl.find_opt tfps tg.tg_label with
-          | Some set when Hashtbl.mem set fp -> Hashtbl.replace gt (pr.pr_label, tg.tg_label) ()
-          | _ -> ())
+          if Clone.profile_has_fp (snd (Hashtbl.find tprog tg.tg_label)) fp then
+            Hashtbl.replace gt (pr.pr_label, tg.tg_label) ())
         targets)
-    probes;
+    probes_p;
   let n_retrieved = ref 0
   and n_rejected = ref 0
   and n_no_crash = ref 0
   and n_dropped = ref 0 in
   let candidates =
     List.concat_map
-      (fun pr ->
-        let sdig = Octo_vm.Compile.program_digest pr.pr_s in
+      (fun (pr, sp) ->
         let crash = Detect.s_crash pr.pr_s ~poc:pr.pr_poc in
         if crash = None then incr n_no_crash;
         let hits = Detect.query ix (func_exn pr.pr_s pr.pr_vuln) in
@@ -154,9 +147,9 @@ let run ?(params = Detect.default_params) ?(top = 0) ~(probes : probe list)
         let confirmed =
           List.filter_map
             (fun (h : Detect.hit) ->
-              let t, tdig = Hashtbl.find tprog h.h_label in
+              let t, tp = Hashtbl.find tprog h.h_label in
               match
-                Detect.confirm params ~sdig ~tdig ~s:pr.pr_s ~s_label:pr.pr_label ~t
+                Detect.confirm_profiled params ~sp ~tp ~s:pr.pr_s ~s_label:pr.pr_label ~t
                   ~t_label:h.h_label ~vuln_func:pr.pr_vuln ~s_crash:crash h
               with
               | Some c -> Some c
@@ -176,7 +169,7 @@ let run ?(params = Detect.default_params) ?(top = 0) ~(probes : probe list)
           kept
         end
         else confirmed)
-      probes
+      probes_p
   in
   let candidates =
     List.sort
@@ -197,18 +190,17 @@ let run ?(params = Detect.default_params) ?(top = 0) ~(probes : probe list)
   (* Diagonal recall per annotated class: of the probes whose own pair is
      a ground-truth positive, how many were rediscovered? *)
   let by_class =
+    let found : (string * string, unit) Hashtbl.t = Hashtbl.create 256 in
+    List.iter
+      (fun (c : Detect.candidate) -> Hashtbl.replace found (c.c_s_label, c.c_t_label) ())
+      candidates;
     let tbl : (string, int * int) Hashtbl.t = Hashtbl.create 8 in
     List.iter
       (fun pr ->
         match pr.pr_expected with
         | Some cls when Hashtbl.mem gt (pr.pr_label, pr.pr_label) ->
             let conf, tot = Option.value (Hashtbl.find_opt tbl cls) ~default:(0, 0) in
-            let hitp =
-              List.exists
-                (fun (c : Detect.candidate) ->
-                  c.c_s_label = pr.pr_label && c.c_t_label = pr.pr_label)
-                candidates
-            in
+            let hitp = Hashtbl.mem found (pr.pr_label, pr.pr_label) in
             Hashtbl.replace tbl cls ((conf + if hitp then 1 else 0), tot + 1)
         | _ -> ())
       probes;
@@ -260,6 +252,8 @@ let render ~corpus_id (r : result) : string =
     r.params.winnow_w r.params.tau_retrieve r.params.tau_confirm
     (if r.top = 0 then "unlimited" else string_of_int r.top);
   line "index: %d function(s), %d posting(s)" r.index_funcs r.index_postings;
+  let gt : (string * string, unit) Hashtbl.t = Hashtbl.create 256 in
+  List.iter (fun k -> Hashtbl.replace gt k ()) r.gt;
   List.iter
     (fun (c : Detect.candidate) ->
       line "candidate s=%s t=%s vuln=%s hit=%s sim=%.3f exact=%s ell=%d ep=%s reach=%s gt=%s"
@@ -267,7 +261,7 @@ let render ~corpus_id (r : result) : string =
         (if c.c_exact then "yes" else "no")
         (List.length c.c_ell) c.c_ep
         (match c.c_reachable with Some true -> "yes" | Some false -> "no" | None -> "cfg-fail")
-        (if List.mem (c.c_s_label, c.c_t_label) r.gt then "tp" else "fp"))
+        (if Hashtbl.mem gt (c.c_s_label, c.c_t_label) then "tp" else "fp"))
     r.candidates;
   line "counts: retrieved=%d confirmed=%d rejected=%d no-crash=%d dropped=%d" r.n_retrieved
     (List.length r.candidates) r.n_rejected r.n_no_crash r.n_dropped;

@@ -62,7 +62,9 @@ type counter =
   | Symex_states_pruned  (** branch directions refuted as unsat *)
   | Solver_nodes  (** search-tree nodes visited by [Solve.solve] *)
   | Constraint_adds  (** constraints pushed into solver stores *)
-  | Cache_hits  (** CFG build-cache hits *)
+  | Cache_hits
+      (** cache hits: CFG builds, compilations, and ℓ served wholly
+          from the clone profile table *)
   | Pool_retries  (** worker crash/stall retries (requeues) *)
   | Pool_stalls
       (** jobs whose retry budget ran out on a stall (slot 7: counter

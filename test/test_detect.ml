@@ -233,6 +233,46 @@ let test_containment () =
           (Detect.containment ~k:4 f df < Detect.default_params.tau_confirm))
     dprog.funcs
 
+(* The array merge against set intersection: on every scan hit, and on
+   functions with repeated k-grams and of unequal sizes, which generated
+   corpora do not produce. *)
+let test_containment_reference () =
+  let k = Detect.default_params.shingle_k in
+  let check what f g =
+    let p = Detect.shingles ~k ~w:1 f and q = Detect.shingles ~k ~w:1 g in
+    let want =
+      if Detect.ISet.is_empty p then 0.0
+      else
+        float_of_int (Detect.ISet.cardinal (Detect.ISet.inter p q))
+        /. float_of_int (Detect.ISet.cardinal p)
+    in
+    Alcotest.(check (float 0.0)) what want (Detect.containment ~k f g)
+  in
+  List.iter
+    (fun ((pr : Scan.probe), t, (h : Detect.hit)) ->
+      check
+        (Printf.sprintf "%s->%s/%s" pr.pr_label h.h_label h.h_func)
+        (func_exn pr.pr_s pr.pr_vuln) (func_exn t h.h_func))
+    (Test_clone.scan_hits ());
+  let mk name code = { fname = name; nparams = 1; code = Array.of_list code } in
+  let mov i = Mov (1, Imm i) in
+  let repeated = mk "rep" (List.init 9 (fun _ -> mov 1) @ [ Ret (Reg 1) ]) in
+  let small = mk "small" [ mov 1; mov 2; mov 3; mov 4; Ret (Reg 1) ] in
+  let big =
+    mk "big"
+      ([ mov 1; mov 2; mov 3; mov 4; mov 5; mov 6 ]
+      @ List.init 5 (fun _ -> mov 1)
+      @ [ Ret (Reg 0) ])
+  in
+  let tiny = mk "tiny" [ Ret (Reg 0) ] in
+  let empty = mk "empty" [] in
+  List.iter
+    (fun (f, g) -> check (f.fname ^ " in " ^ g.fname) f g)
+    [
+      (repeated, big); (big, repeated); (small, big); (big, small); (repeated, repeated);
+      (tiny, big); (tiny, tiny); (empty, big); (big, empty);
+    ]
+
 let test_registry_scan () =
   let r = registry_scan () in
   Alcotest.(check int) "retrieved" 129 r.Scan.n_retrieved;
@@ -289,6 +329,20 @@ let test_scan_golden () =
 let test_scan_deterministic () =
   Alcotest.(check string) "scan render is byte-stable across runs" (render_registry_scan ())
     (render_registry_scan ())
+
+(* 220 programs overflow the 128-entry profile table, whatever earlier
+   tests left in it.  The digest is of the report body a fresh
+   [octopocs scan --corpus gen:100:42 --decoys 20 --no-verify] prints. *)
+let test_scan_over_profile_cap () =
+  let probes, targets = Scan.of_source (Source.generated ~seed:42 ~count:100 ()) in
+  let targets = targets @ Scan.decoy_targets ~seed:7 ~count:20 in
+  let render () =
+    Scan.render ~corpus_id:"gen:100:42" (Scan.run ~probes ~targets ~n_decoys:20 ())
+  in
+  let first = render () in
+  Alcotest.(check string) "as a fresh process" "98d546a84cd658044b0bc08c062bceb1"
+    (Digest.to_hex (Digest.string first));
+  Alcotest.(check string) "second pass" first (render ())
 
 (* -- strict vs lenient directory sources -------------------------------- *)
 
@@ -372,9 +426,12 @@ let suite =
     Alcotest.test_case "prop: reorder/pad invariance" `Quick prop_reorder_pad_invariant;
     Alcotest.test_case "prop: mutation sensitivity" `Quick prop_mutation_changes;
     Alcotest.test_case "containment and decoy rejection" `Quick test_containment;
+    Alcotest.test_case "containment = set reference on scan hits" `Quick
+      test_containment_reference;
     Alcotest.test_case "registry scan: precision/recall" `Quick test_registry_scan;
     Alcotest.test_case "registry scan: golden report" `Quick test_scan_golden;
     Alcotest.test_case "registry scan: deterministic" `Quick test_scan_deterministic;
+    Alcotest.test_case "scan: pass over the profile cap" `Quick test_scan_over_profile_cap;
     Alcotest.test_case "directory source: lenient skips" `Quick test_directory_lenient;
     Alcotest.test_case "directory source: strict raises" `Quick test_directory_strict;
     Alcotest.test_case "differential: gen:200:42 rediscovery" `Slow test_differential_gen200;
