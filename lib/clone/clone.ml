@@ -11,26 +11,24 @@ open Octo_vm.Isa
 
 (** Abstraction level, mirroring VUDDY's levels:
     - [Exact]: the whole instruction stream, callee names included.
-    - [Abstract_calls]: callee names replaced by a placeholder, detecting
-      clones whose helper functions were renamed during propagation. *)
+    - [Abstract_calls]: each direct call reduced to its arity and whether
+      it has a destination, detecting clones whose helper functions were
+      renamed during propagation. *)
 type level = Exact | Abstract_calls
 
-let render_instr ~level buf (ins : instr) =
-  let add = Buffer.add_string buf in
-  match ins with
-  | Call (g, args, dst) when level = Abstract_calls ->
-      add (Printf.sprintf "call<%d,%s>" (List.length args)
-             (match dst with Some _ -> "r" | None -> "-"))
-      |> ignore;
-      ignore g
-  | _ -> add (Fmt.str "%a;" pp_instr ins)
+(* [Abstract_calls] keeps a direct call's arity and whether it has a
+   destination; the callee, the argument operands and the destination
+   register are replaced by constants. *)
+let mask_call : instr -> instr = function
+  | Call (_, args, dst) ->
+      Call ("", List.map (fun _ -> Imm 0) args, Option.map (fun _ -> 0) dst)
+  | ins -> ins
 
-(** [fingerprint ?level f] hashes the normalised body of [f]. *)
+(** [fingerprint ?level f] hashes the normalised body of [f] (see the
+    interface for the encoding). *)
 let fingerprint ?(level = Exact) (f : func) : string =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (string_of_int f.nparams);
-  Array.iter (fun ins -> render_instr ~level buf ins) f.code;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  let code = match level with Exact -> f.code | Abstract_calls -> Array.map mask_call f.code in
+  Digest.to_hex (Digest.string (Marshal.to_string (f.nparams, code) [ Marshal.No_sharing ]))
 
 (** A detected clone pair. *)
 type clone_pair = {
@@ -170,8 +168,6 @@ let ell_names pairs = List.map (fun p -> p.t_func) pairs
     VUDDY user asks first: does T contain a clone of the known-vulnerable
     function of S? *)
 let is_vulnerable_clone_present ?level (s : program) (t : program) ~vuln_func =
-  match Hashtbl.find_opt s.funcs vuln_func with
+  match profile_fp (profile ?level s) vuln_func with
   | None -> false
-  | Some f ->
-      let fp = fingerprint ?level f in
-      Hashtbl.fold (fun _ g acc -> acc || fingerprint ?level g = fp) t.funcs false
+  | Some fp -> profile_has_fp (profile ?level t) fp

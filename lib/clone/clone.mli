@@ -9,10 +9,21 @@ open Octo_vm.Isa
 (** Abstraction level, mirroring VUDDY's levels. *)
 type level =
   | Exact           (** full instruction stream, callee names included *)
-  | Abstract_calls  (** callee names abstracted: detects clones whose
+  | Abstract_calls  (** each direct call reduced to its arity and whether
+                        it has a destination: detects clones whose
                         helpers were renamed during propagation *)
 
-(** [fingerprint ?level f] hashes the normalised body of [f]. *)
+(** [fingerprint ?level f] hashes the normalised body of [f]: the hex MD5
+    of [Marshal.to_string (f.nparams, code) [No_sharing]], so equal values
+    give equal bytes however they are shared in memory.  At [Exact], [code]
+    is [f.code]; at [Abstract_calls], every direct [Call] is masked to keep
+    only its arity and whether it has a destination — the callee name, the
+    argument operands and the destination register are replaced by
+    constants.
+
+    Fingerprints are process-local and never persisted: [Marshal]'s byte
+    format may change with the compiler version, so a stored index would
+    have to be rebuilt, not reread, by another build. *)
 val fingerprint : ?level:level -> func -> string
 
 type clone_pair = {
@@ -78,6 +89,7 @@ val shared_functions_cached :
 val ell_names : clone_pair list -> string list
 
 (** [is_vulnerable_clone_present s t ~vuln_func] asks whether T contains a
-    clone of S's known-vulnerable function. *)
+    clone of S's known-vulnerable function: one lookup in each program's
+    {!profile}. *)
 val is_vulnerable_clone_present :
   ?level:level -> program -> program -> vuln_func:string -> bool

@@ -656,7 +656,10 @@ let compile (p : program) : compiled =
     internals.  {!Octopocs.content_key} builds on this digest — keep the
     rendering stable or journaled verdict caches invalidate. *)
 let program_digest (p : program) =
-  let b = Buffer.create 4096 in
+  (* 512 bytes stays in the minor heap (a larger buffer is allocated
+     straight into the major heap); generated programs render to about
+     330-490 bytes. *)
+  let b = Buffer.create 512 in
   Buffer.add_string b p.pname;
   Buffer.add_char b '\000';
   Buffer.add_string b p.entry;
@@ -670,14 +673,25 @@ let program_digest (p : program) =
   Buffer.add_string b (Marshal.to_string (p.ftable, p.data) []);
   Digest.string (Buffer.contents b)
 
+(* A program is admitted on its second miss.  Most programs of a corpus
+   stream are compiled once: a pair hands its compiled S to taint and
+   reuses its compiled T for both replays, so it never needs the cache
+   for itself.  Caching those one-shot closures only fed them to the
+   major heap (they survive minor collections while the cache holds
+   them), lengthening every minor pause.  Programs that do recur —
+   registry passes, ladder rungs, scan candidates — are admitted on
+   their second compilation and hit from the third on.  [seen] holds
+   digests missed once, under the same lock and cap as [cache]. *)
 let cache : (string, compiled) Hashtbl.t = Hashtbl.create 16
+let seen : (string, unit) Hashtbl.t = Hashtbl.create 16
 let cache_lock = Mutex.create ()
 let cache_cap = 64
 
 (** [get ?digest p] returns the cached compilation of [p], compiling on
-    first use.  [digest] lets callers that already hold the program's
-    canonical digest (pipeline, verdict cache) skip recomputing it — it
-    MUST equal [program_digest p].  Hits are counted under
+    a miss and admitting [p] to the cache on its second miss.  [digest]
+    lets callers that already hold the program's canonical digest
+    (pipeline, verdict cache) skip recomputing it — it MUST equal
+    [program_digest p].  Hits are counted under
     {!Octo_util.Metrics.Cache_hits}. *)
 let get ?digest (p : program) : compiled =
   let d = match digest with Some d -> d | None -> program_digest p in
@@ -696,9 +710,14 @@ let get ?digest (p : program) : compiled =
       let c =
         match Hashtbl.find_opt cache d with
         | Some c' -> c'
-        | None ->
+        | None when Hashtbl.mem seen d ->
+            Hashtbl.remove seen d;
             if Hashtbl.length cache >= cache_cap then Hashtbl.reset cache;
             Hashtbl.add cache d c;
+            c
+        | None ->
+            if Hashtbl.length seen >= cache_cap then Hashtbl.reset seen;
+            Hashtbl.add seen d ();
             c
       in
       Mutex.unlock cache_lock;

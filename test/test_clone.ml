@@ -8,6 +8,7 @@ module Registry = Octo_targets.Registry
 module Shared = Octo_targets.Shared
 module Scan = Octo_targets.Scan
 module Source = Octo_targets.Source
+module Q = Qcheck_lite
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -111,16 +112,36 @@ let shared_decoders_distinct () =
 
 (* -- differential: profile-based ℓ against a per-pair computation ------- *)
 
+(* The fingerprint as clone detection first computed it, by rendering
+   every instruction through [Fmt]: at [Abstract_calls] a direct call
+   keeps only its arity and whether it has a destination.  It is the
+   encoding oracle: {!Clone.fingerprint} must put functions into exactly
+   the classes this rendering does. *)
+let reference_fingerprint ?(level = Clone.Exact) (f : func) : string =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf (string_of_int f.nparams);
+  Array.iter
+    (fun ins ->
+      match ins with
+      | Call (_, args, dst) when level = Clone.Abstract_calls ->
+          Buffer.add_string buf
+            (Printf.sprintf "call<%d,%s>" (List.length args)
+               (match dst with Some _ -> "r" | None -> "-"))
+      | _ -> Buffer.add_string buf (Fmt.str "%a;" pp_instr ins))
+    f.code;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
 (* ℓ from scratch for one pair, as clone detection computed it before
-   programs were profiled: fingerprint every function of T into an
-   fp -> names table, then look up every function of S. *)
+   programs were profiled and before the structural fingerprint: render
+   every function of T into an fp -> names table, then look up every
+   function of S. *)
 let reference_shared ?level (s : program) (t : program) : Clone.clone_pair list =
   let t_by_fp = Hashtbl.create 64 in
-  Hashtbl.iter (fun name f -> Hashtbl.add t_by_fp (Clone.fingerprint ?level f) name) t.funcs;
+  Hashtbl.iter (fun name f -> Hashtbl.add t_by_fp (reference_fingerprint ?level f) name) t.funcs;
   let pairs = ref [] in
   Hashtbl.iter
     (fun s_name f ->
-      match Hashtbl.find_all t_by_fp (Clone.fingerprint ?level f) with
+      match Hashtbl.find_all t_by_fp (reference_fingerprint ?level f) with
       | [] -> ()
       | candidates ->
           let t_name = if List.mem s_name candidates then s_name else List.hd candidates in
@@ -134,6 +155,8 @@ let ell_t =
       List.iter (fun (p : Clone.clone_pair) -> Format.fprintf ppf "%s->%s " p.s_func p.t_func) l)
     ( = )
 
+let levels = [ Clone.Exact; Clone.Abstract_calls ]
+
 (* Both entry points, at both levels, equal the reference. *)
 let check_ell what s t =
   List.iter
@@ -141,7 +164,7 @@ let check_ell what s t =
       let want = reference_shared ~level s t in
       check ell_t what want (Clone.shared_functions ~level s t);
       check ell_t what want (Clone.shared_functions_cached ~level s t))
-    [ Clone.Exact; Clone.Abstract_calls ]
+    levels
 
 let source_pairs src =
   let rec go acc =
@@ -180,6 +203,121 @@ let scan_hit_ell_matches () =
     (fun ((pr : Scan.probe), t, (h : Detect.hit)) ->
       check_ell (pr.pr_label ^ "->" ^ h.h_label) pr.pr_s t)
     hits
+
+(* -- encoding oracle: the same classes as the Fmt rendering ------------- *)
+
+(* Each fingerprint of [funcs] determines its reference fingerprint and
+   vice versa, at both levels: the two encodings partition [funcs] into
+   the same classes. *)
+let check_same_partition what funcs =
+  List.iter
+    (fun level ->
+      let fwd = Hashtbl.create 1024 and bwd = Hashtbl.create 1024 in
+      let agrees tbl k v =
+        match Hashtbl.find_opt tbl k with
+        | None -> Hashtbl.add tbl k v; true
+        | Some v' -> v = v'
+      in
+      List.iter
+        (fun f ->
+          let fp = Clone.fingerprint ~level f and ref_fp = reference_fingerprint ~level f in
+          if not (agrees fwd fp ref_fp && agrees bwd ref_fp fp) then
+            Alcotest.failf "%s: %s splits or merges a reference class" what f.fname)
+        funcs)
+    levels
+
+let funcs_of programs =
+  List.concat_map (fun p -> Hashtbl.fold (fun _ f acc -> f :: acc) p.funcs []) programs
+
+let source_partition_matches src () =
+  check_same_partition "source"
+    (funcs_of (List.concat_map (fun (_, s, t) -> [ s; t ]) (source_pairs src)))
+
+let decoy_partition_matches () =
+  let decoys = Scan.decoy_targets ~seed:7 ~count:20 in
+  check_same_partition "decoys" (funcs_of (List.map (fun (tg : Scan.target) -> tg.tg_prog) decoys))
+
+(* Random functions rich in calls: direct calls with varied callees,
+   arguments and destinations, indirect calls, and a little plain code
+   around them. *)
+let gen_reg = Q.int_range 0 7
+
+let gen_operand : operand Q.gen =
+  Q.oneof
+    [|
+      Q.map (fun r -> Reg r) gen_reg;
+      Q.map (fun i -> Imm i) (Q.int_range 0 9);
+      Q.map (fun i -> Sym ("d" ^ string_of_int i)) (Q.int_range 0 2);
+    |]
+
+let gen_call : instr Q.gen =
+ fun rng ->
+  Call
+    ( "h" ^ string_of_int (Q.int_range 0 3 rng),
+      Q.list_of (Q.int_range 0 3) gen_operand rng,
+      if Q.bool rng then Some (gen_reg rng) else None )
+
+let gen_func : func Q.gen =
+ fun rng ->
+  let len = Q.int_range 1 12 rng in
+  let instr =
+    Q.frequency
+      [
+        (4, gen_call);
+        ( 1,
+          fun rng ->
+            Icall (gen_operand rng, Q.list_of (Q.int_range 0 2) gen_operand rng, None) );
+        (1, fun rng -> Mov (gen_reg rng, gen_operand rng));
+        (1, fun rng -> Jif (Lt, gen_operand rng, gen_operand rng, Q.int_range 0 (len - 1) rng));
+        (1, fun rng -> Ret (gen_operand rng));
+      ]
+  in
+  { fname = "f"; nparams = Q.int_range 0 2 rng; code = Array.init len (fun _ -> instr rng) }
+
+(* [f] with some direct calls rewritten in callee, arguments or
+   destination, so [f] and the result may or may not share a class at
+   either level. *)
+let vary_call rng (ins : instr) : instr =
+  match ins with
+  | Call (g, args, dst) when Q.bool rng ->
+      let callee = if Q.bool rng then g else "h" ^ string_of_int (Q.int_range 0 3 rng) in
+      let args =
+        match Q.int_range 0 2 rng with
+        | 0 -> args
+        | 1 -> List.map (fun _ -> gen_operand rng) args
+        | _ -> Q.list_of (Q.int_range 0 3) gen_operand rng
+      in
+      let dst =
+        match Q.int_range 0 2 rng with 0 -> dst | 1 -> None | _ -> Some (gen_reg rng)
+      in
+      Call (callee, args, dst)
+  | ins -> ins
+
+let prop_classes_match_reference =
+  Q.check_prop ~name:"fingerprints equal iff reference fingerprints equal" ~seed:2001 ~count:500
+    (fun rng ->
+      let f = gen_func rng in
+      (f, { f with code = Array.map (vary_call rng) f.code }))
+    (fun (f, g) ->
+      List.for_all
+        (fun level ->
+          Clone.fingerprint ~level f = Clone.fingerprint ~level g
+          = (reference_fingerprint ~level f = reference_fingerprint ~level g))
+        levels)
+
+(* The same code with its instructions physically shared (both halves of
+   the array are the same values) and unshared (the second half a deep
+   copy) fingerprints alike: the encoding sees values, not sharing. *)
+let prop_sharing_invisible =
+  Q.check_prop ~name:"physical sharing does not change the fingerprint" ~seed:2002
+    (fun rng -> gen_func rng)
+    (fun f ->
+      let deep_copy x = Marshal.from_string (Marshal.to_string x [ Marshal.No_sharing ]) 0 in
+      let shared = { f with code = Array.append f.code f.code } in
+      let unshared = { f with code = Array.append f.code (deep_copy f.code) } in
+      List.for_all
+        (fun level -> Clone.fingerprint ~level shared = Clone.fingerprint ~level unshared)
+        levels)
 
 (* The table is keyed by content: a program edited in place after its
    profile was taken hashes to a new key and is profiled afresh. *)
@@ -256,4 +394,12 @@ let suite =
     tc "profile: in-place edit gets a fresh ℓ" mutated_program_reprofiled;
     tc "profile ℓ = reference: ambiguous renamed clone" ambiguous_renamed_clone;
     tc "profile: one cache hit per ℓ" cache_hits_per_ell;
+    tc "fingerprint classes = reference: registry" (source_partition_matches (Source.registry ()));
+    tc "fingerprint classes = reference: gen:1000:42"
+      (source_partition_matches (Source.generated ~seed:42 ~count:1000 ()));
+    tc "fingerprint classes = reference: gen:300:7919"
+      (source_partition_matches (Source.generated ~seed:7919 ~count:300 ()));
+    tc "fingerprint classes = reference: 20 decoys" decoy_partition_matches;
+    tc "fingerprint classes = reference: random calls" prop_classes_match_reference;
+    tc "fingerprint: physical sharing invisible" prop_sharing_invisible;
   ]
