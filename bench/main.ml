@@ -1,12 +1,11 @@
 (* Benchmark harness: regenerates every table of the paper's evaluation
    (§V).  Run with no arguments for everything, or with a subset of
-   [table2 table3 table4 table5 micro] to select.
+   [table2 table3 table4 table5 ablations] to select.
 
    - Table II : verification results of OCTOPOCS on the 15 pairs
    - Table III: context-aware vs context-free taint analysis (pairs 1-9)
    - Table IV : naive vs directed symbolic execution (pairs 7-9)
    - Table V  : AFLFast / AFLGo / OCTOPOCS elapsed time (pairs 7-9)
-   - micro    : Bechamel micro-benchmarks, one per table's core operation
    - chaos    : resilience harness — the 15-pair batch under N seeded
                 fault-injection schedules (only when named explicitly;
                 options: --schedules N, --chaos-seed S) *)
@@ -265,50 +264,6 @@ let ablations () =
   in
   say "dynamic CFG + devirt       : %s" (Fmt.str "%a" Octopocs.pp_verdict dyn_r.verdict);
   hr ()
-
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  say "";
-  say "Bechamel micro-benchmarks (core operation of each table)";
-  let open Bechamel in
-  let open Toolkit in
-  let c1 = Registry.find 1 in
-  let c7 = Registry.find 7 in
-  let tests =
-    [
-      Test.make ~name:"table2:pipeline-pair1"
-        (Staged.stage (fun () -> ignore (Octopocs.run ~s:c1.s ~t:c1.t ~poc:c1.poc ())));
-      Test.make ~name:"table3:taint-extraction"
-        (Staged.stage (fun () -> ignore (Taint.extract c1.s ~poc:c1.poc ~ep:c1.vuln_func)));
-      Test.make ~name:"table4:directed-symex-pair7"
-        (Staged.stage (fun () ->
-             let cfg = Cfg.build_cached c7.t ~ep:c7.vuln_func in
-             ignore
-               (Directed.run c7.t ~ep:c7.vuln_func ~cfg ~ledger:()
-                  ~on_ep:Directed.stop_at_first)));
-      Test.make ~name:"table5:fuzz-500-execs"
-        (Staged.stage (fun () ->
-             ignore
-               (Aflfast.run
-                  ~config:{ Aflfast.default_config with max_execs = 500 }
-                  c7.t ~seeds:(fuzz_seeds c7) ~crash_in:[ c7.vuln_func ])));
-    ]
-  in
-  let benchmark test =
-    let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
-    let instance = Instance.monotonic_clock in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.8) ~kde:(Some 10) () in
-    let raw = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ test ]) in
-    let results = Analyze.all ols instance raw in
-    Hashtbl.iter
-      (fun name result ->
-        match Analyze.OLS.estimates result with
-        | Some [ est ] -> say "  %-32s %14.1f ns/run" name est
-        | _ -> say "  %-32s (no estimate)" name)
-      results
-  in
-  List.iter benchmark tests
 
 (* ------------------------------------------------------------------ *)
 
@@ -1244,7 +1199,6 @@ let () =
   if want "table4" then table4 ();
   if want "table5" then table5 ();
   if want "ablations" then ablations ();
-  if want "micro" then micro ();
   if List.mem "bench" args then begin
     bench_json ();
     bench_history ()

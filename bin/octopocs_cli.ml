@@ -201,8 +201,8 @@ let verdict_exit (r : Octopocs.report) =
   | Octopocs.Not_triggerable _ -> 1
   | Octopocs.Failure _ -> if crashed_verdict r then 3 else 2
 
-(* The verdict tally of a verification run, updated from worker context
-   under its own lock.  It also keeps a running sum of the per-pair
+(* The verdict tally of a verification run, updated from the stream's
+   callbacks under its own lock.  It also keeps a running sum of the per-pair
    metrics snapshots (settled and cached alike), so the batch totals are
    exactly what the journal recorded. *)
 module Tally = struct
@@ -828,8 +828,9 @@ let entry ~config ?ell ?expected ~label ~s ~t ~poc () =
 type row = Settled of { r : Octopocs.report; cached : bool } | Quarantined of Octopocs.quarantine
 
 (* The driver.  [next] pulls the entries; [on_row label row] sees every
-   pair's outcome, from worker context (or the dispatcher's, for pairs
-   the journal already settled or quarantined).  The journal writer's injector
+   pair's outcome, from the calling domain (the stream fires its callbacks
+   there, and [next] reports pairs the journal already settled or
+   quarantined).  The journal writer's injector
    comes from the same chaos flags as the pairs' ([seed lxor 0x6A09E667],
    plus the shard index).  With [fail_fast] the cursor hands out nothing
    once a Failure has settled; the pairs it never handed out get no row

@@ -970,7 +970,16 @@ let decode_quarantine (s : string) : quarantine option =
       { qlabel; qkey; qreason; qmessage; qbacktrace; qattempts })
 
 (* ------------------------------------------------------------------ *)
-(* Streaming batch verification. *)
+(* Streaming batch verification.
+
+   One loop, in the calling domain, in every mode: admit, pull, start an
+   attempt, await any completion, then settle, retry or exhaust.  Only
+   the executor differs — how an attempt runs and how its end is seen:
+   inline in the calling domain (serial Domain mode: window 1, no domain
+   is ever spawned), as a {!Octo_util.Pool} task posting to a completion
+   queue, or in a forked {!Sandbox} child whose death is classified.
+   Everything else — the chaos draws, the retry's backoff, the counters,
+   the callbacks and the stats — is decided by the loop alone. *)
 
 type stream_stats = {
   st_pulled : int;  (** jobs pulled from the source *)
@@ -978,26 +987,50 @@ type stream_stats = {
   st_quarantined : int;  (** jobs handed to [on_quarantine] *)
   st_peak_in_flight : int;  (** high-water mark of concurrently held jobs *)
   st_deferrals : int;
-      (** admission-deferral episodes: times the process-mode memory
-          controller paused admissions under pressure (always 0 in
-          Domain isolation) *)
+      (** admission-deferral episodes: times the memory controller paused
+          admissions under pressure (always 0 without a watermark) *)
 }
 
-(* The worker body of both isolation modes: the pre-run hook, the chaos
-   harness's synthetic worker faults, then the pipeline.  The faults fire
-   outside [run]'s containment on purpose, so they exercise the driver's
-   crash containment and retries; the stall site wedges for a fixed
-   0.25 s, then raises. *)
-let run_job ~config ?pre_run j =
-  (match pre_run with None -> () | Some f -> f j);
-  let cfg = Option.value j.jconfig ~default:config in
-  Faultinject.maybe_raise cfg.inject Faultinject.Worker_crash
-    ~what:"synthetic worker exception";
-  if Faultinject.fire cfg.inject Faultinject.Worker_stall then begin
-    Unix.sleepf 0.25;
-    raise (Faultinject.Injected "worker-stall: synthetic wedged worker")
-  end;
-  run ~config:cfg ?ell:j.jell ~s:j.js ~t:j.jt ~poc:j.jpoc ()
+(* One attempt of one job, as the loop hands it to an executor. *)
+type attempt = {
+  aj : job;
+  ak : int;  (* 0-based attempt number *)
+  adelay : float;  (* retry backoff the attempt sleeps before running *)
+  afault : Faultinject.site option;  (* the synthetic fault it suffers *)
+  adeferred : bool;  (* admission was deferred under pressure *)
+}
+
+(* How an attempt ended.  A raising attempt carries its backtrace; a
+   dead child has none (it died in another address space) but names its
+   death as a provenance rung. *)
+type outcome =
+  | Settled of report
+  | Died of { reason : string; message : string; backtrace : string; rung : string option }
+
+(* The attempt-level fault sites, in draw order: the first that fires
+   wins and the rest are not drawn.  Child deaths exist only under
+   process isolation. *)
+let domain_fault_sites = Faultinject.[ Worker_crash; Worker_stall ]
+let process_fault_sites = Faultinject.[ Child_segv; Child_oom_kill; Worker_crash; Worker_stall ]
+
+(* The body every executor runs: the retry backoff, the pre-run hook,
+   the drawn worker fault, then the pipeline.  The faults fire outside
+   [run]'s containment on purpose, so they exercise the driver's crash
+   containment and retries; the stall site wedges for a fixed 0.25 s,
+   then raises. *)
+let run_attempt ~config ?pre_run a =
+  if a.adelay > 0. then Unix.sleepf a.adelay;
+  (match pre_run with None -> () | Some f -> f a.aj);
+  (match a.afault with
+  | Some Faultinject.Worker_crash ->
+      raise (Faultinject.Injected "worker-crash: synthetic worker exception")
+  | Some Faultinject.Worker_stall ->
+      Unix.sleepf 0.25;
+      raise (Faultinject.Injected "worker-stall: synthetic wedged worker")
+  | _ -> ());
+  let j = a.aj in
+  run ~config:(Option.value j.jconfig ~default:config) ?ell:j.jell ~s:j.js ~t:j.jt
+    ~poc:j.jpoc ()
 
 (* The reason a job whose final attempt raised [msg] (printed) fails or is
    quarantined with.  The injected stall site prints as
@@ -1007,21 +1040,133 @@ let exn_reason msg =
   if String.starts_with ~prefix:"Injected(worker-stall" msg then "worker stalled"
   else "worker crashed"
 
-(* Count, log and back off retry [k + 1] of [j], whose attempt [what]
-   ("raised ..." or "child died (...)"). *)
-let note_retry ~retries j ~what k =
-  Metrics.incr Metrics.Pool_retries;
-  Telemetry.note_retry ();
-  Log.warn (fun m -> m "run_stream: %s %s; retrying (%d/%d)" j.label what (k + 1) retries);
-  Octo_util.Pool.backoff_sleep ~key:(Hashtbl.hash j.label) ~attempt:(k + 1) ()
+(* An attempt run in this process, inline or on a pool domain. *)
+let attempt_here ~config ?pre_run a =
+  match run_attempt ~config ?pre_run a with
+  | r -> Settled r
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      let message = Printexc.to_string e in
+      Died
+        {
+          reason = exn_reason message;
+          message;
+          backtrace = Printexc.raw_backtrace_to_string bt;
+          rung = None;
+        }
 
-(* A job whose retry budget ran out on a stall counts once as a pool
-   stall, in the metrics counter and in the telemetry tally. *)
-let note_exhausted reason =
-  if reason = "worker stalled" then begin
-    Metrics.incr Metrics.Pool_stalls;
-    Telemetry.note_stall ()
-  end
+(* An attempt's end as a forked child's death. *)
+let outcome_of_death death =
+  let died reason message rung = Died { reason; message; backtrace = ""; rung = Some rung } in
+  match death with
+  | Sandbox.Clean payload -> (
+      match decode_result payload with
+      | Some (_, _, r) -> Settled r
+      | None -> died "worker crashed" "child returned an undecodable verdict frame" "child-torn")
+  | Sandbox.Child_exn msg -> died (exn_reason msg) msg "child-exn"
+  | Sandbox.Segv -> died "worker crashed" "child segfaulted (SIGSEGV)" "child-segv"
+  | Sandbox.Oom why -> died "oom" ("child out of memory: " ^ why) "child-oom"
+  | Sandbox.Cpu -> died "worker crashed" "child exceeded RLIMIT_CPU (SIGXCPU)" "child-cpu"
+  | Sandbox.Deadline_kill ->
+      died "worker stalled" "child killed by parent at deadline" "child-deadline-kill"
+  | Sandbox.Torn why -> died "worker crashed" ("child pipe protocol torn: " ^ why) "child-torn"
+  | Sandbox.Other why ->
+      died "worker crashed" ("child died unexpectedly: " ^ why) "child-other"
+
+(* An executor starts attempts and reports their ends.  [await] blocks
+   until at least one started attempt has ended — the process executor
+   alone may return [] after a quiet 0.05 s, which gives the telemetry
+   sampler a steady cadence while every child is busy. *)
+type executor = {
+  start : attempt -> unit;
+  await : unit -> (attempt * outcome) list;
+  stop : unit -> unit;
+}
+
+let take_all q =
+  let l = List.of_seq (Queue.to_seq q) in
+  Queue.clear q;
+  l
+
+(* Serial: the attempt runs to its end inside [start]. *)
+let inline_executor attempt =
+  let ended = Queue.create () in
+  {
+    start = (fun a -> Queue.add (a, attempt a) ended);
+    await = (fun () -> take_all ended);
+    stop = ignore;
+  }
+
+(* Pooled: each attempt is a pool task that posts its outcome. *)
+let pool_executor ~jobs attempt =
+  let pool = Octo_util.Pool.create ~jobs in
+  let lock = Mutex.create () and posted = Condition.create () in
+  let ended = Queue.create () in
+  {
+    start =
+      (fun a ->
+        Octo_util.Pool.submit pool (fun () ->
+            let o = attempt a in
+            Mutex.protect lock (fun () ->
+                Queue.add (a, o) ended;
+                Condition.signal posted)));
+    await =
+      (fun () ->
+        Mutex.protect lock (fun () ->
+            while Queue.is_empty ended do
+              Condition.wait posted lock
+            done;
+            take_all ended));
+    stop = (fun () -> Octo_util.Pool.shutdown pool);
+  }
+
+(* Process-isolated: one forked child per attempt, multiplexed over one
+   select loop.  Single-domain by construction: OCaml 5.1 refuses
+   [Unix.fork] permanently once any domain has EVER been spawned in the
+   process (the restriction latches; joining does not lift it), so this
+   executor spawns NO worker domains and callers must reach it before the
+   process's first Domain-mode batch.  A reaped child's max RSS feeds the
+   admission controller. *)
+let process_executor ~config ~limits ~adm ?pre_run () =
+  let active = ref [] in
+  let start a =
+    let j = a.aj in
+    let cfg = Option.value j.jconfig ~default:config in
+    let die =
+      match a.afault with
+      | Some Faultinject.Child_segv -> `Segv
+      | Some Faultinject.Child_oom_kill -> `Oom_kill
+      | _ -> `None
+    in
+    (* The wall-clock kill is a hard backstop well behind the cooperative
+       deadline (which already absorbs ladder climbs); no per-job deadline
+       means the parent never kills on time. *)
+    let kill_after_s = Option.map (fun d -> (d *. 4.0) +. 1.0) cfg.deadline_s in
+    let key = job_key ~config j in
+    (* The child ships its settled report as its one frame; exceptions
+       escape into [Sandbox.spawn]'s transport. *)
+    let payload () = encode_result ~label:j.label ~key (run_attempt ~config ?pre_run a) in
+    active := (Sandbox.spawn ~limits ?kill_after_s ~die payload, a) :: !active
+  in
+  let await () =
+    List.iter (fun (c, _) -> if Sandbox.deadline_expired c then Sandbox.kill c) !active;
+    let readable =
+      match Unix.select (List.map (fun (c, _) -> Sandbox.fd c) !active) [] [] 0.05 with
+      | r, _, _ -> r
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+    in
+    let finished, still =
+      List.partition (fun (c, _) -> List.memq (Sandbox.fd c) readable && Sandbox.drain c) !active
+    in
+    active := still;
+    List.map
+      (fun (c, a) ->
+        let death, maxrss_kb = Sandbox.reap c in
+        Sandbox.Admission.note_child_rss adm maxrss_kb;
+        (a, outcome_of_death death))
+      finished
+  in
+  { start; await; stop = ignore }
 
 (* Callback guards: a raising hook is logged and never aborts the run. *)
 let settle_hook on_settle j r =
@@ -1039,236 +1184,29 @@ let quarantine_hook f q =
     Log.err (fun m ->
         m "run_stream: on_quarantine for %s raised %s" q.qlabel (Printexc.to_string e))
 
-(* ------------------------------------------------------------------ *)
-(* Process-isolated streaming scheduler.
-
-   Single-domain by construction: OCaml 5.1 refuses [Unix.fork]
-   permanently once any domain has EVER been spawned in the process (the
-   restriction latches; joining does not lift it), so this scheduler
-   spawns NO worker domains — its parallelism is process-level,
-   multiplexing child pipes over one select loop — and callers must
-   reach it before the process's first Domain-mode batch.  The shared
-   pool is still shut down defensively on entry: on runtimes that only
-   require a single-domain process at fork time, that is what restores
-   forkability. *)
-
-type proc_active = {
-  ac : Sandbox.child;
-  aj : job;
-  ak : int;  (* 0-based attempt number *)
-  adeferred : bool;  (* admission was deferred under pressure *)
-}
-
-(* What a sandboxed child runs: {!run_job}, with the settled report
-   encoded onto the pipe as the child's one frame.  Exceptions escape
-   into [Sandbox.spawn]'s transport so the parent's retry ladder sees
-   them, as Domain mode's escape into its own. *)
-let run_child_payload ~config ~key ?pre_run j () =
-  encode_result ~label:j.label ~key (run_job ~config ?pre_run j)
-
-let proc_stream ~(config : config) ~retries ~window ?limits ?mem_watermark_mb ?pre_run
-    ?on_settle ?on_quarantine (next : unit -> job option) : stream_stats =
-  let limits = Option.value limits ~default:Sandbox.no_limits in
-  let adm = Sandbox.Admission.create ?watermark_mb:mem_watermark_mb ~window () in
-  let pulled = ref 0 and settled = ref 0 and quarantined = ref 0 in
-  let peak = ref 0 and deferrals = ref 0 in
-  (* [deferring] marks an open pressure episode: one episode counts one
-     deferral however many loop iterations it spans, and the first job
-     admitted out of it carries the "admission-deferred" degradation. *)
-  let deferring = ref false in
-  let active : proc_active list ref = ref [] in
-  (* Respawns take priority over fresh pulls so a retried pair cannot be
-     starved by an endless source. *)
-  let pending : (job * int * bool) Queue.t = Queue.create () in
-  let exhausted_src = ref false in
-  let settle_cb j r =
-    incr settled;
-    settle_hook on_settle j r
-  in
-  let spawn_job (j, k, was_deferred) =
-    let cfg = Option.value j.jconfig ~default:config in
-    (* Child-death faults are drawn by the PARENT, pre-fork: each retry
-       advances the injector stream, so a seeded schedule can kill the
-       first attempt and let the retry survive — deterministically. *)
-    let die =
-      if Faultinject.fire cfg.inject Faultinject.Child_segv then `Segv
-      else if Faultinject.fire cfg.inject Faultinject.Child_oom_kill then `Oom_kill
-      else `None
-    in
-    (* The wall-clock kill is a hard backstop well behind the cooperative
-       deadline (which already absorbs ladder climbs); no per-job deadline
-       means the parent never kills on time. *)
-    let kill_after_s = Option.map (fun d -> (d *. 4.0) +. 1.0) cfg.deadline_s in
-    let key = job_key ~config j in
-    let c = Sandbox.spawn ~limits ?kill_after_s ~die (run_child_payload ~config ~key ?pre_run j) in
-    active := { ac = c; aj = j; ak = k; adeferred = was_deferred } :: !active;
-    let n = List.length !active in
-    if n > !peak then peak := n
-  in
-  let retry_or_quarantine e ~reason ~message ~rung =
-    let j = e.aj and k = e.ak in
-    if k < retries then begin
-      note_retry ~retries j ~what:(Printf.sprintf "child died (%s: %s)" reason message) k;
-      Queue.add (j, k + 1, e.adeferred) pending
-    end
-    else begin
-      note_exhausted reason;
-      match on_quarantine with
-      | Some f ->
-          incr quarantined;
-          quarantine_hook f
-            {
-              qlabel = j.label;
-              qkey = job_key ~config j;
-              qreason = reason;
-              qmessage = message;
-              qbacktrace = "";  (* died in another address space: no backtrace *)
-              qattempts = k + 1;
-            }
-      | None ->
-          (* Settle like Domain mode, but with the death classification as
-             a provenance rung so `explain` shows WHY the child died. *)
-          let provenance =
-            if Provenance.is_on () then
-              Some
-                {
-                  Provenance.events = [ Provenance.Rung { rung; failure = message } ];
-                  dropped = 0;
-                }
-            else None
-          in
-          settle_cb j { (failure_report (reason ^ ": " ^ message)) with provenance }
-    end
-  in
-  let handle_death e (death, maxrss_kb) =
-    Sandbox.Admission.note_child_rss adm maxrss_kb;
-    Telemetry.note_child_rss maxrss_kb;
-    match death with
-    | Sandbox.Clean payload -> (
-        match decode_result payload with
-        | Some (_, _, r) ->
-            let r =
-              if e.adeferred then
-                { r with degradations = r.degradations @ [ "admission-deferred" ] }
-              else r
-            in
-            settle_cb e.aj r
-        | None ->
-            retry_or_quarantine e ~reason:"worker crashed"
-              ~message:"child returned an undecodable verdict frame" ~rung:"child-torn")
-    | Sandbox.Child_exn msg ->
-        retry_or_quarantine e ~reason:(exn_reason msg) ~message:msg ~rung:"child-exn"
-    | Sandbox.Segv ->
-        retry_or_quarantine e ~reason:"worker crashed" ~message:"child segfaulted (SIGSEGV)"
-          ~rung:"child-segv"
-    | Sandbox.Oom why ->
-        retry_or_quarantine e ~reason:"oom" ~message:("child out of memory: " ^ why)
-          ~rung:"child-oom"
-    | Sandbox.Cpu ->
-        retry_or_quarantine e ~reason:"worker crashed"
-          ~message:"child exceeded RLIMIT_CPU (SIGXCPU)" ~rung:"child-cpu"
-    | Sandbox.Deadline_kill ->
-        retry_or_quarantine e ~reason:"worker stalled"
-          ~message:"child killed by parent at deadline" ~rung:"child-deadline-kill"
-    | Sandbox.Torn why ->
-        retry_or_quarantine e ~reason:"worker crashed"
-          ~message:("child pipe protocol torn: " ^ why) ~rung:"child-torn"
-    | Sandbox.Other why ->
-        retry_or_quarantine e ~reason:"worker crashed"
-          ~message:("child died unexpectedly: " ^ why) ~rung:"child-other"
-  in
-  let progress_cut () =
-    {
-      Telemetry.pulled = !pulled;
-      settled = !settled;
-      quarantined = !quarantined;
-      in_flight = List.length !active;
-      window;
-    }
-  in
-  let try_admit () =
-    let stop = ref false in
-    while not !stop do
-      let have_pending = not (Queue.is_empty pending) in
-      if (not have_pending) && !exhausted_src then stop := true
-      else
-        match Sandbox.Admission.admit adm ~in_flight:(List.length !active) with
-        | `Defer `Full -> stop := true
-        | `Defer `Pressure ->
-            if not !deferring then begin
-              deferring := true;
-              incr deferrals;
-              Metrics.incr Metrics.Admission_deferrals;
-              Telemetry.note_deferral ()
-            end;
-            stop := true
-        | `Admit -> (
-            let was_deferred = !deferring in
-            deferring := false;
-            if have_pending then spawn_job (Queue.pop pending)
-            else
-              match next () with
-              | None -> exhausted_src := true
-              | Some j ->
-                  incr pulled;
-                  spawn_job (j, 0, was_deferred))
-    done
-  in
-  let rec loop () =
-    try_admit ();
-    if !active = [] && Queue.is_empty pending && !exhausted_src then ()
-    else begin
-      List.iter (fun e -> if Sandbox.deadline_expired e.ac then Sandbox.kill e.ac) !active;
-      let fds = List.map (fun e -> Sandbox.fd e.ac) !active in
-      let readable =
-        match Unix.select fds [] [] 0.05 with
-        | r, _, _ -> r
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
-      in
-      let finished, still =
-        List.partition
-          (fun e -> List.memq (Sandbox.fd e.ac) readable && Sandbox.drain e.ac)
-          !active
-      in
-      active := still;
-      List.iter (fun e -> handle_death e (Sandbox.reap e.ac)) finished;
-      (* The 0.05 s select timeout gives the sampler a steady cadence
-         even while every child is quiet. *)
-      Telemetry.tick (fun () -> progress_cut ());
-      loop ()
-    end
-  in
-  loop ();
-  Telemetry.sample_now (progress_cut ());
-  {
-    st_pulled = !pulled;
-    st_settled = !settled;
-    st_quarantined = !quarantined;
-    st_peak_in_flight = !peak;
-    st_deferrals = !deferrals;
-  }
-
 (** [run_stream ?config ?jobs ?retries ?window ?on_settle ?on_quarantine
     next] verifies a stream of jobs pulled lazily from [next] — the
     one batch driver ({!run_all} collects over it).  It never
-    materializes the batch: [next ()] is called (from the dispatching
-    domain only) each time a worker slot is admitted, so peak memory is
-    bounded by the admission window, not the corpus size.
+    materializes the batch: [next ()] is called (from the calling domain
+    only) each time the admission window has a free slot, so peak memory
+    is bounded by the window, not the corpus size.
 
-    Admission control: at most [window] jobs (default [max 4 (2 * jobs)])
-    are in flight at once; the generator behind [next] is simply not
-    pulled while the window is full, which is what bounds in-flight
-    memory.
+    Admission control: at most [window] jobs (default [max 4 (2 * jobs)];
+    1 when serial) are in flight at once, fewer while [mem_watermark_mb]
+    pressure has shrunk the window; the generator behind [next] is simply
+    not pulled while the window is full.  A retry takes priority over a
+    fresh pull, so an endless source cannot starve it.
 
-    Crash containment: a job whose worker raises gets [retries] extra
-    attempts, each preceded by {!Octo_util.Pool.backoff_delay}'s capped
-    exponential backoff (the job's attempt streams — fault injectors
-    included — advance deterministically, so a killed-and-resumed run
-    replays the same decisions).  A job that still raises after the
-    budget is handed to [on_quarantine] with its reason, printable
-    exception, backtrace and attempt count — it does NOT settle and does
-    not fail the batch.  Without [on_quarantine], exhausted jobs settle
-    as [Failure "worker crashed: ..."].
+    Crash containment: a job whose attempt raises (or whose child dies)
+    gets [retries] extra attempts, each sleeping
+    {!Octo_util.Pool.backoff_delay}'s capped exponential backoff before
+    it runs.  The loop draws every attempt's synthetic fault from the
+    job's injector before starting it, so a retry advances the stream in
+    every mode and a killed-and-resumed run replays the same decisions.
+    A job that still fails after the budget is handed to [on_quarantine]
+    with its reason, printable exception, backtrace and attempt count — it
+    does NOT settle and does not fail the batch.  Without [on_quarantine],
+    exhausted jobs settle as [Failure "worker crashed: ..."].
 
     There is no stall watchdog: a domain cannot be killed, so wedged
     workers are bounded by the per-job cooperative deadline
@@ -1278,162 +1216,152 @@ let proc_stream ~(config : config) ~retries ~window ?limits ?mem_watermark_mb ?p
     exhausted stall counts in [Pool_stalls] and the telemetry tally.
 
     [on_settle job report] and [on_quarantine q] fire exactly once per
-    job, from worker context, in completion order; [run_stream] returns
-    only after every callback has finished. *)
+    job, from the calling domain, in completion order. *)
 let run_stream ?(config = default_config) ?(jobs = 1) ?(retries = 0) ?window
     ?(isolate = Domains) ?limits ?mem_watermark_mb ?pre_run ?on_settle ?on_quarantine
     (next : unit -> job option) : stream_stats =
   let jobs = Octo_util.Pool.effective_jobs jobs in
-  (* In process isolation the window IS the concurrency: one child per
-     admitted job, so the Domain-mode default (twice the workers) carries
-     over as "up to 2*jobs live children". *)
-  let window = match window with Some w -> max 1 w | None -> max 4 (2 * jobs) in
-  match isolate with
-  | Processes ->
-      proc_stream ~config ~retries ~window ?limits ?mem_watermark_mb ?pre_run ?on_settle
-        ?on_quarantine next
-  | Domains ->
-  let one = run_job ~config ?pre_run in
-  let exhausted j (e, bt) ~attempts =
-    let message = Printexc.to_string e in
-    let reason = exn_reason message in
-    note_exhausted reason;
-    match on_quarantine with
-    | Some f ->
-        quarantine_hook f
-          {
-            qlabel = j.label;
-            qkey = job_key ~config j;
-            qreason = reason;
-            qmessage = message;
-            qbacktrace = Printexc.raw_backtrace_to_string bt;
-            qattempts = attempts;
-          };
-        `Quarantined
-    | None ->
-        settle_hook on_settle j (failure_report (reason ^ ": " ^ message));
-        `Settled
+  let serial = isolate = Domains && jobs <= 1 in
+  (* A serial run holds one job at a time.  Otherwise the default is twice
+     the workers; in process isolation the window IS the concurrency (one
+     child per admitted job), so that reads "up to 2*jobs live children". *)
+  let window =
+    if serial then 1 else match window with Some w -> max 1 w | None -> max 4 (2 * jobs)
+  in
+  let adm = Sandbox.Admission.create ?watermark_mb:mem_watermark_mb ~window () in
+  let exec, fault_sites =
+    match isolate with
+    | Processes ->
+        let limits = Option.value limits ~default:Sandbox.no_limits in
+        (process_executor ~config ~limits ~adm ?pre_run (), process_fault_sites)
+    | Domains when serial -> (inline_executor (attempt_here ~config ?pre_run), domain_fault_sites)
+    | Domains -> (pool_executor ~jobs (attempt_here ~config ?pre_run), domain_fault_sites)
   in
   let pulled = ref 0 and settled = ref 0 and quarantined = ref 0 in
-  let peak = ref 0 in
-  let cut ~in_flight ~window =
-    { Telemetry.pulled = !pulled; settled = !settled; quarantined = !quarantined; in_flight; window }
+  let in_flight = ref 0 and peak = ref 0 in
+  let retried = ref 0 and stalls = ref 0 and deferrals = ref 0 in
+  (* [deferring] marks an open pressure episode: one episode counts one
+     deferral however many admissions it spans, and the first job
+     admitted out of it carries the "admission-deferred" degradation. *)
+  let deferring = ref false and exhausted_src = ref false in
+  let pending : (job * int * bool) Queue.t = Queue.create () in
+  let progress () =
+    {
+      Telemetry.pulled = !pulled;
+      settled = !settled;
+      quarantined = !quarantined;
+      in_flight = !in_flight;
+      window = Sandbox.Admission.window adm;
+      retries = !retried;
+      stalls = !stalls;
+      deferrals = !deferrals;
+      child_rss_kb = Sandbox.Admission.worst_child_kb adm;
+    }
   in
-  if jobs <= 1 then begin
-    (* Serial: pull, attempt with backoff'd retries, settle or quarantine,
-       all in the calling domain.  [in_flight] is identically 1. *)
-    let rec drain () =
-      match next () with
-      | None -> ()
-      | Some j ->
-          incr pulled;
-          let rec attempt k =
-            match one j with
-            | r ->
-                settle_hook on_settle j r;
-                incr settled
-            | exception e ->
-                let bt = Printexc.get_raw_backtrace () in
-                if k < retries then begin
-                  note_retry ~retries j ~what:("raised " ^ Printexc.to_string e) k;
-                  attempt (k + 1)
-                end
-                else begin
-                  match exhausted j (e, bt) ~attempts:(k + 1) with
-                  | `Quarantined -> incr quarantined
-                  | `Settled -> incr settled
-                end
-          in
-          attempt 0;
-          Telemetry.tick (fun () -> cut ~in_flight:1 ~window:1);
-          drain ()
+  let settle j r =
+    incr settled;
+    settle_hook on_settle j r
+  in
+  let start (j, k, adeferred) =
+    let cfg = Option.value j.jconfig ~default:config in
+    let afault = List.find_opt (Faultinject.fire cfg.inject) fault_sites in
+    let adelay =
+      if k = 0 then 0. else Octo_util.Pool.backoff_delay ~key:(Hashtbl.hash j.label) ~attempt:k ()
     in
-    drain ();
-    Telemetry.sample_now (cut ~in_flight:0 ~window:1);
-    {
-      st_pulled = !pulled;
-      st_settled = !settled;
-      st_quarantined = !quarantined;
-      st_peak_in_flight = (if !pulled = 0 then 0 else 1);
-      st_deferrals = 0;
-    }
-  end
-  else begin
-    let pool = Octo_util.Pool.create ~jobs in
-    let lock = Mutex.create () in
-    let slot_free = Condition.create () in
-    let in_flight = ref 0 in
-    let bump counter =
-      Mutex.lock lock;
-      incr counter;
-      Mutex.unlock lock
-    in
-    let release () =
-      Mutex.lock lock;
-      decr in_flight;
-      Condition.signal slot_free;
-      Mutex.unlock lock;
-      (* Every completion is a tick opportunity; the counter reads are
-         deliberately unlocked (a sample is a statistical cut, and OCaml 5
-         unsynchronized int reads are stale at worst, never garbage). *)
-      Telemetry.tick (fun () -> cut ~in_flight:!in_flight ~window)
-    in
-    let rec task j k () =
-      match one j with
-      | r ->
-          settle_hook on_settle j r;
-          bump settled;
-          release ()
-      | exception e ->
-          let bt = Printexc.get_raw_backtrace () in
-          if k < retries then begin
-            note_retry ~retries j ~what:("raised " ^ Printexc.to_string e) k;
-            (* The retry keeps this job's slot, so the pool's queue never
-               holds more than [window] tasks. *)
-            Octo_util.Pool.submit pool (task j (k + 1))
+    exec.start { aj = j; ak = k; adelay; afault; adeferred };
+    incr in_flight;
+    if !in_flight > !peak then peak := !in_flight
+  in
+  let rec admit () =
+    if not (Queue.is_empty pending && !exhausted_src) then
+      match Sandbox.Admission.admit adm ~in_flight:!in_flight with
+      | `Defer `Full -> ()
+      | `Defer `Pressure ->
+          if not !deferring then begin
+            deferring := true;
+            incr deferrals;
+            Metrics.incr Metrics.Admission_deferrals
           end
-          else begin
-            (match exhausted j (e, bt) ~attempts:(k + 1) with
-            | `Quarantined -> bump quarantined
-            | `Settled -> bump settled);
-            release ()
-          end
-    in
-    (* Dispatcher: the calling domain pulls the next job only once a slot
-       is free — this is the generator pause. *)
-    let rec dispatch () =
-      Mutex.lock lock;
-      while !in_flight >= window do
-        Condition.wait slot_free lock
-      done;
-      incr in_flight;
-      if !in_flight > !peak then peak := !in_flight;
-      Mutex.unlock lock;
-      match next () with
-      | None ->
-          (* Nothing was admitted after all: give the slot back. *)
-          release ()
-      | Some j ->
-          bump pulled;
-          Octo_util.Pool.submit pool (task j 0);
-          dispatch ()
-    in
-    dispatch ();
-    Mutex.lock lock;
-    while !in_flight > 0 do
-      Condition.wait slot_free lock
-    done;
-    Mutex.unlock lock;
-    Octo_util.Pool.shutdown pool;
-    Telemetry.sample_now (cut ~in_flight:0 ~window);
-    {
-      st_pulled = !pulled;
-      st_settled = !settled;
-      st_quarantined = !quarantined;
-      st_peak_in_flight = !peak;
-      st_deferrals = 0;
-    }
-  end
+      | `Admit ->
+          let was_deferred = !deferring in
+          deferring := false;
+          (match Queue.take_opt pending with
+          | Some retry -> start retry
+          | None -> (
+              match next () with
+              | None -> exhausted_src := true
+              | Some j ->
+                  incr pulled;
+                  start (j, 0, was_deferred)));
+          admit ()
+  in
+  let ended (a, outcome) =
+    decr in_flight;
+    let j = a.aj and k = a.ak in
+    match outcome with
+    | Settled r ->
+        settle j
+          (if a.adeferred then { r with degradations = r.degradations @ [ "admission-deferred" ] }
+           else r)
+    | Died { reason; message; rung; _ } when k < retries ->
+        (* Each retry sleeps its backoff once, inside the retried attempt. *)
+        incr retried;
+        Metrics.incr Metrics.Pool_retries;
+        Metrics.incr Metrics.Pool_backoffs;
+        let what =
+          match rung with
+          | None -> "raised " ^ message
+          | Some _ -> Printf.sprintf "child died (%s: %s)" reason message
+        in
+        Log.warn (fun m -> m "run_stream: %s %s; retrying (%d/%d)" j.label what (k + 1) retries);
+        Queue.add (j, k + 1, a.adeferred) pending
+    | Died { reason; message; backtrace; rung } -> (
+        if reason = "worker stalled" then begin
+          incr stalls;
+          Metrics.incr Metrics.Pool_stalls
+        end;
+        match on_quarantine with
+        | Some f ->
+            incr quarantined;
+            quarantine_hook f
+              {
+                qlabel = j.label;
+                qkey = job_key ~config j;
+                qreason = reason;
+                qmessage = message;
+                qbacktrace = backtrace;
+                qattempts = k + 1;
+              }
+        | None ->
+            (* A dead child's classification rides as a provenance rung, so
+               `explain` shows WHY it died. *)
+            let provenance =
+              match rung with
+              | Some rung when Provenance.is_on () ->
+                  let events = [ Provenance.Rung { rung; failure = message } ] in
+                  Some { Provenance.events; dropped = 0 }
+              | _ -> None
+            in
+            settle j { (failure_report (reason ^ ": " ^ message)) with provenance })
+  in
+  let rec loop () =
+    admit ();
+    if !in_flight > 0 then begin
+      List.iter ended (exec.await ());
+      Telemetry.tick progress;
+      loop ()
+    end
+  in
+  Fun.protect ~finally:exec.stop loop;
+  Telemetry.sample_now (progress ());
+  {
+    st_pulled = !pulled;
+    st_settled = !settled;
+    st_quarantined = !quarantined;
+    st_peak_in_flight = !peak;
+    st_deferrals = !deferrals;
+  }
+
 
 (** [stream_of_list jobs] is a pull cursor over a pre-materialized job
     list, safe to hand to {!run_stream}: the dispatcher is the only

@@ -287,9 +287,9 @@ type isolation = Domains | Processes
     ({!is_skipped_report}) and are not journaled.
 
     [on_settle label report] fires exactly once per non-skipped job, in
-    completion order, from worker context; [run_all] returns only after
-    every callback finishes.  The CLI's write-ahead journaling hooks in
-    here.
+    completion order, from the calling domain in every mode; [run_all]
+    returns only after every callback finishes.  The CLI's write-ahead
+    journaling hooks in here.
 
     [limits] bounds each child under [~isolate:Processes] (ignored in
     Domain mode, where no rlimit can be scoped to one job).
@@ -339,23 +339,36 @@ type stream_stats = {
   st_quarantined : int;  (** jobs handed to [on_quarantine] *)
   st_peak_in_flight : int;  (** high-water mark of concurrently held jobs *)
   st_deferrals : int;
-      (** admission-deferral episodes: times the process-mode memory
-          controller paused admissions under pressure (always 0 in
-          Domain isolation) *)
+      (** admission-deferral episodes: times the memory controller
+          paused admissions under pressure (always 0 without
+          [mem_watermark_mb]) *)
 }
 
 (** [run_stream ?config ?jobs ?retries ?window ?on_settle ?on_quarantine
     next] verifies a stream of jobs pulled lazily from [next] — the
     corpus-scale runner.  The batch is never materialized: [next ()] is
-    called (from the dispatching domain only) each time the admission
-    window has a free slot, so peak memory is bounded by [window] (default
+    called (from the calling domain only) each time the admission window
+    has a free slot, so peak memory is bounded by [window] (default
     [max 4 (2 * jobs)]) in-flight jobs, not by the corpus size.
 
-    A job whose worker raises gets [retries] extra attempts, each preceded
-    by a capped exponential backoff with deterministic jitter
-    ({!Octo_util.Pool.backoff_delay}).  A job still raising after the
-    budget is handed to [on_quarantine] (when given) instead of settling —
-    poison pairs are moved aside, never fail the batch; without
+    One loop in the calling domain drives every mode: admit, pull, start
+    an attempt, await any completion, then settle, retry or exhaust.  Only
+    the executor differs.  Domain isolation with [jobs <= 1] (after the
+    core-count clamp) runs each attempt inline with a window of 1, so the
+    next job is pulled only after the previous one has settled, and no
+    domain is ever spawned.  More jobs run attempts as tasks on a domain
+    pool.  [~isolate:Processes] runs each attempt in a forked child.
+
+    A job whose attempt raises (or whose child dies) gets [retries] extra
+    attempts; each retried attempt sleeps a capped exponential backoff
+    with deterministic jitter ({!Octo_util.Pool.backoff_delay}) before
+    it runs, and a retry is admitted ahead of any fresh pull.  The
+    attempt-level chaos sites ([worker-crash], [worker-stall], and under
+    processes [child-segv] and [child-oom-kill]) are drawn by the loop
+    from the job's injector before each attempt starts, so every retry
+    advances the stream in every mode.  A job still failing after the
+    budget is handed to [on_quarantine] (when given) instead of settling
+    — poison pairs are moved aside, never fail the batch; without
     [on_quarantine] they settle as [Failure "worker crashed/stalled: ..."]
     like {!run_all}.
 
@@ -365,8 +378,7 @@ type stream_stats = {
     counted in [Metrics.Pool_stalls] and the telemetry [stalls] tally.
 
     [on_settle job report] and [on_quarantine q] fire exactly once per
-    job, from worker context, in completion order; [run_stream] returns
-    only after every callback has finished.
+    job, from the calling domain in every mode, in completion order.
 
     With [~isolate:Processes] every job runs in a forked child under
     [limits] ({!Octo_util.Sandbox.limits}); the admission window IS the
@@ -384,7 +396,8 @@ type stream_stats = {
     RSS plus worst observed child RSS) the in-flight window halves and
     admissions defer, counted in [st_deferrals] and recorded as an
     ["admission-deferred"] degradation on the next admitted job.
-    [pre_run job] runs in the child just before the pipeline.
+    [pre_run job] runs where the attempt runs (the child, under process
+    isolation) just before the pipeline.
 
     Fork safety: process mode spawns no domains and must run before
     the process's first Domain-mode work — OCaml 5.1 refuses

@@ -19,8 +19,9 @@
     - {!Solver_budget}: the model search starves, as if the node budget ran
       out ({!Octo_solver.Solve.solve} returns [Unknown]).
     - {!Worker_crash}: a synthetic exception escapes the job before the
-      pipeline starts (checked in the batch driver's worker body in
-      [Octopocs]).
+      pipeline starts (drawn by the batch driver in [Octopocs] before
+      each attempt, in every isolation mode, and raised where the attempt
+      runs).
     - {!Deadline_expiry}: an artificial deadline expiry at a pipeline phase
       boundary (raises {!Deadline.Deadline_exceeded}).
     - {!Journal_write}: a torn write during a write-ahead-journal append —
@@ -28,10 +29,10 @@
       (checked in {!Journal.append}).
     - {!Worker_stall}: a worker wedges instead of crashing — the job sleeps
       a fixed 0.25 s, then fails with a stall marker the driver classifies
-      as ["worker stalled"] (checked beside {!Worker_crash}).
+      as ["worker stalled"] (drawn beside {!Worker_crash}).
     - {!Child_segv}: a sandboxed worker process dies of SIGSEGV before
-      producing a verdict (drawn by the parent supervisor before each
-      fork, so retries advance the stream deterministically).
+      producing a verdict (drawn by the batch driver before each fork,
+      so retries advance the stream deterministically).
     - {!Child_oom_kill}: a sandboxed worker process is SIGKILLed as if by
       the kernel OOM killer (drawn like {!Child_segv}).  Both child sites
       are inert in Domain isolation — only the process sandbox checks

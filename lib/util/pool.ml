@@ -126,9 +126,3 @@ let backoff_delay ?(base_s = 0.002) ?(cap_s = 0.100) ~key ~attempt () =
   let r = Rng.create (key lxor (attempt * 0x9E3779B9)) in
   let u = Float.of_int (Rng.int r 1_000_000) /. 1e6 in
   d *. (0.5 +. u)
-
-(* Sleep the backoff for retry [attempt] of task [key] and count it. *)
-let backoff_sleep ?base_s ?cap_s ~key ~attempt () =
-  Metrics.incr Metrics.Pool_backoffs;
-  Telemetry.note_backoff ();
-  Unix.sleepf (backoff_delay ?base_s ?cap_s ~key ~attempt ())

@@ -23,12 +23,11 @@
     latches, and joining the domain does not lift it.  Sandboxed work
     must therefore be the process's FIRST parallel work: never run a
     Domain-mode batch (or create any pool) before the first {!spawn}.
-    The process scheduler in [Octopocs] honours this by doing all its
-    parallelism at the process level: it never spawns a domain. *)
+    The process executor of [Octopocs.run_stream] honours this by doing
+    all its parallelism at the process level: it never spawns a domain. *)
 
 external setrlimit_as : int -> unit = "octo_setrlimit_as"
 external setrlimit_cpu : int -> unit = "octo_setrlimit_cpu"
-external page_size : unit -> int = "octo_page_size"
 
 external wait4 : int -> bool -> int * int * int * int = "octo_wait4"
 (** [(pid, kind, detail, maxrss_kb)]; see sandbox_stubs.c for the
@@ -229,8 +228,8 @@ let reap c =
 
 (** [run_child ?limits ?kill_after_s ?die f] is the one-shot form:
     spawn, supervise to completion, classify.  Used by callers running
-    a single job (tests); the streaming scheduler multiplexes many
-    children over one select loop instead. *)
+    a single job (tests); the streaming driver's process executor
+    multiplexes many children over one select loop instead. *)
 let run_child ?limits ?kill_after_s ?die f =
   let c = spawn ?limits ?kill_after_s ?die f in
   let rec loop () =
@@ -262,7 +261,6 @@ module Admission = struct
     base_window : int;
     mutable cur_window : int;
     mutable worst_child_kb : int;
-    page_kb : int;
     probe : (unit -> int) option;
         (* parent-pressure override (KiB); None reads /proc.  A seam for
            tests: RSS cannot be lowered on demand (Gc.compact does not
@@ -276,24 +274,8 @@ module Admission = struct
       base_window = max 1 window;
       cur_window = max 1 window;
       worst_child_kb = 0;
-      page_kb = max 1 (page_size () / 1024);
       probe;
     }
-
-  (** Parent resident set in KiB, from /proc/self/statm (field 2 is
-      resident pages).  0 where /proc is absent — pressure control then
-      degrades to plain window backpressure. *)
-  let self_rss_kb t =
-    match open_in "/proc/self/statm" with
-    | exception Sys_error _ -> 0
-    | ic ->
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            try
-              Scanf.sscanf (input_line ic) " %d %d" (fun _ rss ->
-                  rss * t.page_kb)
-            with _ -> 0)
 
   let note_child_rss t kb = if kb > t.worst_child_kb then t.worst_child_kb <- kb
 
@@ -302,7 +284,7 @@ module Admission = struct
     | None -> ()
     | Some wm ->
         let parent_kb =
-          match t.probe with Some f -> f () | None -> self_rss_kb t
+          match t.probe with Some f -> f () | None -> Telemetry.self_rss_kb ()
         in
         let pressure = parent_kb + t.worst_child_kb in
         if pressure > wm then t.cur_window <- max 1 (t.cur_window / 2)

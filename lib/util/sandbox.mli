@@ -112,10 +112,6 @@ module Admission : sig
       on OCaml 5.1), which makes the regrow path unreachable from a
       real-RSS test. *)
 
-  val self_rss_kb : t -> int
-  (** Parent resident set from /proc/self/statm; 0 where /proc is
-      absent. *)
-
   val note_child_rss : t -> int -> unit
   (** Record a reaped child's max RSS (KiB). *)
 

@@ -1,9 +1,9 @@
 (* Run-health time-series sampler.
 
-   While enabled, the streaming drivers call [tick] at their natural
-   cadence points (each settle, each select-loop wakeup); at most once
-   per [interval_ns] a sample is taken — throughput counters from the
-   driver, pool-health counters accumulated here, parent/child memory,
+   While enabled, the streaming driver calls [tick] at its natural
+   cadence points (each batch of completions, each quiet select-loop
+   wakeup); at most once per [interval_ns] a sample is taken — the
+   driver's throughput and pool-health counters, parent/child memory,
    GC words, and (when [Metrics] collection is on) the per-phase latency
    histograms — encoded as a versioned [OTL1] frame and appended to a
    [telemetry.jrnl] write-ahead journal beside the verdict journal.
@@ -21,7 +21,8 @@
 
 (* Resident set of this process in KiB, from /proc/self/statm (field 2
    is resident pages).  0 where /proc is absent.  The page size comes
-   from the same C stub Sandbox uses. *)
+   from the [octo_page_size] stub (sandbox_stubs.c).  The sandbox's
+   admission controller reads parent pressure through this too. *)
 external page_size : unit -> int = "octo_page_size"
 
 let self_rss_kb () =
@@ -45,6 +46,10 @@ type progress = {
   quarantined : int;  (** pairs given up on after the retry budget *)
   in_flight : int;  (** jobs currently running *)
   window : int;  (** in-flight window bound at this instant *)
+  retries : int;  (** crash/stall retries scheduled so far *)
+  stalls : int;  (** jobs whose retry budget ran out on a stall *)
+  deferrals : int;  (** admission-deferral episodes *)
+  child_rss_kb : int;  (** worst reaped child maxrss, KiB *)
 }
 
 type sample = {
@@ -54,10 +59,10 @@ type sample = {
   quarantined : int;
   in_flight : int;
   window : int;
-  retries : int;  (** crash/stall retries noted since [enable] *)
-  stalls : int;  (** jobs whose retry budget ran out on a stall since [enable] *)
-  backoffs : int;  (** backoff sleeps since [enable] *)
-  deferrals : int;  (** admission deferrals since [enable] *)
+  retries : int;  (** crash/stall retries scheduled by the driver *)
+  stalls : int;  (** jobs whose retry budget ran out on a stall *)
+  backoffs : int;  (** backoff sleeps (one per retry) *)
+  deferrals : int;  (** admission deferrals *)
   rss_kb : int;  (** parent resident set, KiB (0 if /proc absent) *)
   child_rss_kb : int;  (** running max child maxrss, KiB *)
   minor_words : int;  (** [Gc.quick_stat] minor words, truncated *)
@@ -134,27 +139,7 @@ let interval = ref default_interval_ns
    path never takes the mutex. *)
 let next_due = Atomic.make 0
 
-(* Pool-health accumulators, reset on [enable].  Fed by the drivers at
-   the same sites that bump the corresponding [Metrics] counters, but
-   gated on this module's own flag so telemetry never requires (or
-   perturbs) metrics collection. *)
-let retries = Atomic.make 0
-let stalls = Atomic.make 0
-let backoffs = Atomic.make 0
-let deferrals = Atomic.make 0
-let child_rss_max = Atomic.make 0
-
 let is_on () = Atomic.get on
-let note_retry () = if Atomic.get on then Atomic.incr retries
-let note_stall () = if Atomic.get on then Atomic.incr stalls
-let note_backoff () = if Atomic.get on then Atomic.incr backoffs
-let note_deferral () = if Atomic.get on then Atomic.incr deferrals
-
-let rec note_child_rss kb =
-  if Atomic.get on then begin
-    let cur = Atomic.get child_rss_max in
-    if kb > cur && not (Atomic.compare_and_set child_rss_max cur kb) then note_child_rss kb
-  end
 
 let now_rel_ns () = Int64.to_int (Int64.sub (Deadline.monotonic_ns ()) !base_ns)
 
@@ -171,11 +156,6 @@ let enable ?(interval_ns = default_interval_ns) ~path () =
       base_ns := Deadline.monotonic_ns ();
       interval := max 1 interval_ns;
       Atomic.set next_due 0;
-      Atomic.set retries 0;
-      Atomic.set stalls 0;
-      Atomic.set backoffs 0;
-      Atomic.set deferrals 0;
-      Atomic.set child_rss_max 0;
       Atomic.set on true)
 
 let disable () =
@@ -197,18 +177,19 @@ let take_sample (p : progress) =
     quarantined = p.quarantined;
     in_flight = p.in_flight;
     window = p.window;
-    retries = Atomic.get retries;
-    stalls = Atomic.get stalls;
-    backoffs = Atomic.get backoffs;
-    deferrals = Atomic.get deferrals;
+    retries = p.retries;
+    stalls = p.stalls;
+    (* Each retry sleeps its backoff exactly once. *)
+    backoffs = p.retries;
+    deferrals = p.deferrals;
     rss_kb = self_rss_kb ();
-    child_rss_kb = Atomic.get child_rss_max;
+    child_rss_kb = p.child_rss_kb;
     minor_words = int_of_float gc.Gc.minor_words;
     major_words = int_of_float gc.Gc.major_words;
     metrics = m;
   }
 
-(* Unconditional sample (when enabled): the drivers call this once at
+(* Unconditional sample (when enabled): the driver calls this once at
    stream end so even a sub-interval run leaves a final cut. *)
 let sample_now (p : progress) =
   if Atomic.get on then begin

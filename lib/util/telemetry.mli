@@ -1,9 +1,9 @@
 (** Run-health time-series sampler.
 
-    Streaming drivers call {!tick} at their natural cadence points; at
-    most once per interval a sample — throughput, pool health, memory,
-    GC words, and (when {!Metrics} is collecting) per-phase latency
-    histograms — is encoded as a versioned [OTL1] frame and appended to
+    The streaming driver calls {!tick} at its natural cadence points,
+    passing its own counts; at most once per interval a sample —
+    throughput, pool health, memory, GC words, and (when {!Metrics} is
+    collecting) per-phase latency histograms — is encoded as a versioned [OTL1] frame and appended to
     a write-ahead journal beside the verdict journal.  Disabled, every
     entry point costs one [Atomic.get]. *)
 
@@ -14,6 +14,10 @@ type progress = {
   quarantined : int;  (** pairs given up on after the retry budget *)
   in_flight : int;  (** jobs currently running *)
   window : int;  (** in-flight window bound at this instant *)
+  retries : int;  (** crash/stall retries scheduled so far *)
+  stalls : int;  (** jobs whose retry budget ran out on a stall *)
+  deferrals : int;  (** admission-deferral episodes *)
+  child_rss_kb : int;  (** worst reaped child maxrss, KiB *)
 }
 
 type sample = {
@@ -23,10 +27,10 @@ type sample = {
   quarantined : int;
   in_flight : int;
   window : int;
-  retries : int;  (** crash/stall retries noted since [enable] *)
-  stalls : int;  (** jobs whose retry budget ran out on a stall since [enable] *)
-  backoffs : int;  (** backoff sleeps since [enable] *)
-  deferrals : int;  (** admission deferrals since [enable] *)
+  retries : int;  (** crash/stall retries scheduled by the driver *)
+  stalls : int;  (** jobs whose retry budget ran out on a stall *)
+  backoffs : int;  (** backoff sleeps: one per retry, so equal to [retries] *)
+  deferrals : int;  (** admission deferrals *)
   rss_kb : int;  (** parent resident set, KiB (0 if /proc absent) *)
   child_rss_kb : int;  (** running max child maxrss, KiB *)
   minor_words : int;  (** [Gc.quick_stat] minor words, truncated *)
@@ -41,7 +45,7 @@ val default_interval_ns : int
 
 val enable : ?interval_ns:int -> path:string -> unit -> unit
 (** Start sampling into a fresh journal at [path], resetting the
-    relative clock and the pool-health accumulators. *)
+    relative clock. *)
 
 val disable : unit -> unit
 (** Stop sampling and close the journal.  Idempotent. *)
@@ -55,20 +59,8 @@ val tick : (unit -> progress) -> unit
     only evaluated when a sample is actually taken. *)
 
 val sample_now : progress -> unit
-(** Unconditional sample (when enabled): drivers call this once at
+(** Unconditional sample (when enabled): the driver calls this once at
     stream end so even a sub-interval run leaves a final cut. *)
-
-(** Pool-health accumulators, fed by the drivers at the same sites that
-    bump the corresponding {!Metrics} counters but gated on this
-    module's own flag — telemetry never requires metrics collection. *)
-
-val note_retry : unit -> unit
-val note_stall : unit -> unit
-val note_backoff : unit -> unit
-val note_deferral : unit -> unit
-
-val note_child_rss : int -> unit
-(** Record a reaped child's maxrss (KiB); keeps the running max. *)
 
 (** {1 Codec} *)
 

@@ -58,22 +58,6 @@ let disable () =
   Atomic.set sink_on false;
   Mutex.unlock lock
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let emit ~name ~cat ~ph ~ts_ns =
   Mutex.lock lock;
   (match !sink with
@@ -82,7 +66,7 @@ let emit ~name ~cat ~ph ~ts_ns =
       let line =
         Printf.sprintf
           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%c\",\"ts\":%.3f,\"pid\":%d,\"tid\":%d},\n"
-          (json_escape name) (json_escape cat) ph
+          (Log.json_escape name) (Log.json_escape cat) ph
           (Int64.to_float ts_ns /. 1e3)
           (Unix.getpid ())
           (Domain.self () :> int)

@@ -170,12 +170,23 @@ let backoff_caps_and_grows () =
   done;
   check Alcotest.bool "cap" true (Pool.backoff_delay ~key:1 ~attempt:30 () <= 0.150 +. 1e-9)
 
+(* The driver counts one backoff per retry: each retried attempt sleeps
+   its delay once before it runs. *)
 let backoff_counter () =
   Metrics.enable ();
   let read () = Metrics.counter_value (Metrics.current ()) Metrics.Pool_backoffs in
   let before = read () in
-  Pool.backoff_sleep ~base_s:0.0001 ~cap_s:0.0002 ~key:1 ~attempt:1 ();
-  Pool.backoff_sleep ~base_s:0.0001 ~cap_s:0.0002 ~key:2 ~attempt:2 ();
+  let c = Octo_targets.Registry.find 1 in
+  let inject =
+    Faultinject.create ~seed:1 ~rate:0.0 ~site_rates:[ (Faultinject.Worker_crash, 1.0) ] ()
+  in
+  let job =
+    O.job ~config:{ O.default_config with O.inject } ~label:"backoff"
+      ~s:c.Octo_targets.Registry.s ~t:c.Octo_targets.Registry.t
+      ~poc:c.Octo_targets.Registry.poc ()
+  in
+  let st = O.run_stream ~jobs:1 ~retries:2 ~on_quarantine:ignore (O.stream_of_list [ job ]) in
+  check Alcotest.int "quarantined" 1 st.O.st_quarantined;
   check Alcotest.int "two sleeps counted" (before + 2) (read ())
 
 (* ------------------------------------------------------------------ *)
@@ -317,6 +328,34 @@ let stream_counts_exhausted_stall () =
         (String.starts_with ~prefix:"worker stalled: " msg)
   | _ -> Alcotest.fail "expected a worker-stalled Failure"
 
+(* Serial streaming pulls the next job only after the previous one has
+   settled: perfbench's pull-to-settle latencies rely on it, and a loop
+   that pre-pulled up to the default window would silently move them. *)
+let stream_serial_interleaves_pull_and_settle () =
+  let events = ref [] in
+  let src = mini_source 5 in
+  let pulls = ref 0 and settles = ref 0 in
+  let next () =
+    let j = src () in
+    if j <> None then begin
+      incr pulls;
+      events := Printf.sprintf "pull %d" !pulls :: !events
+    end;
+    j
+  in
+  let on_settle _ _ =
+    incr settles;
+    events := Printf.sprintf "settle %d" !settles :: !events
+  in
+  let st = O.run_stream ~jobs:1 ~on_settle next in
+  check Alcotest.int "peak in flight" 1 st.O.st_peak_in_flight;
+  check
+    Alcotest.(list string)
+    "interleaved"
+    (List.concat_map (fun i -> [ Printf.sprintf "pull %d" i; Printf.sprintf "settle %d" i ])
+       [ 1; 2; 3; 4; 5 ])
+    (List.rev !events)
+
 let quarantine_codec_roundtrip () =
   let q =
     {
@@ -365,4 +404,6 @@ let suite =
     tc "stream: exhausted stall counts a pool stall" stream_counts_exhausted_stall;
     tc "quarantine codec: roundtrip" quarantine_codec_roundtrip;
     tc "quarantine codec: rejects junk" quarantine_codec_rejects_junk;
+    tc "stream: serial pulls only after the previous settle"
+      stream_serial_interleaves_pull_and_settle;
   ]

@@ -377,7 +377,7 @@ let run_all_on_settle_covers_every_pair () =
   let results =
     Octopocs.run_all ~jobs:2 ~on_settle:(fun label _ -> settled := label :: !settled) batch
   in
-  (* on_settle fires from worker context in completion order; by the time
+  (* on_settle fires from the calling domain in completion order; by the time
      run_all returns, every pair must have been journaled exactly once. *)
   check Alcotest.(list string) "every pair settled once" [ "1"; "2"; "3"; "4"; "5" ]
     (List.sort compare !settled);

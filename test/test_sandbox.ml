@@ -141,7 +141,7 @@ let admission_shrinks_under_pressure () =
   (* A 1 MiB watermark is always exceeded by the parent's own RSS, so
      every admit halves the window until the floor of 1. *)
   let t = Sandbox.Admission.create ~watermark_mb:1 ~window:4 () in
-  check Alcotest.bool "parent RSS measurable" true (Sandbox.Admission.self_rss_kb t > 1024);
+  check Alcotest.bool "parent RSS measurable" true (Octo_util.Telemetry.self_rss_kb () > 1024);
   (match Sandbox.Admission.admit t ~in_flight:0 with
   | `Admit -> ()
   | `Defer _ -> Alcotest.fail "first admit under pressure should still fit");
@@ -313,6 +313,47 @@ let stream_records_deferrals () =
   check Alcotest.bool "peak in-flight bounded by the shrunk window" true
     (st.Octopocs.st_peak_in_flight <= 2)
 
+(* The driver draws worker faults before it starts an attempt, in every
+   isolation mode, so a retry advances the job's worker-crash stream
+   whether the attempt runs inline or in a forked child: over identical
+   per-job injectors both modes rescue and quarantine the same pairs.
+   (A child drawing on its own copy of the injector would replay attempt
+   0's fault on every retry and quarantine far more.) *)
+let proc_retries_redraw_worker_faults () =
+  let c = List.hd Registry.all in
+  let labels = List.init 40 (Printf.sprintf "w%02d") in
+  let jobs () =
+    List.map
+      (fun label ->
+        let inject =
+          Faultinject.create ~rate:0.0
+            ~site_rates:[ (Faultinject.Worker_crash, 0.5) ]
+            ~seed:(Faultinject.seed_for ~seed:1 label) ()
+        in
+        let config = { Octopocs.default_config with inject; deadline_s = Some 30.0 } in
+        Octopocs.job ~config ~label ~s:c.s ~t:c.t ~poc:c.poc ())
+      labels
+  in
+  let run isolate =
+    let settled = ref [] and quars = ref [] in
+    let (_ : Octopocs.stream_stats) =
+      Octopocs.run_stream ~jobs:1 ~retries:3 ~isolate
+        ~on_settle:(fun j _ -> settled := Octopocs.job_label j :: !settled)
+        ~on_quarantine:(fun (q : Octopocs.quarantine) ->
+          quars := (q.qlabel, q.qreason, q.qattempts) :: !quars)
+        (stream_of (jobs ()))
+    in
+    (List.sort compare !settled, List.sort compare !quars)
+  in
+  (* Process half first: fork before any domain. *)
+  let prc_settled, prc_quars = run Octopocs.Processes in
+  let dom_settled, dom_quars = run Octopocs.Domains in
+  check Alcotest.bool "the schedule quarantines something" true (dom_quars <> []);
+  check Alcotest.(list string) "same settled labels" dom_settled prc_settled;
+  check
+    Alcotest.(list (triple string string int))
+    "same quarantines" dom_quars prc_quars
+
 let suite =
   [
     tc "frame: roundtrip with binary payloads" frame_roundtrip;
@@ -334,4 +375,5 @@ let suite =
     tc "proc: OOM pair quarantined with reason oom, mates complete"
       oom_pair_quarantined_others_complete;
     tc "proc: memory watermark defers admissions" stream_records_deferrals;
+    tc "proc: retries re-draw worker faults like domain mode" proc_retries_redraw_worker_faults;
   ]

@@ -17,8 +17,8 @@ let tmp_path name =
   p
 
 let progress ?(pulled = 0) ?(settled = 0) ?(quarantined = 0) ?(in_flight = 0) ?(window = 1)
-    () =
-  { Telemetry.pulled; settled; quarantined; in_flight; window }
+    ?(retries = 0) ?(stalls = 0) ?(deferrals = 0) ?(child_rss_kb = 0) () : Telemetry.progress =
+  { pulled; settled; quarantined; in_flight; window; retries; stalls; deferrals; child_rss_kb }
 
 (* Run [f] with telemetry enabled into a temp journal; always disables
    (and removes the file) on the way out so later tests see a clean
@@ -37,15 +37,10 @@ let with_telemetry ?interval_ns f =
 let sampler_roundtrip () =
   with_telemetry (fun path ->
       Alcotest.(check bool) "enabled" true (Telemetry.is_on ());
-      Telemetry.note_retry ();
-      Telemetry.note_retry ();
-      Telemetry.note_stall ();
-      Telemetry.note_backoff ();
-      Telemetry.note_deferral ();
-      Telemetry.note_child_rss 512;
-      Telemetry.note_child_rss 256;
-      (* running max, not last-write *)
-      Telemetry.sample_now (progress ~pulled:7 ~settled:5 ~quarantined:1 ~in_flight:2 ~window:4 ());
+      (* The pool-health counts are the driver's, passed through as-is. *)
+      Telemetry.sample_now
+        (progress ~pulled:7 ~settled:5 ~quarantined:1 ~in_flight:2 ~window:4 ~retries:2 ~stalls:1
+           ~deferrals:1 ~child_rss_kb:512 ());
       Telemetry.sample_now (progress ~pulled:9 ~settled:9 ());
       Telemetry.disable ();
       let r = Telemetry.replay path in
@@ -60,9 +55,9 @@ let sampler_roundtrip () =
       Alcotest.(check int) "window" 4 s.Telemetry.window;
       Alcotest.(check int) "retries" 2 s.Telemetry.retries;
       Alcotest.(check int) "stalls" 1 s.Telemetry.stalls;
-      Alcotest.(check int) "backoffs" 1 s.Telemetry.backoffs;
+      Alcotest.(check int) "backoffs: one per retry" 2 s.Telemetry.backoffs;
       Alcotest.(check int) "deferrals" 1 s.Telemetry.deferrals;
-      Alcotest.(check int) "child rss keeps the max" 512 s.Telemetry.child_rss_kb;
+      Alcotest.(check int) "child rss" 512 s.Telemetry.child_rss_kb;
       let s2 = List.nth r.Telemetry.samples 1 in
       Alcotest.(check bool) "timestamps monotonic" true
         (s2.Telemetry.ts_ns >= s.Telemetry.ts_ns))
@@ -88,17 +83,16 @@ let sampler_disabled_noop () =
   Telemetry.tick (fun () ->
       incr calls;
       progress ());
-  Telemetry.sample_now (progress ());
-  Telemetry.note_retry ();
-  Telemetry.note_child_rss 999;
+  Telemetry.sample_now (progress ~retries:3 ~child_rss_kb:999 ());
   Alcotest.(check int) "thunk never ran" 0 !calls;
-  (* A later enable starts from zeroed accumulators. *)
+  (* A later enable records only what its own samples carry. *)
   with_telemetry (fun path ->
       Telemetry.sample_now (progress ());
       Telemetry.disable ();
       let s = List.hd (Telemetry.replay path).Telemetry.samples in
-      Alcotest.(check int) "retries reset" 0 s.Telemetry.retries;
-      Alcotest.(check int) "child rss reset" 0 s.Telemetry.child_rss_kb)
+      Alcotest.(check int) "no retries" 0 s.Telemetry.retries;
+      Alcotest.(check int) "no child rss" 0 s.Telemetry.child_rss_kb;
+      Alcotest.(check int) "one frame" 1 (List.length (Telemetry.replay path).Telemetry.samples))
 
 let sampler_metrics_attached () =
   with_telemetry (fun path ->
