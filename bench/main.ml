@@ -8,7 +8,14 @@
    - Table V  : AFLFast / AFLGo / OCTOPOCS elapsed time (pairs 7-9)
    - chaos    : resilience harness — the 15-pair batch under N seeded
                 fault-injection schedules (only when named explicitly;
-                options: --schedules N, --chaos-seed S) *)
+                options: --schedules N, --chaos-seed S)
+   - bench    : append one row of deterministic counters and timings to
+                BENCH_history.jsonl (only when named explicitly)
+   - gate     : compare the counters against the last history row
+
+   Timing comparisons belong to perfbench/ (repeated segments, medians and
+   spread); the history row's timings are for trend-reading and never
+   gate. *)
 
 module Registry = Octo_targets.Registry
 module Taint = Octo_taint.Taint
@@ -264,191 +271,6 @@ let ablations () =
   in
   say "dynamic CFG + devirt       : %s" (Fmt.str "%a" Octopocs.pp_verdict dyn_r.verdict);
   hr ()
-
-(* ------------------------------------------------------------------ *)
-
-(* Machine-readable solver/engine benchmark: emits BENCH_solver.json so the
-   perf trajectory survives across PRs.  The "seed" block holds the numbers
-   measured on the pre-overhaul engine (assoc-list store, full
-   re-propagation, copy-per-candidate search, serial runner) on the same
-   workloads; "current" is re-measured on every run. *)
-
-module Solve = Octo_solver.Solve
-module Expr = Octo_solver.Expr
-
-let time_ns ?(reps = 1) n f =
-  (* Best of [reps] timing runs of [n] iterations, in ns/iteration. *)
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n do
-      ignore (Sys.opaque_identity (f ()))
-    done;
-    let per = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n in
-    if per < !best then best := per
-  done;
-  !best
-
-(* Workloads match the ones used to record the seed numbers. *)
-let bench_add () =
-  (* 128 adds over 64 variables: the store shape of a long parser path. *)
-  time_ns ~reps:3 200 (fun () ->
-      let s = Solve.create () in
-      for i = 0 to 63 do
-        ignore (Solve.add s { Expr.rel = Octo_vm.Isa.Le; lhs = Expr.byte i; rhs = Expr.const (255 - i) });
-        ignore (Solve.add s { Expr.rel = Octo_vm.Isa.Ge; lhs = Expr.byte i; rhs = Expr.const 1 })
-      done)
-  /. 128.
-
-let bench_propagate () =
-  (* One extra add against an already-populated 128-constraint store:
-     isolates incremental propagation cost. *)
-  let base = Solve.create () in
-  for i = 0 to 63 do
-    ignore (Solve.add base { Expr.rel = Octo_vm.Isa.Le; lhs = Expr.byte i; rhs = Expr.const (255 - i) });
-    ignore (Solve.add base { Expr.rel = Octo_vm.Isa.Ge; lhs = Expr.byte i; rhs = Expr.const 1 })
-  done;
-  time_ns ~reps:3 500 (fun () ->
-      let s = Solve.copy base in
-      Solve.add s { Expr.rel = Octo_vm.Isa.Lt; lhs = Expr.byte 32; rhs = Expr.const 100 })
-
-let bench_solve () =
-  time_ns ~reps:3 50 (fun () ->
-      let s = Solve.create () in
-      let w = Expr.bin Octo_vm.Isa.Or (Expr.byte 0) (Expr.bin Octo_vm.Isa.Shl (Expr.byte 1) (Expr.const 8)) in
-      ignore (Solve.add s { Expr.rel = Octo_vm.Isa.Eq; lhs = w; rhs = Expr.const 0x8000 });
-      for i = 2 to 17 do
-        ignore (Solve.add s { Expr.rel = Octo_vm.Isa.Ge; lhs = Expr.byte i; rhs = Expr.const 200 })
-      done;
-      Solve.solve s)
-
-let bench_pipeline_pair1 () =
-  let c1 = Registry.find 1 in
-  time_ns ~reps:3 200 (fun () -> Octopocs.run ~s:c1.s ~t:c1.t ~poc:c1.poc ())
-
-let bench_directed_pair7 () =
-  let c7 = Registry.find 7 in
-  time_ns ~reps:3 500 (fun () ->
-      let cfg = Cfg.build_cached c7.t ~ep:c7.vuln_func in
-      Directed.run c7.t ~ep:c7.vuln_func ~cfg ~ledger:() ~on_ep:Directed.stop_at_first)
-
-let bench_table2 ~jobs =
-  let batch =
-    List.map
-      (fun (c : Registry.case) ->
-        Octopocs.job ~label:(string_of_int c.idx) ~s:c.s ~t:c.t ~poc:c.poc ())
-      Registry.all
-  in
-  (* Repeat the 15-pair batch to stabilise the wall-clock measurement. *)
-  let reps = 8 in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to reps do
-    ignore (Sys.opaque_identity (Octopocs.run_all ~jobs batch))
-  done;
-  (Unix.gettimeofday () -. t0) /. float_of_int reps
-
-(* Numbers measured on the seed engine (commit 8c76129) with the workloads
-   above, on the reference container.  Kept verbatim so speedups are always
-   reported against the same baseline. *)
-let seed_numbers =
-  [
-    ("solver_add_ns", 157565.0);
-    ("solver_propagate_ns", 157565.0);  (* seed add == full re-propagation *)
-    ("solver_solve_ns", 2458301.0);
-    ("table2_pipeline_pair1_ns", 638173.0);
-    ("table4_directed_symex_pair7_ns", 44283.8);
-    ("table2_serial_s", 0.202);
-  ]
-
-let bench_json () =
-  say "";
-  say "Engine benchmark (machine-readable -> BENCH_solver.json)";
-  hr ();
-  let current =
-    [
-      ("solver_add_ns", bench_add ());
-      ("solver_propagate_ns", bench_propagate ());
-      ("solver_solve_ns", bench_solve ());
-      ("table2_pipeline_pair1_ns", bench_pipeline_pair1 ());
-      ("table4_directed_symex_pair7_ns", bench_directed_pair7 ());
-    ]
-  in
-  let serial_s = bench_table2 ~jobs:1 in
-  let cores = Domain.recommended_domain_count () in
-  let eff = Octo_util.Pool.effective_jobs 4 in
-  (* On a single-core machine the pool clamps --jobs to 1, so a "parallel"
-     run would measure clamping overhead, not speedup: skip it and record
-     why, rather than publishing a meaningless ~1.0x number. *)
-  let parallel_s = if cores < 2 then None else Some (bench_table2 ~jobs:4) in
-  let current =
-    current
-    @ [ ("table2_serial_s", serial_s) ]
-    @ (match parallel_s with Some p -> [ ("table2_parallel4_s", p) ] | None -> [])
-    @ [ ("cores", float_of_int cores); ("effective_jobs_of_4", float_of_int eff) ]
-  in
-  List.iter (fun (k, v) -> say "  %-34s %14.1f" k v) current;
-  (match parallel_s with
-  | Some p -> say "  %-34s %14.2fx" "parallel_speedup_4j" (serial_s /. p)
-  | None ->
-      say "  %-34s %14s" "parallel_speedup_4j" "skipped";
-      say "  (single-core machine: the pool clamps --jobs to 1, so the";
-      say "   parallel run would measure clamping overhead, not speedup)");
-  (* With --trace the bench process has metrics collection on: entries
-     carry a per-phase breakdown of one pipeline-pair1 run, so the JSON
-     answers "where did the time go" and not just "how much". *)
-  let phase_block =
-    if not (Octo_util.Metrics.is_on ()) then []
-    else begin
-      let c1 = Registry.find 1 in
-      let _, snap =
-        Octo_util.Metrics.scoped (fun () -> Octopocs.run ~s:c1.s ~t:c1.t ~poc:c1.poc ())
-      in
-      match snap with
-      | None -> []
-      | Some m ->
-          let fields =
-            List.map
-              (fun p ->
-                Printf.sprintf "    \"%s_ns\": %d" (Octo_util.Metrics.phase_name p)
-                  (Octo_util.Metrics.phase_total_ns m p))
-              Octo_util.Metrics.all_phases
-          in
-          [ "  \"phases_pipeline_pair1\": {"; String.concat ",\n" fields; "  }," ]
-    end
-  in
-  let field (k, v) = Printf.sprintf "    %S: %.1f" k v in
-  let speedups =
-    List.filter_map
-      (fun (k, seed) ->
-        match List.assoc_opt k current with
-        | Some cur when cur > 0. -> Some (Printf.sprintf "    %S: %.2f" k (seed /. cur))
-        | _ -> None)
-      seed_numbers
-  in
-  let json =
-    String.concat "\n"
-      ([ "{"; "  \"schema\": \"octopocs-bench-solver/1\"," ]
-      @ phase_block
-      @ [ "  \"seed\": {" ]
-      @ [ String.concat ",\n" (List.map field seed_numbers) ]
-      @ [ "  },"; "  \"current\": {" ]
-      @ [ String.concat ",\n" (List.map field current) ]
-      @ [ "  },"; "  \"speedup_vs_seed\": {" ]
-      @ [ String.concat ",\n" speedups ]
-      @ [ "  }," ]
-      @ (match parallel_s with
-        | Some p -> [ Printf.sprintf "  \"parallel_speedup_4j\": %.2f" (serial_s /. p) ]
-        | None ->
-            [
-              "  \"parallel_speedup_4j\": null,";
-              "  \"parallel_skipped_reason\": \"single-core machine (pool clamps --jobs to 1)\"";
-            ])
-      @ [ "}"; "" ])
-  in
-  let oc = open_out "BENCH_solver.json" in
-  output_string oc json;
-  close_out oc;
-  say "wrote BENCH_solver.json"
 
 (* ------------------------------------------------------------------ *)
 
@@ -734,21 +556,22 @@ let bench_gate () =
 module Journal = Octo_util.Journal
 module Source = Octo_targets.Source
 
-(* Corpus-scale chaos: stream a generated corpus through the sharded run
-   layer with the worker-crash site armed hot enough to push pairs past
-   the retry budget, and prove three properties the ISSUE-level batch
-   cannot: (1) two identical streamed runs agree byte-for-byte on the
-   merged verdict table AND the quarantine set; (2) a run killed after K
-   pairs — with torn tails planted on several shards at once — resumes to
-   exactly the uninterrupted run's merged state; (3) the in-flight window
-   bound holds.  Returns the violation count. *)
+(* Corpus-scale chaos: stream a generated corpus through the journaled run
+   layer (one verdict journal file, its quarantine journal beside it) with
+   the worker-crash site armed hot enough to push pairs past the retry
+   budget, and prove three properties the 15-pair batch cannot: (1) two
+   identical streamed runs agree byte-for-byte on the verdict table AND
+   the quarantine set; (2) a run killed after K pairs — with a torn tail
+   planted on the verdict journal — resumes to exactly the uninterrupted
+   run's state; (3) the in-flight window bound holds.  Returns the
+   violation count. *)
 let chaos_corpus ~seed () =
   say "";
-  say "CHAOS corpus: sharded streaming run (4 shards), kill/resume + quarantine";
+  say "CHAOS corpus: journaled streaming run, kill/resume + quarantine";
   hr ();
   let violations = ref 0 in
   let violate fmt = Printf.ksprintf (fun m -> incr violations; say "  VIOLATION: %s" m) fmt in
-  let count = 60 and shards = 4 and jobs = 4 and retries = 1 in
+  let count = 60 and jobs = 4 and retries = 1 in
   let poison = 0.3 in
   let config_of label =
     let inject =
@@ -758,45 +581,30 @@ let chaos_corpus ~seed () =
     in
     { Octopocs.default_config with inject; deadline_s = Some 30.0 }
   in
-  let with_dir f =
-    let dir = Filename.temp_file "octochaos-corpus" ".d" in
-    Sys.remove dir;
-    let rec rm p =
-      if Sys.file_exists p then
-        if Sys.is_directory p then begin
-          Array.iter (fun n -> rm (Filename.concat p n)) (Sys.readdir p);
-          Unix.rmdir p
-        end
-        else Sys.remove p
-    in
-    Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir)
+  let qpath_of path = path ^ ".quarantine" in
+  let with_journal f =
+    let path = Filename.temp_file "octochaos-corpus" ".jrnl" in
+    Sys.remove path;
+    let rm p = if Sys.file_exists p then Sys.remove p in
+    Fun.protect ~finally:(fun () -> rm path; rm (qpath_of path)) (fun () -> f path)
   in
-  let qpath_of dir = Filename.concat dir "quarantine.jrnl" in
   (* One streamed run over the corpus prefix [0, upto): settled verdicts
-     into the shard their key routes to, exhausted pairs into the
-     quarantine journal.  [resume] skips pairs already settled or
-     quarantined in [dir].  Fresh injectors per call — determinism is
-     seed-to-verdicts, never object reuse. *)
-  let run_streamed ~dir ~resume ~upto () =
-    let w, skip =
-      if resume then begin
-        let w, recovered = Journal.Sharded.open_resume ~dir ~shards () in
-        ( w,
-          Array.to_list recovered |> List.concat
-          |> List.filter_map Octopocs.decode_result
-          |> List.map (fun (l, _, _) -> l) )
-      end
-      else (Journal.Sharded.create ~dir ~shards (), [])
+     into the journal, exhausted pairs into the quarantine journal.
+     [resume] skips pairs already settled or quarantined.  Fresh injectors
+     per call — determinism is seed-to-verdicts, never object reuse. *)
+  let run_streamed ~path ~resume ~upto () =
+    let w, records =
+      if resume then Journal.open_resume ~path () else (Journal.create ~path (), [])
     in
-    let qw, qrecords = Journal.open_resume ~path:(qpath_of dir) () in
-    let skip = skip @ List.filter_map
-        (fun p -> Option.map (fun q -> q.Octopocs.qlabel) (Octopocs.decode_quarantine p))
-        qrecords
-    in
+    let qw, qrecords = Journal.open_resume ~path:(qpath_of path) () in
     let skipset = Hashtbl.create 31 in
-    List.iter (fun l -> Hashtbl.replace skipset l ()) skip;
+    List.iter
+      (fun (l, _, _) -> Hashtbl.replace skipset l ())
+      (List.filter_map Octopocs.decode_result records);
+    List.iter
+      (fun q -> Hashtbl.replace skipset q.Octopocs.qlabel ())
+      (List.filter_map Octopocs.decode_quarantine qrecords);
     let src = Source.generated ~seed ~count:upto () in
-    let lock = Mutex.create () in
     let keys = Hashtbl.create 64 in
     let rec next () =
       match Source.next src with
@@ -805,86 +613,69 @@ let chaos_corpus ~seed () =
           if Hashtbl.mem skipset p.Source.plabel then next ()
           else begin
             let config = config_of p.Source.plabel in
-            let key =
-              Octopocs.content_key ~config ~s:p.Source.ps ~t:p.Source.pt ~poc:p.Source.ppoc ()
-            in
-            Mutex.lock lock;
-            Hashtbl.replace keys p.Source.plabel key;
-            Mutex.unlock lock;
+            Hashtbl.replace keys p.Source.plabel
+              (Octopocs.content_key ~config ~s:p.Source.ps ~t:p.Source.pt ~poc:p.Source.ppoc ());
             Some
               (Octopocs.job ~config ~label:p.Source.plabel ~s:p.Source.ps ~t:p.Source.pt
                  ~poc:p.Source.ppoc ())
           end
     in
+    (* [run_stream] pulls and fires its callbacks from this domain. *)
     let on_settle j r =
       let label = Octopocs.job_label j in
-      Mutex.lock lock;
       let key = Option.value (Hashtbl.find_opt keys label) ~default:"-" in
-      Mutex.unlock lock;
-      Journal.Sharded.append w ~key (Octopocs.encode_result ~label ~key r)
+      Journal.append w (Octopocs.encode_result ~label ~key r)
     in
     let on_quarantine q = Journal.append qw (Octopocs.encode_quarantine q) in
     let st = Octopocs.run_stream ~jobs ~retries ~on_settle ~on_quarantine next in
-    Journal.Sharded.close w;
+    Journal.close w;
     Journal.close qw;
     st
   in
-  (* The run-independent state of a corpus directory: merged settled
-     verdicts (poc' bytes and rungs included) plus the quarantine set. *)
-  let table dir =
-    let m = Journal.Sharded.replay_merged dir in
+  (* The run-independent state of a run: settled verdicts (poc' bytes and
+     rungs included) plus the quarantine set. *)
+  let table path =
     let verdicts =
-      List.filter_map Octopocs.decode_result m.Journal.Sharded.mrecords
+      List.filter_map Octopocs.decode_result (Journal.replay path).Journal.records
       |> List.map (fun (l, _, (r : Octopocs.report)) -> (l, r.verdict, r.degradations))
       |> List.sort compare
     in
     let quars =
-      let qp = qpath_of dir in
-      if not (Sys.file_exists qp) then []
-      else
-        List.filter_map Octopocs.decode_quarantine (Journal.replay qp).Journal.records
-        |> List.map (fun q -> Octopocs.(q.qlabel, q.qreason, q.qattempts))
-        |> List.sort compare
+      List.filter_map Octopocs.decode_quarantine (Journal.replay (qpath_of path)).Journal.records
+      |> List.map (fun q -> Octopocs.(q.qlabel, q.qreason, q.qattempts))
+      |> List.sort compare
     in
     (verdicts, quars)
   in
   let reference =
-    with_dir (fun dira ->
-        let sta = run_streamed ~dir:dira ~resume:false ~upto:count () in
+    with_journal (fun a ->
+        let sta = run_streamed ~path:a ~resume:false ~upto:count () in
         let bound = max 4 (2 * Octo_util.Pool.effective_jobs jobs) in
         if sta.Octopocs.st_peak_in_flight > bound then
           violate "corpus: peak in-flight %d exceeds window bound %d"
             sta.Octopocs.st_peak_in_flight bound;
-        let ta = table dira in
+        let ta = table a in
         if List.length (fst ta) + List.length (snd ta) <> count then
           violate "corpus: %d settled + %d quarantined != %d pairs"
             (List.length (fst ta)) (List.length (snd ta)) count;
         ta)
   in
-  with_dir (fun dirb ->
-      ignore (run_streamed ~dir:dirb ~resume:false ~upto:count ());
-      if table dirb <> reference then
+  with_journal (fun b ->
+      ignore (run_streamed ~path:b ~resume:false ~upto:count ());
+      if table b <> reference then
         violate "corpus: verdicts differ between identical streamed replays");
-  with_dir (fun dirc ->
-      (* Kill after K pairs, then die mid-frame on two shards at once. *)
+  with_journal (fun c ->
+      (* Kill after K pairs, then die mid-frame. *)
       let k = 23 in
-      ignore (run_streamed ~dir:dirc ~resume:false ~upto:k ());
-      List.iter
-        (fun i ->
-          let oc =
-            open_out_gen [ Open_append; Open_binary ] 0o644 (Journal.Sharded.shard_path dirc i)
-          in
-          output_string oc "\x40\x00\x00\x00\x99\x99\x99\x99AB";
-          close_out oc)
-        [ 0; 2 ];
-      let m = Journal.Sharded.replay_merged dirc in
-      if m.Journal.Sharded.mtorn < 2 then
-        violate "corpus: expected >= 2 torn shard tails, found %d" m.Journal.Sharded.mtorn;
-      ignore (run_streamed ~dir:dirc ~resume:true ~upto:count ());
-      if table dirc <> reference then
-        violate "corpus: resumed sharded run differs from uninterrupted run");
-  say "corpus: %d pairs, %d quarantined, x2 replays + multi-shard kill/resume, %d violation(s)"
-    count
+      ignore (run_streamed ~path:c ~resume:false ~upto:k ());
+      let oc = open_out_gen [ Open_append; Open_binary ] 0o644 c in
+      output_string oc "\x40\x00\x00\x00\x99\x99\x99\x99AB";
+      close_out oc;
+      if not (Journal.replay c).Journal.torn then violate "corpus: planted tail not seen as torn";
+      ignore (run_streamed ~path:c ~resume:true ~upto:count ());
+      if table c <> reference then
+        violate "corpus: resumed run differs from uninterrupted run");
+  say "corpus: %d pairs, %d quarantined, x2 replays + kill/resume, %d violation(s)" count
     (List.length (snd reference))
     !violations;
   !violations
@@ -1186,8 +977,7 @@ let () =
     match List.assoc_opt k opts with Some v -> int_of_string v | None -> d
   in
   (* --trace PATH: emit phase spans for everything the selected modes run,
-     and switch metrics collection on so bench entries carry phase
-     breakdowns. *)
+     with metrics collection on. *)
   (match List.assoc_opt "--trace" opts with
   | Some path ->
       Octo_util.Trace.enable ~path;
@@ -1199,10 +989,7 @@ let () =
   if want "table4" then table4 ();
   if want "table5" then table5 ();
   if want "ablations" then ablations ();
-  if List.mem "bench" args then begin
-    bench_json ();
-    bench_history ()
-  end;
+  if List.mem "bench" args then bench_history ();
   let gate_regressions = if List.mem "gate" args then bench_gate () else 0 in
   let chaos_violations =
     if List.mem "chaos" args then begin

@@ -15,7 +15,8 @@
                       conflicts with minimized cores, crash site); with
                       --journal PATH, render a journaled record instead
      journal <path>   dump a verification journal (one line per settled
-                      pair, sorted by label — diffable across runs)
+                      pair, sorted by label — diffable across runs — then
+                      one per pair quarantined in <path>.quarantine)
      trace <path>     validate a --trace JSONL file against the span
                       schema (balanced begin/end, monotonic timestamps)
      report           aggregate a run's journals into a deterministic report
@@ -24,8 +25,14 @@
    verify-all and scan share one verification driver ([verify_entries]):
    it pulls pairs on demand under a bounded in-flight window, reuses
    verdicts journaled under the same content key (--resume), journals
-   each settle (--journal, optionally --shards), quarantines pairs whose
-   workers still crash after --retries, and tallies the verdicts.
+   each settle (--journal PATH), quarantines pairs whose workers still
+   crash after --retries, and tallies the verdicts.
+
+   A run's durable state is one verdict journal file PATH with its
+   quarantine journal PATH.quarantine (unless --quarantine names another
+   file) and, with the bare --telemetry flag, PATH.telemetry beside it.
+   journal PATH and report --journal PATH read PATH.quarantine when it
+   exists.
 
    Observability: verify and verify-all take --trace PATH (Chrome
    trace-viewer JSONL of the pipeline's phase spans), --metrics (per-pair
@@ -378,8 +385,8 @@ let telemetry_arg =
            ~doc:"Sample run health (throughput, pool retries/stalls, parent and \
                  child RSS, GC words, latency histograms) into an OTL1 journal \
                  at $(docv) while the corpus streams; with no $(docv), defaults \
-                 to telemetry.jrnl beside the --journal.  Read it back with \
-                 $(b,octopocs report --telemetry).")
+                 to $(i,JOURNAL).telemetry beside --journal $(i,JOURNAL).  Read it \
+                 back with $(b,octopocs report --telemetry).")
 
 let progress_arg =
   Arg.(value & flag
@@ -402,9 +409,8 @@ let verify_cmd =
 (* ------------------------------------------------------------------ *)
 (* The verification driver shared by verify-all and scan: pull pairs one
    at a time from a cursor, verify them under a bounded in-flight window,
-   journal each verdict (into the shard its content key routes to), and
-   quarantine pairs that exhaust the retry budget instead of failing the
-   batch.  Peak memory is bounded by the window — a corpus is never
+   journal each verdict, and quarantine pairs that exhaust the retry
+   budget instead of failing the batch.  Peak memory is bounded by the window — a corpus is never
    materialised. *)
 
 (* Test hook for the CI kill-and-resume smoke job: pacing each settle makes
@@ -436,89 +442,61 @@ let oom_pre_run =
             ignore
               (Sys.opaque_identity (Array.init mb (fun _ -> Bytes.make (1 lsl 20) 'x'))))
 
-type corpus_journal =
-  | No_journal
-  | Single of Journal.writer
-  | Dir of Journal.Sharded.w
-
-let quarantine_journal_path ~journal_path ~shards ~quarantine_path =
-  match quarantine_path with
-  | Some p -> Some p
-  | None -> (
-      (* A sharded journal directory gets a quarantine journal by default:
-         the directory is the batch's durable state, and a quarantined
-         pair is part of that state. *)
-      match journal_path with
-      | Some dir when shards > 1 -> Some (Filename.concat dir "quarantine.jrnl")
-      | _ -> None)
-
-(* Write-ahead-journal plumbing of the driver: the verdict journal (a
-   file for --shards 1, a shard directory otherwise), the replayed prior
-   verdicts, the quarantine journal, and the prior quarantine records.
-   Fresh runs refuse to clobber existing journals of either form. *)
+(* Write-ahead-journal plumbing of the driver: the verdict journal file,
+   the replayed prior verdicts, the quarantine journal (--quarantine, or
+   PATH.quarantine beside --journal PATH), and the prior quarantine
+   records.  Fresh runs refuse to clobber an existing journal of either
+   kind. *)
 type stream_journals = {
-  sj_writer : corpus_journal;
+  sj_writer : Journal.writer option;
   sj_replayed : (string * string * Octopocs.report) list;
   sj_quarantine : Journal.writer option;
   sj_quarantined_prior : (string, Octopocs.quarantine) Hashtbl.t;
 }
 
-let close_writer = function
-  | No_journal -> ()
-  | Single w -> Journal.close w
-  | Dir w -> Journal.Sharded.close w
-
 let close_stream_journals sj =
-  close_writer sj.sj_writer;
+  Option.iter Journal.close sj.sj_writer;
   Option.iter Journal.close sj.sj_quarantine
 
-(* [inject_for i] is the journal-write fault injector of verdict shard [i]
-   (shard 0 for a single-file journal); the quarantine journal is never
-   armed. *)
-let open_stream_journals ~journal_path ~resume ~shards ~quarantine_path ~inject_for =
-  let qpath = quarantine_journal_path ~journal_path ~shards ~quarantine_path in
-  let journal_setup =
-    match journal_path with
-    | None -> Ok (No_journal, [])
-    | Some path when shards <= 1 ->
-        let inject = inject_for 0 in
-        if resume then begin
-          let w, records = Journal.open_resume ~inject ~path () in
-          Ok (Single w, List.filter_map Octopocs.decode_result records)
-        end
-        else if Sys.file_exists path then
-          Error
-            (structured_error
-               "journal %s already exists; pass --resume to continue it or remove it first"
-               path)
-        else Ok (Single (Journal.create ~inject ~path ()), [])
-    | Some dir -> (
-        if resume then
-          match Journal.Sharded.open_resume ~inject_for ~dir ~shards () with
-          | w, recovered ->
-              let replayed =
-                Array.to_list recovered |> List.concat
-                |> List.filter_map Octopocs.decode_result
-              in
-              Ok (Dir w, replayed)
-          | exception Failure msg -> Error (structured_error "%s" msg)
-        else if Journal.Sharded.exists dir then
-          Error
-            (structured_error
-               "journal %s already exists; pass --resume to continue it or remove it first"
-               dir)
-        else Ok (Dir (Journal.Sharded.create ~inject_for ~dir ~shards ()), []))
+(* [inject] is the verdict journal's journal-write fault injector; the
+   quarantine journal is never armed. *)
+let open_stream_journals ~journal_path ~resume ~quarantine_path ~inject =
+  let qpath =
+    match quarantine_path with
+    | Some p -> Some p
+    | None -> Option.map Report.quarantine_path journal_path
   in
-  match journal_setup with
-  | Error code -> Error code
-  | Ok (jw, replayed) -> (
+  (* A fresh run checks both paths before it creates either, so a refusal
+     leaves no file behind. *)
+  let clobbered =
+    if resume then None
+    else List.find_opt Sys.file_exists (List.filter_map Fun.id [ journal_path; qpath ])
+  in
+  match (journal_path, clobbered) with
+  | Some path, _ when Sys.file_exists path && Sys.is_directory path ->
+      Error (structured_error "%s" (Report.directory_error path))
+  | _, Some p ->
+      Error
+        (structured_error
+           "%s %s already exists; pass --resume to continue it or remove it first"
+           (if Some p = journal_path then "journal" else "quarantine journal")
+           p)
+  | _, None ->
+      let writer, replayed =
+        match journal_path with
+        | None -> (None, [])
+        | Some path when resume ->
+            let w, records = Journal.open_resume ~inject ~path () in
+            (Some w, List.filter_map Octopocs.decode_result records)
+        | Some path -> (Some (Journal.create ~inject ~path ()), [])
+      in
       (* Quarantined labels from a previous run are set aside, not re-run:
          their fault schedule is deterministic, so a retry would only
          quarantine them again. *)
       let quarantined_prior : (string, Octopocs.quarantine) Hashtbl.t = Hashtbl.create 7 in
-      let qsetup =
+      let quarantine =
         match qpath with
-        | None -> Ok None
+        | None -> None
         | Some p when resume ->
             (* The quarantine journal gets the main WAL's torn-tail
                recovery one level up: a frame that is CRC-valid but not
@@ -536,27 +514,16 @@ let open_stream_journals ~journal_path ~resume ~shards ~quarantine_path ~inject_
                 | Some q -> Hashtbl.replace quarantined_prior q.Octopocs.qlabel q
                 | None -> ())
               records;
-            Ok (Some w)
-        | Some p when Sys.file_exists p ->
-            Error
-              (structured_error
-                 "quarantine journal %s already exists; pass --resume to continue it \
-                  or remove it first"
-                 p)
-        | Some p -> Ok (Some (Journal.create ~path:p ()))
+            Some w
+        | Some p -> Some (Journal.create ~path:p ())
       in
-      match qsetup with
-      | Error code ->
-          close_writer jw;
-          Error code
-      | Ok qw ->
-          Ok
-            {
-              sj_writer = jw;
-              sj_replayed = replayed;
-              sj_quarantine = qw;
-              sj_quarantined_prior = quarantined_prior;
-            })
+      Ok
+        {
+          sj_writer = writer;
+          sj_replayed = replayed;
+          sj_quarantine = quarantine;
+          sj_quarantined_prior = quarantined_prior;
+        }
 
 (* Live progress meter: one stderr line redrawn in place — settled count,
    recent throughput, ETA when the corpus size is known up front, and the
@@ -657,15 +624,13 @@ let corpus_total spec =
         else None
 
 (* Resolve --telemetry's path: explicit PATH as given; the bare flag
-   defaults to a journal-adjacent file (inside the shard directory, or
-   PATH.telemetry beside a single-file journal). *)
-let telemetry_path ~telemetry ~journal_path ~shards =
+   defaults to PATH.telemetry beside the --journal PATH. *)
+let telemetry_path ~telemetry ~journal_path =
   match telemetry with
   | None -> Ok None
   | Some p when p <> "" -> Ok (Some p)
   | Some _ -> (
       match journal_path with
-      | Some dir when shards > 1 -> Ok (Some (Filename.concat dir "telemetry.jrnl"))
       | Some j -> Ok (Some (j ^ ".telemetry"))
       | None ->
           Error
@@ -680,7 +645,6 @@ type run_opts = {
   deadline : float option;
   journal_path : string option;
   resume : bool;
-  shards : int;
   quarantine_path : string option;
   window : int option;
   isolate : Octopocs.isolation;
@@ -705,9 +669,10 @@ let run_opts_term =
   let journal =
     Arg.(value & opt (some string) None
          & info [ "journal" ] ~docv:"PATH"
-             ~doc:"Write-ahead journal: append each pair's verdict to $(docv) as it \
-                   settles (CRC-framed, fsynced), so a killed batch loses nothing.  \
-                   With --shards, $(docv) is a shard directory.")
+             ~doc:"Write-ahead journal: append each pair's verdict to the file \
+                   $(docv) as it settles (CRC-framed, fsynced), so a killed batch \
+                   loses nothing.  Quarantined pairs go to $(docv).quarantine and \
+                   the bare --telemetry to $(docv).telemetry, beside it.")
   in
   let resume =
     Arg.(value & flag
@@ -716,20 +681,13 @@ let run_opts_term =
                    content key are reused, only unfinished ones re-run.  A torn \
                    trailing record (crash mid-append) is dropped and repaired.")
   in
-  let shards =
-    Arg.(value & opt int 1
-         & info [ "shards" ] ~docv:"N"
-             ~doc:"Split the journal into $(docv) shard files under --journal DIR \
-                   (content-keyed routing).  Each shard recovers its torn tail \
-                   independently on --resume.  Default 1: a single journal file.")
-  in
   let quarantine =
     Arg.(value & opt (some string) None
          & info [ "quarantine" ] ~docv:"PATH"
              ~doc:"Quarantine journal: pairs that crash or stall past --retries are \
                    recorded here (reason, message, backtrace, attempts); they are \
                    set aside in any case, and a --resume skips the recorded ones.  \
-                   Defaults to $(i,DIR)/quarantine.jrnl when the journal is sharded.")
+                   Defaults to $(i,PATH).quarantine beside --journal $(i,PATH).")
   in
   let window =
     Arg.(value & opt (some int) None
@@ -770,7 +728,7 @@ let run_opts_term =
                    in-flight window halves and admissions defer, reported as \
                    deferred=N in the corpus summary.")
   in
-  let make jobs retries deadline journal_path resume shards quarantine_path window isolate
+  let make jobs retries deadline journal_path resume quarantine_path window isolate
       as_mb cpu_s mem_watermark telemetry progress =
     {
       jobs;
@@ -778,7 +736,6 @@ let run_opts_term =
       deadline;
       journal_path;
       resume;
-      shards;
       quarantine_path;
       window;
       isolate;
@@ -788,7 +745,7 @@ let run_opts_term =
       progress;
     }
   in
-  Term.(const make $ jobs $ retries $ deadline_arg $ journal $ resume $ shards $ quarantine
+  Term.(const make $ jobs $ retries $ deadline_arg $ journal $ resume $ quarantine
         $ window $ isolate $ rlimit_as $ rlimit_cpu $ mem_watermark $ telemetry_arg
         $ progress_arg)
 
@@ -796,9 +753,6 @@ let with_run_opts o f =
   with_valid_deadline o.deadline @@ fun () ->
   if o.resume && o.journal_path = None then structured_error "--resume requires --journal PATH"
   else if o.retries < 0 then structured_error "--retries must be >= 0"
-  else if o.shards < 1 then structured_error "--shards must be >= 1"
-  else if o.shards > 1 && o.journal_path = None then
-    structured_error "--shards requires --journal DIR"
   else if o.isolate = Octopocs.Domains && o.limits <> { as_mb = None; cpu_s = None } then
     structured_error "--rlimit-as/--rlimit-cpu require --isolate proc"
   else if o.isolate = Octopocs.Domains && o.mem_watermark <> None then
@@ -830,22 +784,19 @@ type row = Settled of { r : Octopocs.report; cached : bool } | Quarantined of Oc
 (* The driver.  [next] pulls the entries; [on_row label row] sees every
    pair's outcome, from the calling domain (the stream fires its callbacks
    there, and [next] reports pairs the journal already settled or
-   quarantined).  The journal writer's injector
-   comes from the same chaos flags as the pairs' ([seed lxor 0x6A09E667],
-   plus the shard index).  With [fail_fast] the cursor hands out nothing
-   once a Failure has settled; the pairs it never handed out get no row
-   and no journal record, so --resume runs them.  Returns the stream's
+   quarantined).  The journal writer's injector comes from the same chaos
+   flags as the pairs' ([seed lxor 0x6A09E667]).  With [fail_fast] the
+   cursor hands out nothing once a Failure has settled; the pairs it never
+   handed out get no row and no journal record, so --resume runs them.  Returns the stream's
    stats and the tally, or the exit code of a setup error. *)
 let verify_entries o ~chaos_seed ~site_rates ~fail_fast ~total ?(on_row = fun _ _ -> ()) next =
-  match telemetry_path ~telemetry:o.telemetry ~journal_path:o.journal_path ~shards:o.shards with
+  match telemetry_path ~telemetry:o.telemetry ~journal_path:o.journal_path with
   | Error code -> Error code
   | Ok tpath -> (
-      let inject_for shard =
-        injector ~chaos_seed ~site_rates (fun seed -> (seed lxor 0x6A09E667) + shard)
-      in
+      let inject = injector ~chaos_seed ~site_rates (fun seed -> seed lxor 0x6A09E667) in
       match
-        open_stream_journals ~journal_path:o.journal_path ~resume:o.resume ~shards:o.shards
-          ~quarantine_path:o.quarantine_path ~inject_for
+        open_stream_journals ~journal_path:o.journal_path ~resume:o.resume
+          ~quarantine_path:o.quarantine_path ~inject
       with
       | Error code -> Error code
       | Ok sj ->
@@ -882,11 +833,9 @@ let verify_entries o ~chaos_seed ~site_rates ~fail_fast ~total ?(on_row = fun _ 
             Progress.step prog;
             (* Journal last: an injected torn append raises (and poisons the
                writer, as a crash would), and the pair must still count. *)
-            let record = Octopocs.encode_result ~label ~key r in
-            match sj.sj_writer with
-            | No_journal -> ()
-            | Single w -> Journal.append w record
-            | Dir w -> Journal.Sharded.append w ~key record
+            Option.iter
+              (fun w -> Journal.append w (Octopocs.encode_result ~label ~key r))
+              sj.sj_writer
           in
           let on_quarantine (q : Octopocs.quarantine) =
             ignore (take_inflight q.qlabel);
@@ -1340,6 +1289,7 @@ let explain_live ~dynamic ~deadline (c : Registry.case) =
 
 let explain_journal path idx =
   if not (Sys.file_exists path) then structured_error "no such journal: %s" path
+  else if Sys.is_directory path then structured_error "%s" (Report.directory_error path)
   else begin
     let r = Journal.replay path in
     (* Last record per label wins, as in --resume. *)
@@ -1416,123 +1366,71 @@ let fuzz_cmd =
 
 (* ------------------------------------------------------------------ *)
 (* journal: dump a verification journal in a run-independent form (no
-   timings), one sorted line per pair — two journals of equivalent runs
-   diff clean, which is exactly what the kill-and-resume CI check does. *)
+   timings), one sorted line per pair, then one per quarantined pair (no
+   backtrace) — two journals of equivalent runs diff clean, which is
+   exactly what the kill-and-resume CI check does.  Loading, dedupe (last
+   record per label wins) and ordering are [Report]'s. *)
 
-(* Decode, dedupe (last record per label wins) and print verdict records;
-   shared by the single-file and sharded-directory dump forms.  Returns
-   (pairs printed, undecodable records). *)
-let dump_verdict_records records =
-  let tbl : (string, string * Octopocs.report) Hashtbl.t = Hashtbl.create 31 in
-  let undecodable = ref 0 in
-  List.iter
-    (fun payload ->
-      match Octopocs.decode_result payload with
-      | Some (label, key, rep) -> Hashtbl.replace tbl label (key, rep)
-      | None -> incr undecodable)
-    records;
-    (* [sort_dump] orders by label then content key: the key tiebreak is
-       what keeps a merged sharded dump deterministic regardless of the
-       settle order that interleaved the shards. *)
-    let entries =
-      Octopocs.sort_dump (Hashtbl.fold (fun l (k, rep) acc -> (l, k, rep) :: acc) tbl [])
-    in
-    List.iter
-      (fun (label, key, (rep : Octopocs.report)) ->
-        let detail =
-          match rep.verdict with
-          | Octopocs.Triggered { poc'; _ } ->
-              Printf.sprintf " poc'=%s" (Digest.to_hex (Digest.string poc'))
-          | _ -> ""
-        in
-        (* Only deterministic counters appear in the dump (never latencies):
-           the dump's contract is that two equivalent runs diff clean. *)
-        let metrics_detail =
-          match rep.metrics with
-          | None -> ""
-          | Some m ->
-              Printf.sprintf " metrics[vm-steps=%d solver-nodes=%d constraint-adds=%d]"
-                (Metrics.counter_value m Metrics.Vm_steps)
-                (Metrics.counter_value m Metrics.Solver_nodes)
-                (Metrics.counter_value m Metrics.Constraint_adds)
-        in
-        (* Provenance stays a one-line summary here (full rendering is
-           explain's job): deterministic event/core counts keep the
-           kill/resume dump diffs clean. *)
-        let prov_detail =
-          match rep.provenance with
-          | None -> ""
-          | Some p ->
-              Printf.sprintf " prov[events=%d core=%d]"
-                (Octopocs.Provenance.event_count p)
-                (Octopocs.Provenance.conflict_core_size p)
-        in
-        say "pair %-4s key=%s %s%s%s%s%s" label key
-          (Fmt.str "%a" Octopocs.pp_verdict rep.verdict)
-          detail
-          (if rep.degradations = [] then ""
-           else Printf.sprintf " [degraded: %s]" (String.concat " -> " rep.degradations))
-          metrics_detail prov_detail)
-      entries;
-    (List.length entries, !undecodable)
-
-(* Sharded-directory dump: merge every shard's valid prefix, then the
-   quarantine journal (one line per set-aside pair, no backtrace — the
-   dump must diff clean across equivalent runs). *)
-let journal_dump_dir dir =
-  match Journal.Sharded.replay_merged dir with
-  | exception Failure msg -> structured_error "%s" msg
-  | m ->
-      let npairs, undecodable = dump_verdict_records m.Journal.Sharded.mrecords in
-      let qpath = Filename.concat dir "quarantine.jrnl" in
-      let quars =
-        if not (Sys.file_exists qpath) then []
-        else begin
-          let tbl : (string, Octopocs.quarantine) Hashtbl.t = Hashtbl.create 7 in
-          List.iter
-            (fun payload ->
-              match Octopocs.decode_quarantine payload with
-              | Some q -> Hashtbl.replace tbl q.Octopocs.qlabel q
-              | None -> ())
-            (Journal.replay qpath).Journal.records;
-          Hashtbl.fold (fun _ q acc -> q :: acc) tbl []
-          |> List.sort (fun (a : Octopocs.quarantine) b ->
-                 compare a.Octopocs.qlabel b.Octopocs.qlabel)
-        end
-      in
-      List.iter
-        (fun (q : Octopocs.quarantine) ->
-          say "quar %-4s key=%s %s after %d attempt(s): %s" q.Octopocs.qlabel
-            q.Octopocs.qkey q.Octopocs.qreason q.Octopocs.qattempts q.Octopocs.qmessage)
-        quars;
-      say "%d pair(s), %d quarantined, %d shard(s)%s%s" npairs (List.length quars)
-        m.Journal.Sharded.mshards
-        (if m.Journal.Sharded.mtorn > 0 then
-           Printf.sprintf ", %d torn shard tail(s) dropped" m.Journal.Sharded.mtorn
-         else "")
-        (if undecodable > 0 then Printf.sprintf ", %d undecodable record(s)" undecodable
-         else "");
-      0
+let say_verdict_line (label, key, (rep : Octopocs.report)) =
+  let detail =
+    match rep.verdict with
+    | Octopocs.Triggered { poc'; _ } ->
+        Printf.sprintf " poc'=%s" (Digest.to_hex (Digest.string poc'))
+    | _ -> ""
+  in
+  (* Only deterministic counters appear in the dump (never latencies):
+     the dump's contract is that two equivalent runs diff clean. *)
+  let metrics_detail =
+    match rep.metrics with
+    | None -> ""
+    | Some m ->
+        Printf.sprintf " metrics[vm-steps=%d solver-nodes=%d constraint-adds=%d]"
+          (Metrics.counter_value m Metrics.Vm_steps)
+          (Metrics.counter_value m Metrics.Solver_nodes)
+          (Metrics.counter_value m Metrics.Constraint_adds)
+  in
+  (* Provenance stays a one-line summary here (full rendering is
+     explain's job): deterministic event/core counts keep the
+     kill/resume dump diffs clean. *)
+  let prov_detail =
+    match rep.provenance with
+    | None -> ""
+    | Some p ->
+        Printf.sprintf " prov[events=%d core=%d]"
+          (Octopocs.Provenance.event_count p)
+          (Octopocs.Provenance.conflict_core_size p)
+  in
+  say "pair %-4s key=%s %s%s%s%s%s" label key
+    (Fmt.str "%a" Octopocs.pp_verdict rep.verdict)
+    detail
+    (if rep.degradations = [] then ""
+     else Printf.sprintf " [degraded: %s]" (String.concat " -> " rep.degradations))
+    metrics_detail prov_detail
 
 let journal_dump path =
-  if not (Sys.file_exists path) then structured_error "no such journal: %s" path
-  else if Sys.is_directory path then journal_dump_dir path
-  else begin
-    let r = Journal.replay path in
-    let npairs, undecodable = dump_verdict_records r.Journal.records in
-    say "%d pair(s)%s%s" npairs
-      (if undecodable > 0 then Printf.sprintf ", %d undecodable record(s)" undecodable
-       else "")
-      (if r.Journal.torn then ", torn trailing record dropped" else "");
-    0
-  end
+  match Report.of_files ~journal:path () with
+  | Error msg -> structured_error "%s" msg
+  | Ok r ->
+      List.iter say_verdict_line r.Report.verdicts;
+      List.iter
+        (fun (q : Octopocs.quarantine) ->
+          say "quar %-4s key=%s %s after %d attempt(s): %s" q.qlabel q.qkey q.qreason
+            q.qattempts q.qmessage)
+        r.Report.quarantine;
+      say "%d pair(s), %d quarantined%s%s" (List.length r.Report.verdicts)
+        (List.length r.Report.quarantine)
+        (if r.Report.undecodable > 0 then
+           Printf.sprintf ", %d undecodable record(s)" r.Report.undecodable
+         else "")
+        (if r.Report.torn then ", torn trailing record dropped" else "");
+      0
 
 let journal_cmd =
   let path = Arg.(required & pos 0 (some string) None & info [] ~docv:"PATH") in
   Cmd.v
     (Cmd.info "journal"
-       ~doc:"Dump a verification journal: a single file, or a sharded journal \
-             directory (all shards merged, quarantined pairs listed)")
+       ~doc:"Dump a verification journal file, with the pairs quarantined in \
+             $(i,PATH).quarantine when that file exists")
     Term.(const journal_dump $ path)
 
 (* ------------------------------------------------------------------ *)
@@ -1552,8 +1450,8 @@ let report_cmd =
   let journal =
     Arg.(required & opt (some string) None
          & info [ "journal" ] ~docv:"PATH"
-             ~doc:"Verdict journal to aggregate: a single file, or a sharded journal \
-                   directory (its quarantine.jrnl is folded in automatically).")
+             ~doc:"Verdict journal file to aggregate ($(docv).quarantine is folded \
+                   in when it exists).")
   in
   let telemetry =
     Arg.(value & opt (some string) None

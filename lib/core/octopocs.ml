@@ -1434,11 +1434,10 @@ let compare_labels a b =
   | _ -> compare a b
 
 (** [sort_dump entries] orders decoded journal records [(label, key, _)]
-    for display: label (numeric-aware), then content key.  The key
-    tiebreak is what makes a merged sharded dump deterministic — shard
-    interleave depends on settle order, and one label can legitimately
-    appear under several keys (config changes across resumes), so label
-    alone would leave the order timing-dependent. *)
+    for display: label (numeric-aware), then content key.  Records sit
+    in a journal in settle order, and one label can legitimately appear
+    under several keys (config changes across resumes), so the key
+    tiebreak keeps the order independent of timing. *)
 let sort_dump entries =
   List.sort
     (fun (l1, k1, _) (l2, k2, _) ->

@@ -424,8 +424,8 @@ val stream_of_list : job list -> unit -> job option
 
 (** [sort_dump entries] orders decoded journal records [(label, key, v)]
     for display: label (numeric-aware, so registry pair "10" sorts after
-    "9"), then content key as a tiebreak.  The tiebreak is what makes a
-    merged sharded dump deterministic: shard interleave depends on
+    "9"), then content key as a tiebreak.  Records sit in a journal in
     settle order, and one label can appear under several keys across
-    resumed runs with changed budgets. *)
+    resumed runs with changed budgets, so the tiebreak keeps the order
+    independent of timing. *)
 val sort_dump : (string * string * 'a) list -> (string * string * 'a) list

@@ -1,8 +1,8 @@
 (* Deterministic run-report aggregation.
 
-   [of_files] folds a run's durable state — the verdict journal (single
-   file or sharded directory), the quarantine journal beside it, and
-   optionally the OTL1 telemetry journal — into one plain-text document:
+   [of_files] folds a run's durable state — the verdict journal file, the
+   quarantine journal beside it (PATH.quarantine), and optionally the OTL1
+   telemetry journal — into one plain-text document:
    verdict-class breakdown, degradation-rung frequencies, quarantine
    reasons, p50/p90/p99 per-phase latencies off the journaled log2
    histograms, and a throughput summary from the telemetry samples.
@@ -10,9 +10,9 @@
    Determinism contract: the rendering is a pure function of the input
    file bytes.  No paths, wall-clock times, hostnames or map iteration
    orders leak in — class order is fixed, every other breakdown is
-   sorted lexicographically, and verdict dedup/ordering reuses the
-   journal dump's rules ([Octopocs.sort_dump], last record per label
-   wins).  Two invocations over the same files are byte-identical; two
+   sorted lexicographically, and verdicts are deduped (last record per
+   label wins) and ordered by [Octopocs.sort_dump] — the one loader the
+   CLI's journal dump reads through too.  Two invocations over the same files are byte-identical; two
    *independent* runs of the same seeded corpus agree too, as long as
    the report sticks to journal-derived sections (telemetry timestamps
    and latency histograms are real time, which is why the telemetry
@@ -28,8 +28,7 @@ type t = {
   verdicts : (string * string * Octopocs.report) list;
       (** deduped (last record per label wins) and [sort_dump]-ordered *)
   undecodable : int;  (** intact frames [decode_result] rejected *)
-  shards : int;  (** 0 for a single-file journal *)
-  torn : int;  (** torn/corrupt tails dropped (0 or 1 for a file) *)
+  torn : bool;  (** a torn/corrupt tail was dropped *)
   quarantine : Octopocs.quarantine list;  (** deduped, sorted by label *)
   telemetry : Telemetry.replay option;
 }
@@ -65,35 +64,39 @@ let quarantine_of_path path =
            compare a.Octopocs.qlabel b.Octopocs.qlabel)
   end
 
+(* A run's journals sit side by side: PATH, PATH.quarantine and (by
+   default) PATH.telemetry. *)
+let quarantine_path journal = journal ^ ".quarantine"
+
+(* A journal path naming a directory is the removed sharded layout: it
+   is refused, never read or written as a journal. *)
+let directory_error path =
+  Printf.sprintf
+    "journal %s is a directory: sharded journal directories (--shards) were removed; \
+     a run's journal is one file, with PATH.quarantine beside it"
+    path
+
 let of_files ~journal ?telemetry () : (t, string) result =
   if not (Sys.file_exists journal) then Error (Printf.sprintf "no such journal: %s" journal)
+  else if Sys.is_directory journal then Error (directory_error journal)
   else begin
-    let loaded =
-      if Sys.is_directory journal then
-        match Journal.Sharded.replay_merged journal with
-        | exception Failure msg -> Error msg
-        | m ->
-            Ok
-              ( m.Journal.Sharded.mrecords,
-                m.Journal.Sharded.mshards,
-                m.Journal.Sharded.mtorn,
-                quarantine_of_path (Filename.concat journal "quarantine.jrnl") )
-      else
-        let r = Journal.replay journal in
-        Ok (r.Journal.records, 0, (if r.Journal.torn then 1 else 0), [])
+    let r = Journal.replay journal in
+    let verdicts, undecodable = verdicts_of_records r.Journal.records in
+    let telemetry =
+      match telemetry with
+      | None -> None
+      | Some p ->
+          if Sys.file_exists p then Some (Telemetry.replay p)
+          else Some { Telemetry.samples = []; undecodable = 0; torn = false }
     in
-    match loaded with
-    | Error msg -> Error msg
-    | Ok (records, shards, torn, quarantine) ->
-        let verdicts, undecodable = verdicts_of_records records in
-        let telemetry =
-          match telemetry with
-          | None -> None
-          | Some p ->
-              if Sys.file_exists p then Some (Telemetry.replay p)
-              else Some { Telemetry.samples = []; undecodable = 0; torn = false }
-        in
-        Ok { verdicts; undecodable; shards; torn; quarantine; telemetry }
+    Ok
+      {
+        verdicts;
+        undecodable;
+        torn = r.Journal.torn;
+        quarantine = quarantine_of_path (quarantine_path journal);
+        telemetry;
+      }
   end
 
 (* -- aggregation helpers ----------------------------------------------- *)
@@ -119,11 +122,10 @@ let render (r : t) : string =
   line "octopocs run report";
   line "===================";
   line "";
-  line "verdicts: %d pair(s)%s%s%s" (List.length r.verdicts)
-    (if r.shards > 0 then Printf.sprintf " across %d shard(s)" r.shards else "")
+  line "verdicts: %d pair(s)%s%s" (List.length r.verdicts)
     (if r.undecodable > 0 then Printf.sprintf ", %d undecodable record(s)" r.undecodable
      else "")
-    (if r.torn > 0 then Printf.sprintf ", %d torn tail(s) dropped" r.torn else "");
+    (if r.torn then ", 1 torn tail(s) dropped" else "");
   let by_class =
     tally (List.map (fun (_, _, rep) -> Octopocs.verdict_class rep.Octopocs.verdict) r.verdicts)
   in

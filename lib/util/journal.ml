@@ -25,8 +25,9 @@
     prefix.  This is the standard WAL recovery rule — nothing after the
     first bad frame can be trusted, because frame boundaries are gone.
 
-    Writers are thread-safe (appends serialize on an internal mutex), so a
-    pool of worker domains can journal verdicts as they settle.
+    Writers are thread-safe (appends serialize on an internal mutex).  A
+    run keeps one verdict journal file; the streaming driver appends to it
+    from its calling domain as pairs settle.
 
     Fault injection: the {!Faultinject.Journal_write} site models a crash
     mid-append — when it fires, only a prefix of the frame is written, the
@@ -35,8 +36,7 @@
 
 let header = "OCTOJRNL1\n"
 
-(* The frame layout and its CRC live in [Wire]; the CRC also routes keys
-   to shards. *)
+(* The frame layout and its CRC live in [Wire]. *)
 let crc32 = Wire.crc32
 
 (* ------------------------------------------------------------------ *)
@@ -180,154 +180,3 @@ let close w =
         (try Unix.fsync w.fd with Unix.Unix_error _ -> ());
         Unix.close w.fd
       end)
-
-(* ------------------------------------------------------------------ *)
-(* Sharded journals. *)
-
-(** A sharded journal spreads a batch's records over N independent WAL
-    files so corpus-scale runs don't serialize every fsync on one fd and a
-    torn tail costs at most one shard's unsynced suffix.  On-disk layout is
-    a directory:
-
-    {v
-      <dir>/MANIFEST          "octoshards N\n"
-      <dir>/shard-00.jrnl     ordinary journals (header + framed records)
-      ...
-      <dir>/shard-<N-1>.jrnl
-    v}
-
-    Records are routed by a stable key ({!Sharded.shard_of_key}: CRC-32 of
-    the key mod N), so a killed-and-resumed run looks for a pair's verdict
-    in the same shard that the interrupted run wrote it to.  Each shard
-    recovers independently: {!Sharded.open_resume} replays every shard,
-    truncates each torn tail back to its own last valid frame, and returns
-    the per-shard valid prefixes — tears on several shards at once each
-    lose only their own trailing record. *)
-module Sharded = struct
-  type w = { shards : writer array; sdir : string }
-
-  let manifest_name = "MANIFEST"
-  let manifest_path dir = Filename.concat dir manifest_name
-  let shard_path dir i = Filename.concat dir (Printf.sprintf "shard-%02d.jrnl" i)
-
-  (** [shard_of_key ~shards key] routes a record key to a shard index —
-      CRC-32 of the key bytes mod [shards], stable across processes. *)
-  let shard_of_key ~shards key =
-    if shards <= 1 then 0 else crc32 key mod shards
-
-  let write_manifest dir n =
-    let oc = open_out_bin (manifest_path dir) in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc (Printf.sprintf "octoshards %d\n" n))
-
-  (** [read_manifest dir] is the shard count recorded in [dir]'s MANIFEST,
-      or [None] when the manifest is missing or malformed. *)
-  let read_manifest dir =
-    let p = manifest_path dir in
-    if not (Sys.file_exists p) then None
-    else begin
-      let ic = open_in_bin p in
-      let line =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> try Some (input_line ic) with End_of_file -> None)
-      in
-      match line with
-      | Some l -> (
-          match String.split_on_char ' ' (String.trim l) with
-          | [ "octoshards"; n ] -> int_of_string_opt n
-          | _ -> None)
-      | None -> None
-    end
-
-  (** [exists dir] says whether [dir] already holds a sharded journal. *)
-  let exists dir = Sys.file_exists dir && Sys.is_directory dir && read_manifest dir <> None
-
-  let mk_dir dir = if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-
-  (* Per-shard injectors: the streams inside a [Faultinject.t] are mutable
-     and unsynchronized, so concurrent appends to different shards need
-     per-shard injectors, not one shared one. *)
-  let injector_for inject_for i =
-    match inject_for with None -> Faultinject.none | Some f -> f i
-
-  (** [create ?inject_for ?fsync ~dir ~shards ()] starts a fresh sharded
-      journal: makes [dir], writes the manifest, and truncates/creates
-      every shard file.  [inject_for i] (optional) supplies shard [i]'s
-      fault injector. *)
-  let create ?inject_for ?fsync ~dir ~shards () =
-    if shards < 1 then invalid_arg "Journal.Sharded.create: shards < 1";
-    mk_dir dir;
-    write_manifest dir shards;
-    let shards_arr =
-      Array.init shards (fun i ->
-          create ~inject:(injector_for inject_for i) ?fsync
-            ~path:(shard_path dir i) ())
-    in
-    { shards = shards_arr; sdir = dir }
-
-  (** [open_resume ?inject_for ?fsync ~dir ~shards ()] reopens a sharded
-      journal for appending: every shard is independently replayed and its
-      torn tail truncated back to the last valid frame.  Returns the writer
-      and the per-shard recovered records (index [i] holds shard [i]'s
-      valid prefix, in append order).  Raises [Failure] when [dir]'s
-      manifest disagrees with [shards] — resuming with a different shard
-      count would route keys to the wrong files. *)
-  let open_resume ?inject_for ?fsync ~dir ~shards () =
-    if shards < 1 then invalid_arg "Journal.Sharded.open_resume: shards < 1";
-    (match read_manifest dir with
-    | Some n when n <> shards ->
-        failwith
-          (Printf.sprintf
-             "Journal.Sharded.open_resume: %s was written with %d shard(s), not %d" dir n
-             shards)
-    | Some _ -> ()
-    | None ->
-        mk_dir dir;
-        write_manifest dir shards);
-    let recovered = Array.make shards [] in
-    let shards_arr =
-      Array.init shards (fun i ->
-          let w, records =
-            open_resume ~inject:(injector_for inject_for i) ?fsync
-              ~path:(shard_path dir i) ()
-          in
-          recovered.(i) <- records;
-          w)
-    in
-    ({ shards = shards_arr; sdir = dir }, recovered)
-
-  (** [append w ~key payload] appends the record to the shard [key] routes
-      to.  Thread-safe (each shard writer carries its own lock). *)
-  let append w ~key payload =
-    let i = shard_of_key ~shards:(Array.length w.shards) key in
-    append w.shards.(i) payload
-
-  let close w = Array.iter close w.shards
-
-  type merged = {
-    mrecords : string list;  (** all shards' records, shard 0 first *)
-    mshards : int;
-    mtorn : int;  (** how many shards ended in a torn/corrupt tail *)
-  }
-
-  (** [replay_merged dir] tolerantly replays every shard listed by the
-      manifest and concatenates their valid prefixes (shard order, append
-      order within a shard).  Raises [Failure] on a missing/malformed
-      manifest — an unreadable layout is not an empty journal. *)
-  let replay_merged dir =
-    match read_manifest dir with
-    | None ->
-        failwith
-          (Printf.sprintf "Journal.Sharded.replay_merged: %s has no readable MANIFEST" dir)
-    | Some n ->
-        let torn = ref 0 in
-        let records = ref [] in
-        for i = 0 to n - 1 do
-          let r = replay (shard_path dir i) in
-          if r.torn then incr torn;
-          records := !records @ r.records
-        done;
-        { mrecords = !records; mshards = n; mtorn = !torn }
-end

@@ -137,14 +137,14 @@ module Journal = Octo_util.Journal
 module Metrics = Octo_util.Metrics
 
 (* A synthetic-but-realistic run: real verdicts from three registry
-   pairs journaled across two shards, one hand-built quarantine record,
-   and one hand-built latency histogram (real histograms carry wall
-   time, which a golden cannot pin).  The render must be byte-stable —
-   across invocations AND across machines. *)
+   pairs in one journal file, one hand-built quarantine record in
+   PATH.quarantine beside it, and one hand-built latency histogram (real
+   histograms carry wall time, which a golden cannot pin).  The render
+   must be byte-stable — across invocations AND across machines. *)
 let render_report () =
-  let dir = Filename.temp_file "octo_report_golden" "" in
-  Sys.remove dir;
-  let w = Journal.Sharded.create ~dir ~shards:2 () in
+  let path = Filename.temp_file "octo_report_golden" ".jrnl" in
+  let qpath = Octo_report.Report.quarantine_path path in
+  let w = Journal.create ~path () in
   let fixed_metrics =
     let s = Metrics.zero () in
     let put p spans ns buckets =
@@ -165,10 +165,10 @@ let render_report () =
       let r = Octopocs.run ~s:c.s ~t:c.t ~poc:c.poc () in
       let r = { r with Octopocs.metrics } in
       let label = string_of_int idx in
-      Journal.Sharded.append w ~key:label (Octopocs.encode_result ~label ~key:label r))
+      Journal.append w (Octopocs.encode_result ~label ~key:label r))
     [ (1, Some fixed_metrics); (2, None); (13, None) ];
-  Journal.Sharded.close w;
-  let qw = Journal.create ~path:(Filename.concat dir "quarantine.jrnl") () in
+  Journal.close w;
+  let qw = Journal.create ~path:qpath () in
   Journal.append qw
     (Octopocs.encode_quarantine
        {
@@ -181,12 +181,12 @@ let render_report () =
        });
   Journal.close qw;
   let rendered =
-    match Octo_report.Report.of_files_rendered ~journal:dir () with
+    match Octo_report.Report.of_files_rendered ~journal:path () with
     | Ok doc -> doc
     | Error msg -> Alcotest.failf "report failed: %s" msg
   in
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Unix.rmdir dir;
+  Sys.remove path;
+  Sys.remove qpath;
   rendered
 
 let report_golden_file = "golden_report.txt"
@@ -216,7 +216,7 @@ let report_deterministic () =
 let suite =
   [
     Alcotest.test_case "Table II golden (default budgets)" `Quick golden_test;
-    Alcotest.test_case "report golden (sharded journal + quarantine)" `Quick
+    Alcotest.test_case "report golden (journal file + quarantine)" `Quick
       report_golden_test;
     Alcotest.test_case "report is deterministic across runs" `Quick report_deterministic;
     Alcotest.test_case "explain golden: pair 1 (Triggered, Type-I)" `Quick

@@ -443,156 +443,6 @@ let resume_merge_equivalence () =
       check Alcotest.bool "resumed == uninterrupted" true (reference = resumed))
 
 (* ------------------------------------------------------------------ *)
-(* Sharded journals *)
-
-module Sharded = Journal.Sharded
-
-let str_contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
-let with_tmp_dir f =
-  let dir = Filename.temp_file "octoshard" ".d" in
-  Sys.remove dir;
-  let rec rm p =
-    if Sys.file_exists p then
-      if Sys.is_directory p then begin
-        Array.iter (fun n -> rm (Filename.concat p n)) (Sys.readdir p);
-        Unix.rmdir p
-      end
-      else Sys.remove p
-  in
-  Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir)
-
-let sharded_roundtrip_and_routing () =
-  with_tmp_dir (fun dir ->
-      let w = Sharded.create ~dir ~shards:4 () in
-      let recs =
-        List.init 20 (fun i -> (Printf.sprintf "key-%d" i, Printf.sprintf "rec-%02d" i))
-      in
-      List.iter (fun (k, p) -> Sharded.append w ~key:k p) recs;
-      Sharded.close w;
-      let m = Sharded.replay_merged dir in
-      check Alcotest.int "shards" 4 m.Sharded.mshards;
-      check Alcotest.int "no tears" 0 m.Sharded.mtorn;
-      check
-        Alcotest.(list string)
-        "all records survive the merge"
-        (List.sort compare (List.map snd recs))
-        (List.sort compare m.Sharded.mrecords);
-      (* Routing: every record must sit in the shard its key hashes to,
-         and the hash must be stable across writer instances. *)
-      List.iter
-        (fun (k, p) ->
-          let i = Sharded.shard_of_key ~shards:4 k in
-          check Alcotest.int "routing stable" i (Sharded.shard_of_key ~shards:4 k);
-          let r = Journal.replay (Sharded.shard_path dir i) in
-          check Alcotest.bool (p ^ " in its shard") true (List.mem p r.Journal.records))
-        recs;
-      check Alcotest.int "single shard routes to 0" 0 (Sharded.shard_of_key ~shards:1 "any"))
-
-let sharded_multi_shard_torn_tails () =
-  with_tmp_dir (fun dir ->
-      let w = Sharded.create ~dir ~shards:3 () in
-      let recs = List.init 12 (fun i -> Printf.sprintf "r%02d" i) in
-      List.iter (fun p -> Sharded.append w ~key:p p) recs;
-      Sharded.close w;
-      (* Tear every shard's tail simultaneously: a mid-write SIGKILL can
-         leave several shards torn at once. *)
-      for i = 0 to 2 do
-        append_raw (Sharded.shard_path dir i) "\x40\x00\x00\x00\x99\x99\x99\x99partial"
-      done;
-      let m = Sharded.replay_merged dir in
-      check Alcotest.int "all shards torn" 3 m.Sharded.mtorn;
-      check
-        Alcotest.(list string)
-        "every pre-tear record recovered" (List.sort compare recs)
-        (List.sort compare m.Sharded.mrecords);
-      (* Resume truncates each tear independently and appends cleanly. *)
-      let w2, recovered = Sharded.open_resume ~dir ~shards:3 () in
-      check
-        Alcotest.(list string)
-        "per-shard recovery covers all" (List.sort compare recs)
-        (List.sort compare (List.concat (Array.to_list recovered)));
-      Sharded.append w2 ~key:"extra" "extra";
-      Sharded.close w2;
-      let m2 = Sharded.replay_merged dir in
-      check Alcotest.int "tears healed" 0 m2.Sharded.mtorn;
-      check Alcotest.int "13 records" 13 (List.length m2.Sharded.mrecords))
-
-let sharded_resume_shard_count_mismatch () =
-  with_tmp_dir (fun dir ->
-      let w = Sharded.create ~dir ~shards:4 () in
-      Sharded.close w;
-      (match Sharded.open_resume ~dir ~shards:2 () with
-      | exception Failure msg ->
-          check Alcotest.bool "names both counts" true
-            (str_contains msg "4 shard" && str_contains msg "not 2")
-      | _ -> Alcotest.fail "mismatched shard count must be refused");
-      match Sharded.replay_merged (Filename.concat dir "nope") with
-      | exception Failure msg -> check Alcotest.bool "manifest error" true (str_contains msg "MANIFEST")
-      | _ -> Alcotest.fail "missing manifest must be an error")
-
-(* Kill-after-K with multi-shard tears: the merged decoded verdict set
-   after a resume must equal the uninterrupted run's.  Record-level
-   simulation of the CLI driver: verify once for reference, journal the
-   first K records, tear two shards, resume (recovering per-shard valid
-   prefixes), then append exactly the missing records. *)
-let sharded_kill_resume_equivalence () =
-  let shards = 4 in
-  let pairs =
-    List.init 8 (fun i ->
-        let g = Octo_targets.Corpus.generate ~seed:5 ~index:i in
-        Octo_targets.Corpus.(g.glabel, g.gs, g.gt, g.gpoc))
-  in
-  let payloads =
-    List.map
-      (fun (label, s, t, poc) ->
-        let key = Octopocs.content_key ~s ~t ~poc () in
-        let r = Octopocs.run ~s ~t ~poc () in
-        (key, Octopocs.encode_result ~label ~key r))
-      pairs
-  in
-  let decoded_set recs =
-    List.filter_map Octopocs.decode_result recs
-    |> List.map (fun (l, k, (r : Octopocs.report)) -> (l, k, r.verdict, r.degradations))
-    |> List.sort compare
-  in
-  with_tmp_dir (fun dir ->
-      (* Uninterrupted reference run. *)
-      let w = Sharded.create ~dir ~shards () in
-      List.iter (fun (k, p) -> Sharded.append w ~key:k p) payloads;
-      Sharded.close w;
-      let reference = decoded_set (Sharded.replay_merged dir).Sharded.mrecords in
-      check Alcotest.int "reference complete" (List.length pairs) (List.length reference);
-      with_tmp_dir (fun dir2 ->
-          (* "Killed" run: only the first K records landed... *)
-          let k = 5 in
-          let w1 = Sharded.create ~dir:dir2 ~shards () in
-          List.iteri (fun i (key, p) -> if i < k then Sharded.append w1 ~key p) payloads;
-          Sharded.close w1;
-          (* ...and the kill tore two shards mid-frame. *)
-          append_raw (Sharded.shard_path dir2 0) "\x30\x00\x00\x00\xaa\xaa\xaa\xaahalf";
-          append_raw (Sharded.shard_path dir2 2) "\x7f";
-          let w2, recovered = Sharded.open_resume ~dir:dir2 ~shards () in
-          let have =
-            Array.to_list recovered |> List.concat
-            |> List.filter_map Octopocs.decode_result
-            |> List.map (fun (l, _, _) -> l)
-          in
-          check Alcotest.int "first K recovered" k (List.length have);
-          List.iter
-            (fun (key, p) ->
-              match Octopocs.decode_result p with
-              | Some (l, _, _) when not (List.mem l have) -> Sharded.append w2 ~key p
-              | _ -> ())
-            payloads;
-          Sharded.close w2;
-          let resumed = decoded_set (Sharded.replay_merged dir2).Sharded.mrecords in
-          check Alcotest.bool "resumed == uninterrupted" true (reference = resumed)))
-
-(* ------------------------------------------------------------------ *)
 (* Validated recovery (quarantine journal) and dump ordering *)
 
 let quar label =
@@ -670,10 +520,86 @@ let sort_dump_ordering_pinned () =
   check Alcotest.(list (pair string string))
     "numeric labels ascend, key tiebreaks duplicates, strings sort after"
     pinned (strip (Octopocs.sort_dump input));
-  (* input-order invariance: a merged sharded dump interleaves by settle
-     order, so any permutation must sort identically *)
+  (* input-order invariance: a journal holds records in settle order,
+     so any permutation must sort identically *)
   check Alcotest.(list (pair string string)) "reversal sorts identically"
     pinned (strip (Octopocs.sort_dump (List.rev input)))
+
+(* ------------------------------------------------------------------ *)
+(* A run's journal files: PATH, with PATH.quarantine beside it *)
+
+module Report = Octo_report.Report
+
+let str_contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
+let report_refuses_directory () =
+  with_tmp (fun path ->
+      Unix.mkdir path 0o755;
+      Fun.protect
+        ~finally:(fun () -> Unix.rmdir path)
+        (fun () ->
+          match Report.of_files ~journal:path () with
+          | Ok _ -> Alcotest.fail "a directory is not a journal"
+          | Error msg ->
+              check Alcotest.bool "names the removed layout" true
+                (str_contains msg "is a directory" && str_contains msg "sharded")))
+
+(* The CLI built beside this test binary. *)
+let cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/octopocs_cli.exe"
+
+(* Run the CLI on [args]; returns its exit code, stdout and stderr. *)
+let run_cli args =
+  let capture () = Filename.temp_file "octocli" ".out" in
+  let out = capture () and err = capture () in
+  let fd path = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  let fd_out = fd out and fd_err = fd err in
+  let pid = Unix.create_process cli (Array.of_list (cli :: args)) Unix.stdin fd_out fd_err in
+  Unix.close fd_out;
+  Unix.close fd_err;
+  let code = match snd (Unix.waitpid [] pid) with Unix.WEXITED c -> c | _ -> -1 in
+  let slurp path =
+    let ic = open_in_bin path in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Sys.remove path;
+    s
+  in
+  (code, slurp out, slurp err)
+
+(* gen:8:42 at --poison 0.5 quarantines 3 pairs.  They land in
+   PATH.quarantine by default; --resume skips them, and a fresh run
+   refuses to clobber that file (and creates no verdict journal). *)
+let cli_quarantine_beside_journal () =
+  with_tmp (fun path ->
+      let qpath = Report.quarantine_path path in
+      Fun.protect
+        ~finally:(fun () -> if Sys.file_exists qpath then Sys.remove qpath)
+        (fun () ->
+          let run extra =
+            run_cli
+              ([ "verify-all"; "--corpus"; "gen:8:42"; "--poison"; "0.5"; "--journal"; path;
+                 "--log-level"; "error" ]
+              @ extra)
+          in
+          ignore (run []);
+          (match Report.of_files ~journal:path () with
+          | Ok r ->
+              check Alcotest.int "settled" 5 (List.length r.Report.verdicts);
+              check Alcotest.int "quarantined beside the journal" 3
+                (List.length r.Report.quarantine)
+          | Error msg -> Alcotest.fail msg);
+          let _, out, _ = run [ "--resume" ] in
+          check Alcotest.bool "resume skips the quarantined labels" true
+            (str_contains out "pulled=0 " && str_contains out "quarantined-prior=3");
+          Sys.remove path;
+          let code, _, err = run [] in
+          check Alcotest.int "refused" 2 code;
+          check Alcotest.bool "names the quarantine journal" true
+            (str_contains err (Printf.sprintf "quarantine journal %s already exists" qpath));
+          check Alcotest.bool "no verdict journal created" false (Sys.file_exists path)))
 
 let suite =
   [
@@ -697,12 +623,10 @@ let suite =
     tc "batch: duplicate labels keep their own reports" run_all_duplicate_labels_keep_positions;
     tc "batch: on_settle covers every pair exactly once" run_all_on_settle_covers_every_pair;
     tc "resume: merged journal equals uninterrupted run" resume_merge_equivalence;
-    tc "sharded: roundtrip, routing, merge" sharded_roundtrip_and_routing;
-    tc "sharded: simultaneous torn tails recovered" sharded_multi_shard_torn_tails;
-    tc "sharded: shard-count mismatch refused" sharded_resume_shard_count_mismatch;
-    tc "sharded: kill-after-K resume equals uninterrupted" sharded_kill_resume_equivalence;
     tc "validate: rejected well-formed frame ends the prefix" journal_validate_rejects_wellformed_frame;
     tc "quarantine: resume truncates a foreign-record tail" quarantine_resume_truncates_foreign_tail;
     tc "quarantine: resume truncates a torn tail, appends clean" quarantine_resume_truncates_torn_tail;
     tc "dump: merged ordering pinned (numeric, key tiebreak)" sort_dump_ordering_pinned;
+    tc "report: of_files refuses a directory" report_refuses_directory;
+    tc "cli: --resume skips PATH.quarantine, fresh run keeps it" cli_quarantine_beside_journal;
   ]
