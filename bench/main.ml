@@ -547,14 +547,47 @@ let bench_gate () =
    disorder or divergence counts as a violation.
 
    On top of the replay check, every schedule exercises the durable run
-   layer: the batch is run once journaled end-to-end (the reference), then
-   again interrupted after K pairs — the journal's own torn-write fault
-   site armed, plus raw garbage appended to simulate dying mid-frame — and
-   resumed.  The resumed journal must decode to exactly the reference's
-   verdict set (poc' bytes and degradation rungs included). *)
+   layer the CLI uses ([Runlog]): the batch is run once journaled
+   end-to-end (the reference), then again interrupted after K pairs — the
+   journal's own torn-write fault site armed, plus raw garbage appended to
+   simulate dying mid-frame — and resumed.  The resumed journals must load
+   to exactly the reference's verdicts (poc' bytes and degradation rungs
+   included) and quarantine set. *)
 
-module Journal = Octo_util.Journal
+module Runlog = Octo_report.Runlog
 module Source = Octo_targets.Source
+
+(* A fresh temp path for a run's journal, removed with its quarantine
+   journal afterwards. *)
+let with_journal prefix f =
+  let path = Filename.temp_file prefix ".jrnl" in
+  Sys.remove path;
+  let rm p = if Sys.file_exists p then Sys.remove p in
+  Fun.protect
+    ~finally:(fun () ->
+      rm path;
+      rm (Runlog.quarantine_path path))
+    (fun () -> f path)
+
+(* The harness's runs go through the CLI's run layer; its temp paths are
+   fresh, so a refusal is a harness bug. *)
+let run_ok = function Ok st -> st | Error msg -> failwith msg
+
+let load path = run_ok (Runlog.load ~journal:path ())
+
+(* The run-independent state of a journaled run: settled verdicts (poc'
+   bytes and rungs included) plus the quarantine set. *)
+let run_table path =
+  let r = load path in
+  ( List.map (fun (l, _, (rep : Octopocs.report)) -> (l, rep.verdict, rep.degradations)) r.verdicts,
+    List.map (fun (q : Octopocs.quarantine) -> (q.qlabel, q.qreason, q.qattempts)) r.quarantine )
+
+(* Dying mid-append: a frame header promising 64 bytes that never
+   arrived. *)
+let plant_torn_tail path =
+  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+  output_string oc "\x40\x00\x00\x00\x99\x99\x99\x99AB";
+  close_out oc
 
 (* Corpus-scale chaos: stream a generated corpus through the journaled run
    layer (one verdict journal file, its quarantine journal beside it) with
@@ -581,99 +614,44 @@ let chaos_corpus ~seed () =
     in
     { Octopocs.default_config with inject; deadline_s = Some 30.0 }
   in
-  let qpath_of path = path ^ ".quarantine" in
-  let with_journal f =
-    let path = Filename.temp_file "octochaos-corpus" ".jrnl" in
-    Sys.remove path;
-    let rm p = if Sys.file_exists p then Sys.remove p in
-    Fun.protect ~finally:(fun () -> rm path; rm (qpath_of path)) (fun () -> f path)
-  in
-  (* One streamed run over the corpus prefix [0, upto): settled verdicts
-     into the journal, exhausted pairs into the quarantine journal.
-     [resume] skips pairs already settled or quarantined.  Fresh injectors
-     per call — determinism is seed-to-verdicts, never object reuse. *)
+  (* One streamed run over the corpus prefix [0, upto).  [resume] skips
+     pairs already settled or quarantined.  Fresh injectors per call —
+     determinism is seed-to-verdicts, never object reuse. *)
   let run_streamed ~path ~resume ~upto () =
-    let w, records =
-      if resume then Journal.open_resume ~path () else (Journal.create ~path (), [])
-    in
-    let qw, qrecords = Journal.open_resume ~path:(qpath_of path) () in
-    let skipset = Hashtbl.create 31 in
-    List.iter
-      (fun (l, _, _) -> Hashtbl.replace skipset l ())
-      (List.filter_map Octopocs.decode_result records);
-    List.iter
-      (fun q -> Hashtbl.replace skipset q.Octopocs.qlabel ())
-      (List.filter_map Octopocs.decode_quarantine qrecords);
     let src = Source.generated ~seed ~count:upto () in
-    let keys = Hashtbl.create 64 in
-    let rec next () =
-      match Source.next src with
-      | None -> None
-      | Some p ->
-          if Hashtbl.mem skipset p.Source.plabel then next ()
-          else begin
-            let config = config_of p.Source.plabel in
-            Hashtbl.replace keys p.Source.plabel
-              (Octopocs.content_key ~config ~s:p.Source.ps ~t:p.Source.pt ~poc:p.Source.ppoc ());
-            Some
-              (Octopocs.job ~config ~label:p.Source.plabel ~s:p.Source.ps ~t:p.Source.pt
-                 ~poc:p.Source.ppoc ())
-          end
+    let next () =
+      Source.next src
+      |> Option.map (fun (p : Source.pair) ->
+             Runlog.entry ~config:(config_of p.plabel) ?ell:p.pell ~label:p.plabel ~s:p.ps
+               ~t:p.pt ~poc:p.ppoc ())
     in
-    (* [run_stream] pulls and fires its callbacks from this domain. *)
-    let on_settle j r =
-      let label = Octopocs.job_label j in
-      let key = Option.value (Hashtbl.find_opt keys label) ~default:"-" in
-      Journal.append w (Octopocs.encode_result ~label ~key r)
-    in
-    let on_quarantine q = Journal.append qw (Octopocs.encode_quarantine q) in
-    let st = Octopocs.run_stream ~jobs ~retries ~on_settle ~on_quarantine next in
-    Journal.close w;
-    Journal.close qw;
-    st
-  in
-  (* The run-independent state of a run: settled verdicts (poc' bytes and
-     rungs included) plus the quarantine set. *)
-  let table path =
-    let verdicts =
-      List.filter_map Octopocs.decode_result (Journal.replay path).Journal.records
-      |> List.map (fun (l, _, (r : Octopocs.report)) -> (l, r.verdict, r.degradations))
-      |> List.sort compare
-    in
-    let quars =
-      List.filter_map Octopocs.decode_quarantine (Journal.replay (qpath_of path)).Journal.records
-      |> List.map (fun q -> Octopocs.(q.qlabel, q.qreason, q.qattempts))
-      |> List.sort compare
-    in
-    (verdicts, quars)
+    run_ok (Runlog.run ~journal:path ~resume ~jobs ~retries next)
   in
   let reference =
-    with_journal (fun a ->
+    with_journal "octochaos-corpus" (fun a ->
         let sta = run_streamed ~path:a ~resume:false ~upto:count () in
         let bound = max 4 (2 * Octo_util.Pool.effective_jobs jobs) in
         if sta.Octopocs.st_peak_in_flight > bound then
           violate "corpus: peak in-flight %d exceeds window bound %d"
             sta.Octopocs.st_peak_in_flight bound;
-        let ta = table a in
+        let ta = run_table a in
         if List.length (fst ta) + List.length (snd ta) <> count then
           violate "corpus: %d settled + %d quarantined != %d pairs"
             (List.length (fst ta)) (List.length (snd ta)) count;
         ta)
   in
-  with_journal (fun b ->
+  with_journal "octochaos-corpus" (fun b ->
       ignore (run_streamed ~path:b ~resume:false ~upto:count ());
-      if table b <> reference then
+      if run_table b <> reference then
         violate "corpus: verdicts differ between identical streamed replays");
-  with_journal (fun c ->
+  with_journal "octochaos-corpus" (fun c ->
       (* Kill after K pairs, then die mid-frame. *)
       let k = 23 in
       ignore (run_streamed ~path:c ~resume:false ~upto:k ());
-      let oc = open_out_gen [ Open_append; Open_binary ] 0o644 c in
-      output_string oc "\x40\x00\x00\x00\x99\x99\x99\x99AB";
-      close_out oc;
-      if not (Journal.replay c).Journal.torn then violate "corpus: planted tail not seen as torn";
+      plant_torn_tail c;
+      if not (load c).torn then violate "corpus: planted tail not seen as torn";
       ignore (run_streamed ~path:c ~resume:true ~upto:count ());
-      if table c <> reference then
+      if run_table c <> reference then
         violate "corpus: resumed run differs from uninterrupted run");
   say "corpus: %d pairs, %d quarantined, x2 replays + kill/resume, %d violation(s)" count
     (List.length (snd reference))
@@ -690,23 +668,12 @@ let chaos ~schedules ~seed () =
   let npairs = List.length Registry.all in
   let violations = ref 0 in
   let violate fmt = Printf.ksprintf (fun m -> incr violations; say "  VIOLATION: %s" m) fmt in
-  (* Decode a journal into its run-independent verdict table: label,
-     structural verdict (poc' bytes included) and degradation rungs, sorted
-     by pair index.  elapsed_s is the only report field left out. *)
-  let decode_table path =
-    let r = Journal.replay path in
-    List.filter_map Octopocs.decode_result r.Journal.records
-    |> List.map (fun (label, _key, (rep : Octopocs.report)) ->
-           (label, rep.verdict, rep.degradations))
-    |> List.sort (fun (a, _, _) (b, _, _) ->
-           compare (int_of_string a) (int_of_string b))
-  in
   for sched = 0 to schedules - 1 do
     let sched_seed = seed + (sched * 7919) in
     (* Injector streams are mutable and advance as sites draw, so every
        repetition needs a fresh batch: determinism is seed-to-verdicts, not
        object-reuse. *)
-    let job_of (c : Registry.case) =
+    let config_of (c : Registry.case) =
       let inject =
         Faultinject.create ~rate:0.0
           ~site_rates:
@@ -719,19 +686,14 @@ let chaos ~schedules ~seed () =
             ]
           ~seed:(sched_seed lxor (c.idx * 0x9E3779B9)) ()
       in
-      let config = { Octopocs.default_config with inject; deadline_s = Some 30.0 } in
-      Octopocs.job ~config ~label:(string_of_int c.idx) ~s:c.s ~t:c.t ~poc:c.poc ()
-    in
-    let fresh_batch ?(only = fun _ -> true) () =
-      List.filter_map
-        (fun (c : Registry.case) -> if only c then Some (job_of c) else None)
-        Registry.all
-    in
-    let run_batch ?on_settle batch =
-      Octopocs.run_all ~jobs:4 ~retries:1 ?on_settle batch
+      { Octopocs.default_config with inject; deadline_s = Some 30.0 }
     in
     let snapshot () =
-      run_batch (fresh_batch ())
+      Registry.all
+      |> List.map (fun (c : Registry.case) ->
+             Octopocs.job ~config:(config_of c) ~label:(string_of_int c.idx) ~s:c.s ~t:c.t
+               ~poc:c.poc ())
+      |> Octopocs.run_all ~jobs:4 ~retries:1
       |> List.map (fun (label, (r : Octopocs.report)) ->
              (label, Octopocs.verdict_class r.verdict, r.degradations))
     in
@@ -746,57 +708,46 @@ let chaos ~schedules ~seed () =
           violate "schedule %d: report %d labelled %s (want %s)" sched i label want)
       a;
     if a <> b then violate "schedule %d: verdicts differ between identical replays" sched;
-    (* Kill-mid-batch -> resume determinism.  Reference: the same schedule
-       journaled uninterrupted. *)
-    let journal_settle w label r =
-      try Journal.append w (Octopocs.encode_result ~label ~key:"-" r)
-      with Faultinject.Injected _ -> ()
-      (* the armed torn-write site firing IS the simulated crash *)
+    (* Kill-mid-batch -> resume determinism, through the run layer the CLI
+       uses.  Reference: the same schedule journaled uninterrupted. *)
+    let journaled ?(only = fun _ -> true) ?inject ?resume path =
+      List.filter only Registry.all
+      |> List.map (fun (c : Registry.case) ->
+             Runlog.entry ~config:(config_of c) ~label:(string_of_int c.idx) ~s:c.s ~t:c.t
+               ~poc:c.poc ())
+      |> Octopocs.stream_of_list
+      |> Runlog.run ~journal:path ?inject ?resume ~jobs:4 ~retries:1
+      |> run_ok |> ignore
     in
-    let ref_path = Filename.temp_file "octochaos-ref" ".jrnl" in
-    let wref = Journal.create ~path:ref_path () in
-    ignore (run_batch ~on_settle:(journal_settle wref) (fresh_batch ()));
-    Journal.close wref;
-    (* Interrupted run: only the first K pairs get to settle, the journal
-       writer has the journal-write torn-append site armed, and the file
-       gains a trailing half-frame (a length prefix promising 64 bytes that
-       never arrived) — dying mid-append, modelled twice over. *)
     let k = 1 + (sched mod (npairs - 1)) in
-    let res_path = Filename.temp_file "octochaos-res" ".jrnl" in
-    let winject =
-      Faultinject.create ~rate:0.0
-        ~site_rates:[ (Faultinject.Journal_write, 0.15) ]
-        ~seed:(sched_seed lxor 0x6A09E667) ()
+    let ra, rb =
+      with_journal "octochaos-ref" @@ fun ref_path ->
+      with_journal "octochaos-res" @@ fun res_path ->
+      journaled ref_path;
+      (* Interrupted run: only the first K pairs get to settle, the journal
+         writer has the journal-write torn-append site armed (as
+         --chaos-seed arms it), and the file gains a trailing half-frame —
+         dying mid-append, modelled twice over. *)
+      let inject =
+        Faultinject.create ~rate:0.0
+          ~site_rates:[ (Faultinject.Journal_write, 0.15) ]
+          ~seed:(Runlog.journal_seed sched_seed) ()
+      in
+      journaled ~only:(fun c -> c.idx <= k) ~inject res_path;
+      plant_torn_tail res_path;
+      if not (load res_path).torn then
+        violate "schedule %d: torn tail not detected before resume" sched;
+      (* Resume: recover the settled prefix, re-run only the rest (on fresh
+         per-pair injectors — fault schedules are per pair, so the re-run
+         pairs replay their uninterrupted fault pattern exactly). *)
+      journaled ~resume:true res_path;
+      (run_table ref_path, run_table res_path)
     in
-    let w1 = Journal.create ~inject:winject ~path:res_path () in
-    ignore
-      (run_batch ~on_settle:(journal_settle w1)
-         (fresh_batch ~only:(fun c -> c.idx <= k) ()));
-    Journal.close w1;
-    let oc = open_out_gen [ Open_append; Open_binary ] 0o644 res_path in
-    output_string oc "\x40\x00\x00\x00\x99\x99\x99\x99AB";
-    close_out oc;
-    if not (Journal.replay res_path).Journal.torn then
-      violate "schedule %d: torn tail not detected before resume" sched;
-    (* Resume: recover the settled prefix, re-run only the rest (on fresh
-       per-pair injectors — fault schedules are per pair, so the re-run
-       pairs replay their uninterrupted fault pattern exactly). *)
-    let w2, records = Journal.open_resume ~path:res_path () in
-    let settled =
-      List.filter_map Octopocs.decode_result records |> List.map (fun (l, _, _) -> l)
-    in
-    ignore
-      (run_batch ~on_settle:(journal_settle w2)
-         (fresh_batch ~only:(fun c -> not (List.mem (string_of_int c.idx) settled)) ()));
-    Journal.close w2;
-    let ra = decode_table ref_path and rb = decode_table res_path in
-    if List.length ra <> npairs then
-      violate "schedule %d: reference journal decodes %d/%d pairs" sched (List.length ra)
-        npairs;
+    let held (verdicts, quarantined) = List.length verdicts + List.length quarantined in
+    if held ra <> npairs then
+      violate "schedule %d: reference journal holds %d/%d pairs" sched (held ra) npairs;
     if ra <> rb then
       violate "schedule %d: resumed journal verdicts differ from uninterrupted run" sched;
-    Sys.remove ref_path;
-    Sys.remove res_path;
     let cell (label, cls, degr) =
       let short =
         match cls with

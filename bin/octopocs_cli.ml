@@ -13,7 +13,8 @@
                       print the deterministic explanation narrative (why
                       the verdict: taint bunches, forced branches, pin
                       conflicts with minimized cores, crash site); with
-                      --journal PATH, render a journaled record instead
+                      --journal PATH, render a journaled record instead,
+                      or the quarantine record of a pair set aside
      journal <path>   dump a verification journal (one line per settled
                       pair, sorted by label — diffable across runs — then
                       one per pair quarantined in <path>.quarantine)
@@ -22,16 +23,21 @@
      report           aggregate a run's journals into a deterministic report
      corpus <dir>     write (or --check) a directory of pair manifests
 
-   verify-all and scan share one verification driver ([verify_entries]):
-   it pulls pairs on demand under a bounded in-flight window, reuses
-   verdicts journaled under the same content key (--resume), journals
-   each settle (--journal PATH), quarantines pairs whose workers still
-   crash after --retries, and tallies the verdicts.
+   verify-all, scan and verify run pairs through one library call,
+   [Octo_report.Runlog.run]: it pulls pairs on demand under a bounded
+   in-flight window, reuses verdicts journaled under the same content key
+   (--resume), journals each settle (--journal PATH), and quarantines
+   pairs whose workers still crash after --retries.  This file keeps the
+   verdict tally, the progress meter, the printing and the environment
+   test hooks ([verify_entries]); verify N is a one-pair run with no
+   journal.
 
    A run's durable state is one verdict journal file PATH with its
    quarantine journal PATH.quarantine (unless --quarantine names another
-   file) and, with the bare --telemetry flag, PATH.telemetry beside it.
-   journal PATH and report --journal PATH read PATH.quarantine when it
+   file) and, with the bare --telemetry flag, PATH.telemetry beside it;
+   Runlog owns that layout.  A fresh run refuses to overwrite any of the
+   three; --resume appends to all three.  journal, report and explain
+   --journal load through [Runlog.load] and read PATH.quarantine when it
    exists.
 
    Observability: verify and verify-all take --trace PATH (Chrome
@@ -55,12 +61,11 @@ module Scan = Octo_targets.Scan
 module Detect = Octo_clone.Detect
 module B = Octo_util.Bytes_util
 module Faultinject = Octo_util.Faultinject
-module Journal = Octo_util.Journal
 module Log = Octo_util.Log
 module Metrics = Octo_util.Metrics
-module Telemetry = Octo_util.Telemetry
 module Trace = Octo_util.Trace
 module Report = Octo_report.Report
+module Runlog = Octo_report.Runlog
 
 let say fmt = Format.printf (fmt ^^ "@.")
 
@@ -149,12 +154,9 @@ let pp_pair_metrics ~indent (m : Metrics.snapshot) =
   if pcts <> [] then say "%sp50/p90/p99: %s (ns)" indent (String.concat " " pcts);
   say "%scounters: %s" indent (Fmt.str "%a" Metrics.pp_counters m)
 
-let run_one ?(dynamic = false) ?deadline ?chaos_seed (c : Registry.case) :
-    Octopocs.report =
-  say "Pair %d: S=%s(%s)  T=%s(%s)  %s [%s]" c.idx c.s.pname c.s_version c.t.pname c.t_version
-    c.vuln_id c.cwe;
-  let config = config_for_label ~dynamic ~deadline ~chaos_seed (string_of_int c.idx) in
-  let r = Octopocs.run ~config ~s:c.s ~t:c.t ~poc:c.poc () in
+(* One pair's verify report: the pipeline artifacts, the verdict against
+   the paper's, timings, metrics, provenance and the reformed PoC. *)
+let say_pair_report (c : Registry.case) (r : Octopocs.report) =
   say "  ep      : %s" r.ep;
   say "  ℓ       : %s" (String.concat ", " r.ell);
   (match r.taint with
@@ -189,8 +191,7 @@ let run_one ?(dynamic = false) ?deadline ?chaos_seed (c : Registry.case) :
   | _ -> ());
   let got = Octopocs.verdict_class r.verdict in
   let want = Registry.expected_to_string c.expected in
-  if got = want then say "  MATCH" else say "  MISMATCH (%s vs %s)" got want;
-  r
+  if got = want then say "  MATCH" else say "  MISMATCH (%s vs %s)" got want
 
 (* The 0/1/2/3 verdict-exit convention shared by verify and verify-all.
    Worker crashes and stalls are the tool failing, not the verification
@@ -385,8 +386,10 @@ let telemetry_arg =
            ~doc:"Sample run health (throughput, pool retries/stalls, parent and \
                  child RSS, GC words, latency histograms) into an OTL1 journal \
                  at $(docv) while the corpus streams; with no $(docv), defaults \
-                 to $(i,JOURNAL).telemetry beside --journal $(i,JOURNAL).  Read it \
-                 back with $(b,octopocs report --telemetry).")
+                 to $(i,JOURNAL).telemetry beside --journal $(i,JOURNAL).  A \
+                 fresh run refuses an existing $(docv); --resume appends to it, \
+                 continuing its clock and counts.  Read it back with \
+                 $(b,octopocs report --telemetry).")
 
 let progress_arg =
   Arg.(value & flag
@@ -395,6 +398,29 @@ let progress_arg =
                  recent throughput, ETA, quarantine count) on stderr.  \
                  Automatically disabled when stderr is not a TTY.")
 
+(* verify N: pair N as a one-entry run with no journal, through the same
+   stream as verify-all, so the attempt-level chaos sites fire exactly as
+   they do for pair N's row of a verify-all batch.  Returns the exit code. *)
+let run_one ?(dynamic = false) ?deadline ?chaos_seed (c : Registry.case) =
+  say "Pair %d: S=%s(%s)  T=%s(%s)  %s [%s]" c.idx c.s.pname c.s_version c.t.pname c.t_version
+    c.vuln_id c.cwe;
+  let label = string_of_int c.idx in
+  let config = config_for_label ~dynamic ~deadline ~chaos_seed label in
+  let next = Octopocs.stream_of_list [ Runlog.entry ~config ~label ~s:c.s ~t:c.t ~poc:c.poc () ] in
+  let code = ref 3 in
+  let on_row _ = function
+    | Runlog.Settled { r; _ } ->
+        say_pair_report c r;
+        code := verdict_exit r
+    | Runlog.Quarantined { q; _ } ->
+        let want = Registry.expected_to_string c.expected in
+        say "  verdict : QUARANTINED (%s: %s)  (expected %s)" q.qreason q.qmessage want;
+        say "  MISMATCH (quarantined vs %s)" want
+  in
+  match Runlog.run ~on_row next with
+  | Ok _ -> !code
+  | Error msg -> structured_error "%s" msg
+
 let verify_cmd =
   let idx = Arg.(required & pos 0 (some int) None & info [] ~docv:"IDX") in
   Cmd.v (Cmd.info "verify" ~doc:"Verify one Table II pair")
@@ -402,16 +428,17 @@ let verify_cmd =
               with_valid_deadline deadline @@ fun () ->
               with_case idx (fun c ->
                   with_observability ~provenance ~trace ~metrics (fun () ->
-                      verdict_exit (run_one ~dynamic ?deadline ?chaos_seed c))))
+                      run_one ~dynamic ?deadline ?chaos_seed c)))
           $ dynamic_arg $ deadline_arg $ chaos_seed_arg $ trace_arg $ metrics_arg
           $ provenance_arg $ idx)
 
 (* ------------------------------------------------------------------ *)
-(* The verification driver shared by verify-all and scan: pull pairs one
-   at a time from a cursor, verify them under a bounded in-flight window,
-   journal each verdict, and quarantine pairs that exhaust the retry
-   budget instead of failing the batch.  Peak memory is bounded by the window — a corpus is never
-   materialised. *)
+(* The verification driver shared by verify-all and scan: a Runlog run
+   (pairs pulled one at a time under a bounded in-flight window, each
+   verdict journaled, pairs that exhaust the retry budget quarantined
+   instead of failing the batch) plus the tally, the progress meter and
+   the environment test hooks.  Peak memory is bounded by the window — a
+   corpus is never materialised. *)
 
 (* Test hook for the CI kill-and-resume smoke job: pacing each settle makes
    "SIGKILL lands mid-batch" a certainty instead of a race against a
@@ -441,89 +468,6 @@ let oom_pre_run =
           if Octopocs.job_label j = label then
             ignore
               (Sys.opaque_identity (Array.init mb (fun _ -> Bytes.make (1 lsl 20) 'x'))))
-
-(* Write-ahead-journal plumbing of the driver: the verdict journal file,
-   the replayed prior verdicts, the quarantine journal (--quarantine, or
-   PATH.quarantine beside --journal PATH), and the prior quarantine
-   records.  Fresh runs refuse to clobber an existing journal of either
-   kind. *)
-type stream_journals = {
-  sj_writer : Journal.writer option;
-  sj_replayed : (string * string * Octopocs.report) list;
-  sj_quarantine : Journal.writer option;
-  sj_quarantined_prior : (string, Octopocs.quarantine) Hashtbl.t;
-}
-
-let close_stream_journals sj =
-  Option.iter Journal.close sj.sj_writer;
-  Option.iter Journal.close sj.sj_quarantine
-
-(* [inject] is the verdict journal's journal-write fault injector; the
-   quarantine journal is never armed. *)
-let open_stream_journals ~journal_path ~resume ~quarantine_path ~inject =
-  let qpath =
-    match quarantine_path with
-    | Some p -> Some p
-    | None -> Option.map Report.quarantine_path journal_path
-  in
-  (* A fresh run checks both paths before it creates either, so a refusal
-     leaves no file behind. *)
-  let clobbered =
-    if resume then None
-    else List.find_opt Sys.file_exists (List.filter_map Fun.id [ journal_path; qpath ])
-  in
-  match (journal_path, clobbered) with
-  | Some path, _ when Sys.file_exists path && Sys.is_directory path ->
-      Error (structured_error "%s" (Report.directory_error path))
-  | _, Some p ->
-      Error
-        (structured_error
-           "%s %s already exists; pass --resume to continue it or remove it first"
-           (if Some p = journal_path then "journal" else "quarantine journal")
-           p)
-  | _, None ->
-      let writer, replayed =
-        match journal_path with
-        | None -> (None, [])
-        | Some path when resume ->
-            let w, records = Journal.open_resume ~inject ~path () in
-            (Some w, List.filter_map Octopocs.decode_result records)
-        | Some path -> (Some (Journal.create ~inject ~path ()), [])
-      in
-      (* Quarantined labels from a previous run are set aside, not re-run:
-         their fault schedule is deterministic, so a retry would only
-         quarantine them again. *)
-      let quarantined_prior : (string, Octopocs.quarantine) Hashtbl.t = Hashtbl.create 7 in
-      let quarantine =
-        match qpath with
-        | None -> None
-        | Some p when resume ->
-            (* The quarantine journal gets the main WAL's torn-tail
-               recovery one level up: a frame that is CRC-valid but not
-               a decodable OQR1 record (a crash half-through an
-               overwrite can produce one) ends the valid prefix and is
-               truncated away on resume, like a torn frame. *)
-            let w, records =
-              Journal.open_resume
-                ~validate:(fun payload -> Octopocs.decode_quarantine payload <> None)
-                ~path:p ()
-            in
-            List.iter
-              (fun payload ->
-                match Octopocs.decode_quarantine payload with
-                | Some q -> Hashtbl.replace quarantined_prior q.Octopocs.qlabel q
-                | None -> ())
-              records;
-            Some w
-        | Some p -> Some (Journal.create ~path:p ())
-      in
-      Ok
-        {
-          sj_writer = writer;
-          sj_replayed = replayed;
-          sj_quarantine = quarantine;
-          sj_quarantined_prior = quarantined_prior;
-        }
 
 (* Live progress meter: one stderr line redrawn in place — settled count,
    recent throughput, ETA when the corpus size is known up front, and the
@@ -622,21 +566,6 @@ let corpus_total spec =
                (fun acc f -> if Filename.check_suffix f ".pair" then acc + 1 else acc)
                0 (Sys.readdir spec))
         else None
-
-(* Resolve --telemetry's path: explicit PATH as given; the bare flag
-   defaults to PATH.telemetry beside the --journal PATH. *)
-let telemetry_path ~telemetry ~journal_path =
-  match telemetry with
-  | None -> Ok None
-  | Some p when p <> "" -> Ok (Some p)
-  | Some _ -> (
-      match journal_path with
-      | Some j -> Ok (Some (j ^ ".telemetry"))
-      | None ->
-          Error
-            (structured_error
-               "--telemetry without PATH requires --journal (the default telemetry \
-                file lives beside it)"))
 
 (* The verification-run flags verify-all and scan share. *)
 type run_opts = {
@@ -759,130 +688,61 @@ let with_run_opts o f =
     structured_error "--mem-watermark requires --isolate proc"
   else f ()
 
-(* One pair for the driver: its label, content key, expected verdict
-   class (if known) and job. *)
-type entry = {
-  label : string;
-  key : string;
-  expected : string option;
-  job : Octopocs.job;
-}
+(* Resolve --telemetry's path: explicit PATH as given; the bare flag
+   defaults to the telemetry journal beside the --journal PATH. *)
+let telemetry_file o =
+  match (o.telemetry, o.journal_path) with
+  | None, _ -> Ok None
+  | Some p, _ when p <> "" -> Ok (Some p)
+  | Some _, Some j -> Ok (Some (Runlog.telemetry_path j))
+  | Some _, None ->
+      Error
+        (structured_error
+           "--telemetry without PATH requires --journal (the default telemetry \
+            file lives beside it)")
 
-let entry ~config ?ell ?expected ~label ~s ~t ~poc () =
-  {
-    label;
-    key = Octopocs.content_key ~config ?ell ~s ~t ~poc ();
-    expected;
-    job = Octopocs.job ~config ?ell ~label ~s ~t ~poc ();
-  }
-
-(* What became of one pair: a verdict (fresh, or replayed from the journal
-   when [cached]) or a quarantine record (this run's or a previous
-   run's). *)
-type row = Settled of { r : Octopocs.report; cached : bool } | Quarantined of Octopocs.quarantine
-
-(* The driver.  [next] pulls the entries; [on_row label row] sees every
-   pair's outcome, from the calling domain (the stream fires its callbacks
-   there, and [next] reports pairs the journal already settled or
-   quarantined).  The journal writer's injector comes from the same chaos
-   flags as the pairs' ([seed lxor 0x6A09E667]).  With [fail_fast] the
-   cursor hands out nothing once a Failure has settled; the pairs it never
-   handed out get no row and no journal record, so --resume runs them.  Returns the stream's
-   stats and the tally, or the exit code of a setup error. *)
+(* The driver: a {!Runlog} run from the shared flags.  [next] pulls the
+   entries; [on_row label row] sees every pair's outcome, from the calling
+   domain.  The journal writer's injector comes from the same chaos flags
+   as the pairs'.  With [fail_fast] the cursor hands out nothing once a
+   Failure has settled; the pairs it never handed out get no row and no
+   journal record, so --resume runs them.  Returns the stream's stats and
+   the tally, or the exit code of a setup error. *)
 let verify_entries o ~chaos_seed ~site_rates ~fail_fast ~total ?(on_row = fun _ _ -> ()) next =
-  match telemetry_path ~telemetry:o.telemetry ~journal_path:o.journal_path with
+  match telemetry_file o with
   | Error code -> Error code
-  | Ok tpath -> (
-      let inject = injector ~chaos_seed ~site_rates (fun seed -> seed lxor 0x6A09E667) in
-      match
-        open_stream_journals ~journal_path:o.journal_path ~resume:o.resume
-          ~quarantine_path:o.quarantine_path ~inject
-      with
-      | Error code -> Error code
-      | Ok sj ->
-          (* Enable only after the journal setup succeeded: a refused
-             clobber must not truncate an existing telemetry file. *)
-          (match tpath with Some path -> Telemetry.enable ~path () | None -> ());
-          let prog = Progress.create ~enabled:o.progress ~total () in
-          (* Last journaled verdict per label wins. *)
-          let settled_prior : (string, string * Octopocs.report) Hashtbl.t =
-            Hashtbl.create (List.length sj.sj_replayed)
-          in
-          List.iter (fun (l, k, r) -> Hashtbl.replace settled_prior l (k, r)) sj.sj_replayed;
-          let tally = Tally.create () in
-          (* The in-flight table carries each entry from pull to settle and
-             never exceeds the window. *)
-          let lock = Mutex.create () in
-          let inflight : (string, entry) Hashtbl.t = Hashtbl.create 31 in
-          let take_inflight label =
-            Mutex.protect lock (fun () ->
-                let e = Hashtbl.find_opt inflight label in
-                Hashtbl.remove inflight label;
-                e)
-          in
-          let failed = Atomic.make false in
-          let on_settle j (r : Octopocs.report) =
+  | Ok telemetry -> (
+      let inject = injector ~chaos_seed ~site_rates Runlog.journal_seed in
+      let prog = Progress.create ~enabled:o.progress ~total () in
+      let tally = Tally.create () in
+      let on_row (e : Runlog.entry) row =
+        (match row with
+        | Runlog.Settled { r; cached = false } ->
             if settle_delay_s > 0. then Unix.sleepf settle_delay_s;
-            let label = Octopocs.job_label j in
-            let key, expected =
-              match take_inflight label with Some e -> (e.key, e.expected) | None -> ("", None)
-            in
-            (match r.verdict with Octopocs.Failure _ -> Atomic.set failed true | _ -> ());
-            Tally.add ?expected tally r;
-            on_row label (Settled { r; cached = false });
-            Progress.step prog;
-            (* Journal last: an injected torn append raises (and poisons the
-               writer, as a crash would), and the pair must still count. *)
-            Option.iter
-              (fun w -> Journal.append w (Octopocs.encode_result ~label ~key r))
-              sj.sj_writer
-          in
-          let on_quarantine (q : Octopocs.quarantine) =
-            ignore (take_inflight q.qlabel);
-            Tally.add_quarantined tally;
-            on_row q.qlabel (Quarantined q);
-            (match sj.sj_quarantine with
-            | Some w -> Journal.append w (Octopocs.encode_quarantine q)
-            | None -> ());
+            Tally.add ?expected:e.expected tally r
+        | Runlog.Settled { r; cached = true } -> Tally.add_cached ?expected:e.expected tally r
+        | Runlog.Quarantined { prior = true; _ } -> Tally.add_quarantined_prior tally
+        | Runlog.Quarantined { prior = false; _ } -> Tally.add_quarantined tally);
+        on_row e.label row;
+        match row with
+        | Runlog.Settled { cached = false; _ } -> Progress.step prog
+        | Runlog.Quarantined { q; prior = false } ->
             Log.warn (fun m ->
                 m "quarantined %s after %d attempt(s): %s: %s" q.qlabel q.qattempts q.qreason
                   q.qmessage);
             Progress.quar prog
-          in
-          (* The pull thunk: skip pairs already quarantined or already
-             settled under the same content key, admit the rest.
-             Tail-recursive — a fully-cached resume walks the whole corpus
-             without growing the stack or the heap. *)
-          let rec next_job () =
-            if fail_fast && Atomic.get failed then None
-            else
-              match next () with
-              | None -> None
-              | Some e -> (
-                  match Hashtbl.find_opt sj.sj_quarantined_prior e.label with
-                  | Some q ->
-                      Tally.add_quarantined_prior tally;
-                      on_row e.label (Quarantined q);
-                      next_job ()
-                  | None -> (
-                      match Hashtbl.find_opt settled_prior e.label with
-                      | Some (k, r) when k = e.key ->
-                          Tally.add_cached ?expected:e.expected tally r;
-                          on_row e.label (Settled { r; cached = true });
-                          next_job ()
-                      | _ ->
-                          Mutex.protect lock (fun () -> Hashtbl.replace inflight e.label e);
-                          Some e.job))
-          in
-          let st =
-            Octopocs.run_stream ~jobs:o.jobs ~retries:o.retries ?window:o.window
-              ~isolate:o.isolate ~limits:o.limits ?mem_watermark_mb:o.mem_watermark
-              ?pre_run:oom_pre_run ~on_settle ~on_quarantine next_job
-          in
-          Telemetry.disable ();
-          Progress.finish prog;
-          close_stream_journals sj;
-          Ok (st, tally))
+        | _ -> ()
+      in
+      let result =
+        Runlog.run ?journal:o.journal_path ?quarantine:o.quarantine_path ?telemetry
+          ~resume:o.resume ~inject ~jobs:o.jobs ~retries:o.retries ?window:o.window
+          ~isolate:o.isolate ~limits:o.limits ?mem_watermark_mb:o.mem_watermark
+          ?pre_run:oom_pre_run ~fail_fast ~on_row next
+      in
+      Progress.finish prog;
+      match result with
+      | Error msg -> Error (structured_error "%s" msg)
+      | Ok st -> Ok (st, tally))
 
 (* ------------------------------------------------------------------ *)
 (* verify-all: any {!Source} through the driver. *)
@@ -902,14 +762,14 @@ let say_registry_rows ~metrics_on rows =
       let want = Registry.expected_to_string c.expected in
       let verdict, got, tags, metrics =
         match rows.(c.idx - 1) with
-        | Some (Settled { r; cached }) ->
+        | Some (Runlog.Settled { r; cached }) ->
             ( Fmt.str "%a" (Octopocs.pp_verdict_prov r.provenance) r.verdict,
               Octopocs.verdict_class r.verdict,
               (if cached then "  [cached]" else "")
               ^ (if r.degradations = [] then ""
                  else Printf.sprintf "  [degraded: %s]" (String.concat " -> " r.degradations)),
               r.metrics )
-        | Some (Quarantined q) ->
+        | Some (Runlog.Quarantined { q; _ }) ->
             (Printf.sprintf "QUARANTINED (%s: %s)" q.qreason q.qmessage, "", "", None)
         | None ->
             ( Fmt.str "%a" Octopocs.pp_verdict skipped_verdict,
@@ -951,8 +811,8 @@ let run_verify_all o fail_fast trace metrics_on provenance_on corpus poison chao
                let config =
                  config_for_label ~site_rates ~deadline:o.deadline ~chaos_seed p.plabel
                in
-               entry ~config ?ell:p.pell ?expected:p.pexpected ~label:p.plabel ~s:p.ps ~t:p.pt
-                 ~poc:p.ppoc ())
+               Runlog.entry ~config ?ell:p.pell ?expected:p.pexpected ~label:p.plabel ~s:p.ps
+                 ~t:p.pt ~poc:p.ppoc ())
       in
       (* The registry keeps one row per pair for the Table II lines; other
          sources keep nothing per pair. *)
@@ -1152,22 +1012,14 @@ let run_scan o corpus strict decoys decoy_seed shingle_k winnow_w tau_retrieve t
                       let expected = if diagonal then pr.pr_expected else None in
                       let config = config_for_label ~deadline:o.deadline ~chaos_seed:None label in
                       Some
-                        (entry ~config ?ell ?expected ~label ~s:pr.pr_s ~t:tg.tg_prog
+                        (Runlog.entry ~config ?ell ?expected ~label ~s:pr.pr_s ~t:tg.tg_prog
                            ~poc:pr.pr_poc ())
                     end)
                   result.candidates
               in
-              let pending = ref entries in
-              let next () =
-                match !pending with
-                | [] -> None
-                | e :: rest ->
-                    pending := rest;
-                    Some e
-              in
               match
                 verify_entries o ~chaos_seed:None ~site_rates:[] ~fail_fast:false
-                  ~total:(Some (List.length entries)) next
+                  ~total:(Some (List.length entries)) (Octopocs.stream_of_list entries)
               with
               | Error code -> code
               | Ok (st, tally) ->
@@ -1287,25 +1139,28 @@ let explain_live ~dynamic ~deadline (c : Registry.case) =
   print_string (Octopocs.explain_report ~label:(Printf.sprintf "pair %d" c.idx) r);
   0
 
+(* A journaled pair: its verdict record, or, for a pair that only the
+   quarantine journal knows, why it was set aside. *)
 let explain_journal path idx =
-  if not (Sys.file_exists path) then structured_error "no such journal: %s" path
-  else if Sys.is_directory path then structured_error "%s" (Report.directory_error path)
-  else begin
-    let r = Journal.replay path in
-    (* Last record per label wins, as in --resume. *)
-    let found = ref None in
-    List.iter
-      (fun payload ->
-        match Octopocs.decode_result payload with
-        | Some (label, _, rep) when label = string_of_int idx -> found := Some rep
-        | _ -> ())
-      r.records;
-    match !found with
-    | Some rep ->
-        print_string (Octopocs.explain_report ~label:(Printf.sprintf "pair %d" idx) rep);
-        0
-    | None -> structured_error "journal %s has no record for pair %d" path idx
-  end
+  match Runlog.load ~journal:path () with
+  | Error msg -> structured_error "%s" msg
+  | Ok run -> (
+      let label = string_of_int idx in
+      let title = Printf.sprintf "pair %d" idx in
+      match
+        ( List.find_opt (fun (l, _, _) -> l = label) run.verdicts,
+          List.find_opt (fun (q : Octopocs.quarantine) -> q.qlabel = label) run.quarantine )
+      with
+      | Some (_, _, rep), _ ->
+          print_string (Octopocs.explain_report ~label:title rep);
+          0
+      | None, Some q ->
+          say "OCTOPOCS explanation — %s" title;
+          say "verdict : QUARANTINED (%s after %d attempt(s))" q.qreason q.qattempts;
+          say "message : %s" q.qmessage;
+          say "(no verdict: the pair was set aside in %s)" (Runlog.quarantine_path path);
+          0
+      | None, None -> structured_error "journal %s has no record for pair %d" path idx)
 
 let explain_cmd =
   let idx = Arg.(required & pos 0 (some int) None & info [] ~docv:"PAIR") in
@@ -1314,7 +1169,9 @@ let explain_cmd =
          & info [ "journal" ] ~docv:"PATH"
              ~doc:"Render the journaled record of $(i,PAIR) from $(docv) instead of \
                    re-verifying (the record carries provenance only when the batch \
-                   ran with --provenance).")
+                   ran with --provenance); a pair recorded only in \
+                   $(docv).quarantine prints its quarantine reason, attempts and \
+                   message.")
   in
   Cmd.v
     (Cmd.info "explain"
@@ -1369,7 +1226,7 @@ let fuzz_cmd =
    timings), one sorted line per pair, then one per quarantined pair (no
    backtrace) — two journals of equivalent runs diff clean, which is
    exactly what the kill-and-resume CI check does.  Loading, dedupe (last
-   record per label wins) and ordering are [Report]'s. *)
+   record per label wins) and ordering are [Runlog.load]'s. *)
 
 let say_verdict_line (label, key, (rep : Octopocs.report)) =
   let detail =
@@ -1408,21 +1265,19 @@ let say_verdict_line (label, key, (rep : Octopocs.report)) =
     metrics_detail prov_detail
 
 let journal_dump path =
-  match Report.of_files ~journal:path () with
+  match Runlog.load ~journal:path () with
   | Error msg -> structured_error "%s" msg
   | Ok r ->
-      List.iter say_verdict_line r.Report.verdicts;
+      List.iter say_verdict_line r.verdicts;
       List.iter
         (fun (q : Octopocs.quarantine) ->
           say "quar %-4s key=%s %s after %d attempt(s): %s" q.qlabel q.qkey q.qreason
             q.qattempts q.qmessage)
-        r.Report.quarantine;
-      say "%d pair(s), %d quarantined%s%s" (List.length r.Report.verdicts)
-        (List.length r.Report.quarantine)
-        (if r.Report.undecodable > 0 then
-           Printf.sprintf ", %d undecodable record(s)" r.Report.undecodable
+        r.quarantine;
+      say "%d pair(s), %d quarantined%s%s" (List.length r.verdicts) (List.length r.quarantine)
+        (if r.undecodable > 0 then Printf.sprintf ", %d undecodable record(s)" r.undecodable
          else "")
-        (if r.Report.torn then ", torn trailing record dropped" else "");
+        (if r.torn then ", torn trailing record dropped" else "");
       0
 
 let journal_cmd =
@@ -1440,9 +1295,9 @@ let journal_cmd =
    opt-in because its timestamps are real time. *)
 
 let report_run journal telemetry =
-  match Report.of_files_rendered ~journal ?telemetry () with
-  | Ok doc ->
-      print_string doc;
+  match Runlog.load ~journal ?telemetry () with
+  | Ok run ->
+      print_string (Report.render run);
       0
   | Error msg -> structured_error "%s" msg
 

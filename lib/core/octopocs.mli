@@ -288,8 +288,8 @@ type isolation = Domains | Processes
 
     [on_settle label report] fires exactly once per non-skipped job, in
     completion order, from the calling domain in every mode; [run_all]
-    returns only after every callback finishes.  The CLI's write-ahead
-    journaling hooks in here.
+    returns only after every callback finishes.  (A journaled run goes
+    through {!run_stream} instead, via [Octo_report.Runlog].)
 
     [limits] bounds each child under [~isolate:Processes] (ignored in
     Domain mode, where no rlimit can be scoped to one job).
@@ -417,10 +417,11 @@ val run_stream :
   (unit -> job option) ->
   stream_stats
 
-(** [stream_of_list jobs] wraps a pre-materialized job list as a pull
-    cursor for {!run_stream} — the scan pipeline's bridge from a finite
-    confirmed-candidate set to the streaming runner.  Thread-safe. *)
-val stream_of_list : job list -> unit -> job option
+(** [stream_of_list xs] wraps a pre-materialized list (of jobs, or of
+    any other items a driver pulls) as a pull cursor for {!run_stream} —
+    the scan pipeline's bridge from a finite confirmed-candidate set to
+    the streaming runner.  Thread-safe. *)
+val stream_of_list : 'a list -> unit -> 'a option
 
 (** [sort_dump entries] orders decoded journal records [(label, key, v)]
     for display: label (numeric-aware, so registry pair "10" sorts after

@@ -37,8 +37,9 @@ let empty = { events = []; dropped = 0 }
    cross-domain contention, and [scoped] collects/reset it around one
    pair. *)
 let on = Atomic.make false
-let default_cap = 4096
-let ring_cap = Atomic.make default_cap
+
+(* Events kept per domain and pair; older ones are dropped and counted. *)
+let ring_cap = 4096
 
 type cell = {
   mutable buf : event option array;  (* ring; length = cap at creation *)
@@ -50,17 +51,14 @@ let cell_key : cell Domain.DLS.key =
 
 let is_on () = Atomic.get on
 
-let enable ?(cap = default_cap) () =
-  if cap < 1 then invalid_arg "Provenance.enable: cap must be >= 1";
-  Atomic.set ring_cap cap;
-  Atomic.set on true
+let enable () = Atomic.set on true
 
 let disable () = Atomic.set on false
 
 let emit ev =
   if Atomic.get on then begin
     let c = Domain.DLS.get cell_key in
-    if Array.length c.buf = 0 then c.buf <- Array.make (Atomic.get ring_cap) None;
+    if Array.length c.buf = 0 then c.buf <- Array.make ring_cap None;
     c.buf.(c.count mod Array.length c.buf) <- Some ev;
     c.count <- c.count + 1
   end
@@ -86,7 +84,7 @@ let scoped f =
   if not (Atomic.get on) then (f (), None)
   else begin
     let c = Domain.DLS.get cell_key in
-    if Array.length c.buf = 0 then c.buf <- Array.make (Atomic.get ring_cap) None;
+    if Array.length c.buf = 0 then c.buf <- Array.make ring_cap None;
     reset c;
     let v = f () in
     (v, Some (collect c))

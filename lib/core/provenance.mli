@@ -78,10 +78,9 @@ type t = { events : event list; dropped : int }
 
 val empty : t
 
-(** [enable ?cap ()] turns collection on process-wide.  [cap] bounds the
-    per-domain ring buffer (default 4096 events); it is fixed at the
-    first emission of each domain. *)
-val enable : ?cap:int -> unit -> unit
+(** [enable ()] turns collection on process-wide.  Each domain keeps at
+    most 4096 events per pair in its ring buffer. *)
+val enable : unit -> unit
 
 val disable : unit -> unit
 val is_on : unit -> bool

@@ -1,8 +1,8 @@
 (* Deterministic run-report aggregation.
 
-   [of_files] folds a run's durable state — the verdict journal file, the
-   quarantine journal beside it (PATH.quarantine), and optionally the OTL1
-   telemetry journal — into one plain-text document:
+   [render] folds a run's durable state, as {!Runlog.load} reads it (the
+   verdict journal file, the quarantine journal beside it, and
+   optionally the OTL1 telemetry journal), into one plain-text document:
    verdict-class breakdown, degradation-rung frequencies, quarantine
    reasons, p50/p90/p99 per-phase latencies off the journaled log2
    histograms, and a throughput summary from the telemetry samples.
@@ -10,94 +10,19 @@
    Determinism contract: the rendering is a pure function of the input
    file bytes.  No paths, wall-clock times, hostnames or map iteration
    orders leak in — class order is fixed, every other breakdown is
-   sorted lexicographically, and verdicts are deduped (last record per
-   label wins) and ordered by [Octopocs.sort_dump] — the one loader the
-   CLI's journal dump reads through too.  Two invocations over the same files are byte-identical; two
-   *independent* runs of the same seeded corpus agree too, as long as
-   the report sticks to journal-derived sections (telemetry timestamps
-   and latency histograms are real time, which is why the telemetry
-   section only appears when a telemetry file is explicitly given, and
-   why the latency section reads "(no metrics journaled)" unless the
-   run recorded them). *)
+   sorted lexicographically, and verdicts arrive deduped (last record
+   per label wins) and ordered by [Octopocs.sort_dump] from
+   [Runlog.load], the one loader the CLI's journal dump and explain read
+   through too.  Two invocations over the
+   same files are byte-identical; two *independent* runs of the same
+   seeded corpus agree too, as long as the report sticks to
+   journal-derived sections (telemetry timestamps and latency histograms
+   are real time, which is why the telemetry section only appears when a
+   telemetry file is explicitly given, and why the latency section reads
+   "(no metrics journaled)" unless the run recorded them). *)
 
-module Journal = Octo_util.Journal
 module Metrics = Octo_util.Metrics
 module Telemetry = Octo_util.Telemetry
-
-type t = {
-  verdicts : (string * string * Octopocs.report) list;
-      (** deduped (last record per label wins) and [sort_dump]-ordered *)
-  undecodable : int;  (** intact frames [decode_result] rejected *)
-  torn : bool;  (** a torn/corrupt tail was dropped *)
-  quarantine : Octopocs.quarantine list;  (** deduped, sorted by label *)
-  telemetry : Telemetry.replay option;
-}
-
-(* -- loading ----------------------------------------------------------- *)
-
-let verdicts_of_records records =
-  let tbl : (string, string * Octopocs.report) Hashtbl.t = Hashtbl.create 31 in
-  let undecodable = ref 0 in
-  List.iter
-    (fun payload ->
-      match Octopocs.decode_result payload with
-      | Some (label, key, rep) -> Hashtbl.replace tbl label (key, rep)
-      | None -> incr undecodable)
-    records;
-  let entries =
-    Octopocs.sort_dump (Hashtbl.fold (fun l (k, rep) acc -> (l, k, rep) :: acc) tbl [])
-  in
-  (entries, !undecodable)
-
-let quarantine_of_path path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let tbl : (string, Octopocs.quarantine) Hashtbl.t = Hashtbl.create 7 in
-    List.iter
-      (fun payload ->
-        match Octopocs.decode_quarantine payload with
-        | Some q -> Hashtbl.replace tbl q.Octopocs.qlabel q
-        | None -> ())
-      (Journal.replay path).Journal.records;
-    Hashtbl.fold (fun _ q acc -> q :: acc) tbl []
-    |> List.sort (fun (a : Octopocs.quarantine) b ->
-           compare a.Octopocs.qlabel b.Octopocs.qlabel)
-  end
-
-(* A run's journals sit side by side: PATH, PATH.quarantine and (by
-   default) PATH.telemetry. *)
-let quarantine_path journal = journal ^ ".quarantine"
-
-(* A journal path naming a directory is the removed sharded layout: it
-   is refused, never read or written as a journal. *)
-let directory_error path =
-  Printf.sprintf
-    "journal %s is a directory: sharded journal directories (--shards) were removed; \
-     a run's journal is one file, with PATH.quarantine beside it"
-    path
-
-let of_files ~journal ?telemetry () : (t, string) result =
-  if not (Sys.file_exists journal) then Error (Printf.sprintf "no such journal: %s" journal)
-  else if Sys.is_directory journal then Error (directory_error journal)
-  else begin
-    let r = Journal.replay journal in
-    let verdicts, undecodable = verdicts_of_records r.Journal.records in
-    let telemetry =
-      match telemetry with
-      | None -> None
-      | Some p ->
-          if Sys.file_exists p then Some (Telemetry.replay p)
-          else Some { Telemetry.samples = []; undecodable = 0; torn = false }
-    in
-    Ok
-      {
-        verdicts;
-        undecodable;
-        torn = r.Journal.torn;
-        quarantine = quarantine_of_path (quarantine_path journal);
-        telemetry;
-      }
-  end
 
 (* -- aggregation helpers ----------------------------------------------- *)
 
@@ -116,7 +41,7 @@ let classes = [ "Type-I"; "Type-II"; "Type-III"; "Failure" ]
 
 (* -- rendering --------------------------------------------------------- *)
 
-let render (r : t) : string =
+let render (r : Runlog.t) : string =
   let b = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   line "octopocs run report";
@@ -217,8 +142,3 @@ let render (r : t) : string =
             line "  throughput (peak)      %.1f pairs/s" !best
           end);
   Buffer.contents b
-
-let of_files_rendered ~journal ?telemetry () =
-  match of_files ~journal ?telemetry () with
-  | Error msg -> Error msg
-  | Ok r -> Ok (render r)

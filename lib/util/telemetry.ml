@@ -17,7 +17,10 @@
    Frames are crc-framed by the journal (torn tails replay to a valid
    prefix), the payload is laid out by [Wire] and decodes totally,
    and timestamps are monotonic nanoseconds relative to [enable], so
-   two dumps of the same run are structurally comparable. *)
+   two dumps of the same run are structurally comparable.  [enable]
+   appends to an existing journal (a resumed run): its samples continue
+   the last recorded timestamp and cumulative counts, so a journal is
+   one series however many runs wrote it. *)
 
 (* Resident set of this process in KiB, from /proc/self/statm (field 2
    is resident pages).  0 where /proc is absent.  The page size comes
@@ -53,7 +56,7 @@ type progress = {
 }
 
 type sample = {
-  ts_ns : int;  (** monotonic ns since [enable] *)
+  ts_ns : int;  (** monotonic ns since the journal's first [enable] *)
   pulled : int;
   settled : int;
   quarantined : int;
@@ -135,6 +138,10 @@ let writer : Journal.writer option ref = ref None
 let base_ns = ref 0L
 let interval = ref default_interval_ns
 
+(* The last sample already in the journal [enable] reopened: new samples
+   continue its clock and its cumulative counts. *)
+let carried : sample option ref = ref None
+
 (* Next tick-due instant, relative ns.  An [Atomic] so the hot non-due
    path never takes the mutex. *)
 let next_due = Atomic.make 0
@@ -152,8 +159,18 @@ let enable ?(interval_ns = default_interval_ns) ~path () =
       (* fsync would put a disk barrier on the verify hot path for data
          that is advisory by nature; a torn telemetry tail just replays
          to a shorter valid prefix. *)
-      writer := Some (Journal.create ~fsync:false ~path ());
-      base_ns := Deadline.monotonic_ns ();
+      let w, records = Journal.open_resume ~fsync:false ~path () in
+      writer := Some w;
+      carried :=
+        List.fold_left
+          (fun acc payload ->
+            match (decode_sample payload, acc) with
+            | Some s, Some c when s.ts_ns < c.ts_ns -> acc
+            | Some s, _ -> Some s
+            | None, _ -> acc)
+          None records;
+      let carried_ns = match !carried with Some c -> c.ts_ns | None -> 0 in
+      base_ns := Int64.sub (Deadline.monotonic_ns ()) (Int64.of_int carried_ns);
       interval := max 1 interval_ns;
       Atomic.set next_due 0;
       Atomic.set on true)
@@ -170,18 +187,22 @@ let disable () =
 let take_sample (p : progress) =
   let gc = Gc.quick_stat () in
   let m = if Metrics.is_on () then Some (Metrics.aggregate ()) else None in
+  (* The driver's counts start at 0 on every run; a resumed run adds
+     them to the counts its journal already ends with. *)
+  let plus f n = n + Option.fold ~none:0 ~some:f !carried in
+  let retries = plus (fun c -> c.retries) p.retries in
   {
     ts_ns = now_rel_ns ();
-    pulled = p.pulled;
-    settled = p.settled;
-    quarantined = p.quarantined;
+    pulled = plus (fun c -> c.pulled) p.pulled;
+    settled = plus (fun c -> c.settled) p.settled;
+    quarantined = plus (fun c -> c.quarantined) p.quarantined;
     in_flight = p.in_flight;
     window = p.window;
-    retries = p.retries;
-    stalls = p.stalls;
+    retries;
+    stalls = plus (fun c -> c.stalls) p.stalls;
     (* Each retry sleeps its backoff exactly once. *)
-    backoffs = p.retries;
-    deferrals = p.deferrals;
+    backoffs = retries;
+    deferrals = plus (fun c -> c.deferrals) p.deferrals;
     rss_kb = self_rss_kb ();
     child_rss_kb = p.child_rss_kb;
     minor_words = int_of_float gc.Gc.minor_words;

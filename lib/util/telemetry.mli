@@ -21,7 +21,7 @@ type progress = {
 }
 
 type sample = {
-  ts_ns : int;  (** monotonic ns since [enable] *)
+  ts_ns : int;  (** monotonic ns since the journal's first [enable] *)
   pulled : int;
   settled : int;
   quarantined : int;
@@ -44,8 +44,12 @@ val default_interval_ns : int
 (** Sampling interval when [enable] is not given one (100 ms). *)
 
 val enable : ?interval_ns:int -> path:string -> unit -> unit
-(** Start sampling into a fresh journal at [path], resetting the
-    relative clock. *)
+(** Start sampling into the journal at [path], creating it if missing
+    and otherwise appending after its last valid frame
+    ({!Journal.open_resume}).  Samples continue from the last recorded
+    one: [ts_ns] never decreases across the file, and the cumulative
+    counts ([pulled], [settled], [quarantined], [retries], [stalls],
+    [backoffs], [deferrals]) add to it. *)
 
 val disable : unit -> unit
 (** Stop sampling and close the journal.  Idempotent. *)

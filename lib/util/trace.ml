@@ -1,6 +1,6 @@
-(* Structured tracing: monotonic-clock spans, phase-tagged, nested via a
-   per-domain span stack, emitted as JSONL compatible with Chrome's
-   trace viewer (chrome://tracing or https://ui.perfetto.dev).
+(* Structured tracing: monotonic-clock spans, phase-tagged, nested as
+   the calls nest, emitted as JSONL compatible with Chrome's trace
+   viewer (chrome://tracing or https://ui.perfetto.dev).
 
    File format: the first line is "[" and every following line is one
    complete JSON duration event ("ph":"B"/"E") terminated by a comma —
@@ -74,25 +74,17 @@ let emit ~name ~cat ~ph ~ts_ns =
       output_string s.oc line);
   Mutex.unlock lock
 
-(* -- span stack -------------------------------------------------------- *)
+(* -- spans ------------------------------------------------------------- *)
 
-type frame = { fname : string; fphase : phase option; ft0 : int64 }
-
-let stack_key : frame list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let depth () = List.length !(Domain.DLS.get stack_key)
-
+(* Nesting needs no bookkeeping: a span's end event is emitted on the way
+   out of its thunk, so begin/end pairs nest exactly as the calls do. *)
 let span_gen ~cat ~phase ~name f =
   if not (active ()) then f ()
   else begin
-    let st = Domain.DLS.get stack_key in
     let t0 = Deadline.monotonic_ns () in
     if enabled () then emit ~name ~cat ~ph:'B' ~ts_ns:t0;
-    st := { fname = name; fphase = phase; ft0 = t0 } :: !st;
     let finish () =
       let t1 = Deadline.monotonic_ns () in
-      (match !st with _ :: tl -> st := tl | [] -> ());
       if enabled () then emit ~name ~cat ~ph:'E' ~ts_ns:t1;
       match phase with
       | Some p -> Metrics.observe_phase p (Int64.to_int (Int64.sub t1 t0))

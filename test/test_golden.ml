@@ -143,7 +143,7 @@ module Metrics = Octo_util.Metrics
    must be byte-stable — across invocations AND across machines. *)
 let render_report () =
   let path = Filename.temp_file "octo_report_golden" ".jrnl" in
-  let qpath = Octo_report.Report.quarantine_path path in
+  let qpath = Octo_report.Runlog.quarantine_path path in
   let w = Journal.create ~path () in
   let fixed_metrics =
     let s = Metrics.zero () in
@@ -181,8 +181,8 @@ let render_report () =
        });
   Journal.close qw;
   let rendered =
-    match Octo_report.Report.of_files_rendered ~journal:path () with
-    | Ok doc -> doc
+    match Octo_report.Runlog.load ~journal:path () with
+    | Ok run -> Octo_report.Report.render run
     | Error msg -> Alcotest.failf "report failed: %s" msg
   in
   Sys.remove path;

@@ -1,7 +1,8 @@
 (* Tests for the durable run layer: the write-ahead journal (framing,
    torn-write recovery, injected torn appends), the verdict record codec,
-   content-keyed verdict caching, and the worker-fault, fail-fast and
-   resume semantics of batch verification. *)
+   content-keyed verdict caching, the worker-fault and fail-fast
+   semantics of batch verification, and the journaled run ([Runlog]:
+   resume, clobber refusal, skip rules) with the CLI built on it. *)
 
 module Journal = Octo_util.Journal
 module Faultinject = Octo_util.Faultinject
@@ -23,6 +24,23 @@ let append_raw path bytes =
   let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
   output_string oc bytes;
   close_out oc
+
+let quar label =
+  {
+    Octopocs.qlabel = label;
+    qkey = "k-" ^ label;
+    qreason = "oom";
+    qmessage = "child out of memory";
+    qbacktrace = "";
+    qattempts = 2;
+  }
+
+let is_quarantine p = Octopocs.decode_quarantine p <> None
+
+let str_contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
 
 (* A record with every byte class a payload can contain. *)
 let binary_record = "\x00\x01|\xff\n framed \x00 bytes \r\n" ^ String.make 300 '\xaa'
@@ -384,78 +402,153 @@ let run_all_on_settle_covers_every_pair () =
   check Alcotest.int "all reports" 5 (List.length results)
 
 (* ------------------------------------------------------------------ *)
-(* Resume-merge equivalence (the CLI's --resume in miniature) *)
+(* Resume-merge equivalence, through the run layer the CLI uses *)
+
+module Runlog = Octo_report.Runlog
+
+(* A pull cursor over [cases] as run entries. *)
+let source ?(config = Octopocs.default_config) cases =
+  Octopocs.stream_of_list
+    (List.map
+       (fun (c : Registry.case) ->
+         Runlog.entry ~config ~label:(string_of_int c.idx) ~s:c.s ~t:c.t ~poc:c.poc ())
+       cases)
+
+let run_ok r = match r with Ok st -> st | Error msg -> Alcotest.fail msg
+
+let loaded path =
+  match Runlog.load ~journal:path () with Ok r -> r | Error msg -> Alcotest.fail msg
+
+(* Remove a run's journal files. *)
+let remove_run path =
+  List.iter
+    (fun p -> if Sys.file_exists p then Sys.remove p)
+    [ path; Runlog.quarantine_path path; Runlog.telemetry_path path ]
+
+let with_run f = with_tmp (fun path -> Fun.protect ~finally:(fun () -> remove_run path) (fun () -> f path))
+
+(* The labels [on_row] reported as reused from the journal. *)
+let cached_labels () =
+  let cached = ref [] in
+  let on_row (e : Runlog.entry) = function
+    | Runlog.Settled { cached = true; _ } -> cached := e.label :: !cached
+    | _ -> ()
+  in
+  (cached, on_row)
 
 let resume_merge_equivalence () =
-  with_tmp (fun path ->
+  with_run (fun path ->
       let cases = List.filteri (fun i _ -> i < 3) Registry.all in
-      let batch only =
-        List.filter_map
-          (fun (c : Registry.case) ->
-            if only c then
-              Some (Octopocs.job ~label:(string_of_int c.idx) ~s:c.s ~t:c.t ~poc:c.poc ())
-            else None)
-          cases
-      in
-      let key_of (c : Registry.case) = Octopocs.content_key ~s:c.s ~t:c.t ~poc:c.poc () in
-      let journal_to w label (r : Octopocs.report) =
-        let key =
-          match int_of_string_opt label with
-          | Some idx -> key_of (Registry.find idx)
-          | None -> ""
-        in
-        Journal.append w (Octopocs.encode_result ~label ~key r)
+      let table () =
+        List.map
+          (fun (l, k, (r : Octopocs.report)) -> (l, k, r.verdict, r.degradations))
+          (loaded path).verdicts
       in
       (* Reference: uninterrupted journaled run of all three pairs. *)
-      let w = Journal.create ~path () in
-      ignore (Octopocs.run_all ~on_settle:(journal_to w) (batch (fun _ -> true)));
-      Journal.close w;
-      let reference =
-        List.filter_map Octopocs.decode_result (Journal.replay path).Journal.records
-        |> List.map (fun (l, k, (r : Octopocs.report)) -> (l, k, r.verdict, r.degradations))
-        |> List.sort compare
-      in
+      ignore (run_ok (Runlog.run ~journal:path (source cases)));
+      let reference = table () in
       check Alcotest.int "reference complete" 3 (List.length reference);
       (* Interrupted: only pair 1 settles, then the process "dies" mid-
          append.  Resume recovers the prefix, re-runs the rest, and the
          journal must decode to the reference verdict set. *)
-      Sys.remove path;
-      let w1 = Journal.create ~path () in
-      ignore
-        (Octopocs.run_all ~on_settle:(journal_to w1)
-           (batch (fun c -> c.idx = 1)));
-      Journal.close w1;
+      remove_run path;
+      ignore (run_ok (Runlog.run ~journal:path (source (List.filteri (fun i _ -> i = 0) cases))));
       append_raw path "\x30\x00\x00\x00\x00\x00\x00\x00torn";
-      let w2, records = Journal.open_resume ~path () in
-      let have =
-        List.filter_map Octopocs.decode_result records |> List.map (fun (l, _, _) -> l)
+      check Alcotest.bool "tail seen as torn" true (loaded path).torn;
+      let cached, on_row = cached_labels () in
+      ignore (run_ok (Runlog.run ~journal:path ~resume:true ~on_row (source cases)));
+      check Alcotest.(list string) "pair 1 recovered" [ "1" ] !cached;
+      check Alcotest.bool "tear repaired" false (loaded path).torn;
+      check Alcotest.bool "resumed == uninterrupted" true (reference = table ()))
+
+(* A fresh run refuses each of its three files, and a refusal creates
+   none of them. *)
+let runlog_refuses_clobber () =
+  with_run (fun path ->
+      let c1 = List.filteri (fun i _ -> i = 0) Registry.all in
+      let files = [ path; Runlog.quarantine_path path; Runlog.telemetry_path path ] in
+      List.iter
+        (fun existing ->
+          append_raw existing "keep";
+          (match
+             Runlog.run ~journal:path ~telemetry:(Runlog.telemetry_path path) (source c1)
+           with
+          | Ok _ -> Alcotest.failf "ran over an existing %s" existing
+          | Error msg ->
+              check Alcotest.bool "names the file" true
+                (str_contains msg (existing ^ " already exists")));
+          List.iter
+            (fun p ->
+              if p <> existing then
+                check Alcotest.bool (p ^ " not created") false (Sys.file_exists p))
+            files;
+          let ic = open_in_bin existing in
+          check Alcotest.string "existing file untouched" "keep" (input_line ic);
+          close_in ic;
+          Sys.remove existing)
+        files)
+
+(* A journaled verdict is reused only under the same content key: a
+   budget change re-runs the pair, and its new record wins. *)
+let runlog_same_key_reuse () =
+  with_run (fun path ->
+      let c1 = List.filteri (fun i _ -> i = 0) Registry.all in
+      ignore (run_ok (Runlog.run ~journal:path (source c1)));
+      let cached, on_row = cached_labels () in
+      let st = run_ok (Runlog.run ~journal:path ~resume:true ~on_row (source c1)) in
+      check Alcotest.(list string) "same key reused" [ "1" ] !cached;
+      check Alcotest.int "nothing pulled" 0 st.Octopocs.st_pulled;
+      let config = { Octopocs.default_config with max_steps = Octopocs.default_config.max_steps + 1 } in
+      let cached, on_row = cached_labels () in
+      let st = run_ok (Runlog.run ~journal:path ~resume:true ~on_row (source ~config c1)) in
+      check Alcotest.(list string) "changed key not reused" [] !cached;
+      check Alcotest.int "re-run" 1 st.Octopocs.st_settled;
+      match (loaded path).verdicts with
+      | [ (_, key, _) ] ->
+          check Alcotest.string "last record wins" (Option.get (source ~config c1 ())).key key
+      | v -> Alcotest.failf "expected one verdict per label, got %d" (List.length v))
+
+(* A resumed run skips labels in the quarantine journal, whatever the
+   verdict journal holds. *)
+let runlog_prior_quarantine_skip () =
+  with_run (fun path ->
+      let cases = List.filteri (fun i _ -> i < 2) Registry.all in
+      let w = Journal.create ~path:(Runlog.quarantine_path path) () in
+      Journal.append w (Octopocs.encode_quarantine (quar "2"));
+      Journal.close w;
+      let prior = ref [] in
+      let on_row (e : Runlog.entry) = function
+        | Runlog.Quarantined { prior = true; _ } -> prior := e.label :: !prior
+        | _ -> ()
       in
-      check Alcotest.(list string) "pair 1 recovered" [ "1" ] have;
-      ignore
-        (Octopocs.run_all ~on_settle:(journal_to w2)
-           (batch (fun c -> not (List.mem (string_of_int c.idx) have))));
-      Journal.close w2;
-      let resumed =
-        List.filter_map Octopocs.decode_result (Journal.replay path).Journal.records
-        |> List.map (fun (l, k, (r : Octopocs.report)) -> (l, k, r.verdict, r.degradations))
-        |> List.sort compare
-      in
-      check Alcotest.bool "resumed == uninterrupted" true (reference = resumed))
+      let st = run_ok (Runlog.run ~journal:path ~resume:true ~on_row (source cases)) in
+      check Alcotest.(list string) "pair 2 skipped" [ "2" ] !prior;
+      check Alcotest.int "pair 1 run" 1 st.Octopocs.st_pulled;
+      let r = loaded path in
+      check Alcotest.int "one verdict" 1 (List.length r.verdicts);
+      check Alcotest.int "quarantine kept" 1 (List.length r.quarantine))
+
+(* A directory is never a journal, for a run or a load. *)
+let runlog_refuses_directory () =
+  with_tmp (fun path ->
+      Unix.mkdir path 0o755;
+      Fun.protect
+        ~finally:(fun () -> Unix.rmdir path)
+        (fun () ->
+          let refused what = function
+            | Ok _ -> Alcotest.failf "%s: a directory is not a journal" what
+            | Error msg ->
+                check Alcotest.bool (what ^ " names the removed layout") true
+                  (str_contains msg "is a directory" && str_contains msg "sharded")
+          in
+          refused "load" (Runlog.load ~journal:path ());
+          refused "run" (Runlog.run ~journal:path ~resume:true (source []));
+          check Alcotest.bool "no quarantine journal" false
+            (Sys.file_exists (Runlog.quarantine_path path))))
 
 (* ------------------------------------------------------------------ *)
 (* Validated recovery (quarantine journal) and dump ordering *)
 
-let quar label =
-  {
-    Octopocs.qlabel = label;
-    qkey = "k-" ^ label;
-    qreason = "oom";
-    qmessage = "child out of memory";
-    qbacktrace = "";
-    qattempts = 2;
-  }
-
-let is_quarantine p = Octopocs.decode_quarantine p <> None
 
 let journal_validate_rejects_wellformed_frame () =
   (* A CRC-valid frame whose payload fails [validate] ends the valid
@@ -528,25 +621,6 @@ let sort_dump_ordering_pinned () =
 (* ------------------------------------------------------------------ *)
 (* A run's journal files: PATH, with PATH.quarantine beside it *)
 
-module Report = Octo_report.Report
-
-let str_contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
-let report_refuses_directory () =
-  with_tmp (fun path ->
-      Unix.mkdir path 0o755;
-      Fun.protect
-        ~finally:(fun () -> Unix.rmdir path)
-        (fun () ->
-          match Report.of_files ~journal:path () with
-          | Ok _ -> Alcotest.fail "a directory is not a journal"
-          | Error msg ->
-              check Alcotest.bool "names the removed layout" true
-                (str_contains msg "is a directory" && str_contains msg "sharded")))
-
 (* The CLI built beside this test binary. *)
 let cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/octopocs_cli.exe"
 
@@ -574,7 +648,7 @@ let run_cli args =
    refuses to clobber that file (and creates no verdict journal). *)
 let cli_quarantine_beside_journal () =
   with_tmp (fun path ->
-      let qpath = Report.quarantine_path path in
+      let qpath = Runlog.quarantine_path path in
       Fun.protect
         ~finally:(fun () -> if Sys.file_exists qpath then Sys.remove qpath)
         (fun () ->
@@ -585,12 +659,9 @@ let cli_quarantine_beside_journal () =
               @ extra)
           in
           ignore (run []);
-          (match Report.of_files ~journal:path () with
-          | Ok r ->
-              check Alcotest.int "settled" 5 (List.length r.Report.verdicts);
-              check Alcotest.int "quarantined beside the journal" 3
-                (List.length r.Report.quarantine)
-          | Error msg -> Alcotest.fail msg);
+          let r = loaded path in
+          check Alcotest.int "settled" 5 (List.length r.verdicts);
+          check Alcotest.int "quarantined beside the journal" 3 (List.length r.quarantine);
           let _, out, _ = run [ "--resume" ] in
           check Alcotest.bool "resume skips the quarantined labels" true
             (str_contains out "pulled=0 " && str_contains out "quarantined-prior=3");
@@ -600,6 +671,34 @@ let cli_quarantine_beside_journal () =
           check Alcotest.bool "names the quarantine journal" true
             (str_contains err (Printf.sprintf "quarantine journal %s already exists" qpath));
           check Alcotest.bool "no verdict journal created" false (Sys.file_exists path)))
+
+(* explain --journal renders a pair that only the quarantine journal
+   knows: every registry pair quarantined at --poison 1.0. *)
+let cli_explain_quarantined () =
+  with_run (fun path ->
+      let code, _, _ =
+        run_cli [ "verify-all"; "--poison"; "1.0"; "--journal"; path; "--log-level"; "error" ]
+      in
+      check Alcotest.int "every pair quarantined" 3 code;
+      let code, out, _ = run_cli [ "explain"; "1"; "--journal"; path ] in
+      check Alcotest.int "explained" 0 code;
+      check Alcotest.bool "reason, attempts and message" true
+        (str_contains out "QUARANTINED (worker crashed after 1 attempt(s))"
+        && str_contains out "Injected(worker-crash");
+      remove_run path;
+      let code, _, err = run_cli [ "explain"; "1"; "--journal"; path ] in
+      check Alcotest.int "missing journal" 2 code;
+      check Alcotest.bool "says so" true (str_contains err "no such journal"))
+
+(* verify N goes through the batch's stream: pair 7's row at
+   --chaos-seed 42 is a quarantine, in verify-all and in verify 7. *)
+let cli_verify_matches_batch_row () =
+  let code, out, _ = run_cli [ "verify"; "7"; "--chaos-seed"; "42" ] in
+  check Alcotest.int "tool-crash exit" 3 code;
+  check Alcotest.bool "quarantined" true (str_contains out "QUARANTINED (worker crashed: ");
+  let _, out, _ = run_cli [ "verify-all"; "--chaos-seed"; "42"; "--log-level"; "error" ] in
+  check Alcotest.bool "the batch row agrees" true
+    (str_contains out "Pair 7   ghostscript/opj_dump_211 -> QUARANTINED (worker crashed: ")
 
 let suite =
   [
@@ -627,6 +726,11 @@ let suite =
     tc "quarantine: resume truncates a foreign-record tail" quarantine_resume_truncates_foreign_tail;
     tc "quarantine: resume truncates a torn tail, appends clean" quarantine_resume_truncates_torn_tail;
     tc "dump: merged ordering pinned (numeric, key tiebreak)" sort_dump_ordering_pinned;
-    tc "report: of_files refuses a directory" report_refuses_directory;
+    tc "runlog: load refuses a directory" runlog_refuses_directory;
+    tc "runlog: fresh run refuses each file, creates none" runlog_refuses_clobber;
+    tc "runlog: same-key reuse, re-run after a config change" runlog_same_key_reuse;
+    tc "runlog: resume skips prior-quarantined labels" runlog_prior_quarantine_skip;
     tc "cli: --resume skips PATH.quarantine, fresh run keeps it" cli_quarantine_beside_journal;
+    tc "cli: explain --journal renders a quarantined pair" cli_explain_quarantined;
+    tc "cli: verify N matches its verify-all row under chaos" cli_verify_matches_batch_row;
   ]

@@ -126,6 +126,32 @@ let sampler_torn_tail () =
   Alcotest.(check int) "prefix content" 1
     (List.hd r.Telemetry.samples).Telemetry.settled
 
+let sampler_resume_continues () =
+  (* Re-enabling on an existing journal (a resumed run) appends: the
+     earlier samples stay, timestamps never go back, and the cumulative
+     counts continue from the last recorded sample. *)
+  let path = tmp_path "resume" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      Telemetry.enable ~path ();
+      Telemetry.sample_now (progress ~pulled:3 ~settled:2 ~retries:1 ());
+      Telemetry.sample_now (progress ~pulled:5 ~settled:4 ~retries:1 ~in_flight:1 ());
+      Telemetry.disable ();
+      Telemetry.enable ~path ();
+      Telemetry.sample_now (progress ~pulled:2 ~settled:2 ~in_flight:1 ());
+      Telemetry.disable ();
+      let r = Telemetry.replay path in
+      Alcotest.(check int) "samples kept and appended" 3 (List.length r.Telemetry.samples);
+      Alcotest.(check bool) "not torn" false r.Telemetry.torn;
+      let ts = List.map (fun (s : Telemetry.sample) -> s.ts_ns) r.Telemetry.samples in
+      Alcotest.(check bool) "ts_ns never decreases" true (List.sort compare ts = ts);
+      let last = List.nth r.Telemetry.samples 2 in
+      Alcotest.(check int) "pulled continues" 7 last.Telemetry.pulled;
+      Alcotest.(check int) "settled continues" 6 last.Telemetry.settled;
+      Alcotest.(check int) "retries continue" 1 last.Telemetry.retries;
+      Alcotest.(check int) "in-flight is instantaneous" 1 last.Telemetry.in_flight)
+
 let replay_missing_file () =
   let r = Telemetry.replay "/nonexistent/octo_telemetry.jrnl" in
   Alcotest.(check int) "empty" 0 (List.length r.Telemetry.samples);
@@ -256,6 +282,7 @@ let suite =
     tc "sampler: disabled entry points are no-ops" sampler_disabled_noop;
     tc "sampler: metrics snapshot rides along when collecting" sampler_metrics_attached;
     tc "sampler: torn tail degrades to a valid prefix" sampler_torn_tail;
+    tc "sampler: re-enabling appends, continuing clock and counts" sampler_resume_continues;
     tc "sampler: replaying a missing file is empty, not an error" replay_missing_file;
     tc "sampler: self_rss_kb reads a live value" self_rss_positive;
     tc "log: threshold gates emission" log_threshold_gates;
