@@ -557,17 +557,11 @@ let bench_gate () =
 module Runlog = Octo_report.Runlog
 module Source = Octo_targets.Source
 
-(* A fresh temp path for a run's journal, removed with its quarantine
-   journal afterwards. *)
+(* A fresh temp path for a run's journal, removed afterwards. *)
 let with_journal prefix f =
   let path = Filename.temp_file prefix ".jrnl" in
   Sys.remove path;
-  let rm p = if Sys.file_exists p then Sys.remove p in
-  Fun.protect
-    ~finally:(fun () ->
-      rm path;
-      rm (Runlog.quarantine_path path))
-    (fun () -> f path)
+  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path) (fun () -> f path)
 
 (* The harness's runs go through the CLI's run layer; its temp paths are
    fresh, so a refusal is a harness bug. *)
@@ -590,7 +584,7 @@ let plant_torn_tail path =
   close_out oc
 
 (* Corpus-scale chaos: stream a generated corpus through the journaled run
-   layer (one verdict journal file, its quarantine journal beside it) with
+   layer (one journal file for verdicts and quarantine records) with
    the worker-crash site armed hot enough to push pairs past the retry
    budget, and prove three properties the 15-pair batch cannot: (1) two
    identical streamed runs agree byte-for-byte on the verdict table AND

@@ -9,15 +9,16 @@
                       detection, then verify the confirmed ones
      inspect <idx>    show the pair's programs, PoC hexdump and ℓ
      fuzz <idx>       run the AFLFast baseline on the pair's T binary
-     explain <idx>    re-verify one pair with provenance collection on and
-                      print the deterministic explanation narrative (why
-                      the verdict: taint bunches, forced branches, pin
+     explain <pair>   re-verify one registry pair with provenance collection
+                      on and print the deterministic explanation narrative
+                      (why the verdict: taint bunches, forced branches, pin
                       conflicts with minimized cores, crash site); with
-                      --journal PATH, render a journaled record instead,
-                      or the quarantine record of a pair set aside
+                      --journal PATH, render the journaled record of the
+                      pair labelled <pair> instead, or the quarantine
+                      record of a pair set aside
      journal <path>   dump a verification journal (one line per settled
                       pair, sorted by label — diffable across runs — then
-                      one per pair quarantined in <path>.quarantine)
+                      one per quarantined pair)
      trace <path>     validate a --trace JSONL file against the span
                       schema (balanced begin/end, monotonic timestamps)
      report           aggregate a run's journals into a deterministic report
@@ -32,13 +33,12 @@
    test hooks ([verify_entries]); verify N is a one-pair run with no
    journal.
 
-   A run's durable state is one verdict journal file PATH with its
-   quarantine journal PATH.quarantine (unless --quarantine names another
-   file) and, with the bare --telemetry flag, PATH.telemetry beside it;
-   Runlog owns that layout.  A fresh run refuses to overwrite any of the
-   three; --resume appends to all three.  journal, report and explain
-   --journal load through [Runlog.load] and read PATH.quarantine when it
-   exists.
+   A run's durable state is one journal file PATH, holding its verdict
+   and quarantine records, and, with the bare --telemetry flag,
+   PATH.telemetry beside it; Runlog owns that layout.  A fresh run refuses
+   to overwrite either file; --resume appends to both.  journal, report
+   and explain --journal load through [Runlog.load]; a PATH.quarantine
+   left by the removed two-file layout is refused with exit 2.
 
    Observability: verify and verify-all take --trace PATH (Chrome
    trace-viewer JSONL of the pipeline's phase spans), --metrics (per-pair
@@ -574,7 +574,6 @@ type run_opts = {
   deadline : float option;
   journal_path : string option;
   resume : bool;
-  quarantine_path : string option;
   window : int option;
   isolate : Octopocs.isolation;
   limits : Octo_util.Sandbox.limits;
@@ -599,9 +598,10 @@ let run_opts_term =
     Arg.(value & opt (some string) None
          & info [ "journal" ] ~docv:"PATH"
              ~doc:"Write-ahead journal: append each pair's verdict to the file \
-                   $(docv) as it settles (CRC-framed, fsynced), so a killed batch \
-                   loses nothing.  Quarantined pairs go to $(docv).quarantine and \
-                   the bare --telemetry to $(docv).telemetry, beside it.")
+                   $(docv) as it settles, and each quarantined pair's record (reason, \
+                   message, backtrace, attempts) as it is set aside (CRC-framed, \
+                   fsynced), so a killed batch loses nothing.  The bare --telemetry \
+                   writes $(docv).telemetry beside it.")
   in
   let resume =
     Arg.(value & flag
@@ -609,14 +609,6 @@ let run_opts_term =
              ~doc:"Replay the journal first: pairs already settled under an identical \
                    content key are reused, only unfinished ones re-run.  A torn \
                    trailing record (crash mid-append) is dropped and repaired.")
-  in
-  let quarantine =
-    Arg.(value & opt (some string) None
-         & info [ "quarantine" ] ~docv:"PATH"
-             ~doc:"Quarantine journal: pairs that crash or stall past --retries are \
-                   recorded here (reason, message, backtrace, attempts); they are \
-                   set aside in any case, and a --resume skips the recorded ones.  \
-                   Defaults to $(i,PATH).quarantine beside --journal $(i,PATH).")
   in
   let window =
     Arg.(value & opt (some int) None
@@ -657,15 +649,14 @@ let run_opts_term =
                    in-flight window halves and admissions defer, reported as \
                    deferred=N in the corpus summary.")
   in
-  let make jobs retries deadline journal_path resume quarantine_path window isolate
-      as_mb cpu_s mem_watermark telemetry progress =
+  let make jobs retries deadline journal_path resume window isolate as_mb cpu_s
+      mem_watermark telemetry progress =
     {
       jobs;
       retries;
       deadline;
       journal_path;
       resume;
-      quarantine_path;
       window;
       isolate;
       limits = { Octo_util.Sandbox.as_mb; cpu_s };
@@ -674,9 +665,8 @@ let run_opts_term =
       progress;
     }
   in
-  Term.(const make $ jobs $ retries $ deadline_arg $ journal $ resume $ quarantine
-        $ window $ isolate $ rlimit_as $ rlimit_cpu $ mem_watermark $ telemetry_arg
-        $ progress_arg)
+  Term.(const make $ jobs $ retries $ deadline_arg $ journal $ resume $ window $ isolate
+        $ rlimit_as $ rlimit_cpu $ mem_watermark $ telemetry_arg $ progress_arg)
 
 let with_run_opts o f =
   with_valid_deadline o.deadline @@ fun () ->
@@ -734,8 +724,8 @@ let verify_entries o ~chaos_seed ~site_rates ~fail_fast ~total ?(on_row = fun _ 
         | _ -> ()
       in
       let result =
-        Runlog.run ?journal:o.journal_path ?quarantine:o.quarantine_path ?telemetry
-          ~resume:o.resume ~inject ~jobs:o.jobs ~retries:o.retries ?window:o.window
+        Runlog.run ?journal:o.journal_path ?telemetry ~resume:o.resume ~inject ~jobs:o.jobs
+          ~retries:o.retries ?window:o.window
           ~isolate:o.isolate ~limits:o.limits ?mem_watermark_mb:o.mem_watermark
           ?pre_run:oom_pre_run ~fail_fast ~on_row next
       in
@@ -749,7 +739,7 @@ let verify_entries o ~chaos_seed ~site_rates ~fail_fast ~total ?(on_row = fun _ 
 
 (* The verdict Octopocs.run_all reports for a pair it never handed out
    under fail-fast. *)
-let skipped_verdict = Octopocs.Failure "skipped: fail-fast after an earlier failure"
+let skipped_verdict = Octopocs.Failure Octopocs.skipped_failure_msg
 
 (* The Table II lines of a registry run, in registry order, with their
    [cached]/[degraded] tags and (with --metrics) the phase breakdown of the
@@ -1139,14 +1129,13 @@ let explain_live ~dynamic ~deadline (c : Registry.case) =
   print_string (Octopocs.explain_report ~label:(Printf.sprintf "pair %d" c.idx) r);
   0
 
-(* A journaled pair: its verdict record, or, for a pair that only the
-   quarantine journal knows, why it was set aside. *)
-let explain_journal path idx =
+(* A journaled pair, by its label: its verdict record, or, for a pair set
+   aside, why.  A registry pair's label is its index. *)
+let explain_journal path label =
   match Runlog.load ~journal:path () with
   | Error msg -> structured_error "%s" msg
   | Ok run -> (
-      let label = string_of_int idx in
-      let title = Printf.sprintf "pair %d" idx in
+      let title = "pair " ^ label in
       match
         ( List.find_opt (fun (l, _, _) -> l = label) run.verdicts,
           List.find_opt (fun (q : Octopocs.quarantine) -> q.qlabel = label) run.quarantine )
@@ -1158,32 +1147,36 @@ let explain_journal path idx =
           say "OCTOPOCS explanation — %s" title;
           say "verdict : QUARANTINED (%s after %d attempt(s))" q.qreason q.qattempts;
           say "message : %s" q.qmessage;
-          say "(no verdict: the pair was set aside in %s)" (Runlog.quarantine_path path);
+          say "(no verdict: the pair was set aside in %s)" path;
           0
-      | None, None -> structured_error "journal %s has no record for pair %d" path idx)
+      | None, None -> structured_error "journal %s has no record for pair %s" path label)
 
 let explain_cmd =
-  let idx = Arg.(required & pos 0 (some int) None & info [] ~docv:"PAIR") in
+  let pair = Arg.(required & pos 0 (some string) None & info [] ~docv:"PAIR") in
   let journal =
     Arg.(value & opt (some string) None
          & info [ "journal" ] ~docv:"PATH"
-             ~doc:"Render the journaled record of $(i,PAIR) from $(docv) instead of \
+             ~doc:"Render the journaled record of the pair labelled $(i,PAIR) (a \
+                   registry index or a corpus label) from $(docv) instead of \
                    re-verifying (the record carries provenance only when the batch \
-                   ran with --provenance); a pair recorded only in \
-                   $(docv).quarantine prints its quarantine reason, attempts and \
-                   message.")
+                   ran with --provenance); a quarantined pair prints its quarantine \
+                   reason, attempts and message.")
   in
   Cmd.v
     (Cmd.info "explain"
        ~doc:"Explain a pair's verdict: the causal evidence (taint bunches, forced \
              branches, pin conflicts with minimized constraint cores, crash site) \
-             rendered as a deterministic, diffable narrative")
-    Term.(const (fun dynamic deadline journal idx ->
+             rendered as a deterministic, diffable narrative.  Without --journal, \
+             $(i,PAIR) is a registry index")
+    Term.(const (fun dynamic deadline journal pair ->
               with_valid_deadline deadline @@ fun () ->
-              match journal with
-              | Some path -> explain_journal path idx
-              | None -> with_case idx (explain_live ~dynamic ~deadline))
-          $ dynamic_arg $ deadline_arg $ journal $ idx)
+              match (journal, int_of_string_opt pair) with
+              | Some path, _ -> explain_journal path pair
+              | None, Some idx -> with_case idx (explain_live ~dynamic ~deadline)
+              | None, None ->
+                  structured_error
+                    "pair %s is not a registry index; a corpus label needs --journal PATH" pair)
+          $ dynamic_arg $ deadline_arg $ journal $ pair)
 
 (* ------------------------------------------------------------------ *)
 
@@ -1284,8 +1277,8 @@ let journal_cmd =
   let path = Arg.(required & pos 0 (some string) None & info [] ~docv:"PATH") in
   Cmd.v
     (Cmd.info "journal"
-       ~doc:"Dump a verification journal file, with the pairs quarantined in \
-             $(i,PATH).quarantine when that file exists")
+       ~doc:"Dump a verification journal file: its settled pairs, then its \
+             quarantined pairs")
     Term.(const journal_dump $ path)
 
 (* ------------------------------------------------------------------ *)
@@ -1305,8 +1298,7 @@ let report_cmd =
   let journal =
     Arg.(required & opt (some string) None
          & info [ "journal" ] ~docv:"PATH"
-             ~doc:"Verdict journal file to aggregate ($(docv).quarantine is folded \
-                   in when it exists).")
+             ~doc:"Journal file to aggregate: its verdicts and quarantined pairs.")
   in
   let telemetry =
     Arg.(value & opt (some string) None

@@ -762,13 +762,6 @@ type isolation = Domains | Processes
 (* ------------------------------------------------------------------ *)
 (* Verdict cache keys. *)
 
-(* Canonical program rendering for hashing: functions in sorted-name order
-   so the digest does not depend on hash-table internals (bucket layout,
-   [OCAMLRUNPARAM=R] randomization).  The digest now lives in
-   {!Compile.program_digest} — the compilation cache, the ℓ cache and the
-   verdict cache all key off the same bytes. *)
-let hash_program (p : Isa.program) = Compile.program_digest p
-
 (* Every config field that can change a verdict.  [inject] is deliberately
    excluded: fault injection perturbs a run, not the pair's identity — a
    resumed chaos batch must treat the journaled verdict of a fault-afflicted
@@ -797,8 +790,8 @@ let content_key ?(config = default_config) ?ell ~(s : Isa.program) ~(t : Isa.pro
     (Digest.string
        (String.concat "\000"
           [
-            hash_program s;
-            hash_program t;
+            Compile.program_digest s;
+            Compile.program_digest t;
             Digest.string poc;
             Digest.string (Marshal.to_string ell []);
             Digest.string (config_fingerprint config);
@@ -945,10 +938,10 @@ type quarantine = {
   qattempts : int;  (** attempts consumed, retries included *)
 }
 
-(* Quarantine records share the journal framing with verdicts but carry
-   their own version tag, so [decode_result] rejects them cleanly (version
-   mismatch -> [None]) and vice versa — one quarantine journal can be
-   dumped by the same tolerant reader loop as a verdict journal. *)
+(* Quarantine records share the journal framing, and a run's journal
+   file, with verdicts but carry their own version tag, so [decode_result]
+   rejects them cleanly (version mismatch -> [None]) and vice versa — one
+   reader tells the two kinds apart by their magic. *)
 let quarantine_codec_version = "OQR1"
 
 let encode_quarantine (q : quarantine) =
@@ -1344,11 +1337,13 @@ let run_stream ?(config = default_config) ?(jobs = 1) ?(retries = 0) ?window
             in
             settle j { (failure_report (reason ^ ": " ^ message)) with provenance })
   in
+  (* The tick samples after admission and before the wait, so in-flight
+     counts the attempts being waited on (a serial run shows 1). *)
   let rec loop () =
     admit ();
     if !in_flight > 0 then begin
-      List.iter ended (exec.await ());
       Telemetry.tick progress;
+      List.iter ended (exec.await ());
       loop ()
     end
   in

@@ -242,6 +242,10 @@ val encode_result : label:string -> key:string -> report -> string
     foreign-versioned record — the decoder never raises. *)
 val decode_result : string -> (string * string * report) option
 
+(** The message of the placeholder [Failure] that [run_all ~fail_fast:true]
+    returns for pairs it never handed out. *)
+val skipped_failure_msg : string
+
 (** [is_skipped_report r] recognizes the placeholder [Failure] that
     [run_all ~fail_fast:true] returns for pairs it never handed out. *)
 val is_skipped_report : report -> bool
@@ -323,9 +327,10 @@ type quarantine = {
   qattempts : int;  (** attempts consumed, retries included *)
 }
 
-(** [encode_quarantine q] serializes a quarantine record for the
-    quarantine journal.  The record carries its own version tag (["OQR1"]),
-    so {!decode_result} rejects it cleanly and vice versa. *)
+(** [encode_quarantine q] serializes a quarantine record for a run's
+    journal, beside its verdict records.  The record carries its own
+    version tag (["OQR1"]), so {!decode_result} rejects it cleanly and
+    vice versa. *)
 val encode_quarantine : quarantine -> string
 
 (** [decode_quarantine payload] is the inverse of {!encode_quarantine};

@@ -1,8 +1,8 @@
 (* Deterministic run-report aggregation.
 
    [render] folds a run's durable state, as {!Runlog.load} reads it (the
-   verdict journal file, the quarantine journal beside it, and
-   optionally the OTL1 telemetry journal), into one plain-text document:
+   journal file's verdict and quarantine records, and optionally the
+   OTL1 telemetry journal), into one plain-text document:
    verdict-class breakdown, degradation-rung frequencies, quarantine
    reasons, p50/p90/p99 per-phase latencies off the journaled log2
    histograms, and a throughput summary from the telemetry samples.

@@ -42,8 +42,6 @@ let bin op a b =
   | e, Const 1 when op = Mul || op = Div -> e
   | _ -> Bin (op, a, b)
 
-let is_const = function Const _ -> true | Byte _ | Bin _ | Sel _ -> false
-
 let to_const_opt = function Const v -> Some v | Byte _ | Bin _ | Sel _ -> None
 
 (** [sel table idx] builds a table select, folding constant indices. *)

@@ -26,8 +26,9 @@
     first bad frame can be trusted, because frame boundaries are gone.
 
     Writers are thread-safe (appends serialize on an internal mutex).  A
-    run keeps one verdict journal file; the streaming driver appends to it
-    from its calling domain as pairs settle.
+    run keeps one journal file for its verdict and quarantine records; the
+    streaming driver appends to it from its calling domain as pairs settle
+    or are set aside.
 
     Fault injection: the {!Faultinject.Journal_write} site models a crash
     mid-append — when it fires, only a prefix of the frame is written, the
@@ -50,14 +51,7 @@ type replay = {
   torn : bool;  (** a truncated or corrupt trailing frame was dropped *)
 }
 
-(* [?validate] extends the recovery rule one level up the stack: a frame
-   whose CRC matches but whose payload the caller's decoder rejects is
-   treated exactly like a torn frame — it ends the valid prefix.  This is
-   what gives the quarantine journal (and any other single-codec journal)
-   WAL-grade torn-tail semantics at the payload level: a record half
-   overwritten by a crashed writer that happened to frame cleanly cannot
-   silently poison the tail it precedes. *)
-let parse ?(validate = fun (_ : string) -> true) data =
+let parse data =
   let n = String.length data in
   let hl = String.length header in
   if n < hl || String.sub data 0 hl <> header then
@@ -70,16 +64,15 @@ let parse ?(validate = fun (_ : string) -> true) data =
       if pos = n then { records = List.rev records; valid_bytes = pos; torn = false }
       else
         match Wire.unframe data pos with
-        | Ok (payload, next) when validate payload -> go next (payload :: records)
-        | Ok _ | Error _ -> { records = List.rev records; valid_bytes = pos; torn = true }
+        | Ok (payload, next) -> go next (payload :: records)
+        | Error _ -> { records = List.rev records; valid_bytes = pos; torn = true }
     in
     go hl []
   end
 
-(** [replay ?validate path] scans the journal tolerantly.  A missing file
-    is an empty journal; a torn or corrupt tail — including a CRC-valid
-    frame that [validate] rejects — is dropped, never raised on. *)
-let replay ?validate path =
+(** [replay path] scans the journal tolerantly.  A missing file is an
+    empty journal; a torn or corrupt tail is dropped, never raised on. *)
+let replay path =
   if not (Sys.file_exists path) then { records = []; valid_bytes = 0; torn = false }
   else begin
     let ic = open_in_bin path in
@@ -88,7 +81,7 @@ let replay ?validate path =
         ~finally:(fun () -> close_in_noerr ic)
         (fun () -> really_input_string ic (in_channel_length ic))
     in
-    parse ?validate data
+    parse data
   end
 
 (* ------------------------------------------------------------------ *)
@@ -125,14 +118,12 @@ let create ?inject ?fsync ~path () =
   Unix.fsync fd;
   mk_writer ?inject ?fsync fd
 
-(** [open_resume ?inject ?fsync ?validate ~path ()] reopens an existing
-    journal for appending: replays it, truncates a torn tail back to the
-    last valid frame ([validate]-rejected records end the valid prefix
-    like torn ones, so the truncation also repairs payload-level
-    corruption), and returns the writer positioned at the end together
-    with the recovered records.  A missing file starts a fresh journal. *)
-let open_resume ?inject ?fsync ?validate ~path () =
-  let r = replay ?validate path in
+(** [open_resume ?inject ?fsync ~path ()] reopens an existing journal for
+    appending: replays it, truncates a torn tail back to the last valid
+    frame, and returns the writer positioned at the end together with the
+    recovered records.  A missing file starts a fresh journal. *)
+let open_resume ?inject ?fsync ~path () =
+  let r = replay path in
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
   if r.valid_bytes = 0 then begin
     (* Fresh, empty, or headerless-garbage file: start over. *)

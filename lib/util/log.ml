@@ -25,8 +25,6 @@ let level_of_string s =
   | "debug" -> Some Debug
   | _ -> None
 
-let all_levels = [ Error; Warn; Info; Debug ]
-
 (* -- threshold --------------------------------------------------------- *)
 
 let threshold = Atomic.make (severity Warn)

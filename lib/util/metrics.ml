@@ -45,15 +45,6 @@ let phase_name = function
   | Combine -> "combine"
   | Verify -> "verify"
 
-let phase_of_name = function
-  | "taint" -> Some Taint
-  | "cfg" -> Some Cfg
-  | "symex" -> Some Symex
-  | "solve" -> Some Solve
-  | "combine" -> Some Combine
-  | "verify" -> Some Verify
-  | _ -> None
-
 (* -- counters ---------------------------------------------------------- *)
 
 type counter =

@@ -205,8 +205,6 @@ let missing_func pname fname () =
 (* ------------------------------------------------------------------ *)
 (* Frame push/pop shared by calls and returns. *)
 
-let select_ops ctx (cf : cfunc) = if ctx.hooked then cf.slow else cf.fast
-
 let pop_to ctx caller rest =
   ctx.stack <- rest;
   ctx.cur <- caller

@@ -137,13 +137,12 @@ module Journal = Octo_util.Journal
 module Metrics = Octo_util.Metrics
 
 (* A synthetic-but-realistic run: real verdicts from three registry
-   pairs in one journal file, one hand-built quarantine record in
-   PATH.quarantine beside it, and one hand-built latency histogram (real
+   pairs and one hand-built quarantine record in one journal file, and
+   one hand-built latency histogram (real
    histograms carry wall time, which a golden cannot pin).  The render
    must be byte-stable — across invocations AND across machines. *)
 let render_report () =
   let path = Filename.temp_file "octo_report_golden" ".jrnl" in
-  let qpath = Octo_report.Runlog.quarantine_path path in
   let w = Journal.create ~path () in
   let fixed_metrics =
     let s = Metrics.zero () in
@@ -167,9 +166,7 @@ let render_report () =
       let label = string_of_int idx in
       Journal.append w (Octopocs.encode_result ~label ~key:label r))
     [ (1, Some fixed_metrics); (2, None); (13, None) ];
-  Journal.close w;
-  let qw = Journal.create ~path:qpath () in
-  Journal.append qw
+  Journal.append w
     (Octopocs.encode_quarantine
        {
          Octopocs.qlabel = "9";
@@ -179,14 +176,13 @@ let render_report () =
          qbacktrace = "";
          qattempts = 3;
        });
-  Journal.close qw;
+  Journal.close w;
   let rendered =
     match Octo_report.Runlog.load ~journal:path () with
     | Ok run -> Octo_report.Report.render run
     | Error msg -> Alcotest.failf "report failed: %s" msg
   in
   Sys.remove path;
-  Sys.remove qpath;
   rendered
 
 let report_golden_file = "golden_report.txt"

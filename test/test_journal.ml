@@ -35,8 +35,6 @@ let quar label =
     qattempts = 2;
   }
 
-let is_quarantine p = Octopocs.decode_quarantine p <> None
-
 let str_contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -419,11 +417,14 @@ let run_ok r = match r with Ok st -> st | Error msg -> Alcotest.fail msg
 let loaded path =
   match Runlog.load ~journal:path () with Ok r -> r | Error msg -> Alcotest.fail msg
 
-(* Remove a run's journal files. *)
+(* The quarantine file of the removed two-file layout. *)
+let legacy_quarantine path = path ^ ".quarantine"
+
+(* Remove a run's journal files (and a planted legacy quarantine file). *)
 let remove_run path =
   List.iter
     (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ path; Runlog.quarantine_path path; Runlog.telemetry_path path ]
+    [ path; Runlog.telemetry_path path; legacy_quarantine path ]
 
 let with_run f = with_tmp (fun path -> Fun.protect ~finally:(fun () -> remove_run path) (fun () -> f path))
 
@@ -435,6 +436,15 @@ let cached_labels () =
     | _ -> ()
   in
   (cached, on_row)
+
+(* The labels [on_row] reported as quarantined by an earlier run. *)
+let prior_labels () =
+  let prior = ref [] in
+  let on_row (e : Runlog.entry) = function
+    | Runlog.Quarantined { prior = true; _ } -> prior := e.label :: !prior
+    | _ -> ()
+  in
+  (prior, on_row)
 
 let resume_merge_equivalence () =
   with_run (fun path ->
@@ -461,12 +471,12 @@ let resume_merge_equivalence () =
       check Alcotest.bool "tear repaired" false (loaded path).torn;
       check Alcotest.bool "resumed == uninterrupted" true (reference = table ()))
 
-(* A fresh run refuses each of its three files, and a refusal creates
-   none of them. *)
+(* A fresh run refuses each of its two files, and a refusal creates
+   neither. *)
 let runlog_refuses_clobber () =
   with_run (fun path ->
       let c1 = List.filteri (fun i _ -> i = 0) Registry.all in
-      let files = [ path; Runlog.quarantine_path path; Runlog.telemetry_path path ] in
+      let files = [ path; Runlog.telemetry_path path ] in
       List.iter
         (fun existing ->
           append_raw existing "keep";
@@ -508,19 +518,14 @@ let runlog_same_key_reuse () =
           check Alcotest.string "last record wins" (Option.get (source ~config c1 ())).key key
       | v -> Alcotest.failf "expected one verdict per label, got %d" (List.length v))
 
-(* A resumed run skips labels in the quarantine journal, whatever the
-   verdict journal holds. *)
+(* A resumed run skips labels with a quarantine record in the journal. *)
 let runlog_prior_quarantine_skip () =
   with_run (fun path ->
       let cases = List.filteri (fun i _ -> i < 2) Registry.all in
-      let w = Journal.create ~path:(Runlog.quarantine_path path) () in
+      let w = Journal.create ~path () in
       Journal.append w (Octopocs.encode_quarantine (quar "2"));
       Journal.close w;
-      let prior = ref [] in
-      let on_row (e : Runlog.entry) = function
-        | Runlog.Quarantined { prior = true; _ } -> prior := e.label :: !prior
-        | _ -> ()
-      in
+      let prior, on_row = prior_labels () in
       let st = run_ok (Runlog.run ~journal:path ~resume:true ~on_row (source cases)) in
       check Alcotest.(list string) "pair 2 skipped" [ "2" ] !prior;
       check Alcotest.int "pair 1 run" 1 st.Octopocs.st_pulled;
@@ -542,66 +547,137 @@ let runlog_refuses_directory () =
                   (str_contains msg "is a directory" && str_contains msg "sharded")
           in
           refused "load" (Runlog.load ~journal:path ());
-          refused "run" (Runlog.run ~journal:path ~resume:true (source []));
-          check Alcotest.bool "no quarantine journal" false
-            (Sys.file_exists (Runlog.quarantine_path path))))
+          refused "run" (Runlog.run ~journal:path ~resume:true (source []))))
 
 (* ------------------------------------------------------------------ *)
-(* Validated recovery (quarantine journal) and dump ordering *)
+(* One journal file for verdicts and quarantine records *)
 
+(* The first [k] registry pairs as run entries; the labels in [poison]
+   crash on every attempt, so a run quarantines them. *)
+let poisoned_source ~poison k =
+  let crash =
+    { Octopocs.default_config with
+      inject =
+        Faultinject.create ~rate:0.0 ~site_rates:[ (Faultinject.Worker_crash, 1.0) ] ~seed:3 () }
+  in
+  Octopocs.stream_of_list
+    (List.filteri (fun i _ -> i < k) Registry.all
+    |> List.map (fun (c : Registry.case) ->
+           let label = string_of_int c.idx in
+           let config = if List.mem label poison then crash else Octopocs.default_config in
+           Runlog.entry ~config ~label ~s:c.s ~t:c.t ~poc:c.poc ()))
 
-let journal_validate_rejects_wellformed_frame () =
-  (* A CRC-valid frame whose payload fails [validate] ends the valid
-     prefix exactly like a torn frame: past a record the reader cannot
-     interpret, frame boundaries are untrusted. *)
-  with_tmp (fun path ->
-      let w = Journal.create ~path () in
-      Journal.append w (Octopocs.encode_quarantine (quar "7"));
-      Journal.append w "not a quarantine record";
-      Journal.append w (Octopocs.encode_quarantine (quar "9"));
-      Journal.close w;
-      let r = Journal.replay ~validate:is_quarantine path in
-      check Alcotest.int "prefix of one record" 1 (List.length r.Journal.records);
-      check Alcotest.bool "flagged torn" true r.Journal.torn)
+(* A quarantine record without its backtrace (which carries addresses). *)
+let quar_fields (q : Octopocs.quarantine) = (q.qlabel, q.qkey, q.qreason, q.qmessage, q.qattempts)
 
-let quarantine_resume_truncates_foreign_tail () =
-  (* open_resume with the quarantine validator treats a CRC-valid but
-     non-OQR1 tail like a tear: truncate to the last decodable record,
-     then append cleanly — same recovery rule as the main WAL. *)
-  with_tmp (fun path ->
+(* A poisoned run writes PATH and its telemetry and nothing else; [load]
+   returns the quarantine from PATH, and a resume skips it. *)
+let runlog_one_file_run () =
+  let dir = Filename.temp_file "octorun" ".d" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let path = Filename.concat dir "run.jrnl" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () ->
+      let telemetry = Runlog.telemetry_path path in
+      let st = run_ok (Runlog.run ~journal:path ~telemetry (poisoned_source ~poison:[ "2" ] 3)) in
+      check Alcotest.int "one quarantined" 1 st.Octopocs.st_quarantined;
+      check Alcotest.(list string) "only the journal and its telemetry"
+        [ "run.jrnl"; "run.jrnl.telemetry" ]
+        (List.sort compare (Array.to_list (Sys.readdir dir)));
+      let r = loaded path in
+      check Alcotest.int "verdicts" 2 (List.length r.verdicts);
+      check Alcotest.(list string) "quarantine loaded from the journal" [ "2" ]
+        (List.map (fun (q : Octopocs.quarantine) -> q.qlabel) r.quarantine);
+      check Alcotest.int "nothing undecodable" 0 r.undecodable;
+      let prior, on_row = prior_labels () in
+      let st =
+        run_ok
+          (Runlog.run ~journal:path ~telemetry ~resume:true ~on_row
+             (poisoned_source ~poison:[ "2" ] 3))
+      in
+      check Alcotest.(list string) "resume skips it" [ "2" ] !prior;
+      check Alcotest.int "nothing pulled" 0 st.Octopocs.st_pulled)
+
+(* The armed writer tears a quarantine append like any other: the resume
+   truncates the tear, re-runs the pair, and it is quarantined again
+   with the same record. *)
+let runlog_torn_quarantine_append () =
+  with_run (fun path ->
+      let reference =
+        with_run (fun ref_path ->
+            ignore (run_ok (Runlog.run ~journal:ref_path (poisoned_source ~poison:[ "1" ] 1)));
+            List.map quar_fields (loaded ref_path).quarantine)
+      in
+      check Alcotest.int "reference quarantine" 1 (List.length reference);
+      let inject =
+        Faultinject.create ~rate:0.0 ~site_rates:[ (Faultinject.Journal_write, 1.0) ] ~seed:1 ()
+      in
+      ignore (run_ok (Runlog.run ~journal:path ~inject (poisoned_source ~poison:[ "1" ] 1)));
+      let r = loaded path in
+      check Alcotest.bool "torn" true r.torn;
+      check Alcotest.int "no quarantine survives the tear" 0 (List.length r.quarantine);
+      let st = run_ok (Runlog.run ~journal:path ~resume:true (poisoned_source ~poison:[ "1" ] 1)) in
+      check Alcotest.int "re-run" 1 st.Octopocs.st_pulled;
+      let r = loaded path in
+      check Alcotest.bool "tear truncated" false r.torn;
+      check Alcotest.bool "same record" true (reference = List.map quar_fields r.quarantine))
+
+(* An intact frame neither codec decodes is counted and skipped: the
+   records after it still load, a resume keeps it, and it ends nothing. *)
+let runlog_undecodable_frame_skipped () =
+  with_run (fun path ->
       let w = Journal.create ~path () in
       Journal.append w (Octopocs.encode_quarantine (quar "3"));
-      Journal.append w (Octopocs.encode_quarantine (quar "5"));
-      Journal.append w "OPR1 payload that is not a quarantine record";
-      Journal.close w;
-      let w2, recovered = Journal.open_resume ~validate:is_quarantine ~path () in
-      check Alcotest.int "valid prefix recovered" 2 (List.length recovered);
-      Journal.append w2 (Octopocs.encode_quarantine (quar "8"));
-      Journal.close w2;
-      let r = Journal.replay ~validate:is_quarantine path in
-      check Alcotest.bool "no longer torn" false r.Journal.torn;
-      let labels =
-        List.filter_map Octopocs.decode_quarantine r.Journal.records
-        |> List.map (fun q -> q.Octopocs.qlabel)
-      in
-      check Alcotest.(list string) "records after repair" [ "3"; "5"; "8" ] labels)
-
-let quarantine_resume_truncates_torn_tail () =
-  with_tmp (fun path ->
-      let w = Journal.create ~path () in
+      Journal.append w "XXXX neither a verdict nor a quarantine record";
       Journal.append w (Octopocs.encode_quarantine (quar "1"));
       Journal.close w;
-      (* a kill mid-append: header promises bytes that never arrived *)
-      append_raw path "\x40\x00\x00\x00\x99\x99\x99\x99partial";
-      let w2, recovered = Journal.open_resume ~validate:is_quarantine ~path () in
-      check Alcotest.int "prefix recovered" 1 (List.length recovered);
-      Journal.append w2 (Octopocs.encode_quarantine (quar "2"));
-      Journal.close w2;
-      let labels =
-        List.filter_map Octopocs.decode_quarantine (Journal.replay path).Journal.records
-        |> List.map (fun q -> q.Octopocs.qlabel)
+      let r = loaded path in
+      check Alcotest.int "counted" 1 r.undecodable;
+      check Alcotest.bool "not torn" false r.torn;
+      check Alcotest.(list string) "later record kept" [ "1"; "3" ]
+        (List.map (fun (q : Octopocs.quarantine) -> q.qlabel) r.quarantine);
+      let prior, on_row = prior_labels () in
+      let cases = List.filteri (fun i _ -> i < 3) Registry.all in
+      ignore (run_ok (Runlog.run ~journal:path ~resume:true ~on_row (source cases)));
+      check Alcotest.(list string) "both quarantines skipped" [ "1"; "3" ]
+        (List.sort compare !prior);
+      let r = loaded path in
+      check Alcotest.int "kept on resume" 1 r.undecodable;
+      check Alcotest.int "pair 2 journaled after it" 1 (List.length r.verdicts))
+
+(* A PATH.quarantine of the removed two-file layout is refused by a
+   load, a fresh run and a resume, with or without PATH, and nothing is
+   created or changed. *)
+let runlog_refuses_legacy_quarantine () =
+  with_run (fun path ->
+      let c1 = List.filteri (fun i _ -> i = 0) Registry.all in
+      let telemetry = Runlog.telemetry_path path in
+      let w = Journal.create ~path:(legacy_quarantine path) () in
+      Journal.append w (Octopocs.encode_quarantine (quar "1"));
+      Journal.close w;
+      let refused what = function
+        | Ok _ -> Alcotest.failf "%s: ran beside a legacy quarantine file" what
+        | Error msg ->
+            check Alcotest.bool (what ^ " names the removed layout") true
+              (str_contains msg (legacy_quarantine path ^ " is a removed layout")
+              && str_contains msg "tail -c +11")
       in
-      check Alcotest.(list string) "append clean after tear" [ "1"; "2" ] labels)
+      refused "load" (Runlog.load ~journal:path ());
+      refused "fresh run" (Runlog.run ~journal:path ~telemetry (source c1));
+      refused "resume" (Runlog.run ~journal:path ~telemetry ~resume:true (source c1));
+      check Alcotest.bool "no journal created" false (Sys.file_exists path);
+      check Alcotest.bool "no telemetry created" false (Sys.file_exists telemetry);
+      append_raw path "keep";
+      refused "load beside a journal" (Runlog.load ~journal:path ());
+      refused "resume beside a journal" (Runlog.run ~journal:path ~resume:true (source c1));
+      let ic = open_in_bin path in
+      check Alcotest.string "journal untouched" "keep"
+        (really_input_string ic (in_channel_length ic));
+      close_in ic)
 
 let sort_dump_ordering_pinned () =
   let e label key = (label, key, ()) in
@@ -619,7 +695,7 @@ let sort_dump_ordering_pinned () =
     pinned (strip (Octopocs.sort_dump (List.rev input)))
 
 (* ------------------------------------------------------------------ *)
-(* A run's journal files: PATH, with PATH.quarantine beside it *)
+(* The CLI *)
 
 (* The CLI built beside this test binary. *)
 let cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/octopocs_cli.exe"
@@ -643,37 +719,37 @@ let run_cli args =
   in
   (code, slurp out, slurp err)
 
-(* gen:8:42 at --poison 0.5 quarantines 3 pairs.  They land in
-   PATH.quarantine by default; --resume skips them, and a fresh run
-   refuses to clobber that file (and creates no verdict journal). *)
-let cli_quarantine_beside_journal () =
-  with_tmp (fun path ->
-      let qpath = Runlog.quarantine_path path in
-      Fun.protect
-        ~finally:(fun () -> if Sys.file_exists qpath then Sys.remove qpath)
-        (fun () ->
-          let run extra =
-            run_cli
-              ([ "verify-all"; "--corpus"; "gen:8:42"; "--poison"; "0.5"; "--journal"; path;
-                 "--log-level"; "error" ]
-              @ extra)
-          in
-          ignore (run []);
-          let r = loaded path in
-          check Alcotest.int "settled" 5 (List.length r.verdicts);
-          check Alcotest.int "quarantined beside the journal" 3 (List.length r.quarantine);
-          let _, out, _ = run [ "--resume" ] in
-          check Alcotest.bool "resume skips the quarantined labels" true
-            (str_contains out "pulled=0 " && str_contains out "quarantined-prior=3");
-          Sys.remove path;
-          let code, _, err = run [] in
+(* gen:8:42 at --poison 0.5 quarantines 3 pairs.  Their records land in
+   the journal itself and --resume skips them; a leftover PATH.quarantine
+   is refused (exit 2) by a fresh run and a resume, creating nothing. *)
+let cli_quarantine_in_journal () =
+  with_run (fun path ->
+      let run extra =
+        run_cli
+          ([ "verify-all"; "--corpus"; "gen:8:42"; "--poison"; "0.5"; "--journal"; path;
+             "--log-level"; "error" ]
+          @ extra)
+      in
+      ignore (run []);
+      check Alcotest.bool "no quarantine file" false (Sys.file_exists (legacy_quarantine path));
+      let r = loaded path in
+      check Alcotest.int "settled" 5 (List.length r.verdicts);
+      check Alcotest.int "quarantined in the journal" 3 (List.length r.quarantine);
+      let _, out, _ = run [ "--resume" ] in
+      check Alcotest.bool "resume skips the quarantined labels" true
+        (str_contains out "pulled=0 " && str_contains out "quarantined-prior=3");
+      Sys.rename path (legacy_quarantine path);
+      List.iter
+        (fun extra ->
+          let code, _, err = run extra in
           check Alcotest.int "refused" 2 code;
-          check Alcotest.bool "names the quarantine journal" true
-            (str_contains err (Printf.sprintf "quarantine journal %s already exists" qpath));
-          check Alcotest.bool "no verdict journal created" false (Sys.file_exists path)))
+          check Alcotest.bool "names the removed layout" true
+            (str_contains err (legacy_quarantine path ^ " is a removed layout"));
+          check Alcotest.bool "no journal created" false (Sys.file_exists path))
+        [ []; [ "--resume" ] ])
 
-(* explain --journal renders a pair that only the quarantine journal
-   knows: every registry pair quarantined at --poison 1.0. *)
+(* explain --journal renders a pair that has only a quarantine record:
+   every registry pair quarantined at --poison 1.0. *)
 let cli_explain_quarantined () =
   with_run (fun path ->
       let code, _, _ =
@@ -689,6 +765,29 @@ let cli_explain_quarantined () =
       let code, _, err = run_cli [ "explain"; "1"; "--journal"; path ] in
       check Alcotest.int "missing journal" 2 code;
       check Alcotest.bool "says so" true (str_contains err "no such journal"))
+
+(* explain --journal looks a corpus label up verbatim, a quarantine or a
+   verdict; without --journal a label that is no registry index is a
+   structured error. *)
+let cli_explain_corpus_label () =
+  with_run (fun path ->
+      ignore
+        (run_cli
+           [ "verify-all"; "--corpus"; "gen:200:42"; "--poison"; "0.02"; "--retries"; "1";
+             "--journal"; path; "--log-level"; "error" ]);
+      let code, out, _ = run_cli [ "explain"; "g00003-tif-guard"; "--journal"; path ] in
+      check Alcotest.int "quarantine explained" 0 code;
+      check Alcotest.bool "quarantined pair" true
+        (str_contains out "pair g00003-tif-guard"
+        && str_contains out "verdict : QUARANTINED (worker crashed after 2 attempt(s))");
+      let code, out, _ = run_cli [ "explain"; "g00001-gif-conflict"; "--journal"; path ] in
+      check Alcotest.int "verdict explained" 0 code;
+      check Alcotest.bool "its verdict" true
+        (str_contains out "pair g00001-gif-conflict"
+        && str_contains out "verdict : NOT TRIGGERABLE (constraints conflict");
+      let code, _, err = run_cli [ "explain"; "g00003-tif-guard" ] in
+      check Alcotest.int "live form wants an index" 2 code;
+      check Alcotest.bool "says so" true (str_contains err "not a registry index"))
 
 (* verify N goes through the batch's stream: pair 7's row at
    --chaos-seed 42 is a quarantine, in verify-all and in verify 7. *)
@@ -722,15 +821,20 @@ let suite =
     tc "batch: duplicate labels keep their own reports" run_all_duplicate_labels_keep_positions;
     tc "batch: on_settle covers every pair exactly once" run_all_on_settle_covers_every_pair;
     tc "resume: merged journal equals uninterrupted run" resume_merge_equivalence;
-    tc "validate: rejected well-formed frame ends the prefix" journal_validate_rejects_wellformed_frame;
-    tc "quarantine: resume truncates a foreign-record tail" quarantine_resume_truncates_foreign_tail;
-    tc "quarantine: resume truncates a torn tail, appends clean" quarantine_resume_truncates_torn_tail;
     tc "dump: merged ordering pinned (numeric, key tiebreak)" sort_dump_ordering_pinned;
     tc "runlog: load refuses a directory" runlog_refuses_directory;
     tc "runlog: fresh run refuses each file, creates none" runlog_refuses_clobber;
     tc "runlog: same-key reuse, re-run after a config change" runlog_same_key_reuse;
     tc "runlog: resume skips prior-quarantined labels" runlog_prior_quarantine_skip;
-    tc "cli: --resume skips PATH.quarantine, fresh run keeps it" cli_quarantine_beside_journal;
+    tc "runlog: a poisoned run writes one journal file" runlog_one_file_run;
+    tc "quarantine: resume truncates a torn tail, re-runs to the same record"
+      runlog_torn_quarantine_append;
+    tc "quarantine: an intact unknown frame is counted, hides nothing"
+      runlog_undecodable_frame_skipped;
+    tc "runlog: a legacy PATH.quarantine is refused, nothing created"
+      runlog_refuses_legacy_quarantine;
+    tc "cli: quarantines live in the journal, --resume skips them" cli_quarantine_in_journal;
     tc "cli: explain --journal renders a quarantined pair" cli_explain_quarantined;
+    tc "cli: explain --journal takes a corpus label" cli_explain_corpus_label;
     tc "cli: verify N matches its verify-all row under chaos" cli_verify_matches_batch_row;
   ]

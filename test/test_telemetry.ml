@@ -152,6 +152,24 @@ let sampler_resume_continues () =
       Alcotest.(check int) "retries continue" 1 last.Telemetry.retries;
       Alcotest.(check int) "in-flight is instantaneous" 1 last.Telemetry.in_flight)
 
+(* The stream driver samples while its attempts are in flight, so the
+   samples' peak in-flight is the run's: 1 for a serial run. *)
+let sampler_sees_stream_in_flight () =
+  with_telemetry (fun path ->
+      let jobs =
+        List.filteri (fun i _ -> i < 3) Octo_targets.Registry.all
+        |> List.map (fun (c : Octo_targets.Registry.case) ->
+               Octopocs.job ~label:(string_of_int c.idx) ~s:c.s ~t:c.t ~poc:c.poc ())
+      in
+      let st = Octopocs.run_stream ~jobs:1 (Octopocs.stream_of_list jobs) in
+      Telemetry.disable ();
+      let samples = (Telemetry.replay path).Telemetry.samples in
+      let peak =
+        List.fold_left (fun m (s : Telemetry.sample) -> max m s.in_flight) 0 samples
+      in
+      Alcotest.(check int) "serial peak" 1 st.Octopocs.st_peak_in_flight;
+      Alcotest.(check int) "sampled peak = run peak" st.Octopocs.st_peak_in_flight peak)
+
 let replay_missing_file () =
   let r = Telemetry.replay "/nonexistent/octo_telemetry.jrnl" in
   Alcotest.(check int) "empty" 0 (List.length r.Telemetry.samples);
@@ -284,6 +302,7 @@ let suite =
     tc "sampler: torn tail degrades to a valid prefix" sampler_torn_tail;
     tc "sampler: re-enabling appends, continuing clock and counts" sampler_resume_continues;
     tc "sampler: replaying a missing file is empty, not an error" replay_missing_file;
+    tc "sampler: a serial stream's samples peak at in-flight 1" sampler_sees_stream_in_flight;
     tc "sampler: self_rss_kb reads a live value" self_rss_positive;
     tc "log: threshold gates emission" log_threshold_gates;
     tc "log: suppressed messages never format" log_lazy_formatting;
