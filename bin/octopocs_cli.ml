@@ -28,7 +28,8 @@
    [Octo_report.Runlog.run]: it pulls pairs on demand under a bounded
    in-flight window, reuses verdicts journaled under the same content key
    (--resume), journals each settle (--journal PATH), and quarantines
-   pairs whose workers still crash after --retries.  This file keeps the
+   pairs whose workers still crash after --retries (--chaos-site
+   worker-crash=RATE drills that path).  This file keeps the
    verdict tally, the progress meter, the printing and the environment
    test hooks ([verify_entries]); verify N is a one-pair run with no
    journal.
@@ -51,8 +52,11 @@
    [verify] maps its single verdict; [verify-all] reports the WORST verdict
    across the batch under the same convention (the registry contains one
    expected-Failure pair, so a faithful full run exits 2), and exits 3
-   when every pair was quarantined.  A bad pair index is a structured
-   one-line error and exit 2, never a backtrace. *)
+   when every pair was quarantined.  A bad pair index, and an output
+   path that cannot be created (--journal, --telemetry, --trace,
+   --log-json, a corpus directory), are structured one-line errors and
+   exit 2, never a backtrace; a run removes the journal files it created
+   before such an error. *)
 
 open Cmdliner
 module Registry = Octo_targets.Registry
@@ -71,6 +75,16 @@ let say fmt = Format.printf (fmt ^^ "@.")
 
 let structured_error fmt =
   Format.kasprintf (fun msg -> Format.eprintf "octopocs: error: %s@." msg; 2) fmt
+
+(* [with_output open_ f] opens an output file or directory, then runs
+   [f].  A path that cannot be created is a structured error naming it
+   (exit 2), not a tool crash; [Sys_error] already reads "PATH: reason". *)
+let with_output open_ f =
+  match open_ () with
+  | () -> f ()
+  | exception Unix.Unix_error (e, _, path) ->
+      structured_error "cannot write %s: %s" path (Unix.error_message e)
+  | exception Sys_error msg -> structured_error "cannot write %s" msg
 
 (* A NaN or negative --deadline is a usage error.  0 stays legal (the
    already-expired drill), and a budget past the clock's range means no
@@ -125,9 +139,9 @@ let pp_degradations (r : Octopocs.report) =
    tear it down (the trace file must be flushed and closed even when the
    run fails).  Enable/disable happen outside any span, as Trace requires. *)
 let with_observability ?(provenance = false) ~trace ~metrics f =
+  with_output (fun () -> Option.iter (fun path -> Trace.enable ~path) trace) @@ fun () ->
   if metrics then Metrics.enable ();
   if provenance then Octopocs.Provenance.enable ();
-  (match trace with Some path -> Trace.enable ~path | None -> ());
   Fun.protect
     ~finally:(fun () ->
       Trace.disable ();
@@ -358,8 +372,9 @@ let dynamic_arg =
        & info [ "dynamic-cfg" ]
            ~doc:"Repair CFG-recovery failures with dynamic devirtualization")
 
-(* Shared logging flags.  [apply_logging] runs first in every command body
-   so even flag-validation warnings respect the chosen threshold. *)
+(* Shared logging flags.  [with_logging] wraps every command body that
+   takes them, so even flag-validation warnings respect the chosen
+   threshold. *)
 let log_level_arg =
   let level_conv =
     Arg.enum
@@ -376,9 +391,9 @@ let log_json_arg =
            ~doc:"Mirror every emitted log line to $(docv) as JSONL \
                  ({\"ts\",\"level\",\"msg\"}), appending.")
 
-let apply_logging level json =
+let with_logging level json f =
   (match level with Some l -> Log.set_level l | None -> ());
-  match json with Some p -> Log.set_jsonl p | None -> ()
+  with_output (fun () -> Option.iter Log.set_jsonl json) f
 
 let telemetry_arg =
   Arg.(value & opt ~vopt:(Some "") (some string) None
@@ -778,9 +793,9 @@ let say_registry_rows ~metrics_on rows =
       if got = want then matched + 1 else matched)
     0 Registry.all
 
-let run_verify_all o fail_fast trace metrics_on provenance_on corpus poison chaos_seed
-    chaos_sites log_level log_json =
-  apply_logging log_level log_json;
+let run_verify_all o fail_fast trace metrics_on provenance_on corpus chaos_seed site_rates
+    log_level log_json =
+  with_logging log_level log_json @@ fun () ->
   with_run_opts o @@ fun () ->
   match Source.of_spec corpus with
   | Error msg -> structured_error "%s" msg
@@ -790,11 +805,6 @@ let run_verify_all o fail_fast trace metrics_on provenance_on corpus poison chao
          for the whole process, so the batch view is a diff. *)
       let m0 = Metrics.aggregate () in
       let t0 = Unix.gettimeofday () in
-      (* --poison is sugar for --chaos-site worker-crash=RATE. *)
-      let site_rates =
-        (match poison with Some p when p > 0.0 -> [ (Faultinject.Worker_crash, p) ] | _ -> [])
-        @ chaos_sites
-      in
       let next () =
         Source.next src
         |> Option.map (fun (p : Source.pair) ->
@@ -865,12 +875,6 @@ let verify_all_cmd =
                    $(b,corpus) subcommand).  Every source streams: pairs are pulled \
                    on demand and never materialised as a list.")
   in
-  let poison =
-    Arg.(value & opt (some rate_conv) None
-         & info [ "poison" ] ~docv:"RATE"
-             ~doc:"Arm the worker-crash fault site at $(docv) (0.0-1.0) per pair, \
-                   seeded per label — the poison-pair quarantine drill.")
-  in
   let chaos_sites =
     let site_conv =
       let parse s =
@@ -899,7 +903,8 @@ let verify_all_cmd =
                    (repeatable; e.g. --chaos-site child-segv=0.2).  Listed sites \
                    fire at their rates, every other site stays silent; the schedule \
                    is seeded by --chaos-seed (default seed otherwise).  Site names: \
-                   vm-syscall, solver-budget, worker-crash, deadline-expiry, \
+                   vm-syscall, solver-budget, worker-crash (the poison-pair \
+                   quarantine drill), deadline-expiry, \
                    journal-write (tears an append of the --journal writer), \
                    worker-stall, child-segv, child-oom-kill.")
   in
@@ -918,7 +923,7 @@ let verify_all_cmd =
                quarantined (no verdict settled or cached) exits 3.";
          ])
     Term.(const run_verify_all $ run_opts_term $ fail_fast $ trace_arg $ metrics_arg
-          $ provenance_arg $ corpus $ poison $ chaos_seed_arg $ chaos_sites $ log_level_arg
+          $ provenance_arg $ corpus $ chaos_seed_arg $ chaos_sites $ log_level_arg
           $ log_json_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -932,7 +937,7 @@ let verify_all_cmd =
 
 let run_scan o corpus strict decoys decoy_seed shingle_k winnow_w tau_retrieve tau_confirm
     top no_verify min_recall log_level log_json =
-  apply_logging log_level log_json;
+  with_logging log_level log_json @@ fun () ->
   with_run_opts o @@ fun () ->
   if decoys < 0 then structured_error "--decoys must be >= 0"
   else if shingle_k < 1 then structured_error "--shingle-k must be >= 1"
@@ -1322,11 +1327,10 @@ let report_cmd =
 
 let corpus_write dir count seed =
   if count < 0 then structured_error "--count must be >= 0"
-  else begin
-    Source.write_dir ~dir ~seed ~count;
+  else
+    with_output (fun () -> Source.write_dir ~dir ~seed ~count) @@ fun () ->
     say "wrote %d pair manifest(s) to %s (seed %d)" count dir seed;
     0
-  end
 
 (* Validation mode: walk the directory like a verification run would,
    counting readable pairs.  Lenient mode mirrors the historical
@@ -1406,10 +1410,10 @@ let trace_cmd =
     Term.(const trace_validate $ path)
 
 let () =
-  (* Pool/worker diagnostics (swallowed task exceptions, retry notices,
-     quarantine warnings) go through the leveled Log module, whose stderr
-     sink needs no setup; OCTOPOCS_LOG / --log-level move the threshold
-     and --log-json mirrors the stream to a JSONL file. *)
+  (* Worker diagnostics (retry notices, quarantine warnings) go through
+     the leveled Log module, whose stderr sink needs no setup;
+     OCTOPOCS_LOG / --log-level move the threshold and --log-json mirrors
+     the stream to a JSONL file. *)
   let info = Cmd.info "octopocs" ~doc:"Verify propagated vulnerable code with reformed PoCs" in
   (* ~catch:false so an unexpected exception maps to the documented tool-
      crash exit code instead of cmdliner's 125. *)

@@ -1090,27 +1090,52 @@ let inline_executor attempt =
     stop = ignore;
   }
 
-(* Pooled: each attempt is a pool task that posts its outcome. *)
+(* Pooled: [jobs] worker domains take attempts from [todo] and post their
+   ends to [ended]; one lock and one condition cover both queues.  No
+   exception escapes a worker ([attempt] turns every raise into [Died]).
+   [stop] lets attempts already taken finish and joins every worker;
+   attempts no worker has taken are dropped, since a stopping loop never
+   settles them. *)
 let pool_executor ~jobs attempt =
-  let pool = Octo_util.Pool.create ~jobs in
-  let lock = Mutex.create () and posted = Condition.create () in
-  let ended = Queue.create () in
+  let lock = Mutex.create () and changed = Condition.create () in
+  let todo = Queue.create () and ended = Queue.create () in
+  let closed = ref false in
+  let rec work () =
+    Mutex.lock lock;
+    while Queue.is_empty todo && not !closed do
+      Condition.wait changed lock
+    done;
+    let next = if !closed then None else Queue.take_opt todo in
+    Mutex.unlock lock;
+    match next with
+    | None -> ()
+    | Some a ->
+        let o = attempt a in
+        Mutex.protect lock (fun () ->
+            Queue.add (a, o) ended;
+            Condition.broadcast changed);
+        work ()
+  in
+  let workers = Array.init jobs (fun _ -> Domain.spawn work) in
   {
     start =
       (fun a ->
-        Octo_util.Pool.submit pool (fun () ->
-            let o = attempt a in
-            Mutex.protect lock (fun () ->
-                Queue.add (a, o) ended;
-                Condition.signal posted)));
+        Mutex.protect lock (fun () ->
+            Queue.add a todo;
+            Condition.broadcast changed));
     await =
       (fun () ->
         Mutex.protect lock (fun () ->
             while Queue.is_empty ended do
-              Condition.wait posted lock
+              Condition.wait changed lock
             done;
             take_all ended));
-    stop = (fun () -> Octo_util.Pool.shutdown pool);
+    stop =
+      (fun () ->
+        Mutex.protect lock (fun () ->
+            closed := true;
+            Condition.broadcast changed);
+        Array.iter Domain.join workers);
   }
 
 (* Process-isolated: one forked child per attempt, multiplexed over one

@@ -129,13 +129,48 @@ type row =
   | Settled of { r : Octopocs.report; cached : bool }
   | Quarantined of { q : Octopocs.quarantine; prior : bool }
 
+(* [open_files ~inject ~resume ~journal ~telemetry] opens the run's
+   journal writer (replaying it on resume, with its prior verdict and
+   quarantine tables) and starts its telemetry.  A path that cannot be
+   opened is an [Error] naming it, and the files created by then are
+   removed, so a corrected re-run is not refused as a clobber. *)
+let open_files ~inject ~resume ~journal ~telemetry =
+  let created =
+    List.filter (fun p -> not (Sys.file_exists p)) (List.filter_map Fun.id [ journal; telemetry ])
+  in
+  let opened () =
+    let writer, prior =
+      match journal with
+      | None -> (None, tables [])
+      | Some path when resume ->
+          let w, records = Journal.open_resume ~inject ~path () in
+          (Some w, tables records)
+      | Some path -> (Some (Journal.create ~inject ~path ()), tables [])
+    in
+    (try Option.iter (fun path -> Telemetry.enable ~path ()) telemetry
+     with e ->
+       Option.iter Journal.close writer;
+       raise e);
+    (writer, prior)
+  in
+  let cannot_write msg =
+    List.iter (fun p -> if Sys.file_exists p then Sys.remove p) created;
+    Error ("cannot write " ^ msg)
+  in
+  match opened () with
+  | opened -> Ok opened
+  | exception Unix.Unix_error (e, _, path) ->
+      cannot_write (Printf.sprintf "%s: %s" path (Unix.error_message e))
+  | exception Sys_error msg -> cannot_write msg
+
 (* [run ... next] verifies the entries [next] hands out through
    [Octopocs.run_stream] and reports every pair to [on_row], from the
    calling domain.  Settled and quarantined pairs are appended to
    [journal] (without it they are reported but not recorded); [telemetry]
    samples run health into that file.  [inject] arms the journal's
    journal-write site.  Without [resume] an existing file at either path
-   is an [Error] and nothing is created; with it the files are reopened
+   is an [Error] and nothing is created, and so is a path that cannot be
+   opened ({!open_files}); with [resume] the files are reopened
    for appending, a torn tail truncated, and entries already quarantined,
    or settled under the same key, are reported ([prior], [cached])
    instead of run.  With [fail_fast] nothing is handed out once a Failure
@@ -149,22 +184,18 @@ let run ?journal ?telemetry ?(resume = false) ?(inject = Faultinject.none) ?jobs
       [ ("journal", journal); ("telemetry journal", telemetry) ]
   in
   let clobbered = if resume then None else List.find_opt (fun (_, p) -> Sys.file_exists p) files in
-  match (Option.fold ~none:(Ok ()) ~some:check_layout journal, clobbered) with
-  | (Error _ as e), _ -> e
-  | Ok (), Some (what, p) ->
-      Error
-        (Printf.sprintf "%s %s already exists; pass --resume to continue it or remove it first"
-           what p)
-  | Ok (), None ->
-      let writer, (settled_prior, quarantined_prior, _) =
-        match journal with
-        | None -> (None, tables [])
-        | Some path when resume ->
-            let w, records = Journal.open_resume ~inject ~path () in
-            (Some w, tables records)
-        | Some path -> (Some (Journal.create ~inject ~path ()), tables [])
-      in
-      Option.iter (fun path -> Telemetry.enable ~path ()) telemetry;
+  let opened =
+    match (Option.fold ~none:(Ok ()) ~some:check_layout journal, clobbered) with
+    | (Error _ as e), _ -> e
+    | Ok (), Some (what, p) ->
+        Error
+          (Printf.sprintf "%s %s already exists; pass --resume to continue it or remove it first"
+             what p)
+    | Ok (), None -> open_files ~inject ~resume ~journal ~telemetry
+  in
+  match opened with
+  | Error _ as e -> e
+  | Ok (writer, (settled_prior, quarantined_prior, _)) ->
       (* The in-flight table carries each entry from pull to settle and
          never exceeds the window. *)
       let lock = Mutex.create () in

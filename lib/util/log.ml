@@ -76,16 +76,18 @@ let json_escape s =
     s;
   Buffer.contents b
 
-let set_jsonl path =
-  Mutex.lock lock;
-  (match !jsonl with Some oc -> close_out_noerr oc | None -> ());
-  jsonl := Some (open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path);
-  Mutex.unlock lock
-
 let close_jsonl () =
   Mutex.lock lock;
   (match !jsonl with Some oc -> close_out_noerr oc | None -> ());
   jsonl := None;
+  Mutex.unlock lock
+
+(* A path that cannot be created raises [Sys_error] with no mirror set. *)
+let set_jsonl path =
+  close_jsonl ();
+  let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
+  Mutex.lock lock;
+  jsonl := Some oc;
   Mutex.unlock lock
 
 let output lvl msg =

@@ -36,17 +36,6 @@ let sink_on = Atomic.make false
 let enabled () = Atomic.get sink_on
 let active () = Atomic.get sink_on || Metrics.is_on ()
 
-let enable ~path =
-  Mutex.lock lock;
-  (match !sink with
-  | Some s -> close_out_noerr s.oc
-  | None -> ());
-  let oc = open_out path in
-  output_string oc "[\n";
-  sink := Some { oc; path };
-  Atomic.set sink_on true;
-  Mutex.unlock lock
-
 let disable () =
   Mutex.lock lock;
   (match !sink with
@@ -56,6 +45,16 @@ let disable () =
   | None -> ());
   sink := None;
   Atomic.set sink_on false;
+  Mutex.unlock lock
+
+(* A path that cannot be created raises [Sys_error] with tracing off. *)
+let enable ~path =
+  disable ();
+  let oc = open_out path in
+  Mutex.lock lock;
+  output_string oc "[\n";
+  sink := Some { oc; path };
+  Atomic.set sink_on true;
   Mutex.unlock lock
 
 let emit ~name ~cat ~ph ~ts_ns =

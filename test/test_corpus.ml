@@ -226,6 +226,33 @@ let stream_parallel_bounded_window () =
   check Alcotest.int "settled" 8 st.O.st_settled;
   check Alcotest.bool "window respected" true (st.O.st_peak_in_flight <= 3)
 
+exception Source_broke
+
+let stream_parallel_source_raise_stops_workers () =
+  (* A source that raises after three jobs: [run_stream] must re-raise it
+     promptly, with no attempt left running on a worker (each attempt
+     holds [busy] for 50 ms in its pre-run hook), and a following parallel
+     run must go to completion. *)
+  let busy = Atomic.make 0 in
+  let pre_run _ =
+    Atomic.incr busy;
+    Unix.sleepf 0.05;
+    Atomic.decr busy
+  in
+  let src = mini_source 8 and pulls = ref 0 in
+  let next () =
+    incr pulls;
+    if !pulls > 3 then raise Source_broke else src ()
+  in
+  let t0 = Unix.gettimeofday () in
+  (match O.run_stream ~jobs:4 ~pre_run next with
+  | _ -> Alcotest.fail "expected the source's exception"
+  | exception Source_broke -> ());
+  check Alcotest.bool "re-raised promptly" true (Unix.gettimeofday () -. t0 < 5.0);
+  check Alcotest.int "no attempt still running" 0 (Atomic.get busy);
+  let st = O.run_stream ~jobs:4 ~on_settle:(fun _ _ -> ()) (mini_source 6) in
+  check Alcotest.int "next run settles all" 6 st.O.st_settled
+
 (* A config whose injector always fires Worker_crash: the job dies on
    every attempt, exhausts the retry budget, and must be quarantined
    rather than failing the stream. *)
@@ -399,6 +426,8 @@ let suite =
     tc "backoff: counter" backoff_counter;
     tc "stream: serial settles all" stream_serial_settles_all;
     tc "stream: parallel bounded window" stream_parallel_bounded_window;
+    tc "stream: parallel source raise joins workers, next run completes"
+      stream_parallel_source_raise_stops_workers;
     tc "stream: quarantines poison" stream_quarantines_poison;
     tc "stream: no handler settles failure" stream_without_handler_settles_failure;
     tc "stream: exhausted stall counts a pool stall" stream_counts_exhausted_stall;

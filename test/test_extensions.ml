@@ -192,67 +192,7 @@ let dynamic_mode_harmless_elsewhere () =
     [ 1; 8; 10; 12 ]
 
 (* ------------------------------------------------------------------ *)
-(* Worker pool and batch verification *)
-
-(* A parallel map over one pool from plain submits and a countdown latch:
-   each task fills its own slot ([None] if it raised) and counts the latch
-   down on the way out, raising or not; the caller waits for zero. *)
-let pool_map p f items =
-  let items = Array.of_list items in
-  let out = Array.make (Array.length items) None in
-  let left = ref (Array.length items) in
-  let m = Mutex.create () and zero = Condition.create () in
-  let count_down () =
-    Mutex.protect m (fun () ->
-        decr left;
-        if !left = 0 then Condition.broadcast zero)
-  in
-  Array.iteri
-    (fun i x ->
-      Octo_util.Pool.submit p (fun () ->
-          Fun.protect ~finally:count_down (fun () -> out.(i) <- Some (f x))))
-    items;
-  Mutex.protect m (fun () ->
-      while !left > 0 do
-        Condition.wait zero m
-      done);
-  Array.to_list out
-
-let with_pool jobs f =
-  let p = Octo_util.Pool.create ~jobs in
-  Fun.protect ~finally:(fun () -> Octo_util.Pool.shutdown p) (fun () -> f p)
-
-let pool_map_preserves_order () =
-  let items = List.init 37 (fun i -> i) in
-  with_pool 4 @@ fun p ->
-  let out = List.map Option.get (pool_map p (fun i -> i * i) items) in
-  check Alcotest.(list int) "squares in order" (List.map (fun i -> i * i) items) out
-
-let pool_task_exception_logged () =
-  (* One worker, so the second batch runs only after the raising task's
-     crash report was written. *)
-  let logged = ref [] in
-  Octo_util.Log.set_sink (fun _ msg -> logged := msg :: !logged);
-  Fun.protect ~finally:Octo_util.Log.reset_sink @@ fun () ->
-  with_pool 1 @@ fun p ->
-  let first = pool_map p (fun i -> if i = 3 then failwith "boom" else i) [ 1; 2; 3 ] in
-  check Alcotest.(list (option int)) "raising task leaves its slot empty"
-    [ Some 1; Some 2; None ] first;
-  check Alcotest.(list (option int)) "pool keeps serving" [ Some 4; Some 5 ]
-    (pool_map p (fun i -> i) [ 4; 5 ]);
-  let mentions_boom msg =
-    let n = String.length msg in
-    let rec go i = i + 4 <= n && (String.sub msg i 4 = "boom" || go (i + 1)) in
-    go 0
-  in
-  check Alcotest.bool "crash logged" true (List.exists mentions_boom !logged)
-
-let pool_reused_across_batches () =
-  with_pool 2 @@ fun p ->
-  for k = 1 to 5 do
-    let out = List.map Option.get (pool_map p (fun i -> i + k) [ 1; 2; 3 ]) in
-    check Alcotest.(list int) "batch result" [ 1 + k; 2 + k; 3 + k ] out
-  done
+(* Batch verification *)
 
 let run_all_matches_serial_verdicts () =
   (* The parallel batch runner must produce exactly the verdict classes of
@@ -303,9 +243,6 @@ let suite =
     tc "pipeline: dynamic CFG repairs Idx-15" dynamic_cfg_repairs_idx15;
     tc "pipeline: static mode reproduces the Failure" static_mode_still_fails_idx15;
     tc "pipeline: dynamic mode harmless elsewhere" dynamic_mode_harmless_elsewhere;
-    tc "pool: map preserves order" pool_map_preserves_order;
-    tc "pool: exceptions propagate" pool_task_exception_logged;
-    tc "pool: reused across batches" pool_reused_across_batches;
     tc "batch: run_all matches serial verdicts" run_all_matches_serial_verdicts;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_tests

@@ -719,15 +719,15 @@ let run_cli args =
   in
   (code, slurp out, slurp err)
 
-(* gen:8:42 at --poison 0.5 quarantines 3 pairs.  Their records land in
+(* gen:8:42 at worker-crash rate 0.5 quarantines 3 pairs.  Their records land in
    the journal itself and --resume skips them; a leftover PATH.quarantine
    is refused (exit 2) by a fresh run and a resume, creating nothing. *)
 let cli_quarantine_in_journal () =
   with_run (fun path ->
       let run extra =
         run_cli
-          ([ "verify-all"; "--corpus"; "gen:8:42"; "--poison"; "0.5"; "--journal"; path;
-             "--log-level"; "error" ]
+          ([ "verify-all"; "--corpus"; "gen:8:42"; "--chaos-site"; "worker-crash=0.5"; "--journal";
+             path; "--log-level"; "error" ]
           @ extra)
       in
       ignore (run []);
@@ -749,11 +749,13 @@ let cli_quarantine_in_journal () =
         [ []; [ "--resume" ] ])
 
 (* explain --journal renders a pair that has only a quarantine record:
-   every registry pair quarantined at --poison 1.0. *)
+   every registry pair quarantined at worker-crash rate 1.0. *)
 let cli_explain_quarantined () =
   with_run (fun path ->
       let code, _, _ =
-        run_cli [ "verify-all"; "--poison"; "1.0"; "--journal"; path; "--log-level"; "error" ]
+        run_cli
+          [ "verify-all"; "--chaos-site"; "worker-crash=1.0"; "--journal"; path; "--log-level";
+            "error" ]
       in
       check Alcotest.int "every pair quarantined" 3 code;
       let code, out, _ = run_cli [ "explain"; "1"; "--journal"; path ] in
@@ -773,8 +775,8 @@ let cli_explain_corpus_label () =
   with_run (fun path ->
       ignore
         (run_cli
-           [ "verify-all"; "--corpus"; "gen:200:42"; "--poison"; "0.02"; "--retries"; "1";
-             "--journal"; path; "--log-level"; "error" ]);
+           [ "verify-all"; "--corpus"; "gen:200:42"; "--chaos-site"; "worker-crash=0.02";
+             "--retries"; "1"; "--journal"; path; "--log-level"; "error" ]);
       let code, out, _ = run_cli [ "explain"; "g00003-tif-guard"; "--journal"; path ] in
       check Alcotest.int "quarantine explained" 0 code;
       check Alcotest.bool "quarantined pair" true
@@ -798,6 +800,23 @@ let cli_verify_matches_batch_row () =
   let _, out, _ = run_cli [ "verify-all"; "--chaos-seed"; "42"; "--log-level"; "error" ] in
   check Alcotest.bool "the batch row agrees" true
     (str_contains out "Pair 7   ghostscript/opj_dump_211 -> QUARANTINED (worker crashed: ")
+
+(* An output path under a missing directory is a usage error: the CLI
+   exits 2 naming the path and leaves no file behind, the --journal
+   beside an unwritable --telemetry included. *)
+let cli_unwritable_output args () =
+  let dir = Filename.temp_dir "octocli" "" in
+  let missing = Filename.concat dir "missing/out" in
+  let files () = Array.to_list (Sys.readdir dir) in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> Sys.remove (Filename.concat dir f)) (files ());
+      Sys.rmdir dir)
+  @@ fun () ->
+  let code, _, err = run_cli (args ~dir ~missing) in
+  check Alcotest.int "usage exit" 2 code;
+  check Alcotest.bool "names the path" true (str_contains err ("cannot write " ^ missing));
+  check Alcotest.(list string) "no file created" [] (files ())
 
 let suite =
   [
@@ -837,4 +856,18 @@ let suite =
     tc "cli: explain --journal renders a quarantined pair" cli_explain_quarantined;
     tc "cli: explain --journal takes a corpus label" cli_explain_corpus_label;
     tc "cli: verify N matches its verify-all row under chaos" cli_verify_matches_batch_row;
+    tc "cli: unwritable --trace exits 2, creates nothing"
+      (cli_unwritable_output (fun ~dir:_ ~missing -> [ "verify"; "1"; "--trace"; missing ]));
+    tc "cli: unwritable --log-json exits 2, creates nothing"
+      (cli_unwritable_output (fun ~dir:_ ~missing ->
+           [ "verify-all"; "--corpus"; "gen:3"; "--log-json"; missing ]));
+    tc "cli: unwritable --journal exits 2, creates nothing"
+      (cli_unwritable_output (fun ~dir:_ ~missing ->
+           [ "verify-all"; "--corpus"; "gen:3"; "--journal"; missing ]));
+    tc "cli: unwritable corpus directory exits 2, creates nothing"
+      (cli_unwritable_output (fun ~dir:_ ~missing -> [ "corpus"; missing; "--count"; "2" ]));
+    tc "cli: unwritable --telemetry exits 2, leaves no journal"
+      (cli_unwritable_output (fun ~dir ~missing ->
+           [ "verify-all"; "--corpus"; "gen:3"; "--journal"; Filename.concat dir "ok.jrnl";
+             "--telemetry"; missing ]));
   ]

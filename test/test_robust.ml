@@ -4,7 +4,6 @@
 
 module Deadline = Octo_util.Deadline
 module Faultinject = Octo_util.Faultinject
-module Pool = Octo_util.Pool
 module Registry = Octo_targets.Registry
 module Directed = Octo_symex.Directed
 
@@ -246,37 +245,6 @@ let rescuable_classification () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Worker pool *)
-
-let submit_shutdown_race () =
-  (* A submit racing shutdown must either run the task or raise
-     Invalid_argument — never hang, never drop a task silently.  Every
-     accepted task must have executed once shutdown + join complete. *)
-  let p = Pool.create ~jobs:2 in
-  let executed = Atomic.make 0 in
-  let submitter =
-    Domain.spawn (fun () ->
-        let accepted = ref 0 and rejected = ref 0 in
-        for _ = 1 to 2000 do
-          match Pool.submit p (fun () -> Atomic.incr executed) with
-          | () -> incr accepted
-          | exception Invalid_argument _ -> incr rejected
-        done;
-        (!accepted, !rejected))
-  in
-  (* Let some tasks land first so both outcomes are plausible, but never
-     block on it (the submitter may finish before we look). *)
-  let spins = ref 0 in
-  while Atomic.get executed = 0 && !spins < 10_000_000 do
-    incr spins;
-    Domain.cpu_relax ()
-  done;
-  Pool.shutdown p;
-  let accepted, rejected = Domain.join submitter in
-  check Alcotest.int "every submit settled" 2000 (accepted + rejected);
-  check Alcotest.int "accepted = executed" accepted (Atomic.get executed)
-
-(* ------------------------------------------------------------------ *)
 (* Batch crash isolation (the acceptance scenario) *)
 
 let run_all_isolates_crash_and_deadline () =
@@ -497,7 +465,6 @@ let suite =
     tc "ladder: mid-climb rescue records its rung" ladder_rescue_mid_climb_keeps_clock;
     tc "pipeline: tiny deadline expires mid-run, structured" pipeline_tiny_deadline_expires_mid_run;
     tc "ladder: rescuable failure classification" rescuable_classification;
-    tc "pool: submit/shutdown race settles every submit" submit_shutdown_race;
     tc "batch: crash + deadline isolated, 15 labelled reports" run_all_isolates_crash_and_deadline;
     tc "batch: retry rescues a transient worker crash" run_all_retry_rescues_transient_crash;
     tc "inject: deterministic per seed" injection_deterministic;
