@@ -76,15 +76,28 @@ let say fmt = Format.printf (fmt ^^ "@.")
 let structured_error fmt =
   Format.kasprintf (fun msg -> Format.eprintf "octopocs: error: %s@." msg; 2) fmt
 
-(* [with_output open_ f] opens an output file or directory, then runs
-   [f].  A path that cannot be created is a structured error naming it
-   (exit 2), not a tool crash; [Sys_error] already reads "PATH: reason". *)
-let with_output open_ f =
-  match open_ () with
-  | () -> f ()
-  | exception Unix.Unix_error (e, _, path) ->
-      structured_error "cannot write %s: %s" path (Unix.error_message e)
-  | exception Sys_error msg -> structured_error "cannot write %s" msg
+(* [with_output ?path ?close open_ f] opens an output file or directory,
+   then runs [f].  A path that cannot be created raises
+   [Runlog.Cannot_write] ([Sys_error] already reads "PATH: reason"), which
+   the entry point reports as a structured error, exit 2, not a tool
+   crash.  When a later output path fails inside [f], the file at [path]
+   is closed and removed if this invocation created it; a file that
+   existed before is left as it is. *)
+let with_output ?path ?(close = ignore) open_ f =
+  let created = match path with Some p -> not (Sys.file_exists p) | None -> false in
+  (match open_ () with
+  | () -> ()
+  | exception Unix.Unix_error (e, _, p) ->
+      raise (Runlog.Cannot_write (p ^ ": " ^ Unix.error_message e))
+  | exception Sys_error msg -> raise (Runlog.Cannot_write msg));
+  match f () with
+  | code -> code
+  | exception (Runlog.Cannot_write _ as e) ->
+      if created then begin
+        close ();
+        Option.iter (fun p -> if Sys.file_exists p then Sys.remove p) path
+      end;
+      raise e
 
 (* A NaN or negative --deadline is a usage error.  0 stays legal (the
    already-expired drill), and a budget past the clock's range means no
@@ -139,7 +152,8 @@ let pp_degradations (r : Octopocs.report) =
    tear it down (the trace file must be flushed and closed even when the
    run fails).  Enable/disable happen outside any span, as Trace requires. *)
 let with_observability ?(provenance = false) ~trace ~metrics f =
-  with_output (fun () -> Option.iter (fun path -> Trace.enable ~path) trace) @@ fun () ->
+  with_output ?path:trace (fun () -> Option.iter (fun path -> Trace.enable ~path) trace)
+  @@ fun () ->
   if metrics then Metrics.enable ();
   if provenance then Octopocs.Provenance.enable ();
   Fun.protect
@@ -393,7 +407,7 @@ let log_json_arg =
 
 let with_logging level json f =
   (match level with Some l -> Log.set_level l | None -> ());
-  with_output (fun () -> Option.iter Log.set_jsonl json) f
+  with_output ?path:json ~close:Log.close_jsonl (fun () -> Option.iter Log.set_jsonl json) f
 
 let telemetry_arg =
   Arg.(value & opt ~vopt:(Some "") (some string) None
@@ -739,12 +753,12 @@ let verify_entries o ~chaos_seed ~site_rates ~fail_fast ~total ?(on_row = fun _ 
         | _ -> ()
       in
       let result =
+        Fun.protect ~finally:(fun () -> Progress.finish prog) @@ fun () ->
         Runlog.run ?journal:o.journal_path ?telemetry ~resume:o.resume ~inject ~jobs:o.jobs
           ~retries:o.retries ?window:o.window
           ~isolate:o.isolate ~limits:o.limits ?mem_watermark_mb:o.mem_watermark
           ?pre_run:oom_pre_run ~fail_fast ~on_row next
       in
-      Progress.finish prog;
       match result with
       | Error msg -> Error (structured_error "%s" msg)
       | Ok st -> Ok (st, tally))
@@ -985,8 +999,14 @@ let run_scan o corpus strict decoys decoy_seed shingle_k winnow_w tau_retrieve t
                  identical to a verify-all --corpus run of the same corpus,
                  so journal dumps of the two agree on the intersection.  A
                  cross candidate runs under "S~T" with the detector's ℓ. *)
-              let probe_tbl : (string, Scan.probe) Hashtbl.t = Hashtbl.create 31 in
-              List.iter (fun (pr : Scan.probe) -> Hashtbl.replace probe_tbl pr.pr_label pr) probes;
+              let probe_tbl : (string, Scan.probe * Octopocs.probe) Hashtbl.t =
+                Hashtbl.create 31
+              in
+              List.iter
+                (fun (pr : Scan.probe) ->
+                  Hashtbl.replace probe_tbl pr.pr_label
+                    (pr, Octopocs.probe ~s:pr.pr_s ~poc:pr.pr_poc))
+                probes;
               let target_tbl : (string, Scan.target) Hashtbl.t = Hashtbl.create 31 in
               List.iter (fun (tg : Scan.target) -> Hashtbl.replace target_tbl tg.tg_label tg) targets;
               let seen : (string * string, unit) Hashtbl.t = Hashtbl.create 31 in
@@ -997,7 +1017,7 @@ let run_scan o corpus strict decoys decoy_seed shingle_k winnow_w tau_retrieve t
                     if Hashtbl.mem seen pk then None
                     else begin
                       Hashtbl.replace seen pk ();
-                      let pr = Hashtbl.find probe_tbl c.c_s_label in
+                      let pr, probe = Hashtbl.find probe_tbl c.c_s_label in
                       let tg = Hashtbl.find target_tbl c.c_t_label in
                       let diagonal = c.c_s_label = c.c_t_label in
                       let label =
@@ -1007,8 +1027,8 @@ let run_scan o corpus strict decoys decoy_seed shingle_k winnow_w tau_retrieve t
                       let expected = if diagonal then pr.pr_expected else None in
                       let config = config_for_label ~deadline:o.deadline ~chaos_seed:None label in
                       Some
-                        (Runlog.entry ~config ?ell ?expected ~label ~s:pr.pr_s ~t:tg.tg_prog
-                           ~poc:pr.pr_poc ())
+                        (Runlog.entry ~config ?ell ?expected ~probe ~label ~s:pr.pr_s
+                           ~t:tg.tg_prog ~poc:pr.pr_poc ())
                     end)
                   result.candidates
               in
@@ -1317,7 +1337,10 @@ let report_cmd =
     (Cmd.info "report"
        ~doc:"Aggregate a run's journals into a deterministic report: verdict classes, \
              degradation rungs, quarantine reasons, per-phase latency percentiles \
-             and (with --telemetry) the run-health summary")
+             and (with --telemetry) the run-health summary.  A run's workers share \
+             S's crash run and taint across consecutive pairs of one S, so the \
+             S-side phases are counted once per shared S, on the pair that ran \
+             them.")
     Term.(const report_run $ journal $ telemetry)
 
 (* ------------------------------------------------------------------ *)
@@ -1426,6 +1449,7 @@ let () =
          ])
   with
   | code -> exit code
+  | exception Runlog.Cannot_write msg -> exit (structured_error "cannot write %s" msg)
   | exception e ->
       Format.eprintf "octopocs: tool crash: %s@." (Printexc.to_string e);
       exit 3

@@ -414,13 +414,85 @@ let failure_report ?(degradations = []) msg =
     provenance = None;
   }
 
-(* One full pipeline pass under a fixed configuration and deadline.  The
-   public {!run} wraps this with deadline construction, exception
-   containment and the degradation ladder. *)
-let run_attempt ~(config : config) ~(deadline : Deadline.t) ?ell ~(s : Isa.program)
-    ~(t : Isa.program) ~(poc : string) () : report =
+(* ------------------------------------------------------------------ *)
+(* The S side of a pair.
+
+   Preprocessing (crash S, pick ep) and P1 taint depend only on S, the
+   PoC and ep; only P2-P4 depend on T.  A probe holds that S side so the
+   Ts it is verified against can share it: S's digest, S's concrete run
+   under one [max_steps], and a taint result per
+   (ep, mode, granularity).  Every kept value is immutable.  Under an
+   enabled fault injector a probe neither reuses nor keeps anything: each
+   attempt owns its fault schedule, and a skipped S run would skip its
+   draws. *)
+
+type probe = {
+  ps : Isa.program;
+  psdig : string;  (* Compile.program_digest ps *)
+  ppoc : string;
+  ppocdig : string;  (* Digest.string ppoc, for content keys *)
+  mutable crash_run : (int * Interp.result) option;  (* keyed by max_steps *)
+  mutable taints : ((string * Taint.mode * Taint.granularity) * Taint.result) list;
+}
+
+let probe_digested ~sdig ~s ~poc =
+  {
+    ps = s;
+    psdig = sdig;
+    ppoc = poc;
+    ppocdig = Digest.string poc;
+    crash_run = None;
+    taints = [];
+  }
+
+let probe ~s ~poc = probe_digested ~sdig:(Compile.program_digest s) ~s ~poc
+
+(* Drops everything memoized, leaving the probe as fresh as a new one. *)
+let forget p =
+  p.crash_run <- None;
+  p.taints <- []
+
+(* S's run on the PoC (preprocessing), with S's compilation when it ran
+   here.  The probe keeps the run but not the compilation: a corpus
+   stream has one T per S, and compiled closures held across the T side
+   would only be promoted. *)
+let crash_run p ~max_steps ~deadline ~inject =
+  let keep = not (Faultinject.enabled inject) in
+  match p.crash_run with
+  | Some (m, r) when keep && m = max_steps -> (None, r)
+  | _ ->
+      let cs = Compile.get ~digest:p.psdig p.ps in
+      let r = Compile.run ~max_steps ~deadline ~inject cs ~input:p.ppoc in
+      if keep then p.crash_run <- Some (max_steps, r);
+      (Some cs, r)
+
+(* P1: crash-primitive extraction for [ep], on [cs] when S was compiled
+   for this attempt's crash run. *)
+let taint_of p ~(config : config) ~cs ~ep =
+  let keep = not (Faultinject.enabled config.inject) in
+  let key = (ep, config.taint_mode, config.taint_granularity) in
+  match List.assoc_opt key p.taints with
+  | Some r when keep -> r
+  | _ ->
+      let compiled =
+        match cs with Some c -> c | None -> Compile.get ~digest:p.psdig p.ps
+      in
+      let r =
+        Trace.with_span Trace.Taint "extract" @@ fun () ->
+        Taint.extract ~mode:config.taint_mode ~granularity:config.taint_granularity ~compiled
+          p.ps ~poc:p.ppoc ~ep
+      in
+      if keep then p.taints <- (key, r) :: p.taints;
+      r
+
+(* One full pipeline pass under a fixed configuration and deadline, T side
+   against probe [p].  The public {!verify} wraps this with deadline
+   construction, exception containment and the degradation ladder. *)
+let run_attempt ~(config : config) ~(deadline : Deadline.t) ?ell (p : probe) ~(t : Isa.program)
+    () : report =
   let t_start = Unix.gettimeofday () in
   let inject = config.inject in
+  let s = p.ps and poc = p.ppoc in
   let degraded = ref [] in
   let finish verdict ~ep ~ell ~bunches ~taint ~symex =
     {
@@ -436,14 +508,14 @@ let run_attempt ~(config : config) ~(deadline : Deadline.t) ?ell ~(s : Isa.progr
       provenance = None;
     }
   in
-  (* Canonical content digests, computed once per attempt: the clone
-     profile table and both compilation lookups key off them. *)
-  let sdig = Compile.program_digest s in
+  (* T's canonical content digest, computed once per attempt: the clone
+     profile table and T's compilation lookup key off it, as they key off
+     the probe's digest of S. *)
   let tdig = Compile.program_digest t in
   let ell =
     match ell with
     | Some l -> l
-    | None -> Clone.ell_names (Clone.shared_functions_cached ~sdig ~tdig s t)
+    | None -> Clone.ell_names (Clone.shared_functions_cached ~sdig:p.psdig ~tdig s t)
   in
   if ell = [] then
     finish (Failure "no shared functions between S and T") ~ep:"" ~ell ~bunches:[] ~taint:None
@@ -451,8 +523,7 @@ let run_attempt ~(config : config) ~(deadline : Deadline.t) ?ell ~(s : Isa.progr
   else begin
     (* Preprocessing: crash S, pick ep from the backtrace. *)
     Faultinject.maybe_raise inject Faultinject.Deadline_expiry ~what:"preprocessing";
-    let cs = Compile.get ~digest:sdig s in
-    let s_run = Compile.run ~max_steps:config.max_steps ~deadline ~inject cs ~input:poc in
+    let cs, s_run = crash_run p ~max_steps:config.max_steps ~deadline ~inject in
     match s_run.outcome with
     | Interp.Exited _ ->
         finish (Failure "poc does not crash S") ~ep:"" ~ell ~bunches:[] ~taint:None ~symex:None
@@ -464,11 +535,7 @@ let run_attempt ~(config : config) ~(deadline : Deadline.t) ?ell ~(s : Isa.progr
         | Some ep -> (
             (* P1: crash-primitive extraction. *)
             Deadline.check deadline ~what:"taint analysis";
-            let taint_res =
-              Trace.with_span Trace.Taint "extract" @@ fun () ->
-              Taint.extract ~mode:config.taint_mode ~granularity:config.taint_granularity
-                ~compiled:cs s ~poc ~ep
-            in
+            let taint_res = taint_of p ~config ~cs ~ep in
             let bunches = taint_res.bunches in
             if Provenance.is_on () then
               List.iter
@@ -528,7 +595,7 @@ let run_attempt ~(config : config) ~(deadline : Deadline.t) ?ell ~(s : Isa.progr
                        placement at every ep entry. *)
                     Faultinject.maybe_raise inject Faultinject.Deadline_expiry
                       ~what:"directed symbolic execution";
-                    let probe =
+                    let hooks =
                       if not (Provenance.is_on ()) then None
                       else
                         Some
@@ -549,7 +616,7 @@ let run_attempt ~(config : config) ~(deadline : Deadline.t) ?ell ~(s : Isa.progr
                     let outcome, stats =
                       Trace.with_span Trace.Symex "directed" @@ fun () ->
                       Directed.run ~config:config.symex ~sym_file_size:config.sym_file_size
-                        ?probe ~deadline t_sym ~ep ~cfg ~ledger:[]
+                        ?probe:hooks ~deadline t_sym ~ep ~cfg ~ledger:[]
                         ~on_ep:(place_bunches bunches)
                     in
                     let symex = Some stats in
@@ -688,7 +755,8 @@ let climb_ladder ~(deadline : Deadline.t) ~(attempt : config -> report) (r0 : re
   let last_failure = match r0.verdict with Failure msg -> msg | _ -> "" in
   climb ~last_failure [] rungs
 
-(** [run ?config ?ell ~s ~t ~poc ()] executes the full pipeline.
+(** [verify ?config ?ell p ~t ()] executes the full pipeline for T against
+    probe [p]'s S and PoC, reusing whatever S side [p] already holds.
 
     ℓ defaults to the clone-detection result of {!Clone.shared_functions};
     pass [?ell] to override (the paper assumes ℓ is an input).  The report
@@ -697,31 +765,34 @@ let climb_ladder ~(deadline : Deadline.t) ~(attempt : config -> report) (r0 : re
 
     Robustness contract: this function does not raise.  A deadline expiry
     or an injected fault becomes [Failure "deadline exceeded: ..."] /
-    [Failure "injected fault: ..."].  When [config.ladder] is on, rescuable
-    failures (budget or deadline exhaustion) are retried up the degradation
-    ladder; a rescued verdict lists the rungs climbed in [degradations],
-    and if every rung fails the original failure is returned verbatim with
-    the tried rungs recorded. *)
-let run ?(config = default_config) ?ell ~(s : Isa.program) ~(t : Isa.program) ~(poc : string) ()
-    : report =
+    [Failure "injected fault: ..."], and leaves [p] holding nothing.  When
+    [config.ladder] is on, rescuable failures (budget or deadline
+    exhaustion) are retried up the degradation ladder, every rung against
+    the same probe; a rescued verdict lists the rungs climbed in
+    [degradations], and if every rung fails the original failure is
+    returned verbatim with the tried rungs recorded. *)
+let verify ?(config = default_config) ?ell (p : probe) ~(t : Isa.program) () : report =
   let t_start = Unix.gettimeofday () in
   let deadline =
     match config.deadline_s with
     | None -> Deadline.none
     | Some seconds -> Deadline.after ~seconds
   in
+  let failed msg =
+    forget p;
+    failure_report msg
+  in
   let attempt cfg =
-    match run_attempt ~config:cfg ~deadline ?ell ~s ~t ~poc () with
+    match run_attempt ~config:cfg ~deadline ?ell p ~t () with
     | r -> r
-    | exception Deadline.Deadline_exceeded what ->
-        failure_report ("deadline exceeded: " ^ what)
-    | exception Faultinject.Injected what -> failure_report ("injected fault: " ^ what)
+    | exception Deadline.Deadline_exceeded what -> failed ("deadline exceeded: " ^ what)
+    | exception Faultinject.Injected what -> failed ("injected fault: " ^ what)
   in
   (* The whole pair — first attempt plus any ladder rungs — is one trace
      envelope (cat "pair"), one metrics scope and one provenance scope, so
      report.metrics / report.provenance are the per-pair records of the
      domain that ran it. *)
-  let (r, m), p =
+  let (r, m), pv =
     Provenance.scoped @@ fun () ->
     Metrics.scoped @@ fun () ->
     Trace.with_cat_span ~cat:"pair" ~name:"pipeline" @@ fun () ->
@@ -731,7 +802,12 @@ let run ?(config = default_config) ?ell ~(s : Isa.program) ~(t : Isa.program) ~(
         climb_ladder ~deadline ~attempt r0 (ladder_rungs config)
     | _ -> r0
   in
-  { r with elapsed_s = Unix.gettimeofday () -. t_start; metrics = m; provenance = p }
+  { r with elapsed_s = Unix.gettimeofday () -. t_start; metrics = m; provenance = pv }
+
+(** [run ?config ?ell ~s ~t ~poc ()] is {!verify} against a fresh probe:
+    a lone pair shares its S side with nothing but its own ladder rungs. *)
+let run ?config ?ell ~(s : Isa.program) ~(t : Isa.program) ~(poc : string) () : report =
+  verify ?config ?ell (probe ~s ~poc) ~t ()
 
 (* ------------------------------------------------------------------ *)
 (* Batch verification. *)
@@ -779,20 +855,28 @@ let config_fingerprint (c : config) =
       c.ladder )
     []
 
-(** [content_key ?config ?ell ~s ~t ~poc ()] is the verdict-cache key: a
-    hex digest over the canonical content of both programs, the PoC bytes,
-    the ℓ override, and every budget/config field that can change a verdict
-    (fault injection excluded — see the journal docs).  Two invocations
-    share a key iff a journaled verdict of one is valid for the other. *)
-let content_key ?(config = default_config) ?ell ~(s : Isa.program) ~(t : Isa.program)
+(** [content_key ?config ?ell ?probe ~s ~t ~poc ()] is the verdict-cache
+    key: a hex digest over the canonical content of both programs, the PoC
+    bytes, the ℓ override, and every budget/config field that can change a
+    verdict (fault injection excluded — see the journal docs).  Two
+    invocations share a key iff a journaled verdict of one is valid for the
+    other.  A [probe] built from these very [s] and [poc] values lends its
+    digests instead of their being recomputed; any other probe is
+    ignored. *)
+let content_key ?(config = default_config) ?ell ?probe ~(s : Isa.program) ~(t : Isa.program)
     ~(poc : string) () =
+  let sdig, pocdig =
+    match probe with
+    | Some p when p.ps == s && p.ppoc == poc -> (p.psdig, p.ppocdig)
+    | _ -> (Compile.program_digest s, Digest.string poc)
+  in
   Digest.to_hex
     (Digest.string
        (String.concat "\000"
           [
-            Compile.program_digest s;
+            sdig;
             Compile.program_digest t;
-            Digest.string poc;
+            pocdig;
             Digest.string (Marshal.to_string ell []);
             Digest.string (config_fingerprint config);
           ]))
@@ -969,8 +1053,10 @@ let decode_quarantine (s : string) : quarantine option =
    attempt, await any completion, then settle, retry or exhaust.  Only
    the executor differs — how an attempt runs and how its end is seen:
    inline in the calling domain (serial Domain mode: window 1, no domain
-   is ever spawned), as a {!Octo_util.Pool} task posting to a completion
-   queue, or in a forked {!Sandbox} child whose death is classified.
+   is ever spawned), on one of the worker domains the executor spawns, or
+   in a forked {!Sandbox} child whose death is classified.  A worker in
+   this process keeps the probe of its last attempt, so consecutive jobs
+   of one S share S's crash run and taint.
    Everything else — the chaos draws, the retry's backoff, the counters,
    the callbacks and the stats — is decided by the loop alone. *)
 
@@ -1010,8 +1096,14 @@ let process_fault_sites = Faultinject.[ Child_segv; Child_oom_kill; Worker_crash
    the drawn worker fault, then the pipeline.  The faults fire outside
    [run]'s containment on purpose, so they exercise the driver's crash
    containment and retries; the stall site wedges for a fixed 0.25 s,
-   then raises. *)
-let run_attempt ~config ?pre_run a =
+   then raises.
+
+   [held] is the probe a worker keeps between its attempts: the attempt
+   verifies against it when the job's S digest and PoC bytes match, and
+   against a fresh probe, which replaces it, otherwise.  The slot is
+   empty while the pipeline runs, so an attempt that raises in it leaves
+   no probe behind. *)
+let run_attempt ~config ?pre_run ~held a =
   if a.adelay > 0. then Unix.sleepf a.adelay;
   (match pre_run with None -> () | Some f -> f a.aj);
   (match a.afault with
@@ -1022,8 +1114,17 @@ let run_attempt ~config ?pre_run a =
       raise (Faultinject.Injected "worker-stall: synthetic wedged worker")
   | _ -> ());
   let j = a.aj in
-  run ~config:(Option.value j.jconfig ~default:config) ?ell:j.jell ~s:j.js ~t:j.jt
-    ~poc:j.jpoc ()
+  let config = Option.value j.jconfig ~default:config in
+  let sdig = Compile.program_digest j.js in
+  let p =
+    match !held with
+    | Some p when p.psdig = sdig && p.ppoc = j.jpoc -> p
+    | _ -> probe_digested ~sdig ~s:j.js ~poc:j.jpoc
+  in
+  held := None;
+  let r = verify ~config ?ell:j.jell p ~t:j.jt () in
+  held := Some p;
+  r
 
 (* The reason a job whose final attempt raised [msg] (printed) fails or is
    quarantined with.  The injected stall site prints as
@@ -1033,20 +1134,23 @@ let exn_reason msg =
   if String.starts_with ~prefix:"Injected(worker-stall" msg then "worker stalled"
   else "worker crashed"
 
-(* An attempt run in this process, inline or on a pool domain. *)
-let attempt_here ~config ?pre_run a =
-  match run_attempt ~config ?pre_run a with
-  | r -> Settled r
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      let message = Printexc.to_string e in
-      Died
-        {
-          reason = exn_reason message;
-          message;
-          backtrace = Printexc.raw_backtrace_to_string bt;
-          rung = None;
-        }
+(* A worker in this process, inline or a pool domain: each holds its own
+   probe slot and turns every raise of an attempt into [Died]. *)
+let worker_here ~config ?pre_run () =
+  let held = ref None in
+  fun a ->
+    match run_attempt ~config ?pre_run ~held a with
+    | r -> Settled r
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        let message = Printexc.to_string e in
+        Died
+          {
+            reason = exn_reason message;
+            message;
+            backtrace = Printexc.raw_backtrace_to_string bt;
+            rung = None;
+          }
 
 (* An attempt's end as a forked child's death. *)
 let outcome_of_death death =
@@ -1090,17 +1194,18 @@ let inline_executor attempt =
     stop = ignore;
   }
 
-(* Pooled: [jobs] worker domains take attempts from [todo] and post their
-   ends to [ended]; one lock and one condition cover both queues.  No
-   exception escapes a worker ([attempt] turns every raise into [Died]).
+(* Pooled: [jobs] worker domains, each running its own [worker ()], take
+   attempts from [todo] and post their ends to [ended]; one lock and one
+   condition cover both queues.  No exception escapes a worker (it turns
+   every raise into [Died]).
    [stop] lets attempts already taken finish and joins every worker;
    attempts no worker has taken are dropped, since a stopping loop never
    settles them. *)
-let pool_executor ~jobs attempt =
+let pool_executor ~jobs worker =
   let lock = Mutex.create () and changed = Condition.create () in
   let todo = Queue.create () and ended = Queue.create () in
   let closed = ref false in
-  let rec work () =
+  let rec work attempt =
     Mutex.lock lock;
     while Queue.is_empty todo && not !closed do
       Condition.wait changed lock
@@ -1114,9 +1219,9 @@ let pool_executor ~jobs attempt =
         Mutex.protect lock (fun () ->
             Queue.add (a, o) ended;
             Condition.broadcast changed);
-        work ()
+        work attempt
   in
-  let workers = Array.init jobs (fun _ -> Domain.spawn work) in
+  let workers = Array.init jobs (fun _ -> Domain.spawn (fun () -> work (worker ()))) in
   {
     start =
       (fun a ->
@@ -1162,8 +1267,11 @@ let process_executor ~config ~limits ~adm ?pre_run () =
     let kill_after_s = Option.map (fun d -> (d *. 4.0) +. 1.0) cfg.deadline_s in
     let key = job_key ~config j in
     (* The child ships its settled report as its one frame; exceptions
-       escape into [Sandbox.spawn]'s transport. *)
-    let payload () = encode_result ~label:j.label ~key (run_attempt ~config ?pre_run a) in
+       escape into [Sandbox.spawn]'s transport.  Its probe slot starts
+       empty and dies with it, so a child shares nothing. *)
+    let payload () =
+      encode_result ~label:j.label ~key (run_attempt ~config ?pre_run ~held:(ref None) a)
+    in
     active := (Sandbox.spawn ~limits ?kill_after_s ~die payload, a) :: !active
   in
   let await () =
@@ -1252,8 +1360,8 @@ let run_stream ?(config = default_config) ?(jobs = 1) ?(retries = 0) ?window
     | Processes ->
         let limits = Option.value limits ~default:Sandbox.no_limits in
         (process_executor ~config ~limits ~adm ?pre_run (), process_fault_sites)
-    | Domains when serial -> (inline_executor (attempt_here ~config ?pre_run), domain_fault_sites)
-    | Domains -> (pool_executor ~jobs (attempt_here ~config ?pre_run), domain_fault_sites)
+    | Domains when serial -> (inline_executor (worker_here ~config ?pre_run ()), domain_fault_sites)
+    | Domains -> (pool_executor ~jobs (worker_here ~config ?pre_run), domain_fault_sites)
   in
   let pulled = ref 0 and settled = ref 0 and quarantined = ref 0 in
   let in_flight = ref 0 and peak = ref 0 in

@@ -175,16 +175,49 @@ val climb_ladder :
   (string * config) list ->
   report
 
-(** [run ?config ?ell ~s ~t ~poc ()] executes the full pipeline.
+(** The S side of a pair, shared across the Ts it is verified against.
+
+    Preprocessing (crash S on the PoC, pick [ep]) and P1 taint depend only
+    on S, the PoC and [ep]; only P2-P4 depend on T.  A probe holds S's
+    canonical digest, the PoC and its digest, and, once a {!verify} has
+    needed them, S's concrete run under one [config.max_steps] (the crash
+    and its backtrace) and one immutable taint result per
+    [(ep, taint_mode, taint_granularity)].  It does not keep S's
+    compiled form.  Later
+    {!verify} calls against the same probe reuse them, so with
+    {!Octo_util.Metrics} on the S-side phases and VM steps are charged to
+    the pair that computed them.
+
+    Under an enabled [config.inject] a probe neither reuses nor stores
+    anything: every attempt of a chaos job runs its own S side, so its
+    fault schedule does not depend on what ran before it.  A probe is not
+    safe to use from two domains at once. *)
+type probe
+
+(** [probe ~s ~poc] is a probe of S and the PoC.  It digests both and
+    runs nothing. *)
+val probe : s:Octo_vm.Isa.program -> poc:string -> probe
+
+(** [verify ?config ?ell p ~t ()] executes the full pipeline for T
+    against probe [p]'s S and PoC, reusing whatever S side [p] holds and
+    keeping what it computes.  Its report equals that of {!run} on the
+    same S, T and PoC, timings and metrics aside.
 
     ℓ defaults to the clone-detection result of
     {!Octo_clone.Clone.shared_functions}; pass [?ell] to override (the
     paper assumes ℓ is an input).
 
     Does not raise: deadline expiries and injected faults become [Failure]
-    verdicts, and rescuable failures are retried up the degradation ladder
-    when [config.ladder] is on (the rungs climbed are recorded in
-    [degradations]). *)
+    verdicts and leave [p] holding nothing, and rescuable failures are
+    retried up the degradation ladder when [config.ladder] is on (the
+    rungs climbed are recorded in [degradations]; every rung reuses [p],
+    since no rung changes an S-side input). *)
+val verify :
+  ?config:config -> ?ell:string list -> probe -> t:Octo_vm.Isa.program -> unit -> report
+
+(** [run ?config ?ell ~s ~t ~poc ()] is {!verify} against a fresh
+    [probe ~s ~poc]: a lone pair shares its S side with its own ladder
+    rungs only, so every call reports every phase it ran. *)
 val run :
   ?config:config ->
   ?ell:string list ->
@@ -212,15 +245,19 @@ val job :
   unit ->
   job
 
-(** [content_key ?config ?ell ~s ~t ~poc ()] is the verdict-cache key: a
-    hex digest over the canonical content of S and T, the PoC bytes, the ℓ
-    override, and every budget/config field that can change a verdict
-    ([config.inject] excluded — fault injection perturbs a run, not the
-    pair's identity).  A journaled verdict is valid for a later invocation
-    iff the keys match; any content or budget change forces a re-run. *)
+(** [content_key ?config ?ell ?probe ~s ~t ~poc ()] is the verdict-cache
+    key: a hex digest over the canonical content of S and T, the PoC
+    bytes, the ℓ override, and every budget/config field that can change
+    a verdict ([config.inject] excluded — fault injection perturbs a run,
+    not the pair's identity).  A journaled verdict is valid for a later
+    invocation iff the keys match; any content or budget change forces a
+    re-run.  A [probe] built from these very [s] and [poc] values
+    (physically) lends its digests, so a caller keying one S against many
+    Ts digests S and the PoC once; the key is the same either way. *)
 val content_key :
   ?config:config ->
   ?ell:string list ->
+  ?probe:probe ->
   s:Octo_vm.Isa.program ->
   t:Octo_vm.Isa.program ->
   poc:string ->
@@ -361,8 +398,18 @@ type stream_stats = {
     the executor differs.  Domain isolation with [jobs <= 1] (after the
     core-count clamp) runs each attempt inline with a window of 1, so the
     next job is pulled only after the previous one has settled, and no
-    domain is ever spawned.  More jobs run attempts as tasks on a domain
-    pool.  [~isolate:Processes] runs each attempt in a forked child.
+    domain is ever spawned.  More jobs run attempts on worker domains the
+    executor spawns and joins.  [~isolate:Processes] runs each attempt in
+    a forked child.
+
+    Probe sharing: each worker in this process (the inline loop, each
+    worker domain) holds the {!probe} of its last attempt and
+    {!verify}s its next attempt against it when the job has the same S
+    digest and the same PoC bytes, so consecutive jobs of one S (a
+    scan's fan-out) run S's crash and P1 taint once.  Any other job
+    builds a fresh probe, which replaces the held one; an attempt that
+    raises leaves none; forked children hold none.  Reports equal those
+    of independent {!run} calls, metrics aside.
 
     A job whose attempt raises (or whose child dies) gets [retries] extra
     attempts; each retried attempt sleeps a capped exponential backoff

@@ -114,10 +114,12 @@ type entry = {
   job : Octopocs.job;
 }
 
-let entry ~config ?ell ?expected ~label ~s ~t ~poc () =
+(* [probe] lends its digests to the key (see [Octopocs.content_key]): a
+   caller entering one S against many Ts digests S and the PoC once. *)
+let entry ~config ?ell ?expected ?probe ~label ~s ~t ~poc () =
   {
     label;
-    key = Octopocs.content_key ~config ?ell ~s ~t ~poc ();
+    key = Octopocs.content_key ~config ?ell ?probe ~s ~t ~poc ();
     expected;
     job = Octopocs.job ~config ?ell ~label ~s ~t ~poc ();
   }
@@ -129,10 +131,14 @@ type row =
   | Settled of { r : Octopocs.report; cached : bool }
   | Quarantined of { q : Octopocs.quarantine; prior : bool }
 
+(* An output path of a run that cannot be created; the message reads
+   "PATH: reason". *)
+exception Cannot_write of string
+
 (* [open_files ~inject ~resume ~journal ~telemetry] opens the run's
    journal writer (replaying it on resume, with its prior verdict and
    quarantine tables) and starts its telemetry.  A path that cannot be
-   opened is an [Error] naming it, and the files created by then are
+   opened raises [Cannot_write] once the files created by then are
    removed, so a corrected re-run is not refused as a clobber. *)
 let open_files ~inject ~resume ~journal ~telemetry =
   let created =
@@ -155,10 +161,10 @@ let open_files ~inject ~resume ~journal ~telemetry =
   in
   let cannot_write msg =
     List.iter (fun p -> if Sys.file_exists p then Sys.remove p) created;
-    Error ("cannot write " ^ msg)
+    raise (Cannot_write msg)
   in
   match opened () with
-  | opened -> Ok opened
+  | opened -> opened
   | exception Unix.Unix_error (e, _, path) ->
       cannot_write (Printf.sprintf "%s: %s" path (Unix.error_message e))
   | exception Sys_error msg -> cannot_write msg
@@ -169,11 +175,11 @@ let open_files ~inject ~resume ~journal ~telemetry =
    [journal] (without it they are reported but not recorded); [telemetry]
    samples run health into that file.  [inject] arms the journal's
    journal-write site.  Without [resume] an existing file at either path
-   is an [Error] and nothing is created, and so is a path that cannot be
-   opened ({!open_files}); with [resume] the files are reopened
-   for appending, a torn tail truncated, and entries already quarantined,
-   or settled under the same key, are reported ([prior], [cached])
-   instead of run.  With [fail_fast] nothing is handed out once a Failure
+   is an [Error] and nothing is created, and a path that cannot be
+   opened raises [Cannot_write] ({!open_files}); with [resume] the files
+   are reopened for appending, a torn tail truncated, and entries
+   already quarantined, or settled under the same key, are reported
+   ([prior], [cached]) instead of run.  With [fail_fast] nothing is handed out once a Failure
    has settled; entries never handed out get no row and no record. *)
 let run ?journal ?telemetry ?(resume = false) ?(inject = Faultinject.none) ?jobs ?retries
     ?window ?isolate ?limits ?mem_watermark_mb ?pre_run ?(fail_fast = false)
@@ -191,7 +197,7 @@ let run ?journal ?telemetry ?(resume = false) ?(inject = Faultinject.none) ?jobs
         Error
           (Printf.sprintf "%s %s already exists; pass --resume to continue it or remove it first"
              what p)
-    | Ok (), None -> open_files ~inject ~resume ~journal ~telemetry
+    | Ok (), None -> Ok (open_files ~inject ~resume ~journal ~telemetry)
   in
   match opened with
   | Error _ as e -> e

@@ -9,6 +9,10 @@ module Source = Octo_targets.Source
 module Pool = Octo_util.Pool
 module Metrics = Octo_util.Metrics
 module Faultinject = Octo_util.Faultinject
+module Registry = Octo_targets.Registry
+module Scan = Octo_targets.Scan
+module Detect = Octo_clone.Detect
+module Compile = Octo_vm.Compile
 module O = Octopocs
 
 let check = Alcotest.check
@@ -408,6 +412,135 @@ let quarantine_codec_rejects_junk () =
     (O.decode_quarantine (String.sub enc 0 (String.length enc - 1)) = None);
   check Alcotest.bool "padded" true (O.decode_quarantine (enc ^ "x") = None)
 
+(* ------------------------------------------------------------------ *)
+(* Probe sharing: a stream worker reuses S's crash run and taint across
+   consecutive jobs of one S. *)
+
+(* [(s_id, job, s, t, poc, ell)] for registry pairs 10-12, which share
+   one S. *)
+let registry_group () =
+  List.map
+    (fun idx ->
+      let c = Registry.find idx in
+      ( Compile.program_digest c.s,
+        O.job ~label:(string_of_int idx) ~s:c.s ~t:c.t ~poc:c.poc (),
+        c.s,
+        c.t,
+        c.poc,
+        None ))
+    [ 10; 11; 12 ]
+
+(* The fan-out of [scan --corpus gen:60:42 --decoys 3]: one job per
+   distinct confirmed (S, T) candidate, grouped by S as the scan sorts
+   them, built as the CLI builds them. *)
+let scan_fanout () =
+  let probes, targets = Scan.of_source (Source.generated ~seed:42 ~count:60 ()) in
+  let targets = targets @ Scan.decoy_targets ~seed:7 ~count:3 in
+  let r = Scan.run ~probes ~targets ~n_decoys:3 () in
+  let seen = Hashtbl.create 64 in
+  List.filter_map
+    (fun (c : Detect.candidate) ->
+      if Hashtbl.mem seen (c.c_s_label, c.c_t_label) then None
+      else begin
+        Hashtbl.replace seen (c.c_s_label, c.c_t_label) ();
+        let pr = List.find (fun (p : Scan.probe) -> p.pr_label = c.c_s_label) probes in
+        let tg = List.find (fun (t : Scan.target) -> t.tg_label = c.c_t_label) targets in
+        let diagonal = c.c_s_label = c.c_t_label in
+        let label = if diagonal then c.c_s_label else c.c_s_label ^ "~" ^ c.c_t_label in
+        let ell = if diagonal then None else Some c.c_ell in
+        Some
+          ( c.c_s_label,
+            O.job ?ell ~label ~s:pr.pr_s ~t:tg.tg_prog ~poc:pr.pr_poc (),
+            pr.pr_s,
+            tg.tg_prog,
+            pr.pr_poc,
+            ell )
+      end)
+    r.candidates
+
+(* Every report [run_stream] settles for [items], by label. *)
+let stream_reports ?config ~jobs items =
+  let got = Hashtbl.create 64 in
+  let st =
+    O.run_stream ?config ~jobs
+      ~on_settle:(fun j r -> Hashtbl.replace got (O.job_label j) r)
+      (O.stream_of_list (List.map (fun (_, j, _, _, _, _) -> j) items))
+  in
+  check Alcotest.int "settled" (List.length items) st.O.st_settled;
+  List.map (fun (_, j, _, _, _, _) -> Hashtbl.find got (O.job_label j)) items
+
+let same_report label (a : O.report) (b : O.report) =
+  check Alcotest.string (label ^ " verdict")
+    (Fmt.str "%a" O.pp_verdict a.verdict)
+    (Fmt.str "%a" O.pp_verdict b.verdict);
+  check Alcotest.bool (label ^ " verdict bytes") true (a.verdict = b.verdict);
+  check Alcotest.string (label ^ " ep") a.ep b.ep;
+  check Alcotest.(list string) (label ^ " ell") a.ell b.ell;
+  check Alcotest.bool (label ^ " bunches") true (a.bunches = b.bunches);
+  check Alcotest.(list string) (label ^ " degradations") a.degradations b.degradations
+
+let stream_shared_probe_matches_run () =
+  List.iter
+    (fun (name, items) ->
+      let alone =
+        List.map (fun (_, _, s, t, poc, ell) -> O.run ?ell ~s ~t ~poc ()) items
+      in
+      List.iter
+        (fun jobs ->
+          List.iter2
+            (fun ((_, j, _, _, _, _), a) b ->
+              same_report (Printf.sprintf "%s -j %d %s" name jobs (O.job_label j)) a b)
+            (List.combine items alone) (stream_reports ~jobs items))
+        [ 1; 2 ])
+    [ ("registry 10-12", registry_group ()); ("scan gen:60:42", scan_fanout ()) ]
+
+let taint_spans reports =
+  List.fold_left
+    (fun n (r : O.report) ->
+      match r.metrics with Some m -> n + Metrics.phase_spans m Metrics.Taint | None -> n)
+    0 reports
+
+(* Jobs that reached P1, and their distinct (S, PoC, ep) triples. *)
+let taint_runs items reports =
+  let reached =
+    List.filter_map
+      (fun ((sid, _, _, _, poc, _), (r : O.report)) ->
+        if r.taint = None then None else Some (sid, poc, r.ep))
+      (List.combine items reports)
+  in
+  (List.length reached, List.length (List.sort_uniq compare reached))
+
+let with_metrics f =
+  Metrics.enable ();
+  Fun.protect ~finally:Metrics.disable f
+
+(* Serially each triple is tainted once.  Under [-j 2] which worker takes
+   which job of a group is scheduling, so the count is only bounded: at
+   least once per triple, at most once per job. *)
+let stream_shared_probe_taints_once () =
+  with_metrics @@ fun () ->
+  List.iter
+    (fun (name, items) ->
+      let reports = stream_reports ~jobs:1 items in
+      let reached, distinct = taint_runs items reports in
+      check Alcotest.bool (name ^ ": S is shared") true (distinct < reached);
+      check Alcotest.int (name ^ ": taint spans") distinct (taint_spans reports);
+      let spans = taint_spans (stream_reports ~jobs:2 items) in
+      check Alcotest.bool
+        (Printf.sprintf "%s -j 2: %d <= %d taint spans <= %d" name distinct spans reached)
+        true
+        (distinct <= spans && spans <= reached))
+    [ ("registry 10-12", registry_group ()); ("scan gen:60:42", scan_fanout ()) ]
+
+let stream_injector_runs_every_s_side () =
+  with_metrics @@ fun () ->
+  let items = registry_group () in
+  (* Enabled, but no site ever fires: the verdicts are the clean ones. *)
+  let config = { O.default_config with inject = Faultinject.create ~seed:1 ~rate:0.0 () } in
+  let reports = stream_reports ~config ~jobs:1 items in
+  check Alcotest.int "every job reached P1" 3 (fst (taint_runs items reports));
+  List.iter (fun r -> check Alcotest.int "its own taint span" 1 (taint_spans [ r ])) reports
+
 let suite =
   [
     tc "gen: deterministic" gen_deterministic;
@@ -435,4 +568,9 @@ let suite =
     tc "quarantine codec: rejects junk" quarantine_codec_rejects_junk;
     tc "stream: serial pulls only after the previous settle"
       stream_serial_interleaves_pull_and_settle;
+    tc "stream: shared probe settles the reports of lone runs"
+      stream_shared_probe_matches_run;
+    tc "stream: shared probe taints each (S, PoC, ep) once"
+      stream_shared_probe_taints_once;
+    tc "stream: enabled injector runs every job's S side" stream_injector_runs_every_s_side;
   ]

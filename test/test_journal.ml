@@ -818,6 +818,27 @@ let cli_unwritable_output args () =
   check Alcotest.bool "names the path" true (str_contains err ("cannot write " ^ missing));
   check Alcotest.(list string) "no file created" [] (files ())
 
+(* A log file that existed before the run is the user's: a later output
+   failure leaves it, while the trace file the run created goes. *)
+let cli_unwritable_keeps_prior_log () =
+  let dir = Filename.temp_dir "octocli" "" in
+  let missing = Filename.concat dir "missing/out" in
+  let log = Filename.concat dir "l.json" in
+  let files () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> Sys.remove (Filename.concat dir f)) (files ());
+      Sys.rmdir dir)
+  @@ fun () ->
+  Out_channel.with_open_bin log (fun oc -> output_string oc "{}\n");
+  let code, _, _ =
+    run_cli
+      [ "verify-all"; "--corpus"; "gen:3"; "--trace"; Filename.concat dir "t.json";
+        "--log-json"; log; "--journal"; missing ]
+  in
+  check Alcotest.int "usage exit" 2 code;
+  check Alcotest.(list string) "only the prior log is left" [ "l.json" ] (files ())
+
 let suite =
   [
     tc "journal: roundtrip with binary payloads" journal_roundtrip;
@@ -866,6 +887,12 @@ let suite =
            [ "verify-all"; "--corpus"; "gen:3"; "--journal"; missing ]));
     tc "cli: unwritable corpus directory exits 2, creates nothing"
       (cli_unwritable_output (fun ~dir:_ ~missing -> [ "corpus"; missing; "--count"; "2" ]));
+    tc "cli: unwritable --journal removes the --trace and --log-json files it created"
+      (cli_unwritable_output (fun ~dir ~missing ->
+           [ "verify-all"; "--corpus"; "gen:3"; "--trace"; Filename.concat dir "t.json";
+             "--log-json"; Filename.concat dir "l.json"; "--journal"; missing ]));
+    tc "cli: unwritable --journal leaves a --log-json file that existed"
+      cli_unwritable_keeps_prior_log;
     tc "cli: unwritable --telemetry exits 2, leaves no journal"
       (cli_unwritable_output (fun ~dir ~missing ->
            [ "verify-all"; "--corpus"; "gen:3"; "--journal"; Filename.concat dir "ok.jrnl";

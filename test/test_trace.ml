@@ -166,6 +166,22 @@ let test_pipeline_metrics_cover_phases () =
           Alcotest.(check bool) "symex decisions counted" true
             (Metrics.counter_value m Metrics.Symex_states_forked > 0))
 
+(* A lone run shares its S side with nothing: the second of two runs on
+   one pair still reports every phase. *)
+let test_back_to_back_runs_cover_phases () =
+  let c = Registry.find 1 in
+  with_metrics (fun () ->
+      for i = 1 to 2 do
+        match (Octopocs.run ~s:c.s ~t:c.t ~poc:c.poc ()).metrics with
+        | None -> Alcotest.fail "expected Some metrics with collection on"
+        | Some m ->
+            List.iter
+              (fun p ->
+                if Metrics.phase_spans m p < 1 then
+                  Alcotest.failf "run %d: phase %s has no spans" i (Metrics.phase_name p))
+              Metrics.all_phases
+      done)
+
 let test_metrics_off_means_none () =
   Metrics.disable ();
   let c = Registry.find 1 in
@@ -230,6 +246,8 @@ let suite =
     Alcotest.test_case "metrics: disabled records nothing" `Quick test_disabled_records_nothing;
     Alcotest.test_case "metrics: pipeline covers all six phases" `Quick
       test_pipeline_metrics_cover_phases;
+    Alcotest.test_case "metrics: back-to-back runs of one pair each cover every phase" `Quick
+      test_back_to_back_runs_cover_phases;
     Alcotest.test_case "metrics: off -> report.metrics = None" `Quick test_metrics_off_means_none;
     Alcotest.test_case "metrics: batch totals match journal snapshots" `Quick
       test_totals_match_journal;
