@@ -443,9 +443,9 @@ let is_deterministic_key k =
        history_counters
 
 (* Telemetry must not move the pipeline: pair 1's deterministic counter
-   deltas have to be identical with the sampler off and on (enabled into
-   a throwaway journal), and the disabled [tick] must stay at its
-   documented one-Atomic.get budget.  Counter diffs count as gate
+   deltas have to be identical with the sampler off and on (enabled with
+   a sink that drops every frame), and the disabled [tick] must stay at
+   its documented one-Atomic.get budget.  Counter diffs count as gate
    regressions. *)
 module Telemetry = Octo_util.Telemetry
 
@@ -461,11 +461,9 @@ let telemetry_overhead_gate () =
     | Some m -> List.map (fun (c, k) -> (k, Metrics.counter_value m c)) history_counters
   in
   let off = counters_of () in
-  let path = Filename.temp_file "octo_bench_telemetry" ".jrnl" in
-  Telemetry.enable ~path ();
+  Telemetry.enable ignore;
   let on = counters_of () in
   Telemetry.disable ();
-  (try Sys.remove path with Sys_error _ -> ());
   let diffs = List.filter (fun (k, v) -> List.assoc_opt k on <> Some v) off in
   List.iter
     (fun (k, v) ->
@@ -567,7 +565,7 @@ let with_journal prefix f =
    fresh, so a refusal is a harness bug. *)
 let run_ok = function Ok st -> st | Error msg -> failwith msg
 
-let load path = run_ok (Runlog.load ~journal:path ())
+let load path = run_ok (Runlog.load path)
 
 (* The run-independent state of a journaled run: settled verdicts (poc'
    bytes and rungs included) plus the quarantine set. *)

@@ -35,11 +35,11 @@
    journal.
 
    A run's durable state is one journal file PATH, holding its verdict
-   and quarantine records, and, with the bare --telemetry flag,
-   PATH.telemetry beside it; Runlog owns that layout.  A fresh run refuses
-   to overwrite either file; --resume appends to both.  journal, report
-   and explain --journal load through [Runlog.load]; a PATH.quarantine
-   left by the removed two-file layout is refused with exit 2.
+   and quarantine records and, with the --telemetry flag, its run-health
+   samples; Runlog owns that layout.  A fresh run refuses to overwrite
+   PATH; --resume appends to it.  journal, report and explain --journal
+   load through [Runlog.load]; a PATH.quarantine or PATH.telemetry left
+   by a removed layout is refused with exit 2.
 
    Observability: verify and verify-all take --trace PATH (Chrome
    trace-viewer JSONL of the pipeline's phase spans), --metrics (per-pair
@@ -53,10 +53,10 @@
    across the batch under the same convention (the registry contains one
    expected-Failure pair, so a faithful full run exits 2), and exits 3
    when every pair was quarantined.  A bad pair index, and an output
-   path that cannot be created (--journal, --telemetry, --trace,
-   --log-json, a corpus directory), are structured one-line errors and
-   exit 2, never a backtrace; a run removes the journal files it created
-   before such an error. *)
+   path that cannot be created (--journal, --trace, --log-json, a corpus
+   directory), are structured one-line errors and exit 2, never a
+   backtrace; a run removes the journal file it created before such an
+   error. *)
 
 open Cmdliner
 module Registry = Octo_targets.Registry
@@ -410,15 +410,14 @@ let with_logging level json f =
   with_output ?path:json ~close:Log.close_jsonl (fun () -> Option.iter Log.set_jsonl json) f
 
 let telemetry_arg =
-  Arg.(value & opt ~vopt:(Some "") (some string) None
-       & info [ "telemetry" ] ~docv:"PATH"
+  Arg.(value & flag
+       & info [ "telemetry" ]
            ~doc:"Sample run health (throughput, pool retries/stalls, parent and \
-                 child RSS, GC words, latency histograms) into an OTL1 journal \
-                 at $(docv) while the corpus streams; with no $(docv), defaults \
-                 to $(i,JOURNAL).telemetry beside --journal $(i,JOURNAL).  A \
-                 fresh run refuses an existing $(docv); --resume appends to it, \
-                 continuing its clock and counts.  Read it back with \
-                 $(b,octopocs report --telemetry).")
+                 child RSS, GC words, latency histograms) into the --journal file \
+                 as OTL1 records, at most one per 100 ms, while the corpus \
+                 streams; requires --journal.  --resume continues the journal's \
+                 clock and counts.  Read them back with $(b,octopocs report \
+                 --telemetry).")
 
 let progress_arg =
   Arg.(value & flag
@@ -607,7 +606,7 @@ type run_opts = {
   isolate : Octopocs.isolation;
   limits : Octo_util.Sandbox.limits;
   mem_watermark : int option;
-  telemetry : string option;
+  telemetry : bool;
   progress : bool;
 }
 
@@ -629,8 +628,8 @@ let run_opts_term =
              ~doc:"Write-ahead journal: append each pair's verdict to the file \
                    $(docv) as it settles, and each quarantined pair's record (reason, \
                    message, backtrace, attempts) as it is set aside (CRC-framed, \
-                   fsynced), so a killed batch loses nothing.  The bare --telemetry \
-                   writes $(docv).telemetry beside it.")
+                   fsynced), so a killed batch loses nothing, and with --telemetry \
+                   its run-health samples.")
   in
   let resume =
     Arg.(value & flag
@@ -700,25 +699,14 @@ let run_opts_term =
 let with_run_opts o f =
   with_valid_deadline o.deadline @@ fun () ->
   if o.resume && o.journal_path = None then structured_error "--resume requires --journal PATH"
+  else if o.telemetry && o.journal_path = None then
+    structured_error "--telemetry requires --journal PATH (samples are journal records)"
   else if o.retries < 0 then structured_error "--retries must be >= 0"
   else if o.isolate = Octopocs.Domains && o.limits <> { as_mb = None; cpu_s = None } then
     structured_error "--rlimit-as/--rlimit-cpu require --isolate proc"
   else if o.isolate = Octopocs.Domains && o.mem_watermark <> None then
     structured_error "--mem-watermark requires --isolate proc"
   else f ()
-
-(* Resolve --telemetry's path: explicit PATH as given; the bare flag
-   defaults to the telemetry journal beside the --journal PATH. *)
-let telemetry_file o =
-  match (o.telemetry, o.journal_path) with
-  | None, _ -> Ok None
-  | Some p, _ when p <> "" -> Ok (Some p)
-  | Some _, Some j -> Ok (Some (Runlog.telemetry_path j))
-  | Some _, None ->
-      Error
-        (structured_error
-           "--telemetry without PATH requires --journal (the default telemetry \
-            file lives beside it)")
 
 (* The driver: a {!Runlog} run from the shared flags.  [next] pulls the
    entries; [on_row label row] sees every pair's outcome, from the calling
@@ -728,40 +716,36 @@ let telemetry_file o =
    journal record, so --resume runs them.  Returns the stream's stats and
    the tally, or the exit code of a setup error. *)
 let verify_entries o ~chaos_seed ~site_rates ~fail_fast ~total ?(on_row = fun _ _ -> ()) next =
-  match telemetry_file o with
-  | Error code -> Error code
-  | Ok telemetry -> (
-      let inject = injector ~chaos_seed ~site_rates Runlog.journal_seed in
-      let prog = Progress.create ~enabled:o.progress ~total () in
-      let tally = Tally.create () in
-      let on_row (e : Runlog.entry) row =
-        (match row with
-        | Runlog.Settled { r; cached = false } ->
-            if settle_delay_s > 0. then Unix.sleepf settle_delay_s;
-            Tally.add ?expected:e.expected tally r
-        | Runlog.Settled { r; cached = true } -> Tally.add_cached ?expected:e.expected tally r
-        | Runlog.Quarantined { prior = true; _ } -> Tally.add_quarantined_prior tally
-        | Runlog.Quarantined { prior = false; _ } -> Tally.add_quarantined tally);
-        on_row e.label row;
-        match row with
-        | Runlog.Settled { cached = false; _ } -> Progress.step prog
-        | Runlog.Quarantined { q; prior = false } ->
-            Log.warn (fun m ->
-                m "quarantined %s after %d attempt(s): %s: %s" q.qlabel q.qattempts q.qreason
-                  q.qmessage);
-            Progress.quar prog
-        | _ -> ()
-      in
-      let result =
-        Fun.protect ~finally:(fun () -> Progress.finish prog) @@ fun () ->
-        Runlog.run ?journal:o.journal_path ?telemetry ~resume:o.resume ~inject ~jobs:o.jobs
-          ~retries:o.retries ?window:o.window
-          ~isolate:o.isolate ~limits:o.limits ?mem_watermark_mb:o.mem_watermark
-          ?pre_run:oom_pre_run ~fail_fast ~on_row next
-      in
-      match result with
-      | Error msg -> Error (structured_error "%s" msg)
-      | Ok st -> Ok (st, tally))
+  let inject = injector ~chaos_seed ~site_rates Runlog.journal_seed in
+  let prog = Progress.create ~enabled:o.progress ~total () in
+  let tally = Tally.create () in
+  let on_row (e : Runlog.entry) row =
+    (match row with
+    | Runlog.Settled { r; cached = false } ->
+        if settle_delay_s > 0. then Unix.sleepf settle_delay_s;
+        Tally.add ?expected:e.expected tally r
+    | Runlog.Settled { r; cached = true } -> Tally.add_cached ?expected:e.expected tally r
+    | Runlog.Quarantined { prior = true; _ } -> Tally.add_quarantined_prior tally
+    | Runlog.Quarantined { prior = false; _ } -> Tally.add_quarantined tally);
+    on_row e.label row;
+    match row with
+    | Runlog.Settled { cached = false; _ } -> Progress.step prog
+    | Runlog.Quarantined { q; prior = false } ->
+        Log.warn (fun m ->
+            m "quarantined %s after %d attempt(s): %s: %s" q.qlabel q.qattempts q.qreason
+              q.qmessage);
+        Progress.quar prog
+    | _ -> ()
+  in
+  let result =
+    Fun.protect ~finally:(fun () -> Progress.finish prog) @@ fun () ->
+    Runlog.run ?journal:o.journal_path ~telemetry:o.telemetry ~resume:o.resume ~inject
+      ~jobs:o.jobs ~retries:o.retries ?window:o.window ~isolate:o.isolate ~limits:o.limits
+      ?mem_watermark_mb:o.mem_watermark ?pre_run:oom_pre_run ~fail_fast ~on_row next
+  in
+  match result with
+  | Error msg -> Error (structured_error "%s" msg)
+  | Ok st -> Ok (st, tally)
 
 (* ------------------------------------------------------------------ *)
 (* verify-all: any {!Source} through the driver. *)
@@ -961,7 +945,7 @@ let run_scan o corpus strict decoys decoy_seed shingle_k winnow_w tau_retrieve t
       (tau_retrieve > 0.0 && tau_retrieve <= 1.0 && tau_confirm > 0.0 && tau_confirm <= 1.0)
   then structured_error "--tau-retrieve/--tau-confirm must be in (0, 1]"
   else if top < 0 then structured_error "--top must be >= 0"
-  else if no_verify && (o.telemetry <> None || o.progress) then
+  else if no_verify && (o.telemetry || o.progress) then
     structured_error
       "--telemetry/--progress instrument the verification stage (drop --no-verify)"
   else
@@ -999,14 +983,8 @@ let run_scan o corpus strict decoys decoy_seed shingle_k winnow_w tau_retrieve t
                  identical to a verify-all --corpus run of the same corpus,
                  so journal dumps of the two agree on the intersection.  A
                  cross candidate runs under "S~T" with the detector's ℓ. *)
-              let probe_tbl : (string, Scan.probe * Octopocs.probe) Hashtbl.t =
-                Hashtbl.create 31
-              in
-              List.iter
-                (fun (pr : Scan.probe) ->
-                  Hashtbl.replace probe_tbl pr.pr_label
-                    (pr, Octopocs.probe ~s:pr.pr_s ~poc:pr.pr_poc))
-                probes;
+              let probe_tbl : (string, Scan.probe) Hashtbl.t = Hashtbl.create 31 in
+              List.iter (fun (pr : Scan.probe) -> Hashtbl.replace probe_tbl pr.pr_label pr) probes;
               let target_tbl : (string, Scan.target) Hashtbl.t = Hashtbl.create 31 in
               List.iter (fun (tg : Scan.target) -> Hashtbl.replace target_tbl tg.tg_label tg) targets;
               let seen : (string * string, unit) Hashtbl.t = Hashtbl.create 31 in
@@ -1017,7 +995,7 @@ let run_scan o corpus strict decoys decoy_seed shingle_k winnow_w tau_retrieve t
                     if Hashtbl.mem seen pk then None
                     else begin
                       Hashtbl.replace seen pk ();
-                      let pr, probe = Hashtbl.find probe_tbl c.c_s_label in
+                      let pr = Hashtbl.find probe_tbl c.c_s_label in
                       let tg = Hashtbl.find target_tbl c.c_t_label in
                       let diagonal = c.c_s_label = c.c_t_label in
                       let label =
@@ -1027,7 +1005,7 @@ let run_scan o corpus strict decoys decoy_seed shingle_k winnow_w tau_retrieve t
                       let expected = if diagonal then pr.pr_expected else None in
                       let config = config_for_label ~deadline:o.deadline ~chaos_seed:None label in
                       Some
-                        (Runlog.entry ~config ?ell ?expected ~probe ~label ~s:pr.pr_s
+                        (Runlog.entry ~config ?ell ?expected ~label ~s:pr.pr_s
                            ~t:tg.tg_prog ~poc:pr.pr_poc ())
                     end)
                   result.candidates
@@ -1157,7 +1135,7 @@ let explain_live ~dynamic ~deadline (c : Registry.case) =
 (* A journaled pair, by its label: its verdict record, or, for a pair set
    aside, why.  A registry pair's label is its index. *)
 let explain_journal path label =
-  match Runlog.load ~journal:path () with
+  match Runlog.load path with
   | Error msg -> structured_error "%s" msg
   | Ok run -> (
       let title = "pair " ^ label in
@@ -1283,7 +1261,7 @@ let say_verdict_line (label, key, (rep : Octopocs.report)) =
     metrics_detail prov_detail
 
 let journal_dump path =
-  match Runlog.load ~journal:path () with
+  match Runlog.load path with
   | Error msg -> structured_error "%s" msg
   | Ok r ->
       List.iter say_verdict_line r.verdicts;
@@ -1313,9 +1291,9 @@ let journal_cmd =
    opt-in because its timestamps are real time. *)
 
 let report_run journal telemetry =
-  match Runlog.load ~journal ?telemetry () with
+  match Runlog.load journal with
   | Ok run ->
-      print_string (Report.render run);
+      print_string (Report.render ~telemetry run);
       0
   | Error msg -> structured_error "%s" msg
 
@@ -1326,11 +1304,11 @@ let report_cmd =
              ~doc:"Journal file to aggregate: its verdicts and quarantined pairs.")
   in
   let telemetry =
-    Arg.(value & opt (some string) None
-         & info [ "telemetry" ] ~docv:"PATH"
-             ~doc:"Also summarise an OTL1 telemetry journal: sample count, pool \
-                   pressure, peak RSS, throughput curve.  Off by default — telemetry \
-                   carries real timings, and the journal-only report is \
+    Arg.(value & flag
+         & info [ "telemetry" ]
+             ~doc:"Also summarise the journal's OTL1 run-health samples: sample \
+                   count, pool pressure, peak RSS, throughput curve.  Off by default \
+                   — samples carry real timings, and the report without them is \
                    byte-identical across equivalent runs.")
   in
   Cmd.v

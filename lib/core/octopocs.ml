@@ -62,8 +62,7 @@ type report = {
   degradations : string list;
       (** every degradation rung the pipeline climbed to produce this
           verdict, in the order applied: ["dynamic-cfg"], ["symex-escalate"],
-          ["symex-escalate"; "sym-file-degrade"], ...  Empty for a clean
-          first-attempt run. *)
+          ...  Empty for a clean first-attempt run. *)
   elapsed_s : float;
   metrics : Metrics.snapshot option;
       (** per-pair metrics delta (counters and per-phase latency) recorded
@@ -430,7 +429,6 @@ type probe = {
   ps : Isa.program;
   psdig : string;  (* Compile.program_digest ps *)
   ppoc : string;
-  ppocdig : string;  (* Digest.string ppoc, for content keys *)
   mutable crash_run : (int * Interp.result) option;  (* keyed by max_steps *)
   mutable taints : ((string * Taint.mode * Taint.granularity) * Taint.result) list;
 }
@@ -440,7 +438,6 @@ let probe_digested ~sdig ~s ~poc =
     ps = s;
     psdig = sdig;
     ppoc = poc;
-    ppocdig = Digest.string poc;
     crash_run = None;
     taints = [];
   }
@@ -689,21 +686,17 @@ let run_attempt ~(config : config) ~(deadline : Deadline.t) ?ell (p : probe) ~(t
 (* ------------------------------------------------------------------ *)
 (* Degradation ladder. *)
 
-(* A failure is rescuable when a retry with more budget (or less symbolic
-   surface) could plausibly change the verdict.  Semantic failures — no
-   shared code, PoC does not crash S, CFG recovery failed, poc' did not
-   reproduce — are facts about the pair, not about resource limits, and are
-   returned as-is. *)
+(* A failure is rescuable when a retry with more budget could plausibly
+   change the verdict.  Semantic failures — no shared code, PoC does not
+   crash S, CFG recovery failed, poc' did not reproduce — are facts about
+   the pair, not about resource limits, and are returned as-is. *)
 let rescuable_failure msg =
   let pre p = String.length msg >= String.length p && String.sub msg 0 (String.length p) = p in
   pre "symbolic execution budget exhausted"
   || pre "deadline exceeded"
   || pre "constraint solver budget exhausted"
 
-(* The rungs, mildest first.  Escalation multiplies every symex budget;
-   degradation additionally shrinks the symbolic file (fewer symbolic bytes
-   = smaller constraint stores and cheaper model search) while keeping the
-   escalated budgets. *)
+(* The ladder's one rung: escalation multiplies every symex budget. *)
 let ladder_rungs (config : config) : (string * config) list =
   let sx = config.symex in
   let escalated =
@@ -717,10 +710,7 @@ let ladder_rungs (config : config) : (string * config) list =
         };
     }
   in
-  [
-    ("symex-escalate", escalated);
-    ("sym-file-degrade", { escalated with sym_file_size = max 256 (config.sym_file_size / 4) });
-  ]
+  [ ("symex-escalate", escalated) ]
 
 (** [climb_ladder ~deadline ~attempt r0 rungs] retries a rescuable failure
     [r0] up the ladder.  The deadline is the ONE budget shared by every
@@ -855,28 +845,21 @@ let config_fingerprint (c : config) =
       c.ladder )
     []
 
-(** [content_key ?config ?ell ?probe ~s ~t ~poc ()] is the verdict-cache
-    key: a hex digest over the canonical content of both programs, the PoC
-    bytes, the ℓ override, and every budget/config field that can change a
+(** [content_key ?config ?ell ~s ~t ~poc ()] is the verdict-cache key: a
+    hex digest over the canonical content of both programs, the PoC bytes,
+    the ℓ override, and every budget/config field that can change a
     verdict (fault injection excluded — see the journal docs).  Two
     invocations share a key iff a journaled verdict of one is valid for the
-    other.  A [probe] built from these very [s] and [poc] values lends its
-    digests instead of their being recomputed; any other probe is
-    ignored. *)
-let content_key ?(config = default_config) ?ell ?probe ~(s : Isa.program) ~(t : Isa.program)
+    other. *)
+let content_key ?(config = default_config) ?ell ~(s : Isa.program) ~(t : Isa.program)
     ~(poc : string) () =
-  let sdig, pocdig =
-    match probe with
-    | Some p when p.ps == s && p.ppoc == poc -> (p.psdig, p.ppocdig)
-    | _ -> (Compile.program_digest s, Digest.string poc)
-  in
   Digest.to_hex
     (Digest.string
        (String.concat "\000"
           [
-            sdig;
+            Compile.program_digest s;
             Compile.program_digest t;
-            pocdig;
+            Digest.string poc;
             Digest.string (Marshal.to_string ell []);
             Digest.string (config_fingerprint config);
           ]))

@@ -156,10 +156,9 @@ val failure_report : ?degradations:string list -> string -> report
     Exposed for testing. *)
 val rescuable_failure : string -> bool
 
-(** [ladder_rungs config] is the degradation ladder for [config], mildest
-    first: [("symex-escalate", _)] multiplies every symex budget, then
-    [("sym-file-degrade", _)] additionally shrinks the symbolic file.
-    Exposed for testing. *)
+(** [ladder_rungs config] is the degradation ladder for [config]: its one
+    rung, [("symex-escalate", _)], multiplies every symex budget.  Exposed
+    for testing. *)
 val ladder_rungs : config -> (string * config) list
 
 (** [climb_ladder ~deadline ~attempt r0 rungs] retries the rescuable
@@ -179,7 +178,7 @@ val climb_ladder :
 
     Preprocessing (crash S on the PoC, pick [ep]) and P1 taint depend only
     on S, the PoC and [ep]; only P2-P4 depend on T.  A probe holds S's
-    canonical digest, the PoC and its digest, and, once a {!verify} has
+    canonical digest, the PoC and, once a {!verify} has
     needed them, S's concrete run under one [config.max_steps] (the crash
     and its backtrace) and one immutable taint result per
     [(ep, taint_mode, taint_granularity)].  It does not keep S's
@@ -194,8 +193,8 @@ val climb_ladder :
     safe to use from two domains at once. *)
 type probe
 
-(** [probe ~s ~poc] is a probe of S and the PoC.  It digests both and
-    runs nothing. *)
+(** [probe ~s ~poc] is a probe of S and the PoC.  It digests S and runs
+    nothing. *)
 val probe : s:Octo_vm.Isa.program -> poc:string -> probe
 
 (** [verify ?config ?ell p ~t ()] executes the full pipeline for T
@@ -245,19 +244,16 @@ val job :
   unit ->
   job
 
-(** [content_key ?config ?ell ?probe ~s ~t ~poc ()] is the verdict-cache
+(** [content_key ?config ?ell ~s ~t ~poc ()] is the verdict-cache
     key: a hex digest over the canonical content of S and T, the PoC
     bytes, the ℓ override, and every budget/config field that can change
     a verdict ([config.inject] excluded — fault injection perturbs a run,
     not the pair's identity).  A journaled verdict is valid for a later
     invocation iff the keys match; any content or budget change forces a
-    re-run.  A [probe] built from these very [s] and [poc] values
-    (physically) lends its digests, so a caller keying one S against many
-    Ts digests S and the PoC once; the key is the same either way. *)
+    re-run. *)
 val content_key :
   ?config:config ->
   ?ell:string list ->
-  ?probe:probe ->
   s:Octo_vm.Isa.program ->
   t:Octo_vm.Isa.program ->
   poc:string ->

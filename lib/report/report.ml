@@ -1,11 +1,11 @@
 (* Deterministic run-report aggregation.
 
-   [render] folds a run's durable state, as {!Runlog.load} reads it (the
-   journal file's verdict and quarantine records, and optionally the
-   OTL1 telemetry journal), into one plain-text document:
-   verdict-class breakdown, degradation-rung frequencies, quarantine
-   reasons, p50/p90/p99 per-phase latencies off the journaled log2
-   histograms, and a throughput summary from the telemetry samples.
+   [render] folds a run's journal, as {!Runlog.load} reads it (its
+   verdict, quarantine and, optionally, OTL1 telemetry records), into
+   one plain-text document: verdict-class breakdown, degradation-rung
+   frequencies, quarantine reasons, p50/p90/p99 per-phase latencies off
+   the journaled log2 histograms, and a throughput summary from the
+   telemetry samples.
 
    Determinism contract: the rendering is a pure function of the input
    file bytes.  No paths, wall-clock times, hostnames or map iteration
@@ -15,11 +15,13 @@
    [Runlog.load], the one loader the CLI's journal dump and explain read
    through too.  Two invocations over the
    same files are byte-identical; two *independent* runs of the same
-   seeded corpus agree too, as long as the report sticks to
-   journal-derived sections (telemetry timestamps and latency histograms
-   are real time, which is why the telemetry section only appears when a
-   telemetry file is explicitly given, and why the latency section reads
-   "(no metrics journaled)" unless the run recorded them). *)
+   seeded corpus agree too, as long as the report sticks to the
+   verdict-derived sections (telemetry timestamps and latency histograms
+   are real time, which is why the telemetry section only appears when
+   asked for with [~telemetry:true], and why the latency section reads
+   "(no metrics journaled)" unless the run recorded them).  A run with
+   telemetry and the same run without it render the same report
+   without that section. *)
 
 module Metrics = Octo_util.Metrics
 module Telemetry = Octo_util.Telemetry
@@ -41,7 +43,7 @@ let classes = [ "Type-I"; "Type-II"; "Type-III"; "Failure" ]
 
 (* -- rendering --------------------------------------------------------- *)
 
-let render (r : Runlog.t) : string =
+let render ?(telemetry = false) (r : Runlog.t) : string =
   let b = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   line "octopocs run report";
@@ -93,52 +95,47 @@ let render (r : Runlog.t) : string =
               (pc 90.0) (pc 99.0) (Metrics.phase_spans sum p))
       Metrics.all_phases
   end;
-  (match r.telemetry with
-  | None -> ()
-  | Some t ->
-      line "";
-      line "telemetry: %d sample(s)%s%s" (List.length t.Telemetry.samples)
-        (if t.Telemetry.undecodable > 0 then
-           Printf.sprintf ", %d undecodable frame(s)" t.Telemetry.undecodable
-         else "")
-        (if t.Telemetry.torn then ", torn tail dropped" else "");
-      match (t.Telemetry.samples, List.rev t.Telemetry.samples) with
-      | [], _ | _, [] -> ()
-      | first :: _, last :: _ ->
-          let s = last in
-          line "  span                   %.3f s"
-            (float_of_int (s.Telemetry.ts_ns - first.Telemetry.ts_ns) /. 1e9);
-          line "  pulled/settled/quar    %d / %d / %d" s.Telemetry.pulled s.Telemetry.settled
-            s.Telemetry.quarantined;
-          line "  retries/stalls         %d / %d" s.Telemetry.retries s.Telemetry.stalls;
-          line "  backoffs/deferrals     %d / %d" s.Telemetry.backoffs s.Telemetry.deferrals;
-          let peak f = List.fold_left (fun acc x -> max acc (f x)) 0 t.Telemetry.samples in
-          line "  peak rss (parent)      %d KiB" (peak (fun x -> x.Telemetry.rss_kb));
-          line "  peak rss (child max)   %d KiB" (peak (fun x -> x.Telemetry.child_rss_kb));
-          line "  peak in-flight         %d of window %d"
-            (peak (fun x -> x.Telemetry.in_flight))
-            (peak (fun x -> x.Telemetry.window));
-          (* Throughput curve: overall rate plus the steepest inter-sample
-             segment — enough to see a run that front-loaded or stalled. *)
-          let span_s = float_of_int (s.Telemetry.ts_ns - first.Telemetry.ts_ns) /. 1e9 in
-          if span_s > 0. && s.Telemetry.settled > first.Telemetry.settled then begin
-            line "  throughput (overall)   %.1f pairs/s"
-              (float_of_int (s.Telemetry.settled - first.Telemetry.settled) /. span_s);
-            let best = ref 0. in
-            ignore
-              (List.fold_left
-                 (fun prev x ->
-                   (match prev with
-                   | Some (p : Telemetry.sample) when x.Telemetry.ts_ns > p.Telemetry.ts_ns
-                     ->
-                       let rate =
-                         float_of_int (x.Telemetry.settled - p.Telemetry.settled)
-                         /. (float_of_int (x.Telemetry.ts_ns - p.Telemetry.ts_ns) /. 1e9)
-                       in
-                       if rate > !best then best := rate
-                   | _ -> ());
-                   Some x)
-                 None t.Telemetry.samples);
-            line "  throughput (peak)      %.1f pairs/s" !best
-          end);
+  if telemetry then begin
+    line "";
+    line "telemetry: %d sample(s)" (List.length r.samples);
+    match (r.samples, List.rev r.samples) with
+    | [], _ | _, [] -> ()
+    | first :: _, last :: _ ->
+        let s = last in
+        line "  span                   %.3f s"
+          (float_of_int (s.Telemetry.ts_ns - first.Telemetry.ts_ns) /. 1e9);
+        line "  pulled/settled/quar    %d / %d / %d" s.Telemetry.pulled s.Telemetry.settled
+          s.Telemetry.quarantined;
+        line "  retries/stalls         %d / %d" s.Telemetry.retries s.Telemetry.stalls;
+        line "  backoffs/deferrals     %d / %d" s.Telemetry.backoffs s.Telemetry.deferrals;
+        let peak f = List.fold_left (fun acc x -> max acc (f x)) 0 r.samples in
+        line "  peak rss (parent)      %d KiB" (peak (fun x -> x.Telemetry.rss_kb));
+        line "  peak rss (child max)   %d KiB" (peak (fun x -> x.Telemetry.child_rss_kb));
+        line "  peak in-flight         %d of window %d"
+          (peak (fun x -> x.Telemetry.in_flight))
+          (peak (fun x -> x.Telemetry.window));
+        (* Throughput curve: overall rate plus the steepest inter-sample
+           segment — enough to see a run that front-loaded or stalled. *)
+        let span_s = float_of_int (s.Telemetry.ts_ns - first.Telemetry.ts_ns) /. 1e9 in
+        if span_s > 0. && s.Telemetry.settled > first.Telemetry.settled then begin
+          line "  throughput (overall)   %.1f pairs/s"
+            (float_of_int (s.Telemetry.settled - first.Telemetry.settled) /. span_s);
+          let best = ref 0. in
+          ignore
+            (List.fold_left
+               (fun prev x ->
+                 (match prev with
+                 | Some (p : Telemetry.sample) when x.Telemetry.ts_ns > p.Telemetry.ts_ns
+                   ->
+                     let rate =
+                       float_of_int (x.Telemetry.settled - p.Telemetry.settled)
+                       /. (float_of_int (x.Telemetry.ts_ns - p.Telemetry.ts_ns) /. 1e9)
+                     in
+                     if rate > !best then best := rate
+                 | _ -> ());
+                 Some x)
+               None r.samples);
+          line "  throughput (peak)      %.1f pairs/s" !best
+        end
+  end;
   Buffer.contents b

@@ -1,22 +1,19 @@
 (* One journaled, resumable verification run.
 
-   A run's durable state is one journal file, with its telemetry beside
-   it when asked for:
+   A run's durable state is one journal file, PATH, fsynced per append:
+   one OPR3 record per settled pair, one OQR1 record per pair set aside
+   after its retry budget and, when asked for, one OTL1 run-health
+   sample per telemetry interval.
 
-     PATH              one OPR3 record per settled pair and one OQR1 record
-                       per pair set aside after its retry budget, fsynced
-                       per append
-     PATH.telemetry    run-health samples (OTL1), when asked for
-
-   This module owns that layout and every rule about it: a directory, or a
-   PATH.quarantine left by the removed two-file layout, is refused; a
-   fresh run refuses to overwrite either file (both are checked before
-   either is created, so a refusal leaves nothing behind); a resumed run
-   appends to them, reuses a journaled verdict only under the same content
-   key, and skips labels already quarantined; and wherever a label has
-   several records of one kind, the last one wins.  verify-all, scan,
-   verify, explain, journal, report and the chaos harness all go through
-   it. *)
+   This module owns that layout and every rule about it: a directory, or
+   a PATH.quarantine or PATH.telemetry left by a removed layout, is
+   refused; a fresh run refuses to overwrite PATH (the check comes before
+   PATH is created, so a refusal leaves nothing behind); a resumed run
+   appends to it, reuses a journaled verdict only under the same content
+   key, skips labels already quarantined, and continues the telemetry
+   series from its last sample; and wherever a label has several records
+   of one kind, the last one wins.  verify-all, scan, verify, explain,
+   journal, report and the chaos harness all go through it. *)
 
 module Journal = Octo_util.Journal
 module Telemetry = Octo_util.Telemetry
@@ -24,50 +21,65 @@ module Faultinject = Octo_util.Faultinject
 
 (* -- layout ------------------------------------------------------------ *)
 
-let telemetry_path journal = journal ^ ".telemetry"
-
 (* The seed of a run's journal-write fault injector, from its chaos seed. *)
 let journal_seed seed = seed lxor 0x6A09E667
 
-(* A directory, or a quarantine file beside the journal, is a removed
-   layout: it is refused, never read or written, so no record of it is
-   silently ignored.  Both quarantine files and journals start with the
-   same 10-byte header, hence the merge command. *)
+(* The side files of removed layouts, with the records they held. *)
+let removed_side_files =
+  [ (".quarantine", "quarantine records"); (".telemetry", "telemetry samples") ]
+
+(* A directory, or a side file beside the journal, is a removed layout:
+   it is refused, never read or written, so no record of it is silently
+   ignored.  Side files and journals start with the same 10-byte header,
+   hence the merge command. *)
 let check_layout path =
-  let legacy = path ^ ".quarantine" in
   if Sys.file_exists path && Sys.is_directory path then
     Error
       (Printf.sprintf
          "journal %s is a directory: sharded journal directories (--shards) were removed; \
           a run's journal is one file"
          path)
-  else if Sys.file_exists legacy then
-    Error
-      (Printf.sprintf
-         "%s is a removed layout: quarantine records now live in the journal %s itself; \
-          merge them with `tail -c +11 %s >> %s` (or rename it to %s when %s does not \
-          exist), then remove it"
-         legacy path legacy path path path)
-  else Ok ()
+  else
+    match List.find_opt (fun (ext, _) -> Sys.file_exists (path ^ ext)) removed_side_files with
+    | Some (ext, records) ->
+        let side = path ^ ext in
+        Error
+          (Printf.sprintf
+             "%s is a removed layout: %s now live in the journal %s itself; merge them \
+              with `tail -c +11 %s >> %s` (or rename it to %s when %s does not exist), \
+              then remove it"
+             side records path side path path path)
+    | None -> Ok ()
 
-(* -- last record per label --------------------------------------------- *)
+(* -- reading records --------------------------------------------------- *)
 
-(* Verdict and quarantine records by label (the last of each kind wins),
-   plus the count of intact frames neither codec decodes. *)
+type tables = {
+  tverdicts : (string, string * Octopocs.report) Hashtbl.t;  (** last per label *)
+  tquarantined : (string, Octopocs.quarantine) Hashtbl.t;  (** last per label *)
+  tsamples : Telemetry.sample list;  (** in append order *)
+  tundecodable : int;  (** intact frames no codec decodes *)
+}
+
+(* One pass over a journal's records: verdict and quarantine records by
+   label (the last of each kind wins), telemetry samples in append
+   order, and the count of intact frames none of the three codecs
+   decodes. *)
 let tables records =
-  let verdicts : (string, string * Octopocs.report) Hashtbl.t = Hashtbl.create 31 in
-  let quarantined : (string, Octopocs.quarantine) Hashtbl.t = Hashtbl.create 7 in
-  let undecodable = ref 0 in
+  let tverdicts = Hashtbl.create 31 and tquarantined = Hashtbl.create 7 in
+  let samples = ref [] and tundecodable = ref 0 in
   List.iter
     (fun payload ->
       match Octopocs.decode_result payload with
-      | Some (label, key, r) -> Hashtbl.replace verdicts label (key, r)
+      | Some (label, key, r) -> Hashtbl.replace tverdicts label (key, r)
       | None -> (
           match Octopocs.decode_quarantine payload with
-          | Some q -> Hashtbl.replace quarantined q.qlabel q
-          | None -> incr undecodable))
+          | Some q -> Hashtbl.replace tquarantined q.qlabel q
+          | None -> (
+              match Telemetry.decode_sample payload with
+              | Some s -> samples := s :: !samples
+              | None -> incr tundecodable)))
     records;
-  (verdicts, quarantined, !undecodable)
+  { tverdicts; tquarantined; tsamples = List.rev !samples; tundecodable = !tundecodable }
 
 (* -- loading ----------------------------------------------------------- *)
 
@@ -75,32 +87,32 @@ type t = {
   verdicts : (string * string * Octopocs.report) list;
       (** [(label, key, report)], last record per label, in
           [Octopocs.sort_dump] order *)
-  undecodable : int;  (** intact frames neither codec decodes *)
+  undecodable : int;  (** intact frames no codec decodes *)
   torn : bool;  (** the journal's torn or corrupt tail was dropped *)
   quarantine : Octopocs.quarantine list;  (** last record per label, by label *)
-  telemetry : Telemetry.replay option;  (** when [load] was given a file *)
+  samples : Telemetry.sample list;  (** telemetry samples, in append order *)
 }
 
-(* [load ~journal ?telemetry ()] reads the journal and [telemetry] when
-   given (a missing telemetry file reads as no samples).  [Error] names a
-   missing journal or a removed layout. *)
-let load ~journal ?telemetry () =
+(* [load journal] reads the journal.  [Error] names a missing journal or
+   a removed layout. *)
+let load journal =
   match check_layout journal with
   | Error _ as e -> e
   | Ok () when not (Sys.file_exists journal) ->
       Error (Printf.sprintf "no such journal: %s" journal)
   | Ok () ->
       let r = Journal.replay journal in
-      let vt, qt, undecodable = tables r.Journal.records in
+      let t = tables r.Journal.records in
       Ok
         {
-          verdicts = Octopocs.sort_dump (Hashtbl.fold (fun l (k, v) acc -> (l, k, v) :: acc) vt []);
-          undecodable;
+          verdicts =
+            Octopocs.sort_dump (Hashtbl.fold (fun l (k, v) acc -> (l, k, v) :: acc) t.tverdicts []);
+          undecodable = t.tundecodable;
           torn = r.Journal.torn;
           quarantine =
-            Hashtbl.fold (fun _ q acc -> q :: acc) qt []
+            Hashtbl.fold (fun _ q acc -> q :: acc) t.tquarantined []
             |> List.sort (fun (a : Octopocs.quarantine) b -> compare a.qlabel b.qlabel);
-          telemetry = Option.map Telemetry.replay telemetry;
+          samples = t.tsamples;
         }
 
 (* -- running ----------------------------------------------------------- *)
@@ -114,12 +126,10 @@ type entry = {
   job : Octopocs.job;
 }
 
-(* [probe] lends its digests to the key (see [Octopocs.content_key]): a
-   caller entering one S against many Ts digests S and the PoC once. *)
-let entry ~config ?ell ?expected ?probe ~label ~s ~t ~poc () =
+let entry ~config ?ell ?expected ~label ~s ~t ~poc () =
   {
     label;
-    key = Octopocs.content_key ~config ?ell ?probe ~s ~t ~poc ();
+    key = Octopocs.content_key ~config ?ell ~s ~t ~poc ();
     expected;
     job = Octopocs.job ~config ?ell ~label ~s ~t ~poc ();
   }
@@ -135,73 +145,62 @@ type row =
    "PATH: reason". *)
 exception Cannot_write of string
 
-(* [open_files ~inject ~resume ~journal ~telemetry] opens the run's
-   journal writer (replaying it on resume, with its prior verdict and
-   quarantine tables) and starts its telemetry.  A path that cannot be
-   opened raises [Cannot_write] once the files created by then are
-   removed, so a corrected re-run is not refused as a clobber. *)
-let open_files ~inject ~resume ~journal ~telemetry =
-  let created =
-    List.filter (fun p -> not (Sys.file_exists p)) (List.filter_map Fun.id [ journal; telemetry ])
-  in
-  let opened () =
-    let writer, prior =
-      match journal with
-      | None -> (None, tables [])
-      | Some path when resume ->
-          let w, records = Journal.open_resume ~inject ~path () in
-          (Some w, tables records)
-      | Some path -> (Some (Journal.create ~inject ~path ()), tables [])
-    in
-    (try Option.iter (fun path -> Telemetry.enable ~path ()) telemetry
-     with e ->
-       Option.iter Journal.close writer;
-       raise e);
-    (writer, prior)
-  in
+(* [open_journal ~inject ~resume path] opens the run's journal writer,
+   replaying the journal on resume, with the tables of its records.  A
+   path that cannot be opened raises [Cannot_write] once the journal, if
+   this call created it, is removed, so a corrected re-run is not refused
+   as a clobber. *)
+let open_journal ~inject ~resume path =
+  let created = not (Sys.file_exists path) in
   let cannot_write msg =
-    List.iter (fun p -> if Sys.file_exists p then Sys.remove p) created;
+    if created && Sys.file_exists path then Sys.remove path;
     raise (Cannot_write msg)
   in
-  match opened () with
-  | opened -> opened
-  | exception Unix.Unix_error (e, _, path) ->
-      cannot_write (Printf.sprintf "%s: %s" path (Unix.error_message e))
+  match
+    if resume then Journal.open_resume ~inject ~path ()
+    else (Journal.create ~inject ~path (), [])
+  with
+  | w, records -> (w, tables records)
+  | exception Unix.Unix_error (e, _, p) ->
+      cannot_write (Printf.sprintf "%s: %s" p (Unix.error_message e))
   | exception Sys_error msg -> cannot_write msg
 
 (* [run ... next] verifies the entries [next] hands out through
    [Octopocs.run_stream] and reports every pair to [on_row], from the
    calling domain.  Settled and quarantined pairs are appended to
-   [journal] (without it they are reported but not recorded); [telemetry]
-   samples run health into that file.  [inject] arms the journal's
-   journal-write site.  Without [resume] an existing file at either path
-   is an [Error] and nothing is created, and a path that cannot be
-   opened raises [Cannot_write] ({!open_files}); with [resume] the files
-   are reopened for appending, a torn tail truncated, and entries
+   [journal] (without it they are reported but not recorded), and with
+   [telemetry] so are run-health samples (none without [journal]); their
+   appends draw no journal-write fault, so a seeded tear lands on the
+   same verdict or quarantine record with or without them.  [inject]
+   arms the journal's journal-write site.  Without [resume] an existing
+   journal is an [Error] and nothing is created, and a path that cannot
+   be opened raises [Cannot_write] ({!open_journal}); with [resume] the
+   journal is reopened for appending, a torn tail truncated, entries
    already quarantined, or settled under the same key, are reported
-   ([prior], [cached]) instead of run.  With [fail_fast] nothing is handed out once a Failure
-   has settled; entries never handed out get no row and no record. *)
-let run ?journal ?telemetry ?(resume = false) ?(inject = Faultinject.none) ?jobs ?retries
-    ?window ?isolate ?limits ?mem_watermark_mb ?pre_run ?(fail_fast = false)
+   ([prior], [cached]) instead of run, and the samples continue from the
+   last one journaled.  With [fail_fast] nothing is handed out once a
+   Failure has settled; entries never handed out get no row and no
+   record. *)
+let run ?journal ?(telemetry = false) ?(resume = false) ?(inject = Faultinject.none) ?jobs
+    ?retries ?window ?isolate ?limits ?mem_watermark_mb ?pre_run ?(fail_fast = false)
     ?(on_row = fun _ _ -> ()) next =
-  let files =
-    List.filter_map
-      (fun (what, p) -> Option.map (fun p -> (what, p)) p)
-      [ ("journal", journal); ("telemetry journal", telemetry) ]
-  in
-  let clobbered = if resume then None else List.find_opt (fun (_, p) -> Sys.file_exists p) files in
   let opened =
-    match (Option.fold ~none:(Ok ()) ~some:check_layout journal, clobbered) with
-    | (Error _ as e), _ -> e
-    | Ok (), Some (what, p) ->
-        Error
-          (Printf.sprintf "%s %s already exists; pass --resume to continue it or remove it first"
-             what p)
-    | Ok (), None -> Ok (open_files ~inject ~resume ~journal ~telemetry)
+    match journal with
+    | None -> Ok (None, tables [])
+    | Some path -> (
+        match check_layout path with
+        | Error _ as e -> e
+        | Ok () when (not resume) && Sys.file_exists path ->
+            Error
+              (Printf.sprintf
+                 "journal %s already exists; pass --resume to continue it or remove it first" path)
+        | Ok () ->
+            let w, prior = open_journal ~inject ~resume path in
+            Ok (Some w, prior))
   in
   match opened with
   | Error _ as e -> e
-  | Ok (writer, (settled_prior, quarantined_prior, _)) ->
+  | Ok (writer, prior) ->
       (* The in-flight table carries each entry from pull to settle and
          never exceeds the window. *)
       let lock = Mutex.create () in
@@ -237,12 +236,12 @@ let run ?journal ?telemetry ?(resume = false) ?(inject = Faultinject.none) ?jobs
           match next () with
           | None -> None
           | Some e -> (
-              match Hashtbl.find_opt quarantined_prior e.label with
+              match Hashtbl.find_opt prior.tquarantined e.label with
               | Some q ->
                   on_row e (Quarantined { q; prior = true });
                   next_job ()
               | None -> (
-                  match Hashtbl.find_opt settled_prior e.label with
+                  match Hashtbl.find_opt prior.tverdicts e.label with
                   | Some (k, r) when k = e.key ->
                       on_row e (Settled { r; cached = true });
                       next_job ()
@@ -250,9 +249,15 @@ let run ?journal ?telemetry ?(resume = false) ?(inject = Faultinject.none) ?jobs
                       Mutex.protect lock (fun () -> Hashtbl.add inflight e.label e);
                       Some e.job))
       in
+      let sampling = telemetry && writer <> None in
+      (match writer with
+      | Some w when sampling ->
+          let from = List.fold_left (fun _ s -> Some s) None prior.tsamples in
+          Telemetry.enable ?from (Journal.append ~armed:false w)
+      | _ -> ());
       Fun.protect
         ~finally:(fun () ->
-          if telemetry <> None then Telemetry.disable ();
+          if sampling then Telemetry.disable ();
           Option.iter Journal.close writer)
         (fun () ->
           Ok

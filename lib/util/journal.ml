@@ -26,9 +26,9 @@
     first bad frame can be trusted, because frame boundaries are gone.
 
     Writers are thread-safe (appends serialize on an internal mutex).  A
-    run keeps one journal file for its verdict and quarantine records; the
-    streaming driver appends to it from its calling domain as pairs settle
-    or are set aside.
+    run keeps one journal file for its verdict, quarantine and telemetry
+    records; the streaming driver appends to it from its calling domain as
+    pairs settle or are set aside, and as the sampler ticks.
 
     Fault injection: the {!Faultinject.Journal_write} site models a crash
     mid-append — when it fires, only a prefix of the frame is written, the
@@ -137,12 +137,15 @@ let open_resume ?inject ?fsync ~path () =
   Unix.fsync fd;
   (mk_writer ?inject ?fsync fd, r.records)
 
-(** [append w payload] durably appends one record: a single [write] of the
-    whole frame, then fsync.  Thread-safe.  Raises [Invalid_argument] on a
-    closed writer; raises {!Faultinject.Injected} when the [journal-write]
-    torn-write site fires (leaving a half-written frame and a poisoned
-    writer behind, like a crash would). *)
-let append w payload =
+(** [append ?armed w payload] durably appends one record: a single [write]
+    of the whole frame, then fsync.  Thread-safe.  Raises
+    [Invalid_argument] on a closed writer; raises {!Faultinject.Injected}
+    when the [journal-write] torn-write site fires (leaving a half-written
+    frame and a poisoned writer behind, like a crash would).  An append
+    with [~armed:false] draws nothing from that site, so records whose
+    number depends on timing (telemetry samples) leave a seeded fault
+    schedule alone. *)
+let append ?(armed = true) w payload =
   Mutex.lock w.wlock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock w.wlock)
@@ -150,7 +153,7 @@ let append w payload =
       if w.wclosed then invalid_arg "Journal.append: writer is closed";
       if not w.poisoned then begin
         let b = Bytes.unsafe_of_string (Wire.frame payload) in
-        if Faultinject.fire w.winject Faultinject.Journal_write then begin
+        if armed && Faultinject.fire w.winject Faultinject.Journal_write then begin
           let cut = max 1 (Bytes.length b / 2) in
           write_all w.fd (Bytes.sub b 0 cut);
           w.poisoned <- true;

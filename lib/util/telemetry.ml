@@ -5,22 +5,22 @@
    wakeup); at most once per [interval_ns] a sample is taken — the
    driver's throughput and pool-health counters, parent/child memory,
    GC words, and (when [Metrics] collection is on) the per-phase latency
-   histograms — encoded as a versioned [OTL1] frame and appended to a
-   [telemetry.jrnl] write-ahead journal beside the verdict journal.
+   histograms — encoded as a versioned [OTL1] frame and handed to the
+   sink [enable] was given.  [Runlog] gives it the run's journal writer,
+   so samples are records of the run's one journal file.
 
    Costs mirror [Metrics] and [Trace]: disabled, every entry point is a
    single [Atomic.get]; enabled, a non-due [tick] is two atomic loads
-   and an int64 compare.  Samples are serialized under one mutex (the
-   journal writer has its own, but the sample itself must be a
-   consistent cut).
+   and an int64 compare.  Samples are serialized under one mutex: the
+   sample must be a consistent cut, and frames reach the sink in
+   timestamp order.
 
-   Frames are crc-framed by the journal (torn tails replay to a valid
-   prefix), the payload is laid out by [Wire] and decodes totally,
-   and timestamps are monotonic nanoseconds relative to [enable], so
-   two dumps of the same run are structurally comparable.  [enable]
-   appends to an existing journal (a resumed run): its samples continue
-   the last recorded timestamp and cumulative counts, so a journal is
-   one series however many runs wrote it. *)
+   The payload is laid out by [Wire] and decodes totally, and
+   timestamps are monotonic nanoseconds relative to [enable], so two
+   dumps of the same run are structurally comparable.  [enable ~from]
+   continues a resumed run's series: its samples carry on from the last
+   recorded timestamp and cumulative counts, so a journal holds one
+   series however many runs wrote it. *)
 
 (* Resident set of this process in KiB, from /proc/self/statm (field 2
    is resident pages).  0 where /proc is absent.  The page size comes
@@ -56,7 +56,7 @@ type progress = {
 }
 
 type sample = {
-  ts_ns : int;  (** monotonic ns since the journal's first [enable] *)
+  ts_ns : int;  (** monotonic ns since the series began (its first [enable]) *)
   pulled : int;
   settled : int;
   quarantined : int;
@@ -134,12 +134,12 @@ let default_interval_ns = 100_000_000 (* 100 ms *)
 
 let on = Atomic.make false
 let lock = Mutex.create ()
-let writer : Journal.writer option ref = ref None
+let sink : (string -> unit) ref = ref ignore
 let base_ns = ref 0L
 let interval = ref default_interval_ns
 
-(* The last sample already in the journal [enable] reopened: new samples
-   continue its clock and its cumulative counts. *)
+(* The sample a resumed series continues: new samples carry on from its
+   clock and its cumulative counts. *)
 let carried : sample option ref = ref None
 
 (* Next tick-due instant, relative ns.  An [Atomic] so the hot non-due
@@ -150,26 +150,11 @@ let is_on () = Atomic.get on
 
 let now_rel_ns () = Int64.to_int (Int64.sub (Deadline.monotonic_ns ()) !base_ns)
 
-let enable ?(interval_ns = default_interval_ns) ~path () =
-  Mutex.lock lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock lock)
-    (fun () ->
-      (match !writer with Some w -> Journal.close w | None -> ());
-      (* fsync would put a disk barrier on the verify hot path for data
-         that is advisory by nature; a torn telemetry tail just replays
-         to a shorter valid prefix. *)
-      let w, records = Journal.open_resume ~fsync:false ~path () in
-      writer := Some w;
-      carried :=
-        List.fold_left
-          (fun acc payload ->
-            match (decode_sample payload, acc) with
-            | Some s, Some c when s.ts_ns < c.ts_ns -> acc
-            | Some s, _ -> Some s
-            | None, _ -> acc)
-          None records;
-      let carried_ns = match !carried with Some c -> c.ts_ns | None -> 0 in
+let enable ?(interval_ns = default_interval_ns) ?from f =
+  Mutex.protect lock (fun () ->
+      sink := f;
+      carried := from;
+      let carried_ns = match from with Some c -> c.ts_ns | None -> 0 in
       base_ns := Int64.sub (Deadline.monotonic_ns ()) (Int64.of_int carried_ns);
       interval := max 1 interval_ns;
       Atomic.set next_due 0;
@@ -177,12 +162,7 @@ let enable ?(interval_ns = default_interval_ns) ~path () =
 
 let disable () =
   Atomic.set on false;
-  Mutex.lock lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock lock)
-    (fun () ->
-      (match !writer with Some w -> Journal.close w | None -> ());
-      writer := None)
+  Mutex.protect lock (fun () -> sink := ignore)
 
 let take_sample (p : progress) =
   let gc = Gc.quick_stat () in
@@ -211,17 +191,13 @@ let take_sample (p : progress) =
   }
 
 (* Unconditional sample (when enabled): the driver calls this once at
-   stream end so even a sub-interval run leaves a final cut. *)
+   stream end so even a sub-interval run leaves a final cut.  [on] is
+   read again under the lock, so no frame reaches a sink [disable] has
+   dropped. *)
 let sample_now (p : progress) =
-  if Atomic.get on then begin
-    Mutex.lock lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock lock)
-      (fun () ->
-        match !writer with
-        | None -> ()
-        | Some w -> Journal.append w (encode_sample (take_sample p)))
-  end
+  if Atomic.get on then
+    Mutex.protect lock (fun () ->
+        if Atomic.get on then !sink (encode_sample (take_sample p)))
 
 (* Rate-limited sample.  The CAS elects exactly one caller per due
    window; losers (concurrent ticks racing the same deadline) skip. *)
@@ -232,26 +208,3 @@ let tick (f : unit -> progress) =
     if now >= due && Atomic.compare_and_set next_due due (now + !interval) then
       sample_now (f ())
   end
-
-(* -- replay ------------------------------------------------------------ *)
-
-type replay = {
-  samples : sample list;  (** every decodable sample, in append order *)
-  undecodable : int;  (** intact frames [decode_sample] rejected *)
-  torn : bool;  (** the file ended in a truncated/corrupt frame *)
-}
-
-let replay path =
-  let r = Journal.replay path in
-  let undecodable = ref 0 in
-  let samples =
-    List.filter_map
-      (fun rec_ ->
-        match decode_sample rec_ with
-        | Some s -> Some s
-        | None ->
-            incr undecodable;
-            None)
-      r.Journal.records
-  in
-  { samples; undecodable = !undecodable; torn = r.Journal.torn }

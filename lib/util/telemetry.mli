@@ -3,9 +3,10 @@
     The streaming driver calls {!tick} at its natural cadence points,
     passing its own counts; at most once per interval a sample —
     throughput, pool health, memory, GC words, and (when {!Metrics} is
-    collecting) per-phase latency histograms — is encoded as a versioned [OTL1] frame and appended to
-    a write-ahead journal beside the verdict journal.  Disabled, every
-    entry point costs one [Atomic.get]. *)
+    collecting) per-phase latency histograms — is encoded as a versioned
+    [OTL1] frame and handed to the sink {!enable} was given (the run's
+    journal writer, in [Runlog]).  Disabled, every entry point costs one
+    [Atomic.get]. *)
 
 (** What the streaming driver knows at the moment of a tick. *)
 type progress = {
@@ -21,7 +22,7 @@ type progress = {
 }
 
 type sample = {
-  ts_ns : int;  (** monotonic ns since the journal's first [enable] *)
+  ts_ns : int;  (** monotonic ns since the series began (its first [enable]) *)
   pulled : int;
   settled : int;
   quarantined : int;
@@ -43,22 +44,23 @@ type sample = {
 val default_interval_ns : int
 (** Sampling interval when [enable] is not given one (100 ms). *)
 
-val enable : ?interval_ns:int -> path:string -> unit -> unit
-(** Start sampling into the journal at [path], creating it if missing
-    and otherwise appending after its last valid frame
-    ({!Journal.open_resume}).  Samples continue from the last recorded
-    one: [ts_ns] never decreases across the file, and the cumulative
-    counts ([pulled], [settled], [quarantined], [retries], [stalls],
-    [backoffs], [deferrals]) add to it. *)
+val enable : ?interval_ns:int -> ?from:sample -> (string -> unit) -> unit
+(** [enable ?interval_ns ?from sink] starts sampling: each encoded [OTL1]
+    frame is passed to [sink], under the sampler's lock, so frames reach
+    it one at a time and in [ts_ns] order.  With [from] (the last sample
+    a resumed run's journal holds) the series continues it: [ts_ns]
+    starts at its timestamp, and the cumulative counts ([pulled],
+    [settled], [quarantined], [retries], [stalls], [backoffs],
+    [deferrals]) add to its. *)
 
 val disable : unit -> unit
-(** Stop sampling and close the journal.  Idempotent. *)
+(** Stop sampling and drop the sink.  Idempotent. *)
 
 val is_on : unit -> bool
 
 val tick : (unit -> progress) -> unit
 (** Rate-limited sample point.  When enabled and an interval has
-    elapsed since the last sample, calls the thunk and appends one
+    elapsed since the last sample, calls the thunk and emits one
     frame; otherwise (or when disabled) does nothing.  The thunk is
     only evaluated when a sample is actually taken. *)
 
@@ -75,15 +77,6 @@ val encode_sample : sample -> string
 
 val decode_sample : string -> sample option
 (** Total: [None] on any malformed payload, never raises. *)
-
-type replay = {
-  samples : sample list;  (** every decodable sample, in append order *)
-  undecodable : int;  (** intact frames {!decode_sample} rejected *)
-  torn : bool;  (** the file ended in a truncated/corrupt frame *)
-}
-
-val replay : string -> replay
-(** Decode a telemetry journal; a missing file replays empty. *)
 
 (** {1 Process memory} *)
 

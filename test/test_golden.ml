@@ -178,7 +178,7 @@ let render_report () =
        });
   Journal.close w;
   let rendered =
-    match Octo_report.Runlog.load ~journal:path () with
+    match Octo_report.Runlog.load path with
     | Ok run -> Octo_report.Report.render run
     | Error msg -> Alcotest.failf "report failed: %s" msg
   in

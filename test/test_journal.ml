@@ -415,16 +415,18 @@ let source ?(config = Octopocs.default_config) cases =
 let run_ok r = match r with Ok st -> st | Error msg -> Alcotest.fail msg
 
 let loaded path =
-  match Runlog.load ~journal:path () with Ok r -> r | Error msg -> Alcotest.fail msg
+  match Runlog.load path with Ok r -> r | Error msg -> Alcotest.fail msg
 
-(* The quarantine file of the removed two-file layout. *)
+(* The side files of removed layouts: quarantine records and telemetry
+   samples once went beside the journal. *)
 let legacy_quarantine path = path ^ ".quarantine"
+let legacy_telemetry path = path ^ ".telemetry"
 
-(* Remove a run's journal files (and a planted legacy quarantine file). *)
+(* Remove a run's journal (and planted side files). *)
 let remove_run path =
   List.iter
     (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ path; Runlog.telemetry_path path; legacy_quarantine path ]
+    [ path; legacy_telemetry path; legacy_quarantine path ]
 
 let with_run f = with_tmp (fun path -> Fun.protect ~finally:(fun () -> remove_run path) (fun () -> f path))
 
@@ -471,22 +473,21 @@ let resume_merge_equivalence () =
       check Alcotest.bool "tear repaired" false (loaded path).torn;
       check Alcotest.bool "resumed == uninterrupted" true (reference = table ()))
 
-(* A fresh run refuses each of its two files, and a refusal creates
-   neither. *)
+(* A fresh run refuses an existing journal, and a leftover telemetry file
+   of the removed layout, and a refusal creates neither. *)
 let runlog_refuses_clobber () =
   with_run (fun path ->
       let c1 = List.filteri (fun i _ -> i = 0) Registry.all in
-      let files = [ path; Runlog.telemetry_path path ] in
+      let files = [ path; legacy_telemetry path ] in
       List.iter
         (fun existing ->
           append_raw existing "keep";
-          (match
-             Runlog.run ~journal:path ~telemetry:(Runlog.telemetry_path path) (source c1)
-           with
+          (match Runlog.run ~journal:path ~telemetry:true (source c1) with
           | Ok _ -> Alcotest.failf "ran over an existing %s" existing
           | Error msg ->
               check Alcotest.bool "names the file" true
-                (str_contains msg (existing ^ " already exists")));
+                (str_contains msg (existing ^ " already exists")
+                || str_contains msg (existing ^ " is a removed layout")));
           List.iter
             (fun p ->
               if p <> existing then
@@ -546,7 +547,7 @@ let runlog_refuses_directory () =
                 check Alcotest.bool (what ^ " names the removed layout") true
                   (str_contains msg "is a directory" && str_contains msg "sharded")
           in
-          refused "load" (Runlog.load ~journal:path ());
+          refused "load" (Runlog.load path);
           refused "run" (Runlog.run ~journal:path ~resume:true (source []))))
 
 (* ------------------------------------------------------------------ *)
@@ -570,8 +571,9 @@ let poisoned_source ~poison k =
 (* A quarantine record without its backtrace (which carries addresses). *)
 let quar_fields (q : Octopocs.quarantine) = (q.qlabel, q.qkey, q.qreason, q.qmessage, q.qattempts)
 
-(* A poisoned run writes PATH and its telemetry and nothing else; [load]
-   returns the quarantine from PATH, and a resume skips it. *)
+(* A poisoned run with telemetry writes PATH and nothing else; [load]
+   returns the quarantine and the samples from PATH, and a resume skips
+   the quarantined pair. *)
 let runlog_one_file_run () =
   let dir = Filename.temp_file "octorun" ".d" in
   Sys.remove dir;
@@ -582,21 +584,22 @@ let runlog_one_file_run () =
       Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
       Unix.rmdir dir)
     (fun () ->
-      let telemetry = Runlog.telemetry_path path in
-      let st = run_ok (Runlog.run ~journal:path ~telemetry (poisoned_source ~poison:[ "2" ] 3)) in
+      let st =
+        run_ok (Runlog.run ~journal:path ~telemetry:true (poisoned_source ~poison:[ "2" ] 3))
+      in
       check Alcotest.int "one quarantined" 1 st.Octopocs.st_quarantined;
-      check Alcotest.(list string) "only the journal and its telemetry"
-        [ "run.jrnl"; "run.jrnl.telemetry" ]
-        (List.sort compare (Array.to_list (Sys.readdir dir)));
+      check Alcotest.(list string) "only the journal" [ "run.jrnl" ]
+        (Array.to_list (Sys.readdir dir));
       let r = loaded path in
       check Alcotest.int "verdicts" 2 (List.length r.verdicts);
       check Alcotest.(list string) "quarantine loaded from the journal" [ "2" ]
         (List.map (fun (q : Octopocs.quarantine) -> q.qlabel) r.quarantine);
       check Alcotest.int "nothing undecodable" 0 r.undecodable;
+      check Alcotest.bool "samples in the journal" true (r.samples <> []);
       let prior, on_row = prior_labels () in
       let st =
         run_ok
-          (Runlog.run ~journal:path ~telemetry ~resume:true ~on_row
+          (Runlog.run ~journal:path ~telemetry:true ~resume:true ~on_row
              (poisoned_source ~poison:[ "2" ] 3))
       in
       check Alcotest.(list string) "resume skips it" [ "2" ] !prior;
@@ -649,13 +652,35 @@ let runlog_undecodable_frame_skipped () =
       check Alcotest.int "kept on resume" 1 r.undecodable;
       check Alcotest.int "pair 2 journaled after it" 1 (List.length r.verdicts))
 
+(* A resumed run with telemetry continues the journal's series: its
+   samples follow the first run's in the file, [ts_ns] never decreases
+   across the two, and the cumulative counts carry on. *)
+let runlog_resume_continues_samples () =
+  with_run (fun path ->
+      let cases = List.filteri (fun i _ -> i < 3) Registry.all in
+      let c1 = List.filteri (fun i _ -> i = 0) cases in
+      ignore (run_ok (Runlog.run ~journal:path ~telemetry:true (source c1)));
+      let first = (loaded path).samples in
+      check Alcotest.bool "first run sampled" true (first <> []);
+      let last_first = List.nth first (List.length first - 1) in
+      check Alcotest.int "first run settled one" 1 last_first.settled;
+      ignore (run_ok (Runlog.run ~journal:path ~telemetry:true ~resume:true (source cases)));
+      let series = (loaded path).samples in
+      check Alcotest.bool "first run's samples kept, resumed ones appended" true
+        (List.length series > List.length first
+        && List.filteri (fun i _ -> i < List.length first) series = first);
+      let ts = List.map (fun (s : Octo_util.Telemetry.sample) -> s.ts_ns) series in
+      check Alcotest.bool "ts_ns never decreases" true (List.sort compare ts = ts);
+      let last = List.nth series (List.length series - 1) in
+      check Alcotest.int "pulled continues" 3 last.pulled;
+      check Alcotest.int "settled continues" 3 last.settled)
+
 (* A PATH.quarantine of the removed two-file layout is refused by a
    load, a fresh run and a resume, with or without PATH, and nothing is
    created or changed. *)
 let runlog_refuses_legacy_quarantine () =
   with_run (fun path ->
       let c1 = List.filteri (fun i _ -> i = 0) Registry.all in
-      let telemetry = Runlog.telemetry_path path in
       let w = Journal.create ~path:(legacy_quarantine path) () in
       Journal.append w (Octopocs.encode_quarantine (quar "1"));
       Journal.close w;
@@ -666,13 +691,13 @@ let runlog_refuses_legacy_quarantine () =
               (str_contains msg (legacy_quarantine path ^ " is a removed layout")
               && str_contains msg "tail -c +11")
       in
-      refused "load" (Runlog.load ~journal:path ());
-      refused "fresh run" (Runlog.run ~journal:path ~telemetry (source c1));
-      refused "resume" (Runlog.run ~journal:path ~telemetry ~resume:true (source c1));
+      refused "load" (Runlog.load path);
+      refused "fresh run" (Runlog.run ~journal:path ~telemetry:true (source c1));
+      refused "resume" (Runlog.run ~journal:path ~telemetry:true ~resume:true (source c1));
       check Alcotest.bool "no journal created" false (Sys.file_exists path);
-      check Alcotest.bool "no telemetry created" false (Sys.file_exists telemetry);
+      check Alcotest.bool "no telemetry file created" false (Sys.file_exists (legacy_telemetry path));
       append_raw path "keep";
-      refused "load beside a journal" (Runlog.load ~journal:path ());
+      refused "load beside a journal" (Runlog.load path);
       refused "resume beside a journal" (Runlog.run ~journal:path ~resume:true (source c1));
       let ic = open_in_bin path in
       check Alcotest.string "journal untouched" "keep"
@@ -748,6 +773,113 @@ let cli_quarantine_in_journal () =
           check Alcotest.bool "no journal created" false (Sys.file_exists path))
         [ []; [ "--resume" ] ])
 
+(* The dump and the report (without --telemetry) of a journal that
+   carries the run's samples equal those of the same run without them,
+   and the run leaves its one journal file. *)
+let cli_telemetry_changes_no_dump () =
+  let dir = Filename.temp_dir "octocli" "" in
+  let files () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> Sys.remove (Filename.concat dir f)) (files ());
+      Sys.rmdir dir)
+  @@ fun () ->
+  let plain = Filename.concat dir "plain.jrnl" and sampled = Filename.concat dir "sampled.jrnl" in
+  let run path extra =
+    let code, _, _ =
+      run_cli
+        ([ "verify-all"; "--corpus"; "gen:20:42"; "--jobs"; "2"; "--journal"; path; "--log-level";
+           "error" ]
+        @ extra)
+    in
+    code
+  in
+  check Alcotest.int "same exit" (run plain []) (run sampled [ "--telemetry" ]);
+  check Alcotest.(list string) "one file per run" [ "plain.jrnl"; "sampled.jrnl" ] (files ());
+  check Alcotest.bool "samples journaled" true ((loaded sampled).samples <> []);
+  check Alcotest.int "no samples without the flag" 0 (List.length (loaded plain).samples);
+  let out args = let _, o, _ = run_cli args in o in
+  check Alcotest.string "journal dumps identical" (out [ "journal"; plain ])
+    (out [ "journal"; sampled ]);
+  check Alcotest.string "reports identical" (out [ "report"; "--journal"; plain ])
+    (out [ "report"; "--journal"; sampled ]);
+  check Alcotest.bool "report --telemetry renders the samples" true
+    (str_contains (out [ "report"; "--journal"; sampled; "--telemetry" ]) "pulled/settled/quar")
+
+(* Sample appends draw no journal-write fault: a seeded torn-append
+   schedule tears at the same record with and without --telemetry. *)
+let cli_telemetry_keeps_tear_schedule () =
+  with_run (fun plain ->
+      with_run (fun sampled ->
+          let run path extra =
+            run_cli
+              ([ "verify-all"; "--corpus"; "gen:20:42"; "--chaos-site"; "journal-write=0.3";
+                 "--chaos-seed"; "7"; "--journal"; path; "--log-level"; "error" ]
+              @ extra)
+          in
+          let code, _, _ = run plain [] in
+          let code', _, _ = run sampled [ "--telemetry" ] in
+          check Alcotest.int "same exit" code code';
+          let p = loaded plain and s = loaded sampled in
+          check Alcotest.bool "torn" true (p.torn && s.torn);
+          check Alcotest.bool "samples before the tear" true (s.samples <> []);
+          let dump path = let _, o, _ = run_cli [ "journal"; path ] in o in
+          check Alcotest.string "same records survive" (dump plain) (dump sampled)))
+
+(* A leftover PATH.telemetry of the removed layout is refused by journal,
+   report, a fresh run and a resume, naming the merge command, and
+   nothing is created. *)
+let cli_refuses_leftover_telemetry () =
+  with_run (fun path ->
+      let w = Journal.create ~path:(legacy_telemetry path) () in
+      Journal.close w;
+      List.iter
+        (fun args ->
+          let code, _, err = run_cli args in
+          check Alcotest.int "refused" 2 code;
+          check Alcotest.bool "names the merge command" true
+            (str_contains err (legacy_telemetry path ^ " is a removed layout")
+            && str_contains err
+                 (Printf.sprintf "tail -c +11 %s >> %s" (legacy_telemetry path) path));
+          check Alcotest.bool "no journal created" false (Sys.file_exists path))
+        [
+          [ "journal"; path ];
+          [ "report"; "--journal"; path ];
+          [ "verify-all"; "--corpus"; "gen:5:42"; "--journal"; path; "--telemetry" ];
+          [ "verify-all"; "--corpus"; "gen:5:42"; "--journal"; path; "--telemetry"; "--resume" ];
+        ];
+      let code, _, err = run_cli [ "verify-all"; "--corpus"; "gen:5:42"; "--telemetry" ] in
+      check Alcotest.int "--telemetry without --journal" 2 code;
+      check Alcotest.bool "says so" true (str_contains err "--telemetry requires --journal"))
+
+(* A run SIGKILLed mid-stream leaves samples that decode as a valid
+   prefix, and every settle a sample counted is journaled before it. *)
+let cli_sigkill_leaves_sample_prefix () =
+  with_run (fun path ->
+      let env = Array.append [| "OCTOPOCS_SETTLE_DELAY=0.05" |] (Unix.environment ()) in
+      let args = [ cli; "verify-all"; "--corpus"; "gen:200:42"; "--journal"; path; "--telemetry" ] in
+      let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+      let pid = Unix.create_process_env cli (Array.of_list args) env Unix.stdin null null in
+      Unix.close null;
+      let enough () =
+        Sys.file_exists path
+        && match Runlog.load path with Ok r -> List.length r.samples >= 2 | Error _ -> false
+      in
+      let t0 = Unix.gettimeofday () in
+      while (not (enough ())) && Unix.gettimeofday () -. t0 < 20. do
+        Unix.sleepf 0.05
+      done;
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      let r = loaded path in
+      check Alcotest.int "nothing undecodable" 0 r.undecodable;
+      check Alcotest.bool "samples survive the kill" true (List.length r.samples >= 2);
+      let ts = List.map (fun (s : Octo_util.Telemetry.sample) -> s.ts_ns) r.samples in
+      check Alcotest.bool "ts_ns never decreases" true (List.sort compare ts = ts);
+      let last = List.nth r.samples (List.length r.samples - 1) in
+      check Alcotest.bool "counted settles are journaled" true
+        (last.settled <= List.length r.verdicts))
+
 (* explain --journal renders a pair that has only a quarantine record:
    every registry pair quarantined at worker-crash rate 1.0. *)
 let cli_explain_quarantined () =
@@ -802,8 +934,7 @@ let cli_verify_matches_batch_row () =
     (str_contains out "Pair 7   ghostscript/opj_dump_211 -> QUARANTINED (worker crashed: ")
 
 (* An output path under a missing directory is a usage error: the CLI
-   exits 2 naming the path and leaves no file behind, the --journal
-   beside an unwritable --telemetry included. *)
+   exits 2 naming the path and leaves no file behind. *)
 let cli_unwritable_output args () =
   let dir = Filename.temp_dir "octocli" "" in
   let missing = Filename.concat dir "missing/out" in
@@ -873,7 +1004,12 @@ let suite =
       runlog_undecodable_frame_skipped;
     tc "runlog: a legacy PATH.quarantine is refused, nothing created"
       runlog_refuses_legacy_quarantine;
+    tc "runlog: resume continues the samples" runlog_resume_continues_samples;
     tc "cli: quarantines live in the journal, --resume skips them" cli_quarantine_in_journal;
+    tc "cli: --telemetry changes no dump or report" cli_telemetry_changes_no_dump;
+    tc "cli: --telemetry keeps the tear schedule" cli_telemetry_keeps_tear_schedule;
+    tc "cli: a leftover PATH.telemetry is refused" cli_refuses_leftover_telemetry;
+    tc "cli: SIGKILL leaves a valid sample prefix" cli_sigkill_leaves_sample_prefix;
     tc "cli: explain --journal renders a quarantined pair" cli_explain_quarantined;
     tc "cli: explain --journal takes a corpus label" cli_explain_corpus_label;
     tc "cli: verify N matches its verify-all row under chaos" cli_verify_matches_batch_row;
@@ -893,8 +1029,7 @@ let suite =
              "--log-json"; Filename.concat dir "l.json"; "--journal"; missing ]));
     tc "cli: unwritable --journal leaves a --log-json file that existed"
       cli_unwritable_keeps_prior_log;
-    tc "cli: unwritable --telemetry exits 2, leaves no journal"
-      (cli_unwritable_output (fun ~dir ~missing ->
-           [ "verify-all"; "--corpus"; "gen:3"; "--journal"; Filename.concat dir "ok.jrnl";
-             "--telemetry"; missing ]));
+    tc "cli: unwritable --journal --telemetry"
+      (cli_unwritable_output (fun ~dir:_ ~missing ->
+           [ "verify-all"; "--corpus"; "gen:3"; "--journal"; missing; "--telemetry" ]));
   ]

@@ -130,31 +130,27 @@ let ladder_total_failure_preserves_original () =
     | v -> Alcotest.failf "expected Failure, got %s" (Octopocs.verdict_class v)
   in
   check Alcotest.string "original failure string verbatim" (msg off.verdict) (msg on.verdict);
-  check Alcotest.(list string) "both rungs tried"
-    [ "symex-escalate"; "sym-file-degrade" ]
-    on.degradations
+  check Alcotest.(list string) "the rung tried" [ "symex-escalate" ] on.degradations
 
-let ladder_rungs_escalate () =
+let ladder_one_rung_escalates () =
   let rungs = Octopocs.ladder_rungs Octopocs.default_config in
-  check Alcotest.(list string) "rung names"
-    [ "symex-escalate"; "sym-file-degrade" ]
-    (List.map fst rungs);
+  check Alcotest.(list string) "rung names" [ "symex-escalate" ] (List.map fst rungs);
   let sx = Octopocs.default_config.symex in
   List.iter
     (fun (_, (cfg : Octopocs.config)) ->
       check Alcotest.bool "theta escalated" true (cfg.symex.theta > sx.theta);
-      check Alcotest.bool "max_runs escalated" true (cfg.symex.max_runs > sx.max_runs))
-    rungs;
-  let _, degraded = List.nth rungs 1 in
-  check Alcotest.bool "file degraded" true
-    (degraded.sym_file_size < Octopocs.default_config.sym_file_size)
+      check Alcotest.bool "max_runs escalated" true (cfg.symex.max_runs > sx.max_runs);
+      check Alcotest.bool "max_steps escalated" true (cfg.symex.max_steps > sx.max_steps);
+      check Alcotest.int "symbolic file kept" Octopocs.default_config.sym_file_size
+        cfg.sym_file_size)
+    rungs
 
 let ladder_shares_one_deadline () =
   (* The deadline budget is shared across the whole ladder: a retried rung
-     runs on whatever clock is left, never a fresh one.  Rung 1's attempt
-     burns the entire budget and fails rescuably; rung 2 must then never be
-     attempted, and the ORIGINAL failure stands with only the attempted
-     rung recorded. *)
+     runs on whatever clock is left, never a fresh one.  Over a two-rung
+     ladder (the real rung twice), rung 1's attempt burns the entire
+     budget and fails rescuably; rung 2 must then never be attempted, and
+     the ORIGINAL failure stands with only the attempted rung recorded. *)
   let deadline = Deadline.after ~seconds:0.05 in
   let r0 = Octopocs.failure_report "symbolic execution budget exhausted: loop retries" in
   let attempts = ref 0 in
@@ -166,8 +162,7 @@ let ladder_shares_one_deadline () =
     Octopocs.failure_report "constraint solver budget exhausted"
   in
   let rungs = Octopocs.ladder_rungs Octopocs.default_config in
-  check Alcotest.int "two rungs exist" 2 (List.length rungs);
-  let r = Octopocs.climb_ladder ~deadline ~attempt r0 rungs in
+  let r = Octopocs.climb_ladder ~deadline ~attempt r0 (rungs @ rungs) in
   check Alcotest.int "rung 2 never attempted" 1 !attempts;
   (match r.verdict with
   | Octopocs.Failure msg ->
@@ -358,7 +353,7 @@ let injection_off_is_silent () =
 
 let forced_solver_starvation_is_rescuable () =
   (* Solver_budget at rate 1.0 starves every attempt including the ladder
-     rungs: the original failure must come back verbatim with both rungs
+     rung: the original failure must come back verbatim with the rung
      recorded. *)
   let c = Registry.find 1 in
   let config =
@@ -373,9 +368,7 @@ let forced_solver_starvation_is_rescuable () =
   | Octopocs.Failure msg ->
       check Alcotest.string "starved solver" "constraint solver budget exhausted" msg
   | v -> Alcotest.failf "expected Failure, got %s" (Octopocs.verdict_class v));
-  check Alcotest.(list string) "both rungs tried"
-    [ "symex-escalate"; "sym-file-degrade" ]
-    r.degradations
+  check Alcotest.(list string) "the rung tried" [ "symex-escalate" ] r.degradations
 
 let injected_deadline_contained () =
   (* Deadline_expiry at rate 1.0 fires at the first phase boundary; run
@@ -459,7 +452,7 @@ let suite =
     tc "ladder: off reports budget failure" ladder_off_reports_budget_failure;
     tc "ladder: rescues budget exhaustion" ladder_rescues_budget_exhaustion;
     tc "ladder: total failure preserves original verbatim" ladder_total_failure_preserves_original;
-    tc "ladder: rungs escalate then degrade" ladder_rungs_escalate;
+    tc "ladder: one rung escalates every budget" ladder_one_rung_escalates;
     tc "ladder: one deadline shared across rungs" ladder_shares_one_deadline;
     tc "ladder: expired clock means zero attempts" ladder_expired_before_first_rung;
     tc "ladder: mid-climb rescue records its rung" ladder_rescue_mid_climb_keeps_clock;

@@ -1,13 +1,16 @@
 (* Unit tests for the run-health sampler (lib/util/telemetry.ml) and the
-   leveled logger (lib/util/log.ml): enable/tick/replay round trips
-   through a real journal file, the disabled paths are no-ops, and the
-   log threshold actually gates emission — including the Source
-   malformed-manifest warning the CLI routes through it. *)
+   leveled logger (lib/util/log.ml): enable/tick round trips through a
+   sink, samples read back from a real journal file by [Runlog.load], the
+   disabled paths are no-ops, and the log threshold actually gates
+   emission — including the Source malformed-manifest warning the CLI
+   routes through it. *)
 
 module Telemetry = Octo_util.Telemetry
+module Journal = Octo_util.Journal
 module Log = Octo_util.Log
 module Metrics = Octo_util.Metrics
 module Source = Octo_targets.Source
+module Runlog = Octo_report.Runlog
 
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -20,34 +23,60 @@ let progress ?(pulled = 0) ?(settled = 0) ?(quarantined = 0) ?(in_flight = 0) ?(
     ?(retries = 0) ?(stalls = 0) ?(deferrals = 0) ?(child_rss_kb = 0) () : Telemetry.progress =
   { pulled; settled; quarantined; in_flight; window; retries; stalls; deferrals; child_rss_kb }
 
-(* Run [f] with telemetry enabled into a temp journal; always disables
-   (and removes the file) on the way out so later tests see a clean
-   module state. *)
-let with_telemetry ?interval_ns f =
+(* Run [f] with telemetry enabled into a sink that keeps every frame;
+   [f] gets the decoded samples so far, in emission order.  Always
+   disables on the way out so later tests see a clean module state. *)
+let with_telemetry ?interval_ns ?from f =
+  let frames = ref [] in
+  Telemetry.enable ?interval_ns ?from (fun frame -> frames := frame :: !frames);
+  let samples () =
+    List.rev_map
+      (fun frame ->
+        match Telemetry.decode_sample frame with
+        | Some s -> s
+        | None -> Alcotest.fail "the sampler emitted an undecodable frame")
+      !frames
+  in
+  Fun.protect ~finally:Telemetry.disable (fun () -> f samples)
+
+(* The samples a journal file holds, as the run layer loads them. *)
+let loaded_samples path =
+  match Runlog.load path with
+  | Ok r -> r
+  | Error msg -> Alcotest.fail msg
+
+(* Run [f] with telemetry enabled into a journal file, as a run does;
+   [f] gets a function that stops sampling and returns the samples the
+   file holds. *)
+let journaled f =
   let path = tmp_path "telemetry" in
-  Telemetry.enable ?interval_ns ~path ();
+  let w = Journal.create ~path () in
+  Telemetry.enable (Journal.append ~armed:false w);
+  let samples () =
+    Telemetry.disable ();
+    Journal.close w;
+    (loaded_samples path).samples
+  in
   Fun.protect
     ~finally:(fun () ->
       Telemetry.disable ();
+      Journal.close w;
       if Sys.file_exists path then Sys.remove path)
-    (fun () -> f path)
+    (fun () -> f samples)
 
 (* -- sampler ------------------------------------------------------------ *)
 
 let sampler_roundtrip () =
-  with_telemetry (fun path ->
+  journaled (fun samples ->
       Alcotest.(check bool) "enabled" true (Telemetry.is_on ());
       (* The pool-health counts are the driver's, passed through as-is. *)
       Telemetry.sample_now
         (progress ~pulled:7 ~settled:5 ~quarantined:1 ~in_flight:2 ~window:4 ~retries:2 ~stalls:1
            ~deferrals:1 ~child_rss_kb:512 ());
       Telemetry.sample_now (progress ~pulled:9 ~settled:9 ());
-      Telemetry.disable ();
-      let r = Telemetry.replay path in
-      Alcotest.(check int) "samples" 2 (List.length r.Telemetry.samples);
-      Alcotest.(check int) "undecodable" 0 r.Telemetry.undecodable;
-      Alcotest.(check bool) "torn" false r.Telemetry.torn;
-      let s = List.hd r.Telemetry.samples in
+      let r = samples () in
+      Alcotest.(check int) "samples" 2 (List.length r);
+      let s = List.hd r in
       Alcotest.(check int) "pulled" 7 s.Telemetry.pulled;
       Alcotest.(check int) "settled" 5 s.Telemetry.settled;
       Alcotest.(check int) "quarantined" 1 s.Telemetry.quarantined;
@@ -58,14 +87,14 @@ let sampler_roundtrip () =
       Alcotest.(check int) "backoffs: one per retry" 2 s.Telemetry.backoffs;
       Alcotest.(check int) "deferrals" 1 s.Telemetry.deferrals;
       Alcotest.(check int) "child rss" 512 s.Telemetry.child_rss_kb;
-      let s2 = List.nth r.Telemetry.samples 1 in
+      let s2 = List.nth r 1 in
       Alcotest.(check bool) "timestamps monotonic" true
         (s2.Telemetry.ts_ns >= s.Telemetry.ts_ns))
 
 let sampler_tick_rate_limited () =
   (* A huge interval admits exactly one tick sample; the thunk must not
      even run for the suppressed ticks. *)
-  with_telemetry ~interval_ns:3_600_000_000_000 (fun path ->
+  with_telemetry ~interval_ns:3_600_000_000_000 (fun samples ->
       let calls = ref 0 in
       for _ = 1 to 50 do
         Telemetry.tick (fun () ->
@@ -73,9 +102,7 @@ let sampler_tick_rate_limited () =
             progress ())
       done;
       Alcotest.(check int) "thunk ran once" 1 !calls;
-      Telemetry.disable ();
-      Alcotest.(check int) "one frame" 1
-        (List.length (Telemetry.replay path).Telemetry.samples))
+      Alcotest.(check int) "one frame" 1 (List.length (samples ())))
 
 let sampler_disabled_noop () =
   Alcotest.(check bool) "off" false (Telemetry.is_on ());
@@ -86,94 +113,113 @@ let sampler_disabled_noop () =
   Telemetry.sample_now (progress ~retries:3 ~child_rss_kb:999 ());
   Alcotest.(check int) "thunk never ran" 0 !calls;
   (* A later enable records only what its own samples carry. *)
-  with_telemetry (fun path ->
+  with_telemetry (fun samples ->
       Telemetry.sample_now (progress ());
-      Telemetry.disable ();
-      let s = List.hd (Telemetry.replay path).Telemetry.samples in
+      let s = List.hd (samples ()) in
       Alcotest.(check int) "no retries" 0 s.Telemetry.retries;
       Alcotest.(check int) "no child rss" 0 s.Telemetry.child_rss_kb;
-      Alcotest.(check int) "one frame" 1 (List.length (Telemetry.replay path).Telemetry.samples))
+      Alcotest.(check int) "one frame" 1 (List.length (samples ())));
+  (* Nothing reaches a sink once sampling is disabled. *)
+  let late = ref 0 in
+  Telemetry.enable (fun _ -> incr late);
+  Telemetry.disable ();
+  Telemetry.sample_now (progress ());
+  Alcotest.(check int) "no frame after disable" 0 !late
 
 let sampler_metrics_attached () =
-  with_telemetry (fun path ->
+  with_telemetry (fun samples ->
       Metrics.enable ();
       Fun.protect ~finally:Metrics.disable (fun () ->
           Metrics.observe_phase Metrics.Taint 1000;
           Telemetry.sample_now (progress ()));
-      Telemetry.disable ();
-      let s = List.hd (Telemetry.replay path).Telemetry.samples in
-      match s.Telemetry.metrics with
+      match (List.hd (samples ())).Telemetry.metrics with
       | None -> Alcotest.fail "expected a metrics snapshot in the frame"
       | Some m ->
           Alcotest.(check bool) "taint span recorded" true
             (Metrics.phase_spans m Metrics.Taint >= 1))
 
 let sampler_torn_tail () =
-  (* Chopping bytes off the journal must degrade to a valid prefix. *)
+  (* Samples journaled through a writer, then bytes chopped off the file:
+     the load degrades to a valid prefix. *)
   let path = tmp_path "torn" in
-  Telemetry.enable ~path ();
-  Telemetry.sample_now (progress ~settled:1 ());
-  Telemetry.sample_now (progress ~settled:2 ());
-  Telemetry.disable ();
-  let len = (Unix.stat path).Unix.st_size in
-  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
-  Unix.ftruncate fd (len - 3);
-  Unix.close fd;
-  let r = Telemetry.replay path in
-  Sys.remove path;
-  Alcotest.(check int) "prefix survives" 1 (List.length r.Telemetry.samples);
-  Alcotest.(check bool) "torn flagged" true r.Telemetry.torn;
-  Alcotest.(check int) "prefix content" 1
-    (List.hd r.Telemetry.samples).Telemetry.settled
-
-let sampler_resume_continues () =
-  (* Re-enabling on an existing journal (a resumed run) appends: the
-     earlier samples stay, timestamps never go back, and the cumulative
-     counts continue from the last recorded sample. *)
-  let path = tmp_path "resume" in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
-      Telemetry.enable ~path ();
-      Telemetry.sample_now (progress ~pulled:3 ~settled:2 ~retries:1 ());
-      Telemetry.sample_now (progress ~pulled:5 ~settled:4 ~retries:1 ~in_flight:1 ());
+      let w = Journal.create ~path () in
+      Telemetry.enable (Journal.append ~armed:false w);
+      Telemetry.sample_now (progress ~settled:1 ());
+      Telemetry.sample_now (progress ~settled:2 ());
       Telemetry.disable ();
-      Telemetry.enable ~path ();
-      Telemetry.sample_now (progress ~pulled:2 ~settled:2 ~in_flight:1 ());
-      Telemetry.disable ();
-      let r = Telemetry.replay path in
-      Alcotest.(check int) "samples kept and appended" 3 (List.length r.Telemetry.samples);
-      Alcotest.(check bool) "not torn" false r.Telemetry.torn;
-      let ts = List.map (fun (s : Telemetry.sample) -> s.ts_ns) r.Telemetry.samples in
-      Alcotest.(check bool) "ts_ns never decreases" true (List.sort compare ts = ts);
-      let last = List.nth r.Telemetry.samples 2 in
-      Alcotest.(check int) "pulled continues" 7 last.Telemetry.pulled;
-      Alcotest.(check int) "settled continues" 6 last.Telemetry.settled;
-      Alcotest.(check int) "retries continue" 1 last.Telemetry.retries;
-      Alcotest.(check int) "in-flight is instantaneous" 1 last.Telemetry.in_flight)
+      Journal.close w;
+      let len = (Unix.stat path).Unix.st_size in
+      let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
+      Unix.ftruncate fd (len - 3);
+      Unix.close fd;
+      let r = loaded_samples path in
+      Alcotest.(check int) "prefix survives" 1 (List.length r.samples);
+      Alcotest.(check bool) "torn flagged" true r.torn;
+      Alcotest.(check int) "nothing undecodable" 0 r.undecodable;
+      Alcotest.(check int) "prefix content" 1 (List.hd r.samples).Telemetry.settled)
+
+let sampler_resume_continues () =
+  (* Re-enabling from the last sample of a series (a resumed run)
+     continues it: timestamps never go back, and the cumulative counts
+     carry on from that sample. *)
+  let first =
+    with_telemetry (fun samples ->
+        Telemetry.sample_now (progress ~pulled:3 ~settled:2 ~retries:1 ());
+        Telemetry.sample_now (progress ~pulled:5 ~settled:4 ~retries:1 ~in_flight:1 ());
+        samples ())
+  in
+  let last = List.nth first 1 in
+  let resumed =
+    with_telemetry ~from:last (fun samples ->
+        Telemetry.sample_now (progress ~pulled:2 ~settled:2 ~in_flight:1 ());
+        samples ())
+  in
+  let series = first @ resumed in
+  let ts = List.map (fun (s : Telemetry.sample) -> s.ts_ns) series in
+  Alcotest.(check bool) "ts_ns never decreases" true (List.sort compare ts = ts);
+  let s = List.hd resumed in
+  Alcotest.(check int) "pulled continues" 7 s.Telemetry.pulled;
+  Alcotest.(check int) "settled continues" 6 s.Telemetry.settled;
+  Alcotest.(check int) "retries continue" 1 s.Telemetry.retries;
+  Alcotest.(check int) "in-flight is instantaneous" 1 s.Telemetry.in_flight
 
 (* The stream driver samples while its attempts are in flight, so the
    samples' peak in-flight is the run's: 1 for a serial run. *)
 let sampler_sees_stream_in_flight () =
-  with_telemetry (fun path ->
+  with_telemetry (fun samples ->
       let jobs =
         List.filteri (fun i _ -> i < 3) Octo_targets.Registry.all
         |> List.map (fun (c : Octo_targets.Registry.case) ->
                Octopocs.job ~label:(string_of_int c.idx) ~s:c.s ~t:c.t ~poc:c.poc ())
       in
       let st = Octopocs.run_stream ~jobs:1 (Octopocs.stream_of_list jobs) in
-      Telemetry.disable ();
-      let samples = (Telemetry.replay path).Telemetry.samples in
       let peak =
-        List.fold_left (fun m (s : Telemetry.sample) -> max m s.in_flight) 0 samples
+        List.fold_left (fun m (s : Telemetry.sample) -> max m s.in_flight) 0 (samples ())
       in
       Alcotest.(check int) "serial peak" 1 st.Octopocs.st_peak_in_flight;
       Alcotest.(check int) "sampled peak = run peak" st.Octopocs.st_peak_in_flight peak)
 
-let replay_missing_file () =
-  let r = Telemetry.replay "/nonexistent/octo_telemetry.jrnl" in
-  Alcotest.(check int) "empty" 0 (List.length r.Telemetry.samples);
-  Alcotest.(check bool) "not torn" false r.Telemetry.torn
+(* A journal written without telemetry holds no samples, and its load
+   reads none. *)
+let journal_without_samples () =
+  let path = tmp_path "nosamples" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let c = Octo_targets.Registry.find 1 in
+      let entry =
+        Runlog.entry ~config:Octopocs.default_config ~label:"1" ~s:c.s ~t:c.t ~poc:c.poc ()
+      in
+      (match Runlog.run ~journal:path (Octopocs.stream_of_list [ entry ]) with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.fail msg);
+      let r = loaded_samples path in
+      Alcotest.(check int) "no samples" 0 (List.length r.samples);
+      Alcotest.(check int) "the verdict" 1 (List.length r.verdicts);
+      Alcotest.(check int) "nothing undecodable" 0 r.undecodable)
 
 let self_rss_positive () =
   (* /proc is available on every platform CI runs on; a live process has
@@ -301,7 +347,7 @@ let suite =
     tc "sampler: metrics snapshot rides along when collecting" sampler_metrics_attached;
     tc "sampler: torn tail degrades to a valid prefix" sampler_torn_tail;
     tc "sampler: re-enabling appends, continuing clock and counts" sampler_resume_continues;
-    tc "sampler: replaying a missing file is empty, not an error" replay_missing_file;
+    tc "sampler: no samples without --telemetry" journal_without_samples;
     tc "sampler: a serial stream's samples peak at in-flight 1" sampler_sees_stream_in_flight;
     tc "sampler: self_rss_kb reads a live value" self_rss_positive;
     tc "log: threshold gates emission" log_threshold_gates;
