@@ -928,22 +928,20 @@ let verify_all_cmd =
 (* scan: the clone-detection front-end.  Instead of verifying annotated
    (S, T) pairs, discover them: index every target program of a corpus
    (plus optional seeded decoys), retrieve candidates for each probe's
-   annotated vulnerable function, confirm (S, T, ℓ, ep) through the
-   validity filter, print the precision/recall table against the
-   corpus's own ground truth, and pipe the confirmed candidates through
-   the same driver as verify-all. *)
+   annotated vulnerable function, confirm (S, T, ℓ, ep) when T holds an
+   exact clone of that function, print the precision/recall table
+   against the corpus's own ground truth, and pipe the confirmed
+   candidates through the same driver as verify-all. *)
 
-let run_scan o corpus strict decoys decoy_seed shingle_k winnow_w tau_retrieve tau_confirm
-    top no_verify min_recall log_level log_json =
+let run_scan o corpus strict decoys decoy_seed shingle_k winnow_w tau_retrieve top
+    no_verify min_recall log_level log_json =
   with_logging log_level log_json @@ fun () ->
   with_run_opts o @@ fun () ->
   if decoys < 0 then structured_error "--decoys must be >= 0"
   else if shingle_k < 1 then structured_error "--shingle-k must be >= 1"
   else if winnow_w < 1 then structured_error "--winnow-w must be >= 1"
-  else if
-    not
-      (tau_retrieve > 0.0 && tau_retrieve <= 1.0 && tau_confirm > 0.0 && tau_confirm <= 1.0)
-  then structured_error "--tau-retrieve/--tau-confirm must be in (0, 1]"
+  else if not (tau_retrieve > 0.0 && tau_retrieve <= 1.0) then
+    structured_error "--tau-retrieve must be in (0, 1]"
   else if top < 0 then structured_error "--top must be >= 0"
   else if no_verify && (o.telemetry || o.progress) then
     structured_error
@@ -957,9 +955,7 @@ let run_scan o corpus strict decoys decoy_seed shingle_k winnow_w tau_retrieve t
             structured_error "malformed pair manifest: %s" path
         | probes, corpus_targets -> (
             let t0 = Unix.gettimeofday () in
-            let params =
-              { Detect.shingle_k; winnow_w; tau_retrieve; tau_confirm }
-            in
+            let params = { Detect.shingle_k; winnow_w; tau_retrieve } in
             let targets = corpus_targets @ Scan.decoy_targets ~seed:decoy_seed ~count:decoys in
             let result = Scan.run ~params ~top ~probes ~targets ~n_decoys:decoys () in
             print_string (Scan.render ~corpus_id:(Source.id src) result);
@@ -1073,17 +1069,11 @@ let scan_cmd =
              ~doc:"Retrieval threshold: a target function is a hit when it shares at \
                    least fraction $(docv) of the probe's shingles.")
   in
-  let tau_confirm =
-    Arg.(value & opt float Detect.default_params.Detect.tau_confirm
-         & info [ "tau-confirm" ] ~docv:"F"
-             ~doc:"Confirmation threshold for near-clones: a hit that is not an exact \
-                   normalized clone of the probe needs containment >= $(docv).")
-  in
   let top =
     Arg.(value & opt int 0
          & info [ "top" ] ~docv:"N"
              ~doc:"Keep at most $(docv) confirmed candidates per probe (best \
-                   containment first; 0 = unlimited).  Dropped candidates are \
+                   retrieval score first; 0 = unlimited).  Dropped candidates are \
                    counted in the report, never silent.")
   in
   let no_verify =
@@ -1100,9 +1090,10 @@ let scan_cmd =
   in
   Cmd.v
     (Cmd.info "scan"
-       ~doc:"Discover (S, T, ℓ, ep) candidates across a corpus by clone detection, \
-             report precision/recall vs the annotated ground truth, and verify the \
-             confirmed candidates"
+       ~doc:"Discover (S, T, ℓ, ep) candidates across a corpus by clone detection \
+             (retrieve near-clones by shingle containment, confirm exact clones of \
+             the vulnerable function), report precision/recall vs the annotated \
+             ground truth, and verify the confirmed candidates"
        ~man:
          [
            `S Manpage.s_exit_status;
@@ -1113,7 +1104,7 @@ let scan_cmd =
                replayed verdict records a crashed worker).";
          ])
     Term.(const run_scan $ run_opts_term $ corpus $ strict $ decoys $ decoy_seed $ shingle_k
-          $ winnow_w $ tau_retrieve $ tau_confirm $ top $ no_verify $ min_recall
+          $ winnow_w $ tau_retrieve $ top $ no_verify $ min_recall
           $ log_level_arg $ log_json_arg)
 
 (* ------------------------------------------------------------------ *)

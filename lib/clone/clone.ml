@@ -44,10 +44,8 @@ type clone_pair = {
    an fp -> names index — depends on that program alone, so a profile
    computes it once per program and ℓ is a join of two profiles: a
    program taking part in many pairs (a scan probe, a scan target) is
-   fingerprinted once, not once per pair.  The profile also holds one
-   k-gram slot per function, which {!Detect} fills with the function's
-   full sorted k-gram set the first time a confirmation scores it
-   (ℓ-only callers never pay for it). *)
+   fingerprinted once, not once per pair.  A profile is immutable once
+   built. *)
 
 type profile = {
   fps : (string * string) list;  (** (function name, fingerprint) *)
@@ -55,25 +53,22 @@ type profile = {
       (** fingerprint -> names, added in the program's [funcs] iteration
           order, so [find_all] yields the candidate order of a direct
           scan of the program *)
-  grams : (string, (int * int array) option Atomic.t) Hashtbl.t;
-      (** per function: the (k, sorted full k-gram set) last stored *)
 }
 
 let profile_of ?level (p : program) : profile =
   let n = Hashtbl.length p.funcs in
-  let by_fp = Hashtbl.create n and grams = Hashtbl.create n in
+  let by_fp = Hashtbl.create n in
   let fps =
     Hashtbl.fold
       (fun name f acc ->
         let fp = fingerprint ?level f in
         Hashtbl.add by_fp fp name;
-        Hashtbl.replace grams name (Atomic.make None);
         (name, fp) :: acc)
       p.funcs []
   in
   (* In iteration order, so a shadowed binding never precedes the
      current one. *)
-  { fps = List.rev fps; by_fp; grams }
+  { fps = List.rev fps; by_fp }
 
 (** The join: every function of [sp] whose fingerprint occurs in [tp],
     matched to its same-name clone when there is one, otherwise to the
@@ -98,25 +93,11 @@ let shared_functions ?level (s : program) (t : program) : clone_pair list =
 let profile_fp (p : profile) name = List.assoc_opt name p.fps
 let profile_has_fp (p : profile) fp = Hashtbl.mem p.by_fp fp
 
-let profile_grams (p : profile) ~k name ~compute =
-  match Hashtbl.find_opt p.grams name with
-  | None -> compute ()
-  | Some slot -> (
-      match Atomic.get slot with
-      | Some (k', g) when k' = k -> g
-      | _ ->
-          (* Two domains may both compute the set; they store equal
-             values, so either write is correct. *)
-          let g = compute () in
-          Atomic.set slot (Some (k, g));
-          g)
-
 (* The profile table: bounded, keyed by (level, content digest), and
-   reset when full like the compile cache.  A profile is immutable once
-   built apart from its k-gram slots, so lookups hand out shared
-   references safely across domains; callers that must see every
-   program of a large pass exactly once (Scan) hold the references
-   themselves rather than rely on the table. *)
+   reset when full like the compile cache.  A profile is immutable, so
+   lookups hand out shared references safely across domains; callers
+   that must see every program of a large pass exactly once (Scan) hold
+   the references themselves rather than rely on the table. *)
 let profiles : (level * string, profile) Hashtbl.t = Hashtbl.create 64
 let profiles_lock = Mutex.create ()
 let profiles_cap = 128
@@ -133,7 +114,7 @@ let lookup ~level ?digest (p : program) : profile * bool =
       let pr = profile_of ~level p in
       Mutex.lock profiles_lock;
       (* Keep whichever profile landed first, so concurrent callers
-         share one set of k-gram slots. *)
+         share one reference. *)
       let pr =
         match Hashtbl.find_opt profiles key with
         | Some pr' -> pr'

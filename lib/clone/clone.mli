@@ -33,9 +33,8 @@ type clone_pair = {
 }
 
 (** A clone profile: everything ℓ needs from one program, computed once
-    — each function's fingerprint at one {!level}, an fp -> names index,
-    and a per-function slot for the function's full k-gram set, which
-    {!Detect} fills on first use. *)
+    — each function's fingerprint at one {!level} and an fp -> names
+    index.  Immutable once built. *)
 type profile
 
 (** [profile ?level ?digest p] is [p]'s profile from the profile table,
@@ -63,12 +62,6 @@ val profile_fp : profile -> string -> string option
 (** [profile_has_fp p fp] holds when some function of [p] has
     fingerprint [fp]. *)
 val profile_has_fp : profile -> string -> bool
-
-(** [profile_grams p ~k name ~compute] is the k-gram set cached for
-    function [name] at length [k], computed by [compute ()] and stored on
-    first use (a function [p] does not hold is computed, never stored).
-    [compute] must be a pure function of the function's content and [k]. *)
-val profile_grams : profile -> k:int -> string -> compute:(unit -> int array) -> int array
 
 (** [shared_functions ?level s t] computes ℓ: every function of [s] whose
     fingerprint also occurs in [t]; same-name matches preferred.  Profiles

@@ -28,30 +28,28 @@
       instruction insertions real propagation accrues.
 
     - {b Validity filter}: a retrieved (S, T) hit is confirmed into a
-      verifiable candidate only if the shared region aligns (the
-      vulnerable function is an exact clone under {!Clone}, or the hit
-      clears the stricter confirmation threshold), the entry point ep
-      recovers from S's own crash backtrace, and T-side CFG reachability
-      of ep is recorded (never used to drop: a dead entry point is
-      exactly the Type-III case (ii) the verifier must see). *)
+      verifiable candidate only if the vulnerable function is an exact
+      clone in T under {!Clone}, the entry point ep recovers from S's
+      own crash backtrace, and T-side CFG reachability of ep is recorded
+      (never used to drop: a dead entry point is exactly the Type-III
+      case (ii) the verifier must see).  Retrieval over-approximates
+      (patched and mutated near-clones score high), and the exact test
+      decides: OCTOPOCS verifies cloned code, so a near-clone is never a
+      positive. *)
 
 open Octo_vm.Isa
 module Cfg = Octo_cfg.Cfg
 module Interp = Octo_vm.Interp
 
-(** Detection parameters.  The thresholds are probe-side containment
-    ratios in [0, 1]: [tau_retrieve] gates index hits, [tau_confirm]
-    gates confirmation of hits whose vulnerable function is {e not} an
-    exact {!Clone} match (near-clones). *)
+(** Detection parameters.  [tau_retrieve] is a probe-side containment
+    ratio in [0, 1] that gates index hits. *)
 type params = {
   shingle_k : int;  (** k-gram length over the token stream *)
   winnow_w : int;  (** winnowing window (k-grams per selection window) *)
   tau_retrieve : float;  (** retrieval threshold *)
-  tau_confirm : float;  (** confirmation threshold for non-exact hits *)
 }
 
-let default_params =
-  { shingle_k = 4; winnow_w = 4; tau_retrieve = 0.5; tau_confirm = 0.9 }
+let default_params = { shingle_k = 4; winnow_w = 4; tau_retrieve = 0.5 }
 
 (* ------------------------------------------------------------------ *)
 (* Normalized tokenization. *)
@@ -195,57 +193,12 @@ let shingles ~k ~w (f : func) : ISet.t =
     !sel
   end
 
-(* The full (unwinnowed) k-gram set of [f] as a sorted array without
-   duplicates: the form a clone profile keeps, intersected by a merge. *)
-let full_grams ~k (f : func) : int array =
-  let g = gram_hashes ~k f in
-  Array.sort Int.compare g;
-  let n = Array.length g in
-  let u = ref 0 in
-  for i = 0 to n - 1 do
-    if i = 0 || g.(i) <> g.(i - 1) then begin
-      g.(!u) <- g.(i);
-      incr u
-    end
-  done;
-  Array.sub g 0 !u
-
-(* |p ∩ t| / |p| over two sorted duplicate-free arrays. *)
-let contained (p : int array) (t : int array) : float =
-  let np = Array.length p and nt = Array.length t in
-  if np = 0 then 0.0
-  else begin
-    let i = ref 0 and j = ref 0 and common = ref 0 in
-    while !i < np && !j < nt do
-      let a = p.(!i) and b = t.(!j) in
-      if a = b then begin
-        incr common;
-        incr i;
-        incr j
-      end
-      else if a < b then incr i
-      else incr j
-    done;
-    float_of_int !common /. float_of_int np
-  end
-
-(** [containment ~k probe target] is the probe-side containment
-    |probe ∩ target| / |probe| over the {e full} (unwinnowed) k-gram
-    sets of the two functions.  Winnowing is a retrieval-side
-    compression: on short functions the few selected shingles can all
-    fall outside a real difference, saturating the winnowed ratio at
-    1.0.  Validation therefore re-scores on every k-gram — the
-    retrieve-cheap / validate-precise split of VulCoCo. *)
-let containment ~k (probe : func) (target : func) : float =
-  contained (full_grams ~k probe) (full_grams ~k target)
-
 (* ------------------------------------------------------------------ *)
 (* Inverted index: shingle -> postings of (target label, function). *)
 
 type index = {
   ix_params : params;
   postings : (int, (string * string) list ref) Hashtbl.t;
-  sizes : (string * string, int) Hashtbl.t;  (** shingle-set size per posting *)
   mutable n_programs : int;
   mutable n_funcs : int;
   mutable n_postings : int;  (** total (shingle, function) entries *)
@@ -255,7 +208,6 @@ let index_create params =
   {
     ix_params = params;
     postings = Hashtbl.create 1024;
-    sizes = Hashtbl.create 256;
     n_programs = 0;
     n_funcs = 0;
     n_postings = 0;
@@ -271,7 +223,6 @@ let index_add ix ~label (t : program) =
     (fun fname f ->
       let sh = shingles ~k:ix.ix_params.shingle_k ~w:ix.ix_params.winnow_w f in
       ix.n_funcs <- ix.n_funcs + 1;
-      Hashtbl.replace ix.sizes (label, fname) (ISet.cardinal sh);
       ISet.iter
         (fun s ->
           (match Hashtbl.find_opt ix.postings s with
@@ -328,10 +279,7 @@ type candidate = {
   c_t_label : string;  (** target-side corpus label *)
   c_vuln_func : string;  (** S-side vulnerable function (the probe) *)
   c_hit_func : string;  (** matched T-side function *)
-  c_score : float;
-      (** validated probe-side containment over full k-gram sets
-          ({!containment}), not the winnowed retrieval score *)
-  c_exact : bool;  (** the vulnerable function is an exact {!Clone} match *)
+  c_score : float;  (** the hit's retrieval score ([h_score]) *)
   c_ell : string list;  (** ℓ as T-side names, sorted *)
   c_ep : string;  (** recovered entry point (T-side name) *)
   c_reachable : bool option;
@@ -350,14 +298,12 @@ let s_crash ?max_steps (s : program) ~poc : Interp.crash option =
   | Interp.Exited _ -> None
   | exception _ -> None
 
-(** [confirm_profiled params ~sp ~tp ~s ~s_label ~t ~t_label ~vuln_func
-    ~s_crash hit] applies the validity filter to one retrieval hit, with
-    [sp]/[tp] the {!Clone.profile}s of [s]/[t]:
+(** [confirm_profiled ~sp ~tp ~s_label ~t ~t_label ~vuln_func ~s_crash hit]
+    applies the validity filter to one retrieval hit, with [sp]/[tp] the
+    {!Clone.profile}s of S and [t]:
 
     + shared-region alignment: ℓ is the exact join of the two profiles
-      ({!Clone.join}); the hit survives if [vuln_func] is an exact clone,
-      or its containment clears [tau_confirm] (the near-clone path, which
-      extends ℓ with the aligned pair);
+      ({!Clone.join}); the hit survives only if [vuln_func] is in it;
     + entry-point recovery: the first crash-backtrace frame of S that
       belongs to ℓ, mapped to its T-side name, is ep — mirroring the
       pipeline's own {!Octopocs.identify_ep}, so a confirmed diagonal
@@ -365,62 +311,43 @@ let s_crash ?max_steps (s : program) ~poc : Interp.crash option =
     + reachability: whether T's CFG calls ep from reachable code is
       recorded in [c_reachable] (a CFG failure records [None]).
 
-    The containment of both functions' full k-gram sets is read from
-    (and on first use stored in) the profiles.  [None] when the hit
-    fails alignment or no entry point recovers. *)
-let confirm_profiled params ~(sp : Clone.profile) ~(tp : Clone.profile) ~(s : program)
-    ~s_label ~(t : program) ~t_label ~vuln_func ~(s_crash : Interp.crash option) (h : hit)
-    : candidate option =
+    [None] when the hit fails alignment or no entry point recovers. *)
+let confirm_profiled ~(sp : Clone.profile) ~(tp : Clone.profile) ~s_label ~(t : program)
+    ~t_label ~vuln_func ~(s_crash : Interp.crash option) (h : hit) :
+    candidate option =
   let pairs = Clone.join sp tp in
-  let exact = List.exists (fun (cp : Clone.clone_pair) -> cp.s_func = vuln_func) pairs in
-  (* Re-score on full k-gram sets (see {!containment}): the winnowed
-     retrieval score saturates on short functions, the validated score
-     does not. *)
-  let k = params.shingle_k in
-  let grams prof p name =
-    Clone.profile_grams prof ~k name ~compute:(fun () -> full_grams ~k (func_exn p name))
-  in
-  let score = contained (grams sp s vuln_func) (grams tp t h.h_func) in
-  if (not exact) && score < params.tau_confirm then None
-  else
-    let mapping =
-      List.map (fun (cp : Clone.clone_pair) -> (cp.s_func, cp.t_func)) pairs
-      @ (if exact then [] else [ (vuln_func, h.h_func) ])
-    in
-    match s_crash with
-    | None -> None
-    | Some crash -> (
-        match
-          List.find_map (fun fr -> Option.map (fun tf -> (fr, tf))
-                                     (List.assoc_opt fr mapping))
-            crash.backtrace
-        with
-        | None -> None
-        | Some (_, ep) ->
-            let reachable =
-              match Cfg.ep_called_somewhere t ~ep with
-              | b -> Some b
-              | exception Cfg.Cfg_error _ -> None
-            in
-            Some
-              {
-                c_s_label = s_label;
-                c_t_label = t_label;
-                c_vuln_func = vuln_func;
-                c_hit_func =
-                  (if exact then List.assoc vuln_func mapping else h.h_func);
-                c_score = score;
-                c_exact = exact;
-                c_ell = List.sort_uniq compare (List.map snd mapping);
-                c_ep = ep;
-                c_reachable = reachable;
-              })
+  match
+    (List.find_opt (fun (cp : Clone.clone_pair) -> cp.s_func = vuln_func) pairs, s_crash)
+  with
+  | None, _ | _, None -> None
+  | Some vuln, Some crash -> (
+      let mapping = List.map (fun (cp : Clone.clone_pair) -> (cp.s_func, cp.t_func)) pairs in
+      match List.find_map (fun fr -> List.assoc_opt fr mapping) crash.backtrace with
+      | None -> None
+      | Some ep ->
+          let reachable =
+            match Cfg.ep_called_somewhere t ~ep with
+            | b -> Some b
+            | exception Cfg.Cfg_error _ -> None
+          in
+          Some
+            {
+              c_s_label = s_label;
+              c_t_label = t_label;
+              c_vuln_func = vuln_func;
+              c_hit_func = vuln.t_func;
+              c_score = h.h_score;
+              c_ell = List.sort_uniq compare (List.map snd mapping);
+              c_ep = ep;
+              c_reachable = reachable;
+            })
 
 (** [confirm params ?sdig ?tdig ~s ~s_label ~t ~t_label ~vuln_func ~s_crash
     hit] is {!confirm_profiled} over the profile table's profiles of [s]
     and [t] ({!Clone.profile_pair}); [sdig]/[tdig] are their
-    {!Octo_vm.Compile.program_digest} values when already computed. *)
-let confirm params ?sdig ?tdig ~(s : program) ~s_label ~(t : program) ~t_label ~vuln_func
+    {!Octo_vm.Compile.program_digest} values when already computed.
+    [params] is unused. *)
+let confirm _params ?sdig ?tdig ~(s : program) ~s_label ~(t : program) ~t_label ~vuln_func
     ~s_crash (h : hit) : candidate option =
   let sp, tp = Clone.profile_pair ?sdig ?tdig s t in
-  confirm_profiled params ~sp ~tp ~s ~s_label ~t ~t_label ~vuln_func ~s_crash h
+  confirm_profiled ~sp ~tp ~s_label ~t ~t_label ~vuln_func ~s_crash h

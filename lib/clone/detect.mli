@@ -9,18 +9,17 @@
 
 open Octo_vm.Isa
 
-(** Detection parameters: k-gram length, winnowing window, and the two
-    probe-side containment thresholds ([tau_retrieve] gates index hits,
-    [tau_confirm] gates non-exact-match confirmation). *)
+(** Detection parameters: k-gram length, winnowing window, and the
+    probe-side containment threshold [tau_retrieve] that gates index
+    hits. *)
 type params = {
   shingle_k : int;
   winnow_w : int;
   tau_retrieve : float;
-  tau_confirm : float;
 }
 
 val default_params : params
-(** [{ shingle_k = 4; winnow_w = 4; tau_retrieve = 0.5; tau_confirm = 0.9 }] *)
+(** [{ shingle_k = 4; winnow_w = 4; tau_retrieve = 0.5 }] *)
 
 val tokens : func -> string list
 (** [tokens f] is the normalized token stream: one opcode-shape token per
@@ -43,14 +42,6 @@ val shingles : k:int -> w:int -> func -> ISet.t
     (per-window minima of k-gram hashes).  Deterministic across
     platforms: hashing is the module's own 61-bit FNV, not
     [Hashtbl.hash]. *)
-
-val containment : k:int -> func -> func -> float
-(** [containment ~k probe target] is |probe ∩ target| / |probe| over the
-    full (unwinnowed) k-gram sets — the precise score the validity
-    filter re-computes per hit, because the winnowed retrieval score
-    saturates at 1.0 on short functions whose differences fall between
-    selected shingles.  Both sets are sorted arrays, intersected by a
-    merge. *)
 
 (** Inverted index over target-program functions. *)
 type index
@@ -81,8 +72,7 @@ type candidate = {
   c_t_label : string;
   c_vuln_func : string;
   c_hit_func : string;
-  c_score : float;  (** validated containment ({!containment}) *)
-  c_exact : bool;
+  c_score : float;  (** the hit's retrieval score ([h_score]) *)
   c_ell : string list;  (** T-side names, sorted *)
   c_ep : string;
   c_reachable : bool option;
@@ -93,10 +83,8 @@ val s_crash : ?max_steps:int -> program -> poc:string -> Octo_vm.Interp.crash op
     probed from that S can then be confirmed). *)
 
 val confirm_profiled :
-  params ->
   sp:Clone.profile ->
   tp:Clone.profile ->
-  s:program ->
   s_label:string ->
   t:program ->
   t_label:string ->
@@ -104,13 +92,13 @@ val confirm_profiled :
   s_crash:Octo_vm.Interp.crash option ->
   hit ->
   candidate option
-(** Validity filter over the {!Clone.profile}s [sp]/[tp] of [s]/[t]:
-    exact shared-region alignment by {!Clone.join} (or the [tau_confirm]
-    near-clone path, which extends ℓ with the aligned pair), entry-point
-    recovery from S's crash backtrace mapped to T-side names, and
-    recorded CFG reachability of ep.  The two functions' full k-gram
-    sets are read from the profiles, computed and stored there on first
-    use, so a program scored against many others is tokenized once. *)
+(** Validity filter over the {!Clone.profile}s [sp]/[tp] of S and [t]: the
+    hit survives only if [vuln_func] is an exact clone in [t] ({!Clone.join}
+    aligns it; ℓ is that join), ep recovers from S's crash backtrace
+    mapped to T-side names, and CFG reachability of ep is recorded.  A
+    near-clone (retrieved, not exact) is never confirmed: the scan's
+    ground truth is the exact-clone relation, so it could only be a
+    false positive. *)
 
 val confirm :
   params ->
@@ -127,5 +115,6 @@ val confirm :
 (** {!confirm_profiled} with [s] and [t]'s profiles taken from the
     profile table ({!Clone.profile_pair}); [sdig]/[tdig] forward
     precomputed {!Octo_vm.Compile.program_digest} values to the table
-    lookup.  A caller confirming many hits over the same programs can
-    hold the profiles and call {!confirm_profiled} instead. *)
+    lookup.  [params] is unused: confirmation has no threshold.  A
+    caller confirming many hits over the same programs can hold the
+    profiles and call {!confirm_profiled} instead. *)

@@ -373,10 +373,10 @@ type config = {
           never an escaped exception. *)
   ladder : bool;
       (** climb the degradation ladder on rescuable failures (budget or
-          deadline exhaustion): retry with escalated symex budgets, then
-          with a degraded symbolic file size.  On by default — no registry
-          pair needs rescuing at default budgets, so Table II is
-          unchanged. *)
+          deadline exhaustion): its one rung, ["symex-escalate"], retries
+          once with every symex budget escalated (theta and max_steps x4,
+          max_runs x8).  On by default — no registry pair needs rescuing at
+          default budgets, so Table II is unchanged. *)
   inject : Faultinject.t;
       (** deterministic fault injector for the chaos harness;
           {!Faultinject.none} (default) costs one tag test per site. *)
@@ -1248,12 +1248,13 @@ let process_executor ~config ~limits ~adm ?pre_run () =
        deadline (which already absorbs ladder climbs); no per-job deadline
        means the parent never kills on time. *)
     let kill_after_s = Option.map (fun d -> (d *. 4.0) +. 1.0) cfg.deadline_s in
-    let key = job_key ~config j in
-    (* The child ships its settled report as its one frame; exceptions
-       escape into [Sandbox.spawn]'s transport.  Its probe slot starts
-       empty and dies with it, so a child shares nothing. *)
+    (* The child ships its settled report as its one frame, with an
+       empty key: the parent reads only the report, and the journal's
+       keys come from the run's own entries.  Exceptions escape into
+       [Sandbox.spawn]'s transport.  Its probe slot starts empty and dies
+       with it, so a child shares nothing. *)
     let payload () =
-      encode_result ~label:j.label ~key (run_attempt ~config ?pre_run ~held:(ref None) a)
+      encode_result ~label:j.label ~key:"" (run_attempt ~config ?pre_run ~held:(ref None) a)
     in
     active := (Sandbox.spawn ~limits ?kill_after_s ~die payload, a) :: !active
   in

@@ -134,9 +134,9 @@ type config = {
           escaped exception. *)
   ladder : bool;
       (** retry rescuable failures (budget/deadline exhaustion) up the
-          degradation ladder: escalated symex budgets, then a degraded
-          symbolic file size.  On by default; Table II is unaffected at
-          default budgets. *)
+          degradation ladder: its one rung, ["symex-escalate"], retries
+          once with every symex budget escalated.  On by default; Table II
+          is unaffected at default budgets. *)
   inject : Octo_util.Faultinject.t;
       (** deterministic fault injector for the chaos harness
           ({!Octo_util.Faultinject.none} by default) *)

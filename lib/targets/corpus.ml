@@ -254,11 +254,11 @@ let generate ~seed ~index =
    - {b patched}: the decoder with its allocations enlarged 256x — the
      upstream fix.  Only two immediates move, so the winnowed index
      still retrieves it at high similarity; the validity filter's
-     full-k-gram re-score is what rejects it (retrieval
-     over-approximates, validation decides).
+     exact-clone test is what rejects it (retrieval over-approximates,
+     validation decides).
    - {b mutated}: the decoder with one opcode-level edit and cosmetic
-     driver drift — a near-clone that should be retrieved but fail the
-     confirmation threshold.
+     driver drift — a near-clone that should be retrieved but never
+     confirmed.
    - {b unrelated}: no decoder at all; must never be retrieved. *)
 
 type decoy_kind = Patched | Mutated | Unrelated

@@ -18,8 +18,11 @@
     - {b precision} is measured against the decoys and cross-family
       near-misses: a patched or mutated decoy is retrieved by the
       winnowed index at high similarity, and the validity filter's
-      full-k-gram re-score is what keeps it out of the confirmed set —
-      retrieval over-approximates, validation decides.
+      exact-clone test keeps it out of the confirmed set — retrieval
+      over-approximates, validation decides.  The filter confirms a hit
+      only when T holds the exact fingerprint of S's vulnerable
+      function, the ground truth's own predicate, so precision is 1.0
+      by construction.
 
     Detection is pure and deterministic; verification of the confirmed
     candidates is composed downstream (the CLI pipes them through
@@ -106,7 +109,8 @@ type result = {
     detection pass: index all targets, query with each probe's
     vulnerable function, confirm hits through the validity filter.
     [top] (0 = unlimited) caps confirmed candidates per probe, best
-    containment first; dropped candidates are counted, never silent. *)
+    retrieval score first; dropped candidates are counted, never
+    silent. *)
 let run ?(params = Detect.default_params) ?(top = 0) ~(probes : probe list)
     ~(targets : target list) ~n_decoys () : result =
   let ix = Detect.index_create params in
@@ -149,7 +153,7 @@ let run ?(params = Detect.default_params) ?(top = 0) ~(probes : probe list)
             (fun (h : Detect.hit) ->
               let t, tp = Hashtbl.find tprog h.h_label in
               match
-                Detect.confirm_profiled params ~sp ~tp ~s:pr.pr_s ~s_label:pr.pr_label ~t
+                Detect.confirm_profiled ~sp ~tp ~s_label:pr.pr_label ~t
                   ~t_label:h.h_label ~vuln_func:pr.pr_vuln ~s_crash:crash h
               with
               | Some c -> Some c
@@ -248,18 +252,16 @@ let render ~corpus_id (r : result) : string =
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   line "scan: corpus=%s probes=%d targets=%d decoys=%d" corpus_id r.n_probes r.n_targets
     r.n_decoys;
-  line "params: k=%d w=%d tau-retrieve=%.2f tau-confirm=%.2f top=%s" r.params.shingle_k
-    r.params.winnow_w r.params.tau_retrieve r.params.tau_confirm
+  line "params: k=%d w=%d tau-retrieve=%.2f top=%s" r.params.shingle_k r.params.winnow_w
+    r.params.tau_retrieve
     (if r.top = 0 then "unlimited" else string_of_int r.top);
   line "index: %d function(s), %d posting(s)" r.index_funcs r.index_postings;
   let gt : (string * string, unit) Hashtbl.t = Hashtbl.create 256 in
   List.iter (fun k -> Hashtbl.replace gt k ()) r.gt;
   List.iter
     (fun (c : Detect.candidate) ->
-      line "candidate s=%s t=%s vuln=%s hit=%s sim=%.3f exact=%s ell=%d ep=%s reach=%s gt=%s"
-        c.c_s_label c.c_t_label c.c_vuln_func c.c_hit_func c.c_score
-        (if c.c_exact then "yes" else "no")
-        (List.length c.c_ell) c.c_ep
+      line "candidate s=%s t=%s vuln=%s hit=%s sim=%.3f ell=%d ep=%s reach=%s gt=%s"
+        c.c_s_label c.c_t_label c.c_vuln_func c.c_hit_func c.c_score (List.length c.c_ell) c.c_ep
         (match c.c_reachable with Some true -> "yes" | Some false -> "no" | None -> "cfg-fail")
         (if Hashtbl.mem gt (c.c_s_label, c.c_t_label) then "tp" else "fp"))
     r.candidates;
