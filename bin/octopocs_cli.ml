@@ -927,22 +927,17 @@ let verify_all_cmd =
 (* ------------------------------------------------------------------ *)
 (* scan: the clone-detection front-end.  Instead of verifying annotated
    (S, T) pairs, discover them: index every target program of a corpus
-   (plus optional seeded decoys), retrieve candidates for each probe's
-   annotated vulnerable function, confirm (S, T, ℓ, ep) when T holds an
-   exact clone of that function, print the precision/recall table
-   against the corpus's own ground truth, and pipe the confirmed
-   candidates through the same driver as verify-all. *)
+   (plus optional seeded decoys) by exact function fingerprint, retrieve
+   the targets that link each probe's annotated vulnerable function,
+   confirm (S, T, ℓ, ep) when ep recovers from S's crash, print the
+   precision/recall table against the corpus's own ground truth, and
+   pipe the confirmed candidates through the same driver as
+   verify-all. *)
 
-let run_scan o corpus strict decoys decoy_seed shingle_k winnow_w tau_retrieve top
-    no_verify min_recall log_level log_json =
+let run_scan o corpus strict decoys decoy_seed no_verify min_recall log_level log_json =
   with_logging log_level log_json @@ fun () ->
   with_run_opts o @@ fun () ->
   if decoys < 0 then structured_error "--decoys must be >= 0"
-  else if shingle_k < 1 then structured_error "--shingle-k must be >= 1"
-  else if winnow_w < 1 then structured_error "--winnow-w must be >= 1"
-  else if not (tau_retrieve > 0.0 && tau_retrieve <= 1.0) then
-    structured_error "--tau-retrieve must be in (0, 1]"
-  else if top < 0 then structured_error "--top must be >= 0"
   else if no_verify && (o.telemetry || o.progress) then
     structured_error
       "--telemetry/--progress instrument the verification stage (drop --no-verify)"
@@ -955,9 +950,8 @@ let run_scan o corpus strict decoys decoy_seed shingle_k winnow_w tau_retrieve t
             structured_error "malformed pair manifest: %s" path
         | probes, corpus_targets -> (
             let t0 = Unix.gettimeofday () in
-            let params = { Detect.shingle_k; winnow_w; tau_retrieve } in
             let targets = corpus_targets @ Scan.decoy_targets ~seed:decoy_seed ~count:decoys in
-            let result = Scan.run ~params ~top ~probes ~targets ~n_decoys:decoys () in
+            let result = Scan.run ~probes ~targets ~n_decoys:decoys () in
             print_string (Scan.render ~corpus_id:(Source.id src) result);
             let detect_elapsed = Unix.gettimeofday () -. t0 in
             let recall_bad =
@@ -972,38 +966,32 @@ let run_scan o corpus strict decoys decoy_seed shingle_k winnow_w tau_retrieve t
               if recall_bad then 1 else 0
             end
             else begin
-              (* Verification stage: one entry per distinct confirmed (S, T)
-                 pair.  A diagonal candidate (S and T from the same corpus
-                 pair) runs under the pair's own label with ℓ re-derived by
-                 the pipeline's clone stage — its content key is therefore
-                 identical to a verify-all --corpus run of the same corpus,
-                 so journal dumps of the two agree on the intersection.  A
+              (* Verification stage: one entry per confirmed (S, T) pair
+                 (a scan confirms each pair at most once).  A diagonal
+                 candidate (S and T from the same corpus pair) runs under
+                 the pair's own label with ℓ re-derived by the pipeline's
+                 clone stage — its content key is therefore identical to a
+                 verify-all --corpus run of the same corpus, so journal
+                 dumps of the two agree on the intersection.  A
                  cross candidate runs under "S~T" with the detector's ℓ. *)
               let probe_tbl : (string, Scan.probe) Hashtbl.t = Hashtbl.create 31 in
               List.iter (fun (pr : Scan.probe) -> Hashtbl.replace probe_tbl pr.pr_label pr) probes;
               let target_tbl : (string, Scan.target) Hashtbl.t = Hashtbl.create 31 in
               List.iter (fun (tg : Scan.target) -> Hashtbl.replace target_tbl tg.tg_label tg) targets;
-              let seen : (string * string, unit) Hashtbl.t = Hashtbl.create 31 in
               let entries =
-                List.filter_map
+                List.map
                   (fun (c : Detect.candidate) ->
-                    let pk = (c.c_s_label, c.c_t_label) in
-                    if Hashtbl.mem seen pk then None
-                    else begin
-                      Hashtbl.replace seen pk ();
-                      let pr = Hashtbl.find probe_tbl c.c_s_label in
-                      let tg = Hashtbl.find target_tbl c.c_t_label in
-                      let diagonal = c.c_s_label = c.c_t_label in
-                      let label =
-                        if diagonal then c.c_s_label else c.c_s_label ^ "~" ^ c.c_t_label
-                      in
-                      let ell = if diagonal then None else Some c.c_ell in
-                      let expected = if diagonal then pr.pr_expected else None in
-                      let config = config_for_label ~deadline:o.deadline ~chaos_seed:None label in
-                      Some
-                        (Runlog.entry ~config ?ell ?expected ~label ~s:pr.pr_s
-                           ~t:tg.tg_prog ~poc:pr.pr_poc ())
-                    end)
+                    let pr = Hashtbl.find probe_tbl c.c_s_label in
+                    let tg = Hashtbl.find target_tbl c.c_t_label in
+                    let diagonal = c.c_s_label = c.c_t_label in
+                    let label =
+                      if diagonal then c.c_s_label else c.c_s_label ^ "~" ^ c.c_t_label
+                    in
+                    let ell = if diagonal then None else Some c.c_ell in
+                    let expected = if diagonal then pr.pr_expected else None in
+                    let config = config_for_label ~deadline:o.deadline ~chaos_seed:None label in
+                    Runlog.entry ~config ?ell ?expected ~label ~s:pr.pr_s ~t:tg.tg_prog
+                      ~poc:pr.pr_poc ())
                   result.candidates
               in
               match
@@ -1043,38 +1031,12 @@ let scan_cmd =
          & info [ "decoys" ] ~docv:"N"
              ~doc:"Seed $(docv) decoy programs into the target set: patched \
                    (fix applied), mutated (one opcode flipped) and unrelated, \
-                   round-robin.  The first two are retrieved by the index and \
-                   rejected by the validity filter; unrelated decoys are never \
-                   retrieved.")
+                   round-robin.  None links the exact fingerprint of a probe's \
+                   vulnerable function, so none is retrieved.")
   in
   let decoy_seed =
     Arg.(value & opt int 7
          & info [ "decoy-seed" ] ~docv:"SEED" ~doc:"Seed for the decoy generator.")
-  in
-  let shingle_k =
-    Arg.(value & opt int Detect.default_params.Detect.shingle_k
-         & info [ "shingle-k" ] ~docv:"K"
-             ~doc:"Shingle length: $(docv) consecutive normalized instruction tokens \
-                   per k-gram.")
-  in
-  let winnow_w =
-    Arg.(value & opt int Detect.default_params.Detect.winnow_w
-         & info [ "winnow-w" ] ~docv:"W"
-             ~doc:"Winnowing window: keep the minimum k-gram hash of every $(docv)-gram \
-                   window.")
-  in
-  let tau_retrieve =
-    Arg.(value & opt float Detect.default_params.Detect.tau_retrieve
-         & info [ "tau-retrieve" ] ~docv:"F"
-             ~doc:"Retrieval threshold: a target function is a hit when it shares at \
-                   least fraction $(docv) of the probe's shingles.")
-  in
-  let top =
-    Arg.(value & opt int 0
-         & info [ "top" ] ~docv:"N"
-             ~doc:"Keep at most $(docv) confirmed candidates per probe (best \
-                   retrieval score first; 0 = unlimited).  Dropped candidates are \
-                   counted in the report, never silent.")
   in
   let no_verify =
     Arg.(value & flag
@@ -1091,9 +1053,10 @@ let scan_cmd =
   Cmd.v
     (Cmd.info "scan"
        ~doc:"Discover (S, T, ℓ, ep) candidates across a corpus by clone detection \
-             (retrieve near-clones by shingle containment, confirm exact clones of \
-             the vulnerable function), report precision/recall vs the annotated \
-             ground truth, and verify the confirmed candidates"
+             (retrieve the targets that link an exact clone of the vulnerable \
+             function, confirm those whose entry point recovers from S's crash), \
+             report precision/recall vs the annotated ground truth, and verify the \
+             confirmed candidates"
        ~man:
          [
            `S Manpage.s_exit_status;
@@ -1103,9 +1066,8 @@ let scan_cmd =
                structured error; 3 when every candidate was quarantined (or a \
                replayed verdict records a crashed worker).";
          ])
-    Term.(const run_scan $ run_opts_term $ corpus $ strict $ decoys $ decoy_seed $ shingle_k
-          $ winnow_w $ tau_retrieve $ top $ no_verify $ min_recall
-          $ log_level_arg $ log_json_arg)
+    Term.(const run_scan $ run_opts_term $ corpus $ strict $ decoys $ decoy_seed $ no_verify
+          $ min_recall $ log_level_arg $ log_json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* explain: render the causal evidence behind one verdict.  The live form

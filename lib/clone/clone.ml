@@ -92,6 +92,7 @@ let shared_functions ?level (s : program) (t : program) : clone_pair list =
 
 let profile_fp (p : profile) name = List.assoc_opt name p.fps
 let profile_has_fp (p : profile) fp = Hashtbl.mem p.by_fp fp
+let profile_fingerprints (p : profile) = List.map snd p.fps
 
 (* The profile table: bounded, keyed by (level, content digest), and
    reset when full like the compile cache.  A profile is immutable, so

@@ -63,6 +63,10 @@ val profile_fp : profile -> string -> string option
     fingerprint [fp]. *)
 val profile_has_fp : profile -> string -> bool
 
+(** [profile_fingerprints p] is the fingerprint of every function of [p],
+    one per function, so equal bodies repeat. *)
+val profile_fingerprints : profile -> string list
+
 (** [shared_functions ?level s t] computes ℓ: every function of [s] whose
     fingerprint also occurs in [t]; same-name matches preferred.  Profiles
     both programs afresh. *)

@@ -2,66 +2,45 @@
 
     {!Clone} decides whether two functions are identical clones; this
     module answers the retrieval question that precedes it at corpus
-    scale (the VUDDY / VulCoCo workflow): given one known-vulnerable
-    function of S, which target programs of a corpus plausibly contain a
-    clone of it — and for each plausible pair, what are the ℓ and ep the
-    verifier should run with? *)
+    scale (the VUDDY workflow): given one known-vulnerable function of S,
+    which target programs of a corpus link an exact clone of it — and for
+    each such pair, what are the ℓ and ep the verifier should run with? *)
 
 open Octo_vm.Isa
 
-(** Detection parameters: k-gram length, winnowing window, and the
-    probe-side containment threshold [tau_retrieve] that gates index
-    hits. *)
-type params = {
-  shingle_k : int;
-  winnow_w : int;
-  tau_retrieve : float;
-}
+type params
+(** Detection has no parameters.  [params] and {!default_params} are kept
+    only because perfbench's harness passes them to {!index_create} and
+    {!confirm}; the next change to the benchmark drops them. *)
 
 val default_params : params
-(** [{ shingle_k = 4; winnow_w = 4; tau_retrieve = 0.5 }] *)
 
-val tokens : func -> string list
-(** [tokens f] is the normalized token stream: one opcode-shape token per
-    instruction, registers renumbered by first occurrence (parameters
-    pinned to their slots), callee names reduced to arity + return shape,
-    jump targets pc-relative; immediates and data symbols stay concrete
-    (on register-canonical MiniVM code the constants are what
-    distinguishes template-stamped functions).  Exposed for the property
-    tests. *)
-
-val fingerprint_norm : func -> string
-(** Digest of the normalized token stream: invariant under register
-    renaming and helper renaming; sensitive to any opcode-level or
-    constant edit. *)
-
-module ISet : Set.S with type elt = int
-
-val shingles : k:int -> w:int -> func -> ISet.t
-(** Winnowed k-gram shingle set over the normalized token stream
-    (per-window minima of k-gram hashes).  Deterministic across
-    platforms: hashing is the module's own 61-bit FNV, not
-    [Hashtbl.hash]. *)
-
-(** Inverted index over target-program functions. *)
+(** Exact-fingerprint index: each {!Clone.fingerprint} of the indexed
+    targets' functions maps to the labels of the targets that link it. *)
 type index
 
 val index_create : params -> index
 
+val index_add_profile : index -> label:string -> Clone.profile -> unit
+(** Insert every distinct fingerprint of a target's {!Clone.profile}
+    under the target's corpus label. *)
+
 val index_add : index -> label:string -> program -> unit
-(** Fingerprint every function of a target program under a corpus label
-    and insert its shingles. *)
+(** {!index_add_profile} over the program's profile from the profile
+    table. *)
 
 val index_stats : index -> int * int * int
-(** [(programs, functions, postings)] indexed so far. *)
+(** [(programs, functions, postings)] indexed so far; a posting is one
+    (fingerprint, target) entry. *)
 
-(** A retrieval hit: target function [h_func] of entry [h_label] shares
-    fraction [h_score] of the probe's shingles. *)
-type hit = { h_label : string; h_func : string; h_score : float }
+(** A retrieval hit: corpus entry [h_label] links the probe's exact
+    fingerprint. *)
+type hit = { h_label : string }
 
 val query : index -> func -> hit list
-(** Hits clearing [tau_retrieve], best score first (label and function
-    name as deterministic tiebreaks). *)
+(** One hit per indexed target that links the probe's exact
+    {!Clone.fingerprint}, in the order the targets were added: the hits
+    are exactly the scan's ground-truth positives for that probe. *)
 
 (** A confirmed candidate: everything the verifier needs plus the
     filter's evidence.  [c_reachable] is [None] when T's CFG recovery
@@ -72,7 +51,6 @@ type candidate = {
   c_t_label : string;
   c_vuln_func : string;
   c_hit_func : string;
-  c_score : float;  (** the hit's retrieval score ([h_score]) *)
   c_ell : string list;  (** T-side names, sorted *)
   c_ep : string;
   c_reachable : bool option;
@@ -95,10 +73,7 @@ val confirm_profiled :
 (** Validity filter over the {!Clone.profile}s [sp]/[tp] of S and [t]: the
     hit survives only if [vuln_func] is an exact clone in [t] ({!Clone.join}
     aligns it; ℓ is that join), ep recovers from S's crash backtrace
-    mapped to T-side names, and CFG reachability of ep is recorded.  A
-    near-clone (retrieved, not exact) is never confirmed: the scan's
-    ground truth is the exact-clone relation, so it could only be a
-    false positive. *)
+    mapped to T-side names, and CFG reachability of ep is recorded. *)
 
 val confirm :
   params ->
@@ -115,6 +90,6 @@ val confirm :
 (** {!confirm_profiled} with [s] and [t]'s profiles taken from the
     profile table ({!Clone.profile_pair}); [sdig]/[tdig] forward
     precomputed {!Octo_vm.Compile.program_digest} values to the table
-    lookup.  [params] is unused: confirmation has no threshold.  A
-    caller confirming many hits over the same programs can hold the
-    profiles and call {!confirm_profiled} instead. *)
+    lookup.  [params] is unused.  A caller confirming many hits over the
+    same programs can hold the profiles and call {!confirm_profiled}
+    instead. *)

@@ -252,13 +252,10 @@ let generate ~seed ~index =
    mode:
 
    - {b patched}: the decoder with its allocations enlarged 256x — the
-     upstream fix.  Only two immediates move, so the winnowed index
-     still retrieves it at high similarity; the validity filter's
-     exact-clone test is what rejects it (retrieval over-approximates,
-     validation decides).
+     upstream fix.  Only two immediates move, yet its exact fingerprint
+     differs from the decoder's, so it is never retrieved.
    - {b mutated}: the decoder with one opcode-level edit and cosmetic
-     driver drift — a near-clone that should be retrieved but never
-     confirmed.
+     driver drift — a near-clone that must never be retrieved.
    - {b unrelated}: no decoder at all; must never be retrieved. *)
 
 type decoy_kind = Patched | Mutated | Unrelated
@@ -270,15 +267,14 @@ let decoy_kind_name = function
 
 (* The upstream fix: every allocation in the vulnerable function grows
    256x, so no generated PoC (payloads are single-byte-length bounded)
-   can overflow it.  Only immediates change — the smallest edit the
-   normalized token stream can register. *)
+   can overflow it.  Only immediates change — the smallest edit an exact
+   fingerprint registers. *)
 let patch_instr (ins : instr) : instr =
   match ins with Sys (Alloc (d, Imm n)) -> Sys (Alloc (d, Imm (n * 256))) | i -> i
 
 (* One opcode-shape edit near the end of the function: the last Bin's
    operator flips Add<->Xor; a function without Bin (tif_get_field) flips
-   its last Jif's relation instead.  Token-level change, so the
-   fingerprint and part of the shingle set move. *)
+   its last Jif's relation instead, so the fingerprint moves. *)
 let mutate_code (code : instr array) : instr array =
   let code = Array.copy code in
   let last p =
@@ -307,8 +303,8 @@ let mutate_code (code : instr array) : instr array =
   end
 
 (* A program sharing no function shape with any family: a checksum
-   driver.  The helper's body is loop-structured like nothing in
-   {!Shared}, so no shingle window overlaps a decoder's. *)
+   driver whose helper's body is loop-structured like nothing in
+   {!Shared}. *)
 let unrelated_program ~name r =
   let rounds = 1 + Rng.int r 6 in
   assemble ~name ~entry:"main"

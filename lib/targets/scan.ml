@@ -4,9 +4,9 @@
     A scan separates a corpus into {e probes} (each pair's S with its
     annotated vulnerable function — what a VUDDY user starts from) and
     {e targets} (every pair's T, plus optional seeded decoys), indexes
-    the targets with {!Octo_clone.Detect}, retrieves and confirms
-    (S, T, ℓ, ep) candidates, and reports a precision/recall table
-    against the corpus's own annotations:
+    the targets' exact function fingerprints with {!Octo_clone.Detect},
+    retrieves and confirms (S, T, ℓ, ep) candidates, and reports a
+    precision/recall table against the corpus's own annotations:
 
     - {b ground truth}: (probe i, target j) is a positive iff T_j links
       a function whose exact {!Clone} fingerprint equals S_i's annotated
@@ -16,13 +16,12 @@
       same linked value), which is what makes cross-pair retrieval
       measurable rather than vacuous.
     - {b precision} is measured against the decoys and cross-family
-      near-misses: a patched or mutated decoy is retrieved by the
-      winnowed index at high similarity, and the validity filter's
-      exact-clone test keeps it out of the confirmed set — retrieval
-      over-approximates, validation decides.  The filter confirms a hit
-      only when T holds the exact fingerprint of S's vulnerable
-      function, the ground truth's own predicate, so precision is 1.0
-      by construction.
+      near-misses: a patched or mutated decoy differs from the decoder
+      it copies, so it does not hold that decoder's exact fingerprint and
+      is never retrieved.  Retrieval is the ground truth's own predicate,
+      so precision is 1.0 by construction, and a positive is missed only
+      when its hit fails confirmation (S does not crash on its PoC, or
+      no crash frame lies in ℓ).
 
     Detection is pure and deterministic; verification of the confirmed
     candidates is composed downstream (the CLI pipes them through
@@ -89,10 +88,9 @@ type result = {
   n_probes : int;
   n_targets : int;
   n_decoys : int;
-  n_retrieved : int;  (** hits clearing the retrieval threshold *)
+  n_retrieved : int;  (** hits: targets holding a probe's fingerprint *)
   n_rejected : int;  (** retrieved hits that failed confirmation *)
   n_no_crash : int;  (** probes whose S did not crash on its own PoC *)
-  n_dropped : int;  (** confirmed candidates dropped by the [top] cap *)
   index_funcs : int;
   index_postings : int;
   gt : (string * string) list;  (** ground-truth positives, sorted *)
@@ -101,27 +99,23 @@ type result = {
       (** per annotated class: (class, diagonal positives confirmed,
           diagonal positives total) — the "recall on generator clone
           variants" row of the acceptance criteria *)
-  params : Detect.params;
-  top : int;
 }
 
-(** [run ?params ?top ~probes ~targets ~n_decoys ()] executes the
-    detection pass: index all targets, query with each probe's
-    vulnerable function, confirm hits through the validity filter.
-    [top] (0 = unlimited) caps confirmed candidates per probe, best
-    retrieval score first; dropped candidates are counted, never
-    silent. *)
-let run ?(params = Detect.default_params) ?(top = 0) ~(probes : probe list)
-    ~(targets : target list) ~n_decoys () : result =
-  let ix = Detect.index_create params in
+(** [run ~probes ~targets ~n_decoys ()] executes the detection pass:
+    index all targets, query with each probe's vulnerable function,
+    confirm hits through the validity filter. *)
+let run ~(probes : probe list) ~(targets : target list) ~n_decoys () : result =
+  let ix = Detect.index_create Detect.default_params in
   (* Every program is profiled once for the whole pass: the references
      are held here, so a pass larger than the profile table's cap still
-     fingerprints each program exactly once. *)
+     fingerprints each program exactly once, and the index is filled
+     from the same profiles. *)
   let tprog : (string, program * Clone.profile) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun tg ->
-      Detect.index_add ix ~label:tg.tg_label tg.tg_prog;
-      Hashtbl.replace tprog tg.tg_label (tg.tg_prog, Clone.profile tg.tg_prog))
+      let tp = Clone.profile tg.tg_prog in
+      Detect.index_add_profile ix ~label:tg.tg_label tp;
+      Hashtbl.replace tprog tg.tg_label (tg.tg_prog, tp))
     targets;
   let _, index_funcs, index_postings = Detect.index_stats ix in
   let probes_p = List.map (fun pr -> (pr, Clone.profile pr.pr_s)) probes in
@@ -137,10 +131,7 @@ let run ?(params = Detect.default_params) ?(top = 0) ~(probes : probe list)
             Hashtbl.replace gt (pr.pr_label, tg.tg_label) ())
         targets)
     probes_p;
-  let n_retrieved = ref 0
-  and n_rejected = ref 0
-  and n_no_crash = ref 0
-  and n_dropped = ref 0 in
+  let n_retrieved = ref 0 and n_rejected = ref 0 and n_no_crash = ref 0 in
   let candidates =
     List.concat_map
       (fun (pr, sp) ->
@@ -148,41 +139,25 @@ let run ?(params = Detect.default_params) ?(top = 0) ~(probes : probe list)
         if crash = None then incr n_no_crash;
         let hits = Detect.query ix (func_exn pr.pr_s pr.pr_vuln) in
         n_retrieved := !n_retrieved + List.length hits;
-        let confirmed =
-          List.filter_map
-            (fun (h : Detect.hit) ->
-              let t, tp = Hashtbl.find tprog h.h_label in
-              match
-                Detect.confirm_profiled ~sp ~tp ~s_label:pr.pr_label ~t
-                  ~t_label:h.h_label ~vuln_func:pr.pr_vuln ~s_crash:crash h
-              with
-              | Some c -> Some c
-              | None ->
-                  incr n_rejected;
-                  None)
-            hits
-        in
-        if top > 0 && List.length confirmed > top then begin
-          let kept =
-            List.stable_sort
-              (fun (a : Detect.candidate) b -> compare b.c_score a.c_score)
-              confirmed
-            |> List.filteri (fun i _ -> i < top)
-          in
-          n_dropped := !n_dropped + (List.length confirmed - top);
-          kept
-        end
-        else confirmed)
+        List.filter_map
+          (fun (h : Detect.hit) ->
+            let t, tp = Hashtbl.find tprog h.h_label in
+            match
+              Detect.confirm_profiled ~sp ~tp ~s_label:pr.pr_label ~t ~t_label:h.h_label
+                ~vuln_func:pr.pr_vuln ~s_crash:crash h
+            with
+            | Some c -> Some c
+            | None ->
+                incr n_rejected;
+                None)
+          hits)
       probes_p
   in
   let candidates =
     List.sort
       (fun (a : Detect.candidate) b ->
         match label_compare a.c_s_label b.c_s_label with
-        | 0 -> (
-            match label_compare a.c_t_label b.c_t_label with
-            | 0 -> compare a.c_hit_func b.c_hit_func
-            | c -> c)
+        | 0 -> label_compare a.c_t_label b.c_t_label
         | c -> c)
       candidates
   in
@@ -219,7 +194,6 @@ let run ?(params = Detect.default_params) ?(top = 0) ~(probes : probe list)
     n_retrieved = !n_retrieved;
     n_rejected = !n_rejected;
     n_no_crash = !n_no_crash;
-    n_dropped = !n_dropped;
     index_funcs;
     index_postings;
     gt =
@@ -228,8 +202,6 @@ let run ?(params = Detect.default_params) ?(top = 0) ~(probes : probe list)
              match label_compare a1 b1 with 0 -> label_compare a2 b2 | c -> c);
     n_tp;
     by_class;
-    params;
-    top;
   }
 
 (** [recall r] is |confirmed ∩ ground truth| / |ground truth| (1.0 on an
@@ -243,30 +215,27 @@ let precision r =
   else float_of_int r.n_tp /. float_of_int (List.length r.candidates)
 
 (** [render ~corpus_id r] is the deterministic scan report: header,
-    parameters, one line per confirmed candidate, counts and the
+    index size, one line per confirmed candidate, counts and the
     precision/recall table.  Byte-identical across runs of the same
-    corpus and parameters — the golden test and the CI scan-smoke job
+    corpus — the golden test and the CI scan-smoke job
     diff it directly. *)
 let render ~corpus_id (r : result) : string =
   let b = Buffer.create 4096 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   line "scan: corpus=%s probes=%d targets=%d decoys=%d" corpus_id r.n_probes r.n_targets
     r.n_decoys;
-  line "params: k=%d w=%d tau-retrieve=%.2f top=%s" r.params.shingle_k r.params.winnow_w
-    r.params.tau_retrieve
-    (if r.top = 0 then "unlimited" else string_of_int r.top);
   line "index: %d function(s), %d posting(s)" r.index_funcs r.index_postings;
   let gt : (string * string, unit) Hashtbl.t = Hashtbl.create 256 in
   List.iter (fun k -> Hashtbl.replace gt k ()) r.gt;
   List.iter
     (fun (c : Detect.candidate) ->
-      line "candidate s=%s t=%s vuln=%s hit=%s sim=%.3f ell=%d ep=%s reach=%s gt=%s"
-        c.c_s_label c.c_t_label c.c_vuln_func c.c_hit_func c.c_score (List.length c.c_ell) c.c_ep
+      line "candidate s=%s t=%s vuln=%s hit=%s ell=%d ep=%s reach=%s gt=%s" c.c_s_label
+        c.c_t_label c.c_vuln_func c.c_hit_func (List.length c.c_ell) c.c_ep
         (match c.c_reachable with Some true -> "yes" | Some false -> "no" | None -> "cfg-fail")
         (if Hashtbl.mem gt (c.c_s_label, c.c_t_label) then "tp" else "fp"))
     r.candidates;
-  line "counts: retrieved=%d confirmed=%d rejected=%d no-crash=%d dropped=%d" r.n_retrieved
-    (List.length r.candidates) r.n_rejected r.n_no_crash r.n_dropped;
+  line "counts: retrieved=%d confirmed=%d rejected=%d no-crash=%d" r.n_retrieved
+    (List.length r.candidates) r.n_rejected r.n_no_crash;
   line "ground-truth: positives=%d" (List.length r.gt);
   line "precision: %.3f (%d/%d)" (precision r) r.n_tp (List.length r.candidates);
   line "recall: %.3f (%d/%d)" (recall r) r.n_tp (List.length r.gt);
