@@ -605,7 +605,6 @@ type run_opts = {
   window : int option;
   isolate : Octopocs.isolation;
   limits : Octo_util.Sandbox.limits;
-  mem_watermark : int option;
   telemetry : bool;
   progress : bool;
 }
@@ -641,8 +640,10 @@ let run_opts_term =
   let window =
     Arg.(value & opt (some int) None
          & info [ "window" ] ~docv:"N"
-             ~doc:"Bound on in-flight pairs (admission control for the pair source).  \
-                   Default: max(4, 2*jobs).")
+             ~doc:"Bound on in-flight pairs: the pair source is pulled only while \
+                   fewer than $(docv) are held.  Default: max(4, 2*jobs); a serial \
+                   run holds one.  With --isolate proc it bounds the live children, so \
+                   memory stays under $(docv) times --rlimit-as plus the parent.")
   in
   let isolate =
     let mode_conv =
@@ -669,16 +670,8 @@ let run_opts_term =
                    soft limit $(docv), hard $(docv)+1) behind the cooperative \
                    --deadline.")
   in
-  let mem_watermark =
-    Arg.(value & opt (some int) None
-         & info [ "mem-watermark" ] ~docv:"MB"
-             ~doc:"With --isolate proc: memory-pressure admission control.  Past \
-                   $(docv) MiB (parent RSS plus the worst observed child RSS) the \
-                   in-flight window halves and admissions defer, reported as \
-                   deferred=N in the corpus summary.")
-  in
-  let make jobs retries deadline journal_path resume window isolate as_mb cpu_s
-      mem_watermark telemetry progress =
+  let make jobs retries deadline journal_path resume window isolate as_mb cpu_s telemetry
+      progress =
     {
       jobs;
       retries;
@@ -688,24 +681,28 @@ let run_opts_term =
       window;
       isolate;
       limits = { Octo_util.Sandbox.as_mb; cpu_s };
-      mem_watermark;
       telemetry;
       progress;
     }
   in
   Term.(const make $ jobs $ retries $ deadline_arg $ journal $ resume $ window $ isolate
-        $ rlimit_as $ rlimit_cpu $ mem_watermark $ telemetry_arg $ progress_arg)
+        $ rlimit_as $ rlimit_cpu $ telemetry_arg $ progress_arg)
 
+(* A zero or negative --jobs or --window would be clamped to 1, and a
+   zero or negative rlimit would kill every child: all are usage errors. *)
 let with_run_opts o f =
   with_valid_deadline o.deadline @@ fun () ->
+  let below_one = function Some n -> n < 1 | None -> false in
   if o.resume && o.journal_path = None then structured_error "--resume requires --journal PATH"
   else if o.telemetry && o.journal_path = None then
     structured_error "--telemetry requires --journal PATH (samples are journal records)"
   else if o.retries < 0 then structured_error "--retries must be >= 0"
+  else if o.jobs < 1 then structured_error "--jobs must be >= 1"
+  else if below_one o.window then structured_error "--window must be >= 1"
+  else if below_one o.limits.as_mb then structured_error "--rlimit-as must be >= 1"
+  else if below_one o.limits.cpu_s then structured_error "--rlimit-cpu must be >= 1"
   else if o.isolate = Octopocs.Domains && o.limits <> { as_mb = None; cpu_s = None } then
     structured_error "--rlimit-as/--rlimit-cpu require --isolate proc"
-  else if o.isolate = Octopocs.Domains && o.mem_watermark <> None then
-    structured_error "--mem-watermark requires --isolate proc"
   else f ()
 
 (* The driver: a {!Runlog} run from the shared flags.  [next] pulls the
@@ -741,7 +738,7 @@ let verify_entries o ~chaos_seed ~site_rates ~fail_fast ~total ?(on_row = fun _ 
     Fun.protect ~finally:(fun () -> Progress.finish prog) @@ fun () ->
     Runlog.run ?journal:o.journal_path ~telemetry:o.telemetry ~resume:o.resume ~inject
       ~jobs:o.jobs ~retries:o.retries ?window:o.window ~isolate:o.isolate ~limits:o.limits
-      ?mem_watermark_mb:o.mem_watermark ?pre_run:oom_pre_run ~fail_fast ~on_row next
+      ?pre_run:oom_pre_run ~fail_fast ~on_row next
   in
   match result with
   | Error msg -> Error (structured_error "%s" msg)
@@ -831,9 +828,9 @@ let run_verify_all o fail_fast trace metrics_on provenance_on corpus chaos_seed 
               (worker_kind o.isolate)
           in
           let matched = Option.map (say_registry_rows ~metrics_on) rows in
-          say "corpus  : %s  pulled=%d settled=%d quarantined=%d cached=%d%s peak-in-flight=%d deferred=%d"
+          say "corpus  : %s  pulled=%d settled=%d quarantined=%d cached=%d%s peak-in-flight=%d"
             (Source.id src) st.st_pulled st.st_settled st.st_quarantined tally.cached
-            (Tally.quar_prior_note tally) st.st_peak_in_flight st.st_deferrals;
+            (Tally.quar_prior_note tally) st.st_peak_in_flight;
           Tally.say_summary tally;
           (match matched with
           | Some m ->

@@ -1049,8 +1049,8 @@ type stream_stats = {
   st_quarantined : int;  (** jobs handed to [on_quarantine] *)
   st_peak_in_flight : int;  (** high-water mark of concurrently held jobs *)
   st_deferrals : int;
-      (** admission-deferral episodes: times the memory controller paused
-          admissions under pressure (always 0 without a watermark) *)
+      (** always 0: admission has no deferral since the window is fixed.
+          Kept only because the benchmark harness reads it. *)
 }
 
 (* One attempt of one job, as the loop hands it to an executor. *)
@@ -1059,7 +1059,6 @@ type attempt = {
   ak : int;  (* 0-based attempt number *)
   adelay : float;  (* retry backoff the attempt sleeps before running *)
   afault : Faultinject.site option;  (* the synthetic fault it suffers *)
-  adeferred : bool;  (* admission was deferred under pressure *)
 }
 
 (* How an attempt ended.  A raising attempt carries its backtrace; a
@@ -1231,9 +1230,9 @@ let pool_executor ~jobs worker =
    [Unix.fork] permanently once any domain has EVER been spawned in the
    process (the restriction latches; joining does not lift it), so this
    executor spawns NO worker domains and callers must reach it before the
-   process's first Domain-mode batch.  A reaped child's max RSS feeds the
-   admission controller. *)
-let process_executor ~config ~limits ~adm ?pre_run () =
+   process's first Domain-mode batch.  [child_rss_kb] keeps the running
+   maximum of the reaped children's max RSS, for telemetry. *)
+let process_executor ~config ~limits ~child_rss_kb ?pre_run () =
   let active = ref [] in
   let start a =
     let j = a.aj in
@@ -1272,7 +1271,7 @@ let process_executor ~config ~limits ~adm ?pre_run () =
     List.map
       (fun (c, a) ->
         let death, maxrss_kb = Sandbox.reap c in
-        Sandbox.Admission.note_child_rss adm maxrss_kb;
+        child_rss_kb := max !child_rss_kb maxrss_kb;
         (a, outcome_of_death death))
       finished
   in
@@ -1302,10 +1301,9 @@ let quarantine_hook f q =
     is bounded by the window, not the corpus size.
 
     Admission control: at most [window] jobs (default [max 4 (2 * jobs)];
-    1 when serial) are in flight at once, fewer while [mem_watermark_mb]
-    pressure has shrunk the window; the generator behind [next] is simply
-    not pulled while the window is full.  A retry takes priority over a
-    fresh pull, so an endless source cannot starve it.
+    1 when serial) are in flight at once; the generator behind [next] is
+    simply not pulled while the window is full.  A retry takes priority
+    over a fresh pull, so an endless source cannot starve it.
 
     Crash containment: a job whose attempt raises (or whose child dies)
     gets [retries] extra attempts, each sleeping
@@ -1328,7 +1326,7 @@ let quarantine_hook f q =
     [on_settle job report] and [on_quarantine q] fire exactly once per
     job, from the calling domain, in completion order. *)
 let run_stream ?(config = default_config) ?(jobs = 1) ?(retries = 0) ?window
-    ?(isolate = Domains) ?limits ?mem_watermark_mb ?pre_run ?on_settle ?on_quarantine
+    ?(isolate = Domains) ?limits ?pre_run ?on_settle ?on_quarantine
     (next : unit -> job option) : stream_stats =
   let jobs = Octo_util.Pool.effective_jobs jobs in
   let serial = isolate = Domains && jobs <= 1 in
@@ -1338,81 +1336,63 @@ let run_stream ?(config = default_config) ?(jobs = 1) ?(retries = 0) ?window
   let window =
     if serial then 1 else match window with Some w -> max 1 w | None -> max 4 (2 * jobs)
   in
-  let adm = Sandbox.Admission.create ?watermark_mb:mem_watermark_mb ~window () in
+  let child_rss_kb = ref 0 in
   let exec, fault_sites =
     match isolate with
     | Processes ->
         let limits = Option.value limits ~default:Sandbox.no_limits in
-        (process_executor ~config ~limits ~adm ?pre_run (), process_fault_sites)
+        (process_executor ~config ~limits ~child_rss_kb ?pre_run (), process_fault_sites)
     | Domains when serial -> (inline_executor (worker_here ~config ?pre_run ()), domain_fault_sites)
     | Domains -> (pool_executor ~jobs (worker_here ~config ?pre_run), domain_fault_sites)
   in
   let pulled = ref 0 and settled = ref 0 and quarantined = ref 0 in
   let in_flight = ref 0 and peak = ref 0 in
-  let retried = ref 0 and stalls = ref 0 and deferrals = ref 0 in
-  (* [deferring] marks an open pressure episode: one episode counts one
-     deferral however many admissions it spans, and the first job
-     admitted out of it carries the "admission-deferred" degradation. *)
-  let deferring = ref false and exhausted_src = ref false in
-  let pending : (job * int * bool) Queue.t = Queue.create () in
+  let retried = ref 0 and stalls = ref 0 and exhausted_src = ref false in
+  let pending : (job * int) Queue.t = Queue.create () in
   let progress () =
     {
       Telemetry.pulled = !pulled;
       settled = !settled;
       quarantined = !quarantined;
       in_flight = !in_flight;
-      window = Sandbox.Admission.window adm;
+      window;
       retries = !retried;
       stalls = !stalls;
-      deferrals = !deferrals;
-      child_rss_kb = Sandbox.Admission.worst_child_kb adm;
+      child_rss_kb = !child_rss_kb;
     }
   in
   let settle j r =
     incr settled;
     settle_hook on_settle j r
   in
-  let start (j, k, adeferred) =
+  let start (j, k) =
     let cfg = Option.value j.jconfig ~default:config in
     let afault = List.find_opt (Faultinject.fire cfg.inject) fault_sites in
     let adelay =
       if k = 0 then 0. else Octo_util.Pool.backoff_delay ~key:(Hashtbl.hash j.label) ~attempt:k ()
     in
-    exec.start { aj = j; ak = k; adelay; afault; adeferred };
+    exec.start { aj = j; ak = k; adelay; afault };
     incr in_flight;
     if !in_flight > !peak then peak := !in_flight
   in
   let rec admit () =
-    if not (Queue.is_empty pending && !exhausted_src) then
-      match Sandbox.Admission.admit adm ~in_flight:!in_flight with
-      | `Defer `Full -> ()
-      | `Defer `Pressure ->
-          if not !deferring then begin
-            deferring := true;
-            incr deferrals;
-            Metrics.incr Metrics.Admission_deferrals
-          end
-      | `Admit ->
-          let was_deferred = !deferring in
-          deferring := false;
-          (match Queue.take_opt pending with
-          | Some retry -> start retry
-          | None -> (
-              match next () with
-              | None -> exhausted_src := true
-              | Some j ->
-                  incr pulled;
-                  start (j, 0, was_deferred)));
-          admit ()
+    if !in_flight < window && not (Queue.is_empty pending && !exhausted_src) then begin
+      (match Queue.take_opt pending with
+      | Some retry -> start retry
+      | None -> (
+          match next () with
+          | None -> exhausted_src := true
+          | Some j ->
+              incr pulled;
+              start (j, 0)));
+      admit ()
+    end
   in
   let ended (a, outcome) =
     decr in_flight;
     let j = a.aj and k = a.ak in
     match outcome with
-    | Settled r ->
-        settle j
-          (if a.adeferred then { r with degradations = r.degradations @ [ "admission-deferred" ] }
-           else r)
+    | Settled r -> settle j r
     | Died { reason; message; rung; _ } when k < retries ->
         (* Each retry sleeps its backoff once, inside the retried attempt. *)
         incr retried;
@@ -1424,7 +1404,7 @@ let run_stream ?(config = default_config) ?(jobs = 1) ?(retries = 0) ?window
           | Some _ -> Printf.sprintf "child died (%s: %s)" reason message
         in
         Log.warn (fun m -> m "run_stream: %s %s; retrying (%d/%d)" j.label what (k + 1) retries);
-        Queue.add (j, k + 1, a.adeferred) pending
+        Queue.add (j, k + 1) pending
     | Died { reason; message; backtrace; rung } -> (
         if reason = "worker stalled" then begin
           incr stalls;
@@ -1471,7 +1451,7 @@ let run_stream ?(config = default_config) ?(jobs = 1) ?(retries = 0) ?window
     st_settled = !settled;
     st_quarantined = !quarantined;
     st_peak_in_flight = !peak;
-    st_deferrals = !deferrals;
+    st_deferrals = 0;
   }
 
 

@@ -377,9 +377,8 @@ type stream_stats = {
   st_quarantined : int;  (** jobs handed to [on_quarantine] *)
   st_peak_in_flight : int;  (** high-water mark of concurrently held jobs *)
   st_deferrals : int;
-      (** admission-deferral episodes: times the memory controller
-          paused admissions under pressure (always 0 without
-          [mem_watermark_mb]) *)
+      (** always 0: the admission window is fixed, so nothing defers.
+          Kept only because the benchmark harness reads it. *)
 }
 
 (** [run_stream ?config ?jobs ?retries ?window ?on_settle ?on_quarantine
@@ -439,11 +438,8 @@ type stream_stats = {
     as Domain-mode crashes, with the classification as the quarantine
     reason ([qreason = "oom"] for memory deaths) or, absent
     [on_quarantine], as a structured [Failure] carrying one provenance
-    [Rung] naming the death.  [mem_watermark_mb] arms the
-    memory-pressure admission controller: past the watermark (parent
-    RSS plus worst observed child RSS) the in-flight window halves and
-    admissions defer, counted in [st_deferrals] and recorded as an
-    ["admission-deferred"] degradation on the next admitted job.
+    [Rung] naming the death.  Memory is bounded statically: at most
+    [window] children, each under [limits.as_mb], plus the parent.
     [pre_run job] runs where the attempt runs (the child, under process
     isolation) just before the pipeline.
 
@@ -458,7 +454,6 @@ val run_stream :
   ?window:int ->
   ?isolate:isolation ->
   ?limits:Octo_util.Sandbox.limits ->
-  ?mem_watermark_mb:int ->
   ?pre_run:(job -> unit) ->
   ?on_settle:(job -> report -> unit) ->
   ?on_quarantine:(quarantine -> unit) ->

@@ -182,7 +182,7 @@ let open_journal ~inject ~resume path =
    Failure has settled; entries never handed out get no row and no
    record. *)
 let run ?journal ?(telemetry = false) ?(resume = false) ?(inject = Faultinject.none) ?jobs
-    ?retries ?window ?isolate ?limits ?mem_watermark_mb ?pre_run ?(fail_fast = false)
+    ?retries ?window ?isolate ?limits ?pre_run ?(fail_fast = false)
     ?(on_row = fun _ _ -> ()) next =
   let opened =
     match journal with
@@ -261,5 +261,5 @@ let run ?journal ?(telemetry = false) ?(resume = false) ?(inject = Faultinject.n
           Option.iter Journal.close writer)
         (fun () ->
           Ok
-            (Octopocs.run_stream ?jobs ?retries ?window ?isolate ?limits ?mem_watermark_mb
-               ?pre_run ~on_settle ~on_quarantine next_job))
+            (Octopocs.run_stream ?jobs ?retries ?window ?isolate ?limits ?pre_run ~on_settle
+               ~on_quarantine next_job))

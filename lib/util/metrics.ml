@@ -62,8 +62,9 @@ type counter =
           positions are part of the journal's metrics encoding) *)
   | Pool_backoffs  (** backoff sleeps taken before a crash-retry *)
   | Admission_deferrals
-      (** admissions deferred by the memory-pressure controller (the
-          streaming driver shrank its in-flight window past a watermark) *)
+      (** no longer counted: admission has a fixed window.  Slot 9 stays,
+          since counter positions are part of the journal's metrics
+          encoding. *)
 
 let ncounters = 10
 

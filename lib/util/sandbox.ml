@@ -15,8 +15,8 @@
     OOM (either the child's own [Out_of_memory] under RLIMIT_AS, exit
     code {!oom_exit_code}, or a SIGKILL attributed to the kernel OOM
     killer), RLIMIT_CPU expiry (SIGXCPU), parent deadline-kill, or a torn
-    pipe protocol.  [wait4] also reports the child's max RSS, which feeds
-    the {!Admission} memory-pressure controller.
+    pipe protocol.  [wait4] also reports the child's max RSS, which the
+    streaming driver's telemetry reports as a running maximum.
 
     Fork safety: OCaml 5.1 refuses [Unix.fork] permanently once any
     domain has ever been spawned in the process — the restriction
@@ -189,8 +189,8 @@ let deadline_expired c =
 
 (** [reap c] closes the pipe, waits for the child (momentary: only
     called after EOF or {!kill}) and classifies the death.  Returns the
-    classification and the child's max RSS in KiB for the admission
-    controller.  Precedence: a parent kill is always {!Deadline_kill}
+    classification and the child's max RSS in KiB for telemetry.
+    Precedence: a parent kill is always {!Deadline_kill}
     (the kernel just sees SIGKILL, which would otherwise read as the
     OOM killer). *)
 let reap c =
@@ -243,65 +243,3 @@ let run_child ?limits ?kill_after_s ?die f =
     if eof then reap c else loop ()
   in
   loop ()
-
-(* ------------------------------------------------------------------ *)
-(* Memory-pressure admission control. *)
-
-module Admission = struct
-  (* The streaming parent admits a new child only while the in-flight
-     count is under a window.  The window starts at the configured
-     concurrency and shrinks (halving, floor 1) whenever estimated
-     pressure — parent RSS plus the worst child max-RSS seen so far, a
-     conservative stand-in for "what one more child could cost" —
-     crosses the watermark; it regrows by one admission at a time once
-     pressure falls below half the watermark (hysteresis, so the window
-     does not thrash at the boundary). *)
-  type t = {
-    watermark_kb : int option;
-    base_window : int;
-    mutable cur_window : int;
-    mutable worst_child_kb : int;
-    probe : (unit -> int) option;
-        (* parent-pressure override (KiB); None reads /proc.  A seam for
-           tests: RSS cannot be lowered on demand (Gc.compact does not
-           return memory to the OS on OCaml 5.1), so the regrow path is
-           only reachable deterministically through an injected probe. *)
-  }
-
-  let create ?watermark_mb ?probe ~window () =
-    {
-      watermark_kb = Option.map (fun mb -> mb * 1024) watermark_mb;
-      base_window = max 1 window;
-      cur_window = max 1 window;
-      worst_child_kb = 0;
-      probe;
-    }
-
-  let note_child_rss t kb = if kb > t.worst_child_kb then t.worst_child_kb <- kb
-
-  let refresh t =
-    match t.watermark_kb with
-    | None -> ()
-    | Some wm ->
-        let parent_kb =
-          match t.probe with Some f -> f () | None -> Telemetry.self_rss_kb ()
-        in
-        let pressure = parent_kb + t.worst_child_kb in
-        if pressure > wm then t.cur_window <- max 1 (t.cur_window / 2)
-        else if pressure < wm / 2 && t.cur_window < t.base_window then
-          t.cur_window <- t.cur_window + 1
-
-  (** [admit t ~in_flight] re-evaluates pressure and answers whether one
-      more child may start.  [`Defer `Pressure] means the window has
-      been shrunk below its configured size — the caller records the
-      degradation; [`Defer `Full] is ordinary backpressure at full
-      window. *)
-  let admit t ~in_flight =
-    refresh t;
-    if in_flight < t.cur_window then `Admit
-    else if t.cur_window < t.base_window then `Defer `Pressure
-    else `Defer `Full
-
-  let window t = t.cur_window
-  let worst_child_kb t = t.worst_child_kb
-end

@@ -4,8 +4,9 @@
     [setrlimit] bounds and returns its payload over a length-framed,
     CRC-checked pipe (the journal's frame layout, so the decoder is
     total and torn-frame tolerant).  The parent classifies every way a
-    child can die into a {!death}, and {!Admission} turns observed
-    memory pressure into admission decisions for the streaming driver.
+    child can die into a {!death}.  Memory is bounded statically: each
+    child's address space by [limits.as_mb], their number by the
+    streaming driver's fixed window.
 
     Fork safety: OCaml 5.1 forbids [Unix.fork] permanently once any
     domain has ever been spawned in the process — the restriction
@@ -87,7 +88,7 @@ val deadline_expired : child -> bool
 val reap : child -> death * int
 (** Close the pipe, wait for the child (momentary — call only after EOF
     or {!kill}) and classify.  Also returns the child's max RSS in KiB
-    for {!Admission.note_child_rss}. *)
+    ([wait4]'s [ru_maxrss]). *)
 
 val run_child :
   ?limits:limits ->
@@ -96,31 +97,3 @@ val run_child :
   (unit -> string) ->
   death * int
 (** One-shot spawn/supervise/classify for single-job callers. *)
-
-(** Memory-pressure admission control for the streaming driver: a
-    window that halves past a watermark (parent RSS + worst observed
-    child RSS) and regrows one admission at a time below half the
-    watermark. *)
-module Admission : sig
-  type t
-
-  val create : ?watermark_mb:int -> ?probe:(unit -> int) -> window:int -> unit -> t
-  (** No [watermark_mb] means pressure never shrinks the window —
-      [admit] degrades to plain window backpressure.  [probe] overrides
-      the parent-RSS reading (KiB): a test seam, since RSS cannot be
-      lowered on demand ([Gc.compact] does not return memory to the OS
-      on OCaml 5.1), which makes the regrow path unreachable from a
-      real-RSS test. *)
-
-  val note_child_rss : t -> int -> unit
-  (** Record a reaped child's max RSS (KiB). *)
-
-  val admit : t -> in_flight:int -> [ `Admit | `Defer of [ `Pressure | `Full ] ]
-  (** Re-evaluate pressure, then answer. [`Defer `Pressure] means the
-      window is currently shrunk below its configured size. *)
-
-  val window : t -> int
-  (** Current (possibly shrunk) window size. *)
-
-  val worst_child_kb : t -> int
-end

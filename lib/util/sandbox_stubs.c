@@ -3,8 +3,8 @@
  * Three gaps force C here:
  *   - setrlimit: Unix has no binding at all, and RLIMIT_AS/RLIMIT_CPU
  *     are the whole point of running a verification job in a child;
- *   - wait4: Unix.waitpid discards struct rusage, but the admission
- *     controller needs each child's max RSS to budget future forks;
+ *   - wait4: Unix.waitpid discards struct rusage, but run-health
+ *     telemetry reports the largest max RSS of the reaped children;
  *   - signal numbers: WTERMSIG yields raw platform numbers while OCaml
  *     signals are runtime-internal negatives, so the crash-signal
  *     classification (SEGV / KILL / XCPU) is done here where both

@@ -24,8 +24,7 @@
 
 (* Resident set of this process in KiB, from /proc/self/statm (field 2
    is resident pages).  0 where /proc is absent.  The page size comes
-   from the [octo_page_size] stub (sandbox_stubs.c).  The sandbox's
-   admission controller reads parent pressure through this too. *)
+   from the [octo_page_size] stub (sandbox_stubs.c). *)
 external page_size : unit -> int = "octo_page_size"
 
 let self_rss_kb () =
@@ -51,7 +50,6 @@ type progress = {
   window : int;  (** in-flight window bound at this instant *)
   retries : int;  (** crash/stall retries scheduled so far *)
   stalls : int;  (** jobs whose retry budget ran out on a stall *)
-  deferrals : int;  (** admission-deferral episodes *)
   child_rss_kb : int;  (** worst reaped child maxrss, KiB *)
 }
 
@@ -65,7 +63,8 @@ type sample = {
   retries : int;  (** crash/stall retries scheduled by the driver *)
   stalls : int;  (** jobs whose retry budget ran out on a stall *)
   backoffs : int;  (** backoff sleeps (one per retry) *)
-  deferrals : int;  (** admission deferrals *)
+  deferrals : int;
+      (** no longer counted: carried over from the resumed series, else 0 *)
   rss_kb : int;  (** parent resident set, KiB (0 if /proc absent) *)
   child_rss_kb : int;  (** running max child maxrss, KiB *)
   minor_words : int;  (** [Gc.quick_stat] minor words, truncated *)
@@ -182,7 +181,7 @@ let take_sample (p : progress) =
     stalls = plus (fun c -> c.stalls) p.stalls;
     (* Each retry sleeps its backoff exactly once. *)
     backoffs = retries;
-    deferrals = plus (fun c -> c.deferrals) p.deferrals;
+    deferrals = plus (fun c -> c.deferrals) 0;
     rss_kb = self_rss_kb ();
     child_rss_kb = p.child_rss_kb;
     minor_words = int_of_float gc.Gc.minor_words;

@@ -17,7 +17,6 @@ type progress = {
   window : int;  (** in-flight window bound at this instant *)
   retries : int;  (** crash/stall retries scheduled so far *)
   stalls : int;  (** jobs whose retry budget ran out on a stall *)
-  deferrals : int;  (** admission-deferral episodes *)
   child_rss_kb : int;  (** worst reaped child maxrss, KiB *)
 }
 
@@ -31,7 +30,10 @@ type sample = {
   retries : int;  (** crash/stall retries scheduled by the driver *)
   stalls : int;  (** jobs whose retry budget ran out on a stall *)
   backoffs : int;  (** backoff sleeps: one per retry, so equal to [retries] *)
-  deferrals : int;  (** admission deferrals *)
+  deferrals : int;
+      (** no longer counted (admission has a fixed window): the value of
+          the sample [enable ~from] continues, else 0.  The slot stays
+          so the [OTL1] layout does not change. *)
   rss_kb : int;  (** parent resident set, KiB (0 if /proc absent) *)
   child_rss_kb : int;  (** running max child maxrss, KiB *)
   minor_words : int;  (** [Gc.quick_stat] minor words, truncated *)
@@ -49,9 +51,9 @@ val enable : ?interval_ns:int -> ?from:sample -> (string -> unit) -> unit
     frame is passed to [sink], under the sampler's lock, so frames reach
     it one at a time and in [ts_ns] order.  With [from] (the last sample
     a resumed run's journal holds) the series continues it: [ts_ns]
-    starts at its timestamp, and the cumulative counts ([pulled],
-    [settled], [quarantined], [retries], [stalls], [backoffs],
-    [deferrals]) add to its. *)
+    starts at its timestamp, the cumulative counts ([pulled],
+    [settled], [quarantined], [retries], [stalls], [backoffs]) add to
+    its, and its [deferrals] is carried over unchanged. *)
 
 val disable : unit -> unit
 (** Stop sampling and drop the sink.  Idempotent. *)

@@ -970,6 +970,26 @@ let cli_unwritable_keeps_prior_log () =
   check Alcotest.int "usage exit" 2 code;
   check Alcotest.(list string) "only the prior log is left" [ "l.json" ] (files ())
 
+(* A count flag below 1 is a usage error naming the flag, exit 2,
+   before anything runs: none is clamped, and no rlimit kills a child. *)
+let cli_rejects_out_of_range_run_options () =
+  List.iter
+    (fun (flag, args) ->
+      let code, _, err =
+        run_cli ([ "verify-all"; "--corpus"; "gen:4:42"; "--log-level"; "error" ] @ args)
+      in
+      check Alcotest.int (flag ^ " exits 2") 2 code;
+      check Alcotest.bool (flag ^ " is named") true (str_contains err (flag ^ " must be >= 1")))
+    [
+      ("--jobs", [ "--jobs=0" ]);
+      ("--jobs", [ "--jobs=-2" ]);
+      ("--window", [ "--window=0" ]);
+      ("--window", [ "--window=-3" ]);
+      ("--rlimit-as", [ "--isolate=proc"; "--rlimit-as=-5" ]);
+      ("--rlimit-cpu", [ "--isolate=proc"; "--rlimit-cpu=0" ]);
+      ("--rlimit-cpu", [ "--isolate=proc"; "--rlimit-cpu=-1" ]);
+    ]
+
 let suite =
   [
     tc "journal: roundtrip with binary payloads" journal_roundtrip;
@@ -1032,4 +1052,6 @@ let suite =
     tc "cli: unwritable --journal --telemetry"
       (cli_unwritable_output (fun ~dir:_ ~missing ->
            [ "verify-all"; "--corpus"; "gen:3"; "--journal"; missing; "--telemetry" ]));
+    tc "cli: out-of-range run options exit 2 naming the flag"
+      cli_rejects_out_of_range_run_options;
   ]

@@ -1,10 +1,10 @@
 (* Tests for the fork-based process sandbox: the pipe-protocol frame
    codec, every death classification the parent can produce (clean
    verdict, transported exception, SIGSEGV, OOM-kill, RLIMIT_AS,
-   RLIMIT_CPU, parent deadline-kill), the memory-pressure admission
-   controller, and the process-isolated run paths end to end —
-   Domain/process verdict identity, seeded child-death quarantine, and
-   the OOM-pair-to-quarantine ladder.
+   RLIMIT_CPU, parent deadline-kill), and the process-isolated run
+   paths end to end — Domain/process verdict identity, seeded
+   child-death quarantine, the OOM-pair-to-quarantine ladder, and the
+   fixed in-flight window.
 
    ORDERING CONSTRAINT: this suite MUST run before any suite that
    spawns a domain.  OCaml 5.1 refuses [Unix.fork] permanently once a
@@ -16,6 +16,7 @@
    no-domain path. *)
 
 module Sandbox = Octo_util.Sandbox
+module Telemetry = Octo_util.Telemetry
 module Faultinject = Octo_util.Faultinject
 module Registry = Octo_targets.Registry
 
@@ -122,69 +123,6 @@ let child_rlimit_cpu () =
   with
   | Sandbox.Cpu, _ -> ()
   | d, _ -> Alcotest.failf "wanted Cpu (SIGXCPU), got %a" Sandbox.pp_death d
-
-(* ------------------------------------------------------------------ *)
-(* Admission controller *)
-
-let admission_plain_backpressure () =
-  (* No watermark: the window never shrinks, deferrals are plain Full. *)
-  let t = Sandbox.Admission.create ~window:3 () in
-  (match Sandbox.Admission.admit t ~in_flight:2 with
-  | `Admit -> ()
-  | `Defer _ -> Alcotest.fail "room in the window refused");
-  match Sandbox.Admission.admit t ~in_flight:3 with
-  | `Defer `Full -> ()
-  | `Defer `Pressure -> Alcotest.fail "unshrunk window reported Pressure"
-  | `Admit -> Alcotest.fail "full window admitted"
-
-let admission_shrinks_under_pressure () =
-  (* A 1 MiB watermark is always exceeded by the parent's own RSS, so
-     every admit halves the window until the floor of 1. *)
-  let t = Sandbox.Admission.create ~watermark_mb:1 ~window:4 () in
-  check Alcotest.bool "parent RSS measurable" true (Octo_util.Telemetry.self_rss_kb () > 1024);
-  (match Sandbox.Admission.admit t ~in_flight:0 with
-  | `Admit -> ()
-  | `Defer _ -> Alcotest.fail "first admit under pressure should still fit");
-  check Alcotest.int "window halved" 2 (Sandbox.Admission.window t);
-  (match Sandbox.Admission.admit t ~in_flight:1 with
-  | `Defer `Pressure -> ()
-  | `Defer `Full -> Alcotest.fail "shrunk window must report Pressure, not Full"
-  | `Admit -> Alcotest.fail "admitted past a pressure-shrunk window");
-  check Alcotest.int "window at floor" 1 (Sandbox.Admission.window t);
-  ignore (Sandbox.Admission.admit t ~in_flight:1);
-  check Alcotest.int "floor holds at 1" 1 (Sandbox.Admission.window t);
-  Sandbox.Admission.note_child_rss t 12345;
-  check Alcotest.int "worst child RSS is a running max" 12345
-    (Sandbox.Admission.worst_child_kb t);
-  Sandbox.Admission.note_child_rss t 99;
-  check Alcotest.int "smaller child does not lower it" 12345
-    (Sandbox.Admission.worst_child_kb t)
-
-let admission_regrows_below_half_watermark () =
-  (* Shrink under pressure, then release it: once pressure falls below
-     half the watermark the window regrows one admission at a time
-     (hysteresis).  Pressure is driven through the [probe] seam — real
-     RSS cannot be lowered on demand (Gc.compact does not return memory
-     to the OS on OCaml 5.1), so the regrow path is unreachable from a
-     ballast-allocation test. *)
-  let pressure_kb = ref (3 * 1024) in
-  let t =
-    Sandbox.Admission.create ~watermark_mb:2 ~probe:(fun () -> !pressure_kb)
-      ~window:4 ()
-  in
-  ignore (Sandbox.Admission.admit t ~in_flight:0);
-  check Alcotest.bool "pressure shrank the window" true (Sandbox.Admission.window t < 4);
-  (* between wm/2 and wm: hysteresis holds the window where it is *)
-  pressure_kb := 1536;
-  ignore (Sandbox.Admission.admit t ~in_flight:0);
-  check Alcotest.bool "window held in the hysteresis band" true (Sandbox.Admission.window t < 4);
-  let held = Sandbox.Admission.window t in
-  pressure_kb := 256;
-  ignore (Sandbox.Admission.admit t ~in_flight:0);
-  check Alcotest.int "regrowth is one admission at a time" (held + 1) (Sandbox.Admission.window t);
-  let rec pump n = if n > 0 then (ignore (Sandbox.Admission.admit t ~in_flight:0); pump (n - 1)) in
-  pump 8;
-  check Alcotest.int "window regrown to base" 4 (Sandbox.Admission.window t)
 
 (* ------------------------------------------------------------------ *)
 (* Process-isolated run paths, end to end *)
@@ -295,24 +233,6 @@ let oom_pair_quarantined_others_complete () =
     (List.length !settled);
   check Alcotest.bool "the OOM pair never settled" false (List.mem oom_label !settled)
 
-(* Memory-pressure admission: a 1 MiB watermark forces the window to
-   its floor, so the run must record at least one deferral episode and
-   stamp the "admission-deferred" degradation on a later admission. *)
-let stream_records_deferrals () =
-  let cases = small_registry 3 in
-  let degraded = ref 0 in
-  let st =
-    Octopocs.run_stream ~jobs:2 ~window:4 ~isolate:Octopocs.Processes ~mem_watermark_mb:1
-      ~on_settle:(fun _ (r : Octopocs.report) ->
-        if List.mem "admission-deferred" r.Octopocs.degradations then incr degraded)
-      (stream_of (List.map clean_job cases))
-  in
-  check Alcotest.int "all pairs settled" (List.length cases) st.Octopocs.st_settled;
-  check Alcotest.bool "deferral episodes counted" true (st.Octopocs.st_deferrals >= 1);
-  check Alcotest.bool "a deferred admission carries the degradation" true (!degraded >= 1);
-  check Alcotest.bool "peak in-flight bounded by the shrunk window" true
-    (st.Octopocs.st_peak_in_flight <= 2)
-
 (* The driver draws worker faults before it starts an attempt, in every
    isolation mode, so a retry advances the job's worker-crash stream
    whether the attempt runs inline or in a forked child: over identical
@@ -354,6 +274,37 @@ let proc_retries_redraw_worker_faults () =
     Alcotest.(list (triple string string int))
     "same quarantines" dom_quars prc_quars
 
+(* The window is the only admission bound: six jobs at window 2 never
+   hold more than two children.  Telemetry's child RSS is the running
+   maximum of the reaped children's maxrss, so it never falls and the
+   final sample holds the largest value. *)
+let proc_window_bounds_in_flight () =
+  let c = List.hd Registry.all in
+  let jobs =
+    List.init 6 (fun i ->
+        let config = { Octopocs.default_config with deadline_s = Some 30.0 } in
+        Octopocs.job ~config ~label:(Printf.sprintf "w%d" i) ~s:c.s ~t:c.t ~poc:c.poc ())
+  in
+  let frames = ref [] in
+  Telemetry.enable ~interval_ns:1 (fun f -> frames := f :: !frames);
+  let st =
+    Fun.protect ~finally:Telemetry.disable (fun () ->
+        Octopocs.run_stream ~jobs:2 ~window:2 ~isolate:Octopocs.Processes (stream_of jobs))
+  in
+  check Alcotest.int "all pairs settled" 6 st.Octopocs.st_settled;
+  check Alcotest.bool "peak in-flight within the window" true (st.Octopocs.st_peak_in_flight <= 2);
+  let rss =
+    List.rev_map
+      (fun f ->
+        match Telemetry.decode_sample f with
+        | Some s -> s.Telemetry.child_rss_kb
+        | None -> Alcotest.fail "undecodable sample")
+      !frames
+  in
+  let last = List.nth rss (List.length rss - 1) in
+  check Alcotest.bool "child RSS measured" true (last > 0);
+  check Alcotest.int "last sample holds the maximum" (List.fold_left max 0 rss) last
+
 let suite =
   [
     tc "frame: roundtrip with binary payloads" frame_roundtrip;
@@ -365,15 +316,13 @@ let suite =
     tc "child: RLIMIT_AS converts to the OOM exit code" child_rlimit_as;
     tc "child: parent deadline-kill classified" child_deadline_kill;
     tc "child: RLIMIT_CPU (SIGXCPU) classified" child_rlimit_cpu;
-    tc "admission: full window is plain backpressure" admission_plain_backpressure;
-    tc "admission: pressure halves the window to its floor" admission_shrinks_under_pressure;
-    tc "admission: window regrows below half the watermark" admission_regrows_below_half_watermark;
     tc "proc: batch verdicts identical to domain mode" proc_matches_domain;
     tc "proc: seeded segv schedule exhausts into quarantine" seeded_segv_quarantines;
     tc "proc: child deaths settle as failures sans quarantine"
       seeded_segv_settles_as_failure_without_quarantine;
     tc "proc: OOM pair quarantined with reason oom, mates complete"
       oom_pair_quarantined_others_complete;
-    tc "proc: memory watermark defers admissions" stream_records_deferrals;
     tc "proc: retries re-draw worker faults like domain mode" proc_retries_redraw_worker_faults;
+    tc "proc: in-flight stays within the window; child RSS is a running max"
+      proc_window_bounds_in_flight;
   ]

@@ -20,8 +20,8 @@ let tmp_path name =
   p
 
 let progress ?(pulled = 0) ?(settled = 0) ?(quarantined = 0) ?(in_flight = 0) ?(window = 1)
-    ?(retries = 0) ?(stalls = 0) ?(deferrals = 0) ?(child_rss_kb = 0) () : Telemetry.progress =
-  { pulled; settled; quarantined; in_flight; window; retries; stalls; deferrals; child_rss_kb }
+    ?(retries = 0) ?(stalls = 0) ?(child_rss_kb = 0) () : Telemetry.progress =
+  { pulled; settled; quarantined; in_flight; window; retries; stalls; child_rss_kb }
 
 (* Run [f] with telemetry enabled into a sink that keeps every frame;
    [f] gets the decoded samples so far, in emission order.  Always
@@ -67,29 +67,37 @@ let journaled f =
 (* -- sampler ------------------------------------------------------------ *)
 
 let sampler_roundtrip () =
-  journaled (fun samples ->
-      Alcotest.(check bool) "enabled" true (Telemetry.is_on ());
-      (* The pool-health counts are the driver's, passed through as-is. *)
-      Telemetry.sample_now
-        (progress ~pulled:7 ~settled:5 ~quarantined:1 ~in_flight:2 ~window:4 ~retries:2 ~stalls:1
-           ~deferrals:1 ~child_rss_kb:512 ());
-      Telemetry.sample_now (progress ~pulled:9 ~settled:9 ());
-      let r = samples () in
-      Alcotest.(check int) "samples" 2 (List.length r);
-      let s = List.hd r in
-      Alcotest.(check int) "pulled" 7 s.Telemetry.pulled;
-      Alcotest.(check int) "settled" 5 s.Telemetry.settled;
-      Alcotest.(check int) "quarantined" 1 s.Telemetry.quarantined;
-      Alcotest.(check int) "in_flight" 2 s.Telemetry.in_flight;
-      Alcotest.(check int) "window" 4 s.Telemetry.window;
-      Alcotest.(check int) "retries" 2 s.Telemetry.retries;
-      Alcotest.(check int) "stalls" 1 s.Telemetry.stalls;
-      Alcotest.(check int) "backoffs: one per retry" 2 s.Telemetry.backoffs;
-      Alcotest.(check int) "deferrals" 1 s.Telemetry.deferrals;
-      Alcotest.(check int) "child rss" 512 s.Telemetry.child_rss_kb;
-      let s2 = List.nth r 1 in
-      Alcotest.(check bool) "timestamps monotonic" true
-        (s2.Telemetry.ts_ns >= s.Telemetry.ts_ns))
+  let first =
+    journaled (fun samples ->
+        Alcotest.(check bool) "enabled" true (Telemetry.is_on ());
+        (* The pool-health counts are the driver's, passed through as-is. *)
+        Telemetry.sample_now
+          (progress ~pulled:7 ~settled:5 ~quarantined:1 ~in_flight:2 ~window:4 ~retries:2 ~stalls:1
+             ~child_rss_kb:512 ());
+        Telemetry.sample_now (progress ~pulled:9 ~settled:9 ());
+        let r = samples () in
+        Alcotest.(check int) "samples" 2 (List.length r);
+        let s = List.hd r in
+        Alcotest.(check int) "pulled" 7 s.Telemetry.pulled;
+        Alcotest.(check int) "settled" 5 s.Telemetry.settled;
+        Alcotest.(check int) "quarantined" 1 s.Telemetry.quarantined;
+        Alcotest.(check int) "in_flight" 2 s.Telemetry.in_flight;
+        Alcotest.(check int) "window" 4 s.Telemetry.window;
+        Alcotest.(check int) "retries" 2 s.Telemetry.retries;
+        Alcotest.(check int) "stalls" 1 s.Telemetry.stalls;
+        Alcotest.(check int) "backoffs: one per retry" 2 s.Telemetry.backoffs;
+        Alcotest.(check int) "deferrals: not counted" 0 s.Telemetry.deferrals;
+        Alcotest.(check int) "child rss" 512 s.Telemetry.child_rss_kb;
+        let s2 = List.nth r 1 in
+        Alcotest.(check bool) "timestamps monotonic" true
+          (s2.Telemetry.ts_ns >= s.Telemetry.ts_ns);
+        s)
+  in
+  (* Deferrals are no longer counted: a sample carries the value of the
+     series it continues. *)
+  with_telemetry ~from:{ first with deferrals = 1 } (fun samples ->
+      Telemetry.sample_now (progress ());
+      Alcotest.(check int) "deferrals carried over" 1 (List.hd (samples ())).Telemetry.deferrals)
 
 let sampler_tick_rate_limited () =
   (* A huge interval admits exactly one tick sample; the thunk must not
