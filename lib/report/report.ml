@@ -107,7 +107,7 @@ let render ?(telemetry = false) (r : Runlog.t) : string =
         line "  pulled/settled/quar    %d / %d / %d" s.Telemetry.pulled s.Telemetry.settled
           s.Telemetry.quarantined;
         line "  retries/stalls         %d / %d" s.Telemetry.retries s.Telemetry.stalls;
-        line "  backoffs/deferrals     %d / %d" s.Telemetry.backoffs s.Telemetry.deferrals;
+        line "  backoffs               %d" s.Telemetry.backoffs;
         let peak f = List.fold_left (fun acc x -> max acc (f x)) 0 r.samples in
         line "  peak rss (parent)      %d KiB" (peak (fun x -> x.Telemetry.rss_kb));
         line "  peak rss (child max)   %d KiB" (peak (fun x -> x.Telemetry.child_rss_kb));

@@ -69,11 +69,37 @@ type result = {
   marked_offsets : int;       (** total distinct poc offsets marked as primitives *)
 }
 
-(* Mutable extraction state threaded through the interpreter hooks. *)
 module Sites = Set.Make (String)
 
+(* The shadow table: each tainted object's file offsets.  It is
+   monomorphic, so no lookup reaches the polymorphic [caml_hash] and
+   [compare]: an object hashes to an int built from its address or from
+   its (frame id, register), and objects compare as ints.  A replay
+   creates it with 64 buckets, an array small enough to be allocated in
+   the minor heap (at most 256 words; a larger one goes straight to the
+   major heap on every replay), and it grows by its own doubling.  A
+   replay tracks a few dozen objects at a time (35 at most on the
+   registry, pair 9). *)
+module Shadow = Hashtbl.Make (struct
+  type t = Interp.obj
+
+  let equal (a : t) (b : t) =
+    match (a, b) with
+    | OMem x, OMem y -> x = y
+    | OReg (f, r), OReg (g, q) -> f = g && r = q
+    | _ -> false
+
+  (* Addresses hash to even ints and registers (32 per frame) to odd ones,
+     so the low bits that pick a bucket follow consecutive bytes and
+     registers. *)
+  let hash : t -> int = function
+    | OMem a -> a lsl 1
+    | OReg (f, r) -> (((f lsl 5) + r) lsl 1) lor 1
+end)
+
+(* Mutable extraction state threaded through the interpreter hooks. *)
 type state = {
-  taint : (Interp.obj, Offsets.t) Hashtbl.t;
+  taint : Offsets.t Shadow.t;
   mutable bunch_offsets : Offsets.t array; (* index = ep entry - 1 *)
   mutable bunch_args : (int * bool) list array;
   mutable bunch_anchor : int array;
@@ -97,7 +123,7 @@ let grow_bunches st =
   end
 
 let taint_of st obj =
-  match Hashtbl.find_opt st.taint obj with Some s -> s | None -> Offsets.empty
+  match Shadow.find_opt st.taint obj with Some s -> s | None -> Offsets.empty
 
 let mark st offs =
   if st.ep_count >= 1 then begin
@@ -118,10 +144,10 @@ let on_access st (a : Interp.access) =
     List.fold_left (fun acc o -> Offsets.union acc (taint_of st o)) Offsets.empty a.reads
   in
   if Offsets.is_empty influence then
-    List.iter (fun o -> Hashtbl.remove st.taint o) a.writes
+    List.iter (fun o -> Shadow.remove st.taint o) a.writes
   else begin
-    List.iter (fun o -> Hashtbl.replace st.taint o influence) a.writes;
-    st.peak <- max st.peak (Hashtbl.length st.taint);
+    List.iter (fun o -> Shadow.replace st.taint o influence) a.writes;
+    st.peak <- max st.peak (Shadow.length st.taint);
     (* P1.3: inside the dynamic extent of ep, tainted accesses mark their
        influencing file bytes as crash primitives of the current bunch. *)
     if st.ep_depth > 0 then mark st influence
@@ -133,7 +159,7 @@ let on_access st (a : Interp.access) =
    one proven machine period means the withheld periods would not change
    it either. *)
 let checkpoint st () =
-  let taint = Hashtbl.copy st.taint in
+  let taint = Shadow.copy st.taint in
   let offsets = Array.copy st.bunch_offsets
   and args = Array.copy st.bunch_args
   and anchor = Array.copy st.bunch_anchor
@@ -150,11 +176,11 @@ let checkpoint st () =
     && Array.for_all2 Offsets.equal st.bunch_offsets offsets
     && st.bunch_args = args && st.bunch_anchor = anchor
     && Array.for_all2 Sites.equal st.bunch_sites sites
-    && Hashtbl.length st.taint = Hashtbl.length taint
-    && Hashtbl.fold
+    && Shadow.length st.taint = Shadow.length taint
+    && Shadow.fold
          (fun o offs same ->
            same
-           && match Hashtbl.find_opt st.taint o with
+           && match Shadow.find_opt st.taint o with
               | Some offs' -> Offsets.equal offs offs'
               | None -> false)
          taint true
@@ -171,7 +197,7 @@ let extract ?(mode = Context_aware) ?(granularity = Byte_level) ?compiled
     (prog : Isa.program) ~(poc : string) ~(ep : string) : result =
   let st =
     {
-      taint = Hashtbl.create 1024;
+      taint = Shadow.create 64;
       bunch_offsets = [||];
       bunch_args = [||];
       bunch_anchor = [||];
@@ -206,10 +232,10 @@ let extract ?(mode = Context_aware) ?(granularity = Byte_level) ?compiled
                 build 0 Offsets.empty
           in
           for i = 0 to len - 1 do
-            Hashtbl.replace st.taint (Interp.OMem (addr + i)) (source i)
+            Shadow.replace st.taint (Interp.OMem (addr + i)) (source i)
           done;
           st.file_pos <- file_off + len;
-          st.peak <- max st.peak (Hashtbl.length st.taint));
+          st.peak <- max st.peak (Shadow.length st.taint));
       on_seek = (fun ~fd:_ ~pos -> st.file_pos <- pos);
       on_call =
         (fun ~fname ~frame_id ~args ->

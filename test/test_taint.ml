@@ -208,6 +208,68 @@ let taint_peak_positive () =
   check Alcotest.bool "objects were tracked" true (r.tainted_peak > 0);
   check Alcotest.bool "primitives counted" true (r.marked_offsets > 0)
 
+(* Every extraction over two generated corpora, pinned by digest: a change
+   to how the engine tracks objects must leave every bunch, argument flag,
+   anchor, peak, marked count and crash exactly as they are. *)
+module Corpus = Octo_targets.Corpus
+
+let corpus_render seed =
+  let b = Buffer.create 65_536 in
+  for index = 0 to 299 do
+    let e = Corpus.generate ~seed ~index in
+    let ep = Corpus.vuln_name e.gfamily in
+    List.iter
+      (fun (mode, granularity) ->
+        Buffer.add_string b e.glabel;
+        Buffer.add_char b '\n';
+        Buffer.add_string b
+          (render_taint (Taint.extract ~mode ~granularity e.gs ~poc:e.gpoc ~ep)))
+      Taint.
+        [
+          (Context_aware, Byte_level);
+          (Context_aware, Word_level);
+          (Plain, Byte_level);
+          (Plain, Word_level);
+        ]
+  done;
+  Buffer.contents b
+
+let corpus_pin () =
+  List.iter
+    (fun (seed, expected) ->
+      check Alcotest.string
+        (Printf.sprintf "gen:300:%d extraction digest" seed)
+        expected
+        (Digest.to_hex (Digest.string (corpus_render seed))))
+    [ (42, "1c79389aac38de70d96c5cb8a93df50e"); (7919, "6fb8e18ae070df9a06d7bcef57fe1062") ]
+
+(* The shadow table is created once per replay; its bucket array must stay
+   small enough for the minor heap, so that neither a whole pipeline pass
+   nor the replay with the registry's largest table (pair 9, 35 tracked
+   objects) allocates directly into the major heap.  Direct major words
+   are major words minus those promoted from the minor heap. *)
+let direct_major_words f =
+  let _, promoted0, major0 = Gc.counters () in
+  f ();
+  let _, promoted1, major1 = Gc.counters () in
+  int_of_float (major1 -. major0 -. (promoted1 -. promoted0))
+
+let no_direct_major_allocation () =
+  let module Metrics = Octo_util.Metrics in
+  let was_on = Metrics.is_on () in
+  Metrics.disable ();
+  Fun.protect ~finally:(fun () -> if was_on then Metrics.enable ()) @@ fun () ->
+  let pairs = List.init 200 (fun index -> Corpus.generate ~seed:42 ~index) in
+  check Alcotest.int "gen:200:42 pipeline runs" 0
+    (direct_major_words (fun () ->
+         List.iter
+           (fun (e : Corpus.gen_pair) -> ignore (Octopocs.run ~s:e.gs ~t:e.gt ~poc:e.gpoc ()))
+           pairs));
+  let c = Registry.find 9 in
+  let extract () = Taint.extract c.s ~poc:c.poc ~ep:c.vuln_func in
+  check Alcotest.int "pair 9 tracks 35 objects" 35 (extract ()).tainted_peak;
+  check Alcotest.int "pair 9 extraction" 0 (direct_major_words (fun () -> ignore (extract ())))
+
 let suite =
   [
     tc "taint flows through register copies" extracts_through_copies;
@@ -223,4 +285,6 @@ let suite =
     tc "tiffsplit: both args tainted" tif_args_tainted;
     tc "ep never entered yields nothing" no_ep_entry_no_bunches;
     tc "stats populated" taint_peak_positive;
+    tc "gen:300 pin: every mode and granularity" corpus_pin;
+    tc "no direct major-heap allocation" no_direct_major_allocation;
   ]
