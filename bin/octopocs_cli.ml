@@ -227,8 +227,8 @@ let say_pair_report (c : Registry.case) (r : Octopocs.report) =
 let crashed_verdict (r : Octopocs.report) =
   match r.verdict with
   | Octopocs.Failure msg ->
-      let pre p = String.length msg >= String.length p && String.sub msg 0 (String.length p) = p in
-      pre "worker crashed" || pre "worker stalled"
+      String.starts_with ~prefix:"worker crashed" msg
+      || String.starts_with ~prefix:"worker stalled" msg
   | _ -> false
 
 let verdict_exit (r : Octopocs.report) =

@@ -2,33 +2,17 @@
 
     The paper assumes ℓ — the set of functions shared between S and T — is
     given by an existing clone detector such as VUDDY [6].  We implement the
-    substrate: every function body is normalised (abstraction level chosen by
-    the caller) and hashed; two functions are clones when their fingerprints
-    match.  Because MiniVM code is already register-canonical, normalisation
-    concerns jump structure and callee names. *)
+    substrate: every function body is hashed whole, callee names included
+    (VUDDY's exact level); two functions are clones when their fingerprints
+    match.  MiniVM code is already register-canonical, so no further
+    normalisation is needed. *)
 
 open Octo_vm.Isa
 
-(** Abstraction level, mirroring VUDDY's levels:
-    - [Exact]: the whole instruction stream, callee names included.
-    - [Abstract_calls]: each direct call reduced to its arity and whether
-      it has a destination, detecting clones whose helper functions were
-      renamed during propagation. *)
-type level = Exact | Abstract_calls
-
-(* [Abstract_calls] keeps a direct call's arity and whether it has a
-   destination; the callee, the argument operands and the destination
-   register are replaced by constants. *)
-let mask_call : instr -> instr = function
-  | Call (_, args, dst) ->
-      Call ("", List.map (fun _ -> Imm 0) args, Option.map (fun _ -> 0) dst)
-  | ins -> ins
-
-(** [fingerprint ?level f] hashes the normalised body of [f] (see the
-    interface for the encoding). *)
-let fingerprint ?(level = Exact) (f : func) : string =
-  let code = match level with Exact -> f.code | Abstract_calls -> Array.map mask_call f.code in
-  Digest.to_hex (Digest.string (Marshal.to_string (f.nparams, code) [ Marshal.No_sharing ]))
+(** [fingerprint f] hashes the body of [f] (see the interface for the
+    encoding). *)
+let fingerprint (f : func) : string =
+  Digest.to_hex (Digest.string (Marshal.to_string (f.nparams, f.code) [ Marshal.No_sharing ]))
 
 (** A detected clone pair. *)
 type clone_pair = {
@@ -55,13 +39,13 @@ type profile = {
           scan of the program *)
 }
 
-let profile_of ?level (p : program) : profile =
+let profile_of (p : program) : profile =
   let n = Hashtbl.length p.funcs in
   let by_fp = Hashtbl.create n in
   let fps =
     Hashtbl.fold
       (fun name f acc ->
-        let fp = fingerprint ?level f in
+        let fp = fingerprint f in
         Hashtbl.add by_fp fp name;
         (name, fp) :: acc)
       p.funcs []
@@ -84,35 +68,35 @@ let join (sp : profile) (tp : profile) : clone_pair list =
     sp.fps
   |> List.sort compare
 
-(** [shared_functions ?level s t] computes ℓ: every function of [s] whose
+(** [shared_functions s t] computes ℓ: every function of [s] whose
     fingerprint also occurs in [t].  Same-name matches are preferred;
     renamed clones are reported with [renamed = true]. *)
-let shared_functions ?level (s : program) (t : program) : clone_pair list =
-  join (profile_of ?level s) (profile_of ?level t)
+let shared_functions (s : program) (t : program) : clone_pair list =
+  join (profile_of s) (profile_of t)
 
 let profile_fp (p : profile) name = List.assoc_opt name p.fps
 let profile_has_fp (p : profile) fp = Hashtbl.mem p.by_fp fp
 let profile_fingerprints (p : profile) = List.map snd p.fps
 
-(* The profile table: bounded, keyed by (level, content digest), and
+(* The profile table: bounded, keyed by content digest, and
    reset when full like the compile cache.  A profile is immutable, so
    lookups hand out shared references safely across domains; callers
    that must see every program of a large pass exactly once (Scan) hold
    the references themselves rather than rely on the table. *)
-let profiles : (level * string, profile) Hashtbl.t = Hashtbl.create 64
+let profiles : (string, profile) Hashtbl.t = Hashtbl.create 64
 let profiles_lock = Mutex.create ()
 let profiles_cap = 128
 
 (* The profile of [p] and whether it was served from the table. *)
-let lookup ~level ?digest (p : program) : profile * bool =
-  let key = (level, match digest with Some d -> d | None -> Octo_vm.Compile.program_digest p) in
+let lookup ?digest (p : program) : profile * bool =
+  let key = match digest with Some d -> d | None -> Octo_vm.Compile.program_digest p in
   Mutex.lock profiles_lock;
   let hit = Hashtbl.find_opt profiles key in
   Mutex.unlock profiles_lock;
   match hit with
   | Some pr -> (pr, true)
   | None ->
-      let pr = profile_of ~level p in
+      let pr = profile_of p in
       Mutex.lock profiles_lock;
       (* Keep whichever profile landed first, so concurrent callers
          share one reference. *)
@@ -127,29 +111,20 @@ let lookup ~level ?digest (p : program) : profile * bool =
       Mutex.unlock profiles_lock;
       (pr, false)
 
-let profile ?(level = Exact) ?digest p = fst (lookup ~level ?digest p)
+let profile ?digest p = fst (lookup ?digest p)
 
-let profile_pair ?(level = Exact) ?sdig ?tdig (s : program) (t : program) =
-  let sp, s_hit = lookup ~level ?digest:sdig s in
-  let tp, t_hit = lookup ~level ?digest:tdig t in
+let profile_pair ?sdig ?tdig (s : program) (t : program) =
+  let sp, s_hit = lookup ?digest:sdig s in
+  let tp, t_hit = lookup ?digest:tdig t in
   (* One hit per ℓ served wholly from the table: the counter means "one
      ℓ served from cache", not one per profile. *)
   if s_hit && t_hit then Octo_util.Metrics.incr Octo_util.Metrics.Cache_hits;
   (sp, tp)
 
-let shared_functions_cached ?level ?sdig ?tdig (s : program) (t : program) :
-    clone_pair list =
-  let sp, tp = profile_pair ?level ?sdig ?tdig s t in
+let shared_functions_cached ?sdig ?tdig (s : program) (t : program) : clone_pair list =
+  let sp, tp = profile_pair ?sdig ?tdig s t in
   join sp tp
 
 (** [ell_names pairs] is the ℓ set as T-side function names — the form the
     OCTOPOCS pipeline consumes. *)
 let ell_names pairs = List.map (fun p -> p.t_func) pairs
-
-(** [is_vulnerable_clone_present s t ~vuln_func] answers the question a
-    VUDDY user asks first: does T contain a clone of the known-vulnerable
-    function of S? *)
-let is_vulnerable_clone_present ?level (s : program) (t : program) ~vuln_func =
-  match profile_fp (profile ?level s) vuln_func with
-  | None -> false
-  | Some fp -> profile_has_fp (profile ?level t) fp

@@ -60,9 +60,9 @@ type report = {
   taint : Taint.result option;
   symex : Directed.stats option;
   degradations : string list;
-      (** every degradation rung the pipeline climbed to produce this
-          verdict, in the order applied: ["dynamic-cfg"], ["symex-escalate"],
-          ...  Empty for a clean first-attempt run. *)
+      (** every degradation the pipeline applied to produce this verdict,
+          in order: ["dynamic-cfg"], ["symex-escalate"].  Empty for a
+          clean first-attempt run. *)
   elapsed_s : float;
   metrics : Metrics.snapshot option;
       (** per-pair metrics delta (counters and per-phase latency) recorded
@@ -145,10 +145,10 @@ let pp_verdict_prov prov ppf v =
 (** [explain_report ~label r] renders the deterministic, diffable
     explanation narrative for one verified pair: header, then one section
     per pipeline phase listing that phase's provenance events, the
-    expanded minimized core of the last conflict (if any), and the ladder
-    rungs.  Contains no timings, addresses or other run-varying data —
-    two runs of the same pair produce byte-identical output, which is
-    what the golden tests pin. *)
+    expanded minimized core of the last conflict (if any), and the
+    escalated retry (section "degradation ladder").  Contains no timings,
+    addresses or other run-varying data — two runs of the same pair
+    produce byte-identical output, which is what the golden tests pin. *)
 let explain_report ~label (r : report) : string =
   let b = Buffer.create 1024 in
   let pf fmt = Fmt.kstr (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
@@ -357,7 +357,6 @@ type config = {
   taint_mode : Taint.mode;
   taint_granularity : Taint.granularity;
   symex : Directed.config;
-  sym_file_size : int;
   max_steps : int;       (** concrete-run budget (hang detection) *)
   solver_budget : int;
   dynamic_cfg : bool;
@@ -371,12 +370,6 @@ type config = {
           VM-step / symex-step / solver-node granularity.  [None] (default)
           never expires; expiry yields [Failure "deadline exceeded: ..."],
           never an escaped exception. *)
-  ladder : bool;
-      (** climb the degradation ladder on rescuable failures (budget or
-          deadline exhaustion): its one rung, ["symex-escalate"], retries
-          once with every symex budget escalated (theta and max_steps x4,
-          max_runs x8).  On by default — no registry pair needs rescuing at
-          default budgets, so Table II is unchanged. *)
   inject : Faultinject.t;
       (** deterministic fault injector for the chaos harness;
           {!Faultinject.none} (default) costs one tag test per site. *)
@@ -387,19 +380,17 @@ let default_config =
     taint_mode = Taint.Context_aware;
     taint_granularity = Taint.Byte_level;
     symex = Directed.default_config;
-    sym_file_size = Sym_state.default_sym_file_size;
     max_steps = Interp.default_max_steps;
     solver_budget = 400_000;
     dynamic_cfg = false;
     deadline_s = None;
-    ladder = true;
     inject = Faultinject.none;
   }
 
 (** [failure_report msg] is the minimal report for a failure that happened
     outside (or instead of) the pipeline proper — a crashed worker, an
     exceeded deadline, an injected fault. *)
-let failure_report ?(degradations = []) msg =
+let failure_report msg =
   {
     verdict = Failure msg;
     ep = "";
@@ -407,7 +398,7 @@ let failure_report ?(degradations = []) msg =
     bunches = [];
     taint = None;
     symex = None;
-    degradations;
+    degradations = [];
     elapsed_s = 0.0;
     metrics = None;
     provenance = None;
@@ -484,7 +475,7 @@ let taint_of p ~(config : config) ~cs ~ep =
 
 (* One full pipeline pass under a fixed configuration and deadline, T side
    against probe [p].  The public {!verify} wraps this with deadline
-   construction, exception containment and the degradation ladder. *)
+   construction, exception containment and the escalated retry. *)
 let run_attempt ~(config : config) ~(deadline : Deadline.t) ?ell (p : probe) ~(t : Isa.program)
     () : report =
   let t_start = Unix.gettimeofday () in
@@ -612,9 +603,8 @@ let run_attempt ~(config : config) ~(deadline : Deadline.t) ?ell (p : probe) ~(t
                     in
                     let outcome, stats =
                       Trace.with_span Trace.Symex "directed" @@ fun () ->
-                      Directed.run ~config:config.symex ~sym_file_size:config.sym_file_size
-                        ?probe:hooks ~deadline t_sym ~ep ~cfg ~ledger:[]
-                        ~on_ep:(place_bunches bunches)
+                      Directed.run ~config:config.symex ?probe:hooks ~deadline t_sym ~ep ~cfg
+                        ~ledger:[] ~on_ep:(place_bunches bunches)
                     in
                     let symex = Some stats in
                     match outcome with
@@ -684,66 +674,29 @@ let run_attempt ~(config : config) ~(deadline : Deadline.t) ?ell (p : probe) ~(t
   end
 
 (* ------------------------------------------------------------------ *)
-(* Degradation ladder. *)
+(* Escalated retry. *)
 
 (* A failure is rescuable when a retry with more budget could plausibly
    change the verdict.  Semantic failures — no shared code, PoC does not
    crash S, CFG recovery failed, poc' did not reproduce — are facts about
    the pair, not about resource limits, and are returned as-is. *)
 let rescuable_failure msg =
-  let pre p = String.length msg >= String.length p && String.sub msg 0 (String.length p) = p in
-  pre "symbolic execution budget exhausted"
-  || pre "deadline exceeded"
-  || pre "constraint solver budget exhausted"
+  List.exists
+    (fun prefix -> String.starts_with ~prefix msg)
+    [
+      "symbolic execution budget exhausted";
+      "deadline exceeded";
+      "constraint solver budget exhausted";
+    ]
 
-(* The ladder's one rung: escalation multiplies every symex budget. *)
-let ladder_rungs (config : config) : (string * config) list =
+(* The retry's config: every symex budget multiplied. *)
+let escalate (config : config) : config =
   let sx = config.symex in
-  let escalated =
-    {
-      config with
-      symex =
-        {
-          Directed.theta = sx.theta * 4;
-          max_runs = sx.max_runs * 8;
-          max_steps = sx.max_steps * 4;
-        };
-    }
-  in
-  [ ("symex-escalate", escalated) ]
-
-(** [climb_ladder ~deadline ~attempt r0 rungs] retries a rescuable failure
-    [r0] up the ladder.  The deadline is the ONE budget shared by every
-    rung — a retried rung cannot reset the clock, and once it expires the
-    climb stops and the original failure stands with only the rungs
-    actually attempted recorded.  A rung that fails differently (a
-    non-rescuable failure) also ends the climb with the first attempt's
-    failure, the honest one.  Exposed for testing. *)
-let climb_ladder ~(deadline : Deadline.t) ~(attempt : config -> report) (r0 : report) rungs :
-    report =
-  let rec climb ~last_failure tried = function
-    | [] -> { r0 with degradations = r0.degradations @ List.rev tried }
-    | (rung, cfg) :: rest ->
-        if Deadline.expired deadline then
-          (* No budget left to climb with: the original failure stands;
-             record only the rungs actually attempted. *)
-          { r0 with degradations = r0.degradations @ List.rev tried }
-        else begin
-          if Provenance.is_on () then
-            Provenance.emit (Provenance.Rung { rung; failure = last_failure });
-          let r = attempt cfg in
-          match r.verdict with
-          | Failure msg' when rescuable_failure msg' ->
-              climb ~last_failure:msg' (rung :: tried) rest
-          | Failure _ ->
-              (* The degraded run failed differently; the first attempt's
-                 failure is the honest one. *)
-              { r0 with degradations = r0.degradations @ List.rev (rung :: tried) }
-          | _ -> { r with degradations = r.degradations @ List.rev (rung :: tried) }
-        end
-  in
-  let last_failure = match r0.verdict with Failure msg -> msg | _ -> "" in
-  climb ~last_failure [] rungs
+  {
+    config with
+    symex =
+      { Directed.theta = sx.theta * 4; max_runs = sx.max_runs * 8; max_steps = sx.max_steps * 4 };
+  }
 
 (** [verify ?config ?ell p ~t ()] executes the full pipeline for T against
     probe [p]'s S and PoC, reusing whatever S side [p] already holds.
@@ -755,12 +708,12 @@ let climb_ladder ~(deadline : Deadline.t) ~(attempt : config -> report) (r0 : re
 
     Robustness contract: this function does not raise.  A deadline expiry
     or an injected fault becomes [Failure "deadline exceeded: ..."] /
-    [Failure "injected fault: ..."], and leaves [p] holding nothing.  When
-    [config.ladder] is on, rescuable failures (budget or deadline
-    exhaustion) are retried up the degradation ladder, every rung against
-    the same probe; a rescued verdict lists the rungs climbed in
-    [degradations], and if every rung fails the original failure is
-    returned verbatim with the tried rungs recorded. *)
+    [Failure "injected fault: ..."], and leaves [p] holding nothing.  A
+    rescuable failure (budget or deadline exhaustion) is retried once
+    under [escalate config], against the same probe and on the same
+    deadline, unless that deadline has already expired.  The retry is
+    recorded as ["symex-escalate"] in [degradations]; if it fails too,
+    the first attempt's failure is returned verbatim. *)
 let verify ?(config = default_config) ?ell (p : probe) ~(t : Isa.program) () : report =
   let t_start = Unix.gettimeofday () in
   let deadline =
@@ -778,7 +731,7 @@ let verify ?(config = default_config) ?ell (p : probe) ~(t : Isa.program) () : r
     | exception Deadline.Deadline_exceeded what -> failed ("deadline exceeded: " ^ what)
     | exception Faultinject.Injected what -> failed ("injected fault: " ^ what)
   in
-  (* The whole pair — first attempt plus any ladder rungs — is one trace
+  (* The whole pair — first attempt plus any retry — is one trace
      envelope (cat "pair"), one metrics scope and one provenance scope, so
      report.metrics / report.provenance are the per-pair records of the
      domain that ran it. *)
@@ -788,14 +741,19 @@ let verify ?(config = default_config) ?ell (p : probe) ~(t : Isa.program) () : r
     Trace.with_cat_span ~cat:"pair" ~name:"pipeline" @@ fun () ->
     let r0 = attempt config in
     match r0.verdict with
-    | Failure msg when config.ladder && rescuable_failure msg ->
-        climb_ladder ~deadline ~attempt r0 (ladder_rungs config)
+    | Failure msg when rescuable_failure msg && not (Deadline.expired deadline) ->
+        let rung = "symex-escalate" in
+        if Provenance.is_on () then Provenance.emit (Provenance.Rung { rung; failure = msg });
+        let r = attempt (escalate config) in
+        (* A failed retry leaves the first attempt's failure, the honest one. *)
+        let r = match r.verdict with Failure _ -> r0 | _ -> r in
+        { r with degradations = r.degradations @ [ rung ] }
     | _ -> r0
   in
   { r with elapsed_s = Unix.gettimeofday () -. t_start; metrics = m; provenance = pv }
 
 (** [run ?config ?ell ~s ~t ~poc ()] is {!verify} against a fresh probe:
-    a lone pair shares its S side with nothing but its own ladder rungs. *)
+    a lone pair shares its S side with nothing but its own retry. *)
 let run ?config ?ell ~(s : Isa.program) ~(t : Isa.program) ~(poc : string) () : report =
   verify ?config ?ell (probe ~s ~poc) ~t ()
 
@@ -831,18 +789,23 @@ type isolation = Domains | Processes
 (* Every config field that can change a verdict.  [inject] is deliberately
    excluded: fault injection perturbs a run, not the pair's identity — a
    resumed chaos batch must treat the journaled verdict of a fault-afflicted
-   pair as settled, exactly as the uninterrupted run would have. *)
+   pair as settled, exactly as the uninterrupted run would have.  The
+   fourth and last slots held the symbolic file size and the on/off switch
+   of the escalated retry when both were config fields; they keep the
+   values every build has run with ([Sym_state.sym_file_size] and [true]),
+   so the marshalled bytes, hence every content key already written to a
+   journal, stay as they were. *)
 let config_fingerprint (c : config) =
   Marshal.to_string
     ( c.taint_mode,
       c.taint_granularity,
       c.symex,
-      c.sym_file_size,
+      Sym_state.sym_file_size,
       c.max_steps,
       c.solver_budget,
       c.dynamic_cfg,
       c.deadline_s,
-      c.ladder )
+      true )
     []
 
 (** [content_key ?config ?ell ~s ~t ~poc ()] is the verdict-cache key: a
@@ -884,11 +847,10 @@ let job_key ~config (j : job) =
 
 (* OPR3 appends two tail fields to OPR2: an explicit metrics presence
    flag (OPR2 inferred presence from end-of-record, which left no room
-   for anything after it) and an optional provenance blob.  The decoder
-   still reads OPR2 records — journals written before the bump replay and
-   resume unchanged, with [provenance = None]. *)
+   for anything after it) and an optional provenance blob.  OPR2 records
+   no longer decode: a reader counts them undecodable, and [--resume]
+   re-runs their pairs. *)
 let codec_version = "OPR3"
-let legacy_codec_version = "OPR2"
 
 module W = Octo_util.Wire
 
@@ -934,7 +896,7 @@ let encode_result ~label ~key (r : report) =
 let decode_result (s : string) : (string * string * report) option =
   W.decode s (fun r ->
       let version = W.get_magic r 4 in
-      if version <> codec_version && version <> legacy_codec_version then W.fail ();
+      if version <> codec_version then W.fail ();
       let label = W.get_string r in
       let key = W.get_string r in
       let ep = W.get_string r in
@@ -956,19 +918,8 @@ let decode_result (s : string) : (string * string * report) option =
       in
       let degradations = W.get_list r W.get_string in
       let elapsed_s = Int64.float_of_bits (parsed_string r Int64.of_string_opt) in
-      let metrics, provenance =
-        if version = legacy_codec_version then
-          (* OPR2: metrics presence inferred from end-of-record; no
-             provenance field existed. *)
-          ((if W.at_end r then None else Some (Metrics.read_snapshot r)), None)
-        else
-          let metrics = W.get_option r Metrics.read_snapshot in
-          let provenance =
-            if W.at_end r then None
-            else Some (parsed_string r Provenance.decode)
-          in
-          (metrics, provenance)
-      in
+      let metrics = W.get_option r Metrics.read_snapshot in
+      let provenance = if W.at_end r then None else Some (parsed_string r Provenance.decode) in
       ( label,
         key,
         {
@@ -1244,7 +1195,7 @@ let process_executor ~config ~limits ~child_rss_kb ?pre_run () =
       | _ -> `None
     in
     (* The wall-clock kill is a hard backstop well behind the cooperative
-       deadline (which already absorbs ladder climbs); no per-job deadline
+       deadline (which already absorbs the escalated retry); no per-job deadline
        means the parent never kills on time. *)
     let kill_after_s = Option.map (fun d -> (d *. 4.0) +. 1.0) cfg.deadline_s in
     (* The child ships its settled report as its one frame, with an

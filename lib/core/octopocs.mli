@@ -50,22 +50,22 @@ type report = {
   taint : Taint.result option;
   symex : Directed.stats option;
   degradations : string list;
-      (** degradation rungs climbed to produce this verdict, in order
-          applied (e.g. ["dynamic-cfg"], ["symex-escalate"]); empty for a
-          clean first-attempt run *)
+      (** degradations applied to produce this verdict, in order
+          (["dynamic-cfg"], ["symex-escalate"]); empty for a clean
+          first-attempt run *)
   elapsed_s : float;
   metrics : Metrics.snapshot option;
       (** per-pair metrics delta (counters and per-phase latency histogram)
           recorded by the domain that ran this pair, when collection was
           enabled ({!Octo_util.Metrics.enable} / [--metrics]); [None]
-          otherwise.  Persisted by {!encode_result} as an optional tail
-          field, so pre-metrics journals stay decodable. *)
+          otherwise.  Persisted by {!encode_result} behind a presence
+          flag. *)
   provenance : Provenance.t option;
       (** per-pair causal evidence log, recorded when collection was
           enabled ({!Provenance.enable} / [--provenance]); [None]
-          otherwise.  Persisted as an optional OPR3 tail field (pre-OPR3
-          journals decode with [None]) and rendered by
-          {!explain_report}. *)
+          otherwise.  Persisted as an optional tail field of the OPR3
+          record (a record written with collection off ends before it and
+          decodes with [None]) and rendered by {!explain_report}. *)
 }
 
 val pp_reason : Format.formatter -> not_triggerable_reason -> unit
@@ -87,7 +87,8 @@ val pp_verdict_prov : Provenance.t option -> Format.formatter -> verdict -> unit
 (** [explain_report ~label r] renders the deterministic human-readable
     explanation narrative for one verified pair (the [explain]
     subcommand's output): verdict header, per-phase provenance sections,
-    the expanded minimized core of the last conflict, ladder rungs.  No
+    the expanded minimized core of the last conflict, the escalated
+    retry.  No
     timings or other run-varying data — byte-identical across runs of the
     same pair. *)
 val explain_report : label:string -> report -> string
@@ -120,7 +121,6 @@ type config = {
   taint_mode : Taint.mode;
   taint_granularity : Taint.granularity;
   symex : Directed.config;
-  sym_file_size : int;     (** symbolic input-file bound for P2 *)
   max_steps : int;         (** concrete-run budget (hang detection) *)
   solver_budget : int;     (** model-search node budget for P3 *)
   dynamic_cfg : bool;
@@ -132,11 +132,6 @@ type config = {
           VM, the symbolic executor and the solver; [None] never expires.
           Expiry yields [Failure "deadline exceeded: ..."], never an
           escaped exception. *)
-  ladder : bool;
-      (** retry rescuable failures (budget/deadline exhaustion) up the
-          degradation ladder: its one rung, ["symex-escalate"], retries
-          once with every symex budget escalated.  On by default; Table II
-          is unaffected at default budgets. *)
   inject : Octo_util.Faultinject.t;
       (** deterministic fault injector for the chaos harness
           ({!Octo_util.Faultinject.none} by default) *)
@@ -148,31 +143,18 @@ val default_config : config
     [Failure msg] and no artifacts — used for failures that happen outside
     the pipeline proper (crashed worker, exceeded deadline).  Exposed for
     the harnesses. *)
-val failure_report : ?degradations:string list -> string -> report
+val failure_report : string -> report
 
 (** [rescuable_failure msg] is [true] when [msg] describes a resource
-    exhaustion (symex budget, solver budget, deadline) that the degradation
-    ladder may rescue, as opposed to a semantic fact about the pair.
+    exhaustion (symex budget, solver budget, deadline) that the escalated
+    retry may rescue, as opposed to a semantic fact about the pair.
     Exposed for testing. *)
 val rescuable_failure : string -> bool
 
-(** [ladder_rungs config] is the degradation ladder for [config]: its one
-    rung, [("symex-escalate", _)], multiplies every symex budget.  Exposed
-    for testing. *)
-val ladder_rungs : config -> (string * config) list
-
-(** [climb_ladder ~deadline ~attempt r0 rungs] retries the rescuable
-    failure [r0] up [rungs].  The deadline is the ONE wall-clock budget
-    shared by every rung — a retried rung cannot reset the clock; once it
-    expires the climb stops and [r0] stands, recording only the rungs
-    actually attempted.  Exposed for testing the deadline × retry
-    interaction. *)
-val climb_ladder :
-  deadline:Octo_util.Deadline.t ->
-  attempt:(config -> report) ->
-  report ->
-  (string * config) list ->
-  report
+(** [escalate config] is the config of the escalated retry: θ and the
+    symex step budget multiplied by 4, the run budget by 8, every other
+    field unchanged.  Exposed for testing. *)
+val escalate : config -> config
 
 (** The S side of a pair, shared across the Ts it is verified against.
 
@@ -207,16 +189,18 @@ val probe : s:Octo_vm.Isa.program -> poc:string -> probe
     paper assumes ℓ is an input).
 
     Does not raise: deadline expiries and injected faults become [Failure]
-    verdicts and leave [p] holding nothing, and rescuable failures are
-    retried up the degradation ladder when [config.ladder] is on (the
-    rungs climbed are recorded in [degradations]; every rung reuses [p],
-    since no rung changes an S-side input). *)
+    verdicts and leave [p] holding nothing.  A rescuable failure is
+    retried once under {!escalate}[ config], on the same deadline and
+    skipped once it has expired; the retry is recorded as
+    ["symex-escalate"] in [degradations], reuses [p] (escalation changes
+    no S-side input), and when it fails too the first attempt's failure
+    is returned verbatim. *)
 val verify :
   ?config:config -> ?ell:string list -> probe -> t:Octo_vm.Isa.program -> unit -> report
 
 (** [run ?config ?ell ~s ~t ~poc ()] is {!verify} against a fresh
-    [probe ~s ~poc]: a lone pair shares its S side with its own ladder
-    rungs only, so every call reports every phase it ran. *)
+    [probe ~s ~poc]: a lone pair shares its S side with its own retry
+    only, so every call reports every phase it ran. *)
 val run :
   ?config:config ->
   ?ell:string list ->
@@ -266,13 +250,14 @@ val job_key : config:config -> job -> string
 
 (** [encode_result ~label ~key r] serializes one settled pair for the
     write-ahead journal ({!Octo_util.Journal}): label, cache key, and the
-    full verdict (poc' bytes, degradation rungs, elapsed time).  Pipeline
+    full verdict (poc' bytes, degradations, elapsed time).  Pipeline
     artifacts (taint, symex stats, bunches) are not persisted. *)
 val encode_result : label:string -> key:string -> report -> string
 
 (** [decode_result payload] is the inverse of {!encode_result}:
     [(label, key, report)], or [None] on any malformed or
-    foreign-versioned record — the decoder never raises. *)
+    foreign-versioned record, OPR2 records of earlier builds included —
+    the decoder never raises. *)
 val decode_result : string -> (string * string * report) option
 
 (** The message of the placeholder [Failure] that [run_all ~fail_fast:true]

@@ -16,7 +16,7 @@
       ep-argument, or one of T's own path constraints ({!Bunch_pinned},
       {!Conflict});
     - {b P4}: crash-site identity ({!Crash_site});
-    - plus every degradation-ladder rung with its triggering failure
+    - plus the escalated retry with the failure that triggered it
       ({!Rung}).
 
     Collection mirrors the Metrics discipline exactly: off by default, one
@@ -69,8 +69,8 @@ type event =
           e.g. a primitive preceding the indicator) *)
   | Crash_site of { func : string; pc : int; fault : string; in_ell : bool }
   | Rung of { rung : string; failure : string }
-      (** the degradation ladder climbed to [rung] because the previous
-          attempt failed with [failure] *)
+      (** the pipeline retried as [rung] (["symex-escalate"]) because
+          the first attempt failed with [failure] *)
 
 (** A collected per-pair log: events in emission order, plus how many
     older events the ring buffer dropped to stay within its cap. *)

@@ -264,7 +264,7 @@ let run_once ~(config : config) ~(deadline : Deadline.t) ~(distance : string -> 
 (* The loop-retry chain.  [incremental] resumes each retry from the
    granted loop's snapshot; without it every attempt starts from a fresh
    state, the paper's literal procedure. *)
-let chain ~incremental ~config ~sym_file_size ~probe ~deadline (prog : Isa.program) ~ep
+let chain ~incremental ~config ~probe ~deadline (prog : Isa.program) ~ep
     ~(cfg : Cfg.t) ~(ledger : 'l) ~(on_ep : 'l on_ep) : outcome * stats =
   let stats = fresh_stats () in
   if not (Cfg.ep_reachable cfg) then (Failed Ep_not_in_cfg, stats)
@@ -277,7 +277,7 @@ let chain ~incremental ~config ~sym_file_size ~probe ~deadline (prog : Isa.progr
     let distance = Cfg.distance_fn cfg in
     let snaps = if incremental then Some (Hashtbl.create 8) else None in
     let fresh () =
-      { st = Sym_state.create ~sym_file_size prog ~ep; pending = None; last_exit = None; ledger }
+      { st = Sym_state.create prog ~ep; pending = None; last_exit = None; ledger }
     in
     (* Only the snapshots taken before the granted loop's survive a grant:
        the prefix they captured runs the same under the new budget, while
@@ -346,9 +346,9 @@ let chain ~incremental ~config ~sym_file_size ~probe ~deadline (prog : Isa.progr
     grants) for the provenance layer.  The [deadline] is polled every 1024
     symbolic steps and at every attempt's start;
     {!Octo_util.Deadline.Deadline_exceeded} propagates to the caller. *)
-let run ?(config = default_config) ?(sym_file_size = Sym_state.default_sym_file_size) ?probe
-    ?(deadline = Deadline.none) prog ~ep ~cfg ~ledger ~on_ep =
-  chain ~incremental:true ~config ~sym_file_size ~probe ~deadline prog ~ep ~cfg ~ledger ~on_ep
+let run ?(config = default_config) ?probe ?(deadline = Deadline.none) prog ~ep ~cfg ~ledger
+    ~on_ep =
+  chain ~incremental:true ~config ~probe ~deadline prog ~ep ~cfg ~ledger ~on_ep
 
 (** [run_reference] is {!run} with every attempt started from a fresh
     state, the paper's literal retry chain.  It is the executable
@@ -356,6 +356,6 @@ let run ?(config = default_config) ?(sym_file_size = Sym_state.default_sym_file_
     [Reached], same [runs] and [loop_retries].  Only [total_steps],
     [branches_decided], [states_pruned] and the probe's forced/pruned
     events grow, by the prefixes it replays.  Kept for tests. *)
-let run_reference ?(config = default_config) ?(sym_file_size = Sym_state.default_sym_file_size)
-    ?probe ?(deadline = Deadline.none) prog ~ep ~cfg ~ledger ~on_ep =
-  chain ~incremental:false ~config ~sym_file_size ~probe ~deadline prog ~ep ~cfg ~ledger ~on_ep
+let run_reference ?(config = default_config) ?probe ?(deadline = Deadline.none) prog ~ep ~cfg
+    ~ledger ~on_ep =
+  chain ~incremental:false ~config ~probe ~deadline prog ~ep ~cfg ~ledger ~on_ep

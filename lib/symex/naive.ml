@@ -35,11 +35,10 @@ type stats = {
 (** [run ?config prog ~ep] explores breadth-first until any state enters
     [ep].  Loop back-edges keep states alive indefinitely, so the step and
     state caps are load-bearing. *)
-let run ?(config = default_config) ?(sym_file_size = Sym_state.default_sym_file_size)
-    (prog : Isa.program) ~(ep : string) : outcome * stats =
+let run ?(config = default_config) (prog : Isa.program) ~(ep : string) : outcome * stats =
   let stats = { peak_states = 0; total_steps = 0; forks = 0 } in
   let queue = Queue.create () in
-  Queue.add (Sym_state.create ~sym_file_size prog ~ep) queue;
+  Queue.add (Sym_state.create prog ~ep) queue;
   let result = ref None in
   (* Lockstep scheduling, as angr's simulation manager does: every epoch
      advances every live state, so memory grows with the full breadth of

@@ -48,12 +48,13 @@ type t = {
   mutable ep_count : int;
   mutable max_read_off : int;       (* high-water mark of symbolic file reads *)
   mutable loop_visits : (int * int, int) Hashtbl.t;  (* (frame_id, pc) -> count *)
-  sym_file_size : int;
 }
 
-let default_sym_file_size = 4096
+(* The symbolic input file's size: what [Fsize] reports, the bound on
+   symbolic [Read]s and the length of an [Mmap]ed view. *)
+let sym_file_size = 4096
 
-let create ?(sym_file_size = default_sym_file_size) (prog : program) ~(ep : string) : t =
+let create (prog : program) ~(ep : string) : t =
   let st =
     {
       prog;
@@ -70,7 +71,6 @@ let create ?(sym_file_size = default_sym_file_size) (prog : program) ~(ep : stri
       ep_count = 0;
       max_read_off = 0;
       loop_visits = Hashtbl.create 64;
-      sym_file_size;
     }
   in
   List.iter
@@ -340,7 +340,7 @@ let step (t : t) : event =
             let bufv = concretize t (value fr buf) in
             let lenv = concretize t (value fr len) in
             let pos = fd_pos t fdv in
-            let avail = max 0 (t.sym_file_size - pos) in
+            let avail = max 0 (sym_file_size - pos) in
             let n = min lenv avail in
             for i = 0 to n - 1 do
               write8 t (bufv + i) (Expr.byte (pos + i))
@@ -362,14 +362,14 @@ let step (t : t) : event =
             next ();
             Running
         | Fsize (d, _) ->
-            fr.regs.(d) <- Expr.const t.sym_file_size;
+            fr.regs.(d) <- Expr.const sym_file_size;
             next ();
             Running
         | Mmap (d, _) ->
             let base = t.brk in
-            t.brk <- t.brk + t.sym_file_size + 16;
-            t.regions <- { base; size = t.sym_file_size; kind = FileMap } :: t.regions;
-            t.max_read_off <- max t.max_read_off t.sym_file_size;
+            t.brk <- t.brk + sym_file_size + 16;
+            t.regions <- { base; size = sym_file_size; kind = FileMap } :: t.regions;
+            t.max_read_off <- max t.max_read_off sym_file_size;
             fr.regs.(d) <- Expr.const base;
             next ();
             Running

@@ -1,5 +1,5 @@
 (** The one binary layout behind every persisted record: verdicts
-    (OPR3/OPR2), quarantine records (OQR1), telemetry samples (OTL1),
+    (OPR3), quarantine records (OQR1), telemetry samples (OTL1),
     provenance blobs, and the CRC frame that carries each of them in a
     journal or over a sandbox pipe.
 

@@ -677,7 +677,7 @@ let program_digest (p : program) =
    for itself.  Caching those one-shot closures only fed them to the
    major heap (they survive minor collections while the cache holds
    them), lengthening every minor pause.  Programs that do recur —
-   registry passes, ladder rungs, scan candidates — are admitted on
+   registry passes, escalated retries, scan candidates — are admitted on
    their second compilation and hit from the third on.  [seen] holds
    digests missed once, under the same lock and cap as [cache]. *)
 let cache : (string, compiled) Hashtbl.t = Hashtbl.create 16

@@ -65,8 +65,9 @@ let shared_detects_renamed () =
       check Alcotest.bool "flagged" true p.renamed
   | None -> Alcotest.fail "renamed clone missed"
 
-let abstract_calls_level () =
-  (* Same shape, different callee name: only the abstract level matches. *)
+let fingerprint_sensitive_to_callee () =
+  (* Same shape, different callee name: a renamed helper makes its caller
+     a different function. *)
   let mk callee =
     assemble ~name:"w" ~entry:"main"
       [
@@ -76,17 +77,18 @@ let abstract_calls_level () =
       ]
   in
   let a = func_exn (mk "x") "main" and b = func_exn (mk "y") "main" in
-  check Alcotest.bool "exact differs" true (Clone.fingerprint a <> Clone.fingerprint b);
-  check Alcotest.string "abstract matches"
-    (Clone.fingerprint ~level:Clone.Abstract_calls a)
-    (Clone.fingerprint ~level:Clone.Abstract_calls b)
+  check Alcotest.bool "callee name matters" true (Clone.fingerprint a <> Clone.fingerprint b)
 
+(* The question a VUDDY user asks first, as a scan asks it: does T hold a
+   clone of S's known-vulnerable function?  One lookup in each profile. *)
 let vulnerable_clone_present () =
   let c = Registry.find 1 in
-  check Alcotest.bool "present" true
-    (Clone.is_vulnerable_clone_present c.s c.t ~vuln_func:c.vuln_func);
-  check Alcotest.bool "absent for unknown" false
-    (Clone.is_vulnerable_clone_present c.s c.t ~vuln_func:"does_not_exist")
+  let sp = Clone.profile c.s and tp = Clone.profile c.t in
+  (match Clone.profile_fp sp c.vuln_func with
+  | Some fp -> check Alcotest.bool "present" true (Clone.profile_has_fp tp fp)
+  | None -> Alcotest.failf "S has no %s" c.vuln_func);
+  check Alcotest.(option string) "absent for unknown" None
+    (Clone.profile_fp sp "does_not_exist")
 
 let all_pairs_share_vuln_func () =
   List.iter
@@ -113,35 +115,26 @@ let shared_decoders_distinct () =
 (* -- differential: profile-based ℓ against a per-pair computation ------- *)
 
 (* The fingerprint as clone detection first computed it, by rendering
-   every instruction through [Fmt]: at [Abstract_calls] a direct call
-   keeps only its arity and whether it has a destination.  It is the
-   encoding oracle: {!Clone.fingerprint} must put functions into exactly
-   the classes this rendering does. *)
-let reference_fingerprint ?(level = Clone.Exact) (f : func) : string =
+   every instruction through [Fmt].  It is the encoding oracle:
+   {!Clone.fingerprint} must put functions into exactly the classes this
+   rendering does. *)
+let reference_fingerprint (f : func) : string =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (string_of_int f.nparams);
-  Array.iter
-    (fun ins ->
-      match ins with
-      | Call (_, args, dst) when level = Clone.Abstract_calls ->
-          Buffer.add_string buf
-            (Printf.sprintf "call<%d,%s>" (List.length args)
-               (match dst with Some _ -> "r" | None -> "-"))
-      | _ -> Buffer.add_string buf (Fmt.str "%a;" pp_instr ins))
-    f.code;
+  Array.iter (fun ins -> Buffer.add_string buf (Fmt.str "%a;" pp_instr ins)) f.code;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* ℓ from scratch for one pair, as clone detection computed it before
    programs were profiled and before the structural fingerprint: render
    every function of T into an fp -> names table, then look up every
    function of S. *)
-let reference_shared ?level (s : program) (t : program) : Clone.clone_pair list =
+let reference_shared (s : program) (t : program) : Clone.clone_pair list =
   let t_by_fp = Hashtbl.create 64 in
-  Hashtbl.iter (fun name f -> Hashtbl.add t_by_fp (reference_fingerprint ?level f) name) t.funcs;
+  Hashtbl.iter (fun name f -> Hashtbl.add t_by_fp (reference_fingerprint f) name) t.funcs;
   let pairs = ref [] in
   Hashtbl.iter
     (fun s_name f ->
-      match Hashtbl.find_all t_by_fp (reference_fingerprint ?level f) with
+      match Hashtbl.find_all t_by_fp (reference_fingerprint f) with
       | [] -> ()
       | candidates ->
           let t_name = if List.mem s_name candidates then s_name else List.hd candidates in
@@ -155,16 +148,11 @@ let ell_t =
       List.iter (fun (p : Clone.clone_pair) -> Format.fprintf ppf "%s->%s " p.s_func p.t_func) l)
     ( = )
 
-let levels = [ Clone.Exact; Clone.Abstract_calls ]
-
-(* Both entry points, at both levels, equal the reference. *)
+(* Both entry points equal the reference. *)
 let check_ell what s t =
-  List.iter
-    (fun level ->
-      let want = reference_shared ~level s t in
-      check ell_t what want (Clone.shared_functions ~level s t);
-      check ell_t what want (Clone.shared_functions_cached ~level s t))
-    levels
+  let want = reference_shared s t in
+  check ell_t what want (Clone.shared_functions s t);
+  check ell_t what want (Clone.shared_functions_cached s t)
 
 let source_pairs src =
   let rec go acc =
@@ -214,24 +202,21 @@ let scan_hit_ell_matches () =
 (* -- encoding oracle: the same classes as the Fmt rendering ------------- *)
 
 (* Each fingerprint of [funcs] determines its reference fingerprint and
-   vice versa, at both levels: the two encodings partition [funcs] into
-   the same classes. *)
+   vice versa: the two encodings partition [funcs] into the same
+   classes. *)
 let check_same_partition what funcs =
+  let fwd = Hashtbl.create 1024 and bwd = Hashtbl.create 1024 in
+  let agrees tbl k v =
+    match Hashtbl.find_opt tbl k with
+    | None -> Hashtbl.add tbl k v; true
+    | Some v' -> v = v'
+  in
   List.iter
-    (fun level ->
-      let fwd = Hashtbl.create 1024 and bwd = Hashtbl.create 1024 in
-      let agrees tbl k v =
-        match Hashtbl.find_opt tbl k with
-        | None -> Hashtbl.add tbl k v; true
-        | Some v' -> v = v'
-      in
-      List.iter
-        (fun f ->
-          let fp = Clone.fingerprint ~level f and ref_fp = reference_fingerprint ~level f in
-          if not (agrees fwd fp ref_fp && agrees bwd ref_fp fp) then
-            Alcotest.failf "%s: %s splits or merges a reference class" what f.fname)
-        funcs)
-    levels
+    (fun f ->
+      let fp = Clone.fingerprint f and ref_fp = reference_fingerprint f in
+      if not (agrees fwd fp ref_fp && agrees bwd ref_fp fp) then
+        Alcotest.failf "%s: %s splits or merges a reference class" what f.fname)
+    funcs
 
 let funcs_of programs =
   List.concat_map (fun p -> Hashtbl.fold (fun _ f acc -> f :: acc) p.funcs []) programs
@@ -282,8 +267,7 @@ let gen_func : func Q.gen =
   { fname = "f"; nparams = Q.int_range 0 2 rng; code = Array.init len (fun _ -> instr rng) }
 
 (* [f] with some direct calls rewritten in callee, arguments or
-   destination, so [f] and the result may or may not share a class at
-   either level. *)
+   destination, so [f] and the result may or may not share a class. *)
 let vary_call rng (ins : instr) : instr =
   match ins with
   | Call (g, args, dst) when Q.bool rng ->
@@ -306,11 +290,8 @@ let prop_classes_match_reference =
       let f = gen_func rng in
       (f, { f with code = Array.map (vary_call rng) f.code }))
     (fun (f, g) ->
-      List.for_all
-        (fun level ->
-          Clone.fingerprint ~level f = Clone.fingerprint ~level g
-          = (reference_fingerprint ~level f = reference_fingerprint ~level g))
-        levels)
+      Clone.fingerprint f = Clone.fingerprint g
+      = (reference_fingerprint f = reference_fingerprint g))
 
 (* The same code with its instructions physically shared (both halves of
    the array are the same values) and unshared (the second half a deep
@@ -322,9 +303,7 @@ let prop_sharing_invisible =
       let deep_copy x = Marshal.from_string (Marshal.to_string x [ Marshal.No_sharing ]) 0 in
       let shared = { f with code = Array.append f.code f.code } in
       let unshared = { f with code = Array.append f.code (deep_copy f.code) } in
-      List.for_all
-        (fun level -> Clone.fingerprint ~level shared = Clone.fingerprint ~level unshared)
-        levels)
+      Clone.fingerprint shared = Clone.fingerprint unshared)
 
 (* The table is keyed by content: a program edited in place after its
    profile was taken hashes to a new key and is profiled afresh. *)
@@ -388,7 +367,7 @@ let suite =
     tc "shared: same-name clone" shared_same_name;
     tc "shared: changed body excluded" shared_excludes_changed;
     tc "shared: renamed clone detected" shared_detects_renamed;
-    tc "abstract-calls level" abstract_calls_level;
+    tc "fingerprint: callee name sensitive" fingerprint_sensitive_to_callee;
     tc "vulnerable clone query" vulnerable_clone_present;
     tc "all 15 pairs share the vulnerable function" all_pairs_share_vuln_func;
     tc "shared decoders pairwise distinct" shared_decoders_distinct;

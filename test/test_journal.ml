@@ -282,6 +282,39 @@ let content_key_stable_and_sensitive () =
   in
   check Alcotest.string "inject excluded from key" (key c1) (key ~config:injected c1)
 
+(* The keys an earlier build wrote into test/fixtures/journal.jrnl (see
+   journal.golden) for the 8 pairs of gen:8:42, which g00003 reached only
+   as a quarantine record.  Each is rebuilt here the way [verify-all
+   --corpus] builds it, at the default config: if a key moves, a resumed
+   run re-verifies every pair of every existing journal. *)
+let fixture_keys =
+  [
+    ("g00000-j2k-guard", "72660decfc3b76c94119a68349b4d14b");
+    ("g00001-gif-conflict", "863d7df098b092b5796329c0ba34fd82");
+    ("g00002-j2k-clone", "be01c5317b7798628f4be74243cbea16");
+    ("g00003-tif-guard", "484deb2cd39f450aeb3ecd733fcc1f2a");
+    ("g00004-avi-clone", "9b53b58e94c466ff483c6a6e4c8457a0");
+    ("g00005-mjpg-clone", "e0e3c1060e74c7c783f897c4c9d04bca");
+    ("g00006-gif-clone", "56b3e5daf2460db3fec4fac5ebd3e36c");
+    ("g00007-j2k-clone", "9516bc640c84eecbff17b7c93a12c972");
+  ]
+
+let content_keys_match_fixture_journal () =
+  let module Runlog = Octo_report.Runlog in
+  let module Source = Octo_targets.Source in
+  let src = Source.generated ~seed:42 ~count:8 () in
+  let rec keys acc =
+    match Source.next src with
+    | None -> List.rev acc
+    | Some (p : Source.pair) ->
+        let e =
+          Runlog.entry ~config:Octopocs.default_config ?ell:p.pell ?expected:p.pexpected
+            ~label:p.plabel ~s:p.ps ~t:p.pt ~poc:p.ppoc ()
+        in
+        keys ((e.label, e.key) :: acc)
+  in
+  check Alcotest.(list (pair string string)) "keys of the fixture journal" fixture_keys (keys [])
+
 (* ------------------------------------------------------------------ *)
 (* Worker faults, fail-fast and settle callbacks *)
 
@@ -1007,6 +1040,7 @@ let suite =
     tc "codec: every verdict shape roundtrips" codec_roundtrip;
     tc "codec: malformed records decode to None" codec_rejects_malformed;
     tc "cache: content key stable, sensitive, inject-blind" content_key_stable_and_sensitive;
+    tc "cache: gen:8:42 keys equal the fixture journal's" content_keys_match_fixture_journal;
     tc "batch: forced stall maps to 'worker stalled' Failure" run_all_maps_stall_to_failure;
     tc "batch: fail-fast skips the rest, settles only the first" run_all_fail_fast_skips_rest;
     tc "batch: duplicate labels keep their own reports" run_all_duplicate_labels_keep_positions;

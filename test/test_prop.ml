@@ -5,7 +5,6 @@
      OTL1 telemetry sample, the OQR1 quarantine record and the CRC frame —
      round-trips arbitrary values exactly and is total on garbage,
      byte-flips and truncations, through one suite parameterised by codec;
-   - OPR2 records, written before the bump to OPR3, still decode;
    - the journal reader ([Journal.replay] / [Journal.parse]) never raises
      on corrupted files — random byte-flips and truncations of a valid
      journal always yield a valid prefix of the original records. *)
@@ -212,71 +211,6 @@ let gen_quarantine : Octopocs.quarantine Q.gen =
   let qmessage = text 60 in
   let qbacktrace = text 120 in
   { Octopocs.qlabel; qkey; qreason; qmessage; qbacktrace; qattempts = Q.int_range 1 9 rng }
-
-(* -- OPR2 legacy compatibility ----------------------------------------- *)
-
-(* Byte-faithful replica of the pre-provenance (OPR2) encoder: same fields
-   as OPR3 but metrics presence inferred from end-of-record and no
-   provenance tail.  Guards the decoder's promise that journals written
-   before the bump replay and resume unchanged. *)
-
-let put_str b s =
-  let l = Bytes.create 4 in
-  Bytes.set_int32_le l 0 (Int32.of_int (String.length s));
-  Buffer.add_bytes b l;
-  Buffer.add_string b s
-
-let put_int b i =
-  let l = Bytes.create 8 in
-  Bytes.set_int64_le l 0 (Int64.of_int i);
-  Buffer.add_bytes b l
-
-let put_str_list b xs =
-  put_int b (List.length xs);
-  List.iter (put_str b) xs
-
-let put_int_array b a =
-  put_int b (Array.length a);
-  Array.iter (put_int b) a
-
-let encode_result_opr2 ~label ~key (r : Octopocs.report) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "OPR2";
-  put_str b label;
-  put_str b key;
-  put_str b r.ep;
-  put_str_list b r.ell;
-  (match r.verdict with
-  | Octopocs.Triggered { poc'; ptype } ->
-      Buffer.add_char b 'T';
-      Buffer.add_char b (match ptype with Octopocs.Type_I -> '1' | Octopocs.Type_II -> '2');
-      put_str b poc'
-  | Octopocs.Not_triggerable reason ->
-      Buffer.add_char b 'N';
-      (match reason with
-      | Octopocs.Ep_not_called -> Buffer.add_char b 'e'
-      | Octopocs.Program_dead -> Buffer.add_char b 'd'
-      | Octopocs.Unsat_model -> Buffer.add_char b 'u'
-      | Octopocs.Constraint_conflict k ->
-          Buffer.add_char b 'c';
-          put_str b (string_of_int k))
-  | Octopocs.Failure msg ->
-      Buffer.add_char b 'F';
-      put_str b msg);
-  put_str_list b r.degradations;
-  put_str b (Int64.to_string (Int64.bits_of_float r.elapsed_s));
-  (match r.metrics with
-  | None -> ()
-  | Some (m : Metrics.snapshot) ->
-      put_int_array b m.Metrics.counters;
-      put_int_array b m.Metrics.phase_count;
-      put_int_array b m.Metrics.phase_ns;
-      put_int_array b m.Metrics.phase_hist);
-  Buffer.contents b
-
-let legacy_decodes_ok (label, key, (r : Octopocs.report)) =
-  Octopocs.decode_result (encode_result_opr2 ~label ~key r)
-  = Some (label, key, { r with provenance = None })
 
 (* -- journal corruption ------------------------------------------------ *)
 
@@ -537,8 +471,6 @@ let suite =
   codec_suite opr3 @ codec_suite provenance @ codec_suite telemetry @ codec_suite quarantine
   @ codec_suite frame
   @ [
-      Q.test_case "codec: hand-built OPR2 records decode with provenance=None" ~seed:0x0972
-        ~count:300 gen_labelled_report legacy_decodes_ok;
       Q.test_case "journal: random byte-flips -> replay returns a valid prefix" ~seed:0x10F1
         ~count:60
         (Q.pair gen_payloads gen_flips)

@@ -1,5 +1,5 @@
-(* Tests for the robustness layer: monotonic deadlines, the degradation
-   ladder, crash-isolated batch verification and deterministic fault
+(* Tests for the robustness layer: monotonic deadlines, the escalated
+   retry, crash-isolated batch verification and deterministic fault
    injection. *)
 
 module Deadline = Octo_util.Deadline
@@ -67,8 +67,8 @@ let deadline_clock_is_monotonic () =
 
 let pipeline_deadline_zero_is_failure () =
   (* An already-expired deadline must surface as a structured Failure, not
-     as an escaped exception, and must not be "rescued" by the ladder
-     (there is no budget left to climb with). *)
+     as an escaped exception, and must not be "rescued" by the escalated
+     retry (there is no time left to retry with). *)
   let c = Registry.find 1 in
   let config = { Octopocs.default_config with deadline_s = Some 0.0 } in
   let r = Octopocs.run ~config ~s:c.s ~t:c.t ~poc:c.poc () in
@@ -80,10 +80,10 @@ let pipeline_deadline_zero_is_failure () =
   check Alcotest.(list string) "no rungs climbed" [] r.degradations
 
 (* ------------------------------------------------------------------ *)
-(* Degradation ladder *)
+(* Escalated retry *)
 
 (* gif2png (pair 9) needs exactly 32 loop iterations, hence ~33 loop-retry
-   runs: max_runs = 8 exhausts the budget, and the first ladder rung
+   runs: max_runs = 8 exhausts the budget, and the escalated retry
    (max_runs x8 = 64) rescues it. *)
 let starved_config =
   {
@@ -91,15 +91,36 @@ let starved_config =
     symex = { Directed.default_config with max_runs = 8 };
   }
 
-let ladder_off_reports_budget_failure () =
-  let c = Registry.find 9 in
-  let config = { starved_config with ladder = false } in
-  let r = Octopocs.run ~config ~s:c.s ~t:c.t ~poc:c.poc () in
-  match r.verdict with
-  | Octopocs.Failure msg ->
-      check Alcotest.string "budget failure" "symbolic execution budget exhausted: loop retries"
-        msg
+let with_provenance f =
+  let was_on = Octopocs.Provenance.is_on () in
+  if not was_on then Octopocs.Provenance.enable ();
+  Fun.protect ~finally:(fun () -> if not was_on then Octopocs.Provenance.disable ()) f
+
+(* The [Rung] events of a report collected with provenance on. *)
+let rungs_of (r : Octopocs.report) =
+  match r.provenance with
+  | None -> Alcotest.fail "no provenance collected"
+  | Some p ->
+      List.filter_map
+        (function
+          | Octopocs.Provenance.Rung { rung; failure } -> Some (rung, failure) | _ -> None)
+        p.events
+
+let failure_msg = function
+  | Octopocs.Failure m -> m
   | v -> Alcotest.failf "expected Failure, got %s" (Octopocs.verdict_class v)
+
+let ladder_off_reports_budget_failure () =
+  (* max_runs = 1 starves the escalated retry too (x8 = 8 runs of ~33):
+     the budget failure is reported as is. *)
+  let c = Registry.find 9 in
+  let config =
+    { Octopocs.default_config with symex = { Directed.default_config with max_runs = 1 } }
+  in
+  let r = Octopocs.run ~config ~s:c.s ~t:c.t ~poc:c.poc () in
+  check Alcotest.string "budget failure" "symbolic execution budget exhausted: loop retries"
+    (failure_msg r.verdict);
+  check Alcotest.(list string) "the retry tried" [ "symex-escalate" ] r.degradations
 
 let ladder_rescues_budget_exhaustion () =
   let c = Registry.find 9 in
@@ -110,108 +131,69 @@ let ladder_rescues_budget_exhaustion () =
   check Alcotest.(list string) "one rung climbed" [ "symex-escalate" ] r.degradations
 
 let ladder_total_failure_preserves_original () =
-  (* max_steps = 5 fails on every rung (x4 escalation is still far too
-     small); the report must carry the FIRST attempt's failure verbatim,
-     with the tried rungs recorded. *)
+  (* max_runs = 4 with max_steps = 70: the first attempt runs out of loop
+     retries, and the escalated retry (32 runs of 280 steps) runs out of
+     steps instead.  The report must carry the first attempt's failure
+     verbatim, with the retry recorded. *)
   let c = Registry.find 9 in
-  let tiny = { Directed.default_config with max_steps = 5 } in
-  let off =
-    Octopocs.run
-      ~config:{ Octopocs.default_config with symex = tiny; ladder = false }
-      ~s:c.s ~t:c.t ~poc:c.poc ()
+  let config =
+    {
+      Octopocs.default_config with
+      symex = { Directed.default_config with max_runs = 4; max_steps = 70 };
+    }
   in
-  let on =
-    Octopocs.run
-      ~config:{ Octopocs.default_config with symex = tiny }
-      ~s:c.s ~t:c.t ~poc:c.poc ()
-  in
-  let msg = function
-    | Octopocs.Failure m -> m
-    | v -> Alcotest.failf "expected Failure, got %s" (Octopocs.verdict_class v)
-  in
-  check Alcotest.string "original failure string verbatim" (msg off.verdict) (msg on.verdict);
-  check Alcotest.(list string) "the rung tried" [ "symex-escalate" ] on.degradations
+  let run config = with_provenance (fun () -> Octopocs.run ~config ~s:c.s ~t:c.t ~poc:c.poc ()) in
+  let r = run config in
+  check Alcotest.string "original failure string verbatim"
+    "symbolic execution budget exhausted: loop retries" (failure_msg r.verdict);
+  check Alcotest.(list string) "the rung tried" [ "symex-escalate" ] r.degradations;
+  (* The retry's own failure is the first-attempt failure of a run under
+     the escalated config. *)
+  match rungs_of (run (Octopocs.escalate config)) with
+  | [ (_, retry_failure) ] ->
+      check Alcotest.string "the retry failed otherwise"
+        "symbolic execution budget exhausted: symbolic steps" retry_failure
+  | _ -> Alcotest.fail "expected one retry"
 
 let ladder_one_rung_escalates () =
-  let rungs = Octopocs.ladder_rungs Octopocs.default_config in
-  check Alcotest.(list string) "rung names" [ "symex-escalate" ] (List.map fst rungs);
-  let sx = Octopocs.default_config.symex in
-  List.iter
-    (fun (_, (cfg : Octopocs.config)) ->
-      check Alcotest.bool "theta escalated" true (cfg.symex.theta > sx.theta);
-      check Alcotest.bool "max_runs escalated" true (cfg.symex.max_runs > sx.max_runs);
-      check Alcotest.bool "max_steps escalated" true (cfg.symex.max_steps > sx.max_steps);
-      check Alcotest.int "symbolic file kept" Octopocs.default_config.sym_file_size
-        cfg.sym_file_size)
-    rungs
-
-let ladder_shares_one_deadline () =
-  (* The deadline budget is shared across the whole ladder: a retried rung
-     runs on whatever clock is left, never a fresh one.  Over a two-rung
-     ladder (the real rung twice), rung 1's attempt burns the entire
-     budget and fails rescuably; rung 2 must then never be attempted, and
-     the ORIGINAL failure stands with only the attempted rung recorded. *)
-  let deadline = Deadline.after ~seconds:0.05 in
-  let r0 = Octopocs.failure_report "symbolic execution budget exhausted: loop retries" in
-  let attempts = ref 0 in
-  let attempt _cfg =
-    incr attempts;
-    while not (Deadline.expired deadline) do
-      ignore (Sys.opaque_identity (Deadline.remaining_s deadline))
-    done;
-    Octopocs.failure_report "constraint solver budget exhausted"
-  in
-  let rungs = Octopocs.ladder_rungs Octopocs.default_config in
-  let r = Octopocs.climb_ladder ~deadline ~attempt r0 (rungs @ rungs) in
-  check Alcotest.int "rung 2 never attempted" 1 !attempts;
-  (match r.verdict with
-  | Octopocs.Failure msg ->
-      check Alcotest.string "original failure verbatim"
-        "symbolic execution budget exhausted: loop retries" msg
-  | v -> Alcotest.failf "expected Failure, got %s" (Octopocs.verdict_class v));
-  check Alcotest.(list string) "only the attempted rung recorded" [ "symex-escalate" ]
-    r.degradations
+  let c = Octopocs.default_config in
+  let e = Octopocs.escalate c in
+  check Alcotest.int "theta x4" (c.symex.theta * 4) e.symex.theta;
+  check Alcotest.int "max_runs x8" (c.symex.max_runs * 8) e.symex.max_runs;
+  check Alcotest.int "max_steps x4" (c.symex.max_steps * 4) e.symex.max_steps;
+  check Alcotest.bool "every other field kept" true ({ e with symex = c.symex } = c)
 
 let ladder_expired_before_first_rung () =
-  (* Expiry before any rung: the climb is a no-op — no attempts, no rungs
-     recorded, r0 untouched. *)
-  let deadline = Deadline.after ~seconds:0.0 in
-  let r0 = Octopocs.failure_report "deadline exceeded: taint analysis" in
-  let attempts = ref 0 in
-  let attempt _cfg =
-    incr attempts;
-    r0
-  in
-  let r =
-    Octopocs.climb_ladder ~deadline ~attempt r0 (Octopocs.ladder_rungs Octopocs.default_config)
-  in
-  check Alcotest.int "no rung attempted" 0 !attempts;
+  (* A rescuable first failure under an already-expired deadline: the
+     retry shares that deadline, so it is never attempted (no [Rung]
+     event), and the first failure stands with nothing recorded. *)
+  let c = Registry.find 9 in
+  let config = { starved_config with deadline_s = Some 0.0 } in
+  let r = with_provenance (fun () -> Octopocs.run ~config ~s:c.s ~t:c.t ~poc:c.poc ()) in
+  check Alcotest.bool "deadline failure" true
+    (String.starts_with ~prefix:"deadline exceeded" (failure_msg r.verdict));
+  check Alcotest.(list (pair string string)) "no rung attempted" [] (rungs_of r);
   check Alcotest.(list string) "no rungs recorded" [] r.degradations
 
 let ladder_rescue_mid_climb_keeps_clock () =
-  (* A healthy deadline: rung 1 succeeds, and the success report carries
-     the climbed rung. *)
-  let deadline = Deadline.after ~seconds:60.0 in
-  let r0 = Octopocs.failure_report "constraint solver budget exhausted" in
-  let attempt _cfg =
-    {
-      (Octopocs.failure_report "unused") with
-      verdict = Octopocs.Triggered { poc' = "x"; ptype = Octopocs.Type_I };
-    }
-  in
-  let r =
-    Octopocs.climb_ladder ~deadline ~attempt r0 (Octopocs.ladder_rungs Octopocs.default_config)
-  in
+  (* A healthy deadline: the retry runs on it and rescues the pair; its
+     [Rung] event names the first attempt's failure. *)
+  let c = Registry.find 9 in
+  let config = { starved_config with deadline_s = Some 60.0 } in
+  let r = with_provenance (fun () -> Octopocs.run ~config ~s:c.s ~t:c.t ~poc:c.poc ()) in
   (match r.verdict with
   | Octopocs.Triggered _ -> ()
   | v -> Alcotest.failf "expected Triggered, got %s" (Octopocs.verdict_class v));
+  check Alcotest.(list (pair string string)) "the rung and its trigger"
+    [ ("symex-escalate", "symbolic execution budget exhausted: loop retries") ]
+    (rungs_of r);
   check Alcotest.(list string) "rescuing rung recorded" [ "symex-escalate" ] r.degradations
 
 let pipeline_tiny_deadline_expires_mid_run () =
   (* End-to-end: a not-quite-zero deadline expires at the first cooperative
      check inside the pipeline; run must contain it as a structured Failure
-     with no ladder climb (the expired clock is shared, so every rung is
-     stillborn). *)
+     with no escalated retry (the expired clock is shared, so the retry is
+     skipped). *)
   let c = Registry.find 1 in
   let config = { Octopocs.default_config with deadline_s = Some 1e-9 } in
   let r = Octopocs.run ~config ~s:c.s ~t:c.t ~poc:c.poc () in
@@ -352,9 +334,9 @@ let injection_off_is_silent () =
   done
 
 let forced_solver_starvation_is_rescuable () =
-  (* Solver_budget at rate 1.0 starves every attempt including the ladder
-     rung: the original failure must come back verbatim with the rung
-     recorded. *)
+  (* Solver_budget at rate 1.0 starves every attempt including the
+     escalated retry: the original failure must come back verbatim with the
+     retry recorded. *)
   let c = Registry.find 1 in
   let config =
     {
@@ -372,8 +354,8 @@ let forced_solver_starvation_is_rescuable () =
 
 let injected_deadline_contained () =
   (* Deadline_expiry at rate 1.0 fires at the first phase boundary; run
-     must contain it as a Failure (the ladder retries but every rung hits
-     the same injected expiry). *)
+     must contain it as a Failure (the escalated retry hits the same
+     injected expiry). *)
   let c = Registry.find 1 in
   let config =
     {
@@ -453,7 +435,6 @@ let suite =
     tc "ladder: rescues budget exhaustion" ladder_rescues_budget_exhaustion;
     tc "ladder: total failure preserves original verbatim" ladder_total_failure_preserves_original;
     tc "ladder: one rung escalates every budget" ladder_one_rung_escalates;
-    tc "ladder: one deadline shared across rungs" ladder_shares_one_deadline;
     tc "ladder: expired clock means zero attempts" ladder_expired_before_first_rung;
     tc "ladder: mid-climb rescue records its rung" ladder_rescue_mid_climb_keeps_clock;
     tc "pipeline: tiny deadline expires mid-run, structured" pipeline_tiny_deadline_expires_mid_run;

@@ -310,7 +310,7 @@ let loop_retry_probe =
       (fun ~func ~pc ~granted ~theta -> Prov.emit (Prov.Loop_retry { func; pc; granted; theta }));
   }
 
-let view_chain ~reference ?config ?sym_file_size p ~ep ~cfg ~ledger ~on_ep =
+let view_chain ~reference ?config p ~ep ~cfg ~ledger ~on_ep =
   let run = if reference then Directed.run_reference else Directed.run in
   let was_on = Prov.is_on () in
   if not was_on then Prov.enable ();
@@ -319,7 +319,7 @@ let view_chain ~reference ?config ?sym_file_size p ~ep ~cfg ~ledger ~on_ep =
       ~finally:(fun () -> if not was_on then Prov.disable ())
       (fun () ->
         Prov.scoped (fun () ->
-            run ?config ?sym_file_size ~probe:loop_retry_probe p ~ep ~cfg ~ledger ~on_ep))
+            run ?config ~probe:loop_retry_probe p ~ep ~cfg ~ledger ~on_ep))
   in
   let result =
     match outcome with
@@ -344,9 +344,9 @@ let view_chain ~reference ?config ?sym_file_size p ~ep ~cfg ~ledger ~on_ep =
   { result; evidence; stats }
 
 (* Runs both chains and checks they agree; returns (incremental, reference). *)
-let same_chains ~what ?config ?sym_file_size p ~ep ~cfg ~ledger ~on_ep =
-  let inc = view_chain ~reference:false ?config ?sym_file_size p ~ep ~cfg ~ledger ~on_ep in
-  let rf = view_chain ~reference:true ?config ?sym_file_size p ~ep ~cfg ~ledger ~on_ep in
+let same_chains ~what ?config p ~ep ~cfg ~ledger ~on_ep =
+  let inc = view_chain ~reference:false ?config p ~ep ~cfg ~ledger ~on_ep in
+  let rf = view_chain ~reference:true ?config p ~ep ~cfg ~ledger ~on_ep in
   check Alcotest.string (what ^ ": outcome and model") rf.result inc.result;
   check Alcotest.int (what ^ ": runs") rf.stats.runs inc.stats.runs;
   check Alcotest.int (what ^ ": loop retries") rf.stats.loop_retries inc.stats.loop_retries;
@@ -388,8 +388,8 @@ let same_chains_on_pair ~what ~s ~t ~poc ~ell =
   | Some (ep, bunches, cfg) ->
       let config = Octopocs.default_config in
       let inc, _ =
-        same_chains ~what ~config:config.symex ~sym_file_size:config.sym_file_size t ~ep ~cfg
-          ~ledger:[] ~on_ep:(Octopocs.place_bunches bunches)
+        same_chains ~what ~config:config.symex t ~ep ~cfg ~ledger:[]
+          ~on_ep:(Octopocs.place_bunches bunches)
       in
       if inc.stats.loop_retries > 0 then 1 else 0
 
