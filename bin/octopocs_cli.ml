@@ -747,9 +747,9 @@ let verify_entries o ~chaos_seed ~site_rates ~fail_fast ~total ?(on_row = fun _ 
 (* ------------------------------------------------------------------ *)
 (* verify-all: any {!Source} through the driver. *)
 
-(* The verdict Octopocs.run_all reports for a pair it never handed out
-   under fail-fast. *)
-let skipped_verdict = Octopocs.Failure Octopocs.skipped_failure_msg
+(* The verdict a registry row shows for a pair --fail-fast never handed
+   out. *)
+let skipped_verdict = Octopocs.Failure "skipped: fail-fast after an earlier failure"
 
 (* The Table II lines of a registry run, in registry order, with their
    [cached]/[degraded] tags and (with --metrics) the phase breakdown of the

@@ -201,35 +201,23 @@ let distance_fn t =
 
 (* ------------------------------------------------------------------ *)
 (* Build cache.  A distance map is immutable once built, and batch
-   verification (verify-all, benchmarks, loop retries) rebuilds the same
-   (program, ep) map over and over.  Keyed by physical program identity, so
-   a devirtualized copy of the same binary misses as it must.  The lock
-   makes the cache safe under the parallel pair runner. *)
+   verification (verify-all, scan, benchmarks) rebuilds the same
+   (program, ep) map over and over.  Keyed by the program's content
+   digest plus [ep] ({!Octo_util.Memo}), so a devirtualized or mutated
+   copy misses as it must. *)
 
-let cache_lock = Mutex.create ()
-let cache : (program * string * t) list ref = ref []
-let cache_cap = 32
+let memo : t Octo_util.Memo.t = Octo_util.Memo.create ()
 
-(** [build_cached program ~ep] is {!build} memoized on the physical identity
-    of [program] plus [ep].  Failures ({!Cfg_error}) are not cached. *)
-let build_cached ?allow_unresolved (prog : program) ~(ep : string) : t =
-  Mutex.lock cache_lock;
-  let hit = List.find_opt (fun (p, e, _) -> p == prog && e = ep) !cache in
-  Mutex.unlock cache_lock;
-  match hit with
-  | Some (_, _, t) ->
-      Octo_util.Metrics.incr Octo_util.Metrics.Cache_hits;
-      t
-  | None ->
-      let t = build ?allow_unresolved prog ~ep in
-      Mutex.lock cache_lock;
-      let rest =
-        if List.length !cache >= cache_cap then List.filteri (fun i _ -> i < cache_cap - 1) !cache
-        else !cache
-      in
-      cache := (prog, ep, t) :: rest;
-      Mutex.unlock cache_lock;
-      t
+(** [build_cached ?digest program ~ep] is {!build} memoized on
+    [program]'s content digest plus [ep]; [digest], when given, MUST equal
+    [Octo_vm.Compile.program_digest program].  Failures ({!Cfg_error})
+    are not cached. *)
+let build_cached ?digest (prog : program) ~(ep : string) : t =
+  let d = match digest with Some d -> d | None -> Octo_vm.Compile.program_digest prog in
+  (* A digest has a fixed length, so [d ^ ep] is unambiguous. *)
+  let t, hit = Octo_util.Memo.find_or_add memo (d ^ ep) (fun () -> build prog ~ep) in
+  if hit then Octo_util.Metrics.incr Octo_util.Metrics.Cache_hits;
+  t
 
 (** [ep_reachable t] tells whether the program entry can reach [ep] at all —
     the "ep is not called in T" test of verification case (ii). *)

@@ -78,38 +78,15 @@ let profile_fp (p : profile) name = List.assoc_opt name p.fps
 let profile_has_fp (p : profile) fp = Hashtbl.mem p.by_fp fp
 let profile_fingerprints (p : profile) = List.map snd p.fps
 
-(* The profile table: bounded, keyed by content digest, and
-   reset when full like the compile cache.  A profile is immutable, so
-   lookups hand out shared references safely across domains; callers
-   that must see every program of a large pass exactly once (Scan) hold
-   the references themselves rather than rely on the table. *)
-let profiles : (string, profile) Hashtbl.t = Hashtbl.create 64
-let profiles_lock = Mutex.create ()
-let profiles_cap = 128
+(* The profile table ({!Octo_util.Memo}).  Callers that must see every
+   program of a large pass exactly once (Scan) hold the profiles
+   themselves rather than rely on the table. *)
+let memo : profile Octo_util.Memo.t = Octo_util.Memo.create ()
 
 (* The profile of [p] and whether it was served from the table. *)
 let lookup ?digest (p : program) : profile * bool =
   let key = match digest with Some d -> d | None -> Octo_vm.Compile.program_digest p in
-  Mutex.lock profiles_lock;
-  let hit = Hashtbl.find_opt profiles key in
-  Mutex.unlock profiles_lock;
-  match hit with
-  | Some pr -> (pr, true)
-  | None ->
-      let pr = profile_of p in
-      Mutex.lock profiles_lock;
-      (* Keep whichever profile landed first, so concurrent callers
-         share one reference. *)
-      let pr =
-        match Hashtbl.find_opt profiles key with
-        | Some pr' -> pr'
-        | None ->
-            if Hashtbl.length profiles >= profiles_cap then Hashtbl.reset profiles;
-            Hashtbl.add profiles key pr;
-            pr
-      in
-      Mutex.unlock profiles_lock;
-      (pr, false)
+  Octo_util.Memo.find_or_add memo key (fun () -> profile_of p)
 
 let profile ?digest p = fst (lookup ?digest p)
 

@@ -27,12 +27,15 @@ type clone_pair = {
     once built. *)
 type profile
 
+(** The profile table: an {!Octo_util.Memo} keyed by
+    {!Octo_vm.Compile.program_digest}. *)
+val memo : profile Octo_util.Memo.t
+
 (** [profile ?digest p] is [p]'s profile from the profile table,
-    built on a miss.  The table is bounded (128 profiles, reset when
-    full), keyed by {!Octo_vm.Compile.program_digest}, and safe
-    under domains; [digest], when given, MUST equal that digest.  A
-    caller that needs a program's profile for a whole pass holds the
-    returned reference rather than looking it up again. *)
+    built on a miss; [digest], when given, MUST equal [p]'s
+    {!Octo_vm.Compile.program_digest}.  A caller that needs a program's
+    profile for a whole pass holds the returned reference rather than
+    looking it up again. *)
 val profile : ?digest:string -> program -> profile
 
 (** [profile_pair ?sdig ?tdig s t] is [(profile s, profile t)],
@@ -62,11 +65,11 @@ val profile_fingerprints : profile -> string list
 val shared_functions : program -> program -> clone_pair list
 
 (** [shared_functions_cached ?sdig ?tdig s t] is {!shared_functions}
-    over the table's profiles ({!profile_pair}): each program is
-    fingerprinted once while its profile stays in the table, whichever
-    pairs it takes part in.  [sdig]/[tdig] are the programs'
-    {!Octo_vm.Compile.program_digest} values when already computed.  The
-    pipeline's hot path; safe under domains. *)
+    over the table's profiles ({!profile_pair}): a program that recurs
+    across pairs is fingerprinted twice, then served from the table.
+    [sdig]/[tdig] are the programs' {!Octo_vm.Compile.program_digest}
+    values when already computed.  The pipeline's hot path; safe under
+    domains. *)
 val shared_functions_cached :
   ?sdig:string -> ?tdig:string -> program -> program -> clone_pair list
 

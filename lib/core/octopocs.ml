@@ -497,8 +497,8 @@ let run_attempt ~(config : config) ~(deadline : Deadline.t) ?ell (p : probe) ~(t
     }
   in
   (* T's canonical content digest, computed once per attempt: the clone
-     profile table and T's compilation lookup key off it, as they key off
-     the probe's digest of S. *)
+     profile table, T's compilation and its CFG lookups key off it, as
+     they key off the probe's digest of S. *)
   let tdig = Compile.program_digest t in
   let ell =
     match ell with
@@ -551,7 +551,7 @@ let run_attempt ~(config : config) ~(deadline : Deadline.t) ?ell (p : probe) ~(t
                  binary while P4 verifies against the original. *)
               let cfg_result =
                 Trace.with_span Trace.Cfg "build" @@ fun () ->
-                match Cfg.build_cached t ~ep with
+                match Cfg.build_cached ~digest:tdig t ~ep with
                 | cfg -> Ok (t, cfg)
                 | exception Cfg.Cfg_error msg ->
                     if not config.dynamic_cfg then Error msg
@@ -934,15 +934,6 @@ let decode_result (s : string) : (string * string * report) option =
           metrics;
           provenance;
         } ))
-
-(* ------------------------------------------------------------------ *)
-
-let skipped_failure_msg = "skipped: fail-fast after an earlier failure"
-
-let is_skipped_report (r : report) =
-  match r.verdict with
-  | Failure msg -> msg = skipped_failure_msg
-  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Poison-pair quarantine. *)
@@ -1435,36 +1426,26 @@ module Job_pos = Hashtbl.Make (struct
 end)
 
 (* The fixed-batch driver is a collector over {!run_stream}: a cursor
-   over the batch (which stops handing out jobs once [fail_fast] has seen
-   a Failure settle), an on-settle hook storing each report at its input
+   over the batch, an on-settle hook storing each report at its input
    position, and a window of one job per worker in both isolation modes.
-   Positions the cursor never handed out come back skipped. *)
-let run_all ?(config = default_config) ?(jobs = 1) ?(retries = 0) ?(fail_fast = false)
-    ?(isolate = Domains) ?limits ?pre_run ?on_settle (batch : job list) :
-    (string * report) list =
+   Without [on_quarantine] every job settles, so every position is
+   filled. *)
+let run_all ?(config = default_config) ?(jobs = 1) ?(retries = 0) ?(isolate = Domains) ?limits
+    ?pre_run ?on_settle (batch : job list) : (string * report) list =
   (* One fresh copy per position: duplicates in [batch] stay distinct. *)
   let copies = List.map (fun j -> { j with label = j.label }) batch in
   let pos = Job_pos.create (List.length copies) in
   List.iteri (fun i j -> Job_pos.add pos j i) copies;
   let reports = Array.make (List.length copies) None in
-  let failed = Atomic.make false in
-  let pull = stream_of_list copies in
-  let next () = if fail_fast && Atomic.get failed then None else pull () in
   let settle j r =
     reports.(Job_pos.find pos j) <- Some r;
-    (match r.verdict with Failure _ -> Atomic.set failed true | _ -> ());
     Option.iter (fun f -> f j.label r) on_settle
   in
   let (_ : stream_stats) =
     run_stream ~config ~jobs ~retries ~window:(Octo_util.Pool.effective_jobs jobs) ~isolate
-      ?limits ?pre_run ~on_settle:settle next
+      ?limits ?pre_run ~on_settle:settle (stream_of_list copies)
   in
-  List.mapi
-    (fun i j ->
-      match reports.(i) with
-      | Some r -> (j.label, r)
-      | None -> (j.label, failure_report skipped_failure_msg))
-    batch
+  List.mapi (fun i j -> (j.label, Option.get reports.(i))) batch
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic dump ordering. *)

@@ -260,14 +260,6 @@ val encode_result : label:string -> key:string -> report -> string
     the decoder never raises. *)
 val decode_result : string -> (string * string * report) option
 
-(** The message of the placeholder [Failure] that [run_all ~fail_fast:true]
-    returns for pairs it never handed out. *)
-val skipped_failure_msg : string
-
-(** [is_skipped_report r] recognizes the placeholder [Failure] that
-    [run_all ~fail_fast:true] returns for pairs it never handed out. *)
-val is_skipped_report : report -> bool
-
 (** How batch/stream drivers isolate one job from its batch-mates.
 
     [Domains] (the default, the historical behaviour) runs jobs on
@@ -288,7 +280,7 @@ val is_skipped_report : report -> bool
     identical to Domain mode by construction. *)
 type isolation = Domains | Processes
 
-(** [run_all ?config ?jobs ?retries ?fail_fast ?isolate ?limits ?pre_run
+(** [run_all ?config ?jobs ?retries ?isolate ?limits ?pre_run
     ?on_settle batch] verifies every pair of [batch] and returns one
     labelled report per input job, in input order.  It is a collector over
     {!run_stream}, in both isolation modes: a cursor over [batch] feeds the
@@ -304,11 +296,7 @@ type isolation = Domains | Processes
     ([config.deadline_s]) in Domain mode — a domain cannot be killed —
     and by the parent's deadline-kill under [~isolate:Processes].
 
-    [fail_fast] stops the cursor once any pair settles as a [Failure]:
-    pairs it never handed out come back as skipped placeholders
-    ({!is_skipped_report}) and are not journaled.
-
-    [on_settle label report] fires exactly once per non-skipped job, in
+    [on_settle label report] fires exactly once per job, in
     completion order, from the calling domain in every mode; [run_all]
     returns only after every callback finishes.  (A journaled run goes
     through {!run_stream} instead, via [Octo_report.Runlog].)
@@ -322,7 +310,6 @@ val run_all :
   ?config:config ->
   ?jobs:int ->
   ?retries:int ->
-  ?fail_fast:bool ->
   ?isolate:isolation ->
   ?limits:Octo_util.Sandbox.limits ->
   ?pre_run:(job -> unit) ->

@@ -380,48 +380,24 @@ let add s (c : Expr.cond) : add_result =
     Ok
   with Unsat_exn -> Unsat
 
-(** [add_checked s c] is [add] that leaves the store untouched when the
-    constraint is unsatisfiable: the constraint is retracted and every
-    narrowing it performed is rolled back.  This is what lets a branch
-    chooser probe one direction and cleanly fall back to the other without
-    poisoning the store (directed execution's push/pop at branch points). *)
-let add_checked s (c : Expr.cond) : add_result =
-  Octo_util.Metrics.incr Octo_util.Metrics.Constraint_adds;
-  let was = s.trailing in
-  s.trailing <- true;
-  let m = mark s in
-  let id = push_cons s c in
-  s.queued.(id) <- true;
-  Queue.add id s.queue;
-  let r = try propagate s; Ok with Unsat_exn -> Unsat in
-  (match r with
-  | Unsat ->
-      undo_to s m;
-      pop_cons s id
-  | Ok -> ());
-  s.trailing <- was;
-  if not was then s.trail <- [];
-  r
-
 (** [entails s c] evaluates [c] under the current domains. *)
 let entails s c = eval_cond_iv s c
 
 (* ------------------------------------------------------------------ *)
 (* Cross-phase scopes.
 
-   [add_checked] is a one-constraint transaction; a scope is the same
-   trail/mark machinery stretched over an arbitrary sequence of [add]s —
-   the shape P3 bunch pinning needs.  Pins land on the live store one
-   [add] at a time (propagation is incremental, reusing every narrowing
-   performed by earlier phases), and when one of them conflicts the caller
+   A scope records every narrowing on the trail over an arbitrary
+   sequence of [add]s — the shape P3 bunch pinning needs, and with one
+   [add], {!add_checked}.  Pins land on the live store one [add] at a
+   time (propagation is incremental, reusing every narrowing performed
+   by earlier phases), and when one of them conflicts the caller
    can first interrogate the poisoned store (e.g. {!unsat_core} over
    {!constraints} — the scoped constraints are ordinary constraints) and
    then [pop_scope] back to the exact pre-scope state instead of
    discarding the store.
 
-   Scopes nest with the existing transactional primitives: [add_checked]
-   and [solve] save and restore [trailing] themselves and undo to their
-   own marks, so calling them inside an open scope is safe. *)
+   Scopes nest, and [solve] saves and restores [trailing] itself and
+   undoes to its own mark, so calling it inside an open scope is safe. *)
 
 type scope = {
   sc_mark : mark;            (* trail suffix to roll narrowings back to *)
@@ -453,6 +429,17 @@ let pop_scope s (sc : scope) =
 let commit_scope s (sc : scope) =
   s.trailing <- sc.sc_was_trailing;
   if not sc.sc_was_trailing then s.trail <- []
+
+(** [add_checked s c] is [add] that leaves the store untouched when the
+    constraint is unsatisfiable: a one-constraint scope, popped on [Unsat]
+    and committed on [Ok].  This is what lets a branch chooser probe one
+    direction and cleanly fall back to the other without poisoning the
+    store (directed execution's push/pop at branch points). *)
+let add_checked s (c : Expr.cond) : add_result =
+  let sc = push_scope s in
+  let r = add s c in
+  (match r with Unsat -> pop_scope s sc | Ok -> commit_scope s sc);
+  r
 
 (* ------------------------------------------------------------------ *)
 (* Model search. *)

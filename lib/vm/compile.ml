@@ -671,55 +671,21 @@ let program_digest (p : program) =
   Buffer.add_string b (Marshal.to_string (p.ftable, p.data) []);
   Digest.string (Buffer.contents b)
 
-(* A program is admitted on its second miss.  Most programs of a corpus
-   stream are compiled once: a pair hands its compiled S to taint and
-   reuses its compiled T for both replays, so it never needs the cache
-   for itself.  Caching those one-shot closures only fed them to the
-   major heap (they survive minor collections while the cache holds
-   them), lengthening every minor pause.  Programs that do recur —
-   registry passes, escalated retries, scan candidates — are admitted on
-   their second compilation and hit from the third on.  [seen] holds
-   digests missed once, under the same lock and cap as [cache]. *)
-let cache : (string, compiled) Hashtbl.t = Hashtbl.create 16
-let seen : (string, unit) Hashtbl.t = Hashtbl.create 16
-let cache_lock = Mutex.create ()
-let cache_cap = 64
+(* The compilation table (see {!Octo_util.Memo} for its admission rule):
+   a pair hands its compiled S to taint and reuses its compiled T for both
+   replays, so it never needs the table for itself. *)
+let memo : compiled Octo_util.Memo.t = Octo_util.Memo.create ()
 
 (** [get ?digest p] returns the cached compilation of [p], compiling on
-    a miss and admitting [p] to the cache on its second miss.  [digest]
-    lets callers that already hold the program's canonical digest
-    (pipeline, verdict cache) skip recomputing it — it MUST equal
-    [program_digest p].  Hits are counted under
+    a miss.  [digest] lets callers that already hold the program's
+    canonical digest (pipeline, verdict cache) skip recomputing it — it
+    MUST equal [program_digest p].  Hits are counted under
     {!Octo_util.Metrics.Cache_hits}. *)
 let get ?digest (p : program) : compiled =
   let d = match digest with Some d -> d | None -> program_digest p in
-  Mutex.lock cache_lock;
-  let hit = Hashtbl.find_opt cache d in
-  Mutex.unlock cache_lock;
-  match hit with
-  | Some c ->
-      Octo_util.Metrics.incr Octo_util.Metrics.Cache_hits;
-      c
-  | None ->
-      let c = compile p in
-      Mutex.lock cache_lock;
-      (* Re-check under the lock; keep whichever compilation landed first
-         so concurrent callers share closures. *)
-      let c =
-        match Hashtbl.find_opt cache d with
-        | Some c' -> c'
-        | None when Hashtbl.mem seen d ->
-            Hashtbl.remove seen d;
-            if Hashtbl.length cache >= cache_cap then Hashtbl.reset cache;
-            Hashtbl.add cache d c;
-            c
-        | None ->
-            if Hashtbl.length seen >= cache_cap then Hashtbl.reset seen;
-            Hashtbl.add seen d ();
-            c
-      in
-      Mutex.unlock cache_lock;
-      c
+  let c, hit = Octo_util.Memo.find_or_add memo d (fun () -> compile p) in
+  if hit then Octo_util.Metrics.incr Octo_util.Metrics.Cache_hits;
+  c
 
 (* ------------------------------------------------------------------ *)
 (* Hang-cycle detection (see the module doc).  A snapshot copies every

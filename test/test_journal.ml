@@ -337,61 +337,6 @@ let run_all_maps_stall_to_failure () =
       | v -> Alcotest.failf "expected Failure, got %s" (Octopocs.verdict_class v))
   | _ -> Alcotest.fail "expected one labelled report"
 
-let run_all_fail_fast_skips_rest () =
-  (* Pair 1 sabotaged with a forced worker crash: fail-fast must stop
-     handing out pairs, report the rest as skipped in input order, and
-     fire on_settle only for pairs that actually settled.  Serially that
-     is exactly pair 1; with two workers a batch-mate may already be in
-     flight, so the skipped pairs are some suffix of the batch. *)
-  let crash =
-    { Octopocs.default_config with
-      inject =
-        Faultinject.create ~rate:0.0 ~site_rates:[ (Faultinject.Worker_crash, 1.0) ] ~seed:2 () }
-  in
-  let batch () =
-    List.filter_map
-      (fun (c : Registry.case) ->
-        if c.idx > 6 then None
-        else
-          Some
-            (Octopocs.job
-               ?config:(if c.idx = 1 then Some crash else None)
-               ~label:(string_of_int c.idx) ~s:c.s ~t:c.t ~poc:c.poc ()))
-      Registry.all
-  in
-  let run jobs =
-    let lock = Mutex.create () in
-    let settled = ref [] in
-    let results =
-      Octopocs.run_all ~jobs ~fail_fast:true
-        ~on_settle:(fun label _ -> Mutex.protect lock (fun () -> settled := label :: !settled))
-        (batch ())
-    in
-    check Alcotest.(list string) "input order" [ "1"; "2"; "3"; "4"; "5"; "6" ]
-      (List.map fst results);
-    (match results with
-    | ("1", r1) :: _ ->
-        check Alcotest.bool "pair 1 crashed" true
-          (match r1.Octopocs.verdict with Octopocs.Failure _ -> true | _ -> false);
-        check Alcotest.bool "pair 1 not a skip" false (Octopocs.is_skipped_report r1)
-    | _ -> Alcotest.fail "unexpected result shape");
-    let skipped = List.map (fun (_, r) -> Octopocs.is_skipped_report r) results in
-    let rec suffix = function
-      | true :: rest -> List.for_all Fun.id rest
-      | false :: rest -> suffix rest
-      | [] -> true
-    in
-    check Alcotest.bool "skipped pairs form a suffix" true (suffix skipped);
-    let ran =
-      List.filter_map (fun (l, r) -> if Octopocs.is_skipped_report r then None else Some l) results
-    in
-    check Alcotest.(list string) "on_settle saw exactly the unskipped pairs" ran
-      (List.sort compare !settled);
-    ran
-  in
-  check Alcotest.(list string) "serial: only pair 1 settled" [ "1" ] (run 1);
-  ignore (run 2 : string list)
-
 let run_all_duplicate_labels_keep_positions () =
   (* Reports are keyed by input position: two jobs sharing a label (one
      sabotaged, one healthy) and the same job value listed twice must
@@ -480,6 +425,48 @@ let prior_labels () =
     | _ -> ()
   in
   (prior, on_row)
+
+let run_all_fail_fast_skips_rest () =
+  (* Pair 1 sabotaged with a forced vm-syscall fault settles as a
+     Failure: fail-fast must stop handing out pairs, and a pair never
+     handed out gets no row and no journal record.  Serially that leaves
+     exactly pair 1; with two workers a batch-mate may already be in
+     flight, so the pairs with a row are some prefix of the batch. *)
+  let vm_fault =
+    { Octopocs.default_config with
+      inject =
+        Faultinject.create ~rate:0.0 ~site_rates:[ (Faultinject.Vm_syscall, 1.0) ] ~seed:2 () }
+  in
+  let entries () =
+    Octopocs.stream_of_list
+      (List.filter_map
+         (fun (c : Registry.case) ->
+           if c.idx > 6 then None
+           else
+             let config = if c.idx = 1 then vm_fault else Octopocs.default_config in
+             Some (Runlog.entry ~config ~label:(string_of_int c.idx) ~s:c.s ~t:c.t ~poc:c.poc ()))
+         Registry.all)
+  in
+  let run jobs =
+    with_run (fun path ->
+        let rows = ref [] in
+        let on_row (e : Runlog.entry) row = rows := (e.label, row) :: !rows in
+        ignore (run_ok (Runlog.run ~journal:path ~jobs ~fail_fast:true ~on_row (entries ())));
+        (match List.assoc_opt "1" !rows with
+        | Some (Runlog.Settled { r; cached = false }) ->
+            check Alcotest.bool "pair 1 settles as a Failure" true
+              (match r.Octopocs.verdict with Octopocs.Failure _ -> true | _ -> false)
+        | _ -> Alcotest.fail "pair 1 did not settle");
+        let ran = List.sort compare (List.map fst !rows) in
+        check Alcotest.(list string) "the pairs with a row are a prefix"
+          (List.filteri (fun i _ -> i < List.length ran) [ "1"; "2"; "3"; "4"; "5"; "6" ])
+          ran;
+        check Alcotest.(list string) "journal records exactly the pairs with a row" ran
+          (List.sort compare (List.map (fun (l, _, _) -> l) (loaded path).verdicts));
+        ran)
+  in
+  check Alcotest.(list string) "serial: only pair 1 settled" [ "1" ] (run 1);
+  ignore (run 2 : string list)
 
 let resume_merge_equivalence () =
   with_run (fun path ->

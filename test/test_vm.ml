@@ -4,6 +4,7 @@
 open Octo_vm
 open Octo_vm.Isa
 open Octo_vm.Asm
+module Memo = Octo_util.Memo
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -594,10 +595,7 @@ let compile_cache_no_stale_closures () =
    been compiled twice, so programs a stream compiles once never hold
    their closures in it. *)
 
-let reset_compile_cache () =
-  Mutex.protect Compile.cache_lock (fun () ->
-      Hashtbl.reset Compile.cache;
-      Hashtbl.reset Compile.seen)
+let reset_compile_cache () = Memo.clear Compile.memo
 
 let emit_prog name k =
   assemble ~name ~entry:"main" [ fn "main" ~params:0 [ I (Sys (Emit (Imm k))); I Halt ] ]
@@ -612,7 +610,7 @@ let cache_hits_of f =
 let compile_admits_on_second_miss () =
   reset_compile_cache ();
   let p = emit_prog "admit" 7 in
-  let cached () = Hashtbl.mem Compile.cache (Compile.program_digest p) in
+  let cached () = Memo.find_opt Compile.memo (Compile.program_digest p) <> None in
   let get () = cache_hits_of (fun () -> ignore (Compile.get p)) in
   check Alcotest.int "first get misses" 0 (get ());
   check Alcotest.bool "first get leaves it out" false (cached ());
@@ -625,17 +623,20 @@ let compile_admitted_then_mutated_recompiles () =
   let p = emit_prog "mutate" 1 in
   ignore (Compile.get p);
   let c = Compile.get p in
-  check Alcotest.bool "admitted" true (Hashtbl.mem Compile.cache (Compile.program_digest p));
+  check Alcotest.bool "admitted" true
+    (Memo.find_opt Compile.memo (Compile.program_digest p) <> None);
   (func_exn p "main").code.(0) <- Sys (Emit (Imm 2));
   let c' = Compile.get p in
   check Alcotest.bool "recompiled" true (c != c');
   check (Alcotest.list Alcotest.int) "mutated outputs" [ 2 ] (Compile.run c' ~input:"").outputs
 
 (* Every program of a generated corpus is new, and a pair never needs the
-   cache for itself, so a stream admits nothing: one-shot closures are
-   never kept past their pair. *)
+   cache for itself, so a stream admits nothing: one-shot closures,
+   clone profiles and CFGs are never kept past their pair. *)
 let compile_stream_admits_nothing () =
   reset_compile_cache ();
+  Memo.clear Octo_clone.Clone.memo;
+  Memo.clear Octo_cfg.Cfg.memo;
   let module Source = Octo_targets.Source in
   let src = Source.generated ~seed:42 ~count:200 () in
   let next () =
@@ -646,7 +647,9 @@ let compile_stream_admits_nothing () =
   in
   let st = Octopocs.run_stream ~jobs:1 next in
   check Alcotest.int "settled" 200 st.Octopocs.st_settled;
-  check Alcotest.int "cache empty" 0 (Hashtbl.length Compile.cache)
+  check Alcotest.int "compile table empty" 0 (Memo.length Compile.memo);
+  check Alcotest.int "profile table empty" 0 (Memo.length Octo_clone.Clone.memo);
+  check Alcotest.int "CFG table empty" 0 (Memo.length Octo_cfg.Cfg.memo)
 
 let compile_race_shares_one_value () =
   reset_compile_cache ();
@@ -661,7 +664,7 @@ let compile_race_shares_one_value () =
   in
   let ds = List.init 2 (fun _ -> Domain.spawn worker) in
   let cs = List.map Domain.join ds in
-  let cached = Hashtbl.find Compile.cache (Compile.program_digest p) in
+  let cached = Option.get (Memo.find_opt Compile.memo (Compile.program_digest p)) in
   List.iter (fun c -> check Alcotest.bool "shares the cached value" true (c == cached)) cs
 
 (* ------------------------------------------------------------------ *)
