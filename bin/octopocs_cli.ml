@@ -423,8 +423,9 @@ let progress_arg =
   Arg.(value & flag
        & info [ "progress" ]
            ~doc:"Render a live single-line progress meter (settled count, \
-                 recent throughput, ETA, quarantine count) on stderr.  \
-                 Automatically disabled when stderr is not a TTY.")
+                 recent throughput, ETA, quarantine count) on stderr, redrawn \
+                 from the run-health samples at most every 100 ms; needs no \
+                 --journal.  Automatically disabled when stderr is not a TTY.")
 
 (* verify N: pair N as a one-entry run with no journal, through the same
    stream as verify-all, so the attempt-level chaos sites fire exactly as
@@ -497,103 +498,23 @@ let oom_pre_run =
             ignore
               (Sys.opaque_identity (Array.init mb (fun _ -> Bytes.make (1 lsl 20) 'x'))))
 
-(* Live progress meter: one stderr line redrawn in place — settled count,
-   recent throughput, ETA when the corpus size is known up front, and the
-   quarantine count.  Active only when stderr is a TTY: piped runs and CI
-   logs never see control characters.  The rate is measured against a
-   sliding anchor (re-based every ~2 s) so it tracks the run's current
-   phase rather than its lifetime average. *)
-module Progress = struct
-  type t = {
-    total : int option;
-    lock : Mutex.t;
-    mutable settled : int;
-    mutable quarantined : int;
-    mutable anchor_t : float;
-    mutable anchor_n : int;
-    mutable last_draw : float;
-    mutable active : bool;
-  }
-
-  let create ~enabled ~total () =
-    {
-      total;
-      lock = Mutex.create ();
-      settled = 0;
-      quarantined = 0;
-      anchor_t = Unix.gettimeofday ();
-      anchor_n = 0;
-      last_draw = 0.;
-      active = enabled && Unix.isatty Unix.stderr;
-    }
-
-  (* Redraws are throttled to ~10/s: settle callbacks can burst far past
-     what a terminal can usefully render. *)
-  let draw p =
-    let now = Unix.gettimeofday () in
-    if now -. p.last_draw >= 0.1 then begin
-      p.last_draw <- now;
-      let dt = now -. p.anchor_t in
-      let rate = if dt > 0.2 then float_of_int (p.settled - p.anchor_n) /. dt else 0. in
-      if dt > 2.0 then begin
-        p.anchor_t <- now;
-        p.anchor_n <- p.settled
-      end;
-      let frac =
-        match p.total with
-        | Some total -> Printf.sprintf "%d/%d" p.settled total
-        | None -> string_of_int p.settled
-      in
-      let eta =
-        match p.total with
-        | Some total when rate > 0. && total > p.settled ->
-            Printf.sprintf " eta %.0fs" (float_of_int (total - p.settled) /. rate)
-        | _ -> ""
-      in
-      Printf.eprintf "\r\027[K%s settled, %.1f pairs/s%s%s%!" frac rate eta
-        (if p.quarantined > 0 then Printf.sprintf ", %d quarantined" p.quarantined else "")
-    end
-
-  let step p =
-    if p.active then begin
-      Mutex.lock p.lock;
-      p.settled <- p.settled + 1;
-      draw p;
-      Mutex.unlock p.lock
-    end
-
-  let quar p =
-    if p.active then begin
-      Mutex.lock p.lock;
-      p.quarantined <- p.quarantined + 1;
-      draw p;
-      Mutex.unlock p.lock
-    end
-
-  (* Clear the meter line so the summary below starts on a clean row. *)
-  let finish p =
-    if p.active then begin
-      Mutex.lock p.lock;
-      p.active <- false;
-      Printf.eprintf "\r\027[K%!";
-      Mutex.unlock p.lock
-    end
-end
-
-(* Best-effort corpus size for the meter's ETA: exact for the registry
-   and gen:N corpora, a directory-entry count for manifest corpora. *)
-let corpus_total spec =
-  if spec = "registry" then Some (List.length Registry.all)
+(* The live --progress meter: a Telemetry sink redrawing one stderr line
+   in place from each run-health sample ({!Report.meter_line}), so it
+   reads the same series the journal records.  Its rate is measured
+   against an anchor sample re-based every ~2 s, so it tracks the run's
+   current phase rather than its lifetime average; the sampler's 100 ms
+   interval throttles the redraws and its lock serialises them.  [None]
+   unless --progress is given and stderr is a TTY: piped runs and CI logs
+   never see control characters. *)
+let progress_meter ~enabled ~total =
+  if not (enabled && Unix.isatty Unix.stderr) then None
   else
-    match String.split_on_char ':' spec with
-    | "gen" :: n :: _ -> int_of_string_opt n
-    | _ ->
-        if Sys.file_exists spec && Sys.is_directory spec then
-          Some
-            (Array.fold_left
-               (fun acc f -> if Filename.check_suffix f ".pair" then acc + 1 else acc)
-               0 (Sys.readdir spec))
-        else None
+    let anchor = ref None in
+    Some
+      (fun (s : Octo_util.Telemetry.sample) ->
+        let a = Option.value !anchor ~default:s in
+        Printf.eprintf "\r\027[K%s%!" (Report.meter_line ~total ~anchor:a s);
+        if Option.is_none !anchor || s.ts_ns - a.ts_ns > 2_000_000_000 then anchor := Some s)
 
 (* The verification-run flags verify-all and scan share. *)
 type run_opts = {
@@ -710,11 +631,12 @@ let with_run_opts o f =
    domain.  The journal writer's injector comes from the same chaos flags
    as the pairs'.  With [fail_fast] the cursor hands out nothing once a
    Failure has settled; the pairs it never handed out get no row and no
-   journal record, so --resume runs them.  Returns the stream's stats and
-   the tally, or the exit code of a setup error. *)
+   journal record, so --resume runs them.  [total], the run's pair count
+   when known, gives the progress meter its ETA.  Returns the stream's
+   stats and the tally, or the exit code of a setup error. *)
 let verify_entries o ~chaos_seed ~site_rates ~fail_fast ~total ?(on_row = fun _ _ -> ()) next =
   let inject = injector ~chaos_seed ~site_rates Runlog.journal_seed in
-  let prog = Progress.create ~enabled:o.progress ~total () in
+  let meter = progress_meter ~enabled:o.progress ~total in
   let tally = Tally.create () in
   let on_row (e : Runlog.entry) row =
     (match row with
@@ -726,19 +648,19 @@ let verify_entries o ~chaos_seed ~site_rates ~fail_fast ~total ?(on_row = fun _ 
     | Runlog.Quarantined { prior = false; _ } -> Tally.add_quarantined tally);
     on_row e.label row;
     match row with
-    | Runlog.Settled { cached = false; _ } -> Progress.step prog
     | Runlog.Quarantined { q; prior = false } ->
         Log.warn (fun m ->
             m "quarantined %s after %d attempt(s): %s: %s" q.qlabel q.qattempts q.qreason
-              q.qmessage);
-        Progress.quar prog
+              q.qmessage)
     | _ -> ()
   in
   let result =
-    Fun.protect ~finally:(fun () -> Progress.finish prog) @@ fun () ->
-    Runlog.run ?journal:o.journal_path ~telemetry:o.telemetry ~resume:o.resume ~inject
-      ~jobs:o.jobs ~retries:o.retries ?window:o.window ~isolate:o.isolate ~limits:o.limits
-      ?pre_run:oom_pre_run ~fail_fast ~on_row next
+    (* The meter's line is cleared so the summary starts on a clean row. *)
+    Fun.protect ~finally:(fun () -> if Option.is_some meter then Printf.eprintf "\r\027[K%!")
+    @@ fun () ->
+    Runlog.run ?journal:o.journal_path ~telemetry:o.telemetry ?on_sample:meter ~resume:o.resume
+      ~inject ~jobs:o.jobs ~retries:o.retries ?window:o.window ~isolate:o.isolate
+      ~limits:o.limits ?pre_run:oom_pre_run ~fail_fast ~on_row next
   in
   match result with
   | Error msg -> Error (structured_error "%s" msg)
@@ -817,7 +739,7 @@ let run_verify_all o fail_fast trace metrics_on provenance_on corpus chaos_seed 
       in
       let on_row = Option.map (fun a label row -> a.(int_of_string label - 1) <- Some row) rows in
       match
-        verify_entries o ~chaos_seed ~site_rates ~fail_fast ~total:(corpus_total corpus) ?on_row
+        verify_entries o ~chaos_seed ~site_rates ~fail_fast ~total:(Source.size src) ?on_row
           next
       with
       | Error code -> code

@@ -478,23 +478,13 @@ let taint_of p ~(config : config) ~cs ~ep =
    construction, exception containment and the escalated retry. *)
 let run_attempt ~(config : config) ~(deadline : Deadline.t) ?ell (p : probe) ~(t : Isa.program)
     () : report =
-  let t_start = Unix.gettimeofday () in
   let inject = config.inject in
   let s = p.ps and poc = p.ppoc in
   let degraded = ref [] in
+  (* [verify] fills in the timing, metrics and provenance. *)
   let finish verdict ~ep ~ell ~bunches ~taint ~symex =
-    {
-      verdict;
-      ep;
-      ell;
-      bunches;
-      taint;
-      symex;
-      degradations = List.rev !degraded;
-      elapsed_s = Unix.gettimeofday () -. t_start;
-      metrics = None;
-      provenance = None;
-    }
+    { (failure_report "") with verdict; ep; ell; bunches; taint; symex;
+      degradations = List.rev !degraded }
   in
   (* T's canonical content digest, computed once per attempt: the clone
      profile table, T's compilation and its CFG lookups key off it, as
@@ -1109,12 +1099,13 @@ let take_all q =
   Queue.clear q;
   l
 
-(* Serial: the attempt runs to its end inside [start]. *)
+(* Serial: [start] queues the attempt and [await] runs it to its end, so
+   the loop ticks before the attempt it counts, as with every executor. *)
 let inline_executor attempt =
-  let ended = Queue.create () in
+  let todo = Queue.create () in
   {
-    start = (fun a -> Queue.add (a, attempt a) ended);
-    await = (fun () -> take_all ended);
+    start = (fun a -> Queue.add a todo);
+    await = (fun () -> List.map (fun a -> (a, attempt a)) (take_all todo));
     stop = ignore;
   }
 

@@ -71,12 +71,6 @@ type report = {
 val pp_reason : Format.formatter -> not_triggerable_reason -> unit
 val pp_verdict : Format.formatter -> verdict -> unit
 
-(** [conflict_detail prov] distills the last P3 conflict recorded in
-    [prov] into one sentence naming the conflicting bunch bytes (or
-    replayed arguments) and the T-side path constraint they clash with;
-    [None] when no provenance or no conflict was recorded. *)
-val conflict_detail : Provenance.t option -> string option
-
 (** [pp_verdict_prov prov ppf v] is {!pp_verdict} upgraded in place by
     provenance: a [Constraint_conflict] verdict additionally names the
     conflicting bunch and constraint when a conflict core is available.
@@ -243,10 +237,6 @@ val content_key :
   poc:string ->
   unit ->
   string
-
-(** [job_key ~config j] is {!content_key} for a batch item, under the
-    job's own config override when it has one. *)
-val job_key : config:config -> job -> string
 
 (** [encode_result ~label ~key r] serializes one settled pair for the
     write-ahead journal ({!Octo_util.Journal}): label, cache key, and the
@@ -438,9 +428,13 @@ val run_stream :
     the streaming runner.  Thread-safe. *)
 val stream_of_list : 'a list -> unit -> 'a option
 
+(** [compare_labels a b] orders labels for display: numerically when
+    both are integers (registry pair "10" after "9"), else as strings. *)
+val compare_labels : string -> string -> int
+
 (** [sort_dump entries] orders decoded journal records [(label, key, v)]
-    for display: label (numeric-aware, so registry pair "10" sorts after
-    "9"), then content key as a tiebreak.  Records sit in a journal in
+    for display: label ({!compare_labels}), then content key as a
+    tiebreak.  Records sit in a journal in
     settle order, and one label can appear under several keys across
     resumed runs with changed budgets, so the tiebreak keeps the order
     independent of timing. *)

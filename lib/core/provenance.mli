@@ -107,7 +107,6 @@ val conflict_core_size : t -> int
 (** [last_conflict t] is the last {!Conflict} event's payload, if any. *)
 val last_conflict : t -> (int * core_entry list) option
 
-val pp_ranges : Format.formatter -> (int * int) list -> unit
 val pp_origin : Format.formatter -> origin -> unit
 val pp_event : Format.formatter -> event -> unit
 

@@ -139,3 +139,24 @@ let render ?(telemetry = false) (r : Runlog.t) : string =
         end
   end;
   Buffer.contents b
+
+(* -- live meter -------------------------------------------------------- *)
+
+(* The line the CLI's --progress meter draws for sample [s]: the settled
+   count (of [total] when the source knows its size), the rate since
+   [anchor] (0.0 until the two span 0.2 s), an ETA when [total] is known
+   and the rate positive, and the quarantine count when non-zero. *)
+let meter_line ~total ~(anchor : Telemetry.sample) (s : Telemetry.sample) =
+  let dt = float_of_int (s.ts_ns - anchor.ts_ns) /. 1e9 in
+  let rate = if dt > 0.2 then float_of_int (s.settled - anchor.settled) /. dt else 0. in
+  let count, eta =
+    match total with
+    | None -> (string_of_int s.settled, "")
+    | Some n ->
+        ( Printf.sprintf "%d/%d" s.settled n,
+          if rate > 0. && n > s.settled then
+            Printf.sprintf " eta %.0fs" (float_of_int (n - s.settled) /. rate)
+          else "" )
+  in
+  Printf.sprintf "%s settled, %.1f pairs/s%s%s" count rate eta
+    (if s.quarantined > 0 then Printf.sprintf ", %d quarantined" s.quarantined else "")

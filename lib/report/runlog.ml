@@ -89,7 +89,8 @@ type t = {
           [Octopocs.sort_dump] order *)
   undecodable : int;  (** intact frames no codec decodes *)
   torn : bool;  (** the journal's torn or corrupt tail was dropped *)
-  quarantine : Octopocs.quarantine list;  (** last record per label, by label *)
+  quarantine : Octopocs.quarantine list;
+      (** last record per label, in [Octopocs.compare_labels] order *)
   samples : Telemetry.sample list;  (** telemetry samples, in append order *)
 }
 
@@ -111,7 +112,8 @@ let load journal =
           torn = r.Journal.torn;
           quarantine =
             Hashtbl.fold (fun _ q acc -> q :: acc) t.tquarantined []
-            |> List.sort (fun (a : Octopocs.quarantine) b -> compare a.qlabel b.qlabel);
+            |> List.sort (fun (a : Octopocs.quarantine) b ->
+                   Octopocs.compare_labels a.qlabel b.qlabel);
           samples = t.tsamples;
         }
 
@@ -171,7 +173,9 @@ let open_journal ~inject ~resume path =
    [journal] (without it they are reported but not recorded), and with
    [telemetry] so are run-health samples (none without [journal]); their
    appends draw no journal-write fault, so a seeded tear lands on the
-   same verdict or quarantine record with or without them.  [inject]
+   same verdict or quarantine record with or without them.  [on_sample]
+   sees every sample too, from the calling domain, journal or not; the
+   sampler runs only when one of the two wants its samples.  [inject]
    arms the journal's journal-write site.  Without [resume] an existing
    journal is an [Error] and nothing is created, and a path that cannot
    be opened raises [Cannot_write] ({!open_journal}); with [resume] the
@@ -181,8 +185,8 @@ let open_journal ~inject ~resume path =
    last one journaled.  With [fail_fast] nothing is handed out once a
    Failure has settled; entries never handed out get no row and no
    record. *)
-let run ?journal ?(telemetry = false) ?(resume = false) ?(inject = Faultinject.none) ?jobs
-    ?retries ?window ?isolate ?limits ?pre_run ?(fail_fast = false)
+let run ?journal ?(telemetry = false) ?on_sample ?(resume = false) ?(inject = Faultinject.none)
+    ?jobs ?retries ?window ?isolate ?limits ?pre_run ?(fail_fast = false)
     ?(on_row = fun _ _ -> ()) next =
   let opened =
     match journal with
@@ -249,12 +253,16 @@ let run ?journal ?(telemetry = false) ?(resume = false) ?(inject = Faultinject.n
                       Mutex.protect lock (fun () -> Hashtbl.add inflight e.label e);
                       Some e.job))
       in
-      let sampling = telemetry && writer <> None in
-      (match writer with
-      | Some w when sampling ->
-          let from = List.fold_left (fun _ s -> Some s) None prior.tsamples in
-          Telemetry.enable ?from (Journal.append ~armed:false w)
-      | _ -> ());
+      let journaled = if telemetry then writer else None in
+      let sampling = Option.is_some journaled || Option.is_some on_sample in
+      if sampling then begin
+        let from = List.fold_left (fun _ s -> Some s) None prior.tsamples in
+        Telemetry.enable ?from (fun s ->
+            Option.iter
+              (fun w -> Journal.append ~armed:false w (Telemetry.encode_sample s))
+              journaled;
+            Option.iter (fun f -> f s) on_sample)
+      end;
       Fun.protect
         ~finally:(fun () ->
           if sampling then Telemetry.disable ();

@@ -34,9 +34,14 @@ exception Malformed_manifest of string
 (** Raised by strict directory sources on an unparsable [.pair] manifest
     (the argument is the offending path). *)
 
-type t = { src_id : string; pull : unit -> pair option }
+type t = { src_id : string; src_size : int option; pull : unit -> pair option }
 
 let id t = t.src_id
+
+(** [size t] is how many pairs [t] holds in all, when known up front:
+    15 for the registry, COUNT for [gen:COUNT], and for a directory its
+    [.pair] manifests when it was opened (malformed ones included). *)
+let size t = t.src_size
 
 (** [next t] pulls the next pair, or [None] when the source is drained.
     Sources are single-shot cursors: once drained they stay drained. *)
@@ -46,6 +51,7 @@ let registry () =
   let remaining = ref Registry.all in
   {
     src_id = "registry";
+    src_size = Some (List.length Registry.all);
     pull =
       (fun () ->
         match !remaining with
@@ -79,6 +85,7 @@ let generated ~seed ~count () =
   let i = ref 0 in
   {
     src_id = Printf.sprintf "gen:%d:%d" count seed;
+    src_size = Some count;
     pull =
       (fun () ->
         if !i >= count then None
@@ -171,7 +178,7 @@ let directory ?(strict = false) dir =
             Log.warn (fun m -> m "corpus: skipping malformed manifest %s" path);
             pull ())
   in
-  { src_id = "dir:" ^ dir; pull }
+  { src_id = "dir:" ^ dir; src_size = Some (List.length names); pull }
 
 (** [write_dir ~dir ~seed ~count] materialises a corpus {e description}
     on disk: [count] one-pair manifests pointing at the generator, so the

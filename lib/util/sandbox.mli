@@ -23,10 +23,6 @@ type limits = {
 
 val no_limits : limits
 
-val oom_exit_code : int
-(** Reserved exit code (77) a child converts [Out_of_memory] into; the
-    handler must not allocate, so no message crosses the pipe. *)
-
 val exn_prefix : string
 (** ["OEXN1"] — prefix marking a frame payload as a transported child
     exception rather than a result. *)

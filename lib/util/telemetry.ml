@@ -5,15 +5,16 @@
    wakeup); at most once per [interval_ns] a sample is taken — the
    driver's throughput and pool-health counters, parent/child memory,
    GC words, and (when [Metrics] collection is on) the per-phase latency
-   histograms — encoded as a versioned [OTL1] frame and handed to the
-   sink [enable] was given.  [Runlog] gives it the run's journal writer,
-   so samples are records of the run's one journal file.
+   histograms — and handed to the sink [enable] was given.  [Runlog]'s
+   sink encodes it as an [OTL1] record of the run's one journal file,
+   passes it to the CLI's progress meter, or both, so the two read one
+   series.
 
    Costs mirror [Metrics] and [Trace]: disabled, every entry point is a
    single [Atomic.get]; enabled, a non-due [tick] is two atomic loads
    and an int64 compare.  Samples are serialized under one mutex: the
-   sample must be a consistent cut, and frames reach the sink in
-   timestamp order.
+   sample must be a consistent cut, and samples reach the sink one at a
+   time, in timestamp order.
 
    The payload is laid out by [Wire] and decodes totally, and
    timestamps are monotonic nanoseconds relative to [enable], so two
@@ -133,7 +134,7 @@ let default_interval_ns = 100_000_000 (* 100 ms *)
 
 let on = Atomic.make false
 let lock = Mutex.create ()
-let sink : (string -> unit) ref = ref ignore
+let sink : (sample -> unit) ref = ref ignore
 let base_ns = ref 0L
 let interval = ref default_interval_ns
 
@@ -191,12 +192,11 @@ let take_sample (p : progress) =
 
 (* Unconditional sample (when enabled): the driver calls this once at
    stream end so even a sub-interval run leaves a final cut.  [on] is
-   read again under the lock, so no frame reaches a sink [disable] has
+   read again under the lock, so no sample reaches a sink [disable] has
    dropped. *)
 let sample_now (p : progress) =
   if Atomic.get on then
-    Mutex.protect lock (fun () ->
-        if Atomic.get on then !sink (encode_sample (take_sample p)))
+    Mutex.protect lock (fun () -> if Atomic.get on then !sink (take_sample p))
 
 (* Rate-limited sample.  The CAS elects exactly one caller per due
    window; losers (concurrent ticks racing the same deadline) skip. *)

@@ -3,10 +3,11 @@
     The streaming driver calls {!tick} at its natural cadence points,
     passing its own counts; at most once per interval a sample —
     throughput, pool health, memory, GC words, and (when {!Metrics} is
-    collecting) per-phase latency histograms — is encoded as a versioned
-    [OTL1] frame and handed to the sink {!enable} was given (the run's
-    journal writer, in [Runlog]).  Disabled, every entry point costs one
-    [Atomic.get]. *)
+    collecting) per-phase latency histograms — is handed to the sink
+    {!enable} was given ([Runlog]'s, which encodes it as an [OTL1] record
+    of the run's journal, passes it to the CLI's progress meter, or
+    both).
+    Disabled, every entry point costs one [Atomic.get]. *)
 
 (** What the streaming driver knows at the moment of a tick. *)
 type progress = {
@@ -43,13 +44,11 @@ type sample = {
           [Metrics] collection is off *)
 }
 
-val default_interval_ns : int
-(** Sampling interval when [enable] is not given one (100 ms). *)
-
-val enable : ?interval_ns:int -> ?from:sample -> (string -> unit) -> unit
-(** [enable ?interval_ns ?from sink] starts sampling: each encoded [OTL1]
-    frame is passed to [sink], under the sampler's lock, so frames reach
-    it one at a time and in [ts_ns] order.  With [from] (the last sample
+val enable : ?interval_ns:int -> ?from:sample -> (sample -> unit) -> unit
+(** [enable ?interval_ns ?from sink] starts sampling, every
+    [interval_ns] (default 100 ms) at most: each sample is passed to
+    [sink], under the sampler's lock, so samples reach it one at a time
+    and in [ts_ns] order.  With [from] (the last sample
     a resumed run's journal holds) the series continues it: [ts_ns]
     starts at its timestamp, the cumulative counts ([pulled],
     [settled], [quarantined], [retries], [stalls], [backoffs]) add to
@@ -63,7 +62,7 @@ val is_on : unit -> bool
 val tick : (unit -> progress) -> unit
 (** Rate-limited sample point.  When enabled and an interval has
     elapsed since the last sample, calls the thunk and emits one
-    frame; otherwise (or when disabled) does nothing.  The thunk is
+    sample; otherwise (or when disabled) does nothing.  The thunk is
     only evaluated when a sample is actually taken. *)
 
 val sample_now : progress -> unit

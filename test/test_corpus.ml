@@ -94,6 +94,7 @@ let drain src =
   go []
 
 let source_registry () =
+  check Alcotest.(option int) "size" (Some 15) (Source.size (Source.registry ()));
   let ps = drain (Source.registry ()) in
   check Alcotest.int "15 pairs" 15 (List.length ps);
   check Alcotest.(list string) "labels"
@@ -101,6 +102,7 @@ let source_registry () =
     (List.map (fun p -> p.Source.plabel) ps)
 
 let source_generated () =
+  check Alcotest.(option int) "size" (Some 12) (Source.size (Source.generated ~seed:9 ~count:12 ()));
   let ps = drain (Source.generated ~seed:9 ~count:12 ()) in
   check Alcotest.int "12 pairs" 12 (List.length ps);
   List.iteri
@@ -124,6 +126,7 @@ let source_of_spec () =
 let source_dir_roundtrip () =
   with_tmp_dir (fun dir ->
       Source.write_dir ~dir ~seed:11 ~count:8;
+      check Alcotest.(option int) "size" (Some 8) (Source.size (Source.directory dir));
       let ps = drain (Source.directory dir) in
       check Alcotest.int "8 pairs" 8 (List.length ps);
       List.iteri
@@ -142,6 +145,8 @@ let source_dir_skips_malformed () =
       let oc = open_out (Filename.concat dir "zz-junk.pair") in
       output_string oc "octopair1\nregistry=9999\n";
       close_out oc;
+      check Alcotest.(option int) "size counts every manifest" (Some 4)
+        (Source.size (Source.directory dir));
       let ps = drain (Source.directory dir) in
       check Alcotest.int "malformed skipped" 2 (List.length ps))
 

@@ -739,6 +739,16 @@ let sort_dump_ordering_pinned () =
   check Alcotest.(list (pair string string)) "reversal sorts identically"
     pinned (strip (Octopocs.sort_dump (List.rev input)))
 
+(* Quarantine records load in the verdicts' label order, so a dump lists
+   a quarantined registry pair "10" after "2", as it lists verdicts. *)
+let quarantine_label_order () =
+  with_run (fun path ->
+      let w = Journal.create ~path () in
+      List.iter (fun l -> Journal.append w (Octopocs.encode_quarantine (quar l))) [ "2"; "10" ];
+      Journal.close w;
+      check Alcotest.(list string) "numeric-aware order" [ "2"; "10" ]
+        (List.map (fun (q : Octopocs.quarantine) -> q.qlabel) (loaded path).quarantine))
+
 (* ------------------------------------------------------------------ *)
 (* The CLI *)
 
@@ -1034,6 +1044,7 @@ let suite =
     tc "batch: on_settle covers every pair exactly once" run_all_on_settle_covers_every_pair;
     tc "resume: merged journal equals uninterrupted run" resume_merge_equivalence;
     tc "dump: merged ordering pinned (numeric, key tiebreak)" sort_dump_ordering_pinned;
+    tc "dump: quarantines load in numeric-aware label order" quarantine_label_order;
     tc "runlog: load refuses a directory" runlog_refuses_directory;
     tc "runlog: fresh run refuses each file, creates none" runlog_refuses_clobber;
     tc "runlog: same-key reuse, re-run after a config change" runlog_same_key_reuse;

@@ -286,7 +286,7 @@ let proc_window_bounds_in_flight () =
         Octopocs.job ~config ~label:(Printf.sprintf "w%d" i) ~s:c.s ~t:c.t ~poc:c.poc ())
   in
   let frames = ref [] in
-  Telemetry.enable ~interval_ns:1 (fun f -> frames := f :: !frames);
+  Telemetry.enable ~interval_ns:1 (fun s -> frames := Telemetry.encode_sample s :: !frames);
   let st =
     Fun.protect ~finally:Telemetry.disable (fun () ->
         Octopocs.run_stream ~jobs:2 ~window:2 ~isolate:Octopocs.Processes (stream_of jobs))

@@ -23,20 +23,20 @@ let progress ?(pulled = 0) ?(settled = 0) ?(quarantined = 0) ?(in_flight = 0) ?(
     ?(retries = 0) ?(stalls = 0) ?(child_rss_kb = 0) () : Telemetry.progress =
   { pulled; settled; quarantined; in_flight; window; retries; stalls; child_rss_kb }
 
-(* Run [f] with telemetry enabled into a sink that keeps every frame;
-   [f] gets the decoded samples so far, in emission order.  Always
-   disables on the way out so later tests see a clean module state. *)
+(* A sample after the OTL1 round trip, so every sample a test reads has
+   been through the codec. *)
+let otl1 s =
+  match Telemetry.decode_sample (Telemetry.encode_sample s) with
+  | Some s -> s
+  | None -> Alcotest.fail "the sampler emitted a sample its codec cannot decode"
+
+(* Run [f] with telemetry enabled into a sink that keeps every sample;
+   [f] gets the samples so far, in emission order.  Always disables on
+   the way out so later tests see a clean module state. *)
 let with_telemetry ?interval_ns ?from f =
-  let frames = ref [] in
-  Telemetry.enable ?interval_ns ?from (fun frame -> frames := frame :: !frames);
-  let samples () =
-    List.rev_map
-      (fun frame ->
-        match Telemetry.decode_sample frame with
-        | Some s -> s
-        | None -> Alcotest.fail "the sampler emitted an undecodable frame")
-      !frames
-  in
+  let got = ref [] in
+  Telemetry.enable ?interval_ns ?from (fun s -> got := otl1 s :: !got);
+  let samples () = List.rev !got in
   Fun.protect ~finally:Telemetry.disable (fun () -> f samples)
 
 (* The samples a journal file holds, as the run layer loads them. *)
@@ -45,13 +45,16 @@ let loaded_samples path =
   | Ok r -> r
   | Error msg -> Alcotest.fail msg
 
+(* A sink appending each sample's OTL1 frame to a journal, as a run's. *)
+let journal_sink w s = Journal.append ~armed:false w (Telemetry.encode_sample s)
+
 (* Run [f] with telemetry enabled into a journal file, as a run does;
    [f] gets a function that stops sampling and returns the samples the
    file holds. *)
 let journaled f =
   let path = tmp_path "telemetry" in
   let w = Journal.create ~path () in
-  Telemetry.enable (Journal.append ~armed:false w);
+  Telemetry.enable (journal_sink w);
   let samples () =
     Telemetry.disable ();
     Journal.close w;
@@ -154,7 +157,7 @@ let sampler_torn_tail () =
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
       let w = Journal.create ~path () in
-      Telemetry.enable (Journal.append ~armed:false w);
+      Telemetry.enable (journal_sink w);
       Telemetry.sample_now (progress ~settled:1 ());
       Telemetry.sample_now (progress ~settled:2 ());
       Telemetry.disable ();
@@ -209,6 +212,90 @@ let sampler_sees_stream_in_flight () =
       in
       Alcotest.(check int) "serial peak" 1 st.Octopocs.st_peak_in_flight;
       Alcotest.(check int) "sampled peak = run peak" st.Octopocs.st_peak_in_flight peak)
+
+(* Every executor ticks before waiting on the attempts it counts: in a
+   serial stream sampling at every tick, each attempt starts after a
+   sample that already counts the pairs settled before it. *)
+let sampler_ticks_before_serial_attempt () =
+  with_telemetry ~interval_ns:1 (fun samples ->
+      let seen = ref [] in
+      let pre_run _ =
+        let s = List.hd (List.rev (samples ())) in
+        seen := (s.Telemetry.settled, s.Telemetry.in_flight) :: !seen
+      in
+      let jobs =
+        List.filteri (fun i _ -> i < 3) Octo_targets.Registry.all
+        |> List.map (fun (c : Octo_targets.Registry.case) ->
+               Octopocs.job ~label:(string_of_int c.idx) ~s:c.s ~t:c.t ~poc:c.poc ())
+      in
+      ignore (Octopocs.run_stream ~jobs:1 ~pre_run (Octopocs.stream_of_list jobs));
+      Alcotest.(check (list (pair int int)))
+        "(settled, in-flight) sampled as each attempt starts" [ (0, 1); (1, 1); (2, 1) ]
+        (List.rev !seen))
+
+(* A run with an [on_sample] consumer and no journal samples all the
+   same: the last sample carries the run's settled count, sampling stops
+   with the run, and no file is written. *)
+let runlog_on_sample_without_journal () =
+  let listing () = List.sort compare (Array.to_list (Sys.readdir (Sys.getcwd ()))) in
+  let before = listing () in
+  let got = ref [] in
+  let entries =
+    List.filteri (fun i _ -> i < 3) Octo_targets.Registry.all
+    |> List.map (fun (c : Octo_targets.Registry.case) ->
+           Runlog.entry ~config:Octopocs.default_config ~label:(string_of_int c.idx) ~s:c.s
+             ~t:c.t ~poc:c.poc ())
+  in
+  match Runlog.run ~on_sample:(fun s -> got := otl1 s :: !got) (Octopocs.stream_of_list entries) with
+  | Error msg -> Alcotest.fail msg
+  | Ok st ->
+      Alcotest.(check bool) "sampled" true (!got <> []);
+      Alcotest.(check int) "last sample: the run's settled count" st.Octopocs.st_settled
+        (List.hd !got).Telemetry.settled;
+      Alcotest.(check int) "every pair settled" 3 st.Octopocs.st_settled;
+      Alcotest.(check bool) "sampler off after the run" false (Telemetry.is_on ());
+      Alcotest.(check (list string)) "no file created" before (listing ())
+
+(* -- progress meter ----------------------------------------------------- *)
+
+let sample ~ms ~settled ?(quarantined = 0) () : Telemetry.sample =
+  {
+    ts_ns = ms * 1_000_000;
+    pulled = settled;
+    settled;
+    quarantined;
+    in_flight = 1;
+    window = 1;
+    retries = 0;
+    stalls = 0;
+    backoffs = 0;
+    deferrals = 0;
+    rss_kb = 0;
+    child_rss_kb = 0;
+    minor_words = 0;
+    major_words = 0;
+    metrics = None;
+  }
+
+(* The meter's line is a function of (total, anchor, sample): a rate
+   once the two span 0.2 s, an ETA only with a known total, a quarantine
+   count only when non-zero. *)
+let meter_line_rules () =
+  let line ?total ~anchor s = Octo_report.Report.meter_line ~total ~anchor s in
+  let a = sample ~ms:1000 ~settled:10 () in
+  Alcotest.(check string) "first sample: no rate, no ETA" "10/40 settled, 0.0 pairs/s"
+    (line ~total:40 ~anchor:a a);
+  Alcotest.(check string) "under 0.2 s of span: no rate" "14/40 settled, 0.0 pairs/s"
+    (line ~total:40 ~anchor:a (sample ~ms:1150 ~settled:14 ()));
+  Alcotest.(check string) "rate and ETA" "20/40 settled, 20.0 pairs/s eta 1s"
+    (line ~total:40 ~anchor:a (sample ~ms:1500 ~settled:20 ()));
+  Alcotest.(check string) "no total: no ETA" "20 settled, 20.0 pairs/s"
+    (line ~anchor:a (sample ~ms:1500 ~settled:20 ()));
+  Alcotest.(check string) "done: no ETA" "40/40 settled, 15.0 pairs/s"
+    (line ~total:40 ~anchor:a (sample ~ms:3000 ~settled:40 ()));
+  Alcotest.(check string) "quarantines shown when non-zero"
+    "20/40 settled, 20.0 pairs/s eta 1s, 2 quarantined"
+    (line ~total:40 ~anchor:a (sample ~ms:1500 ~settled:20 ~quarantined:2 ()))
 
 (* A journal written without telemetry holds no samples, and its load
    reads none. *)
@@ -357,6 +444,10 @@ let suite =
     tc "sampler: re-enabling appends, continuing clock and counts" sampler_resume_continues;
     tc "sampler: no samples without --telemetry" journal_without_samples;
     tc "sampler: a serial stream's samples peak at in-flight 1" sampler_sees_stream_in_flight;
+    tc "sampler: a serial stream ticks before each attempt" sampler_ticks_before_serial_attempt;
+    tc "sampler: on_sample without a journal samples, writes nothing"
+      runlog_on_sample_without_journal;
+    tc "meter: rate, ETA and quarantine rules" meter_line_rules;
     tc "sampler: self_rss_kb reads a live value" self_rss_positive;
     tc "log: threshold gates emission" log_threshold_gates;
     tc "log: suppressed messages never format" log_lazy_formatting;
