@@ -655,8 +655,18 @@ let verify_entries o ~chaos_seed ~site_rates ~fail_fast ~total ?(on_row = fun _ 
     | _ -> ()
   in
   let result =
-    (* The meter's line is cleared so the summary starts on a clean row. *)
-    Fun.protect ~finally:(fun () -> if Option.is_some meter then Printf.eprintf "\r\027[K%!")
+    (* While the meter draws, a log line first clears the meter's line,
+       which the meter redraws at its next sample; at the end the line is
+       cleared so the summary starts on a clean row. *)
+    if Option.is_some meter then
+      Log.set_sink (fun lvl msg ->
+          prerr_string "\r\027[K";
+          Log.stderr_sink lvl msg);
+    Fun.protect ~finally:(fun () ->
+        if Option.is_some meter then begin
+          Log.reset_sink ();
+          Printf.eprintf "\r\027[K%!"
+        end)
     @@ fun () ->
     Runlog.run ?journal:o.journal_path ~telemetry:o.telemetry ?on_sample:meter ~resume:o.resume
       ~inject ~jobs:o.jobs ~retries:o.retries ?window:o.window ~isolate:o.isolate

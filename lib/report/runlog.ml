@@ -62,22 +62,17 @@ type tables = {
 
 (* One pass over a journal's records: verdict and quarantine records by
    label (the last of each kind wins), telemetry samples in append
-   order, and the count of intact frames none of the three codecs
-   decodes. *)
+   order, and the count of intact frames no codec decodes. *)
 let tables records =
   let tverdicts = Hashtbl.create 31 and tquarantined = Hashtbl.create 7 in
   let samples = ref [] and tundecodable = ref 0 in
   List.iter
     (fun payload ->
-      match Octopocs.decode_result payload with
-      | Some (label, key, r) -> Hashtbl.replace tverdicts label (key, r)
-      | None -> (
-          match Octopocs.decode_quarantine payload with
-          | Some q -> Hashtbl.replace tquarantined q.qlabel q
-          | None -> (
-              match Telemetry.decode_sample payload with
-              | Some s -> samples := s :: !samples
-              | None -> incr tundecodable)))
+      match Octopocs.decode_record payload with
+      | Some (Octopocs.Verdict_record (label, key, r)) -> Hashtbl.replace tverdicts label (key, r)
+      | Some (Quarantine_record q) -> Hashtbl.replace tquarantined q.qlabel q
+      | Some (Sample_record s) -> samples := s :: !samples
+      | None -> incr tundecodable)
     records;
   { tverdicts; tquarantined; tsamples = List.rev !samples; tundecodable = !tundecodable }
 

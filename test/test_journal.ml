@@ -272,7 +272,8 @@ let content_key_stable_and_sensitive () =
   check Alcotest.bool "poc change forces re-run" true
     (key c1 <> Octopocs.content_key ~s:c1.s ~t:c1.t ~poc:(c1.poc ^ "\x00") ());
   check Alcotest.bool "ell override changes key" true (key c1 <> key ~ell:[ "mjpg_scan" ] c1);
-  let budget = { Octopocs.default_config with solver_budget = 7 } in
+  let sx = Octopocs.default_config.symex in
+  let budget = { Octopocs.default_config with symex = { sx with theta = sx.theta + 1 } } in
   check Alcotest.bool "budget change forces re-run" true (key c1 <> key ~config:budget c1);
   (* Fault injection perturbs a run, not the pair's identity: a resumed
      chaos batch must accept the journaled verdicts. *)
@@ -529,7 +530,8 @@ let runlog_same_key_reuse () =
       let st = run_ok (Runlog.run ~journal:path ~resume:true ~on_row (source c1)) in
       check Alcotest.(list string) "same key reused" [ "1" ] !cached;
       check Alcotest.int "nothing pulled" 0 st.Octopocs.st_pulled;
-      let config = { Octopocs.default_config with max_steps = Octopocs.default_config.max_steps + 1 } in
+      let sx = Octopocs.default_config.symex in
+      let config = { Octopocs.default_config with symex = { sx with theta = sx.theta + 1 } } in
       let cached, on_row = cached_labels () in
       let st = run_ok (Runlog.run ~journal:path ~resume:true ~on_row (source ~config c1)) in
       check Alcotest.(list string) "changed key not reused" [] !cached;

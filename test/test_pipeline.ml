@@ -157,6 +157,83 @@ let identify_ep_scans_outermost_first () =
   check (Alcotest.option Alcotest.string) "none in ell" None
     (Octopocs.identify_ep ~ell:[ "zzz" ] crash)
 
+(* Every exit of one pipeline attempt that a pair can reach, rendered
+   with the artifacts the report carries at that exit.  The MD5 of the
+   rendering pins them all: a restructured attempt must leave every
+   exit's verdict, ep, ℓ, bunch count, taint/symex presence, symex stats
+   and degradations as they were.  Two exits have no pair: [Unsat_model]
+   needs a store that propagation accepts and the complete model search
+   refutes, and "poc' did not reproduce" needs a solver model that T's
+   concrete run disagrees with; neither has been built. *)
+let exit_pairs () =
+  let c1 = Registry.find 1 in
+  let run ?config ?ell ?(poc = c1.poc) ?(s = c1.s) ?(t = c1.t) () =
+    Octopocs.run ?config ?ell ~s ~t ~poc ()
+  in
+  let case i ?config ?ell () =
+    let c = Registry.find i in
+    run ?config ?ell ~s:c.s ~t:c.t ~poc:c.poc ()
+  in
+  let chaos site =
+    { Octopocs.default_config with
+      inject = Octo_util.Faultinject.create ~rate:0. ~site_rates:[ (site, 1.0) ] ~seed:1 () }
+  in
+  (* T calls ep only in code after its exit: the call is syntactically
+     reachable, the CFG path to it is not. *)
+  let dead_call =
+    let open Octo_vm.Isa in
+    let open Octo_vm.Asm in
+    let open Octo_targets.Dsl in
+    assemble ~name:"dead_call" ~entry:"main"
+      [
+        fn "main" ~params:0
+          (prologue @ exit_with 0
+          @ [ I (Call ("mjpg_scan", [ Reg fd; Reg 21 ], Some 22)) ]
+          @ exit_with 1);
+        Octo_targets.Shared.mjpg_scan;
+      ]
+  in
+  [
+    ("no shared functions", run ~ell:[] ());
+    ("poc does not crash S", run ~poc:"MJ" ());
+    ("crash outside ell", run ~ell:[ "zzz" ] ());
+    ("no crash primitives", run ~ell:[ "main" ] ());
+    ("CFG recovery fails", case 15 ());
+    ("CFG repaired", case 15 ~config:{ Octopocs.default_config with dynamic_cfg = true } ());
+    ("ep never called", case 11 ());
+    ("ep unreachable in the CFG", run ~ell:[ "mjpg_scan" ] ~t:dead_call ());
+    ("program dead", case 12 ());
+    ("constraint conflict", case 13 ());
+    ( "symex budget",
+      case 9
+        ~config:
+          { Octopocs.default_config with
+            symex = { Octo_symex.Directed.default_config with max_runs = 2 } }
+        () );
+    ("solver budget", run ~config:(chaos Octo_util.Faultinject.Solver_budget) ());
+    ("deadline", run ~config:(chaos Octo_util.Faultinject.Deadline_expiry) ());
+    ("Type-I", case 1 ());
+    ("Type-II", case 7 ());
+  ]
+
+let render_exit (name, (r : Octopocs.report)) =
+  let symex =
+    match r.symex with
+    | None -> "-"
+    | Some s ->
+        Printf.sprintf "runs=%d steps=%d branches=%d retries=%d resumed=%d pruned=%d"
+          s.Octo_symex.Directed.runs s.total_steps s.branches_decided s.loop_retries s.resumed
+          s.states_pruned
+  in
+  Fmt.str "%s: %a | ep=%s | ell=%s | bunches=%d | taint=%b | symex=%b %s | degradations=%s\n"
+    name Octopocs.pp_verdict r.verdict r.ep (String.concat "," r.ell) (List.length r.bunches)
+    (r.taint <> None) (r.symex <> None) symex (String.concat "," r.degradations)
+
+let every_exit_pinned () =
+  let rendering = String.concat "" (List.map render_exit (exit_pairs ())) in
+  check Alcotest.string ("exits\n" ^ rendering) "79b4d39ca4cf03f41fd0e6cf8af1fdf0"
+    (Digest.to_hex (Digest.string rendering))
+
 let suite =
   [
     tc "all 15 verdicts match Table II" all_verdicts_match_table2;
@@ -173,4 +250,5 @@ let suite =
     tc "report carries artifacts" report_carries_artifacts;
     tc "verdicts deterministic" deterministic_verdicts;
     tc "ep identification scans outermost first" identify_ep_scans_outermost_first;
+    tc "every reachable exit of an attempt is pinned" every_exit_pinned;
   ]

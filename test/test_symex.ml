@@ -364,7 +364,7 @@ let p2_inputs ~s ~t ~poc ~ell =
     match ell with Some l -> l | None -> Clone.ell_names (Clone.shared_functions_cached s t)
   in
   let cs = Compile.get s in
-  match (Compile.run ~max_steps:config.max_steps cs ~input:poc).outcome with
+  match (Compile.run cs ~input:poc).outcome with
   | Interp.Exited _ -> None
   | Interp.Crashed crash -> (
       match Octopocs.identify_ep ~ell crash with
