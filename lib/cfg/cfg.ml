@@ -199,26 +199,6 @@ let distance_fn t =
     in
     if pc >= 0 && pc < Array.length arr then arr.(pc) else infinity
 
-(* ------------------------------------------------------------------ *)
-(* Build cache.  A distance map is immutable once built, and batch
-   verification (verify-all, scan, benchmarks) rebuilds the same
-   (program, ep) map over and over.  Keyed by the program's content
-   digest plus [ep] ({!Octo_util.Memo}), so a devirtualized or mutated
-   copy misses as it must. *)
-
-let memo : t Octo_util.Memo.t = Octo_util.Memo.create ()
-
-(** [build_cached ?digest program ~ep] is {!build} memoized on
-    [program]'s content digest plus [ep]; [digest], when given, MUST equal
-    [Octo_vm.Compile.program_digest program].  Failures ({!Cfg_error})
-    are not cached. *)
-let build_cached ?digest (prog : program) ~(ep : string) : t =
-  let d = match digest with Some d -> d | None -> Octo_vm.Compile.program_digest prog in
-  (* A digest has a fixed length, so [d ^ ep] is unambiguous. *)
-  let t, hit = Octo_util.Memo.find_or_add memo (d ^ ep) (fun () -> build prog ~ep) in
-  if hit then Octo_util.Metrics.incr Octo_util.Metrics.Cache_hits;
-  t
-
 (** [ep_reachable t] tells whether the program entry can reach [ep] at all —
     the "ep is not called in T" test of verification case (ii). *)
 let ep_reachable t = distance t t.prog.entry 0 < infinity

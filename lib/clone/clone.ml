@@ -27,9 +27,9 @@ type clone_pair = {
    Everything ℓ needs from one program — every function's fingerprint and
    an fp -> names index — depends on that program alone, so a profile
    computes it once per program and ℓ is a join of two profiles: a
-   program taking part in many pairs (a scan probe, a scan target) is
-   fingerprinted once, not once per pair.  A profile is immutable once
-   built. *)
+   caller holding the profiles of a program taking part in many pairs (a
+   scan probe, a scan target) fingerprints it once, not once per pair.  A
+   profile is immutable once built. *)
 
 type profile = {
   fps : (string * string) list;  (** (function name, fingerprint) *)
@@ -39,7 +39,7 @@ type profile = {
           scan of the program *)
 }
 
-let profile_of (p : program) : profile =
+let profile (p : program) : profile =
   let n = Hashtbl.length p.funcs in
   let by_fp = Hashtbl.create n in
   let fps =
@@ -72,35 +72,11 @@ let join (sp : profile) (tp : profile) : clone_pair list =
     fingerprint also occurs in [t].  Same-name matches are preferred;
     renamed clones are reported with [renamed = true]. *)
 let shared_functions (s : program) (t : program) : clone_pair list =
-  join (profile_of s) (profile_of t)
+  join (profile s) (profile t)
 
 let profile_fp (p : profile) name = List.assoc_opt name p.fps
 let profile_has_fp (p : profile) fp = Hashtbl.mem p.by_fp fp
 let profile_fingerprints (p : profile) = List.map snd p.fps
-
-(* The profile table ({!Octo_util.Memo}).  Callers that must see every
-   program of a large pass exactly once (Scan) hold the profiles
-   themselves rather than rely on the table. *)
-let memo : profile Octo_util.Memo.t = Octo_util.Memo.create ()
-
-(* The profile of [p] and whether it was served from the table. *)
-let lookup ?digest (p : program) : profile * bool =
-  let key = match digest with Some d -> d | None -> Octo_vm.Compile.program_digest p in
-  Octo_util.Memo.find_or_add memo key (fun () -> profile_of p)
-
-let profile ?digest p = fst (lookup ?digest p)
-
-let profile_pair ?sdig ?tdig (s : program) (t : program) =
-  let sp, s_hit = lookup ?digest:sdig s in
-  let tp, t_hit = lookup ?digest:tdig t in
-  (* One hit per ℓ served wholly from the table: the counter means "one
-     ℓ served from cache", not one per profile. *)
-  if s_hit && t_hit then Octo_util.Metrics.incr Octo_util.Metrics.Cache_hits;
-  (sp, tp)
-
-let shared_functions_cached ?sdig ?tdig (s : program) (t : program) : clone_pair list =
-  let sp, tp = profile_pair ?sdig ?tdig s t in
-  join sp tp
 
 (** [ell_names pairs] is the ℓ set as T-side function names — the form the
     OCTOPOCS pipeline consumes. *)

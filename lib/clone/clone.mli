@@ -27,21 +27,10 @@ type clone_pair = {
     once built. *)
 type profile
 
-(** The profile table: an {!Octo_util.Memo} keyed by
-    {!Octo_vm.Compile.program_digest}. *)
-val memo : profile Octo_util.Memo.t
-
-(** [profile ?digest p] is [p]'s profile from the profile table,
-    built on a miss; [digest], when given, MUST equal [p]'s
-    {!Octo_vm.Compile.program_digest}.  A caller that needs a program's
-    profile for a whole pass holds the returned reference rather than
-    looking it up again. *)
-val profile : ?digest:string -> program -> profile
-
-(** [profile_pair ?sdig ?tdig s t] is [(profile s, profile t)],
-    counting one {!Octo_util.Metrics.Cache_hits} when both came from the
-    table — one ℓ served from cache. *)
-val profile_pair : ?sdig:string -> ?tdig:string -> program -> program -> profile * profile
+(** [profile p] fingerprints every function of [p].  A caller that needs
+    a program's profile for a whole pass (a scan) holds it rather than
+    building it again. *)
+val profile : program -> profile
 
 (** [join sp tp] is ℓ of the two profiled programs: every function of
     [sp] whose fingerprint occurs in [tp], matched to the same-name clone
@@ -63,15 +52,6 @@ val profile_fingerprints : profile -> string list
     fingerprint also occurs in [t]; same-name matches preferred.  Profiles
     both programs afresh. *)
 val shared_functions : program -> program -> clone_pair list
-
-(** [shared_functions_cached ?sdig ?tdig s t] is {!shared_functions}
-    over the table's profiles ({!profile_pair}): a program that recurs
-    across pairs is fingerprinted twice, then served from the table.
-    [sdig]/[tdig] are the programs' {!Octo_vm.Compile.program_digest}
-    values when already computed.  The pipeline's hot path; safe under
-    domains. *)
-val shared_functions_cached :
-  ?sdig:string -> ?tdig:string -> program -> program -> clone_pair list
 
 (** [ell_names pairs] is ℓ as T-side function names — the form the
     OCTOPOCS pipeline consumes. *)

@@ -55,8 +55,8 @@ let index_add_profile ix ~label (tp : Clone.profile) =
   ix.n_funcs <- ix.n_funcs + List.length fps;
   List.iter (fun fp -> Hashtbl.add ix.labels fp label) (List.sort_uniq String.compare fps)
 
-(** [index_add ix ~label t] is {!index_add_profile} over [t]'s profile
-    from the profile table. *)
+(** [index_add ix ~label t] is {!index_add_profile} over a fresh profile
+    of [t]. *)
 let index_add ix ~label (t : program) = index_add_profile ix ~label (Clone.profile t)
 
 (** A retrieval hit: corpus entry [h_label] links the probe's exact
@@ -141,11 +141,9 @@ let confirm_profiled ~(sp : Clone.profile) ~(tp : Clone.profile) ~s_label ~(t : 
             })
 
 (** [confirm params ?sdig ?tdig ~s ~s_label ~t ~t_label ~vuln_func ~s_crash
-    hit] is {!confirm_profiled} over the profile table's profiles of [s]
-    and [t] ({!Clone.profile_pair}); [sdig]/[tdig] are their
-    {!Octo_vm.Compile.program_digest} values when already computed.
-    [params] is unused. *)
-let confirm _params ?sdig ?tdig ~(s : program) ~s_label ~(t : program) ~t_label ~vuln_func
+    hit] is {!confirm_profiled} over fresh profiles of [s] and [t].
+    [params], [sdig] and [tdig] are unused (see the interface). *)
+let confirm _params ?sdig:_ ?tdig:_ ~(s : program) ~s_label ~(t : program) ~t_label ~vuln_func
     ~s_crash (h : hit) : candidate option =
-  let sp, tp = Clone.profile_pair ?sdig ?tdig s t in
-  confirm_profiled ~sp ~tp ~s_label ~t ~t_label ~vuln_func ~s_crash h
+  confirm_profiled ~sp:(Clone.profile s) ~tp:(Clone.profile t) ~s_label ~t ~t_label ~vuln_func
+    ~s_crash h

@@ -26,8 +26,7 @@ val index_add_profile : index -> label:string -> Clone.profile -> unit
     under the target's corpus label. *)
 
 val index_add : index -> label:string -> program -> unit
-(** {!index_add_profile} over the program's profile from the profile
-    table. *)
+(** {!index_add_profile} over a fresh profile of the program. *)
 
 val index_stats : index -> int * int * int
 (** [(programs, functions, postings)] indexed so far; a posting is one
@@ -87,9 +86,10 @@ val confirm :
   s_crash:Octo_vm.Interp.crash option ->
   hit ->
   candidate option
-(** {!confirm_profiled} with [s] and [t]'s profiles taken from the
-    profile table ({!Clone.profile_pair}); [sdig]/[tdig] forward
-    precomputed {!Octo_vm.Compile.program_digest} values to the table
-    lookup.  [params] is unused.  A caller confirming many hits over the
-    same programs can hold the profiles and call {!confirm_profiled}
+(** {!confirm_profiled} over fresh {!Clone.profile}s of [s] and [t].
+    [params] is unused, and so are [sdig]/[tdig]: they once carried
+    program digests to a process-wide profile table, and stay only
+    because the benchmark harness still passes them, until the benchmark
+    is reworked (ROADMAP item 14).  A caller confirming many hits over the
+    same programs holds the profiles and calls {!confirm_profiled}
     instead. *)

@@ -18,10 +18,11 @@ type job = {
   jpoc : string;
   jell : string list option;
   jconfig : config option;  (** per-job override of the batch config *)
+  jproducts : products;  (** what the job derives from [js] and [jt] *)
 }
 
 let job ?ell ?config ~label ~s ~t ~poc () =
-  { label; js = s; jt = t; jpoc = poc; jell = ell; jconfig = config }
+  { label; js = s; jt = t; jpoc = poc; jell = ell; jconfig = config; jproducts = products () }
 
 let job_label (j : job) = j.label
 
@@ -80,8 +81,9 @@ let process_fault_sites = Faultinject.[ Child_segv; Child_oom_kill; Worker_crash
    then raises.
 
    [held] is the probe a worker keeps between its attempts: the attempt
-   verifies against it when the job's S digest and PoC bytes match, and
-   against a fresh probe, which replaces it, otherwise.  The slot is
+   verifies against it when the job's S is the probe's very program and
+   the PoC bytes match, and against a fresh probe, which replaces it,
+   otherwise.  The job's own products ride along.  The slot is
    empty while the pipeline runs, so an attempt that raises in it leaves
    no probe behind. *)
 let run_attempt ?pre_run ~held a =
@@ -97,7 +99,7 @@ let run_attempt ?pre_run ~held a =
   let j = a.aj in
   let p = reuse_probe !held ~s:j.js ~poc:j.jpoc in
   held := None;
-  let r = verify ~config:a.aconfig ?ell:j.jell p ~t:j.jt () in
+  let r = verify ~config:a.aconfig ?ell:j.jell ~products:j.jproducts p ~t:j.jt () in
   held := Some p;
   r
 
@@ -244,7 +246,8 @@ let process_executor ~limits ~child_rss_kb ?pre_run () =
        empty key: the parent reads only the report, and the journal's
        keys come from the run's own entries.  Exceptions escape into
        [Sandbox.spawn]'s transport.  Its probe slot starts empty and dies
-       with it, so a child shares nothing. *)
+       with it, and what it adds to the job's products stays in its own
+       address space, so a child shares nothing. *)
     let payload () =
       encode_result ~label:j.label ~key:"" (run_attempt ?pre_run ~held:(ref None) a)
     in
@@ -447,7 +450,8 @@ end)
    filled. *)
 let run_all ?(config = default_config) ?(jobs = 1) ?(retries = 0) ?(isolate = Domains) ?limits
     ?pre_run ?on_settle (batch : job list) : (string * report) list =
-  (* One fresh copy per position: duplicates in [batch] stay distinct. *)
+  (* One fresh copy per position: duplicates in [batch] stay distinct,
+     and each copy shares its job's products. *)
   let copies = List.map (fun j -> { j with label = j.label }) batch in
   let pos = Job_pos.create (List.length copies) in
   List.iteri (fun i j -> Job_pos.add pos j i) copies;

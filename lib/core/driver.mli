@@ -15,7 +15,10 @@ type job
 (** [job ~label ~s ~t ~poc ()] builds a batch item; [?ell] overrides clone
     detection as in {!Pipeline.run}, [?config] overrides the batch-level
     configuration for this item only (used by the chaos harness to give
-    every job its own injector). *)
+    every job its own injector).  The job owns an empty
+    {!Pipeline.products} record that its attempts fill and reuse, in
+    every run it takes part in; S and T must not be edited in place
+    while the job is alive. *)
 val job :
   ?ell:string list ->
   ?config:config ->
@@ -55,7 +58,9 @@ type isolation = Domains | Processes
     {!run_stream}, in both isolation modes: a cursor over [batch] feeds the
     stream with a window of [jobs] (after the core-count clamp), so
     [jobs <= 1] (the default) runs serially in the calling domain, or one
-    child at a time under [~isolate:Processes].
+    child at a time under [~isolate:Processes].  A job run again (a
+    second call over the same batch, or a job listed twice) reuses the
+    products its earlier runs built in this process.
 
     Crash isolation: a job whose worker raises — after [retries] (default
     0) additional attempts — yields [(label, Failure "worker crashed:
@@ -115,9 +120,12 @@ type stream_stats = {
 
     Probe sharing: each worker in this process (the inline loop, each
     worker domain) holds the {!Pipeline.probe} of its last attempt and
-    {!Pipeline.verify}s its next attempt against it when the job has the same S
-    digest and the same PoC bytes, so consecutive jobs of one S (a
-    scan's fan-out) run S's crash and P1 taint once.  Any other job
+    {!Pipeline.verify}s its next attempt against it when the job's S is
+    the same program value and the PoC bytes are equal, so consecutive
+    jobs of one S (a scan's fan-out) run S's crash and P1 taint once.
+    Every attempt passes its job's {!Pipeline.products}, so a retried
+    job reuses what its earlier attempts built; a forked child fills its
+    own copy.  Any other job
     builds a fresh probe, which replaces the held one; an attempt that
     raises leaves none; forked children hold none.  Reports equal those
     of independent {!Pipeline.run} calls, metrics aside.

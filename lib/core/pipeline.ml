@@ -179,29 +179,76 @@ let default_config =
   }
 
 (* ------------------------------------------------------------------ *)
+(* What a job derives from its programs.
+
+   S's and T's compiled code, ℓ and T's static CFG per ep depend only on
+   the job's programs (and ep), so the job holds them: an attempt builds
+   each on first use and every later attempt of the same job (an
+   escalated retry, a worker-crash retry, the next pass over a batch)
+   takes it from there.  Nothing is process-wide, so a one-shot job's
+   products die with the job.  Every value is immutable; domains racing
+   on one record may each build a product, and the first to land is kept
+   and returned to all. *)
+
+type products = {
+  s_code : Compile.compiled option Atomic.t;
+  t_code : Compile.compiled option Atomic.t;
+  ell_found : string list option Atomic.t;  (* ℓ by clone detection *)
+  cfgs : (string * Cfg.t) list Atomic.t;  (* T's static CFG per ep *)
+}
+
+let products () =
+  {
+    s_code = Atomic.make None;
+    t_code = Atomic.make None;
+    ell_found = Atomic.make None;
+    cfgs = Atomic.make [];
+  }
+
+let compiled_t pr = Atomic.get pr.t_code
+
+(* The product [find] sees in [slot], else [build ()], stored with [add].
+   Under a race the first value to land is kept and returned to every
+   racer; a [build] that raises stores nothing. *)
+let product slot ~find ~add build =
+  match find (Atomic.get slot) with
+  | Some v ->
+      Metrics.incr Metrics.Cache_hits;
+      v
+  | None ->
+      let v = build () in
+      let rec keep () =
+        let held = Atomic.get slot in
+        match find held with
+        | Some kept -> kept
+        | None -> if Atomic.compare_and_set slot held (add held v) then v else keep ()
+      in
+      keep ()
+
+let once slot build = product slot ~find:Fun.id ~add:(fun _ v -> Some v) build
+
+(* ------------------------------------------------------------------ *)
 (* The S side of a pair.
 
    Preprocessing (crash S, pick ep) and P1 taint depend only on S, the
    PoC and ep; only P2-P4 depend on T.  A probe holds that S side so the
-   Ts it is verified against can share it: S's digest, S's concrete run,
-   and a taint result per (ep, mode, granularity).  Every kept value is
-   immutable.  Under an enabled fault injector a probe neither reuses nor
-   keeps anything: each attempt owns its fault schedule, and a skipped S
-   run would skip its draws. *)
+   Ts it is verified against can share it: S's concrete run and a taint
+   result per (ep, mode, granularity).  Every kept value is immutable.
+   Under an enabled fault injector a probe neither reuses nor keeps
+   anything: each attempt owns its fault schedule, and a skipped S run
+   would skip its draws. *)
 
 type probe = {
   ps : Isa.program;
-  psdig : string;  (* Compile.program_digest ps *)
   ppoc : string;
   mutable crash_run : Interp.result option;
   mutable taints : ((string * Taint.mode * Taint.granularity) * Taint.result) list;
 }
 
 let reuse_probe held ~s ~poc =
-  let sdig = Compile.program_digest s in
   match held with
-  | Some p when p.psdig = sdig && p.ppoc = poc -> p
-  | _ -> { ps = s; psdig = sdig; ppoc = poc; crash_run = None; taints = [] }
+  | Some p when p.ps == s && p.ppoc = poc -> p
+  | _ -> { ps = s; ppoc = poc; crash_run = None; taints = [] }
 
 let probe ~s ~poc = reuse_probe None ~s ~poc
 
@@ -211,29 +258,27 @@ let forget p =
   p.taints <- []
 
 (* S's run on the PoC (preprocessing), with S's compilation when it ran
-   here.  The probe keeps the run but not the compilation: a corpus
-   stream has one T per S, and compiled closures held across the T side
-   would only be promoted. *)
-let crash_run p ~deadline ~inject =
+   here. *)
+let crash_run p pr ~deadline ~inject =
   let keep = not (Faultinject.enabled inject) in
   match p.crash_run with
   | Some r when keep -> (None, r)
   | _ ->
-      let cs = Compile.get ~digest:p.psdig p.ps in
+      let cs = once pr.s_code (fun () -> Compile.compile p.ps) in
       let r = Compile.run ~deadline ~inject cs ~input:p.ppoc in
       if keep then p.crash_run <- Some r;
       (Some cs, r)
 
 (* P1: crash-primitive extraction for [ep], on [cs] when S was compiled
    for this attempt's crash run. *)
-let taint_of p ~(config : config) ~cs ~ep =
+let taint_of p pr ~(config : config) ~cs ~ep =
   let keep = not (Faultinject.enabled config.inject) in
   let key = (ep, config.taint_mode, config.taint_granularity) in
   match List.assoc_opt key p.taints with
   | Some r when keep -> r
   | _ ->
       let compiled =
-        match cs with Some c -> c | None -> Compile.get ~digest:p.psdig p.ps
+        match cs with Some c -> c | None -> once pr.s_code (fun () -> Compile.compile p.ps)
       in
       let r =
         Trace.with_span Trace.Taint "extract" @@ fun () ->
@@ -248,14 +293,18 @@ let taint_of p ~(config : config) ~cs ~ep =
    by devirtualizing against observed call targets, and returns the
    degradation it applied: symbolic execution then runs on the repaired
    binary while P4 verifies against the original. *)
-let recover_cfg ~(config : config) ~tdig t ~ep ~poc =
+let recover_cfg ~(config : config) pr t ~ep ~poc =
   Trace.with_span Trace.Cfg "build" @@ fun () ->
-  match Cfg.build_cached ~digest:tdig t ~ep with
+  (* T's static CFG for [ep]; a failed build keeps nothing. *)
+  match
+    product pr.cfgs ~find:(List.assoc_opt ep) ~add:(fun l cfg -> (ep, cfg) :: l) (fun () ->
+        Cfg.build t ~ep)
+  with
   | cfg -> Ok (t, cfg, [])
   | exception Cfg.Cfg_error msg when config.dynamic_cfg -> (
       let observed = Octo_cfg.Dyncfg.observe t ~seeds:[ poc ] in
       let t' = Octo_cfg.Devirt.apply t ~observed in
-      match Cfg.build_cached t' ~ep with
+      match Cfg.build t' ~ep with
       | cfg ->
           if Provenance.is_on () then
             Provenance.emit
@@ -297,17 +346,14 @@ let symex_hooks () =
    report.  The public {!verify} wraps this with deadline construction,
    exception containment and the escalated retry, and fills in the
    timing, metrics and provenance. *)
-let pass ~(config : config) ~(deadline : Deadline.t) ?ell (p : probe) ~(t : Isa.program) () :
-    report =
+let pass ~(config : config) ~(deadline : Deadline.t) ?ell (pr : products) (p : probe)
+    ~(t : Isa.program) () : report =
   let inject = config.inject and poc = p.ppoc in
-  (* T's canonical content digest, computed once per attempt: the clone
-     profile table, T's compilation and its CFG lookups key off it, as
-     they key off the probe's digest of S. *)
-  let tdig = Compile.program_digest t in
   let ell =
     match ell with
     | Some l -> l
-    | None -> Clone.ell_names (Clone.shared_functions_cached ~sdig:p.psdig ~tdig p.ps t)
+    | None ->
+        once pr.ell_found (fun () -> Clone.ell_names (Clone.shared_functions p.ps t))
   in
   let ep = ref "" and taint = ref None and symex = ref None and degradations = ref [] in
   let exception Stop of verdict in
@@ -317,7 +363,7 @@ let pass ~(config : config) ~(deadline : Deadline.t) ?ell (p : probe) ~(t : Isa.
       if ell = [] then stop (Failure "no shared functions between S and T");
       (* Preprocessing: crash S, pick ep from the backtrace. *)
       Faultinject.maybe_raise inject Faultinject.Deadline_expiry ~what:"preprocessing";
-      let cs, s_run = crash_run p ~deadline ~inject in
+      let cs, s_run = crash_run p pr ~deadline ~inject in
       let crash =
         match s_run.outcome with
         | Interp.Crashed c -> c
@@ -329,12 +375,12 @@ let pass ~(config : config) ~(deadline : Deadline.t) ?ell (p : probe) ~(t : Isa.
          | None -> stop (Failure "crash occurred outside the shared code ℓ"));
       (* P1: crash-primitive extraction. *)
       Deadline.check deadline ~what:"taint analysis";
-      let tr = taint_of p ~config ~cs ~ep:!ep in
+      let tr = taint_of p pr ~config ~cs ~ep:!ep in
       taint := Some tr;
       if Provenance.is_on () then emit_bunches tr.bunches;
       if tr.bunches = [] then stop (Failure "taint analysis produced no crash primitives");
       let t_sym, cfg =
-        match recover_cfg ~config ~tdig t ~ep:!ep ~poc with
+        match recover_cfg ~config pr t ~ep:!ep ~poc with
         | Ok (t_sym, cfg, applied) ->
             degradations := applied;
             (t_sym, cfg)
@@ -371,7 +417,7 @@ let pass ~(config : config) ~(deadline : Deadline.t) ?ell (p : probe) ~(t : Isa.
       (* P4: verification. *)
       Faultinject.maybe_raise inject Faultinject.Deadline_expiry ~what:"verification";
       let poc' = poc_of_model model ~length:st.max_read_off in
-      let ct = Compile.get ~digest:tdig t in
+      let ct = once pr.t_code (fun () -> Compile.compile t) in
       let t_run =
         Trace.with_span Trace.Verify "replay-poc'" @@ fun () ->
         Compile.run ~deadline ~inject ct ~input:poc'
@@ -427,7 +473,8 @@ let escalate (config : config) : config =
       { Directed.theta = sx.theta * 4; max_runs = sx.max_runs * 8; max_steps = sx.max_steps * 4 };
   }
 
-let verify ?(config = default_config) ?ell (p : probe) ~(t : Isa.program) () : report =
+let verify ?(config = default_config) ?ell ?(products = products ()) (p : probe)
+    ~(t : Isa.program) () : report =
   let t_start = Unix.gettimeofday () in
   let deadline =
     match config.deadline_s with
@@ -439,7 +486,7 @@ let verify ?(config = default_config) ?ell (p : probe) ~(t : Isa.program) () : r
     failure_report msg
   in
   let attempt cfg =
-    match pass ~config:cfg ~deadline ?ell p ~t () with
+    match pass ~config:cfg ~deadline ?ell products p ~t () with
     | r -> r
     | exception Deadline.Deadline_exceeded what -> failed ("deadline exceeded: " ^ what)
     | exception Faultinject.Injected what -> failed ("injected fault: " ^ what)

@@ -62,18 +62,33 @@ val rescuable_failure : string -> bool
     field unchanged.  Exposed for testing. *)
 val escalate : config -> config
 
+(** What a job derives from its programs: S's compiled code, T's
+    compiled code, ℓ (when the caller gives none) and T's static CFG per
+    ep.  A record starts empty and {!verify} fills each product on first
+    use; later {!verify} calls given the same record take it from there,
+    counting one {!Octo_util.Metrics.Cache_hits} per product served.
+    Nothing is process-wide, so the products of a job live and die with
+    it.  Every product is immutable; domains racing on one record may
+    each build a product, and the first to land is kept and returned to
+    all. *)
+type products
+
+(** [products ()] is an empty product record. *)
+val products : unit -> products
+
+(** [compiled_t pr] is T's compiled code once [pr] holds it.  Exposed
+    for testing. *)
+val compiled_t : products -> Octo_vm.Compile.compiled option
+
 (** The S side of a pair, shared across the Ts it is verified against.
 
-    Preprocessing (crash S on the PoC, pick [ep]) and P1 taint depend only
-    on S, the PoC and [ep]; only P2-P4 depend on T.  A probe holds S's
-    canonical digest, the PoC and, once a {!verify} has
-    needed them, S's concrete run (the crash and its backtrace) and one
-    immutable taint result per
-    [(ep, taint_mode, taint_granularity)].  It does not keep S's
-    compiled form.  Later
-    {!verify} calls against the same probe reuse them, so with
-    {!Octo_util.Metrics} on the S-side phases and VM steps are charged to
-    the pair that computed them.
+    Preprocessing (crash S, pick [ep]) and P1 taint depend only on S, the
+    PoC and [ep]; only P2-P4 depend on T.  A probe holds S, the PoC and,
+    once a {!verify} has needed them, S's concrete run (the crash and its
+    backtrace) and one immutable taint result per
+    [(ep, taint_mode, taint_granularity)].  Later {!verify} calls against
+    the same probe reuse them, so with {!Octo_util.Metrics} on the S-side
+    phases and VM steps are charged to the pair that computed them.
 
     Under an enabled [config.inject] a probe neither reuses nor stores
     anything: every attempt of a chaos job runs its own S side, so its
@@ -81,38 +96,49 @@ val escalate : config -> config
     safe to use from two domains at once. *)
 type probe
 
-(** [probe ~s ~poc] is a probe of S and the PoC.  It digests S and runs
-    nothing. *)
+(** [probe ~s ~poc] is a probe of S and the PoC.  It runs nothing. *)
 val probe : s:Octo_vm.Isa.program -> poc:string -> probe
 
 (** [reuse_probe held ~s ~poc] is [held] when it is a probe of the same S
-    (by canonical digest) and the same PoC bytes, and a fresh
-    [probe ~s ~poc] otherwise: how a stream worker shares S's side across
-    consecutive jobs. *)
+    (physically: [s] is the very program value [held] was built on) and
+    the same PoC bytes, and a fresh [probe ~s ~poc] otherwise: how a
+    stream worker shares S's side across consecutive jobs.  A program
+    must not be edited in place while a probe holds it. *)
 val reuse_probe : probe option -> s:Octo_vm.Isa.program -> poc:string -> probe
 
-(** [verify ?config ?ell p ~t ()] executes the full pipeline for T
-    against probe [p]'s S and PoC, reusing whatever S side [p] holds and
-    keeping what it computes.  Its report equals that of {!run} on the
-    same S, T and PoC, timings and metrics aside.
+(** [verify ?config ?ell ?products p ~t ()] executes the full pipeline
+    for T against probe [p]'s S and PoC, reusing whatever S side [p]
+    holds and keeping what it computes.  Its report equals that of {!run}
+    on the same S, T and PoC, timings and metrics aside.
 
     ℓ defaults to the clone-detection result of
     {!Octo_clone.Clone.shared_functions}; pass [?ell] to override (the
     paper assumes ℓ is an input).
 
+    [products] (default: an empty record) holds what the pair derives
+    from its programs; it MUST be the record of this S and this T, as a
+    job keeps it ({!Driver.job}).
+
     Does not raise: deadline expiries and injected faults become [Failure]
     verdicts and leave [p] holding nothing.  A rescuable failure is
     retried once under {!escalate}[ config], on the same deadline and
     skipped once it has expired; the retry is recorded as
-    ["symex-escalate"] in [degradations], reuses [p] (escalation changes
-    no S-side input), and when it fails too the first attempt's failure
-    is returned verbatim. *)
+    ["symex-escalate"] in [degradations], reuses [p] and [products]
+    (escalation changes no input of either), and when it fails too the
+    first attempt's failure is returned verbatim. *)
 val verify :
-  ?config:config -> ?ell:string list -> probe -> t:Octo_vm.Isa.program -> unit -> report
+  ?config:config ->
+  ?ell:string list ->
+  ?products:products ->
+  probe ->
+  t:Octo_vm.Isa.program ->
+  unit ->
+  report
 
 (** [run ?config ?ell ~s ~t ~poc ()] is {!verify} against a fresh
-    [probe ~s ~poc]: a lone pair shares its S side with its own retry
-    only, so every call reports every phase it ran. *)
+    [probe ~s ~poc] and fresh {!products}: a lone pair shares its S side
+    and its products with its own retry only, so every call reports every
+    phase it ran. *)
 val run :
   ?config:config ->
   ?ell:string list ->

@@ -168,7 +168,7 @@ let explain_report ~label (r : report) : string =
       section "P4 — verification" (function
         | Provenance.Crash_site _ -> true
         | _ -> false);
-      section "degradation ladder" (function Provenance.Rung _ -> true | _ -> false);
+      section "escalated retry" (function Provenance.Rung _ -> true | _ -> false);
       pf "";
       pf "degradations: %s"
         (match r.degradations with [] -> "(none)" | ds -> String.concat "," ds);

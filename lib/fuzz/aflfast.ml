@@ -51,7 +51,7 @@ let run ?(config = default_config) (prog : Isa.program) ~(seeds : string list)
   let record_path p =
     Hashtbl.replace path_freq p ((match Hashtbl.find_opt path_freq p with Some n -> n | None -> 0) + 1)
   in
-  let compiled = Compile.get prog in
+  let compiled = Compile.compile prog in
   let execute input =
     incr execs;
     let info = Coverage.run ~max_steps:config.exec_max_steps ~compiled cov prog ~input in

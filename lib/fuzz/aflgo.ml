@@ -68,7 +68,7 @@ let run ?(config = default_config) (prog : Isa.program) ~(target : string)
   let found = ref None in
   let queue : seed Queue.t = Queue.create () in
   let best = ref infinity in
-  let compiled = Compile.get prog in
+  let compiled = Compile.compile prog in
   let execute input =
     incr execs;
     (* Collect the distance of every executed location to the target. *)

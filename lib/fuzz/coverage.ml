@@ -33,8 +33,8 @@ type run_info = {
     updating the virgin map.
 
     [compiled] lets campaign loops (thousands of executions of one program)
-    skip the per-call content-digest lookup of the compilation cache; it
-    MUST be the compilation of [prog] ({!Compile.get}). *)
+    compile it once; it MUST be the compilation of [prog]
+    ({!Compile.compile}). *)
 let run ?(max_steps = 60_000) ?compiled (t : t) (prog : Isa.program) ~(input : string) :
     run_info =
   let hit = Hashtbl.create 256 in
@@ -47,7 +47,7 @@ let run ?(max_steps = 60_000) ?compiled (t : t) (prog : Isa.program) ~(input : s
           Hashtbl.replace hit b ());
     }
   in
-  let compiled = match compiled with Some c -> c | None -> Compile.get prog in
+  let compiled = match compiled with Some c -> c | None -> Compile.compile prog in
   let result = Compile.run ~hooks ~max_steps compiled ~input in
   let new_buckets = ref 0 in
   let path_hash = ref 0 in

@@ -190,9 +190,9 @@ let checkpoint st () =
     crash that [poc] provokes; a clean exit yields [crash = None] (callers
     treat that as "this poc does not witness the vulnerability").
 
-    [compiled] lets the pipeline reuse an already-looked-up compilation of
-    [prog] ({!Octo_vm.Compile.get}), skipping the content-digest cache
-    lookup; it MUST be the compilation of [prog]. *)
+    [compiled] lets the pipeline reuse the compilation of [prog] it holds
+    ({!Octo_vm.Compile.compile}) instead of compiling it again; it MUST
+    be the compilation of [prog]. *)
 let extract ?(mode = Context_aware) ?(granularity = Byte_level) ?compiled
     (prog : Isa.program) ~(poc : string) ~(ep : string) : result =
   let st =

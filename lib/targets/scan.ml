@@ -107,9 +107,8 @@ type result = {
 let run ~(probes : probe list) ~(targets : target list) ~n_decoys () : result =
   let ix = Detect.index_create Detect.default_params in
   (* Every program is profiled once for the whole pass: the references
-     are held here, so a pass larger than the profile table's cap still
-     fingerprints each program exactly once, and the index is filled
-     from the same profiles. *)
+     are held here, so each program is fingerprinted exactly once, and
+     the index is filled from the same profiles. *)
   let tprog : (string, program * Clone.profile) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun tg ->

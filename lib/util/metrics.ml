@@ -54,8 +54,8 @@ type counter =
   | Solver_nodes  (** search-tree nodes visited by [Solve.solve] *)
   | Constraint_adds  (** constraints pushed into solver stores *)
   | Cache_hits
-      (** cache hits: CFG builds, compilations, and ℓ served wholly
-          from the clone profile table *)
+      (** products a job served to a later use instead of building them
+          again: compiled S or T, ℓ, T's CFG for an ep *)
   | Pool_retries  (** worker crash/stall retries (requeues) *)
   | Pool_stalls
       (** jobs whose retry budget ran out on a stall (slot 7: counter

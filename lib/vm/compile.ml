@@ -6,9 +6,10 @@
     poc verification) and millions of times for hang-bound pairs.  This
     module lowers a program once into arrays of OCaml closures — one
     closure per instruction, operands pre-resolved to register slots or
-    pre-masked immediates, jump targets pre-indexed — and caches the result
-    behind the same canonical content digest the verdict cache uses, so
-    P1, P4 and the fuzzers all reuse one compilation.
+    pre-masked immediates, jump targets pre-indexed.  The caller holds the
+    result: a verification job keeps S's and T's compilations for P1, both
+    P4 replays and its later attempts, and a fuzzing campaign compiles its
+    program once.
 
     Two closure arrays are compiled per function:
 
@@ -640,14 +641,8 @@ let compile (p : program) : compiled =
   { centry; cdata = p.data }
 
 (* ------------------------------------------------------------------ *)
-(* Content-keyed compilation cache.
-
-   The key is the canonical program digest — the same digest the verdict
-   cache's content keys build on — NOT physical identity: a program
-   mutated in place (devirtualization, tests) digests differently and
-   recompiles, so stale closures can never run.  The digest costs a few
-   microseconds per lookup; every run it saves re-decoding the whole
-   execution. *)
+(* The canonical program digest, the base of the verdict cache's content
+   keys. *)
 
 (** [program_digest p] is the canonical content digest of [p]: functions
     in sorted-name order so the digest does not depend on hash-table
@@ -670,22 +665,6 @@ let program_digest (p : program) =
     fnames;
   Buffer.add_string b (Marshal.to_string (p.ftable, p.data) []);
   Digest.string (Buffer.contents b)
-
-(* The compilation table (see {!Octo_util.Memo} for its admission rule):
-   a pair hands its compiled S to taint and reuses its compiled T for both
-   replays, so it never needs the table for itself. *)
-let memo : compiled Octo_util.Memo.t = Octo_util.Memo.create ()
-
-(** [get ?digest p] returns the cached compilation of [p], compiling on
-    a miss.  [digest] lets callers that already hold the program's
-    canonical digest (pipeline, verdict cache) skip recomputing it — it
-    MUST equal [program_digest p].  Hits are counted under
-    {!Octo_util.Metrics.Cache_hits}. *)
-let get ?digest (p : program) : compiled =
-  let d = match digest with Some d -> d | None -> program_digest p in
-  let c, hit = Octo_util.Memo.find_or_add memo d (fun () -> compile p) in
-  if hit then Octo_util.Metrics.incr Octo_util.Metrics.Cache_hits;
-  c
 
 (* ------------------------------------------------------------------ *)
 (* Hang-cycle detection (see the module doc).  A snapshot copies every

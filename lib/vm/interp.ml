@@ -9,8 +9,8 @@
     how the taint engine seeds its specified memory area.
 
     Execution is delegated to {!Compile}: the program is lowered once into
-    direct-threaded closure arrays (cached by content digest) and {!run} is a
-    thin driver over the compiled form.  The original decode-per-step loop is
+    direct-threaded closure arrays and {!run} is a thin driver over the
+    compiled form.  The original decode-per-step loop is
     kept below as {!run_reference} — the executable specification the compiled
     engine is differentially tested against (see [test/test_vm.ml]). *)
 
@@ -115,12 +115,12 @@ let deadline_stride = Compile.deadline_stride
     fault at any executed syscall; the resulting
     {!Octo_util.Faultinject.Injected} also propagates.
 
-    The program is compiled to threaded code on first use and the
-    compilation is reused across runs ({!Compile.get}); callers that
-    execute the same program many times back-to-back (fuzzers) can hoist
-    the lookup with {!Compile.get} + {!Compile.run} themselves. *)
+    The program is compiled to threaded code for this one run; callers
+    that execute the same program more than once (the pipeline, fuzzers)
+    compile it once with {!Compile.compile} and call {!Compile.run}
+    themselves. *)
 let run ?hooks ?max_steps ?deadline ?inject (prog : program) ~(input : string) : result =
-  Compile.run ?hooks ?max_steps ?deadline ?inject (Compile.get prog) ~input
+  Compile.run ?hooks ?max_steps ?deadline ?inject (Compile.compile prog) ~input
 
 (** [run_reference] is the original decode-per-step interpreter, byte-line
     compatible with {!run}: same outcomes, crash sites, step counts, hook

@@ -149,22 +149,6 @@ let dyn_call_edges_list () =
   let o = Dyncfg.observe chain ~seeds:[ "" ] in
   check Alcotest.int "two edges" 2 (List.length (Dyncfg.call_edges o))
 
-(* The build cache is keyed by content: a program mutated in place after
-   its CFG was admitted gets a fresh distance map, not the stale one. *)
-let build_cached_sees_mutation () =
-  let p =
-    assemble ~name:"mutated" ~entry:"main"
-      [
-        fn "main" ~params:0 [ I (Call ("middle", [], None)); I Halt ];
-        fn "middle" ~params:0 [ I (Call ("target", [], None)); I (Ret (Imm 0)) ];
-        fn "target" ~params:0 [ I (Ret (Imm 0)) ];
-      ]
-  in
-  ignore (Cfg.build_cached p ~ep:"target");
-  check Alcotest.int "through middle" 2 (Cfg.distance (Cfg.build_cached p ~ep:"target") "main" 0);
-  (func_exn p "main").code.(0) <- Call ("target", [], None);
-  check Alcotest.int "direct call" 1 (Cfg.distance (Cfg.build_cached p ~ep:"target") "main" 0)
-
 let suite =
   [
     tc "successors: instruction shapes" successors_shapes;
@@ -183,5 +167,4 @@ let suite =
     tc "dyncfg: observes call edges" dyn_observe_calls;
     tc "dyncfg: resolves icall dynamically" dyn_resolves_icall_targets;
     tc "dyncfg: edge list" dyn_call_edges_list;
-    tc "build cache: keyed by content" build_cached_sees_mutation;
   ]

@@ -148,11 +148,8 @@ let ell_t =
       List.iter (fun (p : Clone.clone_pair) -> Format.fprintf ppf "%s->%s " p.s_func p.t_func) l)
     ( = )
 
-(* Both entry points equal the reference. *)
-let check_ell what s t =
-  let want = reference_shared s t in
-  check ell_t what want (Clone.shared_functions s t);
-  check ell_t what want (Clone.shared_functions_cached s t)
+(* The profile join equals the reference. *)
+let check_ell what s t = check ell_t what (reference_shared s t) (Clone.shared_functions s t)
 
 let source_pairs src =
   let rec go acc =
@@ -305,8 +302,8 @@ let prop_sharing_invisible =
       let unshared = { f with code = Array.append f.code (deep_copy f.code) } in
       Clone.fingerprint shared = Clone.fingerprint unshared)
 
-(* The table is keyed by content: a program edited in place after its
-   profile was taken hashes to a new key and is profiled afresh. *)
+(* A program edited in place between two ℓ computations is profiled
+   afresh: no profile outlives the call that built it. *)
 let mutated_program_reprofiled () =
   let p =
     assemble ~name:"pm" ~entry:"main"
@@ -315,7 +312,7 @@ let mutated_program_reprofiled () =
   let shares_helper () =
     List.exists
       (fun (cp : Clone.clone_pair) -> cp.s_func = "helper")
-      (Clone.shared_functions_cached p p2)
+      (Clone.shared_functions p p2)
   in
   check Alcotest.bool "helper shared before the edit" true (shares_helper ());
   Hashtbl.replace p.funcs "helper" (func_exn p3 "helper");
@@ -337,28 +334,6 @@ let ambiguous_renamed_clone () =
   check_ell "three renamed copies" p1 t;
   check_ell "reverse direction" t p1
 
-(* [Cache_hits] counts one ℓ served wholly from the table, not one hit
-   per profile.  Programs are fresh (unique names), so their first lookup
-   misses; the second call may follow a table reset, so it is not
-   counted on. *)
-let cache_hits_per_ell () =
-  let module Metrics = Octo_util.Metrics in
-  let prog name =
-    assemble ~name ~entry:"main" [ fn "main" ~params:0 [ I Halt ]; fn "helper" ~params:0 body_a ]
-  in
-  let a = prog "hits-a" and b = prog "hits-b" and c = prog "hits-c" and d = prog "hits-d" in
-  let hits s t =
-    Metrics.enable ();
-    Fun.protect ~finally:Metrics.disable (fun () ->
-        let (), m = Metrics.scoped (fun () -> ignore (Clone.shared_functions_cached s t)) in
-        Metrics.counter_value (Option.get m) Metrics.Cache_hits)
-  in
-  check Alcotest.int "fresh pair" 0 (hits a b);
-  ignore (hits a b);
-  check Alcotest.int "pair served from the table" 1 (hits a b);
-  check Alcotest.int "one profile cached" 0 (hits a d);
-  check Alcotest.int "S = T, fresh" 0 (hits c c)
-
 let suite =
   [
     tc "fingerprint: identical bodies match" fingerprint_equal_for_identical;
@@ -379,7 +354,6 @@ let suite =
     tc "profile ℓ = reference: gen:60:42 scan hits" scan_hit_ell_matches;
     tc "profile: in-place edit gets a fresh ℓ" mutated_program_reprofiled;
     tc "profile ℓ = reference: ambiguous renamed clone" ambiguous_renamed_clone;
-    tc "profile: one cache hit per ℓ" cache_hits_per_ell;
     tc "fingerprint classes = reference: registry" (source_partition_matches (Source.registry ()));
     tc "fingerprint classes = reference: gen:1000:42"
       (source_partition_matches (Source.generated ~seed:42 ~count:1000 ()));

@@ -144,8 +144,8 @@ let test_scan_deterministic () =
   Alcotest.(check string) "scan render is byte-stable across runs" (render_registry_scan ())
     (render_registry_scan ())
 
-(* 220 programs overflow the 128-entry profile table, whatever earlier
-   tests left in it.  The digest is of the report body a fresh
+(* A 220-program pass, run twice in one process.  The digest is of the
+   report body a fresh
    [octopocs scan --corpus gen:100:42 --decoys 20 --no-verify] prints. *)
 let test_scan_over_profile_cap () =
   let probes, targets = Scan.of_source (Source.generated ~seed:42 ~count:100 ()) in

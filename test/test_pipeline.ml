@@ -229,6 +229,131 @@ let render_exit (name, (r : Octopocs.report)) =
     name Octopocs.pp_verdict r.verdict r.ep (String.concat "," r.ell) (List.length r.bunches)
     (r.taint <> None) (r.symex <> None) symex (String.concat "," r.degradations)
 
+(* ------------------------------------------------------------------ *)
+(* Products: a job's compiled S and T, ℓ and T's CFG live with the job. *)
+
+module Metrics = Octo_util.Metrics
+
+let with_metrics f =
+  Metrics.enable ();
+  Fun.protect ~finally:Metrics.disable f
+
+let cache_hits (r : Octopocs.report) =
+  match r.metrics with Some m -> Metrics.counter_value m Metrics.Cache_hits | None -> 0
+
+let same_verdict what (a : Octopocs.report) (b : Octopocs.report) =
+  check Alcotest.string (what ^ " verdict")
+    (Fmt.str "%a" Octopocs.pp_verdict a.verdict)
+    (Fmt.str "%a" Octopocs.pp_verdict b.verdict);
+  check Alcotest.string (what ^ " ep") a.ep b.ep;
+  check Alcotest.(list string) (what ^ " ell") a.ell b.ell;
+  check Alcotest.bool (what ^ " bunches") true (a.bunches = b.bunches);
+  check Alcotest.(list string) (what ^ " degradations") a.degradations b.degradations
+
+(* A batch run twice: the first pass builds every product, the second
+   takes ℓ (no job overrides it) and every product the first built from
+   the jobs, so each of its pairs counts at least one hit, two once the
+   CFG was recovered, and the reports are equal. *)
+let second_pass_serves_products () =
+  with_metrics @@ fun () ->
+  let jobs =
+    List.map
+      (fun (c : Registry.case) ->
+        Octopocs.job ~label:(string_of_int c.idx) ~s:c.s ~t:c.t ~poc:c.poc ())
+      Registry.all
+  in
+  let first = Octopocs.run_all jobs in
+  let second = Octopocs.run_all jobs in
+  List.iter2
+    (fun (label, a) (_, b) ->
+      same_verdict ("pair " ^ label) a b;
+      check Alcotest.int ("pair " ^ label ^ ": first pass builds") 0 (cache_hits a);
+      let least = if b.symex <> None then 2 else 1 in
+      check Alcotest.bool
+        (Printf.sprintf "pair %s: second pass serves %d >= %d" label (cache_hits b) least)
+        true
+        (cache_hits b >= least))
+    first second
+
+(* The escalated retry of a budget-starved pair reuses ℓ and the CFG its
+   first attempt built. *)
+let escalated_retry_serves_products () =
+  with_metrics @@ fun () ->
+  let c = Registry.find 9 in
+  let config =
+    { Octopocs.default_config with
+      symex = { Octo_symex.Directed.default_config with max_runs = 2 } }
+  in
+  let r = Octopocs.run ~config ~s:c.s ~t:c.t ~poc:c.poc () in
+  check Alcotest.(list string) "escalated" [ "symex-escalate" ] r.degradations;
+  check Alcotest.bool (Printf.sprintf "%d hits >= 2" (cache_hits r)) true (cache_hits r >= 2)
+
+(* Nothing outside a job keeps its products: once a one-shot job has
+   settled and nothing refers to it, the job and its compiled T are
+   garbage. *)
+let settle_one_shot (c : Registry.case) ~job_slot ~code_slot =
+  let products = Octopocs.products () in
+  let r = Octopocs.verify ~products (Octopocs.probe ~s:c.s ~poc:c.poc) ~t:c.t () in
+  check Alcotest.string "Type-I" "Type-I" (Octopocs.verdict_class r.verdict);
+  check Alcotest.bool "compiled T built" true (Octopocs.compiled_t products <> None);
+  Weak.set code_slot 0 (Octopocs.compiled_t products);
+  let pending = ref [ Octopocs.job ~label:"one-shot" ~s:c.s ~t:c.t ~poc:c.poc () ] in
+  let next () =
+    match !pending with
+    | j :: rest ->
+        Weak.set job_slot 0 (Some j);
+        pending := rest;
+        Some j
+    | [] -> None
+  in
+  let st = Octopocs.run_stream next in
+  check Alcotest.int "settled" 1 st.Octopocs.st_settled
+
+let one_shot_products_unreachable () =
+  let job_slot = Weak.create 1 and code_slot = Weak.create 1 in
+  (settle_one_shot [@inlined never]) (Registry.find 1) ~job_slot ~code_slot;
+  Gc.full_major ();
+  check Alcotest.bool "compiled T unreachable" false (Weak.check code_slot 0);
+  check Alcotest.bool "job unreachable" false (Weak.check job_slot 0)
+
+(* A job over an edited copy of T builds its own products: the copy's
+   entry halts at once, so its verdict changes, and nothing is served
+   from the original job, whose products still serve it. *)
+let mutated_copy_builds_fresh () =
+  with_metrics @@ fun () ->
+  let c = Registry.find 1 in
+  let t' : Isa.program = Marshal.from_string (Marshal.to_string c.t []) 0 in
+  (Isa.func_exn t' t'.entry).code.(0) <- Isa.Halt;
+  let products = Octopocs.products () in
+  let verify ?(products = products) t =
+    Octopocs.verify ~products (Octopocs.probe ~s:c.s ~poc:c.poc) ~t ()
+  in
+  let r = verify c.t in
+  let r' = verify ~products:(Octopocs.products ()) t' in
+  check Alcotest.string "original" "Type-I" (Octopocs.verdict_class r.verdict);
+  check Alcotest.bool "copy not triggered" true (Octopocs.verdict_class r'.verdict <> "Type-I");
+  check Alcotest.int "copy builds fresh" 0 (cache_hits r');
+  let again = verify c.t in
+  same_verdict "original again" r again;
+  check Alcotest.bool "original served" true (cache_hits again >= 3)
+
+(* Two domains verify against one record at once; whichever built first,
+   the record settles on one compiled T that later verifies keep. *)
+let racing_domains_settle () =
+  let c = Registry.find 1 in
+  let products = Octopocs.products () in
+  let ready = Atomic.make 0 in
+  let worker () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do Domain.cpu_relax () done;
+    Octopocs.verify ~products (Octopocs.probe ~s:c.s ~poc:c.poc) ~t:c.t ()
+  in
+  let reports = List.map Domain.join (List.init 2 (fun _ -> Domain.spawn worker)) in
+  List.iter (same_verdict "racer" (Octopocs.run ~s:c.s ~t:c.t ~poc:c.poc ())) reports;
+  let kept = Option.get (Octopocs.compiled_t products) in
+  ignore (Octopocs.verify ~products (Octopocs.probe ~s:c.s ~poc:c.poc) ~t:c.t ());
+  check Alcotest.bool "one value" true (Option.get (Octopocs.compiled_t products) == kept)
+
 let every_exit_pinned () =
   let rendering = String.concat "" (List.map render_exit (exit_pairs ())) in
   check Alcotest.string ("exits\n" ^ rendering) "79b4d39ca4cf03f41fd0e6cf8af1fdf0"
@@ -251,4 +376,10 @@ let suite =
     tc "verdicts deterministic" deterministic_verdicts;
     tc "ep identification scans outermost first" identify_ep_scans_outermost_first;
     tc "every reachable exit of an attempt is pinned" every_exit_pinned;
+    tc "products: a second run_all pass serves every job's products"
+      second_pass_serves_products;
+    tc "products: an escalated retry serves ℓ and the CFG" escalated_retry_serves_products;
+    tc "products: a settled one-shot job leaves nothing behind" one_shot_products_unreachable;
+    tc "products: a job over an edited copy builds its own" mutated_copy_builds_fresh;
+    tc "products: racing domains settle on one value" racing_domains_settle;
   ]

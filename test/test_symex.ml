@@ -361,9 +361,9 @@ let same_chains ~what ?config p ~ep ~cfg ~ledger ~on_ep =
 let p2_inputs ~s ~t ~poc ~ell =
   let config = Octopocs.default_config in
   let ell =
-    match ell with Some l -> l | None -> Clone.ell_names (Clone.shared_functions_cached s t)
+    match ell with Some l -> l | None -> Clone.ell_names (Clone.shared_functions s t)
   in
-  let cs = Compile.get s in
+  let cs = Compile.compile s in
   match (Compile.run cs ~input:poc).outcome with
   | Interp.Exited _ -> None
   | Interp.Crashed crash -> (
@@ -376,7 +376,7 @@ let p2_inputs ~s ~t ~poc ~ell =
           in
           if taint.bunches = [] then None
           else
-            match Cfg.build_cached t ~ep with
+            match Cfg.build t ~ep with
             | cfg -> Some (ep, taint.bunches, cfg)
             | exception Cfg.Cfg_error _ -> None))
 

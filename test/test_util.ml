@@ -145,42 +145,6 @@ let qcheck_tests =
         v >= 0 && v < n);
   ]
 
-(* Memo: a key is admitted on its second miss, so the third lookup is the
-   first hit; a full table resets; racing domains share one value. *)
-
-let memo_third_lookup_hits () =
-  let t = Memo.create () in
-  let builds = ref 0 in
-  let get () = Memo.find_or_add t "k" (fun () -> incr builds; !builds) in
-  check Alcotest.(pair int bool) "first miss" (1, false) (get ());
-  check Alcotest.(option int) "not admitted" None (Memo.find_opt t "k");
-  check Alcotest.(pair int bool) "second miss admits" (2, false) (get ());
-  check Alcotest.(pair int bool) "third lookup hits" (2, true) (get ());
-  check Alcotest.int "built twice" 2 !builds
-
-let memo_full_table_resets () =
-  let t = Memo.create () in
-  let admit k = for _ = 1 to 2 do ignore (Memo.find_or_add t k (fun () -> k)) done in
-  for i = 1 to Memo.cap do admit (string_of_int i) done;
-  check Alcotest.int "full" Memo.cap (Memo.length t);
-  admit "one more";
-  check Alcotest.int "reset, then admitted" 1 (Memo.length t);
-  check Alcotest.(option string) "the newcomer stays" (Some "one more") (Memo.find_opt t "one more")
-
-let memo_race_shares_first_value () =
-  let t = Memo.create () in
-  let ready = Atomic.make 0 in
-  let worker () =
-    Atomic.incr ready;
-    while Atomic.get ready < 2 do Domain.cpu_relax () done;
-    List.init 3 (fun _ -> fst (Memo.find_or_add t "k" (fun () -> ref 0)))
-  in
-  let results = List.concat_map Domain.join (List.init 2 (fun _ -> Domain.spawn worker)) in
-  let kept = Option.get (Memo.find_opt t "k") in
-  check Alcotest.int "one value" 1 (Memo.length t);
-  check Alcotest.bool "every third lookup shares the kept value" true
-    (List.for_all (fun r -> r == kept) [ List.nth results 2; List.nth results 5 ])
-
 let suite =
   [
     tc "rng: determinism" rng_deterministic;
@@ -203,8 +167,3 @@ let suite =
     tc "percentile: pct outside (0, 100] rejected" percentile_bounds;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_tests
-  @ [
-      tc "memo: the third lookup hits" memo_third_lookup_hits;
-      tc "memo: a full table resets" memo_full_table_resets;
-      tc "memo: racing domains share the first value" memo_race_shares_first_value;
-    ]

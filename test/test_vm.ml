@@ -4,7 +4,6 @@
 open Octo_vm
 open Octo_vm.Isa
 open Octo_vm.Asm
-module Memo = Octo_util.Memo
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -579,9 +578,9 @@ let engines_agree_under_injection (stmts, input, seed) =
   = run (fun ~inject p ~input -> Interp.run_reference ~inject p ~input)
 
 let compile_cache_no_stale_closures () =
-  (* Two programs with identical shape but different bodies must compile to
-     different digests; a digest-keyed cache can therefore never replay the
-     old closures for the mutated program. *)
+  (* Two programs with identical shape but different bodies have
+     different digests (so their content keys differ), and each run
+     executes its own program's code. *)
   let mk k = prog [ I (Sys (Emit (Imm k))); I Halt ] in
   let p1 = mk 1 and p2 = mk 2 in
   check Alcotest.bool "digests differ" true
@@ -590,82 +589,6 @@ let compile_cache_no_stale_closures () =
   check (Alcotest.list Alcotest.int) "mutated outputs" [ 2 ] (Interp.run p2 ~input:"").outputs;
   check (Alcotest.list Alcotest.int) "p1 unchanged after p2" [ 1 ]
     (Interp.run p1 ~input:"").outputs
-
-(* Admission on second miss: the cache keeps a program only once it has
-   been compiled twice, so programs a stream compiles once never hold
-   their closures in it. *)
-
-let reset_compile_cache () = Memo.clear Compile.memo
-
-let emit_prog name k =
-  assemble ~name ~entry:"main" [ fn "main" ~params:0 [ I (Sys (Emit (Imm k))); I Halt ] ]
-
-let cache_hits_of f =
-  let module Metrics = Octo_util.Metrics in
-  Metrics.enable ();
-  Fun.protect ~finally:Metrics.disable (fun () ->
-      let (), m = Metrics.scoped f in
-      Metrics.counter_value (Option.get m) Metrics.Cache_hits)
-
-let compile_admits_on_second_miss () =
-  reset_compile_cache ();
-  let p = emit_prog "admit" 7 in
-  let cached () = Memo.find_opt Compile.memo (Compile.program_digest p) <> None in
-  let get () = cache_hits_of (fun () -> ignore (Compile.get p)) in
-  check Alcotest.int "first get misses" 0 (get ());
-  check Alcotest.bool "first get leaves it out" false (cached ());
-  check Alcotest.int "second get misses" 0 (get ());
-  check Alcotest.bool "second get admits it" true (cached ());
-  check Alcotest.int "third get hits" 1 (get ())
-
-let compile_admitted_then_mutated_recompiles () =
-  reset_compile_cache ();
-  let p = emit_prog "mutate" 1 in
-  ignore (Compile.get p);
-  let c = Compile.get p in
-  check Alcotest.bool "admitted" true
-    (Memo.find_opt Compile.memo (Compile.program_digest p) <> None);
-  (func_exn p "main").code.(0) <- Sys (Emit (Imm 2));
-  let c' = Compile.get p in
-  check Alcotest.bool "recompiled" true (c != c');
-  check (Alcotest.list Alcotest.int) "mutated outputs" [ 2 ] (Compile.run c' ~input:"").outputs
-
-(* Every program of a generated corpus is new, and a pair never needs the
-   cache for itself, so a stream admits nothing: one-shot closures,
-   clone profiles and CFGs are never kept past their pair. *)
-let compile_stream_admits_nothing () =
-  reset_compile_cache ();
-  Memo.clear Octo_clone.Clone.memo;
-  Memo.clear Octo_cfg.Cfg.memo;
-  let module Source = Octo_targets.Source in
-  let src = Source.generated ~seed:42 ~count:200 () in
-  let next () =
-    Option.map
-      (fun (p : Source.pair) ->
-        Octopocs.job ~label:p.plabel ~s:p.ps ~t:p.pt ~poc:p.ppoc ())
-      (Source.next src)
-  in
-  let st = Octopocs.run_stream ~jobs:1 next in
-  check Alcotest.int "settled" 200 st.Octopocs.st_settled;
-  check Alcotest.int "compile table empty" 0 (Memo.length Compile.memo);
-  check Alcotest.int "profile table empty" 0 (Memo.length Octo_clone.Clone.memo);
-  check Alcotest.int "CFG table empty" 0 (Memo.length Octo_cfg.Cfg.memo)
-
-let compile_race_shares_one_value () =
-  reset_compile_cache ();
-  let p = emit_prog "race" 3 in
-  let ready = Atomic.make 0 in
-  let worker () =
-    Atomic.incr ready;
-    while Atomic.get ready < 2 do Domain.cpu_relax () done;
-    ignore (Compile.get p);
-    ignore (Compile.get p);
-    Compile.get p
-  in
-  let ds = List.init 2 (fun _ -> Domain.spawn worker) in
-  let cs = List.map Domain.join ds in
-  let cached = Option.get (Memo.find_opt Compile.memo (Compile.program_digest p)) in
-  List.iter (fun c -> check Alcotest.bool "shares the cached value" true (c == cached)) cs
 
 (* ------------------------------------------------------------------ *)
 (* Hang cycles: the compiled engine proves a budget-bound run periodic and
@@ -1021,9 +944,4 @@ let suite =
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:200 ~name:"compiled ≡ reference on hanging programs" arb_hang
          hang_engines_agree);
-    tc "compile: admitted on the second miss" compile_admits_on_second_miss;
-    tc "compile: admitted program mutated in place recompiles"
-      compile_admitted_then_mutated_recompiles;
-    tc "compile: a generated stream admits nothing" compile_stream_admits_nothing;
-    tc "compile: racing domains share one compilation" compile_race_shares_one_value;
   ]
