@@ -334,6 +334,19 @@ let ambiguous_renamed_clone () =
   check_ell "three renamed copies" p1 t;
   check_ell "reverse direction" t p1
 
+(* Outside a job no store serves ℓ: the same pair asked for three times
+   is profiled three times, and no call counts a [Cache_hits]. *)
+let ell_never_cached () =
+  let module Metrics = Octo_util.Metrics in
+  let hits s t =
+    Metrics.enable ();
+    Fun.protect ~finally:Metrics.disable (fun () ->
+        let (), m = Metrics.scoped (fun () -> ignore (Clone.shared_functions s t)) in
+        Metrics.counter_value (Option.get m) Metrics.Cache_hits)
+  in
+  List.iter (fun what -> check Alcotest.int what 0 (hits p1 p2)) [ "first"; "second"; "third" ];
+  check Alcotest.int "S = T" 0 (hits p1 p1)
+
 let suite =
   [
     tc "fingerprint: identical bodies match" fingerprint_equal_for_identical;
@@ -354,6 +367,7 @@ let suite =
     tc "profile ℓ = reference: gen:60:42 scan hits" scan_hit_ell_matches;
     tc "profile: in-place edit gets a fresh ℓ" mutated_program_reprofiled;
     tc "profile ℓ = reference: ambiguous renamed clone" ambiguous_renamed_clone;
+    tc "profile: no ℓ is served from a store" ell_never_cached;
     tc "fingerprint classes = reference: registry" (source_partition_matches (Source.registry ()));
     tc "fingerprint classes = reference: gen:1000:42"
       (source_partition_matches (Source.generated ~seed:42 ~count:1000 ()));
