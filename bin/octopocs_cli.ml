@@ -6,7 +6,7 @@
                       printed as the Table II summary), a generated corpus
                       or a corpus directory (--corpus)
      scan             discover (S, T) candidates across a corpus by clone
-                      detection, then verify the confirmed ones
+                      detection, then verify every candidate
      inspect <idx>    show the pair's programs, PoC hexdump and ℓ
      fuzz <idx>       run the AFLFast baseline on the pair's T binary
      explain <pair>   re-verify one registry pair with provenance collection
@@ -62,7 +62,6 @@ open Cmdliner
 module Registry = Octo_targets.Registry
 module Source = Octo_targets.Source
 module Scan = Octo_targets.Scan
-module Detect = Octo_clone.Detect
 module B = Octo_util.Bytes_util
 module Faultinject = Octo_util.Faultinject
 module Log = Octo_util.Log
@@ -858,10 +857,9 @@ let verify_all_cmd =
    (S, T) pairs, discover them: index every target program of a corpus
    (plus optional seeded decoys) by exact function fingerprint, retrieve
    the targets that link each probe's annotated vulnerable function,
-   confirm (S, T, ℓ, ep) when ep recovers from S's crash, print the
-   precision/recall table against the corpus's own ground truth, and
-   pipe the confirmed candidates through the same driver as
-   verify-all. *)
+   print the precision/recall table, and pipe every candidate through
+   the same driver as verify-all, whose pipeline crashes S and picks ep
+   as for any pair. *)
 
 let run_scan o corpus strict decoys decoy_seed no_verify min_recall log_level log_json =
   with_logging log_level log_json @@ fun () ->
@@ -895,33 +893,23 @@ let run_scan o corpus strict decoys decoy_seed no_verify min_recall log_level lo
               if recall_bad then 1 else 0
             end
             else begin
-              (* Verification stage: one entry per confirmed (S, T) pair
-                 (a scan confirms each pair at most once).  A diagonal
-                 candidate (S and T from the same corpus pair) runs under
-                 the pair's own label with ℓ re-derived by the pipeline's
-                 clone stage — its content key is therefore identical to a
-                 verify-all --corpus run of the same corpus, so journal
-                 dumps of the two agree on the intersection.  A
-                 cross candidate runs under "S~T" with the detector's ℓ. *)
-              let probe_tbl : (string, Scan.probe) Hashtbl.t = Hashtbl.create 31 in
-              List.iter (fun (pr : Scan.probe) -> Hashtbl.replace probe_tbl pr.pr_label pr) probes;
-              let target_tbl : (string, Scan.target) Hashtbl.t = Hashtbl.create 31 in
-              List.iter (fun (tg : Scan.target) -> Hashtbl.replace target_tbl tg.tg_label tg) targets;
+              (* Verification stage: one entry per candidate, built by
+                 the scan's own policy ({!Scan.jobs}): a diagonal entry
+                 shares a verify-all run's content key and is handed the
+                 ℓ the scan joined, so no program is profiled twice. *)
               let entries =
                 List.map
-                  (fun (c : Detect.candidate) ->
-                    let pr = Hashtbl.find probe_tbl c.c_s_label in
-                    let tg = Hashtbl.find target_tbl c.c_t_label in
-                    let diagonal = c.c_s_label = c.c_t_label in
-                    let label =
-                      if diagonal then c.c_s_label else c.c_s_label ^ "~" ^ c.c_t_label
+                  (fun (jb : Scan.job) ->
+                    let config =
+                      config_for_label ~deadline:o.deadline ~chaos_seed:None jb.jb_label
                     in
-                    let ell = if diagonal then None else Some c.c_ell in
-                    let expected = if diagonal then pr.pr_expected else None in
-                    let config = config_for_label ~deadline:o.deadline ~chaos_seed:None label in
-                    Runlog.entry ~config ?ell ?expected ~label ~s:pr.pr_s ~t:tg.tg_prog
-                      ~poc:pr.pr_poc ())
-                  result.candidates
+                    let e =
+                      Runlog.entry ~config ?ell:jb.jb_ell ?expected:jb.jb_expected
+                        ~label:jb.jb_label ~s:jb.jb_s ~t:jb.jb_t ~poc:jb.jb_poc ()
+                    in
+                    Octopocs.seed_ell (Octopocs.job_products e.job) jb.jb_derived_ell;
+                    e)
+                  (Scan.jobs result)
               in
               match
                 verify_entries o ~chaos_seed:None ~site_rates:[] ~fail_fast:false
@@ -981,11 +969,11 @@ let scan_cmd =
   in
   Cmd.v
     (Cmd.info "scan"
-       ~doc:"Discover (S, T, ℓ, ep) candidates across a corpus by clone detection \
-             (retrieve the targets that link an exact clone of the vulnerable \
-             function, confirm those whose entry point recovers from S's crash), \
-             report precision/recall vs the annotated ground truth, and verify the \
-             confirmed candidates"
+       ~doc:"Discover (S, T, ℓ) candidates across a corpus by clone detection \
+             (every target that links an exact clone of a probe's vulnerable \
+             function), report precision/recall, and verify every candidate: the \
+             pipeline crashes S on its PoC and picks ep as for any pair, so a \
+             candidate whose S does not crash settles as a Failure"
        ~man:
          [
            `S Manpage.s_exit_status;

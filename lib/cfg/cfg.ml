@@ -66,8 +66,8 @@ let call_graph ?allow_unresolved (prog : program) : callgraph =
 
 (** [reachable_funcs prog] is the set of functions reachable from the entry
     point through resolvable calls. *)
-let reachable_funcs ?allow_unresolved (prog : program) =
-  let cg = call_graph ?allow_unresolved prog in
+let reachable_funcs (prog : program) =
+  let cg = call_graph prog in
   let seen = Hashtbl.create 16 in
   let rec visit name =
     if not (Hashtbl.mem seen name) then begin
@@ -95,7 +95,7 @@ type t = {
    reach ep from g's entry (0 when g = ep).  We iterate to a fixpoint:
    d(pc) = min(1 + min over static successors, call_bonus(pc)) where
    call_bonus(pc) = 1 + fn_dist(g) for a call site to g. *)
-let relax_function prog fn_dist (f : func) (d : int array) ~allow_unresolved =
+let relax_function prog fn_dist (f : func) (d : int array) =
   let n = Array.length f.code in
   let changed = ref false in
   let call_bonus pc =
@@ -110,7 +110,6 @@ let relax_function prog fn_dist (f : func) (d : int array) ~allow_unresolved =
         | _ -> infinity)
     | _ -> infinity
   in
-  ignore allow_unresolved;
   (* Iterate until stable; functions are small so this is cheap. *)
   let pass () =
     let any = ref false in
@@ -167,7 +166,7 @@ let build ?(allow_unresolved = false) (prog : program) ~(ep : string) : t =
       (fun name f ->
         if name <> ep then
           let d = Hashtbl.find dist name in
-          if relax_function prog fn_dist f d ~allow_unresolved then changed := true)
+          if relax_function prog fn_dist f d then changed := true)
       prog.funcs;
     if !changed then fixpoint ()
   in
@@ -206,8 +205,8 @@ let ep_reachable t = distance t t.prog.entry 0 < infinity
 (** [ep_called_somewhere prog ~ep] is a purely syntactic check: does any
     reachable function contain a call site of [ep]?  Distinguishes "the clone
     exists but is dead code" (Type-III case ii) from deeper unreachability. *)
-let ep_called_somewhere ?allow_unresolved (prog : program) ~ep =
-  let reach = reachable_funcs ?allow_unresolved prog in
+let ep_called_somewhere (prog : program) ~ep =
+  let reach = reachable_funcs prog in
   let found = ref false in
   Hashtbl.iter
     (fun name () ->
@@ -216,6 +215,6 @@ let ep_called_somewhere ?allow_unresolved (prog : program) ~ep =
       | Some f ->
           List.iter
             (fun (_, g) -> if g = ep then found := true)
-            (callees ?allow_unresolved prog f))
+            (callees prog f))
     reach;
   !found

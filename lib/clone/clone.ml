@@ -75,7 +75,6 @@ let shared_functions (s : program) (t : program) : clone_pair list =
   join (profile s) (profile t)
 
 let profile_fp (p : profile) name = List.assoc_opt name p.fps
-let profile_has_fp (p : profile) fp = Hashtbl.mem p.by_fp fp
 let profile_fingerprints (p : profile) = List.map snd p.fps
 
 (** [ell_names pairs] is the ℓ set as T-side function names — the form the

@@ -40,10 +40,6 @@ val join : profile -> profile -> clone_pair list
 (** [profile_fp p name] is the fingerprint of function [name]. *)
 val profile_fp : profile -> string -> string option
 
-(** [profile_has_fp p fp] holds when some function of [p] has
-    fingerprint [fp]. *)
-val profile_has_fp : profile -> string -> bool
-
 (** [profile_fingerprints p] is the fingerprint of every function of [p],
     one per function, so equal bodies repeat. *)
 val profile_fingerprints : profile -> string list

@@ -25,6 +25,7 @@ let job ?ell ?config ~label ~s ~t ~poc () =
   { label; js = s; jt = t; jpoc = poc; jell = ell; jconfig = config; jproducts = products () }
 
 let job_label (j : job) = j.label
+let job_products (j : job) = j.jproducts
 
 type isolation = Domains | Processes
 

@@ -32,6 +32,10 @@ val job :
 (** [job_label j] is the caller label the job was built with. *)
 val job_label : job -> string
 
+(** [job_products j] is the {!Pipeline.products} record [j] owns, e.g.
+    to {!Pipeline.seed_ell} it. *)
+val job_products : job -> products
+
 (** How batch/stream drivers isolate one job from its batch-mates.
 
     [Domains] (the default, the historical behaviour) runs jobs on
@@ -186,6 +190,6 @@ val run_stream :
 
 (** [stream_of_list xs] wraps a pre-materialized list (of jobs, or of
     any other items a driver pulls) as a pull cursor for {!run_stream} —
-    the scan pipeline's bridge from a finite confirmed-candidate set to
+    the scan pipeline's bridge from a finite candidate set to
     the streaming runner.  Thread-safe. *)
 val stream_of_list : 'a list -> unit -> 'a option

@@ -206,6 +206,7 @@ let products () =
   }
 
 let compiled_t pr = Atomic.get pr.t_code
+let seed_ell pr ell = ignore (Atomic.compare_and_set pr.ell_found None (Some ell))
 
 (* The product [find] sees in [slot], else [build ()], stored with [add].
    Under a race the first value to land is kept and returned to every

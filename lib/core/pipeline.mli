@@ -80,6 +80,14 @@ val products : unit -> products
     for testing. *)
 val compiled_t : products -> Octo_vm.Compile.compiled option
 
+(** [seed_ell pr ell] makes [ell] [pr]'s ℓ product unless it holds one:
+    how a caller that has already joined the pair's clone profiles (a
+    scan) hands ℓ over instead of having {!verify} profile S and T again.
+    [ell] must be [Clone.ell_names (Clone.shared_functions s t)], order
+    included: a different list changes the verdict but not the content
+    key, which covers only the [?ell] a job is given. *)
+val seed_ell : products -> string list -> unit
+
 (** The S side of a pair, shared across the Ts it is verified against.
 
     Preprocessing (crash S, pick [ep]) and P1 taint depend only on S, the

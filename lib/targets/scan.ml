@@ -1,31 +1,29 @@
-(** Corpus scanning: clone-detection front-end over a {!Source}, scored
-    against annotated ground truth.
+(** Corpus scanning: clone-detection front-end over a {!Source}.
 
     A scan separates a corpus into {e probes} (each pair's S with its
     annotated vulnerable function — what a VUDDY user starts from) and
-    {e targets} (every pair's T, plus optional seeded decoys), indexes
-    the targets' exact function fingerprints with {!Octo_clone.Detect},
-    retrieves and confirms (S, T, ℓ, ep) candidates, and reports a
-    precision/recall table against the corpus's own annotations:
+    {e targets} (every pair's T, plus optional seeded decoys), profiles
+    every program once, indexes the targets' exact function fingerprints
+    with {!Octo_clone.Detect}, and queries each probe.  Every hit is a
+    candidate (S, T, ℓ); the OCTOPOCS pipeline is the validator that
+    crashes S, picks ep and settles the verdict.
 
-    - {b ground truth}: (probe i, target j) is a positive iff T_j links
-      a function whose exact {!Clone} fingerprint equals S_i's annotated
-      vulnerable function — the propagated-verbatim relation the
-      detector is supposed to recover.  Within a generated corpus every
-      same-family pair is therefore a positive (the decoder is the very
-      same linked value), which is what makes cross-pair retrieval
-      measurable rather than vacuous.
+    - {b ground truth}: for now, the hits themselves — (probe i, target
+      j) is a positive iff T_j links a function whose exact {!Clone}
+      fingerprint equals S_i's annotated vulnerable function, the
+      propagated-verbatim relation the lookup computes.  Within a
+      generated corpus every same-family pair is a positive (the decoder
+      is the very same linked value).  ROADMAP item 5's planted manifest
+      will replace it with an independent relation.
     - {b precision} is measured against the decoys and cross-family
       near-misses: a patched or mutated decoy differs from the decoder
       it copies, so it does not hold that decoder's exact fingerprint and
-      is never retrieved.  Retrieval is the ground truth's own predicate,
-      so precision is 1.0 by construction, and a positive is missed only
-      when its hit fails confirmation (S does not crash on its PoC, or
-      no crash frame lies in ℓ).
+      is never retrieved.  Until the ground truth is independent,
+      precision and recall read 1.0 by construction.
 
-    Detection is pure and deterministic; verification of the confirmed
-    candidates is composed downstream (the CLI pipes them through
-    {!Octopocs.run_stream}). *)
+    Detection is pure and deterministic; {!jobs} turns the candidates
+    into verification jobs, which the CLI pipes through
+    {!Octopocs.run_stream}. *)
 
 open Octo_vm.Isa
 module Detect = Octo_clone.Detect
@@ -83,32 +81,32 @@ let label_compare a b =
   | Some x, Some y -> compare x y
   | _ -> compare a b
 
+(* What a candidate's verification job needs: its probe, T, and ℓ in the
+   order the pipeline's own clone stage derives it. *)
+type found = { f_probe : probe; f_t : program; f_ell : string list }
+
 type result = {
-  candidates : Detect.candidate list;  (** confirmed, sorted by (s, t) label *)
+  candidates : Detect.candidate list;  (** one per hit, sorted by (s, t) label *)
+  found : found list;  (** per candidate, in the same order *)
   n_probes : int;
   n_targets : int;
   n_decoys : int;
   n_retrieved : int;  (** hits: targets holding a probe's fingerprint *)
-  n_rejected : int;  (** retrieved hits that failed confirmation *)
-  n_no_crash : int;  (** probes whose S did not crash on its own PoC *)
   index_funcs : int;
   index_postings : int;
-  gt : (string * string) list;  (** ground-truth positives, sorted *)
-  n_tp : int;  (** confirmed candidates that are ground-truth positives *)
+  gt : (string * string) list;  (** ground-truth positives: the hits, sorted *)
+  n_tp : int;  (** candidates that are ground-truth positives *)
   by_class : (string * int * int) list;
-      (** per annotated class: (class, diagonal positives confirmed,
+      (** per annotated class: (class, diagonal positives found,
           diagonal positives total) — the "recall on generator clone
           variants" row of the acceptance criteria *)
 }
 
 (** [run ~probes ~targets ~n_decoys ()] executes the detection pass:
-    index all targets, query with each probe's vulnerable function,
-    confirm hits through the validity filter. *)
+    profile every program once, index the targets, query each probe's
+    vulnerable function; every hit is a candidate. *)
 let run ~(probes : probe list) ~(targets : target list) ~n_decoys () : result =
   let ix = Detect.index_create Detect.default_params in
-  (* Every program is profiled once for the whole pass: the references
-     are held here, so each program is fingerprinted exactly once, and
-     the index is filled from the same profiles. *)
   let tprog : (string, program * Clone.profile) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun tg ->
@@ -117,95 +115,95 @@ let run ~(probes : probe list) ~(targets : target list) ~n_decoys () : result =
       Hashtbl.replace tprog tg.tg_label (tg.tg_prog, tp))
     targets;
   let _, index_funcs, index_postings = Detect.index_stats ix in
-  let probes_p = List.map (fun pr -> (pr, Clone.profile pr.pr_s)) probes in
-  (* Ground truth: (i, j) is a positive iff T_j carries the exact
-     fingerprint of S_i's vulnerable function. *)
-  let gt : (string * string, unit) Hashtbl.t = Hashtbl.create 256 in
-  List.iter
-    (fun (pr, sp) ->
-      let fp = Option.get (Clone.profile_fp sp pr.pr_vuln) in
-      List.iter
-        (fun tg ->
-          if Clone.profile_has_fp (snd (Hashtbl.find tprog tg.tg_label)) fp then
-            Hashtbl.replace gt (pr.pr_label, tg.tg_label) ())
-        targets)
-    probes_p;
-  let n_retrieved = ref 0 and n_rejected = ref 0 and n_no_crash = ref 0 in
-  let candidates =
+  let hits =
     List.concat_map
-      (fun (pr, sp) ->
-        let crash = Detect.s_crash pr.pr_s ~poc:pr.pr_poc in
-        if crash = None then incr n_no_crash;
-        let hits = Detect.query ix (func_exn pr.pr_s pr.pr_vuln) in
-        n_retrieved := !n_retrieved + List.length hits;
-        List.filter_map
+      (fun pr ->
+        let sp = Clone.profile pr.pr_s in
+        List.map
           (fun (h : Detect.hit) ->
             let t, tp = Hashtbl.find tprog h.h_label in
-            match
-              Detect.confirm_profiled ~sp ~tp ~s_label:pr.pr_label ~t ~t_label:h.h_label
-                ~vuln_func:pr.pr_vuln ~s_crash:crash h
-            with
-            | Some c -> Some c
-            | None ->
-                incr n_rejected;
-                None)
-          hits)
-      probes_p
+            let ell = Clone.ell_names (Clone.join sp tp) in
+            ( { Detect.c_s_label = pr.pr_label; c_t_label = h.h_label;
+                c_ell = List.sort_uniq compare ell },
+              { f_probe = pr; f_t = t; f_ell = ell } ))
+          (Detect.query ix (func_exn pr.pr_s pr.pr_vuln)))
+      probes
+    |> List.stable_sort (fun ((a : Detect.candidate), _) (b, _) ->
+           match label_compare a.c_s_label b.c_s_label with
+           | 0 -> label_compare a.c_t_label b.c_t_label
+           | c -> c)
   in
-  let candidates =
-    List.sort
-      (fun (a : Detect.candidate) b ->
-        match label_compare a.c_s_label b.c_s_label with
-        | 0 -> label_compare a.c_t_label b.c_t_label
-        | c -> c)
-      candidates
-  in
-  let n_tp =
-    List.length
-      (List.filter (fun (c : Detect.candidate) -> Hashtbl.mem gt (c.c_s_label, c.c_t_label))
-         candidates)
-  in
+  let candidates = List.map fst hits in
+  let gt = List.map (fun (c : Detect.candidate) -> (c.c_s_label, c.c_t_label)) candidates in
   (* Diagonal recall per annotated class: of the probes whose own pair is
-     a ground-truth positive, how many were rediscovered? *)
+     a ground-truth positive, how many became candidates (all of them,
+     while the ground truth is the hits). *)
   let by_class =
-    let found : (string * string, unit) Hashtbl.t = Hashtbl.create 256 in
-    List.iter
-      (fun (c : Detect.candidate) -> Hashtbl.replace found (c.c_s_label, c.c_t_label) ())
-      candidates;
-    let tbl : (string, int * int) Hashtbl.t = Hashtbl.create 8 in
+    let diagonal : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+    List.iter (fun (s, t) -> if s = t then Hashtbl.replace diagonal s ()) gt;
+    let tbl : (string, int) Hashtbl.t = Hashtbl.create 8 in
     List.iter
       (fun pr ->
         match pr.pr_expected with
-        | Some cls when Hashtbl.mem gt (pr.pr_label, pr.pr_label) ->
-            let conf, tot = Option.value (Hashtbl.find_opt tbl cls) ~default:(0, 0) in
-            let hitp = Hashtbl.mem found (pr.pr_label, pr.pr_label) in
-            Hashtbl.replace tbl cls ((conf + if hitp then 1 else 0), tot + 1)
+        | Some cls when Hashtbl.mem diagonal pr.pr_label ->
+            Hashtbl.replace tbl cls (1 + Option.value (Hashtbl.find_opt tbl cls) ~default:0)
         | _ -> ())
       probes;
-    Hashtbl.fold (fun cls (c, t) acc -> (cls, c, t) :: acc) tbl []
-    |> List.sort compare
+    Hashtbl.fold (fun cls n acc -> (cls, n, n) :: acc) tbl [] |> List.sort compare
   in
   {
     candidates;
+    found = List.map snd hits;
     n_probes = List.length probes;
     n_targets = List.length targets;
     n_decoys;
-    n_retrieved = !n_retrieved;
-    n_rejected = !n_rejected;
-    n_no_crash = !n_no_crash;
+    n_retrieved = List.length hits;
     index_funcs;
     index_postings;
-    gt =
-      Hashtbl.fold (fun k () acc -> k :: acc) gt []
-      |> List.sort (fun (a1, a2) (b1, b2) ->
-             match label_compare a1 b1 with 0 -> label_compare a2 b2 | c -> c);
-    n_tp;
+    gt;
+    n_tp = List.length candidates;
     by_class;
   }
 
-(** [recall r] is |confirmed ∩ ground truth| / |ground truth| (1.0 on an
+(** A verification job of a scan candidate, for the caller to build an
+    {!Octopocs.job} from.  A diagonal candidate (S and T of one corpus
+    pair) runs under the pair's label with [jb_ell = None], so the
+    pipeline derives ℓ and the content key is the one a [verify-all] run
+    over the same corpus computes; it carries the pair's annotation.  A
+    cross candidate runs as ["S~T"] with the candidate's sorted ℓ.
+    [jb_derived_ell] is ℓ exactly as the pipeline would derive it
+    ([Clone.ell_names (Clone.shared_functions s t)], order included),
+    for the caller to hand to the job's products so the pipeline does
+    not profile S and T again. *)
+type job = {
+  jb_label : string;
+  jb_s : program;
+  jb_t : program;
+  jb_poc : string;
+  jb_ell : string list option;
+  jb_derived_ell : string list;
+  jb_expected : string option;
+}
+
+(** [jobs r] is one job per candidate of [r], in candidate order. *)
+let jobs (r : result) : job list =
+  List.map2
+    (fun (c : Detect.candidate) f ->
+      let diagonal = c.c_s_label = c.c_t_label in
+      {
+        jb_label = (if diagonal then c.c_s_label else c.c_s_label ^ "~" ^ c.c_t_label);
+        jb_s = f.f_probe.pr_s;
+        jb_t = f.f_t;
+        jb_poc = f.f_probe.pr_poc;
+        jb_ell = (if diagonal then None else Some c.c_ell);
+        jb_derived_ell = f.f_ell;
+        jb_expected = (if diagonal then f.f_probe.pr_expected else None);
+      })
+    r.candidates r.found
+
+(** [recall r] is |candidates ∩ ground truth| / |ground truth| (1.0 on an
     empty ground truth); [precision r] is the same numerator over the
-    confirmed count. *)
+    candidate count. *)
 let recall r =
   if r.gt = [] then 1.0 else float_of_int r.n_tp /. float_of_int (List.length r.gt)
 
@@ -214,7 +212,7 @@ let precision r =
   else float_of_int r.n_tp /. float_of_int (List.length r.candidates)
 
 (** [render ~corpus_id r] is the deterministic scan report: header,
-    index size, one line per confirmed candidate, counts and the
+    index size, one line per candidate, counts and the
     precision/recall table.  Byte-identical across runs of the same
     corpus — the golden test and the CI scan-smoke job
     diff it directly. *)
@@ -228,13 +226,10 @@ let render ~corpus_id (r : result) : string =
   List.iter (fun k -> Hashtbl.replace gt k ()) r.gt;
   List.iter
     (fun (c : Detect.candidate) ->
-      line "candidate s=%s t=%s vuln=%s hit=%s ell=%d ep=%s reach=%s gt=%s" c.c_s_label
-        c.c_t_label c.c_vuln_func c.c_hit_func (List.length c.c_ell) c.c_ep
-        (match c.c_reachable with Some true -> "yes" | Some false -> "no" | None -> "cfg-fail")
+      line "candidate s=%s t=%s ell=%d gt=%s" c.c_s_label c.c_t_label (List.length c.c_ell)
         (if Hashtbl.mem gt (c.c_s_label, c.c_t_label) then "tp" else "fp"))
     r.candidates;
-  line "counts: retrieved=%d confirmed=%d rejected=%d no-crash=%d" r.n_retrieved
-    (List.length r.candidates) r.n_rejected r.n_no_crash;
+  line "counts: retrieved=%d candidates=%d" r.n_retrieved (List.length r.candidates);
   line "ground-truth: positives=%d" (List.length r.gt);
   line "precision: %.3f (%d/%d)" (precision r) r.n_tp (List.length r.candidates);
   line "recall: %.3f (%d/%d)" (recall r) r.n_tp (List.length r.gt);

@@ -436,32 +436,20 @@ let registry_group () =
     [ 10; 11; 12 ]
 
 (* The fan-out of [scan --corpus gen:60:42 --decoys 3]: one job per
-   distinct confirmed (S, T) candidate, grouped by S as the scan sorts
-   them, built as the CLI builds them. *)
+   candidate, grouped by S as the scan sorts them, built as the CLI
+   builds them ({!Scan.jobs}, ℓ handed to each job's products). *)
 let scan_fanout () =
   let probes, targets = Scan.of_source (Source.generated ~seed:42 ~count:60 ()) in
   let targets = targets @ Scan.decoy_targets ~seed:7 ~count:3 in
   let r = Scan.run ~probes ~targets ~n_decoys:3 () in
-  let seen = Hashtbl.create 64 in
-  List.filter_map
-    (fun (c : Detect.candidate) ->
-      if Hashtbl.mem seen (c.c_s_label, c.c_t_label) then None
-      else begin
-        Hashtbl.replace seen (c.c_s_label, c.c_t_label) ();
-        let pr = List.find (fun (p : Scan.probe) -> p.pr_label = c.c_s_label) probes in
-        let tg = List.find (fun (t : Scan.target) -> t.tg_label = c.c_t_label) targets in
-        let diagonal = c.c_s_label = c.c_t_label in
-        let label = if diagonal then c.c_s_label else c.c_s_label ^ "~" ^ c.c_t_label in
-        let ell = if diagonal then None else Some c.c_ell in
-        Some
-          ( c.c_s_label,
-            O.job ?ell ~label ~s:pr.pr_s ~t:tg.tg_prog ~poc:pr.pr_poc (),
-            pr.pr_s,
-            tg.tg_prog,
-            pr.pr_poc,
-            ell )
-      end)
-    r.candidates
+  List.map2
+    (fun (c : Detect.candidate) (jb : Scan.job) ->
+      let j =
+        O.job ?ell:jb.jb_ell ~label:jb.jb_label ~s:jb.jb_s ~t:jb.jb_t ~poc:jb.jb_poc ()
+      in
+      O.seed_ell (O.job_products j) jb.jb_derived_ell;
+      (c.c_s_label, j, jb.jb_s, jb.jb_t, jb.jb_poc, jb.jb_ell))
+    r.candidates (Scan.jobs r)
 
 (* Every report [run_stream] settles for [items], by label. *)
 let stream_reports ?config ~jobs items =

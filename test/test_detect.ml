@@ -2,9 +2,10 @@
    the ground-truth relation (decoys never retrieved), a target linking
    the vulnerable function under two names yields one candidate, the
    strict/lenient directory-source contract, the golden scan report over
-   the registry, and the differential check that a scan over the
-   generated corpus rediscovers its own clone variants and verifies them
-   to the annotated verdict classes.
+   the registry, the differential check that a scan over the generated
+   corpus rediscovers its own clone variants and verifies them to the
+   annotated verdict classes, and the scan's jobs as the pipeline
+   settles them (ℓ handed over, ep in ℓ, an S that does not crash).
 
    Golden regeneration (after an INTENTIONAL change, from the repo root):
 
@@ -81,20 +82,71 @@ let check_no_decoy (r : Scan.result) =
 let test_registry_scan () =
   let r = registry_scan () in
   Alcotest.(check int) "retrieved" 35 r.Scan.n_retrieved;
-  Alcotest.(check int) "confirmed" 35 (List.length r.Scan.candidates);
-  Alcotest.(check int) "rejected" 0 r.Scan.n_rejected;
+  Alcotest.(check int) "candidates = retrieved" r.Scan.n_retrieved
+    (List.length r.Scan.candidates);
   Alcotest.(check (float 1e-9)) "precision" 1.0 (Scan.precision r);
   Alcotest.(check (float 1e-9)) "recall" 1.0 (Scan.recall r);
-  check_no_decoy r;
-  (* Every diagonal candidate recovers a usable (ℓ, ep): ep ∈ ℓ. *)
+  check_no_decoy r
+
+(* A scan's jobs, built as the CLI builds them: ℓ handed to each job's
+   products. *)
+let octo_jobs (r : Scan.result) =
+  List.map
+    (fun (jb : Scan.job) ->
+      let j =
+        Octopocs.job ?ell:jb.jb_ell ~label:jb.jb_label ~s:jb.jb_s ~t:jb.jb_t ~poc:jb.jb_poc ()
+      in
+      Octopocs.seed_ell (Octopocs.job_products j) jb.jb_derived_ell;
+      j)
+    (Scan.jobs r)
+
+(* Every diagonal job of the registry scan settles with a usable
+   (ℓ, ep): the pipeline's ep lies in its ℓ. *)
+let test_registry_ep_in_ell () =
+  let r = registry_scan () in
+  let diagonal =
+    List.filter (fun j -> not (String.contains (Octopocs.job_label j) '~')) (octo_jobs r)
+  in
+  Alcotest.(check int) "diagonal jobs" 15 (List.length diagonal);
   List.iter
-    (fun (c : Detect.candidate) ->
-      if c.c_s_label = c.c_t_label then begin
-        Alcotest.(check bool)
-          (Printf.sprintf "pair %s: ep in ell" c.c_s_label)
-          true (List.mem c.c_ep c.c_ell)
-      end)
-    r.Scan.candidates
+    (fun (label, (rep : Octopocs.report)) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "pair %s: ep %S in ell" label rep.ep)
+        true (List.mem rep.ep rep.ell))
+    (Octopocs.run_all diagonal)
+
+(* The ℓ a scan hands each diagonal job is the pipeline's own, order
+   included: [Clone.ell_names (Clone.shared_functions s t)]. *)
+let test_handed_ell_is_pipelines () =
+  let probes, targets = Scan.of_source (Source.generated ~seed:42 ~count:60 ()) in
+  let targets = targets @ Scan.decoy_targets ~seed:7 ~count:3 in
+  let jobs = Scan.jobs (Scan.run ~probes ~targets ~n_decoys:3 ()) in
+  let diagonal = List.filter (fun (jb : Scan.job) -> jb.jb_ell = None) jobs in
+  Alcotest.(check int) "diagonal jobs" 60 (List.length diagonal);
+  List.iter
+    (fun (jb : Scan.job) ->
+      Alcotest.(check (list string))
+        (jb.jb_label ^ ": handed ℓ")
+        (Octo_clone.Clone.ell_names (Octo_clone.Clone.shared_functions jb.jb_s jb.jb_t))
+        jb.jb_derived_ell)
+    diagonal
+
+(* A scanned pair whose S does not crash on its PoC is still a candidate;
+   the pipeline settles it as the Failure "poc does not crash S"
+   (registry pair 1 with an empty PoC). *)
+let test_no_crash_reaches_pipeline () =
+  let probes, targets = Scan.of_source (Source.registry ()) in
+  let pr = { (List.hd probes) with Scan.pr_poc = "" } in
+  let r = Scan.run ~probes:[ pr ] ~targets:[ List.hd targets ] ~n_decoys:0 () in
+  Alcotest.(check int) "candidates" 1 (List.length r.candidates);
+  match Octopocs.run_all (octo_jobs r) with
+  | [ (label, rep) ] ->
+      Alcotest.(check string) "label" "1" label;
+      Alcotest.(check bool)
+        (Fmt.str "verdict %a" Octopocs.pp_verdict rep.verdict)
+        true
+        (rep.verdict = Octopocs.Failure "poc does not crash S")
+  | reps -> Alcotest.failf "%d report(s)" (List.length reps)
 
 (* Many decoys over gen:100:42: a patched tif decoy differs from the
    decoder only in allocation immediates, so it does not hold the
@@ -154,7 +206,7 @@ let test_scan_over_profile_cap () =
     Scan.render ~corpus_id:"gen:100:42" (Scan.run ~probes ~targets ~n_decoys:20 ())
   in
   let first = render () in
-  Alcotest.(check string) "as a fresh process" "0229cf5165a92cc1e77161e9e1e43edd"
+  Alcotest.(check string) "as a fresh process" "f66c8133882fb62b69d4681c8d2fc60d"
     (Digest.to_hex (Digest.string first));
   Alcotest.(check string) "second pass" first (render ())
 
@@ -248,4 +300,10 @@ let suite =
     Alcotest.test_case "directory source: lenient skips" `Quick test_directory_lenient;
     Alcotest.test_case "directory source: strict raises" `Quick test_directory_strict;
     Alcotest.test_case "differential: gen:200:42 rediscovery" `Slow test_differential_gen200;
+    Alcotest.test_case "registry scan: every diagonal job settles with ep in ℓ" `Quick
+      test_registry_ep_in_ell;
+    Alcotest.test_case "scan: a diagonal job is handed the pipeline's ℓ" `Quick
+      test_handed_ell_is_pipelines;
+    Alcotest.test_case "scan: S that does not crash settles as a Failure" `Quick
+      test_no_crash_reaches_pipeline;
   ]
